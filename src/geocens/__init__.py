@@ -8,10 +8,8 @@ from .covariance import (
     correlation,
     cross_distance,
     d2sigma,
-    d2sigma_inv,
     distance_matrix,
     dsigma,
-    dsigma_inv,
 )
 from .errors import (
     ConfigurationError,

@@ -102,25 +102,31 @@ def write_dataset_csv(path: str, data: SpatialDataset):
     _atomic_write(path, buf.getvalue())
 
 
-def read_dataset_csv(path: str) -> SpatialDataset:
+def _read_rows(path: str, base: list) -> tuple[list, list]:
+    """Header and data rows of a CSV whose columns are ``base`` then
+    ``cov1..covq``, each row with as many fields as the header."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
         raise DataValidationError(f"{path}: empty file")
     header = rows[0]
-    base = ["x", "y", "value", "cens", "lower", "upper"]
     if header[: len(base)] != base:
         raise DataValidationError(
             f"{path}: expected columns {base}[,cov1..], got {header}"
         )
-    extra_names = header[len(base) :]
-    for j, name in enumerate(extra_names):
+    for j, name in enumerate(header[len(base) :]):
         if name != f"cov{j+1}":
             raise DataValidationError(f"{path}: unknown column {name!r}")
-    coords, value, cens, lower, upper, covs = [], [], [], [], [], []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataValidationError(f"{path}:{r}: wrong field count")
+    return header, rows[1:]
+
+
+def read_dataset_csv(path: str) -> SpatialDataset:
+    header, rows = _read_rows(path, ["x", "y", "value", "cens", "lower", "upper"])
+    coords, value, cens, lower, upper, covs = [], [], [], [], [], []
+    for r, row in enumerate(rows, start=2):
         try:
             coords.append((float(row[0]), float(row[1])))
             value.append(float(row[2]))
@@ -148,26 +154,22 @@ def read_dataset_csv(path: str) -> SpatialDataset:
         cens=cens,
         lower=lower,
         upper=upper,
-        x_extra=np.array(covs) if extra_names else None,
+        x_extra=np.array(covs) if len(header) > 6 else None,
         cens_type=cens_type,
     )
 
 
 def read_targets_csv(path: str):
     """Targets file: ``x,y[,cov1..covq]``."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0][:2] != ["x", "y"]:
-        raise DataValidationError(f"{path}: expected columns x,y[,cov1..]")
-    q = len(rows[0]) - 2
+    header, rows = _read_rows(path, ["x", "y"])
     coords, covs = [], []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in enumerate(rows, start=2):
         try:
             coords.append((float(row[0]), float(row[1])))
             covs.append([float(v) for v in row[2:]])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise DataValidationError(f"{path}:{r}: {exc}") from exc
-    return np.array(coords), (np.array(covs) if q else None)
+    return np.array(coords), (np.array(covs) if len(header) > 2 else None)
 
 
 def _json_default(obj):
@@ -410,10 +412,11 @@ def fit_from_payload(payload: dict) -> SaemFit:
     trace_ll = np.array(
         [np.nan if v is None else v for v in payload["trace_loglik"]], dtype=float
     )
+    cen = np.flatnonzero(data.cens == 1)
     return SaemFit(
         params=params,
         zhat=np.array(payload["zhat"]),
-        zzhat=np.array(payload["zzhat"]),
+        zz_cc=np.array(payload["zzhat"])[np.ix_(cen, cen)],
         loglik=ll,
         criteria=crit,
         trace_params=np.array(payload["trace_params"]),

@@ -258,49 +258,3 @@ def d2sigma(
     if pair == (1, 2):
         return _dcorr_dphi(spec.family, spec.kappa, dist, p.phi)
     return np.zeros((n, n))
-
-
-def dsigma_inv(
-    dist: np.ndarray,
-    spec: CovarianceSpec,
-    p: CovParams,
-    k: int,
-    sigma_inv: np.ndarray | None = None,
-) -> np.ndarray:
-    """``d Sigma^{-1} / d alpha_k = -Sigma^{-1} (d Sigma / d alpha_k) Sigma^{-1}``.
-
-    ``sigma_inv`` may be supplied to avoid refactorizing in hot loops.
-    """
-    if sigma_inv is None:
-        sigma_inv = inv_sigma(dist, spec, p)
-    return -sigma_inv @ dsigma(dist, spec, p, k) @ sigma_inv
-
-
-def d2sigma_inv(
-    dist: np.ndarray,
-    spec: CovarianceSpec,
-    p: CovParams,
-    k: int,
-    l: int,
-    sigma_inv: np.ndarray | None = None,
-) -> np.ndarray:
-    """Second derivative of the precision matrix with respect to
-    ``alpha_k, alpha_l``."""
-    if sigma_inv is None:
-        sigma_inv = inv_sigma(dist, spec, p)
-    sk = dsigma(dist, spec, p, k)
-    sl = dsigma(dist, spec, p, l)
-    skl = d2sigma(dist, spec, p, k, l)
-    a = sigma_inv @ sl @ sigma_inv @ sk @ sigma_inv
-    b = sigma_inv @ sk @ sigma_inv @ sl @ sigma_inv
-    c = sigma_inv @ skl @ sigma_inv
-    return a + b - c
-
-
-def inv_sigma(dist: np.ndarray, spec: CovarianceSpec, p: CovParams) -> np.ndarray:
-    """Explicit inverse of ``Sigma`` via its Cholesky factor."""
-    lo = cholesky_sigma(dist, spec, p)
-    n = lo.shape[0]
-    from scipy.linalg import cho_solve
-
-    return cho_solve((lo, True), np.eye(n))

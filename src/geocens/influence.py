@@ -34,7 +34,7 @@ from .covariance import (
     dsigma,
     spd_cholesky,
 )
-from .errors import DegenerateCurvatureError, DataValidationError
+from .errors import DegenerateCurvatureError, DataValidationError, GeocensError
 from .model import ModelParams
 
 SCHEMES = ("response", "scale", "explanatory")
@@ -346,7 +346,8 @@ def local_influence(fit, c_star: float = 3.0) -> InfluenceReport:
                 rank=int(lam.size),
                 top_eigenvalues=lam[: min(5, lam.size)] / lam.sum(),
             )
-        except Exception as exc:  # a failing scheme must not sink the others
+        except (GeocensError, np.linalg.LinAlgError) as exc:
+            # a numerically failing scheme must not sink the others
             results[scheme] = None
             errors[scheme] = str(exc)
     return InfluenceReport(

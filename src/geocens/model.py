@@ -191,14 +191,10 @@ class SpatialDataset:
 
 @dataclass(frozen=True)
 class Partition:
-    """Observed/censored index sets and the reordered-to-original map."""
+    """Observed and censored index sets, each in original order."""
 
     obs_idx: np.ndarray
     cens_idx: np.ndarray
-
-    @property
-    def order(self) -> np.ndarray:
-        return np.concatenate([self.obs_idx, self.cens_idx])
 
 
 def build_trend(coords, x_extra, trend: TrendSpec) -> np.ndarray:

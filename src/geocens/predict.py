@@ -22,6 +22,7 @@ from .covariance import (
     CovarianceSpec,
     CovParams,
     build_sigma,
+    cholesky_sigma,
     corr_matrix,
     correlation,
     cross_distance,
@@ -390,6 +391,17 @@ def predict_naive(
     return result
 
 
+def _loo_means(params, x, y, dist, spec, idx) -> np.ndarray:
+    """Leave-one-out kriging means at the rows ``idx``, each predicted from
+    all other rows: ``y_i - [Sigma^{-1} r]_i / [Sigma^{-1}]_ii`` with
+    ``r = y - X beta`` (Dubrule 1983).  Exact for a plug-in ``beta`` and a
+    nugget on the diagonal only; one factorization for all rows."""
+    lo = cholesky_sigma(dist, spec, params.cov)
+    w = solve_triangular(lo, np.eye(len(y))[:, idx], lower=True)
+    rw = solve_triangular(lo, y - x @ params.beta, lower=True)
+    return y[idx] - (w.T @ rw) / np.sum(w * w, axis=0)
+
+
 def predict_seminaive(
     data: SpatialDataset,
     trend: TrendSpec,
@@ -434,21 +446,9 @@ def predict_seminaive(
         bound = data.upper[cens_idx]
 
         for iterations in range(1, cfg.max_iter + 1):
-            new_vals = np.empty(cens_idx.size)
-            for j, i in enumerate(cens_idx):
-                keep = np.arange(data.n) != i
-                pred = krige(
-                    params,
-                    x[keep],
-                    y[keep],
-                    data.coords[keep],
-                    x[i : i + 1],
-                    data.coords[i : i + 1],
-                    spec,
-                )
-                new_vals[j] = max(0.0, min(float(pred.mean[0]), bound[j]))
+            loo = _loo_means(params, x, y, dist, spec, cens_idx)
             y_new = y.copy()
-            y_new[cens_idx] = new_vals
+            y_new[cens_idx] = np.maximum(0.0, np.minimum(loo, bound))
             new_params, gauss_ll = gaussian_ml_fit(y_new, x, dist, spec, params.cov, bounds)
             rel_change = abs(new_params.cov.sigma2 - params.cov.sigma2) / params.cov.sigma2
             y = y_new

@@ -16,18 +16,20 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from .covariance import (
     CovarianceSpec,
     CovParams,
     build_sigma,
+    cholesky_sigma,
     corr_matrix,
     distance_matrix,
     spd_cholesky,
 )
 from .errors import ConfigurationError, DataValidationError, NumericalError
+from .errors import SingularCovarianceError
 from .model import (
     Criteria,
     LogLik,
@@ -97,12 +99,22 @@ class SaemConfig:
             )
 
 
+def dense_second_moment(zhat: np.ndarray, zz: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The n x n second moment: ``zz`` in the block ``idx``, ``zhat zhat'``
+    elsewhere."""
+    out = np.outer(zhat, zhat)
+    out[np.ix_(idx, idx)] = zz
+    return out
+
+
 @dataclass
 class SaemState:
-    """Mutable loop state: moment estimates and the persistent Gibbs chain."""
+    """Mutable loop state: the first moment, the second moment of the
+    censored block (observed rows are pinned, so elsewhere it is
+    ``zhat zhat'``), and the persistent Gibbs chain."""
 
     zhat: np.ndarray
-    zzhat: np.ndarray
+    zz_cc: np.ndarray
     chain: Optional[np.ndarray] = None
     iteration: int = 0
 
@@ -113,7 +125,7 @@ class SaemFit:
 
     params: ModelParams
     zhat: np.ndarray
-    zzhat: np.ndarray
+    zz_cc: np.ndarray
     loglik: LogLik
     criteria: Criteria
     trace_params: np.ndarray
@@ -133,6 +145,11 @@ class SaemFit:
         share of iterations (a smoothed point estimate of the noisy path)."""
         start = int(self.config.perc * self.iterations_used)
         return self.trace_params[start:].mean(axis=0)
+
+    @property
+    def zzhat(self) -> np.ndarray:
+        """Dense n x n second moment, rebuilt from ``zhat`` and ``zz_cc``."""
+        return dense_second_moment(self.zhat, self.zz_cc, partition(self.data).cens_idx)
 
     @property
     def aic(self) -> float:
@@ -225,10 +242,11 @@ def _e_step_core(state, data, params, sigma, x, config, rng):
     obs, cen = part.obs_idx, part.cens_idx
     value = data.value
 
+    zhat = value.astype(float)
     if cen.size == 0:
-        state.zhat = value.copy()
-        state.zzhat = np.outer(value, value)
-        return state.zhat, state.zzhat
+        state.zhat = zhat
+        state.zz_cc = np.zeros((0, 0))
+        return state.zhat, state.zz_cc
 
     mu, cond = conditional_given_obs(sigma, x, params.beta, value, obs, cen)
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
@@ -244,23 +262,27 @@ def _e_step_core(state, data, params, sigma, x, config, rng):
     )
     state.chain = samples_c[-1].copy()
 
-    z = np.tile(value, (config.m, 1))
-    z[:, cen] = samples_c
-    mc1 = z.mean(axis=0)
-    mc2 = z.T @ z / config.m
+    mc1 = samples_c.mean(axis=0)
+    mc2 = samples_c.T @ samples_c / config.m
+    zhat[cen] = state.zhat[cen] + delta * (mc1 - state.zhat[cen])
+    state.zhat = zhat
+    state.zz_cc = state.zz_cc + delta * (mc2 - state.zz_cc)
+    return state.zhat, state.zz_cc
 
-    state.zhat = state.zhat + delta * (mc1 - state.zhat)
-    state.zzhat = state.zzhat + delta * (mc2 - state.zzhat)
-    # keep observed coordinates exact against drift
-    state.zhat[obs] = value[obs]
-    state.zzhat[np.ix_(obs, obs)] = np.outer(value[obs], value[obs])
-    state.zzhat = 0.5 * (state.zzhat + state.zzhat.T)
-    return state.zhat, state.zzhat
+
+def _expected_quad(lo, resid, cov_c, idx) -> float:
+    """``E[(z - mu)' Sigma^{-1} (z - mu)]`` from the Cholesky factor ``lo``
+    of Sigma, the residual ``zhat - mu`` and the covariance ``cov_c`` of the
+    block ``idx`` (zero elsewhere), without forming Sigma^{-1}."""
+    rw = solve_triangular(lo, resid, lower=True)
+    ew = solve_triangular(lo, np.eye(lo.shape[0])[:, idx], lower=True)
+    return float(rw @ rw + np.sum((ew.T @ ew) * cov_c))
 
 
 def cm_step(
     zhat: np.ndarray,
-    zzhat: np.ndarray,
+    zz: np.ndarray,
+    idx: np.ndarray,
     x: np.ndarray,
     dist: np.ndarray,
     spec: CovarianceSpec,
@@ -274,23 +296,21 @@ def cm_step(
     nugget come from a box-constrained simplex search started at the
     previous iterate.  With a fixed nugget only the range is searched and
     ``nu2`` tracks ``fixed_nugget / sigma2``.
+
+    ``zz`` is the second moment of the block ``idx`` of the response; the
+    second moment elsewhere is ``zhat zhat'``.
     """
     n = x.shape[0]
-    sigma_prev = build_sigma(dist, spec, prev.cov)
-    lo = spd_cholesky(sigma_prev, jitter=1e-10 * (prev.cov.sigma2 + prev.cov.tau2))
-    sig_inv = cho_solve((lo, True), np.eye(n))
+    lo = cholesky_sigma(dist, spec, prev.cov)
 
     xw = solve_triangular(lo, x, lower=True)
     zw = solve_triangular(lo, zhat, lower=True)
     beta, *_ = np.linalg.lstsq(xw, zw, rcond=None)
 
     # sill update with the previous correlation-scale precision
-    psi_inv = prev.cov.sigma2 * sig_inv
-    mu = x @ beta
-    quad = float(
-        np.sum(zzhat * psi_inv) - 2.0 * zhat @ psi_inv @ mu + mu @ psi_inv @ mu
-    )
-    sigma2 = quad / n
+    resid = zhat - x @ beta
+    cov_c = zz - np.outer(zhat[idx], zhat[idx])
+    sigma2 = prev.cov.sigma2 * _expected_quad(lo, resid, cov_c, idx) / n
     if not np.isfinite(sigma2) or sigma2 <= 0:
         raise NumericalError("sill update produced a non-positive value")
 
@@ -307,14 +327,10 @@ def cm_step(
         sig = sigma2 * psi
         try:
             lo_s = spd_cholesky(sig)
-        except Exception:
+        except SingularCovarianceError:
             return np.inf
         logdet = 2.0 * float(np.sum(np.log(np.diag(lo_s))))
-        s_inv = cho_solve((lo_s, True), np.eye(n))
-        a_hat = float(
-            np.sum(zzhat * s_inv) - 2.0 * zhat @ s_inv @ mu + mu @ s_inv @ mu
-        )
-        return 0.5 * (logdet + a_hat)
+        return 0.5 * (logdet + _expected_quad(lo_s, resid, cov_c, idx))
 
     if spec.nugget_fixed:
         x0 = np.array([np.clip(prev.cov.phi, lower[0], upper[0])])
@@ -371,10 +387,10 @@ def saem_fit(
 
     y0 = _imputed_start(data)
     params = _initial_params(data, trend, spec, config, x, dist, y0)
-    state = SaemState(zhat=y0.copy(), zzhat=np.outer(y0, y0), chain=None)
-    part = partition(data)
-    if part.cens_idx.size:
-        state.chain = y0[part.cens_idx].copy()
+    cen = partition(data).cens_idx
+    state = SaemState(zhat=y0.copy(), zz_cc=np.outer(y0[cen], y0[cen]), chain=None)
+    if cen.size:
+        state.chain = y0[cen].copy()
 
     n_theta = p + 3
     trace_params = np.full((config.max_iter, n_theta), np.nan)
@@ -388,7 +404,7 @@ def saem_fit(
         sigma = build_sigma(dist, spec, params.cov)
         try:
             _e_step_core(state, data, params, sigma, x, config, gibbs_rng)
-            params = cm_step(state.zhat, state.zzhat, x, dist, spec, config, params)
+            params = cm_step(state.zhat, state.zz_cc, cen, x, dist, spec, config, params)
         except NumericalError as exc:
             raise NumericalError(f"iteration {k}: {exc}") from exc
         trace_params[k - 1] = params.as_array()
@@ -432,7 +448,7 @@ def saem_fit(
     return SaemFit(
         params=params,
         zhat=state.zhat,
-        zzhat=state.zzhat,
+        zz_cc=state.zz_cc,
         loglik=final_ll,
         criteria=crit,
         trace_params=trace_params[:iterations],

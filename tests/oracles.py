@@ -92,6 +92,34 @@ def gaussian_ml_oracle(y, x, dist, corr_fn, init, bounds):
     return beta, sigma2, float(phi), float(nu2 * sigma2), -float(nll)
 
 
+def precision_derivative(sigma, ds_k):
+    """``d Sigma^{-1} / d a_k = -Sigma^{-1} (d Sigma / d a_k) Sigma^{-1}``
+    with a dense inverse."""
+    si = np.linalg.inv(sigma)
+    return -si @ ds_k @ si
+
+
+def precision_second_derivative(sigma, ds_k, ds_l, ds_kl):
+    """``d^2 Sigma^{-1} / d a_k d a_l`` from the first and second
+    derivatives of Sigma, with a dense inverse."""
+    si = np.linalg.inv(sigma)
+    return si @ ds_l @ si @ ds_k @ si + si @ ds_k @ si @ ds_l @ si - si @ ds_kl @ si
+
+
+def loo_kriging_means(y, x, beta, sigma, idx):
+    """Leave-one-out kriging mean at each row of ``idx`` by one dense
+    solve per row on the covariance ``sigma`` of all rows with that row
+    removed (the direct loop the closed form replaces)."""
+    y = np.asarray(y, float)
+    mu = np.asarray(x, float) @ np.asarray(beta, float)
+    out = np.empty(len(idx))
+    for j, i in enumerate(idx):
+        keep = np.arange(len(y)) != i
+        w = np.linalg.solve(sigma[np.ix_(keep, keep)], y[keep] - mu[keep])
+        out[j] = mu[i] + sigma[i, keep] @ w
+    return out
+
+
 def central_hessian(f, x0, rel_step=1e-4):
     """Dense central-difference Hessian of a scalar function."""
     x0 = np.asarray(x0, float)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from geocens import CovarianceSpec, SaemConfig, TrendSpec, saem_fit
 from geocens.cli import main, read_dataset_csv, write_dataset_csv
 
 
@@ -261,3 +262,37 @@ def test_diagnose_outputs_all_schemes(tmp_path, sim_dir):
         m0 = np.array(scheme["m0"])
         assert m0.sum() == pytest.approx(1.0, abs=1e-8)
         assert (out / f"m0_{name}.svg").exists()
+
+
+def test_predict_rejects_truth_file_as_targets(tmp_path, sim_dir):
+    # truth.csv has header x,y,value: "value" is not a covariate column
+    rc = run_cli("predict", "--method", "naive1", "--data", sim_dir / "data.csv",
+                 "--targets", sim_dir / "truth.csv", "--out-dir", tmp_path)
+    assert rc == 2
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+def test_predict_rejects_targets_row_with_extra_field(tmp_path, sim_dir):
+    targets = tmp_path / "targets.csv"
+    write_targets(sim_dir, targets)
+    with open(targets, "a", newline="") as f:
+        csv.writer(f).writerow(["1.0", "2.0", "3.0"])
+    rc = run_cli("predict", "--method", "naive1", "--data", sim_dir / "data.csv",
+                 "--targets", targets, "--out-dir", tmp_path)
+    assert rc == 2
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+def test_fit_payload_roundtrip_keeps_censored_second_moment(sim_dir):
+    from geocens.cli import _json_default, fit_from_payload, fit_to_payload
+
+    data = read_dataset_csv(str(sim_dir / "data.csv"))
+    fit = saem_fit(data, TrendSpec("cte"), CovarianceSpec("exponential"), SaemConfig(
+        m=8, max_iter=6, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
+        lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=5,
+    ))
+    text = json.dumps(fit_to_payload(fit), default=_json_default)
+    again = fit_from_payload(json.loads(text))
+    assert fit.zz_cc.shape == (data.cens.sum(),) * 2
+    assert np.array_equal(again.zz_cc, fit.zz_cc)
+    assert np.array_equal(again.zhat, fit.zhat)

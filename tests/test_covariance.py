@@ -10,12 +10,25 @@ from geocens import (
     build_sigma,
     correlation,
     d2sigma,
-    d2sigma_inv,
     distance_matrix,
     dsigma,
-    dsigma_inv,
 )
 from geocens.covariance import spd_cholesky
+
+from oracles import precision_derivative, precision_second_derivative
+
+
+def dsigma_inv(dist, spec, p, k):
+    return precision_derivative(build_sigma(dist, spec, p), dsigma(dist, spec, p, k))
+
+
+def d2sigma_inv(dist, spec, p, k, l):
+    return precision_second_derivative(
+        build_sigma(dist, spec, p),
+        dsigma(dist, spec, p, k),
+        dsigma(dist, spec, p, l),
+        d2sigma(dist, spec, p, k, l),
+    )
 
 FAMILY_SPECS = [
     CovarianceSpec("exponential"),

@@ -304,3 +304,42 @@ def test_local_influence_clean_data_low_flag_rate():
         fit, report, _ = run_study(seed, inject_three=False, max_iter=8)
         rates.append(report.response.flags.mean())
     assert np.mean(rates) <= 0.05
+
+
+def _small_fit():
+    from geocens import SaemConfig
+    from geocens.simulate import SimConfig, simulate_scl
+
+    res = simulate_scl(SimConfig(
+        n_est=30, n_pred=0, beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+        spec=CovarianceSpec("exponential"), cens_level=0.2,
+        coord_box=((0.0, 6.0), (0.0, 6.0)), seed=4,
+    ))
+    cfg = SaemConfig(m=5, max_iter=4, init_sigma2=1.0, init_phi=1.0, init_nugget=0.1,
+                     lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=1)
+    return saem_fit(res.data, TrendSpec("cte"), CovarianceSpec("exponential"), cfg)
+
+
+def test_local_influence_records_numerical_failure_of_one_scheme(monkeypatch):
+    import geocens.influence as inf
+    from geocens.errors import SingularCovarianceError
+
+    def singular(*args):
+        raise SingularCovarianceError("not positive definite")
+
+    monkeypatch.setitem(inf._DELTA_BUILDERS, "scale", singular)
+    report = local_influence(_small_fit())
+    assert report.scale is None
+    assert "not positive definite" in report.errors["scale"]
+    assert report.response is not None and report.explanatory is not None
+
+
+def test_local_influence_propagates_programming_errors(monkeypatch):
+    import geocens.influence as inf
+
+    def broken(*args):
+        raise TypeError("bad argument")
+
+    monkeypatch.setitem(inf._DELTA_BUILDERS, "scale", broken)
+    with pytest.raises(TypeError, match="bad argument"):
+        local_influence(_small_fit())

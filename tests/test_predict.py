@@ -20,10 +20,11 @@ from geocens import (
     wls_variofit,
 )
 from geocens.covariance import build_sigma, correlation, cross_distance, distance_matrix
-from geocens.predict import sample_skewness
+from geocens.model import build_trend
+from geocens.predict import _loo_means, initial_values, sample_skewness
 from geocens.simulate import SimConfig, simulate_scl
 
-from oracles import gaussian_ml_oracle
+from oracles import gaussian_ml_oracle, loo_kriging_means
 
 SPEC_EXP = CovarianceSpec("exponential")
 
@@ -313,6 +314,45 @@ def test_seminaive_clamp_identity_when_predictions_inside():
     imputed = out.extra["imputed"][cens_idx]
     inside = (imputed > 0.0) & (imputed < res.data.upper[cens_idx])
     assert inside.any()  # clamp acted as identity for these rows
+
+
+def test_loo_closed_form_matches_direct_loop():
+    # half the sites left-censored and imputed at their bound; first-order
+    # trend so that the plug-in mean varies by site
+    res = censored_sim(seed=36, cens_level=0.5, n=60)
+    data = res.data
+    cens_idx = np.flatnonzero(data.cens == 1)
+    y = data.value.copy()
+    y[cens_idx] = data.upper[cens_idx]
+    x = build_trend(data.coords, None, TrendSpec("first"))
+    params = ModelParams(
+        beta=[9.5, 0.1, -0.05], cov=CovParams(sigma2=2.0, phi=1.3, tau2=0.2)
+    )
+    dist = distance_matrix(data.coords)
+    got = _loo_means(params, x, y, dist, SPEC_EXP, cens_idx)
+    sigma = build_sigma(dist, SPEC_EXP, params.cov)
+    want = loo_kriging_means(y, x, params.beta, sigma, cens_idx)
+    assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+def test_seminaive_first_pass_matches_direct_loop():
+    res = censored_sim(seed=37, cens_level=0.5, n=40)
+    data = res.data
+    out = predict_seminaive(
+        data, TrendSpec("cte"), SPEC_EXP, res.pred_coords,
+        cfg=SeminaiveConfig(max_iter=1),
+    )
+    cens_idx = np.flatnonzero(data.cens == 1)
+    y0 = data.value.copy()
+    y0[cens_idx] = 0.0
+    x = np.ones((data.n, 1))
+    dist = distance_matrix(data.coords)
+    init = initial_values(data, TrendSpec("cte"), SPEC_EXP).cov
+    params, _ = gaussian_ml_fit(y0, x, dist, SPEC_EXP, init, None)
+    sigma = build_sigma(dist, SPEC_EXP, params.cov)
+    loo = loo_kriging_means(y0, x, params.beta, sigma, cens_idx)
+    want = np.maximum(0.0, np.minimum(loo, data.upper[cens_idx]))
+    assert_allclose(out.extra["imputed"][cens_idx], want, rtol=1e-10, atol=1e-10)
 
 
 def test_naive_rejects_degenerate_detection_limit():

@@ -21,7 +21,7 @@ from geocens import (
 from geocens.covariance import build_sigma, correlation, distance_matrix
 from geocens.model import build_trend
 from geocens.mvn import Rectangle
-from geocens.saem import SaemState
+from geocens.saem import SaemState, dense_second_moment
 from geocens.simulate import SimConfig, simulate_scl
 
 from oracles import gaussian_ml_oracle
@@ -85,10 +85,11 @@ def test_e_step_no_censoring_pins_moments():
     res = sim_left(cens=0.0)
     data = res.data
     params = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
-    state = SaemState(zhat=np.zeros(data.n), zzhat=np.zeros((data.n, data.n)))
-    zhat, zzhat = e_step(
+    state = SaemState(zhat=np.zeros(data.n), zz_cc=np.zeros((0, 0)))
+    zhat, zz_cc = e_step(
         state, data, params, TrendSpec("cte"), SPEC_EXP, base_config(), RngState(1)
     )
+    zzhat = dense_second_moment(zhat, zz_cc, np.flatnonzero(data.cens == 1))
     assert_allclose(zhat, data.value)
     assert_allclose(zzhat, np.outer(data.value, data.value))
 
@@ -98,9 +99,8 @@ def test_e_step_delta_one_replaces_with_mc_average():
     data = res.data
     params = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
     cfg = base_config(max_iter=50, pc=0.2)  # iteration 1 is inside the cut
-    junk = SaemState(
-        zhat=np.full(data.n, -123.0), zzhat=np.full((data.n, data.n), 99.0)
-    )
+    n_c = int(data.cens.sum())
+    junk = SaemState(zhat=np.full(data.n, -123.0), zz_cc=np.full((n_c, n_c), 99.0))
     zhat, _ = e_step(junk, data, params, TrendSpec("cte"), SPEC_EXP, cfg, RngState(7))
 
     # replay the sampling with the same stream and average by hand
@@ -131,7 +131,7 @@ def test_e_step_scalar_truncated_mean_recovery():
     )
     params = ModelParams(beta=[0.0], cov=CovParams(sigma2=1.0, phi=1.0, tau2=0.0))
     cfg = base_config(m=15, max_iter=10_000, pc=1.0 - 1e-9)  # never leaves warm-up
-    state = SaemState(zhat=data.value.copy(), zzhat=np.outer(data.value, data.value))
+    state = SaemState(zhat=data.value.copy(), zz_cc=np.full((1, 1), data.value[0] ** 2))
     rng = RngState(11)
     draws = []
     for _ in range(300):
@@ -160,7 +160,8 @@ def test_cm_step_beta_is_gls():
     prev = ModelParams(beta=[0.0], cov=CovParams(sigma2=1.5, phi=0.8, tau2=0.3))
     zhat = data.value
     zzhat = np.outer(zhat, zhat)
-    new = cm_step(zhat, zzhat, x, dist, SPEC_EXP, base_config(), prev)
+    cfg = base_config()
+    new = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev)
     sigma = build_sigma(dist, SPEC_EXP, prev.cov)
     si = np.linalg.inv(sigma)
     want = np.linalg.solve(x.T @ si @ x, x.T @ si @ zhat)
@@ -177,7 +178,7 @@ def test_cm_step_square_design_residual_free_sill():
     zhat = np.array([0.7, -0.4])
     zzhat = np.outer(zhat, zhat) + 0.5 * np.eye(2)
     cfg = base_config()
-    new = cm_step(zhat, zzhat, x, dist, SPEC_EXP, cfg, prev)
+    new = cm_step(zhat, zzhat, np.arange(2), x, dist, SPEC_EXP, cfg, prev)
     psi_inv = np.linalg.inv(build_sigma(dist, SPEC_EXP, prev.cov) / prev.cov.sigma2)
     want = np.sum((zzhat - np.outer(zhat, zhat)) * psi_inv) / 2.0
     assert new.cov.sigma2 == pytest.approx(want, rel=1e-10)
@@ -192,7 +193,7 @@ def test_cm_step_dominates_random_feasible_points():
     zhat = data.value.astype(float)
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
-    new = cm_step(zhat, zzhat, x, dist, SPEC_EXP, cfg, prev)
+    new = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev)
 
     def profile(phi, nu2, sigma2, beta):
         psi = correlation("exponential", 0.0, dist, phi) + nu2 * np.eye(data.n)
@@ -208,6 +209,34 @@ def test_cm_step_dominates_random_feasible_points():
         phi = rng.uniform(*[cfg.lower[0], cfg.upper[0]])
         nu2 = rng.uniform(cfg.lower[1], min(cfg.upper[1], 3.0))
         assert attained >= profile(phi, nu2, new.cov.sigma2, new.beta) - 1e-6
+
+
+def test_cm_step_censored_block_equals_dense_moments():
+    # the block form (zz of the censored rows only) and the dense form
+    # (idx = all rows, full n x n second moment) are the same objective
+    res = sim_left(seed=14, cens=0.3)
+    data = res.data
+    x = build_trend(data.coords, None, TrendSpec("cte"))
+    dist = distance_matrix(data.coords)
+    prev = ModelParams(beta=[1.5], cov=CovParams(sigma2=1.0, phi=1.0, tau2=0.2))
+    cen = np.flatnonzero(data.cens == 1)
+    assert 0 < cen.size < data.n
+    rng = np.random.default_rng(3)
+    zhat = data.value.astype(float)
+    zhat[cen] = data.upper[cen] - rng.uniform(0.1, 0.5, cen.size)
+    w = rng.normal(size=(cen.size, cen.size + 2))
+    zz_cc = np.outer(zhat[cen], zhat[cen]) + w @ w.T / (cen.size + 2)
+    zzhat = dense_second_moment(zhat, zz_cc, cen)
+    for spec, cfg in [
+        (SPEC_EXP, base_config()),
+        (
+            CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.2),
+            base_config(lower=(0.05,), upper=(20.0,)),
+        ),
+    ]:
+        block = cm_step(zhat, zz_cc, cen, x, dist, spec, cfg, prev)
+        dense = cm_step(zhat, zzhat, np.arange(data.n), x, dist, spec, cfg, prev)
+        assert_allclose(block.as_array(), dense.as_array(), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +292,17 @@ def test_saem_fit_invariants():
     assert np.all(fit.zhat[cens] <= res.data.upper[cens])
     assert fit.iterations_used == 20
     assert not fit.converged  # tol=0 never triggers
+
+
+def test_saem_fit_stores_only_the_censored_second_moment():
+    res = sim_left(seed=22)
+    fit = saem_fit(res.data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=8))
+    cen = res.data.cens == 1
+    assert fit.zz_cc.shape == (cen.sum(), cen.sum())
+    zzhat = fit.zzhat
+    outside = ~np.outer(cen, cen)
+    assert np.array_equal(zzhat[outside], np.outer(fit.zhat, fit.zhat)[outside])
+    assert np.array_equal(zzhat[np.ix_(cen, cen)], fit.zz_cc)
 
 
 def test_saem_shift_equivariance():
