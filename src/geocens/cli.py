@@ -342,6 +342,10 @@ def fit_to_payload(fit: SaemFit) -> dict:
             "upper": list(cfg.upper),
             "tol": cfg.tol,
             "seed": cfg.seed,
+            "gibbs_burn_in": cfg.gibbs_burn_in,
+            "monitor_eps": cfg.monitor_eps,
+            "final_eps": cfg.final_eps,
+            "rect_max_points": cfg.rect_max_points,
             "trend": fit.trend.kind,
             "cov_model": fit.spec.family,
             "kappa": fit.spec.kappa,
@@ -403,6 +407,11 @@ def fit_from_payload(payload: dict) -> SaemFit:
         upper=tuple(cfg_d["upper"]),
         tol=cfg_d["tol"],
         seed=cfg_d["seed"],
+        # absent from files written before these fields were stored
+        gibbs_burn_in=cfg_d.get("gibbs_burn_in", SaemConfig.gibbs_burn_in),
+        monitor_eps=cfg_d.get("monitor_eps", SaemConfig.monitor_eps),
+        final_eps=cfg_d.get("final_eps", SaemConfig.final_eps),
+        rect_max_points=cfg_d.get("rect_max_points", SaemConfig.rect_max_points),
     )
     from .model import LogLik, criteria
 

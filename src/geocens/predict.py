@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares
 from scipy.spatial.distance import pdist
 
 from .covariance import (
@@ -23,7 +23,6 @@ from .covariance import (
     CovParams,
     build_sigma,
     cholesky_sigma,
-    corr_matrix,
     correlation,
     cross_distance,
     distance_matrix,
@@ -45,6 +44,7 @@ from .model import (
     param_count,
     partition,
 )
+from .profile import profile_objective, profile_search, psi_cholesky
 
 METHODS = ("naive1", "naive2", "seminaive", "saem")
 
@@ -257,6 +257,22 @@ def default_search_box(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([1e-4 * dmax, 0.0]), np.array([10.0 * dmax, 1e3])
 
 
+def _ml_nuisance(lo, nu2, y, x, fixed_tau):
+    """Profiled trend, residual, sill and ``dsigma2 / dnu2`` of Gaussian ML
+    under ``Psi = lo lo'``: generalized least squares for the trend, and
+    the sill at ``rss / n``, or pinned by a fixed nugget ``tau2 > 0`` at
+    ``tau2 / nu2``."""
+    xw = solve_triangular(lo, x, lower=True)
+    yw = solve_triangular(lo, y, lower=True)
+    beta, *_ = np.linalg.lstsq(xw, yw, rcond=None)
+    resid = y - x @ beta
+    if fixed_tau is not None and nu2 > 0:
+        sigma2 = fixed_tau / nu2
+        return beta, resid, sigma2, -sigma2 / nu2
+    rw = yw - xw @ beta
+    return beta, resid, max(float(rw @ rw) / len(y), 1e-300), 0.0
+
+
 def gaussian_ml_fit(
     y: np.ndarray,
     x: np.ndarray,
@@ -269,9 +285,10 @@ def gaussian_ml_fit(
     parameters, profiling the trend coefficients (and the sill when it is
     free).  Returns the fitted parameters and the attained log-likelihood.
 
-    The numeric search runs over ``(phi, nu2)`` within ``bounds`` (a pair of
-    length-2 arrays).  With a fixed zero nugget the search is over ``phi``
-    alone.
+    The search over ``(phi, nu2)`` within ``bounds`` (a pair of length-2
+    arrays) is the bounded gradient search the CM step of the stochastic
+    EM uses (:mod:`geocens.profile`), with no censored block.  With a fixed
+    zero nugget the search is over ``phi`` alone.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -282,57 +299,35 @@ def gaussian_ml_fit(
         lo_b, hi_b = np.asarray(bounds[0], float), np.asarray(bounds[1], float)
     fixed_tau = spec.fixed_nugget_value if spec.nugget_fixed else None
 
-    def profile_nll(phi: float, nu2: float):
-        psi = corr_matrix(dist, spec, phi)
-        psi[np.diag_indices_from(psi)] += nu2
-        lo = spd_cholesky(psi)
-        xw = solve_triangular(lo, x, lower=True)
-        yw = solve_triangular(lo, y, lower=True)
-        beta, *_ = np.linalg.lstsq(xw, yw, rcond=None)
-        rw = yw - xw @ beta
-        rss = float(rw @ rw)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(lo))))
-        if fixed_tau is not None and nu2 > 0:
-            # sill is pinned by tau2 = nu2 * sigma2
-            sigma2 = fixed_tau / nu2
-            nll = 0.5 * (
-                n * np.log(2 * np.pi) + n * np.log(sigma2) + logdet + rss / sigma2
-            )
-        else:
-            sigma2 = rss / n
-            nll = 0.5 * (
-                n * np.log(2 * np.pi) + n * np.log(max(sigma2, 1e-300)) + logdet + n
-            )
-        return nll, beta, sigma2
-
     if fixed_tau is not None and fixed_tau == 0.0:
         x0 = np.array([np.clip(init.phi, lo_b[0], hi_b[0])])
-        obj = lambda t: profile_nll(t[0], 0.0)[0]
-        box = [(lo_b[0], hi_b[0])]
+        lower, upper = lo_b[:1], hi_b[:1]
+        nu2_held = 0.0
     elif fixed_tau is not None:
         nu0 = np.clip(fixed_tau / init.sigma2, max(lo_b[1], 1e-10), hi_b[1])
         x0 = np.array([np.clip(init.phi, lo_b[0], hi_b[0]), nu0])
-        obj = lambda t: profile_nll(t[0], t[1])[0]
-        box = [(lo_b[0], hi_b[0]), (max(lo_b[1], 1e-10), hi_b[1])]
+        lower, upper = np.array([lo_b[0], max(lo_b[1], 1e-10)]), hi_b[:2]
+        nu2_held = None
     else:
         x0 = np.array(
             [np.clip(init.phi, lo_b[0], hi_b[0]), np.clip(init.nu2, lo_b[1], hi_b[1])]
         )
-        obj = lambda t: profile_nll(t[0], t[1])[0]
-        box = [(lo_b[0], hi_b[0]), (lo_b[1], hi_b[1])]
+        lower, upper = lo_b[:2], hi_b[:2]
+        nu2_held = None
 
-    sol = minimize(
-        obj,
-        x0,
-        method="Nelder-Mead",
-        bounds=box,
-        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000},
+    theta, value = profile_search(
+        lambda t: profile_objective(
+            t, dist, spec, lambda lo, nu2: _ml_nuisance(lo, nu2, y, x, fixed_tau)[1:],
+            np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
+        ),
+        x0, lower, upper,
     )
-    if not np.isfinite(sol.fun):
+    if not np.isfinite(value):
         raise NumericalError("gaussian likelihood optimization diverged")
-    phi = float(sol.x[0])
-    nu2 = float(sol.x[1]) if sol.x.shape[0] > 1 else 0.0
-    nll, beta, sigma2 = profile_nll(phi, nu2)
+    phi = float(theta[0])
+    nu2 = float(theta[1]) if theta.shape[0] > 1 else 0.0
+    beta, _, sigma2, _ = _ml_nuisance(psi_cholesky(dist, spec, phi, nu2), nu2, y, x, fixed_tau)
+    nll = value + 0.5 * n * np.log(2 * np.pi)
     tau2 = fixed_tau if fixed_tau is not None else nu2 * sigma2
     params = ModelParams(
         beta=beta, cov=CovParams(sigma2=float(sigma2), phi=phi, tau2=float(tau2))

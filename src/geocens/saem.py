@@ -4,8 +4,8 @@ Each iteration draws a small Gibbs sample of the censored block from its
 conditional truncated normal law, folds it into running estimates of the
 conditional first and second moments with a decreasing step size, and then
 performs the conditional maximization: closed forms for the trend
-coefficients and the sill, a box-constrained numeric search for the range
-and relative nugget.
+coefficients and the sill, and a bounded gradient search for the range and
+relative nugget (:mod:`geocens.profile`).
 """
 
 from __future__ import annotations
@@ -17,19 +17,16 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
 
 from .covariance import (
     CovarianceSpec,
     CovParams,
     build_sigma,
     cholesky_sigma,
-    corr_matrix,
     distance_matrix,
     spd_cholesky,
 )
 from .errors import ConfigurationError, DataValidationError, NumericalError
-from .errors import SingularCovarianceError
 from .model import (
     Criteria,
     LogLik,
@@ -44,6 +41,7 @@ from .model import (
     partition,
 )
 from .mvn import Rectangle, RngState, tmvn_gibbs
+from .profile import expected_quad, profile_objective, profile_search
 
 
 @dataclass(frozen=True)
@@ -270,15 +268,6 @@ def _e_step_core(state, data, params, sigma, x, config, rng):
     return state.zhat, state.zz_cc
 
 
-def _expected_quad(lo, resid, cov_c, idx) -> float:
-    """``E[(z - mu)' Sigma^{-1} (z - mu)]`` from the Cholesky factor ``lo``
-    of Sigma, the residual ``zhat - mu`` and the covariance ``cov_c`` of the
-    block ``idx`` (zero elsewhere), without forming Sigma^{-1}."""
-    rw = solve_triangular(lo, resid, lower=True)
-    ew = solve_triangular(lo, np.eye(lo.shape[0])[:, idx], lower=True)
-    return float(rw @ rw + np.sum((ew.T @ ew) * cov_c))
-
-
 def cm_step(
     zhat: np.ndarray,
     zz: np.ndarray,
@@ -293,9 +282,11 @@ def cm_step(
 
     The trend coefficients are generalized least squares under the previous
     covariance; the sill is its closed-form update; the range and relative
-    nugget come from a box-constrained simplex search started at the
-    previous iterate.  With a fixed nugget only the range is searched and
-    ``nu2`` tracks ``fixed_nugget / sigma2``.
+    nugget come from the bounded quasi-Newton search of
+    :func:`geocens.profile.profile_search` on the analytic gradient of the
+    profile objective, started at the previous iterate.  With a fixed
+    nugget only the range is searched and ``nu2`` tracks
+    ``fixed_nugget / sigma2``.
 
     ``zz`` is the second moment of the block ``idx`` of the response; the
     second moment elsewhere is ``zhat zhat'``.
@@ -310,55 +301,33 @@ def cm_step(
     # sill update with the previous correlation-scale precision
     resid = zhat - x @ beta
     cov_c = zz - np.outer(zhat[idx], zhat[idx])
-    sigma2 = prev.cov.sigma2 * _expected_quad(lo, resid, cov_c, idx) / n
+    sigma2 = prev.cov.sigma2 * expected_quad(lo, resid, cov_c, idx) / n
     if not np.isfinite(sigma2) or sigma2 <= 0:
         raise NumericalError("sill update produced a non-positive value")
 
     lower = np.asarray(config.lower, dtype=float)
     upper = np.asarray(config.upper, dtype=float)
-
-    def neg_profile(theta):
-        phi = theta[0]
-        nu2 = (
-            spec.fixed_nugget_value / sigma2 if spec.nugget_fixed else float(theta[1])
-        )
-        psi = corr_matrix(dist, spec, phi)
-        psi[np.diag_indices_from(psi)] += nu2
-        sig = sigma2 * psi
-        try:
-            lo_s = spd_cholesky(sig)
-        except SingularCovarianceError:
-            return np.inf
-        logdet = 2.0 * float(np.sum(np.log(np.diag(lo_s))))
-        return 0.5 * (logdet + _expected_quad(lo_s, resid, cov_c, idx))
-
     if spec.nugget_fixed:
-        x0 = np.array([np.clip(prev.cov.phi, lower[0], upper[0])])
-        box = [(lower[0], upper[0])]
+        lower, upper = lower[:1], upper[:1]
+        x0 = np.clip([prev.cov.phi], lower, upper)
+        nu2 = spec.fixed_nugget_value / sigma2
     else:
-        x0 = np.array(
-            [
-                np.clip(prev.cov.phi, lower[0], upper[0]),
-                np.clip(prev.cov.nu2, lower[-1], upper[-1]),
-            ]
-        )
-        box = [(lower[0], upper[0]), (lower[-1], upper[-1])]
-    # warm-started every iteration, so a modest simplex tolerance suffices;
-    # the EM loop supplies the outer convergence pressure
-    sol = minimize(
-        neg_profile,
-        x0,
-        method="Nelder-Mead",
-        bounds=box,
-        options={"xatol": 1e-5, "fatol": 1e-8, "maxiter": 300},
+        lower, upper = lower[[0, -1]], upper[[0, -1]]
+        x0 = np.clip([prev.cov.phi, prev.cov.nu2], lower, upper)
+        nu2 = None
+    theta, value = profile_search(
+        lambda t: profile_objective(
+            t, dist, spec, lambda lo_psi, nu2_t: (resid, sigma2, 0.0), cov_c, idx, nu2
+        ),
+        x0, lower, upper,
     )
-    if not np.isfinite(sol.fun):
+    if not np.isfinite(value):
         raise NumericalError("inner covariance search produced a non-finite objective")
-    phi = float(sol.x[0])
+    phi = float(theta[0])
     if spec.nugget_fixed:
         tau2 = spec.fixed_nugget_value
     else:
-        tau2 = float(sol.x[1]) * sigma2
+        tau2 = float(theta[1]) * sigma2
     return ModelParams(beta=beta, cov=CovParams(sigma2=sigma2, phi=phi, tau2=tau2))
 
 

@@ -296,3 +296,27 @@ def test_fit_payload_roundtrip_keeps_censored_second_moment(sim_dir):
     assert fit.zz_cc.shape == (data.cens.sum(),) * 2
     assert np.array_equal(again.zz_cc, fit.zz_cc)
     assert np.array_equal(again.zhat, fit.zhat)
+
+
+def test_fit_payload_roundtrip_keeps_every_config_field(sim_dir):
+    from dataclasses import asdict
+
+    from geocens.cli import _json_default, fit_from_payload, fit_to_payload
+
+    data = read_dataset_csv(str(sim_dir / "data.csv"))
+    config = SaemConfig(
+        m=6, max_iter=4, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
+        lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=5,
+        gibbs_burn_in=7, monitor_eps=2e-3, final_eps=5e-4, rect_max_points=20_000,
+    )
+    fit = saem_fit(data, TrendSpec("cte"), CovarianceSpec("exponential"), config)
+    payload = json.loads(json.dumps(fit_to_payload(fit), default=_json_default))
+    assert asdict(fit_from_payload(payload).config) == asdict(config)
+
+    # files written before the four fields were stored load with defaults
+    for key in ("gibbs_burn_in", "monitor_eps", "final_eps", "rect_max_points"):
+        del payload["config"][key]
+    old = fit_from_payload(payload).config
+    assert (old.gibbs_burn_in, old.monitor_eps, old.final_eps, old.rect_max_points) == (
+        20, 1e-3, 1e-4, 100_000
+    )

@@ -13,7 +13,7 @@ from geocens import (
     distance_matrix,
     dsigma,
 )
-from geocens.covariance import spd_cholesky
+from geocens.covariance import _d2corr_dphi2, _dcorr_dphi, spd_cholesky
 
 from oracles import precision_derivative, precision_second_derivative
 
@@ -179,6 +179,23 @@ def test_dsigma_matches_finite_difference(spec):
             want = _fd_sigma(dist, spec, p, k)
             scale = max(np.abs(want).max(), 1e-12)
             assert np.abs(got - want).max() / scale < 1e-5, (spec.family, k, seed)
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
+def test_pairwise_matrices_equal_full_matrix_evaluation(spec):
+    # Matern is evaluated on the upper triangle and mirrored; a distance
+    # matrix is exactly symmetric with a zero diagonal, so every family
+    # gives the elementwise evaluation over the whole matrix
+    for seed in range(3):
+        dist = random_geometry(seed, n=12)
+        p = random_params(seed)
+        rho = correlation(spec.family, spec.kappa, dist, p.phi)
+        assert np.array_equal(dsigma(dist, spec, p, 1), rho)
+        d1 = _dcorr_dphi(spec.family, spec.kappa, dist, p.phi)
+        d2 = _d2corr_dphi2(spec.family, spec.kappa, dist, p.phi)
+        assert np.array_equal(dsigma(dist, spec, p, 2), p.sigma2 * d1)
+        assert np.array_equal(d2sigma(dist, spec, p, 1, 2), d1)
+        assert np.array_equal(d2sigma(dist, spec, p, 2, 2), p.sigma2 * d2)
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
