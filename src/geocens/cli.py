@@ -688,7 +688,13 @@ def cmd_diagnose(args) -> int:
         "dataset_fingerprint": fit.fingerprint,
         "schemes": {},
         "errors": report.errors,
+        "hessian_eigenvalues": report.hessian_eigenvalues,
+        "hessian_negative_definite": report.hessian_negative_definite,
     }
+    if not report.hessian_negative_definite:
+        print(f"warning: the Hessian of Q is not negative definite at the estimates "
+              f"(smallest eigenvalue of -H {report.hessian_eigenvalues[0]:.3g}); "
+              f"M(0) assumes a maximizer", file=sys.stderr)
     for name in ("response", "scale", "explanatory"):
         diag = report.scheme(name)
         if diag is None:

@@ -12,10 +12,30 @@ matrix.  Each observation's aggregated contribution ``M(0)_l`` equals the
 conformal normal curvature in its coordinate direction, lies in ``[0, 1]``
 and sums to one; observations above ``mean + c* sd`` are flagged.
 
-Every analytic derivative here is the literal derivative of
-:func:`q_value` / :func:`perturbed_q_value`, so finite differences of
-those functions are the ground truth the implementation is tested
-against.
+The moments are taken as in the CM step: the first moment ``zhat`` and
+``zz``, the second moment of the censored rows ``c`` (``fit.zz_cc``);
+elsewhere the second moment is ``zhat zhat'``, so with
+``C = zz - zhat_c zhat_c'`` the expected quadratic form is
+``r' P r + sum(P_cc * C)``, ``r = zhat - X beta``, ``P = Sigma^{-1}``.
+No dense n x n second moment is read.
+
+Cost of one :func:`local_influence` call.  What the Hessian and the three
+cross-derivative matrices share is formed once (:class:`_Curvature`): one
+Cholesky factor of ``Sigma``, ``P`` from it by one LAPACK ``potri``,
+``R``, ``dR/dphi`` and ``d2R/dphi2`` once each, ``a = P r``,
+``B = P[:, c]`` and ``A_k = P Sigma_k`` (``Sigma_k = dSigma/dalpha_k``):
+two n x n products, as ``A`` of the nugget is ``P`` itself, plus
+products with the n_c columns of ``B``.  Every Hessian entry is then a
+trace or a quadratic form in these.  ``M(0)`` comes from a k x k
+eigenproblem (k = p + 2 or p + 3 parameters) instead of the n x n
+curvature matrix: with the thin QR ``Delta' = Q R`` and
+``R (-H)^{-1} R' = W Lambda W'``, the eigenpairs of ``2 F`` are
+``(2 Lambda, Q W)`` and zero.
+
+:func:`q_value` and :func:`perturbed_q_value` evaluate the objective
+densely; every analytic derivative here is the literal derivative of
+those functions, so their finite differences are the ground truth the
+implementation is tested against.
 """
 
 from __future__ import annotations
@@ -24,29 +44,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .covariance import (
-    CovarianceSpec,
-    CovParams,
-    build_sigma,
-    d2sigma,
-    dsigma,
-    spd_cholesky,
-)
+from .covariance import CovarianceSpec, CovParams, build_sigma, d2sigma, dsigma, spd_cholesky
 from .errors import DegenerateCurvatureError, DataValidationError, GeocensError
-from .model import ModelParams
+from .model import ModelParams, partition
+from .profile import _cholesky_inverse
 
 SCHEMES = ("response", "scale", "explanatory")
 
 
 def _alpha_indices(nugget_fixed: bool) -> tuple[int, ...]:
     return (1, 2) if nugget_fixed else (1, 2, 3)
-
-
-def _sigma_inverse(dist, spec, p: CovParams) -> np.ndarray:
-    lo = spd_cholesky(build_sigma(dist, spec, p), jitter=1e-10 * (p.sigma2 + p.tau2))
-    return cho_solve((lo, True), np.eye(lo.shape[0]))
 
 
 def params_from_vector(theta: np.ndarray, p: int, nugget_fixed: bool,
@@ -58,6 +66,11 @@ def params_from_vector(theta: np.ndarray, p: int, nugget_fixed: bool,
     return ModelParams(beta=beta, cov=CovParams(sigma2=sigma2, phi=phi, tau2=tau2))
 
 
+def _dense_q(logdet: float, prec: np.ndarray, zhat, zzhat, mu) -> float:
+    quad = float(np.sum(zzhat * prec) - 2.0 * zhat @ prec @ mu + mu @ prec @ mu)
+    return -0.5 * (logdet + quad)
+
+
 def q_value(
     params: ModelParams,
     zhat: np.ndarray,
@@ -67,15 +80,10 @@ def q_value(
     spec: CovarianceSpec,
 ) -> float:
     """The conditional expected complete-data objective at ``params`` with
-    the moment estimates frozen (additive constant dropped)."""
-    sigma = build_sigma(dist, spec, params.cov)
-    lo = spd_cholesky(sigma)
-    n = x.shape[0]
-    s_inv = cho_solve((lo, True), np.eye(n))
+    the dense moment estimates frozen (additive constant dropped)."""
+    lo = spd_cholesky(build_sigma(dist, spec, params.cov))
     logdet = 2.0 * float(np.sum(np.log(np.diag(lo))))
-    mu = x @ params.beta
-    quad = float(np.sum(zzhat * s_inv) - 2.0 * zhat @ s_inv @ mu + mu @ s_inv @ mu)
-    return -0.5 * (logdet + quad)
+    return _dense_q(logdet, _cholesky_inverse(lo), zhat, zzhat, x @ params.beta)
 
 
 def perturbed_q_value(
@@ -106,144 +114,155 @@ def perturbed_q_value(
         return q_value(params, zhat, zzhat, x_w, dist, spec)
     if scheme != "scale":
         raise DataValidationError(f"unknown perturbation scheme {scheme!r}")
-    sigma = build_sigma(dist, spec, params.cov)
-    lo = spd_cholesky(sigma)
-    n = x.shape[0]
-    s_inv = cho_solve((lo, True), np.eye(n))
-    a = s_inv / omega[None, :]  # Sigma^{-1} D(omega)^{-1}
-    a_sym = 0.5 * (a + a.T)
+    lo = spd_cholesky(build_sigma(dist, spec, params.cov))
+    a = _cholesky_inverse(lo) / omega[None, :]  # Sigma^{-1} D(omega)^{-1}
     logdet = 2.0 * float(np.sum(np.log(np.diag(lo)))) + float(np.sum(np.log(omega)))
-    mu = x @ params.beta
-    quad = float(np.sum(zzhat * a_sym) - 2.0 * zhat @ a_sym @ mu + mu @ a_sym @ mu)
-    return -0.5 * (logdet + quad)
+    return _dense_q(logdet, 0.5 * (a + a.T), zhat, zzhat, x @ params.beta)
+
+
+class _Curvature:
+    """The terms the Hessian of Q and the three cross-derivative matrices
+    share at one parameter point, formed once.
+
+    ``zz`` is the second moment of the rows ``idx`` (all rows when None).
+    With ``Sigma_k`` the derivative by the k-th covariance parameter,
+    ``a_k[k] = P Sigma_k``, ``u[k] = Sigma_k a``, ``v[k] = P u[k]``,
+    ``s[k] = Sigma_k B`` and ``t[k] = P s[k]``; ``sig_kl`` holds the
+    nonzero second derivatives by parameter position.
+    """
+
+    def __init__(self, params, zhat, zz, idx, x, dist, spec):
+        n = x.shape[0]
+        cov = params.cov
+        idx = np.arange(n) if idx is None else np.asarray(idx, dtype=int)
+        alphas = _alpha_indices(spec.nugget_fixed)
+        self.x, self.beta = x, np.asarray(params.beta, dtype=float)
+        self.idx = idx
+
+        # None stands for the nugget's derivative, the identity
+        sig_k = [None if k == 3 else dsigma(dist, spec, cov, k) for k in alphas]
+        # d Sigma / d phi = sigma2 dR/dphi, and d2 Sigma / d sigma2 d phi = dR/dphi
+        self.sig_kl = {(0, 1): sig_k[1] / cov.sigma2, (1, 1): d2sigma(dist, spec, cov, 2, 2)}
+        sigma = cov.sigma2 * sig_k[0]
+        sigma[np.diag_indices_from(sigma)] += cov.tau2
+        lo = spd_cholesky(sigma, jitter=1e-10 * (cov.sigma2 + cov.tau2))
+        del sigma
+        prec = _cholesky_inverse(lo)
+        self.prec = prec
+
+        self.r = zhat - x @ self.beta
+        self.a = prec @ self.r
+        self.px = prec @ x
+        self.b = prec[:, idx]
+        self.cov_c = zz - np.outer(zhat[idx], zhat[idx])
+        self.a_k = [prec if s is None else prec @ s for s in sig_k]
+        self.u = [_times(s, self.a) for s in sig_k]
+        self.v = [prec @ u for u in self.u]
+        self.s = [_times(s, self.b) for s in sig_k]
+        self.t = [prec @ s for s in self.s]
+
+
+def _times(s: Optional[np.ndarray], m: np.ndarray) -> np.ndarray:
+    """``s @ m``, where None stands for the identity."""
+    return m if s is None else s @ m
+
+
+def _hessian(c: _Curvature) -> np.ndarray:
+    """Hessian of Q from the shared terms:
+
+    log-det part ``1/2 [tr(A_a A_b) - sum(P * Sigma_ab)]``, quadratic part
+    ``2 (Sigma_b a)' P (Sigma_a a) - a' Sigma_ab a
+    + sum((2 (Sigma_b B)' P (Sigma_a B) - B' Sigma_ab B) * C)`` (entering
+    with weight -1/2), beta-alpha block ``-(P X)' Sigma_a a``.
+    """
+    p = c.x.shape[1]
+    n_a = len(c.a_k)
+    h = np.zeros((p + n_a, p + n_a))
+    h[:p, :p] = -(c.x.T @ c.px)
+    for i in range(n_a):
+        h[:p, p + i] = -(c.px.T @ c.u[i])
+        for j in range(i, n_a):
+            logdet = float(np.sum(c.a_k[i] * c.a_k[j].T))
+            quad = 2.0 * float(c.u[j] @ c.v[i])
+            block = 2.0 * (c.s[j].T @ c.t[i])
+            s_ij = c.sig_kl.get((i, j))
+            if s_ij is not None:
+                logdet -= float(np.sum(c.prec * s_ij))
+                quad -= float(c.a @ s_ij @ c.a)
+                block -= c.b.T @ (s_ij @ c.b)
+            quad += float(np.sum(block * c.cov_c))
+            h[p + i, p + j] = 0.5 * logdet - 0.5 * quad
+    return np.triu(h) + np.triu(h, 1).T
+
+
+def _response_rows(c: _Curvature) -> np.ndarray:
+    return np.vstack([-c.px.T, *(-v for v in c.v)])
+
+
+def _scale_rows(c: _Curvature) -> np.ndarray:
+    beta_rows = -0.5 * (c.px.T * c.r[None, :] + c.x.T * c.a[None, :])
+    rows = []
+    for v, s in zip(c.v, c.s):
+        # diag(dSigma^{-1}/dalpha_k M2): r * (G_k r) plus, on the censored
+        # rows, the diagonal of G_k[c, c] C with G_k[c, c] = -B' Sigma_k B
+        row = -c.r * v
+        row[c.idx] -= np.sum((c.b.T @ s) * c.cov_c, axis=1)
+        rows.append(0.5 * row)
+    return np.vstack([beta_rows, *rows])
+
+
+def _explanatory_rows(c: _Curvature) -> np.ndarray:
+    beta_sum = float(np.sum(c.beta))
+    beta_rows = c.a[None, :] - beta_sum * c.px.T
+    return np.vstack([beta_rows, *(-beta_sum * v for v in c.v)])
 
 
 def q_hessian(
     params: ModelParams,
     zhat: np.ndarray,
-    zzhat: np.ndarray,
+    zz: np.ndarray,
     x: np.ndarray,
     dist: np.ndarray,
     spec: CovarianceSpec,
+    idx: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Hessian of :func:`q_value` in ``(beta, sigma2, phi[, tau2])``.
 
-    Negative definite at a maximizer; the nugget row and column are absent
-    when the covariance spec holds the nugget fixed.
+    ``zz`` is the second moment of the rows ``idx`` of the response (the
+    dense n x n moment when ``idx`` is None); elsewhere it is
+    ``zhat zhat'``.  Negative definite at a maximizer; the nugget row and
+    column are absent when the covariance spec holds the nugget fixed.
     """
-    n, p = x.shape
-    alphas = _alpha_indices(spec.nugget_fixed)
-    n_a = len(alphas)
-    s_inv = _sigma_inverse(dist, spec, params.cov)
-    mu = x @ params.beta
-    r = zhat - mu
-    sigma = build_sigma(dist, spec, params.cov)
-
-    s_k = [dsigma(dist, spec, params.cov, k) for k in alphas]
-    g_k = [-s_inv @ sk @ s_inv for sk in s_k]
-
-    h = np.zeros((p + n_a, p + n_a))
-    h[:p, :p] = -(x.T @ s_inv @ x)
-    for a, gk in enumerate(g_k):
-        h[:p, p + a] = x.T @ gk @ r
-        h[p + a, :p] = h[:p, p + a]
-    for a in range(n_a):
-        for b in range(a, n_a):
-            skl = d2sigma(dist, spec, params.cov, alphas[a], alphas[b])
-            t_kl = (
-                s_inv @ s_k[b] @ s_inv @ s_k[a] @ s_inv
-                + s_inv @ s_k[a] @ s_inv @ s_k[b] @ s_inv
-                - s_inv @ skl @ s_inv
-            )
-            logdet_part = 0.5 * (float(np.sum(t_kl * sigma)) + float(np.sum(g_k[a] * s_k[b])))
-            quad = float(
-                np.sum(zzhat * t_kl) - 2.0 * zhat @ t_kl @ mu + mu @ t_kl @ mu
-            )
-            h[p + a, p + b] = logdet_part - 0.5 * quad
-            h[p + b, p + a] = h[p + a, p + b]
-    return 0.5 * (h + h.T)
+    return _hessian(_Curvature(params, zhat, zz, idx, x, dist, spec))
 
 
-def _delta_common(params, zhat, x, dist, spec):
-    s_inv = _sigma_inverse(dist, spec, params.cov)
-    alphas = _alpha_indices(spec.nugget_fixed)
-    g_k = [
-        -s_inv @ dsigma(dist, spec, params.cov, k) @ s_inv for k in alphas
-    ]
-    mu = x @ params.beta
-    return s_inv, g_k, mu, zhat - mu
-
-
-def delta_response(
-    params: ModelParams,
-    zhat: np.ndarray,
-    zzhat: np.ndarray,
-    x: np.ndarray,
-    dist: np.ndarray,
-    spec: CovarianceSpec,
-) -> np.ndarray:
-    """Cross derivative of the response-shift scheme at the null point.
+def delta_response(params, zhat, zz, x, dist, spec, idx=None) -> np.ndarray:
+    """Cross derivative of the response-shift scheme at the null point
+    (moments as in :func:`q_hessian`).
 
     Row block for the trend coefficients is ``-X' Sigma^{-1}``; the row for
     each covariance parameter is ``(dSigma^{-1}/dalpha_k) (zhat - X beta)``.
     """
-    n, p = x.shape
-    s_inv, g_k, _, r = _delta_common(params, zhat, x, dist, spec)
-    delta = np.zeros((p + len(g_k), n))
-    delta[:p] = -(x.T @ s_inv)
-    for a, gk in enumerate(g_k):
-        delta[p + a] = gk @ r
-    return delta
+    return _response_rows(_Curvature(params, zhat, zz, idx, x, dist, spec))
 
 
-def delta_scale(
-    params: ModelParams,
-    zhat: np.ndarray,
-    zzhat: np.ndarray,
-    x: np.ndarray,
-    dist: np.ndarray,
-    spec: CovarianceSpec,
-) -> np.ndarray:
+def delta_scale(params, zhat, zz, x, dist, spec, idx=None) -> np.ndarray:
     """Cross derivative of the covariance-rescaling scheme at the null
-    point (all scale factors one)."""
-    n, p = x.shape
-    s_inv, g_k, mu, r = _delta_common(params, zhat, x, dist, spec)
-    delta = np.zeros((p + len(g_k), n))
-    a_mat = x.T @ s_inv  # p x n
-    s_inv_r = s_inv @ r
-    delta[:p] = -0.5 * (a_mat * r[None, :] + x.T * s_inv_r[None, :])
-    for a, gk in enumerate(g_k):
-        gk_m2_diag = np.sum(gk * zzhat, axis=1)  # diag of G_k M2 (both symmetric)
-        gk_zhat = gk @ zhat
-        gk_mu = gk @ mu
-        delta[p + a] = 0.5 * (gk_m2_diag - gk_zhat * mu - zhat * gk_mu + mu * gk_mu)
-    return delta
+    point (all scale factors one; moments as in :func:`q_hessian`)."""
+    return _scale_rows(_Curvature(params, zhat, zz, idx, x, dist, spec))
 
 
-def delta_explanatory(
-    params: ModelParams,
-    zhat: np.ndarray,
-    zzhat: np.ndarray,
-    x: np.ndarray,
-    dist: np.ndarray,
-    spec: CovarianceSpec,
-) -> np.ndarray:
-    """Cross derivative of the design-shift scheme at the null point."""
-    n, p = x.shape
-    s_inv, g_k, _, r = _delta_common(params, zhat, x, dist, spec)
-    delta = np.zeros((p + len(g_k), n))
-    beta_sum = float(np.sum(params.beta))
-    s_inv_r = s_inv @ r
-    delta[:p] = s_inv_r[None, :] - beta_sum * (x.T @ s_inv)
-    for a, gk in enumerate(g_k):
-        delta[p + a] = beta_sum * (gk @ r)
-    return delta
+def delta_explanatory(params, zhat, zz, x, dist, spec, idx=None) -> np.ndarray:
+    """Cross derivative of the design-shift scheme at the null point
+    (moments as in :func:`q_hessian`)."""
+    return _explanatory_rows(_Curvature(params, zhat, zz, idx, x, dist, spec))
 
 
+# scheme -> cross-derivative rows from the shared terms
 _DELTA_BUILDERS = {
-    "response": delta_response,
-    "scale": delta_scale,
-    "explanatory": delta_explanatory,
+    "response": _response_rows,
+    "scale": _scale_rows,
+    "explanatory": _explanatory_rows,
 }
 
 _RANK_THRESHOLD = 1e-10
@@ -269,14 +288,17 @@ def m0(q_hess: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 def _m0_with_spectrum(q_hess: np.ndarray, delta: np.ndarray):
-    f = curvature_matrix(q_hess, delta)
-    eigval, eigvec = np.linalg.eigh(2.0 * f)
-    eigval, eigvec = eigval[::-1], eigvec[:, ::-1]
-    keep = eigval > _RANK_THRESHOLD * max(eigval[0], 0.0)
-    if eigval.size == 0 or eigval[0] <= 0 or not keep.any():
+    # 2F = Q (2 R (-H)^{-1} R') Q' with Delta' = Q R: the nonzero spectrum
+    # of 2F is that of the k x k middle factor, its eigenvectors Q W
+    q, rr = np.linalg.qr(delta.T)
+    s = rr @ np.linalg.solve(-q_hess, rr.T)
+    eigval, w = np.linalg.eigh(s + s.T)
+    eigval, w = eigval[::-1], w[:, ::-1]
+    if eigval.size == 0 or eigval[0] <= 0:
         raise DegenerateCurvatureError("all curvature eigenvalues are negligible")
+    keep = eigval > _RANK_THRESHOLD * eigval[0]
     lam = eigval[keep]
-    vec = eigvec[:, keep]
+    vec = q @ w[:, keep]
     lam_norm = lam / lam.sum()
     return (vec**2) @ lam_norm, lam
 
@@ -309,13 +331,20 @@ class SchemeDiagnostics:
 @dataclass(frozen=True)
 class InfluenceReport:
     """Diagnostics for the three schemes; a scheme that failed numerically
-    is None with the reason recorded in ``errors``."""
+    is None with the reason recorded in ``errors``.
+
+    ``hessian_eigenvalues`` are the eigenvalues of ``-H`` (ascending);
+    ``M(0)`` assumes the estimates maximize Q, which
+    ``hessian_negative_definite`` states.
+    """
 
     response: Optional[SchemeDiagnostics]
     scale: Optional[SchemeDiagnostics]
     explanatory: Optional[SchemeDiagnostics]
     c_star: float
     errors: dict
+    hessian_eigenvalues: np.ndarray
+    hessian_negative_definite: bool
 
     def scheme(self, name: str) -> Optional[SchemeDiagnostics]:
         if name not in SCHEMES:
@@ -326,16 +355,19 @@ class InfluenceReport:
 def local_influence(fit, c_star: float = 3.0) -> InfluenceReport:
     """Run all three perturbation schemes on a completed fit.
 
-    Uses the fit's moment estimates and estimates; with a fixed nugget the
-    analysis runs on the reduced parameter system without the nugget row.
+    Uses the fit's first moment, the second moment of its censored block
+    and its estimates; with a fixed nugget the analysis runs on the reduced
+    parameter system without the nugget row.
     """
-    args = (fit.params, fit.zhat, fit.zzhat, fit.x, fit.dist, fit.spec)
-    hess = q_hessian(*args)
+    shared = _Curvature(fit.params, fit.zhat, fit.zz_cc, partition(fit.data).cens_idx,
+                        fit.x, fit.dist, fit.spec)
+    hess = _hessian(shared)
+    neg_eig = np.linalg.eigvalsh(-hess)
     results: dict[str, Optional[SchemeDiagnostics]] = {}
     errors: dict[str, str] = {}
     for scheme in SCHEMES:
         try:
-            delta = _DELTA_BUILDERS[scheme](*args)
+            delta = _DELTA_BUILDERS[scheme](shared)
             values, lam = _m0_with_spectrum(hess, delta)
             benchmark, flags = classify(values, c_star)
             results[scheme] = SchemeDiagnostics(
@@ -356,4 +388,6 @@ def local_influence(fit, c_star: float = 3.0) -> InfluenceReport:
         explanatory=results["explanatory"],
         c_star=c_star,
         errors=errors,
+        hessian_eigenvalues=neg_eig,
+        hessian_negative_definite=bool(neg_eig[0] > 0),
     )

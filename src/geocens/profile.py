@@ -47,6 +47,10 @@ from .errors import NumericalError, SingularCovarianceError
 # before the search gives up.
 _MAX_CUTS = 40
 
+# A bound set by a cut is bisected back towards its failed trial until the
+# two lie within this share of the box width.
+_BISECT_TOL = 1e-6
+
 
 def psi_cholesky(dist: np.ndarray, spec: CovarianceSpec, phi: float, nu2: float) -> np.ndarray:
     """Lower Cholesky factor of ``Psi = R(phi) + nu2 I``."""
@@ -65,9 +69,16 @@ def expected_quad(lo: np.ndarray, resid: np.ndarray, cov_c: np.ndarray, idx: np.
 
 
 def _cholesky_inverse(lo: np.ndarray) -> np.ndarray:
-    """``(lo lo')^{-1}`` from a lower Cholesky factor (LAPACK ``potri``)."""
+    """``(lo lo')^{-1}`` from a lower Cholesky factor (LAPACK ``potri``).
+
+    ``potri`` fills the lower triangle of a column-major copy; it is
+    mirrored in place, column by column, so that no other n x n array is
+    allocated, and the symmetric result is returned as a row-major view.
+    """
     inv, _ = lapack.dpotri(lo, lower=1)
-    return np.tril(inv) + np.tril(inv, -1).T
+    for j in range(1, inv.shape[0]):
+        inv[:j, j] = inv[j, :j]
+    return inv.T
 
 
 class _SingularTrial(Exception):
@@ -132,13 +143,20 @@ def profile_search(
     ``fun`` raises :class:`SingularCovarianceError` restarts the search from
     the best point found so far, with the box cut halfway from that point
     to the trial along the coordinate on which the trial moved furthest
-    (relative to the box width).  Raises :class:`NumericalError` when
-    ``x0`` itself cannot be evaluated or the cuts do not settle.
+    (relative to the box width).  A search that ends on a bound set by such
+    a cut moves that bound halfway back towards the failed trial and
+    restarts, so the cuts bisect towards the edge of the region where
+    ``fun`` can be evaluated.  Cuts and bisections share a budget of
+    ``_MAX_CUTS`` restarts.  Raises :class:`NumericalError` when ``x0``
+    itself cannot be evaluated or the cuts do not settle.
     """
     lower = np.array(lower, dtype=float)
     upper = np.array(upper, dtype=float)
+    width = upper - lower
     best_x = np.array(x0, dtype=float)
     best_f = np.inf
+    failed = {}  # (coordinate, upper side?) -> the failed trial that set the bound
+    settled = False
 
     def tracked(x):
         nonlocal best_x, best_f
@@ -163,13 +181,21 @@ def profile_search(
         except _SingularTrial as exc:
             if not np.isfinite(best_f):
                 raise NumericalError("covariance is singular at the search start") from exc
-            step = (exc.x - best_x) / (upper - lower)
+            step = (exc.x - best_x) / width
             j = int(np.argmax(np.abs(step)))
-            cut = 0.5 * (best_x[j] + exc.x[j])
-            if step[j] > 0:
-                upper[j] = cut
-            else:
-                lower[j] = cut
+            side = bool(step[j] > 0)
+            (upper if side else lower)[j] = 0.5 * (best_x[j] + exc.x[j])
+            failed[j, side] = exc.x[j]
             continue
-        return sol.x, float(sol.fun)
+        settled = True
+        reopened = False
+        for (j, side), bad in failed.items():
+            bound = upper if side else lower
+            if sol.x[j] == bound[j] and abs(bad - bound[j]) > _BISECT_TOL * width[j]:
+                bound[j] = 0.5 * (bound[j] + bad)
+                reopened = True
+        if not reopened:
+            return sol.x, float(sol.fun)
+    if settled:
+        return best_x, float(best_f)
     raise NumericalError("covariance search kept reaching singular covariances")

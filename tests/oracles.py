@@ -9,6 +9,8 @@ on closed-form likelihoods instead of the EM loop.
 import numpy as np
 from scipy.optimize import minimize
 
+from geocens.covariance import build_sigma, d2sigma, dsigma
+
 
 def rejection_tmvn(mean, cov, lower, upper, n_keep, rng, max_draws=5_000_000):
     """Draw from a box-truncated normal by plain rejection."""
@@ -104,6 +106,81 @@ def precision_second_derivative(sigma, ds_k, ds_l, ds_kl):
     derivatives of Sigma, with a dense inverse."""
     si = np.linalg.inv(sigma)
     return si @ ds_l @ si @ ds_k @ si + si @ ds_k @ si @ ds_l @ si - si @ ds_kl @ si
+
+
+def _dense_influence_terms(params, zhat, x, dist, spec):
+    """Dense inverse, precision derivatives ``G_k`` and residual shared by
+    the reference Hessian and cross-derivatives."""
+    alphas = (1, 2) if spec.nugget_fixed else (1, 2, 3)
+    sigma = build_sigma(dist, spec, params.cov)
+    si = np.linalg.inv(sigma)
+    s_k = [dsigma(dist, spec, params.cov, k) for k in alphas]
+    g_k = [-si @ sk @ si for sk in s_k]
+    mu = x @ np.asarray(params.beta, float)
+    return alphas, sigma, si, s_k, g_k, mu, zhat - mu
+
+
+def q_hessian_dense(params, zhat, zzhat, x, dist, spec):
+    """Hessian of the expected complete-data objective with the dense n x n
+    second moment ``zzhat``, written with explicit inverses and the second
+    derivative of the precision ``T_kl`` term by term."""
+    p = x.shape[1]
+    alphas, sigma, si, s_k, g_k, mu, r = _dense_influence_terms(params, zhat, x, dist, spec)
+    n_a = len(alphas)
+    h = np.zeros((p + n_a, p + n_a))
+    h[:p, :p] = -(x.T @ si @ x)
+    for a, gk in enumerate(g_k):
+        h[:p, p + a] = x.T @ gk @ r
+        h[p + a, :p] = h[:p, p + a]
+    for a in range(n_a):
+        for b in range(a, n_a):
+            skl = d2sigma(dist, spec, params.cov, alphas[a], alphas[b])
+            t_kl = (
+                si @ s_k[b] @ si @ s_k[a] @ si
+                + si @ s_k[a] @ si @ s_k[b] @ si
+                - si @ skl @ si
+            )
+            logdet_part = 0.5 * (float(np.sum(t_kl * sigma)) + float(np.sum(g_k[a] * s_k[b])))
+            quad = float(np.sum(zzhat * t_kl) - 2.0 * zhat @ t_kl @ mu + mu @ t_kl @ mu)
+            h[p + a, p + b] = logdet_part - 0.5 * quad
+            h[p + b, p + a] = h[p + a, p + b]
+    return 0.5 * (h + h.T)
+
+
+def delta_dense(scheme, params, zhat, zzhat, x, dist, spec):
+    """Cross derivative of one perturbation scheme at its null point with
+    the dense second moment ``zzhat`` and explicit inverses."""
+    n, p = x.shape
+    _, _, si, _, g_k, mu, r = _dense_influence_terms(params, zhat, x, dist, spec)
+    delta = np.zeros((p + len(g_k), n))
+    if scheme == "response":
+        delta[:p] = -(x.T @ si)
+        for a, gk in enumerate(g_k):
+            delta[p + a] = gk @ r
+    elif scheme == "scale":
+        si_r = si @ r
+        delta[:p] = -0.5 * ((x.T @ si) * r[None, :] + x.T * si_r[None, :])
+        for a, gk in enumerate(g_k):
+            gk_m2_diag = np.sum(gk * zzhat, axis=1)  # diag of G_k M2 (both symmetric)
+            gk_zhat, gk_mu = gk @ zhat, gk @ mu
+            delta[p + a] = 0.5 * (gk_m2_diag - gk_zhat * mu - zhat * gk_mu + mu * gk_mu)
+    else:
+        beta_sum = float(np.sum(params.beta))
+        delta[:p] = (si @ r)[None, :] - beta_sum * (x.T @ si)
+        for a, gk in enumerate(g_k):
+            delta[p + a] = beta_sum * (gk @ r)
+    return delta
+
+
+def m0_dense(q_hess, delta, threshold=1e-10):
+    """``M(0)`` and the kept eigenvalues from ``eigh`` of the n x n
+    normal-curvature matrix ``2 Delta' (-H)^{-1} Delta``."""
+    f = delta.T @ np.linalg.solve(-q_hess, delta)
+    eigval, eigvec = np.linalg.eigh(f + f.T)
+    eigval, eigvec = eigval[::-1], eigvec[:, ::-1]
+    keep = eigval > threshold * max(eigval[0], 0.0)
+    lam = eigval[keep]
+    return (eigvec[:, keep] ** 2) @ (lam / lam.sum()), lam
 
 
 def loo_kriging_means(y, x, beta, sigma, idx):

@@ -264,6 +264,32 @@ def test_diagnose_outputs_all_schemes(tmp_path, sim_dir):
         assert (out / f"m0_{name}.svg").exists()
 
 
+def test_diagnose_reports_hessian_definiteness(tmp_path, sim_dir, monkeypatch, capsys):
+    import geocens.influence as inf
+
+    fit_out = tmp_path / "fit"
+    rc = run_cli("fit", "--data", sim_dir / "data.csv", *FIT_ARGS,
+                 "--seed", 5, "--out-dir", fit_out)
+    assert rc == 0
+    capsys.readouterr()
+    rc = run_cli("diagnose", "--fit", fit_out / "fit.json", "--out-dir", tmp_path / "a")
+    assert rc == 0
+    payload = json.loads((tmp_path / "a" / "influence.json").read_text())
+    assert payload["hessian_negative_definite"] is True
+    assert len(payload["hessian_eigenvalues"]) == 4  # p=1 plus (sigma2, phi, tau2)
+    assert min(payload["hessian_eigenvalues"]) > 0
+    assert "warning" not in capsys.readouterr().err
+
+    real_hessian = inf._hessian
+    monkeypatch.setattr(inf, "_hessian", lambda shared: -real_hessian(shared))
+    rc = run_cli("diagnose", "--fit", fit_out / "fit.json", "--out-dir", tmp_path / "b")
+    assert rc == 0
+    payload = json.loads((tmp_path / "b" / "influence.json").read_text())
+    assert payload["hessian_negative_definite"] is False
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert len(warnings) == 1 and "not negative definite" in warnings[0]
+
+
 def test_predict_rejects_truth_file_as_targets(tmp_path, sim_dir):
     # truth.csv has header x,y,value: "value" is not a covariate column
     rc = run_cli("predict", "--method", "naive1", "--data", sim_dir / "data.csv",

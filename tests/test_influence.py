@@ -20,10 +20,17 @@ from geocens import (
     saem_fit,
 )
 from geocens.covariance import distance_matrix
-from geocens.influence import curvature_matrix, params_from_vector
+from geocens.influence import _m0_with_spectrum, curvature_matrix, params_from_vector
 from geocens.model import build_trend
+from geocens.saem import dense_second_moment
 
-from oracles import central_hessian, central_mixed_derivative
+from oracles import (
+    central_hessian,
+    central_mixed_derivative,
+    delta_dense,
+    m0_dense,
+    q_hessian_dense,
+)
 
 ALL_SPECS = [
     CovarianceSpec("exponential"),
@@ -204,6 +211,67 @@ def test_delta_scale_fixed_nugget_shape():
 
 
 # ---------------------------------------------------------------------------
+# shared-term Hessian and cross-derivatives vs the dense reference formulas
+# ---------------------------------------------------------------------------
+
+
+def censored_block_instance(seed, spec, n=18, n_c=7):
+    """Random instance whose second moment is ``zhat zhat'`` outside a
+    proper censored subset ``idx`` and has a nonzero covariance ``C`` in
+    it; returns the block ``zz`` and the dense moment built from it."""
+    coords, x, zhat, _, params = synthetic_instance(seed, n=n, nugget_fixed=spec.nugget_fixed)
+    if spec.nugget_fixed:
+        params = ModelParams(beta=params.beta, cov=CovParams(
+            sigma2=params.cov.sigma2, phi=params.cov.phi, tau2=spec.fixed_nugget_value))
+    rng = np.random.default_rng(seed + 1000)
+    idx = np.sort(rng.choice(n, n_c, replace=False))
+    w = rng.normal(size=(n_c, n_c + 2)) * 0.4
+    zz = np.outer(zhat[idx], zhat[idx]) + w @ w.T / (n_c + 2)
+    dist = distance_matrix(coords)
+    return params, zhat, zz, idx, dense_second_moment(zhat, zz, idx), x, dist
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("nugget", ["free", "fixed"])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+def test_hessian_and_deltas_match_dense_oracles(spec, nugget):
+    if nugget == "fixed":
+        spec = CovarianceSpec(spec.family, kappa=spec.kappa, nugget_fixed=True,
+                              fixed_nugget_value=0.3)
+    params, zhat, zz, idx, dense, x, dist = censored_block_instance(21, spec)
+    assert np.abs(zz - np.outer(zhat[idx], zhat[idx])).max() > 0.01
+    got = q_hessian(params, zhat, zz, x, dist, spec, idx=idx)
+    want = q_hessian_dense(params, zhat, dense, x, dist, spec)
+    assert got.shape == (x.shape[1] + (2 if spec.nugget_fixed else 3),) * 2
+    assert rel_err(got, want) < 1e-10
+    # the dense moment with every row as the block gives the same Hessian
+    assert rel_err(q_hessian(params, zhat, dense, x, dist, spec), want) < 1e-10
+    for scheme, builder in (("response", delta_response), ("scale", delta_scale),
+                            ("explanatory", delta_explanatory)):
+        got = builder(params, zhat, zz, x, dist, spec, idx=idx)
+        want = delta_dense(scheme, params, zhat, dense, x, dist, spec)
+        assert rel_err(got, want) < 1e-10, scheme
+        assert rel_err(builder(params, zhat, dense, x, dist, spec), want) < 1e-10, scheme
+
+
+def test_local_influence_reads_the_censored_block():
+    # local_influence works from (zhat, zz_cc); the dense reference built
+    # from the fit's dense second moment gives the same M(0)
+    fit = _small_fit()
+    report = local_influence(fit)
+    hess = q_hessian_dense(fit.params, fit.zhat, fit.zzhat, fit.x, fit.dist, fit.spec)
+    for scheme in ("response", "scale", "explanatory"):
+        delta = delta_dense(scheme, fit.params, fit.zhat, fit.zzhat, fit.x, fit.dist, fit.spec)
+        want, lam = m0_dense(hess, delta)
+        diag = report.scheme(scheme)
+        assert_allclose(diag.m0, want, rtol=0, atol=1e-10)
+        assert diag.rank == lam.size
+
+
+# ---------------------------------------------------------------------------
 # M(0), conformal curvature, classification
 # ---------------------------------------------------------------------------
 
@@ -248,6 +316,38 @@ def test_curvature_matrix_psd():
         q_hess, delta = random_curvature_instance(seed)
         eig = np.linalg.eigvalsh(curvature_matrix(q_hess, delta))
         assert eig.min() >= -1e-8 * max(eig.max(), 1.0)
+
+
+def assert_m0_matches_eigh(q_hess, delta):
+    values, lam = _m0_with_spectrum(q_hess, delta)
+    want, want_lam = m0_dense(q_hess, delta)
+    assert lam.size == want_lam.size
+    assert_allclose(values, want, rtol=0, atol=1e-12)
+    assert_allclose(lam, want_lam, rtol=1e-10, atol=0)
+
+
+def test_low_rank_m0_matches_eigh_of_curvature_matrix():
+    for seed in range(20):
+        assert_m0_matches_eigh(*random_curvature_instance(seed))
+
+
+def test_low_rank_m0_matches_eigh_for_indefinite_hessian():
+    for seed in range(10):
+        q_hess, delta = random_curvature_instance(seed)
+        w, v = np.linalg.eigh(-q_hess)
+        w[:2] = -w[:2]  # -H with two negative eigenvalues
+        indefinite = -(v * w) @ v.T
+        assert np.linalg.eigvalsh(-indefinite).min() < 0
+        assert_m0_matches_eigh(indefinite, delta)
+
+
+def test_low_rank_m0_matches_eigh_for_rank_deficient_delta():
+    for seed in range(10):
+        q_hess, delta = random_curvature_instance(seed)
+        delta[3] = delta[0] - 2.0 * delta[1]  # rank 4
+        delta[4] = 0.0  # rank 3
+        assert_m0_matches_eigh(q_hess, delta)
+        assert _m0_with_spectrum(q_hess, delta)[1].size == 3
 
 
 def test_classify_constant_vector_no_flags():
@@ -343,3 +443,35 @@ def test_local_influence_propagates_programming_errors(monkeypatch):
     monkeypatch.setitem(inf._DELTA_BUILDERS, "scale", broken)
     with pytest.raises(TypeError, match="bad argument"):
         local_influence(_small_fit())
+
+
+def test_local_influence_reports_negative_definite_hessian_on_study_fit():
+    from study import run_study
+
+    _, report, _ = run_study(702, inject_three=False, max_iter=8)
+    assert report.hessian_negative_definite
+    assert report.hessian_eigenvalues.shape == (5,)  # p=3 plus (sigma2, phi)
+    assert np.all(np.diff(report.hessian_eigenvalues) >= 0)
+    assert report.hessian_eigenvalues[0] > 0
+
+
+def test_local_influence_flags_indefinite_hessian_and_keeps_m0(monkeypatch):
+    import geocens.influence as inf
+
+    fit = _small_fit()
+    real_hessian = inf._hessian
+
+    def indefinite(shared):
+        h = real_hessian(shared)
+        w, v = np.linalg.eigh(-h)
+        w[0] = -w[0]
+        return -(v * w) @ v.T
+
+    monkeypatch.setattr(inf, "_hessian", indefinite)
+    report = local_influence(fit)
+    assert not report.hessian_negative_definite
+    assert report.hessian_eigenvalues[0] < 0
+    for name in ("response", "scale", "explanatory"):
+        diag = report.scheme(name)
+        assert diag is not None, report.errors
+        assert diag.m0.sum() == pytest.approx(1.0, abs=1e-8)

@@ -15,7 +15,7 @@ from geocens.covariance import correlation, distance_matrix
 from geocens.errors import NumericalError, SingularCovarianceError
 from geocens.model import build_trend
 from geocens.predict import _ml_nuisance
-from geocens.profile import profile_objective, profile_search
+from geocens.profile import _cholesky_inverse, profile_objective, profile_search
 
 from study import SPEC as STUDY_SPEC
 from study import TREND as STUDY_TREND
@@ -178,6 +178,39 @@ def test_profile_search_steps_back_from_singular_trials():
 
     with pytest.raises(NumericalError):
         profile_search(fun, np.array([2.5]), np.array([0.0]), np.array([10.0]))
+
+
+def test_profile_search_closes_on_the_singular_boundary():
+    # the same objective: after the cuts the search bisects its cut bound
+    # back towards the failed trials and ends at the edge, 2
+    def fun(t):
+        if t[0] > 2.0:
+            raise SingularCovarianceError("forced")
+        return float((t[0] - 3.0) ** 2), np.array([2.0 * (t[0] - 3.0)])
+
+    theta, value = profile_search(fun, np.array([0.5]), np.array([0.0]), np.array([10.0]))
+    assert 2.0 - 1e-3 <= theta[0] <= 2.0
+    assert value == pytest.approx(fun(theta)[0])
+
+
+def test_cholesky_inverse_allocates_one_matrix():
+    import tracemalloc
+    from scipy.linalg import cholesky
+
+    n = 400
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(n, n))
+    mat = a @ a.T / n + np.eye(n)
+    lo = cholesky(mat, lower=True)
+    tracemalloc.start()
+    try:
+        inv = _cholesky_inverse(lo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8, peak / (n * n * 8)
+    assert np.array_equal(inv, inv.T)
+    assert np.abs(inv - np.linalg.inv(mat)).max() < 1e-10
 
 
 def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
