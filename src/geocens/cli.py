@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -219,11 +220,21 @@ def _add_saem_options(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=1e-4)
 
 
-def _floats(text: str) -> tuple:
+def _items(text: str, parse, what: str) -> tuple:
+    """Comma-separated items of ``text``, each converted by ``parse``."""
     try:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(parse(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigurationError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise ConfigurationError(f"expected comma-separated {what}, got {text!r}") from exc
+
+
+def _floats(text: str) -> tuple:
+    return _items(text, float, "numbers")
+
+
+def _range(text: str) -> tuple:
+    lo, _, hi = text.partition(":")
+    return float(lo), float(hi)
 
 
 def _spec_from_args(args) -> CovarianceSpec:
@@ -325,27 +336,12 @@ def fit_summary_text(fit: SaemFit) -> str:
 
 
 def fit_to_payload(fit: SaemFit) -> dict:
-    cfg = fit.config
     return {
         "tool": "geocens",
         "version": __version__,
         "kind": "fit",
         "config": {
-            "m": cfg.m,
-            "max_iter": cfg.max_iter,
-            "pc": cfg.pc,
-            "perc": cfg.perc,
-            "init_sigma2": cfg.init_sigma2,
-            "init_phi": cfg.init_phi,
-            "init_nugget": cfg.init_nugget,
-            "lower": list(cfg.lower),
-            "upper": list(cfg.upper),
-            "tol": cfg.tol,
-            "seed": cfg.seed,
-            "gibbs_burn_in": cfg.gibbs_burn_in,
-            "monitor_eps": cfg.monitor_eps,
-            "final_eps": cfg.final_eps,
-            "rect_max_points": cfg.rect_max_points,
+            **asdict(fit.config),
             "trend": fit.trend.kind,
             "cov_model": fit.spec.family,
             "kappa": fit.spec.kappa,
@@ -395,24 +391,7 @@ def fit_from_payload(payload: dict) -> SaemFit:
             tau2=payload["params"]["tau2"],
         ),
     )
-    config = SaemConfig(
-        m=cfg_d["m"],
-        max_iter=cfg_d["max_iter"],
-        pc=cfg_d["pc"],
-        perc=cfg_d["perc"],
-        init_sigma2=cfg_d["init_sigma2"],
-        init_phi=cfg_d["init_phi"],
-        init_nugget=cfg_d["init_nugget"],
-        lower=tuple(cfg_d["lower"]),
-        upper=tuple(cfg_d["upper"]),
-        tol=cfg_d["tol"],
-        seed=cfg_d["seed"],
-        # absent from files written before these fields were stored
-        gibbs_burn_in=cfg_d.get("gibbs_burn_in", SaemConfig.gibbs_burn_in),
-        monitor_eps=cfg_d.get("monitor_eps", SaemConfig.monitor_eps),
-        final_eps=cfg_d.get("final_eps", SaemConfig.final_eps),
-        rect_max_points=cfg_d.get("rect_max_points", SaemConfig.rect_max_points),
-    )
+    config = SaemConfig(**{f.name: cfg_d[f.name] for f in fields(SaemConfig)})
     from .model import LogLik, criteria
 
     x = build_trend(data.coords, data.x_extra, trend)
@@ -452,10 +431,7 @@ def cmd_simulate(args) -> int:
     trend = TrendSpec(args.trend)
     ranges = None
     if args.covariate_ranges:
-        ranges = []
-        for pair in args.covariate_ranges.split(","):
-            lo, _, hi = pair.partition(":")
-            ranges.append((float(lo), float(hi)))
+        ranges = list(_items(args.covariate_ranges, _range, "lo:hi ranges"))
     box = _floats(args.box)
     if len(box) != 4:
         raise ConfigurationError("--box needs x0,x1,y0,y1")
@@ -475,7 +451,7 @@ def cmd_simulate(args) -> int:
     res = simulate_scl(cfg)
     data = res.data
     if args.outlier_indices:
-        idx = [int(v) for v in args.outlier_indices.split(",")]
+        idx = list(_items(args.outlier_indices, int, "row indices"))
         data = inject_outliers(data, idx, args.outlier_sd)
     write_dataset_csv(_out(args, "data.csv"), data)
 
@@ -553,6 +529,18 @@ def _grid_axes(coords: np.ndarray):
 
 def cmd_predict(args) -> int:
     coords_pred, x_extra_pred = read_targets_csv(args.targets)
+    truth = None
+    if args.truth:
+        _, rows = _read_rows(args.truth, ["x", "y", "value"])
+        try:
+            table = np.array([[float(v) for v in r[:3]] for r in rows]).reshape(-1, 3)
+        except ValueError as exc:
+            raise DataValidationError(f"{args.truth}: {exc}") from exc
+        if not np.array_equal(table[:, :2], coords_pred):
+            raise DataValidationError(
+                f"{args.truth}: rows are not the {coords_pred.shape[0]} target sites in order"
+            )
+        truth = table[:, 2]
     if args.method == "saem":
         if not args.fit:
             raise ConfigurationError("method saem requires --fit")
@@ -568,10 +556,7 @@ def cmd_predict(args) -> int:
         trend = TrendSpec(args.trend)
         init = None
         if args.init_sigma2 is not None and args.init_phi is not None:
-            init = CovParams(
-                sigma2=args.init_sigma2, phi=args.init_phi,
-                tau2=args.nugget if not args.fix_nugget else args.nugget,
-            )
+            init = CovParams(sigma2=args.init_sigma2, phi=args.init_phi, tau2=args.nugget)
         if args.method in ("naive1", "naive2"):
             result = predict_naive(
                 data, trend, spec, args.method, coords_pred, x_extra_pred, init
@@ -598,11 +583,6 @@ def cmd_predict(args) -> int:
         )
     _atomic_write(_out(args, "predictions.csv"), buf.getvalue())
 
-    truth = None
-    if args.truth:
-        with open(args.truth, newline="") as handle:
-            rows = list(csv.reader(handle))
-        truth = np.array([float(r[2]) for r in rows[1:]])
     _atomic_write(
         _out(args, "predictions.svg"),
         svg.prediction_band_chart(

@@ -23,7 +23,7 @@ from .covariance import (
     spd_cholesky,
 )
 from .errors import DataValidationError, ModelSpecificationError
-from .mvn import Rectangle, RectProb, mvn_logpdf, mvn_rect_prob
+from .mvn import Rectangle, RectProb, logpdf_from_cholesky, mvn_rect_prob
 
 CENS_TYPES = ("left", "right", "interval")
 
@@ -226,39 +226,43 @@ def partition(data: SpatialDataset) -> Partition:
 
 
 def conditional_given_obs(sigma, x, beta, values, obs_idx, cens_idx):
-    """Conditional mean and covariance of the censored block given the
-    observed block, from precomputed ``Sigma`` and trend matrix.
+    """Conditional law of the censored block given the observed block,
+    from precomputed ``Sigma`` and trend matrix.
 
+    Returns the conditional mean and covariance, plus the Gaussian log
+    density of the observed block, read off the same ``Sigma_oo`` factor.
     With no observed rows this degenerates to the unconditional
-    ``(X_c beta, Sigma_cc)``.
+    ``(X_c beta, Sigma_cc)`` and a log density of zero.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     mu_all = x @ beta
     if obs_idx.size == 0:
-        return mu_all[cens_idx], sigma[np.ix_(cens_idx, cens_idx)]
+        return mu_all[cens_idx], sigma[np.ix_(cens_idx, cens_idx)], 0.0
     s_oo = sigma[np.ix_(obs_idx, obs_idx)]
     s_co = sigma[np.ix_(cens_idx, obs_idx)]
     s_cc = sigma[np.ix_(cens_idx, cens_idx)]
     lo = spd_cholesky(s_oo)
-    resid = values[obs_idx] - mu_all[obs_idx]
+    wr = solve_triangular(lo, values[obs_idx] - mu_all[obs_idx], lower=True)
     # kriging weights K = S_co S_oo^{-1} via two triangular solves
     w = solve_triangular(lo, s_co.T, lower=True)
-    mu = mu_all[cens_idx] + w.T @ solve_triangular(lo, resid, lower=True)
+    mu = mu_all[cens_idx] + w.T @ wr
     cond = s_cc - w.T @ w
     cond = 0.5 * (cond + cond.T)
-    return mu, cond
+    return mu, cond, logpdf_from_cholesky(lo, wr)
 
 
 def conditional_cens_given_obs(
     params: ModelParams, data: SpatialDataset, trend: TrendSpec, spec: CovarianceSpec
 ):
-    """Conditional law of the censored block given the observed block."""
+    """Conditional mean and covariance of the censored block given the
+    observed block."""
     x = build_trend(data.coords, data.x_extra, trend)
     sigma = build_sigma(distance_matrix(data.coords), spec, params.cov)
     part = partition(data)
-    return conditional_given_obs(
+    mu, cond, _ = conditional_given_obs(
         sigma, x, params.beta, data.value, part.obs_idx, part.cens_idx
     )
+    return mu, cond
 
 
 @dataclass(frozen=True)
@@ -294,40 +298,47 @@ def loglik(
 ) -> LogLik:
     """Observed-data log-likelihood of the censored spatial model.
 
-    Exact Gaussian density on the observed block plus the log rectangle
-    probability of the censored block under its conditional law.  A
-    rectangle estimate of zero yields ``-inf`` with ``zero_prob`` set.
+    Builds ``Sigma`` once and conditions on the observed block once
+    (:func:`conditional_given_obs`, which also gives the exact Gaussian
+    density of the observed block); :func:`loglik_from_conditional` then
+    adds the log rectangle probability of the censored block.
     """
     x = build_trend(data.coords, data.x_extra, trend)
     sigma = build_sigma(distance_matrix(data.coords), spec, params.cov)
     part = partition(data)
-    obs, cen = part.obs_idx, part.cens_idx
-    mu_all = x @ params.beta
-
-    obs_term = 0.0
-    if obs.size:
-        obs_term = mvn_logpdf(
-            data.value[obs], mu_all[obs], sigma[np.ix_(obs, obs)]
-        )
-    if cen.size == 0:
-        return LogLik(value=obs_term)
-
-    mu, cond = conditional_given_obs(sigma, x, params.beta, data.value, obs, cen)
+    cen = part.cens_idx
+    mu, cond, obs_term = conditional_given_obs(
+        sigma, x, params.beta, data.value, part.obs_idx, cen
+    )
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
+    return loglik_from_conditional(obs_term, mu, cond, rect, rng, eps, max_points)
+
+
+def loglik_from_conditional(
+    obs_term: float,
+    mu: np.ndarray,
+    cond: np.ndarray,
+    rect: Rectangle,
+    rng=None,
+    eps: float = 1e-4,
+    max_points: int = 100_000,
+) -> LogLik:
+    """Log-likelihood from the observed-block log density ``obs_term`` and
+    the conditional law ``N(mu, cond)`` of the censored block, whose
+    readings lie in ``rect``.  Only the rectangle probability is estimated
+    (:func:`geocens.mvn.mvn_rect_prob`); an estimate of zero yields
+    ``-inf`` with ``zero_prob`` set.
+    """
+    if rect.dim == 0:
+        return LogLik(value=obs_term)
     rp: RectProb = mvn_rect_prob(mu, cond, rect, rng=rng, eps=eps, max_points=max_points)
-    if rp.prob <= 0.0:
-        return LogLik(
-            value=-np.inf,
-            cens_prob=rp.prob,
-            cens_prob_se=rp.se,
-            n_points=rp.n_points,
-            zero_prob=True,
-        )
+    zero = rp.prob <= 0.0
     return LogLik(
-        value=obs_term + float(np.log(rp.prob)),
+        value=-np.inf if zero else obs_term + float(np.log(rp.prob)),
         cens_prob=rp.prob,
         cens_prob_se=rp.se,
         n_points=rp.n_points,
+        zero_prob=zero,
     )
 
 

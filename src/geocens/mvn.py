@@ -77,11 +77,15 @@ def mvn_logpdf(x, mean, cov) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    n = x.shape[0]
     lo = spd_cholesky(cov)
-    w = solve_triangular(lo, x - mean, lower=True)
+    return logpdf_from_cholesky(lo, solve_triangular(lo, x - mean, lower=True))
+
+
+def logpdf_from_cholesky(lo: np.ndarray, w: np.ndarray) -> float:
+    """Gaussian log density from the lower Cholesky factor ``lo`` of the
+    covariance and the whitened residual ``w = lo^{-1} (x - mean)``."""
     logdet = 2.0 * np.sum(np.log(np.diag(lo)))
-    return float(-0.5 * (n * _LOG_2PI + logdet + w @ w))
+    return float(-0.5 * (w.shape[0] * _LOG_2PI + logdet + w @ w))
 
 
 def _trunc_std_ppf(u: float, a: float, b: float) -> float:

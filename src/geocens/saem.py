@@ -22,7 +22,6 @@ from .covariance import (
     CovarianceSpec,
     CovParams,
     build_sigma,
-    cholesky_sigma,
     distance_matrix,
     spd_cholesky,
 )
@@ -34,14 +33,18 @@ from .model import (
     SpatialDataset,
     TrendSpec,
     build_trend,
+    conditional_cens_given_obs,
     conditional_given_obs,
     criteria,
-    loglik,
+    loglik_from_conditional,
     param_count,
     partition,
 )
 from .mvn import Rectangle, RngState, tmvn_gibbs
 from .profile import expected_quad, profile_objective, profile_search
+
+GIBBS_BURN_IN = 20  # sweeps discarded before each E-step's sample
+MONITOR_EPS = 1e-3  # rectangle-probability tolerance of the convergence monitor
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,10 @@ class SaemConfig:
     (``phi`` alone when the nugget is fixed).  ``init_sigma2``,
     ``init_phi`` and ``init_nugget`` seed the parameters; leave them None
     to use the automatic variogram-based initializer.
+
+    The Gibbs burn-in (:data:`GIBBS_BURN_IN`), the monitor's rectangle
+    tolerance (:data:`MONITOR_EPS`) and the final likelihood's precision
+    (the defaults of :func:`geocens.model.loglik`) are fixed.
     """
 
     m: int = 15
@@ -71,10 +78,6 @@ class SaemConfig:
     upper: tuple = (1e4, 1e4)
     tol: float = 1e-4
     seed: int = 0
-    gibbs_burn_in: int = 20
-    monitor_eps: float = 1e-3
-    final_eps: float = 1e-4
-    rect_max_points: int = 100_000
 
     def __post_init__(self):
         if self.m < 1 or self.max_iter < 1:
@@ -228,32 +231,30 @@ def e_step(
     their Monte Carlo moments into ``state`` with the scheduled step size.
     Observed coordinates stay pinned to the recorded values.
     """
-    x = build_trend(data.coords, data.x_extra, trend)
-    sigma = build_sigma(distance_matrix(data.coords), spec, params.cov)
-    return _e_step_core(state, data, params, sigma, x, config, rng)
+    mu, cond = conditional_cens_given_obs(params, data, trend, spec)
+    return _e_step_core(state, data, mu, cond, config, rng)
 
 
-def _e_step_core(state, data, params, sigma, x, config, rng):
+def _e_step_core(state, data, mu, cond, config, rng):
+    """:func:`e_step` given the conditional mean ``mu`` and covariance
+    ``cond`` of the censored block."""
     state.iteration += 1
     delta = delta_schedule(state.iteration, config.max_iter, config.pc)
-    part = partition(data)
-    obs, cen = part.obs_idx, part.cens_idx
-    value = data.value
+    cen = partition(data).cens_idx
 
-    zhat = value.astype(float)
+    zhat = data.value.astype(float)
     if cen.size == 0:
         state.zhat = zhat
         state.zz_cc = np.zeros((0, 0))
         return state.zhat, state.zz_cc
 
-    mu, cond = conditional_given_obs(sigma, x, params.beta, value, obs, cen)
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
     samples_c = tmvn_gibbs(
         mu,
         cond,
         rect,
         n_samples=config.m,
-        burn_in=config.gibbs_burn_in,
+        burn_in=GIBBS_BURN_IN,
         thin=1,
         rng=rng,
         start=state.chain,
@@ -277,22 +278,23 @@ def cm_step(
     spec: CovarianceSpec,
     config: SaemConfig,
     prev: ModelParams,
+    sigma: np.ndarray,
 ) -> ModelParams:
     """Conditional maximization given the current moment estimates.
 
-    The trend coefficients are generalized least squares under the previous
-    covariance; the sill is its closed-form update; the range and relative
-    nugget come from the bounded quasi-Newton search of
-    :func:`geocens.profile.profile_search` on the analytic gradient of the
-    profile objective, started at the previous iterate.  With a fixed
-    nugget only the range is searched and ``nu2`` tracks
-    ``fixed_nugget / sigma2``.
+    ``sigma`` is the covariance matrix at ``prev``.  The trend coefficients
+    are generalized least squares under it; the sill is its closed-form
+    update; the range and relative nugget come from the bounded
+    quasi-Newton search of :func:`geocens.profile.profile_search` on the
+    analytic gradient of the profile objective, started at the previous
+    iterate.  With a fixed nugget only the range is searched and ``nu2``
+    tracks ``fixed_nugget / sigma2``.
 
     ``zz`` is the second moment of the block ``idx`` of the response; the
     second moment elsewhere is ``zhat zhat'``.
     """
     n = x.shape[0]
-    lo = cholesky_sigma(dist, spec, prev.cov)
+    lo = spd_cholesky(sigma, jitter=1e-10 * (prev.cov.sigma2 + prev.cov.tau2))
 
     xw = solve_triangular(lo, x, lower=True)
     zw = solve_triangular(lo, zhat, lower=True)
@@ -339,10 +341,19 @@ def saem_fit(
 ) -> SaemFit:
     """Run the full stochastic EM loop and return the completed fit.
 
+    Each parameter point (the start and the result of every CM step) is
+    evaluated once: ``Sigma`` is built and the censored block conditioned
+    on the observed block, which also gives the observed-block log density.
+    The next E-step samples from that conditional law, the next CM step
+    starts from that ``Sigma``, and the likelihood monitor estimates only
+    the rectangle probability under it.
+
     Iterates until the relative change between successive evaluations of
     the observed-data log-likelihood drops below ``config.tol`` (checked
     after the cut point; the likelihood is evaluated every iteration then,
-    every fifth iteration before) or the iteration cap is reached.
+    every fifth iteration before) or the iteration cap is reached.  The
+    final likelihood re-estimates the rectangle probability at the last
+    point with the precision of :func:`geocens.model.loglik`.
     """
     x = build_trend(data.coords, data.x_extra, trend)
     n, p = x.shape
@@ -356,10 +367,16 @@ def saem_fit(
 
     y0 = _imputed_start(data)
     params = _initial_params(data, trend, spec, config, x, dist, y0)
-    cen = partition(data).cens_idx
+    part = partition(data)
+    obs, cen = part.obs_idx, part.cens_idx
+    rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
     state = SaemState(zhat=y0.copy(), zz_cc=np.outer(y0[cen], y0[cen]), chain=None)
     if cen.size:
         state.chain = y0[cen].copy()
+
+    def evaluate(point: ModelParams):
+        sigma = build_sigma(dist, spec, point.cov)
+        return sigma, conditional_given_obs(sigma, x, point.beta, data.value, obs, cen)
 
     n_theta = p + 3
     trace_params = np.full((config.max_iter, n_theta), np.nan)
@@ -368,27 +385,19 @@ def saem_fit(
     converged = False
     iterations = 0
 
+    sigma, (mu, cond, obs_term) = evaluate(params)
     for k in range(1, config.max_iter + 1):
         iterations = k
-        sigma = build_sigma(dist, spec, params.cov)
         try:
-            _e_step_core(state, data, params, sigma, x, config, gibbs_rng)
-            params = cm_step(state.zhat, state.zz_cc, cen, x, dist, spec, config, params)
+            _e_step_core(state, data, mu, cond, config, gibbs_rng)
+            params = cm_step(state.zhat, state.zz_cc, cen, x, dist, spec, config, params, sigma)
+            sigma, (mu, cond, obs_term) = evaluate(params)
         except NumericalError as exc:
             raise NumericalError(f"iteration {k}: {exc}") from exc
         trace_params[k - 1] = params.as_array()
 
-        evaluate = k > cut or k % 5 == 0 or k == config.max_iter
-        if evaluate:
-            ll = loglik(
-                params,
-                data,
-                trend,
-                spec,
-                rng=ll_rng,
-                eps=config.monitor_eps,
-                max_points=config.rect_max_points,
-            )
+        if k > cut or k % 5 == 0 or k == config.max_iter:
+            ll = loglik_from_conditional(obs_term, mu, cond, rect, ll_rng, eps=MONITOR_EPS)
             trace_ll[k - 1] = ll.value
             if (
                 prev_ll is not None
@@ -403,15 +412,7 @@ def saem_fit(
                 break
             prev_ll = ll.value
 
-    final_ll = loglik(
-        params,
-        data,
-        trend,
-        spec,
-        rng=ll_rng,
-        eps=config.final_eps,
-        max_points=config.rect_max_points,
-    )
+    final_ll = loglik_from_conditional(obs_term, mu, cond, rect, ll_rng)
     k_params = param_count(p, spec.nugget_fixed)
     crit = criteria(final_ll.value, k_params, n)
     return SaemFit(

@@ -149,6 +149,8 @@ def inject_outliers(
     """Shift selected uncensored responses by ``magnitude_sd`` response
     standard deviations (sd taken before any shift is applied)."""
     indices = np.atleast_1d(np.asarray(indices, dtype=int))
+    if np.any((indices < 0) | (indices >= data.n)):
+        raise DataValidationError(f"outlier indices must lie in [0, {data.n})")
     if np.any(data.cens[indices] == 1):
         raise DataValidationError("outlier indices must refer to uncensored rows")
     sd = float(np.std(data.value, ddof=1))

@@ -331,18 +331,71 @@ def test_fit_payload_roundtrip_keeps_every_config_field(sim_dir):
 
     data = read_dataset_csv(str(sim_dir / "data.csv"))
     config = SaemConfig(
-        m=6, max_iter=4, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
+        m=6, max_iter=4, pc=0.3, perc=0.5, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
         lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=5,
-        gibbs_burn_in=7, monitor_eps=2e-3, final_eps=5e-4, rect_max_points=20_000,
     )
     fit = saem_fit(data, TrendSpec("cte"), CovarianceSpec("exponential"), config)
     payload = json.loads(json.dumps(fit_to_payload(fit), default=_json_default))
     assert asdict(fit_from_payload(payload).config) == asdict(config)
+    assert list(payload["config"]) == [
+        "m", "max_iter", "pc", "perc", "init_sigma2", "init_phi", "init_nugget",
+        "lower", "upper", "tol", "seed", "trend", "cov_model", "kappa", "fix_nugget", "nugget",
+    ]
 
-    # files written before the four fields were stored load with defaults
-    for key in ("gibbs_burn_in", "monitor_eps", "final_eps", "rect_max_points"):
-        del payload["config"][key]
-    old = fit_from_payload(payload).config
-    assert (old.gibbs_burn_in, old.monitor_eps, old.final_eps, old.rect_max_points) == (
-        20, 1e-3, 1e-4, 100_000
+
+def test_fit_payload_with_retired_config_keys_loads(sim_dir):
+    # fit.json files of earlier versions also carry the Gibbs burn-in, the
+    # two rectangle tolerances and the lattice cap, now fixed in the code
+    from geocens.cli import _json_default, fit_from_payload, fit_to_payload
+
+    data = read_dataset_csv(str(sim_dir / "data.csv"))
+    fit = saem_fit(data, TrendSpec("cte"), CovarianceSpec("exponential"), SaemConfig(
+        m=6, max_iter=4, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
+        lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=5,
+    ))
+    payload = json.loads(json.dumps(fit_to_payload(fit), default=_json_default))
+    retired = {"gibbs_burn_in": 20, "monitor_eps": 1e-3, "final_eps": 1e-4,
+               "rect_max_points": 100_000}
+    keys = list(payload["config"])
+    at = keys.index("seed") + 1
+    payload["config"] = {
+        **{k: payload["config"][k] for k in keys[:at]},
+        **retired,
+        **{k: payload["config"][k] for k in keys[at:]},
+    }
+    again = fit_from_payload(payload)
+    assert again.config == fit.config
+    assert np.array_equal(again.params.as_array(), fit.params.as_array())
+
+
+@pytest.mark.parametrize("option", [
+    ["--covariate-ranges", "0:x"],
+    ["--outlier-indices", "1,a"],
+    ["--outlier-indices", "99"],
+], ids=["covariate-range", "outlier-index-text", "outlier-index-range"])
+def test_simulate_rejects_malformed_options_exit_2(tmp_path, capsys, option):
+    rc = run_cli(
+        "simulate", "--n-est", 40, "--n-pred", 8, "--beta", "10",
+        "--sigma2", 2, "--phi", 1, "--tau2", 0.2, "--cens-level", 0.2,
+        "--box", "0,6,0,6", "--seed", 3, *option, "--out-dir", tmp_path,
     )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "data.csv").exists()
+
+
+def test_predict_rejects_truth_that_does_not_match_the_targets(tmp_path, sim_dir):
+    targets = tmp_path / "targets.csv"
+    write_targets(sim_dir, targets)
+    lines = (sim_dir / "truth.csv").read_text().splitlines(True)
+    short = tmp_path / "short_truth.csv"
+    short.write_text("".join(lines[:3]))
+    reordered = tmp_path / "reordered_truth.csv"
+    reordered.write_text("".join(lines[:1] + lines[:0:-1]))
+    for truth, want in ((sim_dir / "truth.csv", 0), (short, 2), (reordered, 2),
+                        (sim_dir / "data.csv", 2)):
+        out = tmp_path / truth.stem
+        rc = run_cli("predict", "--method", "naive1", "--data", sim_dir / "data.csv",
+                     "--targets", targets, "--truth", truth, "--out-dir", out)
+        assert rc == want
+        assert (out / "predictions.csv").exists() == (want == 0)

@@ -142,6 +142,24 @@ def test_loglik_no_censoring_exact():
     assert ll.se == 0.0
 
 
+def test_loglik_factors_the_observed_block_once(monkeypatch):
+    from geocens import model, mvn
+
+    calls = []
+    real = model.spd_cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    for mod in (model, mvn):
+        monkeypatch.setattr(mod, "spd_cholesky", counted)
+    data = toy_dataset(n=20, n_cens=5)
+    params = ModelParams(beta=[0.5], cov=CovParams(sigma2=2.0, phi=1.5, tau2=0.3))
+    loglik(params, data, TrendSpec("cte"), CovarianceSpec("exponential"), rng=0)
+    assert len(calls) == 1
+
+
 def test_loglik_infinite_rectangle_equals_subset():
     # a censored row with bounds (-inf, inf) contributes probability one
     data = toy_dataset(seed=5, n=8, n_cens=0)

@@ -11,7 +11,7 @@ from geocens import (
     saem_fit,
 )
 from geocens import covariance, predict, saem
-from geocens.covariance import correlation, distance_matrix
+from geocens.covariance import build_sigma, correlation, distance_matrix
 from geocens.errors import NumericalError, SingularCovarianceError
 from geocens.model import build_trend
 from geocens.predict import _ml_nuisance
@@ -225,7 +225,8 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
     zhat = data.value.astype(float)
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
-    free = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev)
+    sigma = build_sigma(dist, SPEC_EXP, prev.cov)
+    free = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, sigma)
     cut = 0.5 * (prev.cov.phi + free.cov.phi)
 
     last_phi, failed = {}, []
@@ -243,7 +244,7 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
 
     monkeypatch.setattr(covariance, "corr_matrix", noting_corr)
     monkeypatch.setattr(covariance, "spd_cholesky", failing_cholesky)
-    new = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev)
+    new = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, sigma)
     monkeypatch.undo()
 
     def profile(phi, nu2):

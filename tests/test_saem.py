@@ -14,6 +14,7 @@ from geocens import (
     delta_schedule,
     e_step,
     krige,
+    mvn_logpdf,
     predict_saem,
     saem_fit,
     tmvn_gibbs,
@@ -21,7 +22,7 @@ from geocens import (
 from geocens.covariance import build_sigma, correlation, distance_matrix
 from geocens.model import build_trend
 from geocens.mvn import Rectangle
-from geocens.saem import SaemState, dense_second_moment
+from geocens.saem import GIBBS_BURN_IN, SaemState, dense_second_moment
 from geocens.simulate import SimConfig, simulate_scl
 
 from oracles import gaussian_ml_oracle
@@ -111,7 +112,7 @@ def test_e_step_delta_one_replaces_with_mc_average():
     rect = Rectangle(lower=data.lower[part.cens_idx], upper=data.upper[part.cens_idx])
     start = np.clip(data.value[part.cens_idx], rect.lower, rect.upper)
     samples = tmvn_gibbs(
-        mu, s, rect, n_samples=cfg.m, burn_in=cfg.gibbs_burn_in,
+        mu, s, rect, n_samples=cfg.m, burn_in=GIBBS_BURN_IN,
         rng=RngState(7), start=start,
     )
     want = data.value.copy()
@@ -161,8 +162,8 @@ def test_cm_step_beta_is_gls():
     zhat = data.value
     zzhat = np.outer(zhat, zhat)
     cfg = base_config()
-    new = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev)
     sigma = build_sigma(dist, SPEC_EXP, prev.cov)
+    new = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, sigma)
     si = np.linalg.inv(sigma)
     want = np.linalg.solve(x.T @ si @ x, x.T @ si @ zhat)
     assert_allclose(new.beta, want, rtol=1e-10)
@@ -178,7 +179,10 @@ def test_cm_step_square_design_residual_free_sill():
     zhat = np.array([0.7, -0.4])
     zzhat = np.outer(zhat, zhat) + 0.5 * np.eye(2)
     cfg = base_config()
-    new = cm_step(zhat, zzhat, np.arange(2), x, dist, SPEC_EXP, cfg, prev)
+    new = cm_step(
+        zhat, zzhat, np.arange(2), x, dist, SPEC_EXP, cfg, prev,
+        build_sigma(dist, SPEC_EXP, prev.cov),
+    )
     psi_inv = np.linalg.inv(build_sigma(dist, SPEC_EXP, prev.cov) / prev.cov.sigma2)
     want = np.sum((zzhat - np.outer(zhat, zhat)) * psi_inv) / 2.0
     assert new.cov.sigma2 == pytest.approx(want, rel=1e-10)
@@ -193,7 +197,10 @@ def test_cm_step_dominates_random_feasible_points():
     zhat = data.value.astype(float)
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
-    new = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev)
+    new = cm_step(
+        zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev,
+        build_sigma(dist, SPEC_EXP, prev.cov),
+    )
 
     def profile(phi, nu2, sigma2, beta):
         psi = correlation("exponential", 0.0, dist, phi) + nu2 * np.eye(data.n)
@@ -234,8 +241,9 @@ def test_cm_step_censored_block_equals_dense_moments():
             base_config(lower=(0.05,), upper=(20.0,)),
         ),
     ]:
-        block = cm_step(zhat, zz_cc, cen, x, dist, spec, cfg, prev)
-        dense = cm_step(zhat, zzhat, np.arange(data.n), x, dist, spec, cfg, prev)
+        sigma = build_sigma(dist, spec, prev.cov)
+        block = cm_step(zhat, zz_cc, cen, x, dist, spec, cfg, prev, sigma)
+        dense = cm_step(zhat, zzhat, np.arange(data.n), x, dist, spec, cfg, prev, sigma)
         assert_allclose(block.as_array(), dense.as_array(), rtol=1e-10)
 
 
@@ -303,6 +311,43 @@ def test_saem_fit_stores_only_the_censored_second_moment():
     outside = ~np.outer(cen, cen)
     assert np.array_equal(zzhat[outside], np.outer(fit.zhat, fit.zhat)[outside])
     assert np.array_equal(zzhat[np.ix_(cen, cen)], fit.zz_cc)
+
+
+def test_saem_fit_builds_sigma_once_per_parameter_point(monkeypatch):
+    # budget outside the CM searches: the initial values, the start point
+    # and one point per CM step
+    from geocens import covariance, saem
+
+    counts = {"outside": 0, "searching": False}
+    corr_matrix, objective = covariance.corr_matrix, saem.profile_objective
+
+    def counted_corr(*args, **kwargs):
+        counts["outside"] += not counts["searching"]
+        return corr_matrix(*args, **kwargs)
+
+    def counted_objective(*args, **kwargs):
+        counts["searching"] = True
+        try:
+            return objective(*args, **kwargs)
+        finally:
+            counts["searching"] = False
+
+    data = sim_left(seed=22).data
+    monkeypatch.setattr(covariance, "corr_matrix", counted_corr)
+    monkeypatch.setattr(saem, "profile_objective", counted_objective)
+    fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=12))
+    assert counts["outside"] <= fit.iterations_used + 2
+
+
+def test_saem_fit_loglik_observed_block_is_the_dense_density():
+    res = sim_left(seed=22)
+    data = res.data
+    fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=8))
+    obs = data.cens == 0
+    sigma = build_sigma(distance_matrix(data.coords), SPEC_EXP, fit.params.cov)
+    want = mvn_logpdf(data.value[obs], (fit.x @ fit.params.beta)[obs], sigma[np.ix_(obs, obs)])
+    got = fit.loglik.value - np.log(fit.loglik.cens_prob)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_saem_shift_equivariance():

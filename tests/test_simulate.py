@@ -134,6 +134,13 @@ def test_inject_outliers_rejects_censored_rows():
         inject_outliers(res.data, bad, 5.0)
 
 
+def test_inject_outliers_rejects_indices_outside_the_rows():
+    data = simulate_scl(base_config(seed=13)).data
+    for bad in ([-1], [data.n]):
+        with pytest.raises(DataValidationError):
+            inject_outliers(data, bad, 5.0)
+
+
 def test_inject_outliers_sd_from_pre_injection_values():
     # applying two shifts one after another must compound, proving the sd
     # is recomputed from the already-shifted data the second time
