@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky, lapack
 from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
@@ -231,6 +231,19 @@ def spd_cholesky(mat: np.ndarray, jitter: float | None = None) -> np.ndarray:
         raise SingularCovarianceError(
             "covariance matrix is numerically non positive definite"
         ) from exc
+
+
+def _cholesky_inverse(lo: np.ndarray) -> np.ndarray:
+    """``(lo lo')^{-1}`` from a lower Cholesky factor (LAPACK ``potri``).
+
+    ``potri`` fills the lower triangle of a column-major copy; it is
+    mirrored in place, column by column, so that no other n x n array is
+    allocated, and the symmetric result is returned as a row-major view.
+    """
+    inv, _ = lapack.dpotri(lo, lower=1)
+    for j in range(1, inv.shape[0]):
+        inv[:j, j] = inv[j, :j]
+    return inv.T
 
 
 def cholesky_sigma(dist: np.ndarray, spec: CovarianceSpec, p: CovParams) -> np.ndarray:

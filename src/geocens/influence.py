@@ -46,9 +46,9 @@ from typing import Optional
 import numpy as np
 
 from .covariance import CovarianceSpec, CovParams, build_sigma, d2sigma, dsigma, spd_cholesky
+from .covariance import _cholesky_inverse
 from .errors import DegenerateCurvatureError, DataValidationError, GeocensError
 from .model import ModelParams, partition
-from .profile import _cholesky_inverse
 
 SCHEMES = ("response", "scale", "explanatory")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .covariance import (
     CovarianceSpec,
@@ -196,6 +196,11 @@ class Partition:
     obs_idx: np.ndarray
     cens_idx: np.ndarray
 
+    @property
+    def order(self) -> np.ndarray:
+        """All rows, observed first: ``obs_idx`` then ``cens_idx``."""
+        return np.concatenate([self.obs_idx, self.cens_idx])
+
 
 def build_trend(coords, x_extra, trend: TrendSpec) -> np.ndarray:
     """Trend matrix: ones / ones+coords / ones+covariates, full rank checked."""
@@ -225,30 +230,33 @@ def partition(data: SpatialDataset) -> Partition:
     )
 
 
-def conditional_given_obs(sigma, x, beta, values, obs_idx, cens_idx):
-    """Conditional law of the censored block given the observed block,
-    from precomputed ``Sigma`` and trend matrix.
+def conditional_given_obs(lo, mu_all, values, n_obs):
+    """Conditional law of the censored block given the observed block.
 
-    Returns the conditional mean and covariance, plus the Gaussian log
-    density of the observed block, read off the same ``Sigma_oo`` factor.
-    With no observed rows this degenerates to the unconditional
-    ``(X_c beta, Sigma_cc)`` and a log density of zero.
+    ``lo`` is the lower Cholesky factor of ``Sigma`` over sites ordered
+    observed first (:attr:`Partition.order`), ``mu_all`` the mean and
+    ``values`` the readings in that order, and ``n_obs`` the number of
+    observed sites.  With ``lo = [[L_oo, 0], [L_co, L_cc]]`` the censored
+    block has mean ``mu_c + L_co L_oo^{-1} (values_o - mu_o)`` and
+    covariance ``L_cc L_cc'``, and ``L_oo`` gives the Gaussian log density
+    of the observed block.  Returns ``(mean, covariance, log density)``.
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    mu_all = x @ beta
-    if obs_idx.size == 0:
-        return mu_all[cens_idx], sigma[np.ix_(cens_idx, cens_idx)], 0.0
-    s_oo = sigma[np.ix_(obs_idx, obs_idx)]
-    s_co = sigma[np.ix_(cens_idx, obs_idx)]
-    s_cc = sigma[np.ix_(cens_idx, cens_idx)]
-    lo = spd_cholesky(s_oo)
-    wr = solve_triangular(lo, values[obs_idx] - mu_all[obs_idx], lower=True)
-    # kriging weights K = S_co S_oo^{-1} via two triangular solves
-    w = solve_triangular(lo, s_co.T, lower=True)
-    mu = mu_all[cens_idx] + w.T @ wr
-    cond = s_cc - w.T @ w
-    cond = 0.5 * (cond + cond.T)
-    return mu, cond, logpdf_from_cholesky(lo, wr)
+    l_oo = lo[:n_obs, :n_obs]
+    l_cc = lo[n_obs:, n_obs:]
+    wr = solve_triangular(l_oo, values[:n_obs] - mu_all[:n_obs], lower=True)
+    mu = mu_all[n_obs:] + lo[n_obs:, :n_obs] @ wr
+    return mu, l_cc @ l_cc.T, logpdf_from_cholesky(l_oo, wr)
+
+
+def _conditional_at(params: ModelParams, data: SpatialDataset, trend: TrendSpec,
+                    spec: CovarianceSpec):
+    """:func:`conditional_given_obs` at ``params``, from one factor of
+    ``Sigma`` over the sites of ``data`` ordered observed first."""
+    part = partition(data)
+    order = part.order
+    x = build_trend(data.coords, data.x_extra, trend)[order]
+    lo = spd_cholesky(build_sigma(distance_matrix(data.coords[order]), spec, params.cov))
+    return conditional_given_obs(lo, x @ params.beta, data.value[order], part.obs_idx.size)
 
 
 def conditional_cens_given_obs(
@@ -256,12 +264,7 @@ def conditional_cens_given_obs(
 ):
     """Conditional mean and covariance of the censored block given the
     observed block."""
-    x = build_trend(data.coords, data.x_extra, trend)
-    sigma = build_sigma(distance_matrix(data.coords), spec, params.cov)
-    part = partition(data)
-    mu, cond, _ = conditional_given_obs(
-        sigma, x, params.beta, data.value, part.obs_idx, part.cens_idx
-    )
+    mu, cond, _ = _conditional_at(params, data, trend, spec)
     return mu, cond
 
 
@@ -298,18 +301,14 @@ def loglik(
 ) -> LogLik:
     """Observed-data log-likelihood of the censored spatial model.
 
-    Builds ``Sigma`` once and conditions on the observed block once
-    (:func:`conditional_given_obs`, which also gives the exact Gaussian
-    density of the observed block); :func:`loglik_from_conditional` then
-    adds the log rectangle probability of the censored block.
+    Factors ``Sigma`` once, over the sites ordered observed first, and
+    conditions on the observed block (:func:`conditional_given_obs`, which
+    also gives the exact Gaussian density of the observed block);
+    :func:`loglik_from_conditional` then adds the log rectangle probability
+    of the censored block.
     """
-    x = build_trend(data.coords, data.x_extra, trend)
-    sigma = build_sigma(distance_matrix(data.coords), spec, params.cov)
-    part = partition(data)
-    cen = part.cens_idx
-    mu, cond, obs_term = conditional_given_obs(
-        sigma, x, params.beta, data.value, part.obs_idx, cen
-    )
+    mu, cond, obs_term = _conditional_at(params, data, trend, spec)
+    cen = partition(data).cens_idx
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
     return loglik_from_conditional(obs_term, mu, cond, rect, rng, eps, max_points)
 

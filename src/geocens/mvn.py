@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import ndtr, ndtri
 
-from .covariance import spd_cholesky
+from .covariance import _cholesky_inverse, spd_cholesky
 from .errors import DataValidationError
 
 _TAIL_SWITCH = 34.0  # standardized bound beyond which Phi differences underflow
@@ -149,8 +149,7 @@ def tmvn_gibbs(
         raise DataValidationError("rectangle dimension does not match mean")
     lower, upper = rect.lower, rect.upper
 
-    lo = spd_cholesky(cov)
-    lam = cho_solve((lo, True), np.eye(n))  # precision matrix
+    lam = _cholesky_inverse(spd_cholesky(cov))  # precision matrix
     cond_sd = 1.0 / np.sqrt(np.diag(lam))
 
     if start is None:

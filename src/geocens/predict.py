@@ -26,7 +26,6 @@ from .covariance import (
     correlation,
     cross_distance,
     distance_matrix,
-    spd_cholesky,
 )
 from .errors import (
     ConfigurationError,
@@ -42,9 +41,8 @@ from .model import (
     criteria,
     loglik,
     param_count,
-    partition,
 )
-from .profile import profile_objective, profile_search, psi_cholesky
+from .profile import _gls, profile_objective, profile_search, psi_cholesky
 
 METHODS = ("naive1", "naive2", "seminaive", "saem")
 
@@ -102,13 +100,12 @@ def krige(
         raise DataValidationError("coords_pred and x_pred row counts differ")
 
     p = params.cov
-    s_oo = build_sigma(distance_matrix(coords_obs), spec, p)
     cross = p.sigma2 * correlation(
         spec.family, spec.kappa, cross_distance(coords_pred, coords_obs), p.phi
     )
     s_pp = build_sigma(distance_matrix(coords_pred), spec, p)
 
-    lo = spd_cholesky(s_oo, jitter=1e-10 * (p.sigma2 + p.tau2))
+    lo = cholesky_sigma(distance_matrix(coords_obs), spec, p)
     resid = z_obs - x_obs @ params.beta
     w = solve_triangular(lo, cross.T, lower=True)  # L^{-1} Sigma_op
     mean = x_pred @ params.beta + w.T @ solve_triangular(lo, resid, lower=True)
@@ -262,14 +259,11 @@ def _ml_nuisance(lo, nu2, y, x, fixed_tau):
     under ``Psi = lo lo'``: generalized least squares for the trend, and
     the sill at ``rss / n``, or pinned by a fixed nugget ``tau2 > 0`` at
     ``tau2 / nu2``."""
-    xw = solve_triangular(lo, x, lower=True)
-    yw = solve_triangular(lo, y, lower=True)
-    beta, *_ = np.linalg.lstsq(xw, yw, rcond=None)
+    beta, rw = _gls(lo, x, y)
     resid = y - x @ beta
     if fixed_tau is not None and nu2 > 0:
         sigma2 = fixed_tau / nu2
         return beta, resid, sigma2, -sigma2 / nu2
-    rw = yw - xw @ beta
     return beta, resid, max(float(rw @ rw) / len(y), 1e-300), 0.0
 
 

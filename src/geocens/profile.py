@@ -31,11 +31,11 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from . import covariance
-from .covariance import CovarianceSpec
+from .covariance import CovarianceSpec, _cholesky_inverse
 from .errors import NumericalError, SingularCovarianceError
 
 # corr_matrix, dcorr_matrix and spd_cholesky are looked up on the covariance
@@ -68,17 +68,14 @@ def expected_quad(lo: np.ndarray, resid: np.ndarray, cov_c: np.ndarray, idx: np.
     return float(rw @ rw + np.sum((ew.T @ ew) * cov_c))
 
 
-def _cholesky_inverse(lo: np.ndarray) -> np.ndarray:
-    """``(lo lo')^{-1}`` from a lower Cholesky factor (LAPACK ``potri``).
-
-    ``potri`` fills the lower triangle of a column-major copy; it is
-    mirrored in place, column by column, so that no other n x n array is
-    allocated, and the symmetric result is returned as a row-major view.
-    """
-    inv, _ = lapack.dpotri(lo, lower=1)
-    for j in range(1, inv.shape[0]):
-        inv[:j, j] = inv[j, :j]
-    return inv.T
+def _gls(lo: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized least squares of ``y`` on ``x`` under the covariance
+    ``lo lo'``: the coefficients and the whitened residual
+    ``lo^{-1} (y - x beta)``."""
+    xw = solve_triangular(lo, x, lower=True)
+    yw = solve_triangular(lo, y, lower=True)
+    beta, *_ = np.linalg.lstsq(xw, yw, rcond=None)
+    return beta, yw - xw @ beta
 
 
 class _SingularTrial(Exception):

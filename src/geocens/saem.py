@@ -16,15 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .covariance import (
-    CovarianceSpec,
-    CovParams,
-    build_sigma,
-    distance_matrix,
-    spd_cholesky,
-)
+from .covariance import CovarianceSpec, CovParams, cholesky_sigma, distance_matrix
 from .errors import ConfigurationError, DataValidationError, NumericalError
 from .model import (
     Criteria,
@@ -41,7 +34,7 @@ from .model import (
     partition,
 )
 from .mvn import Rectangle, RngState, tmvn_gibbs
-from .profile import expected_quad, profile_objective, profile_search
+from .profile import _gls, expected_quad, profile_objective, profile_search
 
 GIBBS_BURN_IN = 20  # sweeps discarded before each E-step's sample
 MONITOR_EPS = 1e-3  # rectangle-probability tolerance of the convergence monitor
@@ -84,6 +77,8 @@ class SaemConfig:
             raise ConfigurationError("m and max_iter must be positive")
         if not 0.0 <= self.pc < 1.0:
             raise ConfigurationError("pc must lie in [0, 1)")
+        if not 0.0 <= self.perc < 1.0:
+            raise ConfigurationError("perc must lie in [0, 1)")
         if self.tol < 0:
             raise ConfigurationError("tol must be >= 0")
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -173,32 +168,6 @@ def delta_schedule(k: int, max_iter: int, pc: float) -> float:
     return 1.0 if k <= cut else 1.0 / (k - cut)
 
 
-def _initial_params(
-    data: SpatialDataset, trend: TrendSpec, spec: CovarianceSpec, config: SaemConfig,
-    x: np.ndarray, dist: np.ndarray, y_imputed: np.ndarray,
-) -> ModelParams:
-    if config.init_sigma2 is None or config.init_phi is None:
-        from .predict import initial_values
-
-        auto = initial_values(data, trend, spec)
-        cov = auto.cov
-    else:
-        tau2 = (
-            spec.fixed_nugget_value
-            if spec.nugget_fixed
-            else (config.init_nugget if config.init_nugget is not None else 0.0)
-        )
-        cov = CovParams(
-            sigma2=float(config.init_sigma2), phi=float(config.init_phi), tau2=float(tau2)
-        )
-    sigma = build_sigma(dist, spec, cov)
-    lo = spd_cholesky(sigma, jitter=1e-10 * (cov.sigma2 + cov.tau2))
-    xw = solve_triangular(lo, x, lower=True)
-    yw = solve_triangular(lo, y_imputed, lower=True)
-    beta, *_ = np.linalg.lstsq(xw, yw, rcond=None)
-    return ModelParams(beta=beta, cov=cov)
-
-
 def _imputed_start(data: SpatialDataset) -> np.ndarray:
     """Initial completion of the response: observed values, censored rows
     at their nearest finite bound (interval midpoint when both finite)."""
@@ -278,27 +247,23 @@ def cm_step(
     spec: CovarianceSpec,
     config: SaemConfig,
     prev: ModelParams,
-    sigma: np.ndarray,
+    lo: np.ndarray,
 ) -> ModelParams:
     """Conditional maximization given the current moment estimates.
 
-    ``sigma`` is the covariance matrix at ``prev``.  The trend coefficients
-    are generalized least squares under it; the sill is its closed-form
-    update; the range and relative nugget come from the bounded
-    quasi-Newton search of :func:`geocens.profile.profile_search` on the
-    analytic gradient of the profile objective, started at the previous
-    iterate.  With a fixed nugget only the range is searched and ``nu2``
+    ``lo`` is the lower Cholesky factor of the covariance matrix at
+    ``prev``.  The trend coefficients are generalized least squares under
+    it; the sill is its closed-form update; the range and relative nugget
+    come from the bounded quasi-Newton search of
+    :func:`geocens.profile.profile_search` on the analytic gradient of the
+    profile objective, started at the previous iterate.  With a fixed nugget only the range is searched and ``nu2``
     tracks ``fixed_nugget / sigma2``.
 
     ``zz`` is the second moment of the block ``idx`` of the response; the
     second moment elsewhere is ``zhat zhat'``.
     """
     n = x.shape[0]
-    lo = spd_cholesky(sigma, jitter=1e-10 * (prev.cov.sigma2 + prev.cov.tau2))
-
-    xw = solve_triangular(lo, x, lower=True)
-    zw = solve_triangular(lo, zhat, lower=True)
-    beta, *_ = np.linalg.lstsq(xw, zw, rcond=None)
+    beta, _ = _gls(lo, x, zhat)
 
     # sill update with the previous correlation-scale precision
     resid = zhat - x @ beta
@@ -342,11 +307,15 @@ def saem_fit(
     """Run the full stochastic EM loop and return the completed fit.
 
     Each parameter point (the start and the result of every CM step) is
-    evaluated once: ``Sigma`` is built and the censored block conditioned
-    on the observed block, which also gives the observed-block log density.
-    The next E-step samples from that conditional law, the next CM step
-    starts from that ``Sigma``, and the likelihood monitor estimates only
-    the rectangle probability under it.
+    factored once: one Cholesky factor of ``Sigma`` over the sites ordered
+    observed first (:attr:`geocens.model.Partition.order`) holds every
+    block the point needs.  Its observed block gives the observed-block log
+    density, its lower blocks the conditional law of the censored block
+    (:func:`geocens.model.conditional_given_obs`), and the whole factor the
+    next CM step's generalized least squares and sill update, or at the
+    start the initial trend coefficients.  The next E-step samples from
+    that conditional law, and the likelihood monitor estimates only the
+    rectangle probability under it.
 
     Iterates until the relative change between successive evaluations of
     the observed-data log-likelihood drops below ``config.tol`` (checked
@@ -365,18 +334,32 @@ def saem_fit(
     root = RngState(config.seed)
     gibbs_rng, ll_rng = root.spawn(2)
 
-    y0 = _imputed_start(data)
-    params = _initial_params(data, trend, spec, config, x, dist, y0)
+    if config.init_sigma2 is None or config.init_phi is None:
+        from .predict import initial_values
+
+        cov = initial_values(data, trend, spec).cov
+    else:
+        tau2 = (
+            spec.fixed_nugget_value
+            if spec.nugget_fixed
+            else (config.init_nugget if config.init_nugget is not None else 0.0)
+        )
+        cov = CovParams(
+            sigma2=float(config.init_sigma2), phi=float(config.init_phi), tau2=float(tau2)
+        )
+
+    # the loop factors Sigma over the sites ordered observed first; the
+    # moments and the Gibbs chain stay in the original order
     part = partition(data)
-    obs, cen = part.obs_idx, part.cens_idx
+    order, n_obs = part.order, part.obs_idx.size
+    x_o, dist_o, values_o = x[order], dist[np.ix_(order, order)], data.value[order]
+    cen_o = np.arange(n_obs, n)
+    cen = part.cens_idx
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
+    y0 = _imputed_start(data)
     state = SaemState(zhat=y0.copy(), zz_cc=np.outer(y0[cen], y0[cen]), chain=None)
     if cen.size:
         state.chain = y0[cen].copy()
-
-    def evaluate(point: ModelParams):
-        sigma = build_sigma(dist, spec, point.cov)
-        return sigma, conditional_given_obs(sigma, x, point.beta, data.value, obs, cen)
 
     n_theta = p + 3
     trace_params = np.full((config.max_iter, n_theta), np.nan)
@@ -385,13 +368,18 @@ def saem_fit(
     converged = False
     iterations = 0
 
-    sigma, (mu, cond, obs_term) = evaluate(params)
+    lo = cholesky_sigma(dist_o, spec, cov)
+    params = ModelParams(beta=_gls(lo, x_o, y0[order])[0], cov=cov)
+    mu, cond, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
     for k in range(1, config.max_iter + 1):
         iterations = k
         try:
             _e_step_core(state, data, mu, cond, config, gibbs_rng)
-            params = cm_step(state.zhat, state.zz_cc, cen, x, dist, spec, config, params, sigma)
-            sigma, (mu, cond, obs_term) = evaluate(params)
+            params = cm_step(
+                state.zhat[order], state.zz_cc, cen_o, x_o, dist_o, spec, config, params, lo
+            )
+            lo = cholesky_sigma(dist_o, spec, params.cov)
+            mu, cond, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
         except NumericalError as exc:
             raise NumericalError(f"iteration {k}: {exc}") from exc
         trace_params[k - 1] = params.as_array()

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .covariance import CovarianceSpec, CovParams, distance_matrix, spd_cholesky, build_sigma
+from .covariance import CovarianceSpec, CovParams, cholesky_sigma, distance_matrix
 from .errors import ConfigurationError, DataValidationError
 from .model import SpatialDataset, TrendSpec, build_trend
 from .mvn import as_generator
@@ -100,8 +100,7 @@ def simulate_scl(cfg: SimConfig) -> SimResult:
             f"beta has length {beta.shape[0]} but trend matrix has {x.shape[1]} columns"
         )
 
-    sigma = build_sigma(distance_matrix(coords), cfg.spec, cfg.cov)
-    lo = spd_cholesky(sigma, jitter=1e-10 * (cfg.cov.sigma2 + cfg.cov.tau2))
+    lo = cholesky_sigma(distance_matrix(coords), cfg.spec, cfg.cov)
     z = x @ beta + lo @ gen.standard_normal(n_total)
 
     z_est = z[: cfg.n_est]

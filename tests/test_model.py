@@ -129,6 +129,40 @@ def test_conditional_no_censored_rows_empty():
     assert mu.shape == (0,) and s.shape == (0, 0)
 
 
+@pytest.mark.parametrize("n_obs", [0, 7, 12])
+@pytest.mark.parametrize(
+    "family,kappa",
+    [("exponential", 0.0), ("gaussian", 0.0), ("spherical", 0.0), ("matern", 0.7),
+     ("powered-exponential", 1.5)],
+)
+def test_conditional_given_obs_equals_dense_schur_complement(family, kappa, n_obs):
+    # the blocks of one observed-first factor against the dense formulas,
+    # including no observed rows (unconditional law) and no censored rows
+    from geocens.covariance import build_sigma, distance_matrix
+    from geocens.model import conditional_given_obs
+
+    n = 12
+    rng = np.random.default_rng(8)
+    coords = rng.uniform(0, 5, size=(n, 2))
+    spec = CovarianceSpec(family, kappa=kappa)
+    sigma = build_sigma(distance_matrix(coords), spec, CovParams(sigma2=2.0, phi=1.5, tau2=0.3))
+    mu_all = rng.normal(size=n)
+    values = rng.normal(1.0, 2.0, size=n)
+    mu, cond, logdens = conditional_given_obs(np.linalg.cholesky(sigma), mu_all, values, n_obs)
+
+    o, c = slice(0, n_obs), slice(n_obs, n)
+    gain = np.linalg.solve(sigma[o, o], sigma[o, c]).T  # Sigma_co Sigma_oo^{-1}
+    r = values[o] - mu_all[o]
+    assert_allclose(mu, mu_all[c] + gain @ r, rtol=1e-12, atol=1e-12)
+    assert_allclose(cond, sigma[c, c] - gain @ sigma[o, c], rtol=1e-12, atol=1e-12)
+    want = -0.5 * (
+        n_obs * np.log(2 * np.pi)
+        + np.linalg.slogdet(sigma[o, o])[1]
+        + r @ np.linalg.solve(sigma[o, o], r)
+    )
+    assert logdens == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_loglik_no_censoring_exact():
     data = toy_dataset(n_cens=0)
     spec = CovarianceSpec("exponential")

@@ -15,7 +15,8 @@ from geocens.covariance import build_sigma, correlation, distance_matrix
 from geocens.errors import NumericalError, SingularCovarianceError
 from geocens.model import build_trend
 from geocens.predict import _ml_nuisance
-from geocens.profile import _cholesky_inverse, profile_objective, profile_search
+from geocens.covariance import _cholesky_inverse
+from geocens.profile import profile_objective, profile_search
 
 from study import SPEC as STUDY_SPEC
 from study import TREND as STUDY_TREND
@@ -226,7 +227,9 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
     sigma = build_sigma(dist, SPEC_EXP, prev.cov)
-    free = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, sigma)
+    free = cm_step(
+        zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, np.linalg.cholesky(sigma)
+    )
     cut = 0.5 * (prev.cov.phi + free.cov.phi)
 
     last_phi, failed = {}, []
@@ -244,7 +247,9 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
 
     monkeypatch.setattr(covariance, "corr_matrix", noting_corr)
     monkeypatch.setattr(covariance, "spd_cholesky", failing_cholesky)
-    new = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, sigma)
+    new = cm_step(
+        zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, np.linalg.cholesky(sigma)
+    )
     monkeypatch.undo()
 
     def profile(phi, nu2):

@@ -19,7 +19,7 @@ from geocens import (
     saem_fit,
     tmvn_gibbs,
 )
-from geocens.covariance import build_sigma, correlation, distance_matrix
+from geocens.covariance import build_sigma, cholesky_sigma, correlation, distance_matrix
 from geocens.model import build_trend
 from geocens.mvn import Rectangle
 from geocens.saem import GIBBS_BURN_IN, SaemState, dense_second_moment
@@ -43,6 +43,16 @@ def test_config_validation_and_m_warning():
         SaemConfig(m=0)
     with pytest.warns(UserWarning):
         SaemConfig(m=25)
+
+
+@pytest.mark.parametrize("perc", [1.0, -0.5])
+def test_config_rejects_perc_outside_unit_interval(perc):
+    # perc = 1 leaves trace_summary an empty slice; a negative perc slices
+    # from the end
+    from geocens.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="perc"):
+        SaemConfig(perc=perc)
 
 
 def sim_left(seed=0, n=40, cens=0.2, n_pred=0):
@@ -163,7 +173,9 @@ def test_cm_step_beta_is_gls():
     zzhat = np.outer(zhat, zhat)
     cfg = base_config()
     sigma = build_sigma(dist, SPEC_EXP, prev.cov)
-    new = cm_step(zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, sigma)
+    new = cm_step(
+        zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, np.linalg.cholesky(sigma)
+    )
     si = np.linalg.inv(sigma)
     want = np.linalg.solve(x.T @ si @ x, x.T @ si @ zhat)
     assert_allclose(new.beta, want, rtol=1e-10)
@@ -181,7 +193,7 @@ def test_cm_step_square_design_residual_free_sill():
     cfg = base_config()
     new = cm_step(
         zhat, zzhat, np.arange(2), x, dist, SPEC_EXP, cfg, prev,
-        build_sigma(dist, SPEC_EXP, prev.cov),
+        cholesky_sigma(dist, SPEC_EXP, prev.cov),
     )
     psi_inv = np.linalg.inv(build_sigma(dist, SPEC_EXP, prev.cov) / prev.cov.sigma2)
     want = np.sum((zzhat - np.outer(zhat, zhat)) * psi_inv) / 2.0
@@ -199,7 +211,7 @@ def test_cm_step_dominates_random_feasible_points():
     cfg = base_config()
     new = cm_step(
         zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev,
-        build_sigma(dist, SPEC_EXP, prev.cov),
+        cholesky_sigma(dist, SPEC_EXP, prev.cov),
     )
 
     def profile(phi, nu2, sigma2, beta):
@@ -242,8 +254,10 @@ def test_cm_step_censored_block_equals_dense_moments():
         ),
     ]:
         sigma = build_sigma(dist, spec, prev.cov)
-        block = cm_step(zhat, zz_cc, cen, x, dist, spec, cfg, prev, sigma)
-        dense = cm_step(zhat, zzhat, np.arange(data.n), x, dist, spec, cfg, prev, sigma)
+        block = cm_step(zhat, zz_cc, cen, x, dist, spec, cfg, prev, np.linalg.cholesky(sigma))
+        dense = cm_step(
+            zhat, zzhat, np.arange(data.n), x, dist, spec, cfg, prev, np.linalg.cholesky(sigma)
+        )
         assert_allclose(block.as_array(), dense.as_array(), rtol=1e-10)
 
 
@@ -314,16 +328,26 @@ def test_saem_fit_stores_only_the_censored_second_moment():
 
 
 def test_saem_fit_builds_sigma_once_per_parameter_point(monkeypatch):
-    # budget outside the CM searches: the initial values, the start point
-    # and one point per CM step
-    from geocens import covariance, saem
+    # budget outside the CM searches: the start point and one point per CM
+    # step, each factored once over all n sites and never over the observed
+    # block alone
+    from collections import Counter
+
+    from geocens import covariance, model, mvn, saem
 
     counts = {"outside": 0, "searching": False}
+    factors = Counter()
     corr_matrix, objective = covariance.corr_matrix, saem.profile_objective
+    spd_cholesky = covariance.spd_cholesky
 
     def counted_corr(*args, **kwargs):
         counts["outside"] += not counts["searching"]
         return corr_matrix(*args, **kwargs)
+
+    def counted_cholesky(mat, *args, **kwargs):
+        if not counts["searching"]:
+            factors[mat.shape[0]] += 1
+        return spd_cholesky(mat, *args, **kwargs)
 
     def counted_objective(*args, **kwargs):
         counts["searching"] = True
@@ -335,8 +359,14 @@ def test_saem_fit_builds_sigma_once_per_parameter_point(monkeypatch):
     data = sim_left(seed=22).data
     monkeypatch.setattr(covariance, "corr_matrix", counted_corr)
     monkeypatch.setattr(saem, "profile_objective", counted_objective)
+    for mod in (covariance, model, mvn):
+        monkeypatch.setattr(mod, "spd_cholesky", counted_cholesky)
     fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=12))
-    assert counts["outside"] <= fit.iterations_used + 2
+    n_obs = data.n - data.n_censored
+    assert 0 < n_obs < data.n
+    assert counts["outside"] == fit.iterations_used + 1
+    assert factors[data.n] == fit.iterations_used + 1
+    assert factors[n_obs] == 0
 
 
 def test_saem_fit_loglik_observed_block_is_the_dense_density():
