@@ -2,8 +2,15 @@
 
 Subcommands: ``simulate``, ``fit``, ``predict``, ``crossval``, ``diagnose``,
 ``variogram``.  All file outputs are written atomically (temp file plus
-rename) and all randomness is governed by ``--seed``, so a repeated
-command produces byte-identical outputs.
+rename) by :func:`_atomic_write` and all randomness is governed by
+``--seed``, so a repeated command produces byte-identical outputs.
+
+The file formats have one owner each: :func:`_write_csv` writes every CSV
+(cells by :func:`_cell`, infinite bounds as empty cells by
+:func:`_bound_cell`), :func:`_read_table` reads every CSV against its
+column table (``_DATA_COLUMNS``, ``_TARGET_COLUMNS``, ``_TRUTH_COLUMNS``,
+then ``cov1..covq`` named by :func:`_cov_names`), and :func:`_json_header`
+opens every JSON output.
 
 Exit codes: 0 success, 2 validation or schema error, 3 numerical failure.
 """
@@ -52,6 +59,7 @@ _VALIDATION_ERRORS = (
     DataValidationError,
     ModelSpecificationError,
     UnsupportedMethodError,
+    FileNotFoundError,
 )
 _NUMERICAL_ERRORS = (SingularCovarianceError, NumericalError, DegenerateCurvatureError)
 
@@ -75,102 +83,106 @@ def _atomic_write(path: str, content: str):
         raise
 
 
-def _cell(v: float) -> str:
-    return repr(float(v))
+def _cell(v) -> str:
+    """A CSV cell: text as it is, any other value as the ``repr`` of a float."""
+    return v if isinstance(v, str) else repr(float(v))
 
 
 def _bound_cell(v: float) -> str:
     return "" if np.isinf(v) else repr(float(v))
 
 
-def write_dataset_csv(path: str, data: SpatialDataset):
+def _cov_names(q: int) -> list:
+    return [f"cov{j + 1}" for j in range(q)]
+
+
+def _cov_columns(x_extra) -> tuple:
+    return () if x_extra is None else tuple(x_extra.T)
+
+
+def _write_csv(path: str, header: list, rows):
+    """Write ``header`` and ``rows`` in the default csv dialect, each
+    value through :func:`_cell`."""
     buf = io.StringIO()
     w = csv.writer(buf)
-    q = 0 if data.x_extra is None else data.x_extra.shape[1]
-    w.writerow(["x", "y", "value", "cens", "lower", "upper"] + [f"cov{i+1}" for i in range(q)])
-    for i in range(data.n):
-        row = [
-            _cell(data.coords[i, 0]),
-            _cell(data.coords[i, 1]),
-            _cell(data.value[i]),
-            str(int(data.cens[i])),
-            _bound_cell(data.lower[i]),
-            _bound_cell(data.upper[i]),
-        ]
-        if q:
-            row += [_cell(v) for v in data.x_extra[i]]
-        w.writerow(row)
+    w.writerow(header)
+    w.writerows([_cell(v) for v in row] for row in rows)
     _atomic_write(path, buf.getvalue())
 
 
-def _read_rows(path: str, base: list) -> tuple[list, list]:
-    """Header and data rows of a CSV whose columns are ``base`` then
-    ``cov1..covq``, each row with as many fields as the header."""
+# column name -> cell parser; covariate columns cov1..covq follow, and an
+# empty bound cell is an infinite bound
+_DATA_COLUMNS = {
+    "x": float, "y": float, "value": float, "cens": int,
+    "lower": lambda v: float(v) if v != "" else -np.inf,
+    "upper": lambda v: float(v) if v != "" else np.inf,
+}
+_TARGET_COLUMNS = {"x": float, "y": float}
+_TRUTH_COLUMNS = {"x": float, "y": float, "value": float}
+
+
+def _read_table(path: str, columns: dict) -> tuple:
+    """The data rows of a CSV whose columns are ``columns`` then
+    ``cov1..covq``, each cell read by its column's parser: one array row
+    per named column, and the ``(n, q)`` covariates (None when q = 0)."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
         raise DataValidationError(f"{path}: empty file")
-    header = rows[0]
-    if header[: len(base)] != base:
-        raise DataValidationError(
-            f"{path}: expected columns {base}[,cov1..], got {header}"
-        )
-    for j, name in enumerate(header[len(base) :]):
-        if name != f"cov{j+1}":
-            raise DataValidationError(f"{path}: unknown column {name!r}")
-    for r, row in enumerate(rows[1:], start=2):
+    header, rows = rows[0], rows[1:]
+    base = list(columns)
+    q = len(header) - len(base)
+    if header != base + _cov_names(q):
+        raise DataValidationError(f"{path}: expected columns {base}[,cov1..], got {header}")
+    if not rows:
+        raise DataValidationError(f"{path}: no data rows")
+    parsers = list(columns.values()) + [float] * q
+    table = np.empty((len(header), len(rows)))
+    for r, row in enumerate(rows):
         if len(row) != len(header):
-            raise DataValidationError(f"{path}:{r}: wrong field count")
-    return header, rows[1:]
+            raise DataValidationError(f"{path}:{r + 2}: wrong field count")
+        try:
+            table[:, r] = [parse(v) for parse, v in zip(parsers, row)]
+        except ValueError as exc:
+            raise DataValidationError(f"{path}:{r + 2}: {exc}") from exc
+    k = len(base)
+    return table[:k], (np.ascontiguousarray(table[k:].T) if q else None)
+
+
+def write_dataset_csv(path: str, data: SpatialDataset):
+    covs = _cov_columns(data.x_extra)
+    _write_csv(
+        path,
+        list(_DATA_COLUMNS) + _cov_names(len(covs)),
+        zip(*data.coords.T, data.value, map(str, data.cens),
+            map(_bound_cell, data.lower), map(_bound_cell, data.upper), *covs),
+    )
 
 
 def read_dataset_csv(path: str) -> SpatialDataset:
-    header, rows = _read_rows(path, ["x", "y", "value", "cens", "lower", "upper"])
-    coords, value, cens, lower, upper, covs = [], [], [], [], [], []
-    for r, row in enumerate(rows, start=2):
-        try:
-            coords.append((float(row[0]), float(row[1])))
-            value.append(float(row[2]))
-            cens.append(int(row[3]))
-            lower.append(float(row[4]) if row[4] != "" else -np.inf)
-            upper.append(float(row[5]) if row[5] != "" else np.inf)
-            covs.append([float(v) for v in row[6:]])
-        except ValueError as exc:
-            raise DataValidationError(f"{path}:{r}: {exc}") from exc
-    cens = np.array(cens)
-    lower = np.array(lower)
-    upper = np.array(upper)
+    (x, y, value, cens, lower, upper), x_extra = _read_table(path, _DATA_COLUMNS)
     is_c = cens == 1
-    if not is_c.any():
-        cens_type = "left"
-    elif np.all(np.isneginf(lower[is_c])):
+    if np.all(np.isneginf(lower[is_c])):
         cens_type = "left"
     elif np.all(np.isposinf(upper[is_c])):
         cens_type = "right"
     else:
         cens_type = "interval"
     return SpatialDataset(
-        coords=np.array(coords),
-        value=np.array(value),
+        coords=np.column_stack((x, y)),
+        value=value,
         cens=cens,
         lower=lower,
         upper=upper,
-        x_extra=np.array(covs) if len(header) > 6 else None,
+        x_extra=x_extra,
         cens_type=cens_type,
     )
 
 
 def read_targets_csv(path: str):
     """Targets file: ``x,y[,cov1..covq]``."""
-    header, rows = _read_rows(path, ["x", "y"])
-    coords, covs = [], []
-    for r, row in enumerate(rows, start=2):
-        try:
-            coords.append((float(row[0]), float(row[1])))
-            covs.append([float(v) for v in row[2:]])
-        except ValueError as exc:
-            raise DataValidationError(f"{path}:{r}: {exc}") from exc
-    return np.array(coords), (np.array(covs) if len(header) > 2 else None)
+    xy, x_extra = _read_table(path, _TARGET_COLUMNS)
+    return np.column_stack(xy), x_extra
 
 
 def _json_default(obj):
@@ -183,6 +195,11 @@ def _json_default(obj):
 
 def _bounds_list(arr):
     return [None if np.isinf(v) else float(v) for v in arr]
+
+
+def _json_header(kind: str) -> dict:
+    """The keys every JSON output opens with."""
+    return {"tool": "geocens", "version": __version__, "kind": kind}
 
 
 def write_json(path: str, payload: dict):
@@ -207,9 +224,13 @@ def _add_model_options(p: argparse.ArgumentParser):
                    help="fixed nugget value (with --fix-nugget) or initial nugget")
 
 
-def _add_saem_options(p: argparse.ArgumentParser):
+def _add_init_options(p: argparse.ArgumentParser):
     p.add_argument("--init-sigma2", type=float, default=None)
     p.add_argument("--init-phi", type=float, default=None)
+
+
+def _add_saem_options(p: argparse.ArgumentParser):
+    _add_init_options(p)
     p.add_argument("--lower", type=str, default="1e-4,1e-4",
                    help="search box lower bounds phi[,nu2]")
     p.add_argument("--upper", type=str, default="1e4,1e4",
@@ -262,6 +283,14 @@ def _saem_config_from_args(args) -> SaemConfig:
         tol=args.tol,
         seed=args.seed,
     )
+
+
+def _init_from_args(args):
+    """Initial covariance parameters of the Gaussian ML fits; None selects
+    the variogram-based initializer."""
+    if args.init_sigma2 is None or args.init_phi is None:
+        return None
+    return CovParams(sigma2=args.init_sigma2, phi=args.init_phi, tau2=args.nugget)
 
 
 def _out(args, name: str) -> str:
@@ -337,9 +366,7 @@ def fit_summary_text(fit: SaemFit) -> str:
 
 def fit_to_payload(fit: SaemFit) -> dict:
     return {
-        "tool": "geocens",
-        "version": __version__,
-        "kind": "fit",
+        **_json_header("fit"),
         "config": {
             **asdict(fit.config),
             "trend": fit.trend.kind,
@@ -455,27 +482,14 @@ def cmd_simulate(args) -> int:
         data = inject_outliers(data, idx, args.outlier_sd)
     write_dataset_csv(_out(args, "data.csv"), data)
 
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    q = 0 if res.pred_x_extra is None else res.pred_x_extra.shape[1]
-    w.writerow(["x", "y", "value"] + [f"cov{i+1}" for i in range(q)])
-    for i in range(res.pred_coords.shape[0]):
-        row = [
-            _cell(res.pred_coords[i, 0]),
-            _cell(res.pred_coords[i, 1]),
-            _cell(res.pred_z[i]),
-        ]
-        if q:
-            row += [_cell(v) for v in res.pred_x_extra[i]]
-        w.writerow(row)
-    _atomic_write(_out(args, "truth.csv"), buf.getvalue())
+    covs = _cov_columns(res.pred_x_extra)
+    _write_csv(_out(args, "truth.csv"), list(_TRUTH_COLUMNS) + _cov_names(len(covs)),
+               zip(*res.pred_coords.T, res.pred_z, *covs))
 
     write_json(
         _out(args, "manifest.json"),
         {
-            "tool": "geocens",
-            "version": __version__,
-            "kind": "simulate",
+            **_json_header("simulate"),
             "config": {
                 "n_est": args.n_est,
                 "n_pred": args.n_pred,
@@ -531,16 +545,11 @@ def cmd_predict(args) -> int:
     coords_pred, x_extra_pred = read_targets_csv(args.targets)
     truth = None
     if args.truth:
-        _, rows = _read_rows(args.truth, ["x", "y", "value"])
-        try:
-            table = np.array([[float(v) for v in r[:3]] for r in rows]).reshape(-1, 3)
-        except ValueError as exc:
-            raise DataValidationError(f"{args.truth}: {exc}") from exc
-        if not np.array_equal(table[:, :2], coords_pred):
+        (x, y, truth), _ = _read_table(args.truth, _TRUTH_COLUMNS)
+        if not np.array_equal(np.column_stack((x, y)), coords_pred):
             raise DataValidationError(
                 f"{args.truth}: rows are not the {coords_pred.shape[0]} target sites in order"
             )
-        truth = table[:, 2]
     if args.method == "saem":
         if not args.fit:
             raise ConfigurationError("method saem requires --fit")
@@ -554,9 +563,7 @@ def cmd_predict(args) -> int:
         data = read_dataset_csv(args.data)
         spec = _spec_from_args(args)
         trend = TrendSpec(args.trend)
-        init = None
-        if args.init_sigma2 is not None and args.init_phi is not None:
-            init = CovParams(sigma2=args.init_sigma2, phi=args.init_phi, tau2=args.nugget)
+        init = _init_from_args(args)
         if args.method in ("naive1", "naive2"):
             result = predict_naive(
                 data, trend, spec, args.method, coords_pred, x_extra_pred, init
@@ -569,19 +576,8 @@ def cmd_predict(args) -> int:
         else:
             raise ConfigurationError(f"unknown method {args.method!r}")
 
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["x", "y", "mean", "sd"])
-    for i in range(coords_pred.shape[0]):
-        w.writerow(
-            [
-                _cell(coords_pred[i, 0]),
-                _cell(coords_pred[i, 1]),
-                _cell(result.mean[i]),
-                _cell(result.sd[i]),
-            ]
-        )
-    _atomic_write(_out(args, "predictions.csv"), buf.getvalue())
+    _write_csv(_out(args, "predictions.csv"), ["x", "y", "mean", "sd"],
+               zip(*coords_pred.T, result.mean, result.sd))
 
     _atomic_write(
         _out(args, "predictions.svg"),
@@ -612,39 +608,20 @@ def cmd_crossval(args) -> int:
     trend = TrendSpec(args.trend)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     saem_config = _saem_config_from_args(args) if "saem" in methods else None
-    init = None
-    if args.init_sigma2 is not None and args.init_phi is not None:
-        init = CovParams(sigma2=args.init_sigma2, phi=args.init_phi, tau2=args.nugget)
     reports = cross_validate(
         data, trend, spec, args.n_est, methods,
         saem_config=saem_config,
         seminaive_config=SeminaiveConfig(max_iter=args.semi_max_iter),
-        init=init,
+        init=_init_from_args(args),
         eval_seed=args.seed + 101,
     )
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    p = len(reports[0].params.beta)
-    w.writerow(
-        [f"beta{i}" for i in range(p)]
-        + ["sigma2", "phi", "tau2", "loglik", "aic", "bic", "rmspe"]
-        + ["method"]
+    _write_csv(
+        _out(args, "mspe_table.csv"),
+        [f"beta{i}" for i in range(len(reports[0].params.beta))]
+        + ["sigma2", "phi", "tau2", "loglik", "aic", "bic", "rmspe", "method"],
+        ([*rep.params.beta, *rep.params.cov.as_array(), rep.loglik, rep.aic, rep.bic,
+          rep.rmspe, rep.method] for rep in reports),
     )
-    for rep in reports:
-        w.writerow(
-            [_cell(b) for b in rep.params.beta]
-            + [
-                _cell(rep.params.cov.sigma2),
-                _cell(rep.params.cov.phi),
-                _cell(rep.params.cov.tau2),
-                _cell(rep.loglik),
-                _cell(rep.aic),
-                _cell(rep.bic),
-                _cell(rep.rmspe),
-            ]
-            + [rep.method]
-        )
-    _atomic_write(_out(args, "mspe_table.csv"), buf.getvalue())
     for rep in reports:
         print(f"{rep.method:10s} loglik {rep.loglik:12.3f}  AIC {rep.aic:10.3f}  "
               f"BIC {rep.bic:10.3f}  sqrt(MSPE) {rep.rmspe:8.3f}")
@@ -661,9 +638,7 @@ def cmd_diagnose(args) -> int:
             raise DataValidationError("--data does not match the fit's dataset")
     report = local_influence(fit, c_star=args.c_star)
     payload = {
-        "tool": "geocens",
-        "version": __version__,
-        "kind": "influence",
+        **_json_header("influence"),
         "c_star": args.c_star,
         "dataset_fingerprint": fit.fingerprint,
         "schemes": {},
@@ -706,12 +681,8 @@ def cmd_variogram(args) -> int:
     vario = empirical_variogram(
         data.coords, data.value, n_bins=args.bins, max_dist=args.max_dist
     )
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["center", "semivariance", "count"])
-    for c, g, n in zip(vario.centers, vario.gamma, vario.counts):
-        w.writerow([_cell(c), _cell(g), str(int(n))])
-    _atomic_write(_out(args, "variogram.csv"), buf.getvalue())
+    _write_csv(_out(args, "variogram.csv"), ["center", "semivariance", "count"],
+               zip(vario.centers, vario.gamma, map(str, vario.counts)))
 
     curve_h = curve_g = None
     try:
@@ -784,8 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=str, default=None)
     p.add_argument("--truth", type=str, default=None,
                    help="optional truth CSV overlaid on the band plot")
-    p.add_argument("--init-sigma2", type=float, default=None)
-    p.add_argument("--init-phi", type=float, default=None)
+    _add_init_options(p)
     p.add_argument("--semi-max-iter", type=int, default=20)
     p.set_defaults(func=cmd_predict)
 
@@ -824,9 +794,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, KeyError) as exc:

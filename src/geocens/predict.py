@@ -166,6 +166,8 @@ def empirical_variogram(
     z = np.asarray(z, dtype=float)
     if z.shape[0] < 2:
         raise DataValidationError("variogram needs at least two sites")
+    if n_bins < 1:
+        raise ConfigurationError(f"need at least one distance bin, got {n_bins}")
     d = pdist(coords)
     if max_dist is None:
         max_dist = 0.5 * float(d.max())
@@ -511,10 +513,17 @@ def cross_validate(
     """Fit on the first ``n_est`` rows, predict the remaining rows, and
     report parameters, censored-data criteria, and root MSPE per method.
 
-    Hold-out rows must be uncensored (their readings are the comparison
-    truth).  The reported log-likelihood is the censored-data likelihood
-    of the estimation block evaluated at each method's estimates.
+    ``methods`` is checked whole, non-empty and every name known, before
+    any fit.  Hold-out rows must be uncensored (their readings are the
+    comparison truth).  The reported log-likelihood is the censored-data
+    likelihood of the estimation block evaluated at each method's estimates.
     """
+    if not methods or any(m not in METHODS for m in methods):
+        raise ConfigurationError(
+            f"methods must be a non-empty list from {METHODS}, got {methods!r}"
+        )
+    if "saem" in methods and saem_config is None:
+        raise ConfigurationError("saem method requires a saem_config")
     if not 1 <= n_est < data.n:
         raise DataValidationError("n_est must leave at least one hold-out row")
     est = SpatialDataset(
@@ -537,8 +546,6 @@ def cross_validate(
     k = param_count(p, spec.nugget_fixed)
     reports = []
     for method in methods:
-        if method not in METHODS:
-            raise ConfigurationError(f"unknown method {method!r}")
         if method in ("naive1", "naive2"):
             res = predict_naive(
                 est, trend, spec, method, coords_pred, x_extra_pred, init, bounds
@@ -551,8 +558,6 @@ def cross_validate(
         else:
             from .saem import saem_fit
 
-            if saem_config is None:
-                raise ConfigurationError("saem method requires a saem_config")
             fit = saem_fit(est, trend, spec, saem_config)
             x_pred = build_trend(coords_pred, x_extra_pred, trend)
             res = predict_saem(fit, x_pred, coords_pred)

@@ -51,7 +51,9 @@ class SaemConfig:
     one) before the decaying-step averaging phase begins.
 
     ``lower`` and ``upper`` bound the inner search over ``(phi, nu2)``
-    (``phi`` alone when the nugget is fixed).  ``init_sigma2``,
+    (``phi`` alone when the nugget is fixed, which ignores a second
+    component); :func:`saem_fit` rejects a box of any other length.
+    ``seed`` must be non-negative.  ``init_sigma2``,
     ``init_phi`` and ``init_nugget`` seed the parameters; leave them None
     to use the automatic variogram-based initializer.
 
@@ -81,6 +83,8 @@ class SaemConfig:
             raise ConfigurationError("perc must lie in [0, 1)")
         if self.tol < 0:
             raise ConfigurationError("tol must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape or np.any(lower >= upper):
@@ -279,7 +283,6 @@ def cm_step(
         x0 = np.clip([prev.cov.phi], lower, upper)
         nu2 = spec.fixed_nugget_value / sigma2
     else:
-        lower, upper = lower[[0, -1]], upper[[0, -1]]
         x0 = np.clip([prev.cov.phi, prev.cov.nu2], lower, upper)
         nu2 = None
     theta, value = profile_search(
@@ -328,6 +331,11 @@ def saem_fit(
     n, p = x.shape
     if n < p + 2:
         raise DataValidationError(f"need at least p + 2 = {p + 2} sites, got {n}")
+    if len(config.lower) not in ((1, 2) if spec.nugget_fixed else (2,)):
+        raise ConfigurationError(
+            "the search box bounds (phi, nu2), or phi alone when the nugget is fixed; "
+            f"got {len(config.lower)} components"
+        )
     dist = distance_matrix(data.coords)
     cut = math.ceil(config.pc * config.max_iter)
 

@@ -50,6 +50,8 @@ class SimConfig:
             raise ConfigurationError("cens_type must be 'left' or 'right'")
         if self.trend.kind == "other" and not self.covariate_ranges:
             raise ConfigurationError("trend 'other' needs covariate_ranges")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

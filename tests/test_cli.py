@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from geocens import CovarianceSpec, SaemConfig, TrendSpec, saem_fit
+from geocens import CovarianceSpec, SaemConfig, SpatialDataset, TrendSpec, saem_fit
 from geocens.cli import main, read_dataset_csv, write_dataset_csv
 
 
@@ -69,6 +69,68 @@ def test_dataset_csv_roundtrip(sim_dir, tmp_path):
     np.testing.assert_array_equal(again.value, data.value)
     np.testing.assert_array_equal(again.lower, data.lower)
     assert read_bytes(sim_dir / "data.csv") == read_bytes(path)
+
+
+def test_dataset_csv_byte_roundtrip_with_covariates_and_bounds(tmp_path):
+    rng = np.random.default_rng(8)
+    n = 12
+    value = rng.normal(5.0, 1.0, n)
+    cens = np.zeros(n, dtype=int)
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    cens[[1, 4, 7]] = 1
+    lower[1] = value[1]  # right censored
+    lower[4], upper[4] = value[4] - 0.5, value[4] + 0.25  # interval censored
+    upper[7] = value[7]  # left censored
+    data = SpatialDataset(coords=rng.uniform(0, 5, (n, 2)), value=value, cens=cens,
+                          lower=lower, upper=upper, x_extra=rng.uniform(0, 1, (n, 2)),
+                          cens_type="interval")
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_dataset_csv(str(first), data)
+    again = read_dataset_csv(str(first))
+    write_dataset_csv(str(second), again)
+    assert read_bytes(first) == read_bytes(second)
+    assert again.cens_type == "interval"
+    for name in ("coords", "value", "cens", "lower", "upper", "x_extra"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(data, name))
+    rows = list(csv.reader(open(first, newline="")))
+    assert rows[0] == ["x", "y", "value", "cens", "lower", "upper", "cov1", "cov2"]
+    assert rows[2][3:6] == ["1", repr(float(value[1])), ""]
+    assert rows[8][3:6] == ["1", "", repr(float(value[7]))]
+    assert rows[1][6:] == [repr(float(v)) for v in data.x_extra[0]]
+
+
+def test_covariate_trend_simulate_fit_predict(tmp_path):
+    from geocens import predict_saem
+    from geocens.cli import fit_from_payload
+    from geocens.model import build_trend
+
+    out = tmp_path / "cov"
+    rc = run_cli(
+        "simulate", "--trend", "other", "--covariate-ranges", "0:1,2:5",
+        "--n-est", 40, "--n-pred", 6, "--beta", "10,1,-1", "--sigma2", 2, "--phi", 1,
+        "--tau2", 0.2, "--cens-level", 0.2, "--box", "0,6,0,6", "--seed", 3, "--out-dir", out,
+    )
+    assert rc == 0
+    truth = list(csv.reader(open(out / "truth.csv", newline="")))
+    assert truth[0] == ["x", "y", "value", "cov1", "cov2"]
+    with open(out / "targets.csv", "w", newline="") as f:
+        csv.writer(f).writerows([r[:2] + r[3:] for r in truth])
+    rc = run_cli("fit", "--trend", "other", "--data", out / "data.csv", *FIT_ARGS,
+                 "--seed", 5, "--out-dir", out)
+    assert rc == 0
+    payload = json.loads((out / "fit.json").read_text())
+    assert len(payload["params"]["beta"]) == 3
+    rc = run_cli("predict", "--method", "saem", "--fit", out / "fit.json",
+                 "--targets", out / "targets.csv", "--truth", out / "truth.csv",
+                 "--out-dir", out)
+    assert rc == 0
+    pred = list(csv.reader(open(out / "predictions.csv", newline="")))
+    assert [r[:2] for r in pred[1:]] == [r[:2] for r in truth[1:]]
+    table = np.array([[float(v) for v in r] for r in truth[1:]])
+    coords, covs = table[:, :2], table[:, 3:]
+    fit = fit_from_payload(payload)
+    want = predict_saem(fit, build_trend(coords, covs, fit.trend), coords)
+    assert [r[2] for r in pred[1:]] == [repr(float(v)) for v in want.mean]
 
 
 def test_cli_determinism_byte_identical(tmp_path):
@@ -399,3 +461,23 @@ def test_predict_rejects_truth_that_does_not_match_the_targets(tmp_path, sim_dir
                      "--targets", targets, "--truth", truth, "--out-dir", out)
         assert rc == want
         assert (out / "predictions.csv").exists() == (want == 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["crossval", "--data", "{data}", "--n-est", 30, "--methods", ","],
+    ["variogram", "--data", "{data}", "--bins", 0],
+    ["predict", "--method", "naive1", "--data", "{data}", "--targets", "{header_only}"],
+    ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1, "--seed", -1],
+    ["fit", "--data", "{data}", "--seed", -1],
+    ["fit", "--data", "{data}", "--lower", 0.05, "--upper", 20],
+], ids=["crossval-no-methods", "variogram-zero-bins", "predict-header-only-targets",
+        "simulate-negative-seed", "fit-negative-seed", "fit-free-nugget-one-component-box"])
+def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
+    header_only = tmp_path / "targets.csv"
+    header_only.write_text("x,y\r\n")
+    paths = {"data": sim_dir / "data.csv", "header_only": header_only}
+    capsys.readouterr()
+    rc = run_cli(*[str(a).format(**paths) for a in argv], "--out-dir", tmp_path / "out")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()

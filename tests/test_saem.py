@@ -55,6 +55,23 @@ def test_config_rejects_perc_outside_unit_interval(perc):
         SaemConfig(perc=perc)
 
 
+@pytest.mark.parametrize("nugget_fixed, lower, upper", [
+    (False, (0.05,), (5.0,)),
+    (False, (0.05, 1e-4, 1e-4), (5.0, 10.0, 10.0)),
+    (True, (0.05, 1e-4, 1e-4), (5.0, 10.0, 10.0)),
+], ids=["free-nugget-1", "free-nugget-3", "fixed-nugget-3"])
+def test_saem_fit_rejects_box_that_does_not_match_the_search(nugget_fixed, lower, upper):
+    # a free nugget searches (phi, nu2), a fixed one phi alone (a second
+    # component is allowed and ignored); any other box length is an error
+    from geocens.errors import ConfigurationError
+
+    spec = CovarianceSpec("exponential", nugget_fixed=nugget_fixed)
+    config = SaemConfig(m=5, max_iter=3, init_sigma2=2.0, init_phi=1.0,
+                        lower=lower, upper=upper, seed=1)
+    with pytest.raises(ConfigurationError, match="search box"):
+        saem_fit(sim_left(seed=3, n=60, cens=0.0).data, TrendSpec("cte"), spec, config)
+
+
 def sim_left(seed=0, n=40, cens=0.2, n_pred=0):
     return simulate_scl(
         SimConfig(
