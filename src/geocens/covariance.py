@@ -21,8 +21,6 @@ from .errors import ConfigurationError, SingularCovarianceError
 
 FAMILIES = ("exponential", "gaussian", "spherical", "matern", "powered-exponential")
 
-_MATERN_FD_REL_STEP = 1e-6  # relative phi step for Matern second derivatives
-
 
 @dataclass(frozen=True)
 class CovarianceSpec:
@@ -151,28 +149,27 @@ def _dcorr_dphi(family: str, kappa: float, h: np.ndarray, phi: float) -> np.ndar
     return np.nan_to_num(np.where(u == 0.0, 0.0, out), nan=0.0)
 
 
-def _d2corr_dphi2(family: str, kappa: float, h: np.ndarray, phi: float) -> np.ndarray:
-    """Analytic ``d^2 rho / d phi^2``; Matern falls back to a central
-    difference of the analytic first derivative."""
+def _d2corr_dphi2(
+    family: str, kappa: float, h: np.ndarray, phi: float, rho: np.ndarray, drho: np.ndarray
+) -> np.ndarray:
+    """Analytic ``d^2 rho / d phi^2`` from ``rho`` and ``drho = d rho / d phi``
+    at the lags ``h``.  For Matern (the exponential is ``kappa = 1/2``),
+    ``K_{k+1}(u) = K_{k-1}(u) + (2k/u) K_k(u)`` (DLMF 10.29.1) with
+    ``u = h / phi`` gives ``(u^2 rho - (2 kappa + 1) phi drho) / phi^2``."""
     u = h / phi
-    if family == "exponential":
-        return np.exp(-u) * (u / phi**2) * (u - 2.0)
     if family == "gaussian":
-        return np.exp(-(u**2)) * (2.0 * u**2 / phi**2) * (2.0 * u**2 - 3.0)
-    if family == "spherical":
-        return np.where(u <= 1.0, (3.0 * h / phi**3) * (2.0 * u**2 - 1.0), 0.0)
+        return drho * (2.0 * u**2 - 3.0) / phi
     if family == "powered-exponential":
-        g = np.power(u, kappa)
-        return (kappa * g / phi**2) * np.exp(-g) * (kappa * g - kappa - 1.0)
-    step = phi * _MATERN_FD_REL_STEP
-    hi = _dcorr_dphi(family, kappa, h, phi + step)
-    lo = _dcorr_dphi(family, kappa, h, phi - step)
-    return (hi - lo) / (2.0 * step)
+        return drho * (kappa * np.power(u, kappa) - kappa - 1.0) / phi
+    if family == "spherical":
+        return np.where(u <= 1.0, (3.0 * u / phi**2) * (2.0 * u**2 - 1.0), 0.0)
+    k = 0.5 if family == "exponential" else kappa
+    return (u**2 * rho - (2.0 * k + 1.0) * phi * drho) / phi**2
 
 
 def _pairwise(dist: np.ndarray, spec: CovarianceSpec, fn, diag: float) -> np.ndarray:
     """``fn`` elementwise over a symmetric distance matrix with a zero
-    diagonal.
+    diagonal: ``R`` and ``dR/dphi``, from which ``d2R/dphi2`` is formed.
 
     For Matern, whose Bessel functions are the cost driver in fitting
     loops, ``fn`` runs on the strict upper triangle only and is mirrored,
@@ -285,9 +282,9 @@ def d2sigma(
     n = dist.shape[0]
     pair = tuple(sorted((k, l)))
     if pair == (2, 2):
-        return p.sigma2 * _pairwise(
-            dist, spec, lambda h: _d2corr_dphi2(spec.family, spec.kappa, h, p.phi), 0.0
-        )
+        rho = corr_matrix(dist, spec, p.phi)
+        drho = dcorr_matrix(dist, spec, p.phi)
+        return p.sigma2 * _d2corr_dphi2(spec.family, spec.kappa, dist, p.phi, rho, drho)
     if pair == (1, 2):
         return dcorr_matrix(dist, spec, p.phi)
     return np.zeros((n, n))

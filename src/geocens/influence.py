@@ -22,13 +22,13 @@ No dense n x n second moment is read.
 Cost of one :func:`local_influence` call.  What the Hessian and the three
 cross-derivative matrices share is formed once (:class:`_Curvature`): one
 Cholesky factor of ``Sigma``, ``P`` from it by one LAPACK ``potri``,
-``R``, ``dR/dphi`` and ``d2R/dphi2`` once each, ``a = P r``,
-``B = P[:, c]`` and ``A_k = P Sigma_k`` (``Sigma_k = dSigma/dalpha_k``):
-two n x n products, as ``A`` of the nugget is ``P`` itself, plus
-products with the n_c columns of ``B``.  Every Hessian entry is then a
-trace or a quadratic form in these.  ``M(0)`` comes from a k x k
-eigenproblem (k = p + 2 or p + 3 parameters) instead of the n x n
-curvature matrix: with the thin QR ``Delta' = Q R`` and
+``R`` and ``dR/dphi`` once each, ``d2R/dphi2`` in closed form from them,
+``a = P r``, ``B = P[:, c]`` and ``A_k = P Sigma_k``
+(``Sigma_k = dSigma/dalpha_k``): two n x n products, as ``A`` of the
+nugget is ``P`` itself, plus products with the n_c columns of ``B``.
+Every Hessian entry is then a trace or a quadratic form in these.
+``M(0)`` comes from a k x k eigenproblem (k = p + 2 or p + 3 parameters)
+instead of the n x n curvature matrix: with the thin QR ``Delta' = Q R`` and
 ``R (-H)^{-1} R' = W Lambda W'``, the eigenpairs of ``2 F`` are
 ``(2 Lambda, Q W)`` and zero.
 
@@ -45,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .covariance import CovarianceSpec, CovParams, build_sigma, d2sigma, dsigma, spd_cholesky
-from .covariance import _cholesky_inverse
+from .covariance import CovarianceSpec, CovParams, cholesky_sigma, dsigma, spd_cholesky
+from .covariance import _cholesky_inverse, _d2corr_dphi2
 from .errors import DegenerateCurvatureError, DataValidationError, GeocensError
 from .model import ModelParams, partition
 
@@ -81,7 +81,7 @@ def q_value(
 ) -> float:
     """The conditional expected complete-data objective at ``params`` with
     the dense moment estimates frozen (additive constant dropped)."""
-    lo = spd_cholesky(build_sigma(dist, spec, params.cov))
+    lo = cholesky_sigma(dist, spec, params.cov)
     logdet = 2.0 * float(np.sum(np.log(np.diag(lo))))
     return _dense_q(logdet, _cholesky_inverse(lo), zhat, zzhat, x @ params.beta)
 
@@ -114,7 +114,7 @@ def perturbed_q_value(
         return q_value(params, zhat, zzhat, x_w, dist, spec)
     if scheme != "scale":
         raise DataValidationError(f"unknown perturbation scheme {scheme!r}")
-    lo = spd_cholesky(build_sigma(dist, spec, params.cov))
+    lo = cholesky_sigma(dist, spec, params.cov)
     a = _cholesky_inverse(lo) / omega[None, :]  # Sigma^{-1} D(omega)^{-1}
     logdet = 2.0 * float(np.sum(np.log(np.diag(lo)))) + float(np.sum(np.log(omega)))
     return _dense_q(logdet, 0.5 * (a + a.T), zhat, zzhat, x @ params.beta)
@@ -142,7 +142,9 @@ class _Curvature:
         # None stands for the nugget's derivative, the identity
         sig_k = [None if k == 3 else dsigma(dist, spec, cov, k) for k in alphas]
         # d Sigma / d phi = sigma2 dR/dphi, and d2 Sigma / d sigma2 d phi = dR/dphi
-        self.sig_kl = {(0, 1): sig_k[1] / cov.sigma2, (1, 1): d2sigma(dist, spec, cov, 2, 2)}
+        d_r = sig_k[1] / cov.sigma2
+        d2_r = _d2corr_dphi2(spec.family, spec.kappa, dist, cov.phi, sig_k[0], d_r)
+        self.sig_kl = {(0, 1): d_r, (1, 1): cov.sigma2 * d2_r}
         sigma = cov.sigma2 * sig_k[0]
         sigma[np.diag_indices_from(sigma)] += cov.tau2
         lo = spd_cholesky(sigma, jitter=1e-10 * (cov.sigma2 + cov.tau2))

@@ -18,9 +18,8 @@ from scipy.linalg import solve_triangular
 from .covariance import (
     CovarianceSpec,
     CovParams,
-    build_sigma,
+    cholesky_sigma,
     distance_matrix,
-    spd_cholesky,
 )
 from .errors import DataValidationError, ModelSpecificationError
 from .mvn import Rectangle, RectProb, logpdf_from_cholesky, mvn_rect_prob
@@ -255,7 +254,7 @@ def _conditional_at(params: ModelParams, data: SpatialDataset, trend: TrendSpec,
     part = partition(data)
     order = part.order
     x = build_trend(data.coords, data.x_extra, trend)[order]
-    lo = spd_cholesky(build_sigma(distance_matrix(data.coords[order]), spec, params.cov))
+    lo = cholesky_sigma(distance_matrix(data.coords[order]), spec, params.cov)
     return conditional_given_obs(lo, x @ params.beta, data.value[order], part.obs_idx.size)
 
 

@@ -21,7 +21,6 @@ from scipy.spatial.distance import pdist
 from .covariance import (
     CovarianceSpec,
     CovParams,
-    build_sigma,
     cholesky_sigma,
     correlation,
     cross_distance,
@@ -87,7 +86,9 @@ def krige(
 
     The joint covariance places the nugget on the diagonal only, so the
     cross block between data and targets is ``sigma2 * rho(h)`` even at
-    coincident coordinates.
+    coincident coordinates.  The sd reads only the diagonal of the
+    prediction covariance, ``sigma2 + tau2 - sum_i W_ij^2`` with
+    ``W = L^{-1} Sigma_op``, so memory is linear in the number of targets.
     """
     coords_obs = np.asarray(coords_obs, dtype=float)
     coords_pred = np.atleast_2d(np.asarray(coords_pred, dtype=float))
@@ -103,14 +104,13 @@ def krige(
     cross = p.sigma2 * correlation(
         spec.family, spec.kappa, cross_distance(coords_pred, coords_obs), p.phi
     )
-    s_pp = build_sigma(distance_matrix(coords_pred), spec, p)
 
     lo = cholesky_sigma(distance_matrix(coords_obs), spec, p)
     resid = z_obs - x_obs @ params.beta
     w = solve_triangular(lo, cross.T, lower=True)  # L^{-1} Sigma_op
     mean = x_pred @ params.beta + w.T @ solve_triangular(lo, resid, lower=True)
-    cov_p = s_pp - w.T @ w
-    sd = np.sqrt(np.maximum(np.diag(cov_p), 0.0))
+    var = p.sigma2 + p.tau2 - np.einsum("ij,ij->j", w, w)
+    sd = np.sqrt(np.maximum(var, 0.0))
     return PredictionResult(
         method=method,
         coords_pred=coords_pred,
@@ -190,39 +190,43 @@ def empirical_variogram(
     )
 
 
-def wls_variofit(
-    vario: Variogram, spec: CovarianceSpec, init: Optional[CovParams] = None
-) -> CovParams:
+def wls_variofit(vario: Variogram, spec: CovarianceSpec) -> CovParams:
     """Fit ``(sigma2, phi, tau2)`` to a binned variogram, weighting squared
-    residuals by bin pair counts.  Initializer-grade accuracy only."""
+    residuals by bin pair counts.  Initializer-grade accuracy only.
+
+    The box scales with the data: ``sigma2`` and ``tau2`` are at most twice
+    the largest binned semivariance and ``phi`` at most ``vario.max_dist``.
+    A variogram that is nearly linear over the bins otherwise lets the fit
+    slide along a ridge of near-equal fits to a sill thousands of times the
+    data's variance.
+    """
     if vario.centers.shape[0] < 3:
         raise NumericalError("variogram fit needs at least 3 nonempty bins")
     g = vario.gamma
-    if init is None:
-        sill = max(float(g.max()), 1e-12)
-        init = CovParams(
-            sigma2=0.8 * sill, phi=vario.max_dist / 3.0, tau2=0.2 * sill
-        )
+    sill = float(g.max())
+    if not sill > 0:
+        raise NumericalError("variogram fit needs a nonzero semivariance")
     w = np.sqrt(vario.counts.astype(float))
 
     def residuals(theta):
         s2, phi, t2 = theta
         model = t2 + s2 * (
-            1.0 - correlation(spec.family, spec.kappa, vario.centers, max(phi, 1e-12))
+            1.0 - correlation(spec.family, spec.kappa, vario.centers, phi)
         )
         return w * (model - g)
 
-    x0 = np.array([init.sigma2, init.phi, init.tau2])
     sol = least_squares(
         residuals,
-        x0,
-        bounds=(np.array([1e-12, 1e-12, 0.0]), np.array([np.inf, np.inf, np.inf])),
+        np.array([0.8 * sill, vario.max_dist / 3.0, 0.2 * sill]),
+        bounds=(
+            [1e-12 * sill, 1e-12 * vario.max_dist, 0.0],
+            [2.0 * sill, vario.max_dist, 2.0 * sill],
+        ),
         method="trf",
     )
     if not np.all(np.isfinite(sol.x)):
         raise NumericalError("variogram fit diverged")
-    s2, phi, t2 = sol.x
-    return CovParams(sigma2=max(s2, 1e-12), phi=max(phi, 1e-12), tau2=max(t2, 0.0))
+    return CovParams(*sol.x)
 
 
 def initial_values(

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from geocens import CovarianceSpec, SaemConfig, SpatialDataset, TrendSpec, saem_fit
 from geocens.cli import main, read_dataset_csv, write_dataset_csv
@@ -306,6 +307,28 @@ def test_variogram_outputs(tmp_path, sim_dir):
     assert len(rows) > 3
     svg_text = (out / "variogram.svg").read_text()
     assert svg_text.startswith("<svg") and svg_text.rstrip().endswith("</svg>")
+
+
+def test_variogram_curve_stays_on_the_data_scale(tmp_path, capsys):
+    # on this right-censored draw an unbounded weighted fit slides along the
+    # variogram ridge to sigma2 ~ 1e4, phi ~ 3e4
+    sim = tmp_path / "sim"
+    assert run_cli(
+        "simulate", "--cens-type", "right", "--n-est", 40, "--n-pred", 8, "--beta", 10,
+        "--sigma2", 2, "--phi", 1, "--tau2", 0.2, "--cens-level", 0.2,
+        "--box", "0,6,0,6", "--seed", 7, "--out-dir", sim,
+    ) == 0
+    capsys.readouterr()
+    out = tmp_path / "vario"
+    assert run_cli("variogram", "--data", sim / "data.csv", "--out-dir", out) == 0
+    words = capsys.readouterr().out.split()
+    fitted = {k: float(words[words.index(k) + 1]) for k in ("sigma2", "phi", "tau2")}
+    gamma_max = max(float(r[1]) for r in list(csv.reader(open(out / "variogram.csv")))[1:])
+    max_dist = 0.5 * pdist(read_dataset_csv(sim / "data.csv").coords).max()
+    slack = 1e-4  # the CLI prints four decimals
+    assert fitted["sigma2"] <= 2.0 * gamma_max + slack
+    assert fitted["tau2"] <= 2.0 * gamma_max + slack
+    assert fitted["phi"] <= max_dist + slack
 
 
 def test_diagnose_outputs_all_schemes(tmp_path, sim_dir):

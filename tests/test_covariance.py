@@ -192,7 +192,7 @@ def test_pairwise_matrices_equal_full_matrix_evaluation(spec):
         rho = correlation(spec.family, spec.kappa, dist, p.phi)
         assert np.array_equal(dsigma(dist, spec, p, 1), rho)
         d1 = _dcorr_dphi(spec.family, spec.kappa, dist, p.phi)
-        d2 = _d2corr_dphi2(spec.family, spec.kappa, dist, p.phi)
+        d2 = _d2corr_dphi2(spec.family, spec.kappa, dist, p.phi, rho, d1)
         assert np.array_equal(dsigma(dist, spec, p, 2), p.sigma2 * d1)
         assert np.array_equal(d2sigma(dist, spec, p, 1, 2), d1)
         assert np.array_equal(d2sigma(dist, spec, p, 2, 2), p.sigma2 * d2)
@@ -215,8 +215,22 @@ def test_d2sigma_matches_finite_difference(spec):
                 - dsigma(dist, spec, CovParams(*dn), k)
             ) / (2 * step)
             scale = max(np.abs(fd).max(), np.abs(got).max(), 1e-8)
-            tol = 2e-4 if spec.family == "matern" else 1e-5
-            assert np.abs(got - fd).max() / scale < tol, (spec.family, k, l, seed)
+            assert np.abs(got - fd).max() / scale < 1e-5, (spec.family, k, l, seed)
+
+
+def test_matern_second_derivative_at_half_integer_smoothness():
+    # kappa = 1/2 is the exponential, and kappa = 3/2 has
+    # rho = (1 + u) exp(-u), so d2rho/dphi2 = u^2 exp(-u) (u - 3) / phi^2
+    for seed in range(4):
+        dist = random_geometry(seed, n=10)
+        p = random_params(seed)
+        half = d2sigma(dist, CovarianceSpec("matern", kappa=0.5), p, 2, 2)
+        want = d2sigma(dist, CovarianceSpec("exponential"), p, 2, 2)
+        assert np.abs(half - want).max() <= 1e-13 * np.abs(want).max()
+        u = dist / p.phi
+        got = d2sigma(dist, CovarianceSpec("matern", kappa=1.5), p, 2, 2)
+        want = p.sigma2 * u**2 * np.exp(-u) * (u - 3.0) / p.phi**2
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_d2sigma_mixed_partial_symmetry():

@@ -406,18 +406,42 @@ def test_local_influence_clean_data_low_flag_rate():
     assert np.mean(rates) <= 0.05
 
 
-def _small_fit():
+def _small_fit(spec=CovarianceSpec("exponential")):
     from geocens import SaemConfig
     from geocens.simulate import SimConfig, simulate_scl
 
     res = simulate_scl(SimConfig(
         n_est=30, n_pred=0, beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
-        spec=CovarianceSpec("exponential"), cens_level=0.2,
-        coord_box=((0.0, 6.0), (0.0, 6.0)), seed=4,
+        spec=spec, cens_level=0.2, coord_box=((0.0, 6.0), (0.0, 6.0)), seed=4,
     ))
     cfg = SaemConfig(m=5, max_iter=4, init_sigma2=1.0, init_phi=1.0, init_nugget=0.1,
                      lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=1)
-    return saem_fit(res.data, TrendSpec("cte"), CovarianceSpec("exponential"), cfg)
+    return saem_fit(res.data, TrendSpec("cte"), spec, cfg)
+
+
+def test_local_influence_on_matern_evaluates_kv_twice(monkeypatch):
+    # R and dR/dphi take one Bessel pass each; d2R/dphi2 is formed from them
+    import geocens.covariance as cov
+    import geocens.influence as inf
+
+    fit = _small_fit(CovarianceSpec("matern", kappa=0.3))
+    calls = []
+    real_kv = cov.kv
+
+    def counting_kv(*args):
+        calls.append(args[0])
+        return real_kv(*args)
+
+    def no_d2sigma(*args):
+        raise AssertionError("local_influence called d2sigma")
+
+    monkeypatch.setattr(cov, "kv", counting_kv)
+    monkeypatch.setattr(cov, "d2sigma", no_d2sigma)
+    # also a reference bound by name inside the influence module
+    monkeypatch.setattr(inf, "d2sigma", no_d2sigma, raising=False)
+    report = local_influence(fit)
+    assert report.response is not None, report.errors
+    assert len(calls) == 2
 
 
 def test_local_influence_records_numerical_failure_of_one_scheme(monkeypatch):

@@ -177,16 +177,16 @@ def test_loglik_no_censoring_exact():
 
 
 def test_loglik_factors_the_observed_block_once(monkeypatch):
-    from geocens import model, mvn
+    from geocens import covariance, mvn
 
     calls = []
-    real = model.spd_cholesky
+    real = covariance.spd_cholesky
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    for mod in (model, mvn):
+    for mod in (covariance, mvn):
         monkeypatch.setattr(mod, "spd_cholesky", counted)
     data = toy_dataset(n=20, n_cens=5)
     params = ModelParams(beta=[0.5], cov=CovParams(sigma2=2.0, phi=1.5, tau2=0.3))

@@ -7,6 +7,7 @@ from geocens import (
     CovParams,
     DataValidationError,
     ModelParams,
+    NumericalError,
     SeminaiveConfig,
     SpatialDataset,
     TrendSpec,
@@ -81,6 +82,55 @@ def test_krige_matches_dense_algebra_oracle():
     assert res.sd[0] == pytest.approx(float(np.sqrt(want_var[0, 0])), rel=1e-10)
 
 
+@pytest.mark.parametrize("spec", [
+    CovarianceSpec("exponential"),
+    CovarianceSpec("gaussian"),
+    CovarianceSpec("spherical"),
+    CovarianceSpec("matern", kappa=0.7),
+    CovarianceSpec("powered-exponential", kappa=1.4),
+], ids=lambda s: s.family)
+def test_krige_matches_dense_inverse_oracle_every_family(spec):
+    # several targets, the last on a data site, with a nugget: the full
+    # prediction covariance from dense inverses gives the sds on its diagonal
+    coords, x, z, beta = observed_setup(seed=6, n=12)
+    rng = np.random.default_rng(7)
+    coords_pred = np.vstack([rng.uniform(0, 4, size=(6, 2)), coords[3]])
+    x_pred = np.column_stack([np.ones(7), coords_pred])
+    params = ModelParams(beta=beta, cov=CovParams(sigma2=1.3, phi=1.6, tau2=0.25))
+    p = params.cov
+
+    s_oo_inv = np.linalg.inv(build_sigma(distance_matrix(coords), spec, p))
+    s_po = p.sigma2 * correlation(
+        spec.family, spec.kappa, cross_distance(coords_pred, coords), p.phi
+    )
+    s_pp = build_sigma(distance_matrix(coords_pred), spec, p)
+    want_mean = x_pred @ beta + s_po @ s_oo_inv @ (z - x @ beta)
+    want_sd = np.sqrt(np.diag(s_pp - s_po @ s_oo_inv @ s_po.T))
+
+    res = krige(params, x, z, coords, x_pred, coords_pred, spec)
+    assert_allclose(res.mean, want_mean, rtol=1e-10)
+    assert_allclose(res.sd, want_sd, rtol=1e-10)
+    assert res.sd[-1] > 0.0
+
+
+def test_krige_memory_is_linear_in_targets():
+    # 4 000 targets on 100 sites: any n_p x n_p float array is 128 MB
+    import tracemalloc
+
+    coords, x, z, beta = observed_setup(seed=8, n=100)
+    coords_pred = np.random.default_rng(9).uniform(0, 4, size=(4000, 2))
+    x_pred = np.column_stack([np.ones(4000), coords_pred])
+    params = ModelParams(beta=beta, cov=CovParams(sigma2=1.0, phi=1.0, tau2=0.1))
+    tracemalloc.start()
+    try:
+        res = krige(params, x, z, coords, x_pred, coords_pred, SPEC_EXP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.sd.shape == (4000,) and np.all(res.sd > 0)
+    assert peak < 50e6
+
+
 def test_krige_linear_in_observations_at_fixed_beta():
     coords, x, z, beta = observed_setup(seed=2)
     params = ModelParams(beta=np.zeros(3), cov=CovParams(sigma2=1.0, phi=1.0, tau2=0.1))
@@ -142,6 +192,19 @@ def test_wls_variofit_recovers_range_roughly():
     # variogram fits are noisy; initializer-grade accuracy only
     assert 0.5 * cov.phi <= fit.phi <= 1.5 * cov.phi
     assert 0.4 * cov.sigma2 <= fit.sigma2 + fit.tau2 <= 2.0 * cov.sigma2
+
+
+def test_wls_variofit_box_follows_the_data_scale():
+    # a field in tiny units fits inside its own box; a flat one is a
+    # NumericalError, which initial_values falls back from
+    rng = np.random.default_rng(11)
+    coords = rng.uniform(0, 5, size=(40, 2))
+    vario = empirical_variogram(coords, 1e-9 * rng.normal(size=40))
+    fit = wls_variofit(vario, SPEC_EXP)
+    assert 0 < fit.sigma2 <= 2.0 * vario.gamma.max()
+    assert 0 < fit.phi <= vario.max_dist
+    with pytest.raises(NumericalError):
+        wls_variofit(empirical_variogram(coords, np.full(40, 3.0)), SPEC_EXP)
 
 
 # ---------------------------------------------------------------------------

@@ -350,7 +350,7 @@ def test_saem_fit_builds_sigma_once_per_parameter_point(monkeypatch):
     # block alone
     from collections import Counter
 
-    from geocens import covariance, model, mvn, saem
+    from geocens import covariance, mvn, saem
 
     counts = {"outside": 0, "searching": False}
     factors = Counter()
@@ -376,7 +376,7 @@ def test_saem_fit_builds_sigma_once_per_parameter_point(monkeypatch):
     data = sim_left(seed=22).data
     monkeypatch.setattr(covariance, "corr_matrix", counted_corr)
     monkeypatch.setattr(saem, "profile_objective", counted_objective)
-    for mod in (covariance, model, mvn):
+    for mod in (covariance, mvn):
         monkeypatch.setattr(mod, "spd_cholesky", counted_cholesky)
     fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=12))
     n_obs = data.n - data.n_censored
