@@ -29,7 +29,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__, svg
-from .covariance import CovarianceSpec, CovParams, correlation, distance_matrix
+from .covariance import FAMILIES, CovarianceSpec, CovParams, correlation, distance_matrix
 from .errors import (
     ConfigurationError,
     DataValidationError,
@@ -40,9 +40,10 @@ from .errors import (
     SingularCovarianceError,
     UnsupportedMethodError,
 )
-from .influence import local_influence
+from .influence import SCHEMES, local_influence
 from .model import ModelParams, SpatialDataset, TrendSpec, build_trend, param_count
 from .predict import (
+    METHODS,
     SeminaiveConfig,
     cross_validate,
     empirical_variogram,
@@ -76,6 +77,10 @@ def _atomic_write(path: str, content: str):
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(content)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -213,11 +218,7 @@ def write_json(path: str, payload: dict):
 
 def _add_model_options(p: argparse.ArgumentParser):
     p.add_argument("--trend", choices=["cte", "first", "other"], default="cte")
-    p.add_argument(
-        "--cov-model",
-        choices=["exponential", "gaussian", "spherical", "matern", "powered-exponential"],
-        default="exponential",
-    )
+    p.add_argument("--cov-model", choices=FAMILIES, default="exponential")
     p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--fix-nugget", action="store_true")
     p.add_argument("--nugget", type=float, default=0.0,
@@ -564,17 +565,15 @@ def cmd_predict(args) -> int:
         spec = _spec_from_args(args)
         trend = TrendSpec(args.trend)
         init = _init_from_args(args)
-        if args.method in ("naive1", "naive2"):
-            result = predict_naive(
-                data, trend, spec, args.method, coords_pred, x_extra_pred, init
-            )
-        elif args.method == "seminaive":
+        if args.method == "seminaive":
             result = predict_seminaive(
                 data, trend, spec, coords_pred, x_extra_pred,
                 SeminaiveConfig(max_iter=args.semi_max_iter), init,
             )
         else:
-            raise ConfigurationError(f"unknown method {args.method!r}")
+            result = predict_naive(
+                data, trend, spec, args.method, coords_pred, x_extra_pred, init
+            )
 
     _write_csv(_out(args, "predictions.csv"), ["x", "y", "mean", "sd"],
                zip(*coords_pred.T, result.mean, result.sd))
@@ -650,7 +649,7 @@ def cmd_diagnose(args) -> int:
         print(f"warning: the Hessian of Q is not negative definite at the estimates "
               f"(smallest eigenvalue of -H {report.hessian_eigenvalues[0]:.3g}); "
               f"M(0) assumes a maximizer", file=sys.stderr)
-    for name in ("response", "scale", "explanatory"):
+    for name in SCHEMES:
         diag = report.scheme(name)
         if diag is None:
             payload["schemes"][name] = None
@@ -748,8 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="spatial prediction at target locations")
     common(p)
     _add_model_options(p)
-    p.add_argument("--method", choices=["naive1", "naive2", "seminaive", "saem"],
-                   required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--targets", type=str, required=True)
     p.add_argument("--fit", type=str, default=None, help="fit.json (saem method)")
     p.add_argument("--data", type=str, default=None)

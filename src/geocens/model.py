@@ -221,6 +221,18 @@ def build_trend(coords, x_extra, trend: TrendSpec) -> np.ndarray:
     return x
 
 
+def impute_bounds(data: SpatialDataset) -> np.ndarray:
+    """The readings with each censored row set to its finite bound, or to
+    the midpoint of its interval when both bounds are finite."""
+    y = data.value.astype(float).copy()
+    idx = np.flatnonzero(data.cens == 1)
+    lo, hi = data.lower[idx], data.upper[idx]
+    y[idx] = np.where(np.isfinite(hi), hi, lo)
+    mid = np.isfinite(lo) & np.isfinite(hi)
+    y[idx[mid]] = 0.5 * (lo[mid] + hi[mid])
+    return y
+
+
 def partition(data: SpatialDataset) -> Partition:
     """Indices of observed (``cens == 0``) and censored rows, original order."""
     cens = data.cens
@@ -295,8 +307,6 @@ def loglik(
     trend: TrendSpec,
     spec: CovarianceSpec,
     rng=None,
-    eps: float = 1e-4,
-    max_points: int = 100_000,
 ) -> LogLik:
     """Observed-data log-likelihood of the censored spatial model.
 
@@ -304,12 +314,14 @@ def loglik(
     conditions on the observed block (:func:`conditional_given_obs`, which
     also gives the exact Gaussian density of the observed block);
     :func:`loglik_from_conditional` then adds the log rectangle probability
-    of the censored block.
+    of the censored block.  ``rng`` (a seed, :class:`geocens.mvn.RngState`
+    or ``Generator``) drives that estimate and is required when two or more
+    sites are censored.
     """
     mu, cond, obs_term = _conditional_at(params, data, trend, spec)
     cen = partition(data).cens_idx
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
-    return loglik_from_conditional(obs_term, mu, cond, rect, rng, eps, max_points)
+    return loglik_from_conditional(obs_term, mu, cond, rect, rng)
 
 
 def loglik_from_conditional(
@@ -318,18 +330,16 @@ def loglik_from_conditional(
     cond: np.ndarray,
     rect: Rectangle,
     rng=None,
-    eps: float = 1e-4,
-    max_points: int = 100_000,
 ) -> LogLik:
     """Log-likelihood from the observed-block log density ``obs_term`` and
     the conditional law ``N(mu, cond)`` of the censored block, whose
-    readings lie in ``rect``.  Only the rectangle probability is estimated
-    (:func:`geocens.mvn.mvn_rect_prob`); an estimate of zero yields
-    ``-inf`` with ``zero_prob`` set.
+    readings lie in ``rect``.  Only the rectangle probability is estimated,
+    at the tolerance and lattice cap of :func:`geocens.mvn.mvn_rect_prob`'s
+    defaults; an estimate of zero yields ``-inf`` with ``zero_prob`` set.
     """
     if rect.dim == 0:
         return LogLik(value=obs_term)
-    rp: RectProb = mvn_rect_prob(mu, cond, rect, rng=rng, eps=eps, max_points=max_points)
+    rp: RectProb = mvn_rect_prob(mu, cond, rect, rng=rng)
     zero = rp.prob <= 0.0
     return LogLik(
         value=-np.inf if zero else obs_term + float(np.log(rp.prob)),

@@ -15,7 +15,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtr, ndtri
 
 from .covariance import _cholesky_inverse, spd_cholesky
-from .errors import DataValidationError
+from .errors import ConfigurationError, DataValidationError
 
 _TAIL_SWITCH = 34.0  # standardized bound beyond which Phi differences underflow
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -43,6 +43,8 @@ class RngState:
 
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngState, Generator, or integer seed."""
+    if rng is None:
+        raise ConfigurationError("no random seed given: pass rng (a seed, RngState or Generator)")
     if isinstance(rng, RngState):
         return rng.generator
     if isinstance(rng, np.random.Generator):
@@ -235,41 +237,40 @@ def _ordered_cholesky(corr: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     separation-of-variables integrand.  The ordering is a deterministic
     function of the problem, so permuting the input reproduces the same
     internal order.
+
+    Each remaining variable's conditional variance and shift (its
+    conditional mean given the truncated expected values of the variables
+    already placed) are kept as running vectors and updated once per pivot
+    (Genz 1992).
     """
     n = corr.shape[0]
     c = corr.copy()
     a = lower.copy()
     b = upper.copy()
     ell = np.zeros((n, n))
-    y = np.zeros(n)
+    var = np.diag(corr).copy()
+    shift = np.zeros(n)
     eps = 1e-12
     for i in range(n):
-        best_j, best_p = i, np.inf
-        for j in range(i, n):
-            var_j = c[j, j] - ell[j, :i] @ ell[j, :i]
-            sd_j = np.sqrt(max(var_j, eps))
-            s = ell[j, :i] @ y[:i]
-            p_j = ndtr((b[j] - s) / sd_j) - ndtr((a[j] - s) / sd_j)
-            if p_j < best_p:
-                best_p, best_j = p_j, j
-        if best_j != i:
-            idx = np.arange(n)
-            idx[i], idx[best_j] = best_j, i
-            c = c[np.ix_(idx, idx)]
-            a[[i, best_j]] = a[[best_j, i]]
-            b[[i, best_j]] = b[[best_j, i]]
-            ell[[i, best_j], :i] = ell[[best_j, i], :i]
-        var_i = c[i, i] - ell[i, :i] @ ell[i, :i]
-        ell[i, i] = np.sqrt(max(var_i, eps))
-        for j in range(i + 1, n):
-            ell[j, i] = (c[j, i] - ell[j, :i] @ ell[i, :i]) / ell[i, i]
-        s = ell[i, :i] @ y[:i]
-        ai = (a[i] - s) / ell[i, i]
-        bi = (b[i] - s) / ell[i, i]
+        sd = np.sqrt(np.maximum(var[i:], eps))
+        p = ndtr((b[i:] - shift[i:]) / sd) - ndtr((a[i:] - shift[i:]) / sd)
+        j = i + int(np.argmin(p))
+        if j != i:
+            for v in (a, b, var, shift):
+                v[[i, j]] = v[[j, i]]
+            c[[i, j]] = c[[j, i]]
+            c[:, [i, j]] = c[:, [j, i]]
+            ell[[i, j], :i] = ell[[j, i], :i]
+        ell[i, i] = np.sqrt(max(var[i], eps))
+        col = (c[i + 1:, i] - ell[i + 1:, :i] @ ell[i, :i]) / ell[i, i]
+        ell[i + 1:, i] = col
+        ai = (a[i] - shift[i]) / ell[i, i]
+        bi = (b[i] - shift[i]) / ell[i, i]
         p_i = max(ndtr(bi) - ndtr(ai), 1e-300)
         pdf_a = np.exp(-0.5 * ai * ai) / np.sqrt(2 * np.pi) if np.isfinite(ai) else 0.0
         pdf_b = np.exp(-0.5 * bi * bi) / np.sqrt(2 * np.pi) if np.isfinite(bi) else 0.0
-        y[i] = (pdf_a - pdf_b) / p_i
+        var[i + 1:] -= col * col
+        shift[i + 1:] += col * (pdf_a - pdf_b) / p_i
     return ell, a, b
 
 
@@ -289,7 +290,6 @@ def mvn_rect_prob(
     ``max_points`` lattice points have been spent (reported via
     ``hit_cap``).
     """
-    gen = as_generator(rng)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     n = mean.shape[0]
@@ -303,6 +303,7 @@ def mvn_rect_prob(
         prob = float(ndtr(high[0]) - ndtr(low[0]))
         return RectProb(prob=prob, se=0.0, n_points=0)
 
+    gen = as_generator(rng)
     corr = cov / np.outer(sd, sd)
     ell, low, high = _ordered_cholesky(corr, low, high)
 

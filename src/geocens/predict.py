@@ -38,6 +38,7 @@ from .model import (
     TrendSpec,
     build_trend,
     criteria,
+    impute_bounds,
     loglik,
     param_count,
 )
@@ -233,8 +234,9 @@ def initial_values(
     data: SpatialDataset, trend: TrendSpec, spec: CovarianceSpec
 ) -> ModelParams:
     """Automatic starting values: ordinary least squares on bound-imputed
-    data plus a weighted variogram fit of the residuals."""
-    y = _impute_bounds(data, "naive1")
+    data (:func:`geocens.model.impute_bounds`) plus a weighted variogram
+    fit of the residuals."""
+    y = impute_bounds(data)
     x = build_trend(data.coords, data.x_extra, trend)
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ beta
@@ -345,17 +347,11 @@ def _impute_bounds(data: SpatialDataset, variant: str) -> np.ndarray:
     for the second variant under left censoring)."""
     if data.cens_type == "interval":
         raise UnsupportedMethodError("bound imputation requires one-sided censoring")
-    y = data.value.astype(float).copy()
-    idx = np.flatnonzero(data.cens == 1)
-    if idx.size == 0:
-        return y
-    if data.cens_type == "left":
-        bound = data.upper[idx]
-        y[idx] = bound / 2.0 if variant == "naive2" else bound
-    else:
-        # halving a right-censoring bound has no meaning; both variants
-        # impute the bound itself
-        y[idx] = data.lower[idx]
+    y = impute_bounds(data)
+    # halving a right-censoring bound has no meaning; both variants impute
+    # the bound itself
+    if variant == "naive2" and data.cens_type == "left":
+        y[data.cens == 1] /= 2.0
     return y
 
 

@@ -29,6 +29,7 @@ from .model import (
     conditional_cens_given_obs,
     conditional_given_obs,
     criteria,
+    impute_bounds,
     loglik_from_conditional,
     param_count,
     partition,
@@ -37,7 +38,6 @@ from .mvn import Rectangle, RngState, tmvn_gibbs
 from .profile import _gls, expected_quad, profile_objective, profile_search
 
 GIBBS_BURN_IN = 20  # sweeps discarded before each E-step's sample
-MONITOR_EPS = 1e-3  # rectangle-probability tolerance of the convergence monitor
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,13 @@ class SaemConfig:
     component); :func:`saem_fit` rejects a box of any other length.
     ``seed`` must be non-negative.  ``init_sigma2``,
     ``init_phi`` and ``init_nugget`` seed the parameters; leave them None
-    to use the automatic variogram-based initializer.
+    to use the automatic variogram-based initializer
+    (:func:`geocens.predict.initial_values`), which accepts left-, right-
+    and interval-censored data.
 
-    The Gibbs burn-in (:data:`GIBBS_BURN_IN`), the monitor's rectangle
-    tolerance (:data:`MONITOR_EPS`) and the final likelihood's precision
-    (the defaults of :func:`geocens.model.loglik`) are fixed.
+    The Gibbs burn-in (:data:`GIBBS_BURN_IN`) and the likelihood's
+    precision (the tolerance and lattice cap of
+    :func:`geocens.mvn.mvn_rect_prob`'s defaults) are fixed.
     """
 
     m: int = 15
@@ -170,22 +172,6 @@ def delta_schedule(k: int, max_iter: int, pc: float) -> float:
         raise ConfigurationError("iteration index out of range")
     cut = math.ceil(pc * max_iter)
     return 1.0 if k <= cut else 1.0 / (k - cut)
-
-
-def _imputed_start(data: SpatialDataset) -> np.ndarray:
-    """Initial completion of the response: observed values, censored rows
-    at their nearest finite bound (interval midpoint when both finite)."""
-    y = data.value.astype(float).copy()
-    cen = np.flatnonzero(data.cens == 1)
-    for i in cen:
-        lo, hi = data.lower[i], data.upper[i]
-        if np.isfinite(lo) and np.isfinite(hi):
-            y[i] = 0.5 * (lo + hi)
-        elif np.isfinite(hi):
-            y[i] = hi
-        else:
-            y[i] = lo
-    return y
 
 
 def e_step(
@@ -323,9 +309,10 @@ def saem_fit(
     Iterates until the relative change between successive evaluations of
     the observed-data log-likelihood drops below ``config.tol`` (checked
     after the cut point; the likelihood is evaluated every iteration then,
-    every fifth iteration before) or the iteration cap is reached.  The
-    final likelihood re-estimates the rectangle probability at the last
-    point with the precision of :func:`geocens.model.loglik`.
+    every fifth iteration before) or the iteration cap is reached.  Either
+    way the loop ends right after an evaluation at the final point, and
+    that evaluation is the fit's ``loglik``: the likelihood is estimated
+    once per monitored point, at one precision.
     """
     x = build_trend(data.coords, data.x_extra, trend)
     n, p = x.shape
@@ -364,7 +351,7 @@ def saem_fit(
     cen_o = np.arange(n_obs, n)
     cen = part.cens_idx
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
-    y0 = _imputed_start(data)
+    y0 = impute_bounds(data)
     state = SaemState(zhat=y0.copy(), zz_cc=np.outer(y0[cen], y0[cen]), chain=None)
     if cen.size:
         state.chain = y0[cen].copy()
@@ -372,7 +359,7 @@ def saem_fit(
     n_theta = p + 3
     trace_params = np.full((config.max_iter, n_theta), np.nan)
     trace_ll = np.full(config.max_iter, np.nan)
-    prev_ll = None
+    ll = None
     converged = False
     iterations = 0
 
@@ -393,29 +380,26 @@ def saem_fit(
         trace_params[k - 1] = params.as_array()
 
         if k > cut or k % 5 == 0 or k == config.max_iter:
-            ll = loglik_from_conditional(obs_term, mu, cond, rect, ll_rng, eps=MONITOR_EPS)
+            prev_ll, ll = ll, loglik_from_conditional(obs_term, mu, cond, rect, ll_rng)
             trace_ll[k - 1] = ll.value
             if (
                 prev_ll is not None
                 and k > cut
                 and np.isfinite(ll.value)
-                and np.isfinite(prev_ll)
-                and prev_ll != 0.0
-                and abs(ll.value / prev_ll - 1.0) < config.tol
+                and np.isfinite(prev_ll.value)
+                and prev_ll.value != 0.0
+                and abs(ll.value / prev_ll.value - 1.0) < config.tol
             ):
                 converged = True
-                prev_ll = ll.value
                 break
-            prev_ll = ll.value
 
-    final_ll = loglik_from_conditional(obs_term, mu, cond, rect, ll_rng)
     k_params = param_count(p, spec.nugget_fixed)
-    crit = criteria(final_ll.value, k_params, n)
+    crit = criteria(ll.value, k_params, n)
     return SaemFit(
         params=params,
         zhat=state.zhat,
         zz_cc=state.zz_cc,
-        loglik=final_ll,
+        loglik=ll,
         criteria=crit,
         trace_params=trace_params[:iterations],
         trace_loglik=trace_ll[:iterations],

@@ -8,6 +8,7 @@ on closed-form likelihoods instead of the EM loop.
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import ndtr
 
 from geocens.covariance import build_sigma, d2sigma, dsigma
 
@@ -239,3 +240,52 @@ def central_mixed_derivative(f, theta0, omega0, rel_step_t=1e-4, rel_step_w=1e-4
                 + f(theta0 - tj, omega0 - wi)
             ) / (4 * ht[j] * hw[i])
     return out
+
+
+def ordered_cholesky_scalar(corr, lower, upper):
+    """Cholesky factor with the Genz variable ordering, one candidate at a
+    time: each pivot recomputes every remaining variable's conditional
+    variance and shift from scratch and copies the permuted matrix.
+
+    Variables are permuted so that the most restrictive coordinate is
+    integrated first (smallest conditional probability given truncated
+    expected values of earlier coordinates), which stabilizes the
+    separation-of-variables integrand.  The ordering is a deterministic
+    function of the problem, so permuting the input reproduces the same
+    internal order.
+    """
+    n = corr.shape[0]
+    c = corr.copy()
+    a = lower.copy()
+    b = upper.copy()
+    ell = np.zeros((n, n))
+    y = np.zeros(n)
+    eps = 1e-12
+    for i in range(n):
+        best_j, best_p = i, np.inf
+        for j in range(i, n):
+            var_j = c[j, j] - ell[j, :i] @ ell[j, :i]
+            sd_j = np.sqrt(max(var_j, eps))
+            s = ell[j, :i] @ y[:i]
+            p_j = ndtr((b[j] - s) / sd_j) - ndtr((a[j] - s) / sd_j)
+            if p_j < best_p:
+                best_p, best_j = p_j, j
+        if best_j != i:
+            idx = np.arange(n)
+            idx[i], idx[best_j] = best_j, i
+            c = c[np.ix_(idx, idx)]
+            a[[i, best_j]] = a[[best_j, i]]
+            b[[i, best_j]] = b[[best_j, i]]
+            ell[[i, best_j], :i] = ell[[best_j, i], :i]
+        var_i = c[i, i] - ell[i, :i] @ ell[i, :i]
+        ell[i, i] = np.sqrt(max(var_i, eps))
+        for j in range(i + 1, n):
+            ell[j, i] = (c[j, i] - ell[j, :i] @ ell[i, :i]) / ell[i, i]
+        s = ell[i, :i] @ y[:i]
+        ai = (a[i] - s) / ell[i, i]
+        bi = (b[i] - s) / ell[i, i]
+        p_i = max(ndtr(bi) - ndtr(ai), 1e-300)
+        pdf_a = np.exp(-0.5 * ai * ai) / np.sqrt(2 * np.pi) if np.isfinite(ai) else 0.0
+        pdf_b = np.exp(-0.5 * bi * bi) / np.sqrt(2 * np.pi) if np.isfinite(bi) else 0.0
+        y[i] = (pdf_a - pdf_b) / p_i
+    return ell, a, b

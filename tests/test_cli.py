@@ -255,6 +255,38 @@ def test_crossval_table(tmp_path):
     assert all(v > 0 for v in rmspe)
 
 
+def test_fit_interval_data_without_initial_values(tmp_path, sim_dir):
+    data = read_dataset_csv(str(sim_dir / "data.csv"))
+    obs = np.flatnonzero(data.cens == 0)[:6]
+    cens, lower, upper = data.cens.copy(), data.lower.copy(), data.upper.copy()
+    cens[obs] = 1
+    lower[obs], upper[obs] = data.value[obs] - 0.5, data.value[obs] + 0.25
+    path = tmp_path / "interval.csv"
+    write_dataset_csv(str(path), SpatialDataset(
+        coords=data.coords, value=data.value, cens=cens, lower=lower, upper=upper,
+        cens_type="interval"))
+    rc = run_cli("fit", "--data", path, "--m", 8, "--max-iter", 6, "--tol", 0,
+                 "--seed", 5, "--out-dir", tmp_path / "fit")
+    assert rc == 0
+    assert (tmp_path / "fit" / "fit.json").exists()
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        rc = run_cli("simulate", "--n-est", 20, "--n-pred", 4, "--beta", "10",
+                     "--sigma2", 2, "--phi", 1, "--cens-level", 0.2, "--seed", 3,
+                     "--out-dir", tmp_path)
+    finally:
+        os.umask(previous)
+    assert rc == 0
+    names = sorted(os.listdir(tmp_path))
+    assert "data.csv" in names and "manifest.json" in names
+    assert {name: os.stat(tmp_path / name).st_mode & 0o777 for name in names} == dict.fromkeys(
+        names, mode)
+
+
 def test_diagnose_fingerprint_mismatch_exit_2(tmp_path, sim_dir):
     fit_out = tmp_path / "fit"
     rc = run_cli("fit", "--data", sim_dir / "data.csv", *FIT_ARGS,

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from geocens import (
+    ConfigurationError,
     CovarianceSpec,
     CovParams,
     DataValidationError,
@@ -18,6 +19,7 @@ from geocens import (
     param_count,
     partition,
 )
+from geocens.model import impute_bounds
 
 
 def toy_dataset(seed=0, n=12, n_cens=3, cens_type="left"):
@@ -248,6 +250,26 @@ def test_conditional_covariance_spd():
             params, data, TrendSpec("cte"), CovarianceSpec("matern", kappa=1.0)
         )
         assert np.linalg.eigvalsh(s).min() > 0
+
+
+def test_loglik_without_a_seed_names_the_seed():
+    data = toy_dataset(seed=3, n_cens=3)
+    params = ModelParams(beta=[1.0], cov=CovParams(2.0, 1.5, 0.3))
+    with pytest.raises(ConfigurationError, match="seed"):
+        loglik(params, data, TrendSpec("cte"), CovarianceSpec("exponential"))
+
+
+def test_impute_bounds_takes_the_finite_bound_or_the_interval_midpoint():
+    coords = np.random.default_rng(4).uniform(0, 1, size=(4, 2))
+    data = SpatialDataset(
+        coords=coords,
+        value=np.array([5.0, 2.0, 4.0, 3.0]),
+        cens=np.array([0, 1, 1, 1]),
+        lower=np.array([-np.inf, -np.inf, 1.0, 2.5]),
+        upper=np.array([np.inf, 2.0, 2.0, np.inf]),
+        cens_type="interval",
+    )
+    assert impute_bounds(data).tolist() == [5.0, 2.0, 1.5, 2.5]
 
 
 def test_loglik_zero_probability_rectangle():

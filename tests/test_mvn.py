@@ -3,6 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from geocens import (
+    ConfigurationError,
+    CovarianceSpec,
+    CovParams,
     DataValidationError,
     Rectangle,
     RngState,
@@ -12,7 +15,10 @@ from geocens import (
     tmvn_moments,
 )
 
-from oracles import batch_means_se, crude_mc_rect_prob, rejection_tmvn
+from geocens.covariance import build_sigma, distance_matrix
+from geocens.mvn import _ordered_cholesky
+
+from oracles import batch_means_se, crude_mc_rect_prob, ordered_cholesky_scalar, rejection_tmvn
 
 
 def test_rectangle_rejects_equal_bounds():
@@ -111,6 +117,44 @@ def test_rect_prob_reproducible():
     a = mvn_rect_prob([0.0, 0.0], cov, rect, rng=RngState(42))
     b = mvn_rect_prob([0.0, 0.0], cov, rect, rng=RngState(42))
     assert a.prob == b.prob and a.se == b.se
+
+
+@pytest.mark.parametrize("n_c", [2, 30, 80, 120])
+@pytest.mark.parametrize(
+    "spec",
+    [CovarianceSpec("exponential"), CovarianceSpec("gaussian"), CovarianceSpec("spherical"),
+     CovarianceSpec("matern", 0.3), CovarianceSpec("powered-exponential", 1.3)],
+    ids=lambda s: s.family,
+)
+def test_ordered_cholesky_matches_scalar_oracle(spec, n_c):
+    # a standardized censored block as mvn_rect_prob sees it: left-censored
+    # rows, about a third of them interval-censored; upper bounds are
+    # distinct, so equal permuted bounds mean the same variable order
+    rng = np.random.default_rng(n_c)
+    coords = rng.uniform(0.0, 6.0, size=(n_c, 2))
+    cov = build_sigma(distance_matrix(coords), spec, CovParams(2.0, 1.0, 0.2))
+    sd = np.sqrt(np.diag(cov))
+    upper = rng.normal(-0.5, 1.0, n_c)
+    lower = np.where(rng.random(n_c) < 0.3, upper - rng.uniform(0.5, 2.0, n_c), -np.inf)
+    assert np.unique(upper).size == n_c
+    ell, a, b = _ordered_cholesky(cov / np.outer(sd, sd), lower, upper)
+    ell_ref, a_ref, b_ref = ordered_cholesky_scalar(cov / np.outer(sd, sd), lower, upper)
+    assert np.array_equal(b, b_ref) and np.array_equal(a, a_ref)
+    assert np.max(np.abs(ell - ell_ref)) <= 1e-13
+
+
+def test_sampling_without_a_seed_names_the_seed():
+    cov = np.array([[1.0, 0.6], [0.6, 2.0]])
+    rect = Rectangle(lower=[-1.0, -2.0], upper=[0.5, 1.0])
+    for call in (
+        lambda: mvn_rect_prob([0.0, 0.0], cov, rect),
+        lambda: tmvn_gibbs([0.0, 0.0], cov, rect, 5),
+        lambda: tmvn_moments([0.0, 0.0], cov, rect, 5),
+    ):
+        with pytest.raises(ConfigurationError, match="seed"):
+            call()
+    # one censored coordinate has a closed form and needs no seed
+    assert mvn_rect_prob([0.0], [[1.0]], Rectangle(lower=[0.0], upper=[np.inf])).prob == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,29 @@ def test_saem_fit_loglik_observed_block_is_the_dense_density():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-2])
+def test_saem_fit_estimates_the_likelihood_once_per_monitored_point(monkeypatch, tol):
+    # the fit's loglik is the monitor's estimate at the final point, with no
+    # second estimate after the loop, whether the fit converges or runs out
+    from geocens import model
+
+    calls = []
+    rect_prob = model.mvn_rect_prob
+
+    def counted(*args, **kwargs):
+        calls.append(rect_prob(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(model, "mvn_rect_prob", counted)
+    fit = saem_fit(sim_left(seed=22).data, TrendSpec("cte"), SPEC_EXP,
+                   base_config(max_iter=30, tol=tol))
+    assert fit.converged == (tol > 0)
+    assert len(calls) == np.isfinite(fit.trace_loglik).sum()
+    assert np.isfinite(fit.trace_loglik[fit.iterations_used - 1])
+    assert fit.loglik.value == fit.trace_loglik[fit.iterations_used - 1]
+    assert fit.loglik.cens_prob == calls[-1].prob
+
+
 def test_saem_shift_equivariance():
     res = sim_left(seed=23)
     data = res.data
@@ -508,6 +531,27 @@ def test_saem_interval_censoring():
     assert np.all(fit.zhat[idx] >= lower[idx])
     assert np.all(fit.zhat[idx] <= upper[idx])
     assert np.isfinite(fit.loglik.value)
+
+
+def test_saem_fit_starts_interval_data_without_initial_values():
+    # the automatic start imputes interval rows at their midpoints and
+    # one-sided rows at their finite bound
+    res = sim_left(cens=0.0, seed=29, n=30)
+    data = res.data
+    lower, upper = np.full(30, -np.inf), np.full(30, np.inf)
+    lower[:4], upper[:4] = data.value[:4] - 0.5, data.value[:4] + 0.7
+    upper[4:6] = data.value[4:6] + 0.3
+    lower[6:8] = data.value[6:8] - 0.3
+    cens = (np.arange(30) < 8).astype(int)
+    interval = SpatialDataset(
+        coords=data.coords, value=data.value, cens=cens,
+        lower=lower, upper=upper, cens_type="interval",
+    )
+    cfg = base_config(max_iter=12, init_sigma2=None, init_phi=None, init_nugget=None)
+    fit = saem_fit(interval, TrendSpec("cte"), SPEC_EXP, cfg)
+    assert np.all((fit.zhat[:8] >= lower[:8]) & (fit.zhat[:8] <= upper[:8]))
+    assert np.isfinite(fit.loglik.value)
+    assert np.all(np.isfinite(fit.params.as_array()))
 
 
 def test_saem_recovery_simulated_censored_data():
