@@ -66,7 +66,8 @@ class SpatialDataset:
     ``cens == 0``, the reported detection bound otherwise.  ``lower`` and
     ``upper`` carry the censoring interval for ``cens == 1`` rows (``-inf``
     lower bound for left censoring, ``+inf`` upper bound for right
-    censoring); they are ignored for observed rows.
+    censoring); they are ignored for observed rows.  Every censored row
+    needs at least one finite bound, and neither bound may be NaN.
     """
 
     coords: np.ndarray
@@ -103,8 +104,12 @@ class SpatialDataset:
         is_c = cens == 1
         if not np.isfinite(value[~is_c]).all():
             raise DataValidationError("observed rows require finite values")
+        if np.isnan(lower[is_c]).any() or np.isnan(upper[is_c]).any():
+            raise DataValidationError("censored rows require non-NaN bounds")
         if np.any(lower[is_c] >= upper[is_c]):
             raise DataValidationError("censored rows require lower < upper")
+        if not np.all(np.isfinite(lower[is_c]) | np.isfinite(upper[is_c])):
+            raise DataValidationError("censored rows require a finite bound")
         if self.cens_type == "left" and not np.all(np.isneginf(lower[is_c])):
             raise DataValidationError("left censoring requires lower = -inf")
         if self.cens_type == "right" and not np.all(np.isposinf(upper[is_c])):

@@ -8,7 +8,7 @@ on closed-form likelihoods instead of the EM loop.
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import ndtr
+from scipy.special import gamma, kv, ndtr
 
 from geocens.covariance import build_sigma, d2sigma, dsigma
 
@@ -289,3 +289,25 @@ def ordered_cholesky_scalar(corr, lower, upper):
         pdf_b = np.exp(-0.5 * bi * bi) / np.sqrt(2 * np.pi) if np.isfinite(bi) else 0.0
         y[i] = (pdf_a - pdf_b) / p_i
     return ell, a, b
+
+
+def matern_correlation_kv(kappa, h, phi):
+    """Matern correlation ``c u^kappa K_kappa(u)``, ``u = h / phi``,
+    ``c = 2^(1 - kappa) / Gamma(kappa)``, with one Bessel ``kv`` call per
+    lag: 1 at ``u = 0`` and 0 where ``kv`` underflows."""
+    u = np.asarray(h, dtype=float) / phi
+    c = 2.0 ** (1.0 - kappa) / gamma(kappa)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rho = c * np.power(u, kappa) * kv(kappa, u)
+    return np.nan_to_num(np.where(u == 0.0, 1.0, rho), nan=0.0)
+
+
+def matern_dcorr_dphi_kv(kappa, h, phi):
+    """``d rho / d phi = (c / phi) u^(kappa + 1) K_(kappa - 1)(u)`` of the
+    Matern correlation, one ``kv`` call per lag: 0 at ``u = 0`` and where
+    ``kv`` underflows."""
+    u = np.asarray(h, dtype=float) / phi
+    c = 2.0 ** (1.0 - kappa) / gamma(kappa)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = c / phi * np.power(u, kappa + 1.0) * kv(kappa - 1.0, u)
+    return np.nan_to_num(np.where(u == 0.0, 0.0, out), nan=0.0)

@@ -271,6 +271,26 @@ def test_fit_interval_data_without_initial_values(tmp_path, sim_dir):
     assert (tmp_path / "fit" / "fit.json").exists()
 
 
+@pytest.mark.parametrize("bounds", [("", ""), ("nan", ""), ("", "nan")],
+                         ids=["no-finite-bound", "nan-lower", "nan-upper"])
+def test_fit_rejects_censored_row_without_a_usable_bound(tmp_path, sim_dir, capsys, bounds):
+    # without initial values such a row used to reach the automatic start
+    # and fail there with an unrelated "sigma2 must be > 0"
+    rows = list(csv.reader(open(sim_dir / "data.csv", newline="")))
+    row = next(r for r in rows[1:] if r[3] == "0")
+    row[3:6] = ["1", *bounds]
+    path = tmp_path / "bad_bounds.csv"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    capsys.readouterr()
+    rc = run_cli("fit", "--data", path, "--m", 5, "--max-iter", 3, "--seed", 1,
+                 "--out-dir", tmp_path / "fit")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bound" in err
+    assert not (tmp_path / "fit").exists()
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_outputs_follow_the_umask(tmp_path, umask, mode):
     previous = os.umask(umask)

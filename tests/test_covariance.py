@@ -13,9 +13,15 @@ from geocens import (
     distance_matrix,
     dsigma,
 )
+import geocens.covariance as cov
 from geocens.covariance import _d2corr_dphi2, _dcorr_dphi, spd_cholesky
 
-from oracles import precision_derivative, precision_second_derivative
+from oracles import (
+    matern_correlation_kv,
+    matern_dcorr_dphi_kv,
+    precision_derivative,
+    precision_second_derivative,
+)
 
 
 def dsigma_inv(dist, spec, p, k):
@@ -75,6 +81,81 @@ def test_matern_half_equals_exponential():
     got = correlation("matern", 0.5, h, 2.0)
     want = correlation("exponential", 0.0, h, 2.0)
     assert_allclose(got, want, atol=1e-10)
+
+
+MATERN_GRID = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.5, 4.0)
+
+
+@pytest.fixture(scope="module")
+def kernel_lags():
+    """10^6 log-uniform lags over the Matern kernel table's range, every
+    segment boundary with its two neighbouring floats, both range ends
+    with theirs, and lags outside: zero, below the range and far beyond
+    the point where ``kv`` underflows."""
+    lo, hi = cov._KERNEL_LO, cov._KERNEL_HI
+    rng = np.random.default_rng(0)
+    inner = np.exp(rng.uniform(np.log(lo), np.log(hi), 10**6))
+    bounds = np.exp(
+        cov._KERNEL_T0
+        + 2.0 * cov._KERNEL_HALF_WIDTH * np.arange(cov._KERNEL_SEGMENTS + 1)
+    )
+    edges = np.concatenate([bounds, [lo, hi]])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    outside = np.array([0.0, 1e-12, 1e-9, 3e-7, 695.0, 697.0, 698.0, 750.0, 1e3, 1e5, 1e300])
+    return np.concatenate([inner, edges, outside])
+
+
+@pytest.mark.parametrize("kappa", MATERN_GRID)
+def test_matern_table_matches_kv_oracle(kernel_lags, kappa):
+    # lags h = phi * u with phi a power of two, so u is the drawn lag exactly
+    phi = 2.0
+    h = phi * kernel_lags
+    for got, want in (
+        (correlation("matern", kappa, h, phi), matern_correlation_kv(kappa, h, phi)),
+        (_dcorr_dphi("matern", kappa, h, phi), matern_dcorr_dphi_kv(kappa, h, phi)),
+    ):
+        assert not np.isnan(got).any()
+        zero = want == 0.0
+        assert np.array_equal(got[zero], want[zero])
+        assert zero[-4:].all()  # far beyond the kv underflow
+        rel = np.abs(got[~zero] - want[~zero]) / np.abs(want[~zero])
+        assert rel.max() <= 1e-12, (kappa, rel.max(), kernel_lags[~zero][np.argmax(rel)])
+
+
+def test_matern_half_matches_exponential_to_1e13():
+    # K_{1/2}(u) = sqrt(pi / (2u)) e^-u and K_{-1/2} = K_{1/2}: the table
+    # for kappa = 1/2 must reproduce the exponential family below kv's underflow
+    rng = np.random.default_rng(3)
+    u = np.concatenate([
+        np.exp(rng.uniform(np.log(1e-9), np.log(cov._KERNEL_HI), 200_000)),
+        [1e-12, 1e-6, 1.0, cov._KERNEL_HI, 697.0],
+    ])
+    phi = 1.7
+    h = phi * u
+    for fn in (correlation, _dcorr_dphi):
+        got = fn("matern", 0.5, h, phi)
+        want = fn("exponential", 0.0, h, phi)
+        assert np.max(np.abs(got - want) / want) <= 1e-13, fn.__name__
+
+
+def test_matern_scalar_lag_returns_float():
+    # zero, below, inside and beyond the table
+    for h in (0.0, 1e-9, 0.7, 3.0, 2e3):
+        assert type(correlation("matern", 0.3, h, 1.5)) is float
+    assert correlation("matern", 0.3, 0.0, 1.5) == 1.0
+    assert correlation("matern", 0.3, 2e3, 1.5) == 0.0
+
+
+def test_matern_kernel_tables_are_built_once_per_smoothness():
+    cov._kernel_table.cache_clear()
+    spec = CovarianceSpec("matern", kappa=0.9)
+    dist = random_geometry(0, n=12)
+    for phi in (1.0, 2.5, 4.0):
+        p = CovParams(sigma2=1.0, phi=phi, tau2=0.1)
+        dsigma(dist, spec, p, 1)
+        dsigma(dist, spec, p, 2)
+    info = cov._kernel_table.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_powered_exponential_kappa2_equals_gaussian():

@@ -419,29 +419,37 @@ def _small_fit(spec=CovarianceSpec("exponential")):
     return saem_fit(res.data, TrendSpec("cte"), spec, cfg)
 
 
-def test_local_influence_on_matern_evaluates_kv_twice(monkeypatch):
-    # R and dR/dphi take one Bessel pass each; d2R/dphi2 is formed from them
+def test_local_influence_on_matern_takes_one_kernel_pass_each(monkeypatch):
+    # R and dR/dphi take one Matern kernel pass each; d2R/dphi2 is formed
+    # from them.  The fit has built the kernel tables, and every lag of the
+    # pairwise triangles lies inside them, so no Bessel kv call is left.
     import geocens.covariance as cov
     import geocens.influence as inf
 
     fit = _small_fit(CovarianceSpec("matern", kappa=0.3))
-    calls = []
-    real_kv = cov.kv
+    kernel_calls, kv_calls = [], []
+    real_kernel, real_kv = cov._matern_kernel, cov.kv
+
+    def counting_kernel(order, power, u):
+        kernel_calls.append((order, power))
+        return real_kernel(order, power, u)
 
     def counting_kv(*args):
-        calls.append(args[0])
+        kv_calls.append(args[0])
         return real_kv(*args)
 
     def no_d2sigma(*args):
         raise AssertionError("local_influence called d2sigma")
 
+    monkeypatch.setattr(cov, "_matern_kernel", counting_kernel)
     monkeypatch.setattr(cov, "kv", counting_kv)
     monkeypatch.setattr(cov, "d2sigma", no_d2sigma)
     # also a reference bound by name inside the influence module
     monkeypatch.setattr(inf, "d2sigma", no_d2sigma, raising=False)
     report = local_influence(fit)
     assert report.response is not None, report.errors
-    assert len(calls) == 2
+    assert sorted(kernel_calls) == [(-0.7, 1.3), (0.3, 0.3)]
+    assert kv_calls == []
 
 
 def test_local_influence_records_numerical_failure_of_one_scheme(monkeypatch):

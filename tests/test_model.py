@@ -92,6 +92,20 @@ def test_dataset_invariants():
         SpatialDataset(coords=coords, value=[1.0, 1.0, 2.0], cens=[0, 2, 0])
 
 
+@pytest.mark.parametrize("cens_type", ["left", "right", "interval"])
+@pytest.mark.parametrize("lower,upper", [
+    (-np.inf, np.inf), (np.nan, 2.0), (-np.inf, np.nan), (np.nan, np.nan), (0.5, np.nan),
+], ids=["no-finite-bound", "nan-lower", "nan-upper", "nan-both", "finite-lower-nan-upper"])
+def test_dataset_rejects_censored_row_without_a_usable_bound(cens_type, lower, upper):
+    coords = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(DataValidationError, match="bound"):
+        SpatialDataset(
+            coords=coords, value=[1.0, 2.0, 3.0], cens=[0, 1, 0],
+            lower=[-np.inf, lower, -np.inf], upper=[np.inf, upper, np.inf],
+            cens_type=cens_type,
+        )
+
+
 def test_conditional_scalar_case():
     # One observed, one censored site at distance 1, exponential correlation,
     # unit sill, no nugget, zero trend, observed value 1:
@@ -197,16 +211,20 @@ def test_loglik_factors_the_observed_block_once(monkeypatch):
 
 
 def test_loglik_infinite_rectangle_equals_subset():
-    # a censored row with bounds (-inf, inf) contributes probability one
+    # a censored row whose interval covers the whole line in double
+    # precision contributes probability one (a row with no finite bound is
+    # rejected by the dataset)
     data = toy_dataset(seed=5, n=8, n_cens=0)
     cens = data.cens.copy()
     cens[2] = 1
+    upper = np.full(8, np.inf)
+    upper[2] = 1e300
     with_inf = SpatialDataset(
         coords=data.coords,
         value=data.value,
         cens=cens,
         lower=None,
-        upper=None,
+        upper=upper,
         cens_type="interval",
     )
     keep = np.arange(8) != 2
