@@ -239,7 +239,11 @@ def _add_saem_options(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, default=15)
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--pc", type=float, default=0.2)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=1e-2,
+                   help="stop once, for every parameter, the change between the means of "
+                        "the last two windows of iterates plus the Monte Carlo standard "
+                        "error of the current iterate is below tol times the parameter; "
+                        "0 runs all --max-iter iterations")
 
 
 def _items(text: str, parse, what: str) -> tuple:
@@ -391,7 +395,6 @@ def fit_to_payload(fit: SaemFit) -> dict:
         "converged": fit.converged,
         "iterations_used": fit.iterations_used,
         "trace_params": fit.trace_params,
-        "trace_loglik": [None if not np.isfinite(v) else v for v in fit.trace_loglik],
         "zhat": fit.zhat,
         "zzhat": fit.zzhat,
         "dataset": _dataset_payload(fit.data),
@@ -425,9 +428,6 @@ def fit_from_payload(payload: dict) -> SaemFit:
     x = build_trend(data.coords, data.x_extra, trend)
     ll = LogLik(value=payload["loglik"])
     crit = criteria(ll.value, param_count(x.shape[1], spec.nugget_fixed), data.n)
-    trace_ll = np.array(
-        [np.nan if v is None else v for v in payload["trace_loglik"]], dtype=float
-    )
     cen = np.flatnonzero(data.cens == 1)
     return SaemFit(
         params=params,
@@ -436,7 +436,6 @@ def fit_from_payload(payload: dict) -> SaemFit:
         loglik=ll,
         criteria=crit,
         trace_params=np.array(payload["trace_params"]),
-        trace_loglik=trace_ll,
         converged=payload["converged"],
         iterations_used=payload["iterations_used"],
         config=config,

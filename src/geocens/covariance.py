@@ -159,8 +159,11 @@ def _matern_kernel(order: float, power: float, u: np.ndarray) -> np.ndarray:
 
     Inside ``[_KERNEL_LO, _KERNEL_HI)`` the value is ``exp(g(log u) - u)``
     from the cached table of ``g`` (Horner's rule on each lag's segment),
-    within about 2e-13 relative of ``kv``.  The other lags take ``kv``: 0
-    where it underflows, and NaN (``0 * inf``) at ``u = 0`` also maps to 0.
+    within about 2e-13 relative of ``kv``.  The other lags take ``kv``, and
+    a product that is not finite takes its limit: 0 at large lags, where
+    ``kv`` underflows, and near ``u = 0``, where ``kv`` overflows, ``Gamma(v)
+    2**(v - 1)`` for ``power == order == v`` (the correlation) and 0 for
+    ``power > |order|`` (the range derivative's ``u**(k+1) K_(k-1)``).
     """
     coef = _kernel_table(order, power)
     u = np.asarray(u, dtype=float)
@@ -179,7 +182,9 @@ def _matern_kernel(order: float, power: float, u: np.ndarray) -> np.ndarray:
         outside = ~((flat >= _KERNEL_LO) & (flat < _KERNEL_HI))
         if outside.any():
             v = flat[outside]
-            out[outside] = np.nan_to_num(np.power(v, power) * kv(order, v), nan=0.0)
+            near = np.power(v, power) * kv(order, v)
+            small = gamma_fn(power) * 2.0 ** (power - 1.0) if power == order else 0.0
+            out[outside] = np.where(np.isfinite(near), near, np.where(v < 1.0, small, 0.0))
     return out.reshape(u.shape)
 
 

@@ -193,7 +193,9 @@ def empirical_variogram(
 
 def wls_variofit(vario: Variogram, spec: CovarianceSpec) -> CovParams:
     """Fit ``(sigma2, phi, tau2)`` to a binned variogram, weighting squared
-    residuals by bin pair counts.  Initializer-grade accuracy only.
+    residuals by bin pair counts.  Initializer-grade accuracy only.  With a
+    fixed nugget only ``(sigma2, phi)`` are fitted and ``tau2`` is the
+    fixed value.
 
     The box scales with the data: ``sigma2`` and ``tau2`` are at most twice
     the largest binned semivariance and ``phi`` at most ``vario.max_dist``.
@@ -208,9 +210,13 @@ def wls_variofit(vario: Variogram, spec: CovarianceSpec) -> CovParams:
     if not sill > 0:
         raise NumericalError("variogram fit needs a nonzero semivariance")
     w = np.sqrt(vario.counts.astype(float))
+    k = 2 if spec.nugget_fixed else 3
+
+    def full(theta):
+        return tuple(theta) if k == 3 else (*theta, spec.fixed_nugget_value)
 
     def residuals(theta):
-        s2, phi, t2 = theta
+        s2, phi, t2 = full(theta)
         model = t2 + s2 * (
             1.0 - correlation(spec.family, spec.kappa, vario.centers, phi)
         )
@@ -218,16 +224,16 @@ def wls_variofit(vario: Variogram, spec: CovarianceSpec) -> CovParams:
 
     sol = least_squares(
         residuals,
-        np.array([0.8 * sill, vario.max_dist / 3.0, 0.2 * sill]),
+        np.array([0.8 * sill, vario.max_dist / 3.0, 0.2 * sill])[:k],
         bounds=(
-            [1e-12 * sill, 1e-12 * vario.max_dist, 0.0],
-            [2.0 * sill, vario.max_dist, 2.0 * sill],
+            [1e-12 * sill, 1e-12 * vario.max_dist, 0.0][:k],
+            [2.0 * sill, vario.max_dist, 2.0 * sill][:k],
         ),
         method="trf",
     )
     if not np.all(np.isfinite(sol.x)):
         raise NumericalError("variogram fit diverged")
-    return CovParams(*sol.x)
+    return CovParams(*full(sol.x))
 
 
 def initial_values(
@@ -235,7 +241,7 @@ def initial_values(
 ) -> ModelParams:
     """Automatic starting values: ordinary least squares on bound-imputed
     data (:func:`geocens.model.impute_bounds`) plus a weighted variogram
-    fit of the residuals."""
+    fit of the residuals (which holds a fixed nugget)."""
     y = impute_bounds(data)
     x = build_trend(data.coords, data.x_extra, trend)
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
@@ -245,9 +251,8 @@ def initial_values(
     except NumericalError:
         var = max(float(np.var(resid)), 1e-8)
         dmax = float(distance_matrix(data.coords).max())
-        cov = CovParams(sigma2=0.8 * var, phi=dmax / 3.0, tau2=0.2 * var)
-    if spec.nugget_fixed:
-        cov = CovParams(sigma2=cov.sigma2, phi=cov.phi, tau2=spec.fixed_nugget_value)
+        tau2 = spec.fixed_nugget_value if spec.nugget_fixed else 0.2 * var
+        cov = CovParams(sigma2=0.8 * var, phi=dmax / 3.0, tau2=tau2)
     return ModelParams(beta=beta, cov=cov)
 
 

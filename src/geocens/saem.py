@@ -38,6 +38,7 @@ from .mvn import Rectangle, RngState, tmvn_gibbs
 from .profile import _gls, expected_quad, profile_objective, profile_search
 
 GIBBS_BURN_IN = 20  # sweeps discarded before each E-step's sample
+STOP_WINDOW = 10  # iterates per window of the stopping rule (path_drift)
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,16 @@ class SaemConfig:
     (:func:`geocens.predict.initial_values`), which accepts left-, right-
     and interval-censored data.
 
-    The Gibbs burn-in (:data:`GIBBS_BURN_IN`) and the likelihood's
-    precision (the tolerance and lattice cap of
-    :func:`geocens.mvn.mvn_rect_prob`'s defaults) are fixed.
+    ``tol`` is the relative tolerance of the stopping rule on the parameter
+    path (:func:`path_drift`): the fit stops once, for every parameter, the
+    change between the means of the last two windows of iterates plus the
+    Monte Carlo standard error of the current iterate is below ``tol``
+    times the parameter's size.  ``tol = 0`` runs every iteration.
+
+    The Gibbs burn-in (:data:`GIBBS_BURN_IN`), the stopping window
+    (:data:`STOP_WINDOW`) and the likelihood's precision (the tolerance
+    and lattice cap of :func:`geocens.mvn.mvn_rect_prob`'s defaults) are
+    fixed.
     """
 
     m: int = 15
@@ -73,7 +81,7 @@ class SaemConfig:
     init_nugget: Optional[float] = None
     lower: tuple = (1e-4, 1e-4)
     upper: tuple = (1e4, 1e4)
-    tol: float = 1e-4
+    tol: float = 1e-2
     seed: int = 0
 
     def __post_init__(self):
@@ -123,7 +131,8 @@ class SaemState:
 
 @dataclass(frozen=True)
 class SaemFit:
-    """Completed fit: estimates, conditional moments, criteria, and trace."""
+    """Completed fit: estimates, conditional moments, criteria, and the
+    parameter trace.  ``loglik`` is estimated once, at ``params``."""
 
     params: ModelParams
     zhat: np.ndarray
@@ -131,7 +140,6 @@ class SaemFit:
     loglik: LogLik
     criteria: Criteria
     trace_params: np.ndarray
-    trace_loglik: np.ndarray
     converged: bool
     iterations_used: int
     config: SaemConfig
@@ -172,6 +180,36 @@ def delta_schedule(k: int, max_iter: int, pc: float) -> float:
         raise ConfigurationError("iteration index out of range")
     cut = math.ceil(pc * max_iter)
     return 1.0 if k <= cut else 1.0 / (k - cut)
+
+
+def path_drift(trace: np.ndarray, cut: int) -> np.ndarray:
+    """Relative drift of the parameter path at iteration ``len(trace)``,
+    one entry per parameter.
+
+    ``cut`` is the last iteration with step size one, and ``trace`` holds
+    at least ``2 * STOP_WINDOW`` rows after it.  The drift is the change
+    between the means of the last two windows of :data:`STOP_WINDOW` rows
+    plus the Monte Carlo standard error of the current iterate, over the
+    magnitude of the last window's mean; a parameter that does not move
+    reads 0.
+
+    After the cut the step size ``delta_j = 1 / (j - cut)`` turns the
+    moments into running means, so successive changes shrink whether or
+    not the fit has converged.  The iterate at ``k`` averages ``k - cut``
+    E-steps, and each step ``theta_j - theta_(j-1)`` is about ``delta_j``
+    times one E-step's Monte Carlo error: the spread of the steps over
+    ``delta_j``, divided by ``sqrt(k - cut)``, is the iterate's standard
+    error.
+    """
+    w = STOP_WINDOW
+    k = trace.shape[0]
+    tail = trace[-2 * w :]
+    prev, last = tail[:w].mean(axis=0), tail[w:].mean(axis=0)
+    inverse_step = np.arange(k - 2 * w + 2, k + 1) - cut
+    noise = np.diff(tail, axis=0) * inverse_step[:, None]
+    change = np.abs(last - prev) + noise.std(axis=0, ddof=1) / math.sqrt(k - cut)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(change > 0, change / np.abs(last), 0.0)
 
 
 def e_step(
@@ -303,16 +341,14 @@ def saem_fit(
     (:func:`geocens.model.conditional_given_obs`), and the whole factor the
     next CM step's generalized least squares and sill update, or at the
     start the initial trend coefficients.  The next E-step samples from
-    that conditional law, and the likelihood monitor estimates only the
+    that conditional law, and the final likelihood estimate only the
     rectangle probability under it.
 
-    Iterates until the relative change between successive evaluations of
-    the observed-data log-likelihood drops below ``config.tol`` (checked
-    after the cut point; the likelihood is evaluated every iteration then,
-    every fifth iteration before) or the iteration cap is reached.  Either
-    way the loop ends right after an evaluation at the final point, and
-    that evaluation is the fit's ``loglik``: the likelihood is estimated
-    once per monitored point, at one precision.
+    Iterates until the parameter path settles (every entry of
+    :func:`path_drift` over the post-cut iterates below ``config.tol``,
+    checked once two windows of them exist) or the iteration cap is
+    reached.  The log-likelihood is then estimated once, at the final point,
+    from the conditional law the loop already holds.
     """
     x = build_trend(data.coords, data.x_extra, trend)
     n, p = x.shape
@@ -358,8 +394,6 @@ def saem_fit(
 
     n_theta = p + 3
     trace_params = np.full((config.max_iter, n_theta), np.nan)
-    trace_ll = np.full(config.max_iter, np.nan)
-    ll = None
     converged = False
     iterations = 0
 
@@ -379,20 +413,13 @@ def saem_fit(
             raise NumericalError(f"iteration {k}: {exc}") from exc
         trace_params[k - 1] = params.as_array()
 
-        if k > cut or k % 5 == 0 or k == config.max_iter:
-            prev_ll, ll = ll, loglik_from_conditional(obs_term, mu, cond, rect, ll_rng)
-            trace_ll[k - 1] = ll.value
-            if (
-                prev_ll is not None
-                and k > cut
-                and np.isfinite(ll.value)
-                and np.isfinite(prev_ll.value)
-                and prev_ll.value != 0.0
-                and abs(ll.value / prev_ll.value - 1.0) < config.tol
-            ):
-                converged = True
-                break
+        if k - cut >= 2 * STOP_WINDOW and np.all(
+            path_drift(trace_params[:k], cut) < config.tol
+        ):
+            converged = True
+            break
 
+    ll = loglik_from_conditional(obs_term, mu, cond, rect, ll_rng)
     k_params = param_count(p, spec.nugget_fixed)
     crit = criteria(ll.value, k_params, n)
     return SaemFit(
@@ -402,7 +429,6 @@ def saem_fit(
         loglik=ll,
         criteria=crit,
         trace_params=trace_params[:iterations],
-        trace_loglik=trace_ll[:iterations],
         converged=converged,
         iterations_used=iterations,
         config=config,

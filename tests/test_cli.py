@@ -505,6 +505,44 @@ def test_fit_payload_with_retired_config_keys_loads(sim_dir):
     assert np.array_equal(again.params.as_array(), fit.params.as_array())
 
 
+def test_fit_payload_drops_the_likelihood_trace_and_old_files_load(sim_dir):
+    # the likelihood is estimated once per fit; fit.json files of earlier
+    # versions also carry a per-iteration likelihood trace
+    from geocens.cli import _json_default, fit_from_payload, fit_to_payload
+
+    data = read_dataset_csv(str(sim_dir / "data.csv"))
+    fit = saem_fit(data, TrendSpec("cte"), CovarianceSpec("exponential"), SaemConfig(
+        m=6, max_iter=5, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
+        lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=5,
+    ))
+    payload = json.loads(json.dumps(fit_to_payload(fit), default=_json_default))
+    assert "trace_loglik" not in payload
+    payload["trace_loglik"] = [None, None, None, None, payload["loglik"]]
+    again = fit_from_payload(payload)
+    assert again.loglik.value == fit.loglik.value
+    assert np.array_equal(again.trace_params, fit.trace_params)
+
+
+def test_default_tol_fit_does_not_stop_on_monte_carlo_noise(tmp_path):
+    # 40% censored, n=150, 20 iterations with the default --tol: a rule
+    # comparing two noisy likelihood estimates stopped this fit "converged"
+    # at iteration 6; the path rule needs two windows of post-cut iterates
+    # and here runs to the cap
+    rc = run_cli(
+        "simulate", "--n-est", 150, "--n-pred", 10, "--beta", 10, "--sigma2", 2,
+        "--phi", 1, "--tau2", 0.2, "--cens-level", 0.4, "--box", "0,6,0,6",
+        "--seed", 3, "--out-dir", tmp_path,
+    )
+    assert rc == 0
+    rc = run_cli("fit", "--data", tmp_path / "data.csv", "--max-iter", 20, "--seed", 5,
+                 "--out-dir", tmp_path)
+    assert rc == 0
+    payload = json.loads((tmp_path / "fit.json").read_text())
+    assert payload["config"]["tol"] > 0
+    assert payload["iterations_used"] == 20
+    assert not payload["converged"]
+
+
 @pytest.mark.parametrize("option", [
     ["--covariate-ranges", "0:x"],
     ["--outlier-indices", "1,a"],

@@ -146,6 +146,24 @@ def test_matern_scalar_lag_returns_float():
     assert correlation("matern", 0.3, 2e3, 1.5) == 0.0
 
 
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 4.0])
+def test_matern_small_lag_limit(kappa):
+    # below the table kv overflows for larger kappa (and u**kappa underflows):
+    # the kernel takes its limit Gamma(kappa) 2**(kappa-1) there, so the
+    # correlation tends to 1.  For kappa < 1 the first correction,
+    # Gamma(1-kappa)/Gamma(1+kappa) (u/2)**(2 kappa), is still 6e-5 at
+    # u = 1e-7; it is below 1e-12 at the other lags and smoothnesses
+    from scipy.special import gamma
+
+    for h in (1e-7, 1e-80, 1e-200, 0.0):
+        want = 1.0
+        if kappa < 1.0:
+            want -= gamma(1.0 - kappa) / gamma(1.0 + kappa) * (h / 2.0) ** (2.0 * kappa)
+        assert correlation("matern", kappa, h, 1.0) == pytest.approx(want, abs=1e-12)
+        drho = _dcorr_dphi("matern", kappa, np.array([h]), 1.0)
+        assert np.isfinite(drho).all() and drho[0] >= 0.0
+
+
 def test_matern_kernel_tables_are_built_once_per_smoothness():
     cov._kernel_table.cache_clear()
     spec = CovarianceSpec("matern", kappa=0.9)

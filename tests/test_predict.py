@@ -207,6 +207,32 @@ def test_wls_variofit_box_follows_the_data_scale():
         wls_variofit(empirical_variogram(coords, np.full(40, 3.0)), SPEC_EXP)
 
 
+def test_wls_variofit_holds_a_fixed_nugget():
+    # the Matern design of the CLI chain: a free fit puts the nugget at 0.53;
+    # with the nugget fixed at 0.1 only (sigma2, phi) move, and the
+    # automatic start inherits that fit
+    matern = CovarianceSpec("matern", kappa=0.3)
+    fixed = CovarianceSpec("matern", kappa=0.3, nugget_fixed=True, fixed_nugget_value=0.1)
+    res = simulate_scl(SimConfig(
+        n_est=80, n_pred=20, beta=[10.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.1),
+        spec=matern, cens_level=0.15, coord_box=((0.0, 6.0), (0.0, 6.0)), seed=3,
+    ))
+    vario = empirical_variogram(res.data.coords, res.data.value)
+    free = wls_variofit(vario, matern)
+    assert free.tau2 > 0.3
+    fit = wls_variofit(vario, fixed)
+    assert fit.tau2 == 0.1
+    model = lambda p: p.tau2 + p.sigma2 * (1.0 - correlation("matern", 0.3, vario.centers, p.phi))
+    w = vario.counts
+    # the fixed-nugget fit is the best (sigma2, phi) for tau2 = 0.1
+    pinned = CovParams(sigma2=free.sigma2, phi=free.phi, tau2=0.1)
+    assert np.sum(w * (model(fit) - vario.gamma) ** 2) < np.sum(w * (model(pinned) - vario.gamma) ** 2)
+    start = initial_values(res.data, TrendSpec("cte"), fixed)
+    assert start.cov.tau2 == 0.1
+    assert start.cov.sigma2 == pytest.approx(fit.sigma2, rel=1e-12)  # the constant
+    assert start.cov.phi == pytest.approx(fit.phi, rel=1e-12)  # trend leaves gamma as is
+
+
 # ---------------------------------------------------------------------------
 # Gaussian ML on observed data
 # ---------------------------------------------------------------------------

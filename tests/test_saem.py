@@ -14,6 +14,7 @@ from geocens import (
     delta_schedule,
     e_step,
     krige,
+    loglik,
     mvn_logpdf,
     predict_saem,
     saem_fit,
@@ -22,7 +23,7 @@ from geocens import (
 from geocens.covariance import build_sigma, cholesky_sigma, correlation, distance_matrix
 from geocens.model import build_trend
 from geocens.mvn import Rectangle
-from geocens.saem import GIBBS_BURN_IN, SaemState, dense_second_moment
+from geocens.saem import GIBBS_BURN_IN, STOP_WINDOW, SaemState, dense_second_moment, path_drift
 from geocens.simulate import SimConfig, simulate_scl
 
 from oracles import gaussian_ml_oracle
@@ -284,11 +285,14 @@ def test_cm_step_censored_block_equals_dense_moments():
 
 
 def test_saem_zero_censoring_matches_ml_oracle():
-    res = sim_left(cens=0.0, seed=20, n=50)
-    data = res.data
+    data = sim_left(cens=0.0, seed=20, n=50).data
     cfg = base_config(max_iter=120, tol=0.0, seed=2)
     fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, cfg)
+    assert fit.iterations_used == cfg.max_iter
+    _assert_matches_ml_oracle(fit, data, cfg)
 
+
+def _assert_matches_ml_oracle(fit, data, cfg):
     x = build_trend(data.coords, None, TrendSpec("cte"))
     dist = distance_matrix(data.coords)
     beta_o, s2_o, phi_o, tau2_o, ll_o = gaussian_ml_oracle(
@@ -397,10 +401,10 @@ def test_saem_fit_loglik_observed_block_is_the_dense_density():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-2])
-def test_saem_fit_estimates_the_likelihood_once_per_monitored_point(monkeypatch, tol):
-    # the fit's loglik is the monitor's estimate at the final point, with no
-    # second estimate after the loop, whether the fit converges or runs out
+@pytest.mark.parametrize("tol", [0.0, 0.05])
+def test_saem_fit_estimates_the_likelihood_once_per_fit(monkeypatch, tol):
+    # the loop never estimates the likelihood; the fit's loglik is one
+    # estimate at the final point, whether the fit converges or runs out
     from geocens import model
 
     calls = []
@@ -414,10 +418,69 @@ def test_saem_fit_estimates_the_likelihood_once_per_monitored_point(monkeypatch,
     fit = saem_fit(sim_left(seed=22).data, TrendSpec("cte"), SPEC_EXP,
                    base_config(max_iter=30, tol=tol))
     assert fit.converged == (tol > 0)
-    assert len(calls) == np.isfinite(fit.trace_loglik).sum()
-    assert np.isfinite(fit.trace_loglik[fit.iterations_used - 1])
-    assert fit.loglik.value == fit.trace_loglik[fit.iterations_used - 1]
-    assert fit.loglik.cens_prob == calls[-1].prob
+    assert len(calls) == 1
+    assert fit.loglik.cens_prob == calls[0].prob
+    assert not hasattr(fit, "trace_loglik")
+
+
+def test_path_drift_is_scale_free_and_zero_on_a_still_path():
+    rng = np.random.default_rng(0)
+    cut = 7
+    trace = 1.0 + 0.1 * rng.standard_normal((cut + 2 * STOP_WINDOW + 3, 4))
+    trace[:, 3] = 0.0  # a parameter held at zero, as a fixed nugget of 0
+    drift = path_drift(trace, cut)
+    assert drift.shape == (4,)
+    assert np.all(drift[:3] > 0) and drift[3] == 0.0
+    assert_allclose(path_drift(25.0 * trace, cut), drift, rtol=1e-12)
+    still = np.tile([2.0, 1.5, 0.3, 0.0], (cut + 2 * STOP_WINDOW, 1))
+    assert np.array_equal(path_drift(still, cut), np.zeros(4))
+
+
+def _first_settled(fit, tol):
+    """First iteration at which every entry of path_drift is below tol."""
+    cut = int(np.ceil(fit.config.pc * fit.config.max_iter))
+    for k in range(cut + 2 * STOP_WINDOW, fit.config.max_iter + 1):
+        if np.all(path_drift(fit.trace_params[:k], cut) < tol):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("cens, pc", [(0.2, 0.2), (0.0, 0.2), (0.2, 0.6)])
+def test_saem_fit_never_stops_in_the_memoryless_phase(cens, pc):
+    # even a tolerance every change passes waits for two windows of
+    # post-cut iterates; with a late cut the fit runs to the cap
+    cfg = base_config(max_iter=40, pc=pc, tol=1.0)
+    fit = saem_fit(sim_left(seed=22, cens=cens).data, TrendSpec("cte"), SPEC_EXP, cfg)
+    cut = int(np.ceil(pc * cfg.max_iter))
+    assert fit.iterations_used > cut
+    assert fit.iterations_used == min(cut + 2 * STOP_WINDOW, cfg.max_iter)
+    assert fit.converged == (cut + 2 * STOP_WINDOW <= cfg.max_iter)
+
+
+def test_saem_uncensored_fit_stops_early_and_matches_ml_oracle():
+    # with no censoring the path is deterministic, so it settles and the
+    # rule stops the fit well before the cap, at the Gaussian ML estimate
+    data = sim_left(cens=0.0, seed=20, n=50).data
+    cfg = base_config(max_iter=120, tol=1e-6, seed=2)
+    fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, cfg)
+    assert fit.converged
+    assert fit.iterations_used < cfg.max_iter
+    assert fit.iterations_used == _first_settled(fit, cfg.tol)
+    _assert_matches_ml_oracle(fit, data, cfg)
+
+
+def test_saem_censored_fit_with_a_loose_tol_stops_before_the_cap():
+    # the fit stops at the first iteration whose path drift, Monte Carlo
+    # standard error included, is below tol for every parameter
+    cfg = base_config(max_iter=60, tol=0.05)
+    fit = saem_fit(sim_left(seed=22, n=60).data, TrendSpec("cte"), SPEC_EXP, cfg)
+    assert fit.converged
+    assert fit.iterations_used < cfg.max_iter
+    assert fit.iterations_used == _first_settled(fit, cfg.tol)
+    # the same data and seed without the rule take the same path
+    full = saem_fit(sim_left(seed=22, n=60).data, TrendSpec("cte"), SPEC_EXP,
+                    base_config(max_iter=60, tol=0.0))
+    assert np.array_equal(full.trace_params[: fit.iterations_used], fit.trace_params)
 
 
 def test_saem_shift_equivariance():
@@ -471,14 +534,18 @@ def test_saem_scale_equivariance():
 
 
 def test_saem_loglik_trace_improves():
-    # the evaluated log-likelihood trace should rise from its first
-    # post-warm-up value and show no sustained decrease
+    # the log-likelihood along the post-cut parameter path, each point
+    # estimated with the same seed (common random numbers), should rise
+    # from its first value and show no sustained decrease
     res = sim_left(seed=25, n=50)
     cfg = base_config(max_iter=60, seed=6)
     fit = saem_fit(res.data, TrendSpec("cte"), SPEC_EXP, cfg)
-    ll = fit.trace_loglik
     cut = 12  # ceil(0.2 * 60)
-    evaluated = ll[cut:][np.isfinite(ll[cut:])]
+    evaluated = np.array([
+        loglik(ModelParams(beta=row[:1], cov=CovParams(*row[1:])), res.data,
+               TrendSpec("cte"), SPEC_EXP, rng=RngState(11)).value
+        for row in fit.trace_params[cut:]
+    ])
     assert evaluated.size >= 20
     noise = np.std(np.diff(evaluated[len(evaluated) // 2 :]))
     assert evaluated[-1] >= evaluated[0] - 2 * noise
