@@ -8,6 +8,7 @@ identical streams bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,33 +92,35 @@ def logpdf_from_cholesky(lo: np.ndarray, w: np.ndarray) -> float:
 
 
 def _trunc_std_ppf(u: float, a: float, b: float) -> float:
-    """Quantile of a standard normal truncated to ``[a, b]``.
+    """Quantile of a standard normal truncated to ``[a, b]``, on Python floats.
 
     Works in whichever tail keeps the CDF difference away from underflow;
     if both bounds sit beyond ``+-34`` standard deviations, where the
     difference of normal CDFs is identically zero in double precision, an
-    exponential tail approximation is used instead.  Never returns NaN.
+    exponential tail approximation is used instead.  The CDF is not taken
+    at an infinite bound (it is 0 or 1 there).  Never returns NaN.
     """
     if b <= 0.0:
         return -_trunc_std_ppf(1.0 - u, -b, -a)
     if a >= _TAIL_SWITCH:
         # exponential approximation to the far upper tail, exact inverse CDF
-        # of the limiting hazard-rate distribution on [a, b]
-        if np.isinf(b):
-            x = a - np.log1p(-u) / a
+        # of the limiting hazard-rate distribution on [a, b]; numpy's
+        # log1p/expm1, not libm's (math), which differ in the last place
+        if math.isinf(b):
+            x = a - float(np.log1p(-u)) / a
         else:
-            width = -np.expm1(-a * (b - a))
-            x = a - np.log1p(-u * width) / a
-        return min(max(x, a), b if np.isfinite(b) else x)
+            width = -float(np.expm1(-a * (b - a)))
+            x = a - float(np.log1p(-u * width)) / a
+        return min(max(x, a), b if math.isfinite(b) else x)
     if a >= 0.0:
-        pa = ndtr(-a)
-        pb = ndtr(-b)
-        x = -ndtri(pa - u * (pa - pb))
+        pa = float(ndtr(-a))
+        pb = 0.0 if b == math.inf else float(ndtr(-b))
+        x = -float(ndtri(pa - u * (pa - pb)))
     else:
-        pa = ndtr(a)
-        pb = ndtr(b)
-        x = ndtri(pa + u * (pb - pa))
-    if np.isfinite(x):
+        pa = 0.0 if a == -math.inf else float(ndtr(a))
+        pb = 1.0 if b == math.inf else float(ndtr(b))
+        x = float(ndtri(pa + u * (pb - pa)))
+    if math.isfinite(x):
         return min(max(x, a), b)
     return a if u < 0.5 else b  # pa == pb rounding corner
 
@@ -139,6 +142,10 @@ def tmvn_gibbs(
     deterministic function of ``rng``.  Returns an ``(n_samples, n)`` array;
     every row lies inside the rectangle.
 
+    The uniforms are drawn one sweep (``n`` doubles) per generator call:
+    for PCG64 that is the stream, and the state after the call, of one
+    draw per coordinate update, so the samples do not depend on it.
+
     ``start`` optionally sets the initial chain state (defaults to the mean
     clipped into the rectangle), which lets callers persist the chain across
     repeated invocations.
@@ -152,29 +159,35 @@ def tmvn_gibbs(
     lower, upper = rect.lower, rect.upper
 
     lam = _cholesky_inverse(spd_cholesky(cov))  # precision matrix
-    cond_sd = 1.0 / np.sqrt(np.diag(lam))
+    rows, lam_ii = list(lam), np.diag(lam).tolist()
+    cond_sd = (1.0 / np.sqrt(np.diag(lam))).tolist()
+    mean_s, lower_s, upper_s = mean.tolist(), lower.tolist(), upper.tolist()
 
     if start is None:
         x = np.clip(mean, lower, upper)
     else:
         x = np.clip(np.asarray(start, dtype=float).copy(), lower, upper)
+    # residual x - mean: a vector for the dot products, floats for reading
+    d = x - mean
+    x, d_s = x.tolist(), d.tolist()
 
     out = np.empty((n_samples, n))
     kept = 0
     sweep = 0
     while kept < n_samples:
         sweep += 1
-        for i in range(n):
-            r = lam[i] @ (x - mean) - lam[i, i] * (x[i] - mean[i])
-            m_i = mean[i] - r / lam[i, i]
-            a = (lower[i] - m_i) / cond_sd[i]
-            b = (upper[i] - m_i) / cond_sd[i]
-            u = gen.random()
-            x[i] = m_i + cond_sd[i] * _trunc_std_ppf(u, a, b)
-            if x[i] < lower[i]:
-                x[i] = lower[i]
-            elif x[i] > upper[i]:
-                x[i] = upper[i]
+        for i, u in enumerate(gen.random(n).tolist()):
+            r = float(np.dot(rows[i], d)) - lam_ii[i] * d_s[i]
+            m_i = mean_s[i] - r / lam_ii[i]
+            a = (lower_s[i] - m_i) / cond_sd[i]
+            b = (upper_s[i] - m_i) / cond_sd[i]
+            x_i = m_i + cond_sd[i] * _trunc_std_ppf(u, a, b)
+            if x_i < lower_s[i]:
+                x_i = lower_s[i]
+            elif x_i > upper_s[i]:
+                x_i = upper_s[i]
+            x[i] = x_i
+            d[i] = d_s[i] = x_i - mean_s[i]
         if sweep > burn_in and (sweep - burn_in) % thin == 0:
             out[kept] = x
             kept += 1
@@ -289,6 +302,10 @@ def mvn_rect_prob(
     added until the standard error over batch means drops below ``eps`` or
     ``max_points`` lattice points have been spent (reported via
     ``hit_cap``).
+
+    A right-open coordinate (finite lower bound, upper ``+inf``) is mirrored
+    to a left-open one, so that ``Phi(b) - Phi(a)`` does not cancel in the
+    upper tail; the CDF is not evaluated at an infinite bound (0 or 1).
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -299,17 +316,23 @@ def mvn_rect_prob(
     sd = np.sqrt(np.diag(cov))
     low = (rect.lower - mean) / sd
     high = (rect.upper - mean) / sd
+    flip = np.isposinf(high) & np.isfinite(low)
+    low[flip], high[flip] = -np.inf, -low[flip]
     if n == 1:
         prob = float(ndtr(high[0]) - ndtr(low[0]))
         return RectProb(prob=prob, se=0.0, n_points=0)
 
     gen = as_generator(rng)
     corr = cov / np.outer(sd, sd)
+    if flip.any():
+        sign = np.where(flip, -1.0, 1.0)
+        corr *= np.outer(sign, sign)
     ell, low, high = _ordered_cholesky(corr, low, high)
 
     diag = np.diag(ell)
     c0 = ndtr(low[0] / diag[0])
     d0 = ndtr(high[0] / diag[0])
+    low_open, high_open = np.isneginf(low).tolist(), np.isposinf(high).tolist()
 
     q = np.sqrt(_first_primes(n - 1))
     points_per_batch = 1_000
@@ -324,17 +347,20 @@ def mvn_rect_prob(
         z -= np.floor(z)
         x = np.abs(2.0 * z - 1.0)  # tent periodization
         y = np.zeros((n - 1, points_per_batch))
-        c = np.full(points_per_batch, c0)
-        dc = np.full(points_per_batch, d0 - c0)
-        pv = dc.copy()
+        c, dc = c0, d0 - c0
+        pv = np.full(points_per_batch, dc)
+        arg = np.empty(points_per_batch)
         for i in range(1, n):
-            arg = np.clip(c + x[i - 1] * dc, 1e-300, 1.0 - 1e-16)
-            y[i - 1] = ndtri(arg)
+            np.multiply(x[i - 1], dc, out=arg)
+            arg += c
+            np.maximum(arg, 1e-300, out=arg)  # clip, without np.clip's overhead
+            np.minimum(arg, 1.0 - 1e-16, out=arg)
+            ndtri(arg, out=y[i - 1])
             s = ell[i, :i] @ y[:i]
-            c = ndtr((low[i] - s) / diag[i])
-            d = ndtr((high[i] - s) / diag[i])
+            c = 0.0 if low_open[i] else ndtr((low[i] - s) / diag[i])
+            d = 1.0 if high_open[i] else ndtr((high[i] - s) / diag[i])
             dc = d - c
-            pv = pv * dc
+            pv *= dc
         return float(pv.mean())
 
     while True:

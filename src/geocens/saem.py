@@ -64,7 +64,8 @@ class SaemConfig:
     path (:func:`path_drift`): the fit stops once, for every parameter, the
     change between the means of the last two windows of iterates plus the
     Monte Carlo standard error of the current iterate is below ``tol``
-    times the parameter's size.  ``tol = 0`` runs every iteration.
+    times the parameter's size (for ``sigma2`` and ``tau2``, the sill
+    ``sigma2 + tau2``).  ``tol = 0`` runs every iteration.
 
     The Gibbs burn-in (:data:`GIBBS_BURN_IN`), the stopping window
     (:data:`STOP_WINDOW`) and the likelihood's precision (the tolerance
@@ -190,8 +191,9 @@ def path_drift(trace: np.ndarray, cut: int) -> np.ndarray:
     at least ``2 * STOP_WINDOW`` rows after it.  The drift is the change
     between the means of the last two windows of :data:`STOP_WINDOW` rows
     plus the Monte Carlo standard error of the current iterate, over the
-    magnitude of the last window's mean; a parameter that does not move
-    reads 0.
+    magnitude of the last window's mean, or for ``sigma2`` and ``tau2`` of
+    the sill ``|sigma2| + |tau2|``, so a nugget near 0 does not hold up the
+    stop; a parameter that does not move reads 0.
 
     After the cut the step size ``delta_j = 1 / (j - cut)`` turns the
     moments into running means, so successive changes shrink whether or
@@ -208,8 +210,10 @@ def path_drift(trace: np.ndarray, cut: int) -> np.ndarray:
     inverse_step = np.arange(k - 2 * w + 2, k + 1) - cut
     noise = np.diff(tail, axis=0) * inverse_step[:, None]
     change = np.abs(last - prev) + noise.std(axis=0, ddof=1) / math.sqrt(k - cut)
+    size = np.abs(last)
+    size[-3] = size[-1] = size[-3] + size[-1]  # sigma2 and tau2 on the sill's scale
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(change > 0, change / np.abs(last), 0.0)
+        return np.where(change > 0, change / size, 0.0)
 
 
 def e_step(

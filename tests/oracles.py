@@ -3,14 +3,17 @@
 These deliberately avoid the library's own code paths: rejection sampling
 instead of Gibbs, plain Monte Carlo instead of lattice rules, dense naive
 formulas instead of Cholesky pipelines, and generic numeric optimization
-on closed-form likelihoods instead of the EM loop.
+on closed-form likelihoods instead of the EM loop.  The numpy scalar
+Gibbs loop and the full lattice batch are earlier forms of the library's
+kernels, kept as the arithmetic those kernels must reproduce bit for bit.
 """
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gamma, kv, ndtr
+from scipy.special import gamma, kv, ndtr, ndtri
 
-from geocens.covariance import build_sigma, d2sigma, dsigma
+from geocens.covariance import _cholesky_inverse, build_sigma, d2sigma, dsigma, spd_cholesky
+from geocens.mvn import _first_primes, _ordered_cholesky
 
 
 def rejection_tmvn(mean, cov, lower, upper, n_keep, rng, max_draws=5_000_000):
@@ -311,3 +314,119 @@ def matern_dcorr_dphi_kv(kappa, h, phi):
     with np.errstate(invalid="ignore", over="ignore"):
         out = c / phi * np.power(u, kappa + 1.0) * kv(kappa - 1.0, u)
     return np.nan_to_num(np.where(u == 0.0, 0.0, out), nan=0.0)
+
+
+def _trunc_std_ppf_numpy(u, a, b):
+    """Truncated standard normal quantile on numpy scalars, the CDF taken
+    at every bound, infinite ones included."""
+    if b <= 0.0:
+        return -_trunc_std_ppf_numpy(1.0 - u, -b, -a)
+    if a >= 34.0:
+        if np.isinf(b):
+            x = a - np.log1p(-u) / a
+        else:
+            width = -np.expm1(-a * (b - a))
+            x = a - np.log1p(-u * width) / a
+        return min(max(x, a), b if np.isfinite(b) else x)
+    if a >= 0.0:
+        pa = ndtr(-a)
+        pb = ndtr(-b)
+        x = -ndtri(pa - u * (pa - pb))
+    else:
+        pa = ndtr(a)
+        pb = ndtr(b)
+        x = ndtri(pa + u * (pb - pa))
+    if np.isfinite(x):
+        return min(max(x, a), b)
+    return a if u < 0.5 else b
+
+
+def tmvn_gibbs_numpy(mean, cov, lower, upper, n_samples, burn_in, thin, gen, start=None):
+    """Coordinate-wise Gibbs sampler for a box-truncated normal, one numpy
+    scalar update and one generator call per coordinate: each update forms
+    the whole residual ``x - mean`` and draws its own uniform."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = mean.shape[0]
+    lam = _cholesky_inverse(spd_cholesky(cov))
+    cond_sd = 1.0 / np.sqrt(np.diag(lam))
+    if start is None:
+        x = np.clip(mean, lower, upper)
+    else:
+        x = np.clip(np.asarray(start, dtype=float).copy(), lower, upper)
+    out = np.empty((n_samples, n))
+    kept = 0
+    sweep = 0
+    while kept < n_samples:
+        sweep += 1
+        for i in range(n):
+            r = lam[i] @ (x - mean) - lam[i, i] * (x[i] - mean[i])
+            m_i = mean[i] - r / lam[i, i]
+            a = (lower[i] - m_i) / cond_sd[i]
+            b = (upper[i] - m_i) / cond_sd[i]
+            u = gen.random()
+            x[i] = m_i + cond_sd[i] * _trunc_std_ppf_numpy(u, a, b)
+            if x[i] < lower[i]:
+                x[i] = lower[i]
+            elif x[i] > upper[i]:
+                x[i] = upper[i]
+        if sweep > burn_in and (sweep - burn_in) % thin == 0:
+            out[kept] = x
+            kept += 1
+    return out
+
+
+def lattice_rect_prob_full(mean, cov, lower, upper, gen, eps=1e-4, max_points=100_000):
+    """Rectangle probability by the randomly shifted root-prime lattice in
+    1 000-point batches, with the normal CDF evaluated at every bound of
+    every point, infinite ones included.  Returns ``(prob, se, n_points,
+    hit_cap)``; needs at least two coordinates."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    n = mean.shape[0]
+    sd = np.sqrt(np.diag(cov))
+    ell, low, high = _ordered_cholesky(
+        cov / np.outer(sd, sd), (np.asarray(lower, float) - mean) / sd,
+        (np.asarray(upper, float) - mean) / sd,
+    )
+    diag = np.diag(ell)
+    c0 = ndtr(low[0] / diag[0])
+    d0 = ndtr(high[0] / diag[0])
+    q = np.sqrt(_first_primes(n - 1))
+    points = 1_000
+    idx = np.arange(1, points + 1)[None, :]
+    batch_means = []
+    n_points = 0
+
+    def run_batch():
+        shift = gen.random(n - 1)
+        z = q[:, None] * idx + shift[:, None]
+        z -= np.floor(z)
+        x = np.abs(2.0 * z - 1.0)
+        y = np.zeros((n - 1, points))
+        c = np.full(points, c0)
+        dc = np.full(points, d0 - c0)
+        pv = dc.copy()
+        for i in range(1, n):
+            arg = np.clip(c + x[i - 1] * dc, 1e-300, 1.0 - 1e-16)
+            y[i - 1] = ndtri(arg)
+            s = ell[i, :i] @ y[:i]
+            c = ndtr((low[i] - s) / diag[i])
+            d = ndtr((high[i] - s) / diag[i])
+            dc = d - c
+            pv = pv * dc
+        return float(pv.mean())
+
+    while True:
+        batch_means.append(run_batch())
+        n_points += points
+        nb = len(batch_means)
+        if nb >= 10:
+            se = float(np.std(batch_means, ddof=1) / np.sqrt(nb))
+            if se <= eps:
+                return float(np.mean(batch_means)), se, n_points, False
+        if n_points + points > max_points:
+            se = float(np.std(batch_means, ddof=1) / np.sqrt(nb)) if nb > 1 else np.inf
+            return float(np.mean(batch_means)), se, n_points, True

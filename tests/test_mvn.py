@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtr
 
 from geocens import (
     ConfigurationError,
@@ -18,7 +21,14 @@ from geocens import (
 from geocens.covariance import build_sigma, distance_matrix
 from geocens.mvn import _ordered_cholesky
 
-from oracles import batch_means_se, crude_mc_rect_prob, ordered_cholesky_scalar, rejection_tmvn
+from oracles import (
+    batch_means_se,
+    crude_mc_rect_prob,
+    lattice_rect_prob_full,
+    ordered_cholesky_scalar,
+    rejection_tmvn,
+    tmvn_gibbs_numpy,
+)
 
 
 def test_rectangle_rejects_equal_bounds():
@@ -275,3 +285,154 @@ def test_moment_matrix_psd_up_to_noise():
     m1, m2 = tmvn_moments(mean, cov, rect, n_samples=20_000, rng=RngState(24))
     eig = np.linalg.eigvalsh(m2 - np.outer(m1, m1))
     assert eig.min() > -1e-8
+
+
+# ---------------------------------------------------------------------------
+# kernels against the numpy scalar loops, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _block(n_c, kind, seed=3):
+    """A conditional-law-like censored block: exponential covariance on
+    random sites, and left, right or interval bounds near the mean, or
+    upper bounds about 40 sd below it ("far")."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 6.0, size=(n_c, 2))
+    cov = build_sigma(distance_matrix(coords), CovarianceSpec("exponential"),
+                      CovParams(2.0, 1.0, 0.2))
+    mean = rng.normal(0.0, 0.5, n_c)
+    cut = rng.normal(-0.5, 1.0, n_c)
+    width = rng.uniform(0.5, 2.0, n_c)
+    lower = {"right": cut, "interval": cut - width}.get(kind, np.full(n_c, -np.inf))
+    upper = {"left": cut, "right": np.full(n_c, np.inf), "interval": cut, "far": mean - 60.0}[kind]
+    return mean, cov, lower, upper
+
+
+GIBBS_CASES = {
+    "left": (*_block(30, "left"), {}),
+    "right": (*_block(30, "right"), {}),
+    "interval": (*_block(30, "interval"), {}),
+    "left-80": (*_block(80, "left"), {"n_samples": 5}),
+    "far-block": (*_block(5, "far"), {}),
+    "mixed-thin-2": ([0.0, 0.0, 0.5], [[1.0, 0.6, 0.2], [0.6, 2.0, 0.3], [0.2, 0.3, 1.0]],
+                     [-1.0, -np.inf, 0.0], [np.inf, 2.0, 1.0], {"thin": 2}),
+    "start": (*_block(30, "interval", seed=4), {"start": np.zeros(30)}),
+    "far-tail-upper": ([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]], [40.0, 45.0], [np.inf, 47.0], {}),
+    "far-tail-lower": ([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]], [-np.inf, -np.inf],
+                       [-40.0, -36.0], {}),
+    "one-coordinate": ([0.3], [[2.0]], [0.5], [np.inf], {"burn_in": 3}),
+    "one-far-interval": ([0.0], [[1.0]], [40.0], [41.0], {}),
+}
+
+
+@pytest.mark.parametrize("case", list(GIBBS_CASES))
+def test_gibbs_matches_the_numpy_scalar_loop(case):
+    # the sweep draws its uniforms as one vector and works on floats; the
+    # draws, and the stream after them, are those of one numpy scalar
+    # update and one generator call per coordinate
+    mean, cov, lower, upper, kw = GIBBS_CASES[case]
+    kw = {"n_samples": 15, "burn_in": 20, "thin": 1, "start": None, **kw}
+    gen, gen_ref = RngState(9).generator, RngState(9).generator
+    got = tmvn_gibbs(mean, cov, Rectangle(lower, upper), rng=gen, **kw)
+    want = tmvn_gibbs_numpy(mean, cov, lower, upper, gen=gen_ref, **kw)
+    assert np.array_equal(got, want)
+    assert gen.random() == gen_ref.random()
+
+
+def _rect_fields(res):
+    return res.prob, res.se, res.n_points, res.hit_cap
+
+
+@pytest.mark.parametrize(
+    "n_c, kind, eps, max_points",
+    [(30, "left", 1e-4, 100_000), (80, "left", 1e-4, 100_000), (30, "interval", 1e-4, 100_000),
+     (2, "left", 1e-4, 100_000), (5, "far", 1e-4, 100_000), (6, "left", 1e-6, 100_000), (8, "left", 0.0, 20_000),
+     (8, "left", 0.0, 5_500), (8, "interval", 0.0, 500)],
+)
+def test_rect_prob_matches_the_full_lattice(n_c, kind, eps, max_points):
+    # skipping the normal CDF at infinite bounds leaves every field, and the
+    # stream after the call, as the lattice that evaluates it everywhere
+    mean, cov, lower, upper = _block(n_c, kind)
+    gen, gen_ref = RngState(8).generator, RngState(8).generator
+    got = mvn_rect_prob(mean, cov, Rectangle(lower, upper), rng=gen, eps=eps,
+                        max_points=max_points)
+    want = lattice_rect_prob_full(mean, cov, lower, upper, gen_ref, eps, max_points)
+    assert _rect_fields(got) == want
+    assert gen.random() == gen_ref.random()
+    if (n_c, eps) == (6, 1e-6):  # the batch count the case is meant to cover
+        assert got.n_points > 10_000 and not got.hit_cap
+
+
+def _mirrored(mean, cov, lower, upper, flip):
+    sign = np.where(flip, -1.0, 1.0)
+    lo = np.where(flip, -np.asarray(upper), lower)
+    hi = np.where(flip, -np.asarray(lower), upper)
+    return sign * np.asarray(mean), np.asarray(cov) * np.outer(sign, sign), lo, hi
+
+
+@pytest.mark.parametrize("case", ["right-30", "right-80", "mixed", "right-cap"])
+def test_rect_prob_mirrors_right_open_coordinates(case):
+    # a right-open coordinate is the mirror image of a left-open one: the
+    # estimate equals the mirrored problem's, field for field, with the
+    # same stream after the call
+    eps, max_points = 1e-4, 100_000
+    if case == "mixed":
+        mean, cov, lower, upper = _block(30, "left")
+        flip = np.arange(30) % 3 == 0
+        lower, upper = np.where(flip, -upper, lower), np.where(flip, np.inf, upper)
+    else:
+        mean, cov, lower, upper = _block(80 if case == "right-80" else 30, "right")
+        flip = np.ones(mean.size, bool)
+        if case == "right-cap":
+            eps, max_points = 0.0, 3_500
+    gen, gen_ref = RngState(6).generator, RngState(6).generator
+    got = mvn_rect_prob(mean, cov, Rectangle(lower, upper), rng=gen, eps=eps,
+                        max_points=max_points)
+    m, c, lo, hi = _mirrored(mean, cov, lower, upper, flip)
+    want = mvn_rect_prob(m, c, Rectangle(lo, hi), rng=gen_ref, eps=eps, max_points=max_points)
+    assert _rect_fields(got) == _rect_fields(want)
+    assert gen.random() == gen_ref.random()
+
+
+def test_rect_prob_right_tail_does_not_underflow():
+    # Phi(b) - Phi(a) cancels to 0 in the upper tail; the mirrored lower
+    # tail keeps the probability, without an overflow in the ordering
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = mvn_rect_prob([0.0], [[1.0]], Rectangle([9.0], [np.inf]))
+        cov = np.array([[1.0, 0.3], [0.3, 1.0]])
+        two = mvn_rect_prob([0.0, 0.0], cov, Rectangle([9.0, 9.0], [np.inf, np.inf]),
+                            rng=RngState(3))
+    assert one.prob == ndtr(-9.0) > 0.0
+    mirrored = mvn_rect_prob([0.0, 0.0], cov, Rectangle([-np.inf] * 2, [-9.0, -9.0]),
+                             rng=RngState(3))
+    assert _rect_fields(two) == _rect_fields(mirrored)
+    assert 1e-31 < two.prob < 1e-29
+    assert ndtr(-9.0) ** 2 < two.prob < ndtr(-9.0)  # positive correlation (Slepian)
+
+
+def test_rect_prob_lattice_skips_the_cdf_at_infinite_bounds(monkeypatch):
+    # the lattice takes Phi(-inf) = 0 and Phi(inf) = 1 as given: every
+    # evaluation of ndtr at an infinite argument comes from the ordering
+    import geocens.mvn as mvn
+
+    at_inf = []
+
+    def counted(arg, *args, **kwargs):
+        at_inf.append(int(np.count_nonzero(np.isinf(arg))))
+        return ndtr(arg, *args, **kwargs)
+
+    monkeypatch.setattr(mvn, "ndtr", counted)
+    for kind in ("left", "interval"):
+        mean, cov, lower, upper = _block(30, kind)
+        sd = np.sqrt(np.diag(cov))
+        lower[0], upper[0] = -np.inf, np.inf  # one unbounded coordinate
+        at_inf.clear()
+        mvn._ordered_cholesky(cov / np.outer(sd, sd), (lower - mean) / sd, (upper - mean) / sd)
+        ordering = sum(at_inf)
+        at_inf.clear()
+        res = mvn_rect_prob(mean, cov, Rectangle(lower, upper), rng=RngState(2))
+        assert res.n_points >= 10_000
+        # the lattice points add none; the first coordinate's two scalar
+        # bounds add at most two
+        assert sum(at_inf) - ordering <= 2

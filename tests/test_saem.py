@@ -436,6 +436,23 @@ def test_path_drift_is_scale_free_and_zero_on_a_still_path():
     assert np.array_equal(path_drift(still, cut), np.zeros(4))
 
 
+def test_path_drift_measures_sigma2_and_tau2_on_the_sill():
+    # a nugget near 0 that moves as little as sigma2 in absolute terms is
+    # as settled as sigma2: both are measured against the sill, so the
+    # nugget's own small size does not hold up the stop
+    rng = np.random.default_rng(1)
+    cut, w = 7, STOP_WINDOW
+    trace = np.array([10.0, 1.5, 1.0, 0.04]) + 2e-4 * rng.standard_normal((cut + 2 * w + 5, 4))
+    k, tail = trace.shape[0], trace[-2 * w:]
+    last = tail[w:].mean(axis=0)
+    steps = np.diff(tail, axis=0) * (np.arange(k - 2 * w + 2, k + 1) - cut)[:, None]
+    change = np.abs(last - tail[:w].mean(axis=0)) + steps.std(axis=0, ddof=1) / np.sqrt(k - cut)
+    sill = abs(last[1]) + abs(last[3])
+    drift = path_drift(trace, cut)
+    assert_allclose(drift, change / [abs(last[0]), sill, abs(last[2]), sill], rtol=1e-12)
+    assert np.all(drift < 1e-2) and change[3] / last[3] > 1e-2
+
+
 def _first_settled(fit, tol):
     """First iteration at which every entry of path_drift is below tol."""
     cut = int(np.ceil(fit.config.pc * fit.config.max_iter))
