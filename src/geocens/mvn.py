@@ -303,8 +303,9 @@ def mvn_rect_prob(
     ``max_points`` lattice points have been spent (reported via
     ``hit_cap``).
 
-    A right-open coordinate (finite lower bound, upper ``+inf``) is mirrored
-    to a left-open one, so that ``Phi(b) - Phi(a)`` does not cancel in the
+    A coordinate whose standardized interval lies mostly above the mean
+    (``low + high > 0``, right-open ones included) is mirrored to
+    ``[-high, -low]``, so that ``Phi(b) - Phi(a)`` does not cancel in the
     upper tail; the CDF is not evaluated at an infinite bound (0 or 1).
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
@@ -316,8 +317,8 @@ def mvn_rect_prob(
     sd = np.sqrt(np.diag(cov))
     low = (rect.lower - mean) / sd
     high = (rect.upper - mean) / sd
-    flip = np.isposinf(high) & np.isfinite(low)
-    low[flip], high[flip] = -np.inf, -low[flip]
+    flip = high > -low  # low + high > 0, with no inf - inf
+    low[flip], high[flip] = -high[flip], -low[flip]
     if n == 1:
         prob = float(ndtr(high[0]) - ndtr(low[0]))
         return RectProb(prob=prob, se=0.0, n_points=0)

@@ -267,19 +267,6 @@ def default_search_box(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([1e-4 * dmax, 0.0]), np.array([10.0 * dmax, 1e3])
 
 
-def _ml_nuisance(lo, nu2, y, x, fixed_tau):
-    """Profiled trend, residual, sill and ``dsigma2 / dnu2`` of Gaussian ML
-    under ``Psi = lo lo'``: generalized least squares for the trend, and
-    the sill at ``rss / n``, or pinned by a fixed nugget ``tau2 > 0`` at
-    ``tau2 / nu2``."""
-    beta, rw = _gls(lo, x, y)
-    resid = y - x @ beta
-    if fixed_tau is not None and nu2 > 0:
-        sigma2 = fixed_tau / nu2
-        return beta, resid, sigma2, -sigma2 / nu2
-    return beta, resid, max(float(rw @ rw) / len(y), 1e-300), 0.0
-
-
 def gaussian_ml_fit(
     y: np.ndarray,
     x: np.ndarray,
@@ -324,8 +311,8 @@ def gaussian_ml_fit(
 
     theta, value = profile_search(
         lambda t: profile_objective(
-            t, dist, spec, lambda lo, nu2: _ml_nuisance(lo, nu2, y, x, fixed_tau)[1:],
-            np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
+            t, dist, spec, y, np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
+            x=x, tau2=fixed_tau,
         ),
         x0, lower, upper,
     )
@@ -333,7 +320,11 @@ def gaussian_ml_fit(
         raise NumericalError("gaussian likelihood optimization diverged")
     phi = float(theta[0])
     nu2 = float(theta[1]) if theta.shape[0] > 1 else 0.0
-    beta, _, sigma2, _ = _ml_nuisance(psi_cholesky(dist, spec, phi, nu2), nu2, y, x, fixed_tau)
+    beta, rw = _gls(psi_cholesky(dist, spec, phi, nu2), x, y)
+    if fixed_tau is not None and nu2 > 0:
+        sigma2 = fixed_tau / nu2
+    else:
+        sigma2 = max(float(rw @ rw) / n, 1e-300)
     nll = value + 0.5 * n * np.log(2 * np.pi)
     tau2 = fixed_tau if fixed_tau is not None else nu2 * sigma2
     params = ModelParams(

@@ -13,17 +13,32 @@ where ``r`` is the residual of the first moment of the response and ``C``
 the covariance of its block ``c`` (the censored rows in the CM step; empty
 for Gaussian ML).  The CM step holds ``r`` and ``sigma2`` at their
 conditional updates; Gaussian ML profiles the trend by generalized least
-squares and the sill by ``q / n`` or, with a fixed nugget ``tau2``,
-``tau2 / nu2``.  With ``Q = Psi^{-1}``, ``a = Q r`` and ``B = Q[:, c]``,
-the gradient is closed form (Mardia & Marshall 1984, Biometrika):
+squares and the sill by ``q / n`` or, with a fixed nugget ``tau2``, ties
+it to ``tau2 / nu2``.  With ``Q = Psi^{-1}``, ``a = Q r``, ``B = Q[:, c]``
+and ``Psi_j`` the derivatives of Psi (``dR/dphi`` for ``phi``, ``I`` for
+``nu2``), the sill held, the gradient and Hessian are closed form
+(Mardia & Marshall 1984, Biometrika):
 
-    df/dtheta_j = 1/2 [sum(Q * D_j) - (a' D_j a + sum((B' D_j B) * C)) / sigma2]
+    df/dtheta_j = 1/2 [l_j + q_j / sigma2],
+    d2f/dtheta_j dtheta_k = 1/2 [l_jk + q_jk / sigma2],
+    l_j = tr(Q Psi_j),   l_jk = tr(Q Psi_jk) - tr(Q Psi_j Q Psi_k),
+    q_j = -(a' Psi_j a + tr(C B' Psi_j B)),
+    q_jk = 2 (Psi_j a)' Q (Psi_k a) - a' Psi_jk a
+           + 2 tr(C B' Psi_j Q Psi_k B) - tr(C B' Psi_jk B),
 
-with ``D_phi = dR/dphi`` and ``D_nu2 = I``.  A profiled trend or free sill
-adds nothing (envelope theorem); a sill tied to ``nu2`` adds
-``df/dsigma2 * dsigma2/dnu2``.  The search is the bounded quasi-Newton
-method L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995, SIAM J. Sci. Comput.) on
-that gradient, warm-started by the caller.
+where ``Psi_jk`` is zero except ``d2R/dphi2``.  A GLS-profiled trend adds
+nothing to the gradient (envelope theorem) and ``-2 u_j' (X' Q X)^{-1}
+u_k`` to ``q_jk``, with ``u_j = X' Q Psi_j a``.  A sill that moves with
+``theta`` (``s = q / n`` profiled, ``s = tau2 / nu2`` tied) adds the chain
+terms of ``n log s + q / s`` in ``s``.  The Hessian costs one n x n product
+``Q dR/dphi`` beyond what the evaluation already holds.
+
+The search is a projected Newton-type method with an epsilon-active set
+(Bertsekas 1982, SIAM J. Control Optim.): the metric is the exact Hessian,
+its eigenvalues made positive, at the start and after any step that
+needed backtracking or showed no positive curvature, and a BFGS update
+otherwise; the step is projected onto the box and halved until it meets
+the Armijo condition.
 """
 
 from __future__ import annotations
@@ -32,7 +47,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
 
 from . import covariance
 from .covariance import CovarianceSpec, _cholesky_inverse
@@ -42,14 +56,16 @@ from .errors import NumericalError, SingularCovarianceError
 # module at call time, so that a wrapper installed there (a profiler or a
 # call counter) sees the search's evaluations too.
 
-# Box cuts after trials at which Psi cannot be factored (each halves the
-# distance from the best point to the failed trial along one coordinate)
-# before the search gives up.
-_MAX_CUTS = 40
+# The search stops when the Newton decrement -g'd falls to this value.  It
+# is absolute: scaling the data shifts f by a constant and leaves g alone.
+_DECREMENT_TOL = 1e-10
 
-# A bound set by a cut is bisected back towards its failed trial until the
-# two lie within this share of the box width.
-_BISECT_TOL = 1e-6
+# A bound is active when the iterate lies within this share of the box
+# width of it and the gradient points out of the box.
+_ACTIVE_TOL = 1e-9
+
+_ARMIJO = 1e-4
+_MAX_ITER = 200
 
 
 def psi_cholesky(dist: np.ndarray, spec: CovarianceSpec, phi: float, nu2: float) -> np.ndarray:
@@ -64,7 +80,9 @@ def expected_quad(lo: np.ndarray, resid: np.ndarray, cov_c: np.ndarray, idx: np.
     ``S``, the residual ``zhat - mu`` and the covariance ``cov_c`` of the
     block ``idx`` (zero elsewhere), without forming ``S^{-1}``."""
     rw = solve_triangular(lo, resid, lower=True)
-    ew = solve_triangular(lo, np.eye(lo.shape[0])[:, idx], lower=True)
+    cols = np.zeros((lo.shape[0], len(idx)))
+    cols[idx, np.arange(len(idx))] = 1.0
+    ew = solve_triangular(lo, cols, lower=True)
     return float(rw @ rw + np.sum((ew.T @ ew) * cov_c))
 
 
@@ -78,121 +96,200 @@ def _gls(lo: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
     return beta, yw - xw @ beta
 
 
-class _SingularTrial(Exception):
-    """A search trial ``x`` at which Psi could not be factored."""
-
-    def __init__(self, x: np.ndarray):
-        super().__init__(x)
-        self.x = x
-
-
 def profile_objective(
     theta: np.ndarray,
     dist: np.ndarray,
     spec: CovarianceSpec,
-    nuisance: Callable[[np.ndarray, float], tuple],
+    z: np.ndarray,
     cov_c: np.ndarray,
     idx: np.ndarray,
     nu2: Optional[float] = None,
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of ``f`` at ``theta = (phi, nu2)``, or at
-    ``theta = (phi,)`` with the relative nugget held at ``nu2``.
+    *,
+    x: Optional[np.ndarray] = None,
+    sigma2: Optional[float] = None,
+    tau2: Optional[float] = None,
+) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
+    """Value, gradient and Hessian builder of ``f`` at ``theta = (phi,
+    nu2)``, or at ``theta = (phi,)`` with the relative nugget held at
+    ``nu2``.
 
-    ``nuisance(lo, nu2)`` returns ``(r, sigma2, dsigma2/dnu2)`` for the
-    trial, given the lower Cholesky factor ``lo`` of its Psi.  ``cov_c`` is
-    the covariance of the block ``idx`` of the response (empty for
-    Gaussian ML).  Raises :class:`SingularCovarianceError` when Psi cannot
-    be factored.
+    ``z`` is the residual ``r``, or, given a design matrix ``x``, the
+    response whose trend on ``x`` is profiled by generalized least squares.
+    ``cov_c`` is the covariance of the block ``idx`` of the response (empty
+    for Gaussian ML).  The sill is held at ``sigma2`` when given, tied to
+    ``tau2 / nu2`` when ``tau2`` is given and ``nu2 > 0``, and profiled at
+    ``q / n`` otherwise.
+
+    The third element is a function of no arguments that returns the exact
+    Hessian from the state of this evaluation, without evaluating R(phi)
+    or factoring Psi again.  Raises :class:`SingularCovarianceError` when
+    Psi cannot be factored.
     """
+    dim = len(theta)
     phi = float(theta[0])
     if nu2 is None:
         nu2 = float(theta[1])
-    lo = psi_cholesky(dist, spec, phi, nu2)
-    resid, sigma2, dsigma2 = nuisance(lo, nu2)
+    psi = covariance.corr_matrix(dist, spec, phi)
+    psi[np.diag_indices_from(psi)] += nu2
+    lo = covariance.spd_cholesky(psi)
     n = lo.shape[0]
+    resid = z
+    if x is not None:
+        beta, _ = _gls(lo, x, z)
+        resid = z - x @ beta
     q = expected_quad(lo, resid, cov_c, idx)
-    value = 0.5 * (n * np.log(sigma2) + 2.0 * np.sum(np.log(np.diag(lo))) + q / sigma2)
-
+    logdet = 2.0 * np.sum(np.log(np.diag(lo)))
     qi = _cholesky_inverse(lo)
+    del lo
+
     a = qi @ resid
     b = qi[:, idx]
     d_phi = covariance.dcorr_matrix(dist, spec, phi)
-    quad_phi = a @ d_phi @ a + np.sum((b.T @ d_phi @ b) * cov_c)
-    grad = [0.5 * (np.sum(qi * d_phi) - quad_phi / sigma2)]
-    if len(theta) > 1:
-        quad_nu2 = a @ a + np.sum((b.T @ b) * cov_c)
-        dsill = 0.5 * (n / sigma2 - q / sigma2**2) * dsigma2
-        grad.append(0.5 * (np.trace(qi) - quad_nu2 / sigma2) + dsill)
-    return float(value), np.array(grad)
+    da = d_phi @ a
+    db = d_phi @ b
+    q_grad = [-(a @ da + np.sum((b.T @ db) * cov_c))]
+    ell = [np.vdot(qi, d_phi)]
+    if dim > 1:
+        q_grad.append(-(a @ a + np.sum((b.T @ b) * cov_c)))
+        ell.append(np.trace(qi))
+    q_grad, ell = np.array(q_grad), np.array(ell)
+
+    # the sill s and its derivatives in theta
+    ds, d2s = np.zeros(dim), np.zeros((dim, dim))
+    if sigma2 is not None:
+        s = sigma2
+    elif tau2 is not None and nu2 > 0:
+        s = tau2 / nu2
+        if dim > 1:
+            ds[1], d2s[1, 1] = -s / nu2, 2.0 * s / nu2**2
+    else:
+        s = max(q / n, 1e-300)
+        ds = q_grad / n
+    value = 0.5 * (n * np.log(s) + logdet + q / s)
+    df_ds = 0.5 * (n / s - q / s**2)
+    grad = 0.5 * (ell + q_grad / s) + df_ds * ds
+
+    def hess() -> np.ndarray:
+        # psi differs from R only on the diagonal, where the lag is zero
+        # and d2R/dphi2 does not depend on R
+        d2 = covariance._d2corr_dphi2(spec.family, spec.kappa, dist, phi, psi, d_phi)
+        ell_pp = np.vdot(qi, d2)
+        q_pp = -(a @ (d2 @ a) + np.sum((b.T @ (d2 @ b)) * cov_c))
+        del d2
+        m = qi @ d_phi
+        qa, qda, qdb = qi @ a, qi @ da, qi @ db
+        ell_h = np.empty((dim, dim))
+        q_h = np.empty((dim, dim))
+        ell_h[0, 0] = ell_pp - np.einsum("ij,ji->", m, m)
+        q_h[0, 0] = q_pp + 2.0 * (da @ qda + np.sum((db.T @ qdb) * cov_c))
+        if dim > 1:
+            qb = qi @ b
+            ell_h[0, 1] = ell_h[1, 0] = -np.vdot(m, qi)
+            ell_h[1, 1] = -np.vdot(qi, qi)
+            q_h[0, 1] = q_h[1, 0] = 2.0 * (da @ qa + np.sum((db.T @ qb) * cov_c.T))
+            q_h[1, 1] = 2.0 * (a @ qa + np.sum((b.T @ qb) * cov_c))
+        del m
+        if x is not None:
+            u = x.T @ np.column_stack([qda, qa][:dim])
+            q_h -= 2.0 * u.T @ np.linalg.solve(x.T @ (qi @ x), u)
+        # with the chain terms of n log s + q / s in the sill s(theta)
+        out = 0.5 * (ell_h + q_h / s) + df_ds * d2s
+        out -= 0.5 * (np.outer(q_grad, ds) + np.outer(ds, q_grad)) / s**2
+        out += 0.5 * (2.0 * q / s**3 - n / s**2) * np.outer(ds, ds)
+        return out
+
+    return float(value), grad, hess
+
+
+def _positive_metric(h: np.ndarray) -> np.ndarray:
+    """``h`` with its eigenvalues replaced by their absolute values, floored
+    at 1e-10 of the largest; the identity if ``h`` is not finite."""
+    if not np.all(np.isfinite(h)):
+        return np.eye(h.shape[0])
+    w, v = np.linalg.eigh(0.5 * (h + h.T))
+    w = np.abs(w)
+    top = w.max()
+    if not top > 0:
+        return np.eye(h.shape[0])
+    return (v * np.maximum(w, 1e-10 * top)) @ v.T
 
 
 def profile_search(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray, Callable[[], np.ndarray]]],
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """Minimize ``fun`` (value and gradient) over the box ``[lower, upper]``
-    by L-BFGS-B from ``x0``; returns the minimizer and the minimum.
+    """Minimize ``fun`` (value, gradient and Hessian builder, as returned by
+    :func:`profile_objective`) over the box ``[lower, upper]`` from ``x0``;
+    returns the minimizer and the minimum.
 
-    L-BFGS-B cannot step back from a trial without a finite value (it
-    reports convergence at its start point instead), so a trial at which
-    ``fun`` raises :class:`SingularCovarianceError` restarts the search from
-    the best point found so far, with the box cut halfway from that point
-    to the trial along the coordinate on which the trial moved furthest
-    (relative to the box width).  A search that ends on a bound set by such
-    a cut moves that bound halfway back towards the failed trial and
-    restarts, so the cuts bisect towards the edge of the region where
-    ``fun`` can be evaluated.  Cuts and bisections share a budget of
-    ``_MAX_CUTS`` restarts.  Raises :class:`NumericalError` when ``x0``
-    itself cannot be evaluated or the cuts do not settle.
+    Each iteration fixes the coordinates whose bound is active (the
+    iterate within ``_ACTIVE_TOL`` of the box width of it, the gradient
+    pointing out), takes the Newton step of the metric on the others,
+    projects it onto the box and halves it until the Armijo condition
+    holds; the first trial takes twice the share of the Newton step that
+    the last iteration accepted, at most all of it.  A trial at which
+    ``fun`` raises :class:`SingularCovarianceError` counts as a failed
+    trial, so the search closes on the edge of the region where Psi can be
+    factored.  The metric is the exact Hessian, its eigenvalues made
+    positive, at the start and after a step that needed halving or showed
+    no positive curvature (``s'y <= 0``); otherwise it takes the BFGS
+    update.  The search stops when the Newton decrement ``-g'd`` is at most
+    ``_DECREMENT_TOL``, when halving cannot bring the step's predicted
+    decrease above that, or after ``_MAX_ITER`` iterations.  Raises
+    :class:`NumericalError` when ``x0`` itself cannot be evaluated.
+
+    Each Hessian builder is called, if at all, before the next evaluation,
+    so no more than one evaluation's state is held at a time.
     """
-    lower = np.array(lower, dtype=float)
-    upper = np.array(upper, dtype=float)
-    width = upper - lower
-    best_x = np.array(x0, dtype=float)
-    best_f = np.inf
-    failed = {}  # (coordinate, upper side?) -> the failed trial that set the bound
-    settled = False
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    near = _ACTIVE_TOL * (upper - lower)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    try:
+        f, g, hess = fun(x)
+    except SingularCovarianceError as exc:
+        raise NumericalError("covariance is singular at the search start") from exc
+    if not (np.isfinite(f) and np.all(np.isfinite(g))):
+        return x, float(f)
+    h = _positive_metric(hess())
+    hess = None
+    t = 1.0
 
-    def tracked(x):
-        nonlocal best_x, best_f
-        try:
-            value, grad = fun(x)
-        except SingularCovarianceError as exc:
-            raise _SingularTrial(x.copy()) from exc
-        if value < best_f:
-            best_x, best_f = x.copy(), value
-        return value, grad
-
-    for _ in range(_MAX_CUTS):
-        try:
-            sol = minimize(
-                tracked,
-                best_x,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=list(zip(lower, upper)),
-                options={"maxiter": 200},
-            )
-        except _SingularTrial as exc:
-            if not np.isfinite(best_f):
-                raise NumericalError("covariance is singular at the search start") from exc
-            step = (exc.x - best_x) / width
-            j = int(np.argmax(np.abs(step)))
-            side = bool(step[j] > 0)
-            (upper if side else lower)[j] = 0.5 * (best_x[j] + exc.x[j])
-            failed[j, side] = exc.x[j]
-            continue
-        settled = True
-        reopened = False
-        for (j, side), bad in failed.items():
-            bound = upper if side else lower
-            if sol.x[j] == bound[j] and abs(bad - bound[j]) > _BISECT_TOL * width[j]:
-                bound[j] = 0.5 * (bound[j] + bad)
-                reopened = True
-        if not reopened:
-            return sol.x, float(sol.fun)
-    if settled:
-        return best_x, float(best_f)
-    raise NumericalError("covariance search kept reaching singular covariances")
+    for _ in range(_MAX_ITER):
+        active = ((x - lower <= near) & (g > 0)) | ((upper - x <= near) & (g < 0))
+        free = ~active
+        d = np.zeros_like(x)
+        if free.any():
+            d[free] = -np.linalg.solve(h[np.ix_(free, free)], g[free])
+        decrement = -(g @ d)
+        if not decrement > _DECREMENT_TOL:
+            break
+        t, halved = min(1.0, 2.0 * t), False
+        while True:
+            trial = np.clip(x + t * d, lower, upper)
+            step = trial - x
+            slope = g @ step
+            if slope < 0:
+                try:
+                    ft, gt, hess = fun(trial)
+                except SingularCovarianceError:
+                    ft = np.inf
+                if ft <= f + _ARMIJO * slope and np.all(np.isfinite(gt)):
+                    break
+                hess = None
+            t *= 0.5
+            halved = True
+            if t * decrement <= _DECREMENT_TOL:
+                return x, float(f)
+        y = gt - g
+        x, f, g = trial, ft, gt
+        sy = step @ y
+        if halved or not sy > 0:
+            h = _positive_metric(hess())
+        else:
+            hs = h @ step
+            h = h - np.outer(hs, hs) / (step @ hs) + np.outer(y, y) / sy
+        hess = None
+    return x, float(f)

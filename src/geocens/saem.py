@@ -286,10 +286,11 @@ def cm_step(
     ``lo`` is the lower Cholesky factor of the covariance matrix at
     ``prev``.  The trend coefficients are generalized least squares under
     it; the sill is its closed-form update; the range and relative nugget
-    come from the bounded quasi-Newton search of
-    :func:`geocens.profile.profile_search` on the analytic gradient of the
-    profile objective, started at the previous iterate.  With a fixed nugget only the range is searched and ``nu2``
-    tracks ``fixed_nugget / sigma2``.
+    come from the projected quasi-Newton search of
+    :func:`geocens.profile.profile_search` on the profile objective with
+    the residual and sill held, started at the previous iterate with the
+    exact Hessian of the objective as its metric.  With a fixed nugget only
+    the range is searched and ``nu2`` tracks ``fixed_nugget / sigma2``.
 
     ``zz`` is the second moment of the block ``idx`` of the response; the
     second moment elsewhere is ``zhat zhat'``.
@@ -314,9 +315,7 @@ def cm_step(
         x0 = np.clip([prev.cov.phi, prev.cov.nu2], lower, upper)
         nu2 = None
     theta, value = profile_search(
-        lambda t: profile_objective(
-            t, dist, spec, lambda lo_psi, nu2_t: (resid, sigma2, 0.0), cov_c, idx, nu2
-        ),
+        lambda t: profile_objective(t, dist, spec, resid, cov_c, idx, nu2, sigma2=sigma2),
         x0, lower, upper,
     )
     if not np.isfinite(value):

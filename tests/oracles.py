@@ -8,11 +8,14 @@ Gibbs loop and the full lattice batch are earlier forms of the library's
 kernels, kept as the arithmetic those kernels must reproduce bit for bit.
 """
 
+from typing import Callable
+
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gamma, kv, ndtr, ndtri
 
 from geocens.covariance import _cholesky_inverse, build_sigma, d2sigma, dsigma, spd_cholesky
+from geocens.errors import NumericalError, SingularCovarianceError
 from geocens.mvn import _first_primes, _ordered_cholesky
 
 
@@ -430,3 +433,98 @@ def lattice_rect_prob_full(mean, cov, lower, upper, gen, eps=1e-4, max_points=10
         if n_points + points > max_points:
             se = float(np.std(batch_means, ddof=1) / np.sqrt(nb)) if nb > 1 else np.inf
             return float(np.mean(batch_means)), se, n_points, True
+
+
+# ---------------------------------------------------------------------------
+# the L-BFGS-B profile search the library used before its projected Newton
+# search; it takes ``fun`` returning value and gradient only
+# ---------------------------------------------------------------------------
+
+# Box cuts after trials at which Psi cannot be factored (each halves the
+# distance from the best point to the failed trial along one coordinate)
+# before the search gives up.
+_MAX_CUTS = 40
+
+# A bound set by a cut is bisected back towards its failed trial until the
+# two lie within this share of the box width.
+_BISECT_TOL = 1e-6
+
+
+class _SingularTrial(Exception):
+    """A search trial ``x`` at which Psi could not be factored."""
+
+    def __init__(self, x: np.ndarray):
+        super().__init__(x)
+        self.x = x
+
+
+def lbfgsb_profile_search(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Minimize ``fun`` (value and gradient) over the box ``[lower, upper]``
+    by L-BFGS-B from ``x0``; returns the minimizer and the minimum.
+
+    L-BFGS-B cannot step back from a trial without a finite value (it
+    reports convergence at its start point instead), so a trial at which
+    ``fun`` raises :class:`SingularCovarianceError` restarts the search from
+    the best point found so far, with the box cut halfway from that point
+    to the trial along the coordinate on which the trial moved furthest
+    (relative to the box width).  A search that ends on a bound set by such
+    a cut moves that bound halfway back towards the failed trial and
+    restarts, so the cuts bisect towards the edge of the region where
+    ``fun`` can be evaluated.  Cuts and bisections share a budget of
+    ``_MAX_CUTS`` restarts.  Raises :class:`NumericalError` when ``x0``
+    itself cannot be evaluated or the cuts do not settle.
+    """
+    lower = np.array(lower, dtype=float)
+    upper = np.array(upper, dtype=float)
+    width = upper - lower
+    best_x = np.array(x0, dtype=float)
+    best_f = np.inf
+    failed = {}  # (coordinate, upper side?) -> the failed trial that set the bound
+    settled = False
+
+    def tracked(x):
+        nonlocal best_x, best_f
+        try:
+            value, grad = fun(x)
+        except SingularCovarianceError as exc:
+            raise _SingularTrial(x.copy()) from exc
+        if value < best_f:
+            best_x, best_f = x.copy(), value
+        return value, grad
+
+    for _ in range(_MAX_CUTS):
+        try:
+            sol = minimize(
+                tracked,
+                best_x,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=list(zip(lower, upper)),
+                options={"maxiter": 200},
+            )
+        except _SingularTrial as exc:
+            if not np.isfinite(best_f):
+                raise NumericalError("covariance is singular at the search start") from exc
+            step = (exc.x - best_x) / width
+            j = int(np.argmax(np.abs(step)))
+            side = bool(step[j] > 0)
+            (upper if side else lower)[j] = 0.5 * (best_x[j] + exc.x[j])
+            failed[j, side] = exc.x[j]
+            continue
+        settled = True
+        reopened = False
+        for (j, side), bad in failed.items():
+            bound = upper if side else lower
+            if sol.x[j] == bound[j] and abs(bad - bound[j]) > _BISECT_TOL * width[j]:
+                bound[j] = 0.5 * (bound[j] + bad)
+                reopened = True
+        if not reopened:
+            return sol.x, float(sol.fun)
+    if settled:
+        return best_x, float(best_f)
+    raise NumericalError("covariance search kept reaching singular covariances")

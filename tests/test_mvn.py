@@ -351,12 +351,18 @@ def _rect_fields(res):
 )
 def test_rect_prob_matches_the_full_lattice(n_c, kind, eps, max_points):
     # skipping the normal CDF at infinite bounds leaves every field, and the
-    # stream after the call, as the lattice that evaluates it everywhere
+    # stream after the call, as the lattice that evaluates it everywhere;
+    # the lattice runs on the problem with its upper-tail coordinates
+    # (low + high > 0 after standardizing) mirrored
     mean, cov, lower, upper = _block(n_c, kind)
+    sd = np.sqrt(np.diag(cov))
+    flip = (upper - mean) / sd > -(lower - mean) / sd
+    assert flip.any() == (kind == "interval")
     gen, gen_ref = RngState(8).generator, RngState(8).generator
     got = mvn_rect_prob(mean, cov, Rectangle(lower, upper), rng=gen, eps=eps,
                         max_points=max_points)
-    want = lattice_rect_prob_full(mean, cov, lower, upper, gen_ref, eps, max_points)
+    want = lattice_rect_prob_full(*_mirrored(mean, cov, lower, upper, flip), gen_ref, eps,
+                                  max_points)
     assert _rect_fields(got) == want
     assert gen.random() == gen_ref.random()
     if (n_c, eps) == (6, 1e-6):  # the batch count the case is meant to cover
@@ -409,6 +415,25 @@ def test_rect_prob_right_tail_does_not_underflow():
     assert _rect_fields(two) == _rect_fields(mirrored)
     assert 1e-31 < two.prob < 1e-29
     assert ndtr(-9.0) ** 2 < two.prob < ndtr(-9.0)  # positive correlation (Slepian)
+
+
+def test_rect_prob_mirrors_upper_tail_intervals():
+    # a bounded interval with low + high > 0 is mirrored as well: Phi(10) -
+    # Phi(9) cancels to 0, Phi(-9) - Phi(-10) keeps the probability, and
+    # the ordering of the mirrored problem does not overflow
+    cov = np.array([[1.0, 0.3], [0.3, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = mvn_rect_prob([0.0], [[1.0]], Rectangle([9.0], [10.0]))
+        two = mvn_rect_prob([0.0, 0.0], cov, Rectangle([9.0, 9.0], [10.0, 10.0]),
+                            rng=RngState(3))
+    one_mirrored = mvn_rect_prob([0.0], [[1.0]], Rectangle([-10.0], [-9.0]))
+    assert _rect_fields(one) == _rect_fields(one_mirrored)
+    assert one.prob > 1e-19
+    two_mirrored = mvn_rect_prob([0.0, 0.0], cov, Rectangle([-10.0, -10.0], [-9.0, -9.0]),
+                                 rng=RngState(3))
+    assert _rect_fields(two) == _rect_fields(two_mirrored)
+    assert two.prob == pytest.approx(2.92e-30, rel=5e-3)
 
 
 def test_rect_prob_lattice_skips_the_cdf_at_infinite_bounds(monkeypatch):
