@@ -208,7 +208,7 @@ def _json_header(kind: str) -> dict:
 
 
 def write_json(path: str, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=1, default=_json_default) + "\n")
+    _atomic_write(path, json.dumps(payload, default=_json_default) + "\n")
 
 
 # ---------------------------------------------------------------------------

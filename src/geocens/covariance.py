@@ -189,17 +189,10 @@ def _matern_kernel(order: float, power: float, u: np.ndarray) -> np.ndarray:
 
 
 def _dcorr_dphi(family: str, kappa: float, h: np.ndarray, phi: float) -> np.ndarray:
-    """Analytic ``d rho / d phi`` elementwise over ``h``."""
+    """Analytic ``d rho / d phi`` elementwise over ``h`` (spherical, Matern)."""
     u = h / phi
-    if family == "exponential":
-        return np.exp(-u) * u / phi
-    if family == "gaussian":
-        return np.exp(-(u**2)) * 2.0 * u**2 / phi
     if family == "spherical":
         return np.where(u <= 1.0, 1.5 * (h / phi**2) * (1.0 - u**2), 0.0)
-    if family == "powered-exponential":
-        g = np.power(u, kappa)
-        return kappa * g / phi * np.exp(-g)
     # matern: d/dx [x^k K_k(x)] = -x^k K_{k-1}(x) and dx/dphi = -x/phi
     c = 2.0 ** (1.0 - kappa) / gamma_fn(kappa)
     return c / phi * _matern_kernel(kappa - 1.0, kappa + 1.0, u)
@@ -225,7 +218,7 @@ def _d2corr_dphi2(
 
 def _pairwise(dist: np.ndarray, spec: CovarianceSpec, fn, diag: float) -> np.ndarray:
     """``fn`` elementwise over a symmetric distance matrix with a zero
-    diagonal: ``R`` and ``dR/dphi``, from which ``d2R/dphi2`` is formed.
+    diagonal: ``R``, and the spherical and Matern ``dR/dphi``.
 
     For Matern, still the costliest family to evaluate in fitting loops,
     ``fn`` runs on the strict upper triangle only and is mirrored, with
@@ -250,10 +243,25 @@ def corr_matrix(dist: np.ndarray, spec: CovarianceSpec, phi: float) -> np.ndarra
     return _pairwise(dist, spec, lambda h: correlation(spec.family, spec.kappa, h, phi), 1.0)
 
 
-def dcorr_matrix(dist: np.ndarray, spec: CovarianceSpec, phi: float) -> np.ndarray:
-    """``dR / dphi`` over a symmetric distance matrix (for Matern, one pass
-    of the ``u^(kappa + 1) K_(kappa - 1)(u)`` kernel over the pairs)."""
-    return _pairwise(dist, spec, lambda h: _dcorr_dphi(spec.family, spec.kappa, h, phi), 0.0)
+def dcorr_matrix(dist: np.ndarray, spec: CovarianceSpec, phi: float, rho) -> np.ndarray:
+    """``dR / dphi`` over a symmetric distance matrix, given ``rho = R(phi)``
+    or any matrix equal to it off the diagonal, such as ``R + nu2 I`` (the
+    lag, and so the derivative, is zero there).  The exponential, Gaussian
+    and powered-exponential derivatives are ``rho`` times a power of ``u =
+    h / phi`` (``rho`` is formed here when None); Matern (a pass of the
+    ``u^(kappa + 1) K_(kappa - 1)(u)`` kernel) and spherical skip ``rho``."""
+    if spec.family in ("spherical", "matern"):
+        return _pairwise(dist, spec, lambda h: _dcorr_dphi(spec.family, spec.kappa, h, phi), 0.0)
+    if rho is None:
+        rho = corr_matrix(dist, spec, phi)
+    # in place in u: an n x n temporary costs more than the arithmetic
+    u = dist / phi
+    if spec.family == "exponential":
+        return np.divide(np.multiply(rho, u, out=u), phi, out=u)
+    if spec.family == "gaussian":
+        return np.divide(np.multiply(rho * 2.0, np.square(u, out=u), out=u), phi, out=u)
+    g = np.power(u, spec.kappa, out=u)
+    return np.multiply(np.divide(np.multiply(spec.kappa, g, out=g), phi, out=g), rho, out=g)
 
 
 def build_sigma(dist: np.ndarray, spec: CovarianceSpec, p: CovParams) -> np.ndarray:
@@ -321,7 +329,7 @@ def dsigma(dist: np.ndarray, spec: CovarianceSpec, p: CovParams, k: int) -> np.n
     if k == 1:
         return corr_matrix(dist, spec, p.phi)
     if k == 2:
-        return p.sigma2 * dcorr_matrix(dist, spec, p.phi)
+        return p.sigma2 * dcorr_matrix(dist, spec, p.phi, None)
     return np.eye(dist.shape[0])
 
 
@@ -339,8 +347,8 @@ def d2sigma(
     pair = tuple(sorted((k, l)))
     if pair == (2, 2):
         rho = corr_matrix(dist, spec, p.phi)
-        drho = dcorr_matrix(dist, spec, p.phi)
+        drho = dcorr_matrix(dist, spec, p.phi, rho)
         return p.sigma2 * _d2corr_dphi2(spec.family, spec.kappa, dist, p.phi, rho, drho)
     if pair == (1, 2):
-        return dcorr_matrix(dist, spec, p.phi)
+        return dcorr_matrix(dist, spec, p.phi, None)
     return np.zeros((n, n))

@@ -45,16 +45,12 @@ from typing import Optional
 
 import numpy as np
 
-from .covariance import CovarianceSpec, CovParams, cholesky_sigma, dsigma, spd_cholesky
-from .covariance import _cholesky_inverse, _d2corr_dphi2
+from .covariance import CovarianceSpec, CovParams, cholesky_sigma, corr_matrix, dcorr_matrix
+from .covariance import _cholesky_inverse, _d2corr_dphi2, spd_cholesky
 from .errors import DegenerateCurvatureError, DataValidationError, GeocensError
 from .model import ModelParams, partition
 
 SCHEMES = ("response", "scale", "explanatory")
-
-
-def _alpha_indices(nugget_fixed: bool) -> tuple[int, ...]:
-    return (1, 2) if nugget_fixed else (1, 2, 3)
 
 
 def params_from_vector(theta: np.ndarray, p: int, nugget_fixed: bool,
@@ -135,17 +131,16 @@ class _Curvature:
         n = x.shape[0]
         cov = params.cov
         idx = np.arange(n) if idx is None else np.asarray(idx, dtype=int)
-        alphas = _alpha_indices(spec.nugget_fixed)
         self.x, self.beta = x, np.asarray(params.beta, dtype=float)
         self.idx = idx
 
-        # None stands for the nugget's derivative, the identity
-        sig_k = [None if k == 3 else dsigma(dist, spec, cov, k) for k in alphas]
-        # d Sigma / d phi = sigma2 dR/dphi, and d2 Sigma / d sigma2 d phi = dR/dphi
-        d_r = sig_k[1] / cov.sigma2
-        d2_r = _d2corr_dphi2(spec.family, spec.kappa, dist, cov.phi, sig_k[0], d_r)
+        # Sigma_k = R, sigma2 dR/dphi and I (None); d2 Sigma / d sigma2 d phi = dR/dphi
+        rho = corr_matrix(dist, spec, cov.phi)
+        d_r = dcorr_matrix(dist, spec, cov.phi, rho)
+        sig_k = [rho, cov.sigma2 * d_r, None][: 2 if spec.nugget_fixed else 3]
+        d2_r = _d2corr_dphi2(spec.family, spec.kappa, dist, cov.phi, rho, d_r)
         self.sig_kl = {(0, 1): d_r, (1, 1): cov.sigma2 * d2_r}
-        sigma = cov.sigma2 * sig_k[0]
+        sigma = cov.sigma2 * rho
         sigma[np.diag_indices_from(sigma)] += cov.tau2
         lo = spd_cholesky(sigma, jitter=1e-10 * (cov.sigma2 + cov.tau2))
         del sigma

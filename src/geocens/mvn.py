@@ -132,7 +132,8 @@ def tmvn_gibbs(
     n_samples: int,
     burn_in: int = 20,
     thin: int = 1,
-    rng=None,
+    *,
+    rng,
     start=None,
 ) -> np.ndarray:
     """Coordinate-wise Gibbs sampler for ``N(mean, cov)`` truncated to ``rect``.
@@ -199,7 +200,7 @@ def tmvn_moments(
     cov,
     rect: Rectangle,
     n_samples: int,
-    rng=None,
+    rng,
     burn_in: int = 100,
     thin: int = 1,
     start=None,

@@ -42,7 +42,7 @@ from .model import (
     loglik,
     param_count,
 )
-from .profile import _gls, profile_objective, profile_search, psi_cholesky
+from .profile import profile_objective, profile_search
 
 METHODS = ("naive1", "naive2", "seminaive", "saem")
 
@@ -282,7 +282,9 @@ def gaussian_ml_fit(
     The search over ``(phi, nu2)`` within ``bounds`` (a pair of length-2
     arrays) is the bounded gradient search the CM step of the stochastic
     EM uses (:mod:`geocens.profile`), with no censored block.  With a fixed
-    zero nugget the search is over ``phi`` alone.
+    zero nugget the search is over ``phi`` alone.  The trend coefficients
+    and the sill are those of the search's evaluation at the optimum, so
+    R is not formed again after the search.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -309,7 +311,7 @@ def gaussian_ml_fit(
         lower, upper = lo_b[:2], hi_b[:2]
         nu2_held = None
 
-    theta, value = profile_search(
+    theta, value, (beta, sigma2) = profile_search(
         lambda t: profile_objective(
             t, dist, spec, y, np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
             x=x, tau2=fixed_tau,
@@ -320,17 +322,9 @@ def gaussian_ml_fit(
         raise NumericalError("gaussian likelihood optimization diverged")
     phi = float(theta[0])
     nu2 = float(theta[1]) if theta.shape[0] > 1 else 0.0
-    beta, rw = _gls(psi_cholesky(dist, spec, phi, nu2), x, y)
-    if fixed_tau is not None and nu2 > 0:
-        sigma2 = fixed_tau / nu2
-    else:
-        sigma2 = max(float(rw @ rw) / n, 1e-300)
-    nll = value + 0.5 * n * np.log(2 * np.pi)
     tau2 = fixed_tau if fixed_tau is not None else nu2 * sigma2
-    params = ModelParams(
-        beta=beta, cov=CovParams(sigma2=float(sigma2), phi=phi, tau2=float(tau2))
-    )
-    return params, -float(nll)
+    cov = CovParams(sigma2=float(sigma2), phi=phi, tau2=float(tau2))
+    return ModelParams(beta=beta, cov=cov), -float(value + 0.5 * n * np.log(2 * np.pi))
 
 
 # ---------------------------------------------------------------------------

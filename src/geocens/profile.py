@@ -6,18 +6,22 @@ The conditional maximization of the stochastic EM
 ``theta = (phi, nu2)``, or ``phi`` alone when the nugget is held:
 
     f(theta) = 1/2 [n log sigma2 + log|Psi| + q / sigma2],
-    Psi = R(phi) + nu2 I,
-    q = r' Psi^{-1} r + sum((Psi^{-1})_cc * C),
+    Psi = R(phi) + nu2 I = L L',   Q = Psi^{-1},
+    q = |L^{-1} r|^2 + sum(Q_cc * C),
 
 where ``r`` is the residual of the first moment of the response and ``C``
 the covariance of its block ``c`` (the censored rows in the CM step; empty
 for Gaussian ML).  The CM step holds ``r`` and ``sigma2`` at their
 conditional updates; Gaussian ML profiles the trend by generalized least
 squares and the sill by ``q / n`` or, with a fixed nugget ``tau2``, ties
-it to ``tau2 / nu2``.  With ``Q = Psi^{-1}``, ``a = Q r``, ``B = Q[:, c]``
+it to ``tau2 / nu2``.  Each evaluation forms R(phi), ``dR/dphi`` from R,
+L and Q (``potri``) once; the whitened residual ``L^{-1} r`` comes from
+the GLS fit when the trend is profiled.  The residual term of q stays on
+the factor: ``r' Q r`` loses accuracy as the condition of Psi grows, and
+the search compares values at 1e-10.  With ``a = Q r``, ``B = Q[:, c]``
 and ``Psi_j`` the derivatives of Psi (``dR/dphi`` for ``phi``, ``I`` for
-``nu2``), the sill held, the gradient and Hessian are closed form
-(Mardia & Marshall 1984, Biometrika):
+``nu2``), the sill held, the gradient and Hessian are closed form (Mardia
+& Marshall 1984, Biometrika):
 
     df/dtheta_j = 1/2 [l_j + q_j / sigma2],
     d2f/dtheta_j dtheta_k = 1/2 [l_jk + q_jk / sigma2],
@@ -43,7 +47,7 @@ the Armijo condition.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -66,13 +70,6 @@ _ACTIVE_TOL = 1e-9
 
 _ARMIJO = 1e-4
 _MAX_ITER = 200
-
-
-def psi_cholesky(dist: np.ndarray, spec: CovarianceSpec, phi: float, nu2: float) -> np.ndarray:
-    """Lower Cholesky factor of ``Psi = R(phi) + nu2 I``."""
-    psi = covariance.corr_matrix(dist, spec, phi)
-    psi[np.diag_indices_from(psi)] += nu2
-    return covariance.spd_cholesky(psi)
 
 
 def expected_quad(lo: np.ndarray, resid: np.ndarray, cov_c: np.ndarray, idx: np.ndarray) -> float:
@@ -108,10 +105,10 @@ def profile_objective(
     x: Optional[np.ndarray] = None,
     sigma2: Optional[float] = None,
     tau2: Optional[float] = None,
-) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
-    """Value, gradient and Hessian builder of ``f`` at ``theta = (phi,
-    nu2)``, or at ``theta = (phi,)`` with the relative nugget held at
-    ``nu2``.
+) -> tuple[float, np.ndarray, Callable[[], np.ndarray], tuple[Optional[np.ndarray], float]]:
+    """Value, gradient, Hessian builder and fitted trend and sill of ``f``
+    at ``theta = (phi, nu2)``, or at ``theta = (phi,)`` with the relative
+    nugget held at ``nu2``.
 
     ``z`` is the residual ``r``, or, given a design matrix ``x``, the
     response whose trend on ``x`` is profiled by generalized least squares.
@@ -123,7 +120,8 @@ def profile_objective(
     The third element is a function of no arguments that returns the exact
     Hessian from the state of this evaluation, without evaluating R(phi)
     or factoring Psi again.  Raises :class:`SingularCovarianceError` when
-    Psi cannot be factored.
+    Psi cannot be factored.  The fourth element is ``(beta, sigma2)``: the
+    GLS trend coefficients (None without ``x``) and the sill of ``f``.
     """
     dim = len(theta)
     phi = float(theta[0])
@@ -133,18 +131,19 @@ def profile_objective(
     psi[np.diag_indices_from(psi)] += nu2
     lo = covariance.spd_cholesky(psi)
     n = lo.shape[0]
-    resid = z
-    if x is not None:
-        beta, _ = _gls(lo, x, z)
+    if x is None:
+        beta, resid, rw = None, z, solve_triangular(lo, z, lower=True)
+    else:
+        beta, rw = _gls(lo, x, z)
         resid = z - x @ beta
-    q = expected_quad(lo, resid, cov_c, idx)
     logdet = 2.0 * np.sum(np.log(np.diag(lo)))
     qi = _cholesky_inverse(lo)
     del lo
 
     a = qi @ resid
     b = qi[:, idx]
-    d_phi = covariance.dcorr_matrix(dist, spec, phi)
+    q = float(rw @ rw + np.sum(b[idx] * cov_c))
+    d_phi = covariance.dcorr_matrix(dist, spec, phi, psi)
     da = d_phi @ a
     db = d_phi @ b
     q_grad = [-(a @ da + np.sum((b.T @ db) * cov_c))]
@@ -198,7 +197,7 @@ def profile_objective(
         out += 0.5 * (2.0 * q / s**3 - n / s**2) * np.outer(ds, ds)
         return out
 
-    return float(value), grad, hess
+    return float(value), grad, hess, (beta, s)
 
 
 def _positive_metric(h: np.ndarray) -> np.ndarray:
@@ -215,14 +214,15 @@ def _positive_metric(h: np.ndarray) -> np.ndarray:
 
 
 def profile_search(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray, Callable[[], np.ndarray]]],
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray, Callable[[], np.ndarray], Any]],
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Minimize ``fun`` (value, gradient and Hessian builder, as returned by
-    :func:`profile_objective`) over the box ``[lower, upper]`` from ``x0``;
-    returns the minimizer and the minimum.
+) -> tuple[np.ndarray, float, Any]:
+    """Minimize ``fun`` (value, gradient, Hessian builder and fitted
+    values, as returned by :func:`profile_objective`) over the box
+    ``[lower, upper]`` from ``x0``; returns the minimizer, the minimum and
+    the fitted values of the evaluation there.
 
     Each iteration fixes the coordinates whose bound is active (the
     iterate within ``_ACTIVE_TOL`` of the box width of it, the gradient
@@ -248,11 +248,11 @@ def profile_search(
     near = _ACTIVE_TOL * (upper - lower)
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     try:
-        f, g, hess = fun(x)
+        f, g, hess, fitted = fun(x)
     except SingularCovarianceError as exc:
         raise NumericalError("covariance is singular at the search start") from exc
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        return x, float(f)
+        return x, float(f), fitted
     h = _positive_metric(hess())
     hess = None
     t = 1.0
@@ -273,7 +273,7 @@ def profile_search(
             slope = g @ step
             if slope < 0:
                 try:
-                    ft, gt, hess = fun(trial)
+                    ft, gt, hess, fitted_t = fun(trial)
                 except SingularCovarianceError:
                     ft = np.inf
                 if ft <= f + _ARMIJO * slope and np.all(np.isfinite(gt)):
@@ -282,9 +282,9 @@ def profile_search(
             t *= 0.5
             halved = True
             if t * decrement <= _DECREMENT_TOL:
-                return x, float(f)
+                return x, float(f), fitted
         y = gt - g
-        x, f, g = trial, ft, gt
+        x, f, g, fitted = trial, ft, gt, fitted_t
         sy = step @ y
         if halved or not sy > 0:
             h = _positive_metric(hess())
@@ -292,4 +292,4 @@ def profile_search(
             hs = h @ step
             h = h - np.outer(hs, hs) / (step @ hs) + np.outer(y, y) / sy
         hess = None
-    return x, float(f)
+    return x, float(f), fitted

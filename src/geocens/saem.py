@@ -314,7 +314,7 @@ def cm_step(
     else:
         x0 = np.clip([prev.cov.phi, prev.cov.nu2], lower, upper)
         nu2 = None
-    theta, value = profile_search(
+    theta, value, _ = profile_search(
         lambda t: profile_objective(t, dist, spec, resid, cov_c, idx, nu2, sigma2=sigma2),
         x0, lower, upper,
     )

@@ -11,10 +11,18 @@ kernels, kept as the arithmetic those kernels must reproduce bit for bit.
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import gamma, kv, ndtr, ndtri
 
-from geocens.covariance import _cholesky_inverse, build_sigma, d2sigma, dsigma, spd_cholesky
+from geocens.covariance import (
+    _cholesky_inverse,
+    build_sigma,
+    correlation,
+    d2sigma,
+    dsigma,
+    spd_cholesky,
+)
 from geocens.errors import NumericalError, SingularCovarianceError
 from geocens.mvn import _first_primes, _ordered_cholesky
 
@@ -317,6 +325,66 @@ def matern_dcorr_dphi_kv(kappa, h, phi):
     with np.errstate(invalid="ignore", over="ignore"):
         out = c / phi * np.power(u, kappa + 1.0) * kv(kappa - 1.0, u)
     return np.nan_to_num(np.where(u == 0.0, 0.0, out), nan=0.0)
+
+
+def dcorr_dphi_closed_form(family, kappa, h, phi):
+    """``d rho / d phi`` of the exponential, Gaussian and powered-exponential
+    correlations, each evaluating its own ``exp`` rather than reading
+    ``rho``: the earlier form of the library's derivatives, which those
+    must reproduce bit for bit."""
+    u = h / phi
+    if family == "exponential":
+        return np.exp(-u) * u / phi
+    if family == "gaussian":
+        return np.exp(-(u**2)) * 2.0 * u**2 / phi
+    if family == "powered-exponential":
+        g = np.power(u, kappa)
+        return kappa * g / phi * np.exp(-g)
+    raise ValueError(family)
+
+
+def dense_profile_value(dist, corr, phi, nu2, z, cov_c, idx, *, x=None, sigma2=None, tau2=None):
+    """The profile objective ``1/2 [n log s + log|Psi| + q / s]`` at
+    ``(phi, nu2)`` from ``slogdet`` and ``inv`` of ``Psi = R + nu2 I``,
+    with ``R = corr(dist, phi)``; ``q = r' Psi^{-1} r + sum((Psi^{-1})_cc
+    * C)``.  Given ``x`` the trend of ``z`` is fitted by GLS through the
+    dense inverse.  The sill ``s`` is ``sigma2`` when given, ``tau2 /
+    nu2`` when ``tau2`` is given and ``nu2 > 0``, and ``q / n`` otherwise.
+    Returns the value, the GLS coefficients (None without ``x``) and ``s``."""
+    n = len(z)
+    psi = corr(dist, phi) + nu2 * np.eye(n)
+    sign, logdet = np.linalg.slogdet(psi)
+    assert sign > 0
+    qi = np.linalg.inv(psi)
+    beta, r = None, z
+    if x is not None:
+        beta = np.linalg.solve(x.T @ qi @ x, x.T @ qi @ z)
+        r = z - x @ beta
+    q = r @ qi @ r + np.sum(qi[np.ix_(idx, idx)] * cov_c)
+    if sigma2 is not None:
+        s = sigma2
+    elif tau2 is not None and nu2 > 0:
+        s = tau2 / nu2
+    else:
+        s = q / n
+    return 0.5 * (n * np.log(s) + logdet + q / s), beta, s
+
+
+def gls_refit(dist, spec, phi, nu2, x, y, fixed_tau=None):
+    """GLS trend coefficients and sill at ``(phi, nu2)`` from a fresh
+    Cholesky factor of ``Psi = R(phi) + nu2 I``: the sill is ``fixed_tau /
+    nu2`` when a nugget is fixed and ``nu2 > 0``, the whitened residual sum
+    of squares over ``n`` otherwise.  This is the refit Gaussian ML once
+    made after its search."""
+    psi = correlation(spec.family, spec.kappa, dist, phi) + nu2 * np.eye(len(y))
+    lo = cholesky(psi, lower=True)
+    xw = solve_triangular(lo, x, lower=True)
+    yw = solve_triangular(lo, y, lower=True)
+    beta, *_ = np.linalg.lstsq(xw, yw, rcond=None)
+    rw = yw - xw @ beta
+    if fixed_tau is not None and nu2 > 0:
+        return beta, fixed_tau / nu2
+    return beta, float(rw @ rw) / len(y)
 
 
 def _trunc_std_ppf_numpy(u, a, b):

@@ -17,6 +17,7 @@ import geocens.covariance as cov
 from geocens.covariance import _d2corr_dphi2, _dcorr_dphi, spd_cholesky
 
 from oracles import (
+    dcorr_dphi_closed_form,
     matern_correlation_kv,
     matern_dcorr_dphi_kv,
     precision_derivative,
@@ -59,6 +60,13 @@ def random_params(seed):
         phi=rng.uniform(1.0, 5.0),
         tau2=rng.uniform(0.05, 1.0),
     )
+
+
+def dcorr_elementwise(spec, h, phi):
+    """``d rho / d phi`` over the lags ``h`` by the family's own formula."""
+    if spec.family in ("spherical", "matern"):
+        return _dcorr_dphi(spec.family, spec.kappa, h, phi)
+    return dcorr_dphi_closed_form(spec.family, spec.kappa, h, phi)
 
 
 def test_correlation_at_zero_lag_is_one():
@@ -132,10 +140,11 @@ def test_matern_half_matches_exponential_to_1e13():
     ])
     phi = 1.7
     h = phi * u
-    for fn in (correlation, _dcorr_dphi):
-        got = fn("matern", 0.5, h, phi)
-        want = fn("exponential", 0.0, h, phi)
-        assert np.max(np.abs(got - want) / want) <= 1e-13, fn.__name__
+    for got, want in (
+        (correlation("matern", 0.5, h, phi), correlation("exponential", 0.0, h, phi)),
+        (_dcorr_dphi("matern", 0.5, h, phi), dcorr_dphi_closed_form("exponential", 0.0, h, phi)),
+    ):
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_matern_scalar_lag_returns_float():
@@ -280,6 +289,33 @@ def test_dsigma_matches_finite_difference(spec):
             assert np.abs(got - want).max() / scale < 1e-5, (spec.family, k, seed)
 
 
+@pytest.mark.parametrize("spec", [
+    CovarianceSpec("exponential"),
+    CovarianceSpec("gaussian"),
+    CovarianceSpec("powered-exponential", kappa=0.4),
+    CovarianceSpec("powered-exponential", kappa=1.3),
+    CovarianceSpec("powered-exponential", kappa=2.0),
+], ids=lambda s: f"{s.family}-{s.kappa}")
+def test_range_derivative_from_r_is_the_closed_form(spec):
+    # 10^6 lags, zero among them, as one 1000 x 1000 array: the derivative
+    # read off R is the family's closed form bit for bit
+    rng = np.random.default_rng(4)
+    u = np.exp(rng.uniform(np.log(1e-9), np.log(50.0), 10**6))
+    u[:4] = (0.0, 1e-300, 1.0, 700.0)
+    phi = 1.7
+    h = (phi * u).reshape(1000, 1000)
+    got = cov.dcorr_matrix(h, spec, phi, correlation(spec.family, spec.kappa, h, phi))
+    assert np.array_equal(got, dcorr_dphi_closed_form(spec.family, spec.kappa, h, phi))
+    # from Psi = R + nu2 I, as the profile objective passes it: the same
+    # matrix, zero on the diagonal
+    dist = random_geometry(0, n=30)
+    r = cov.corr_matrix(dist, spec, phi)
+    got = cov.dcorr_matrix(dist, spec, phi, r + 0.3 * np.eye(30))
+    assert np.array_equal(got, cov.dcorr_matrix(dist, spec, phi, r))
+    assert np.array_equal(got, dcorr_dphi_closed_form(spec.family, spec.kappa, dist, phi))
+    assert np.all(np.diag(got) == 0.0)
+
+
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
 def test_pairwise_matrices_equal_full_matrix_evaluation(spec):
     # Matern is evaluated on the upper triangle and mirrored; a distance
@@ -290,7 +326,7 @@ def test_pairwise_matrices_equal_full_matrix_evaluation(spec):
         p = random_params(seed)
         rho = correlation(spec.family, spec.kappa, dist, p.phi)
         assert np.array_equal(dsigma(dist, spec, p, 1), rho)
-        d1 = _dcorr_dphi(spec.family, spec.kappa, dist, p.phi)
+        d1 = dcorr_elementwise(spec, dist, p.phi)
         d2 = _d2corr_dphi2(spec.family, spec.kappa, dist, p.phi, rho, d1)
         assert np.array_equal(dsigma(dist, spec, p, 2), p.sigma2 * d1)
         assert np.array_equal(d2sigma(dist, spec, p, 1, 2), d1)

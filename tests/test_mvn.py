@@ -156,12 +156,14 @@ def test_ordered_cholesky_matches_scalar_oracle(spec, n_c):
 def test_sampling_without_a_seed_names_the_seed():
     cov = np.array([[1.0, 0.6], [0.6, 2.0]])
     rect = Rectangle(lower=[-1.0, -2.0], upper=[0.5, 1.0])
+    with pytest.raises(ConfigurationError, match="seed"):
+        mvn_rect_prob([0.0, 0.0], cov, rect)
+    # the samplers always draw, so their rng is a required argument
     for call in (
-        lambda: mvn_rect_prob([0.0, 0.0], cov, rect),
         lambda: tmvn_gibbs([0.0, 0.0], cov, rect, 5),
         lambda: tmvn_moments([0.0, 0.0], cov, rect, 5),
     ):
-        with pytest.raises(ConfigurationError, match="seed"):
+        with pytest.raises(TypeError, match="rng"):
             call()
     # one censored coordinate has a closed form and needs no seed
     assert mvn_rect_prob([0.0], [[1.0]], Rectangle(lower=[0.0], upper=[np.inf])).prob == 0.5

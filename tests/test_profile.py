@@ -17,7 +17,7 @@ from geocens.model import build_trend
 from geocens.covariance import _cholesky_inverse
 from geocens.profile import profile_objective, profile_search
 
-from oracles import lbfgsb_profile_search
+from oracles import dense_profile_value, gls_refit, lbfgsb_profile_search
 from study import SPEC as STUDY_SPEC
 from study import TREND as STUDY_TREND
 from study import simulate_study_data, study_config
@@ -105,7 +105,7 @@ def test_cm_form_gradient_matches_central_differences(spec):
         def f(t):
             return profile_objective(t, dist, spec, resid, cov_c, idx, nu2, sigma2=1.3)
 
-        _, grad, _ = f(theta)
+        _, grad, _, _ = f(theta)
         assert_allclose(grad, central_gradient(lambda t: f(t)[0], theta), rtol=1e-6, atol=1e-7)
 
 
@@ -118,12 +118,12 @@ def test_gaussian_ml_form_gradient_matches_central_differences(spec):
         def f(t):
             return profile_objective(t, dist, spec, y, *NO_BLOCK, nu2, x=x, tau2=tau2)
 
-        _, grad, _ = f(theta)
+        _, grad, _, _ = f(theta)
         assert_allclose(grad, central_gradient(lambda t: f(t)[0], theta), rtol=1e-6, atol=1e-7)
 
 
 def assert_hessian_matches(f, theta):
-    _, _, hess = f(theta)
+    _, _, hess, _ = f(theta)
     want = central_jacobian(lambda t: f(t)[1], theta)
     assert_allclose(hess(), want, rtol=1e-6, atol=1e-9 * np.abs(want).max())
 
@@ -146,11 +146,38 @@ def test_gaussian_ml_form_hessian_matches_central_differences(spec):
         )
 
 
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
+def test_value_and_fitted_values_match_dense_oracle(spec):
+    # q from the whitened residual and the censored block of the inverse,
+    # against slogdet and inv of Psi
+    def corr(d, phi):
+        return correlation(spec.family, spec.kappa, d, phi)
+
+    dist, resid, cov_c, idx = cm_setup()
+    for theta, nu2 in CM_FORMS:
+        value, _, _, (beta, s) = profile_objective(theta, dist, spec, resid, cov_c, idx, nu2,
+                                                   sigma2=1.3)
+        want, _, _ = dense_profile_value(dist, corr, theta[0], theta[-1] if nu2 is None else nu2,
+                                         resid, cov_c, idx, sigma2=1.3)
+        assert value == pytest.approx(want, rel=1e-10)
+        assert beta is None and s == 1.3
+    dist, x, y, _ = gradient_setup(seed=1)
+    for tau2, theta, nu2 in ML_FORMS:
+        value, _, _, (beta, s) = profile_objective(theta, dist, spec, y, *NO_BLOCK, nu2, x=x,
+                                                   tau2=tau2)
+        want, beta_o, s_o = dense_profile_value(
+            dist, corr, theta[0], theta[-1] if nu2 is None else nu2, y, *NO_BLOCK, x=x, tau2=tau2
+        )
+        assert value == pytest.approx(want, rel=1e-10)
+        assert_allclose(beta, beta_o, rtol=1e-10)
+        assert s == pytest.approx(s_o, rel=1e-10)
+
+
 def test_hessian_builder_reuses_the_evaluation(monkeypatch):
     # the Hessian is built from the evaluation's own R, dR/dphi and inverse
     dist, resid, cov_c, idx = cm_setup()
-    _, _, hess = profile_objective(np.array([0.9, 0.3]), dist, SPEC_EXP, resid, cov_c, idx,
-                                   sigma2=1.3)
+    _, _, hess, _ = profile_objective(np.array([0.9, 0.3]), dist, SPEC_EXP, resid, cov_c, idx,
+                                      sigma2=1.3)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the Hessian evaluated the covariance again")
@@ -206,7 +233,7 @@ def test_cm_step_budget_exponential_two_dimensional(monkeypatch):
     assert counts["corr"] / counts["calls"] <= 7
 
 
-@pytest.mark.parametrize("spec, budget", zip(ML_SPECS, [18, 18, 13, 18]), ids=ML_IDS)
+@pytest.mark.parametrize("spec, budget", zip(ML_SPECS, [17, 17, 12, 17]), ids=ML_IDS)
 def test_gaussian_ml_fit_budget(monkeypatch, spec, budget):
     data = sim_left(seed=1, n=60, cens=0.0).data
     x = build_trend(data.coords, None, TrendSpec("cte"))
@@ -214,6 +241,54 @@ def test_gaussian_ml_fit_budget(monkeypatch, spec, budget):
     counts = count_corr_calls(monkeypatch, predict, "gaussian_ml_fit")
     predict.gaussian_ml_fit(data.value, x, dist, spec, CovParams(1.0, 0.8, 0.1))
     assert counts["corr"] <= budget
+
+
+@pytest.mark.parametrize("spec", ML_SPECS, ids=ML_IDS)
+def test_gaussian_ml_fit_forms_r_once_per_evaluation(monkeypatch, spec):
+    # the trend and sill at the optimum come from the search's own
+    # evaluation there, not from a refit
+    data = sim_left(seed=1, n=60, cens=0.0).data
+    x = build_trend(data.coords, None, TrendSpec("cte"))
+    dist = distance_matrix(data.coords)
+    counts = {"corr": 0, "evaluations": 0}
+    corr_matrix, objective = covariance.corr_matrix, predict.profile_objective
+
+    def counted_corr(*args, **kwargs):
+        counts["corr"] += 1
+        return corr_matrix(*args, **kwargs)
+
+    def counted_objective(*args, **kwargs):
+        counts["evaluations"] += 1
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(covariance, "corr_matrix", counted_corr)
+    monkeypatch.setattr(predict, "profile_objective", counted_objective)
+    predict.gaussian_ml_fit(data.value, x, dist, spec, CovParams(1.0, 0.8, 0.1))
+    assert counts["evaluations"] > 1
+    assert counts["corr"] == counts["evaluations"]
+
+
+@pytest.mark.parametrize("spec", ML_SPECS[:3], ids=ML_IDS[:3])
+def test_gaussian_ml_fit_trend_and_sill_are_the_gls_at_the_optimum(monkeypatch, spec):
+    data = sim_left(seed=1, n=60, cens=0.0).data
+    x = build_trend(data.coords, None, TrendSpec("cte"))
+    dist = distance_matrix(data.coords)
+    found, search = [], predict.profile_search
+
+    def recording(*args):
+        out = search(*args)
+        found.append(out[0])
+        return out
+
+    monkeypatch.setattr(predict, "profile_search", recording)
+    params, _ = predict.gaussian_ml_fit(data.value, x, dist, spec, CovParams(1.0, 0.8, 0.1))
+    (theta,) = found
+    nu2 = theta[1] if len(theta) > 1 else 0.0
+    fixed_tau = spec.fixed_nugget_value if spec.nugget_fixed else None
+    beta, sigma2 = gls_refit(dist, spec, theta[0], nu2, x, data.value, fixed_tau)
+    assert params.cov.phi == theta[0]
+    assert_allclose(params.beta, beta, rtol=1e-12)
+    assert params.cov.sigma2 == pytest.approx(sigma2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +300,14 @@ def singular_above_two(t):
     # minimum at 3, but nothing above 2 can be evaluated
     if t[0] > 2.0:
         raise SingularCovarianceError("forced")
-    return float((t[0] - 3.0) ** 2), np.array([2.0 * (t[0] - 3.0)]), lambda: np.array([[2.0]])
+    value, grad = float((t[0] - 3.0) ** 2), np.array([2.0 * (t[0] - 3.0)])
+    return value, grad, lambda: np.array([[2.0]]), None
 
 
 def test_profile_search_steps_back_from_singular_trials():
     fun = singular_above_two
 
-    theta, value = profile_search(fun, np.array([0.5]), np.array([0.0]), np.array([10.0]))
+    theta, value, _ = profile_search(fun, np.array([0.5]), np.array([0.0]), np.array([10.0]))
     assert theta[0] <= 2.0
     assert np.isfinite(value) and value <= fun(np.array([0.5]))[0]
 
@@ -244,7 +320,7 @@ def test_profile_search_closes_on_the_singular_boundary():
     # on the edge, 2
     fun = singular_above_two
 
-    theta, value = profile_search(fun, np.array([0.5]), np.array([0.0]), np.array([10.0]))
+    theta, value, _ = profile_search(fun, np.array([0.5]), np.array([0.0]), np.array([10.0]))
     assert 2.0 - 1e-3 <= theta[0] <= 2.0
     assert value == pytest.approx(fun(theta)[0])
 
@@ -272,7 +348,7 @@ def recorded_searches(monkeypatch, module, run):
 
 def assert_no_higher_than_oracle(searches):
     for fun, x0, lower, upper in searches:
-        _, value = profile_search(fun, x0, lower, upper)
+        _, value, _ = profile_search(fun, x0, lower, upper)
         _, want = lbfgsb_profile_search(lambda t: fun(t)[:2], x0, lower, upper)
         assert value <= want + 1e-9 * max(1.0, abs(want)), (value, want)
 
@@ -317,13 +393,13 @@ def test_first_step_descends_from_a_rounding_error_inside_a_bound():
     def fun(t):
         r = t - centre
         values.append(0.5 * r @ hess @ r)
-        return values[-1], hess @ r, lambda: hess
+        return values[-1], hess @ r, lambda: hess, None
 
     lower, upper = np.array([0.05, 1e-4]), np.array([20.0, 10.0])
     x0 = np.array([4.0, 1e-4 * (1.0 + 2.0**-52)])
     assert x0[1] > lower[1] and fun(x0)[1][1] > 0
     values.clear()
-    theta, value = profile_search(fun, x0, lower, upper)
+    theta, value, _ = profile_search(fun, x0, lower, upper)
     assert values[1] < values[0]
     assert_allclose(theta, [5.0 - 0.9 * (1e-4 + 3.0), 1e-4], rtol=1e-12)
     assert value == pytest.approx(0.5 * 0.19 * (1e-4 + 3.0) ** 2, rel=1e-12)
