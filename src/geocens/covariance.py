@@ -62,12 +62,12 @@ class CovarianceSpec:
                 f"unsupported covariance family {self.family!r}; "
                 f"expected one of {FAMILIES}"
             )
-        if self.family == "matern" and not self.kappa > 0:
-            raise ConfigurationError("matern requires kappa > 0")
+        if self.family == "matern" and not 0 < self.kappa < np.inf:
+            raise ConfigurationError("matern requires a finite kappa > 0")
         if self.family == "powered-exponential" and not 0 < self.kappa <= 2:
             raise ConfigurationError("powered-exponential requires kappa in (0, 2]")
-        if self.fixed_nugget_value < 0:
-            raise ConfigurationError("fixed_nugget_value must be >= 0")
+        if not 0 <= self.fixed_nugget_value < np.inf:
+            raise ConfigurationError("fixed_nugget_value must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,12 @@ class CovParams:
     tau2: float = 0.0
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ConfigurationError("sigma2 must be > 0")
-        if not self.phi > 0:
-            raise ConfigurationError("phi must be > 0")
-        if self.tau2 < 0:
-            raise ConfigurationError("tau2 must be >= 0")
+        if not 0 < self.sigma2 < np.inf:
+            raise ConfigurationError("sigma2 must be finite and > 0")
+        if not 0 < self.phi < np.inf:
+            raise ConfigurationError("phi must be finite and > 0")
+        if not 0 <= self.tau2 < np.inf:
+            raise ConfigurationError("tau2 must be finite and >= 0")
 
     @property
     def nu2(self) -> float:

@@ -255,13 +255,12 @@ def conditional_given_obs(lo, mu_all, values, n_obs):
     observed sites.  With ``lo = [[L_oo, 0], [L_co, L_cc]]`` the censored
     block has mean ``mu_c + L_co L_oo^{-1} (values_o - mu_o)`` and
     covariance ``L_cc L_cc'``, and ``L_oo`` gives the Gaussian log density
-    of the observed block.  Returns ``(mean, covariance, log density)``.
+    of the observed block.  Returns ``(mean, L_cc, log density)``.
     """
     l_oo = lo[:n_obs, :n_obs]
-    l_cc = lo[n_obs:, n_obs:]
     wr = solve_triangular(l_oo, values[:n_obs] - mu_all[:n_obs], lower=True)
     mu = mu_all[n_obs:] + lo[n_obs:, :n_obs] @ wr
-    return mu, l_cc @ l_cc.T, logpdf_from_cholesky(l_oo, wr)
+    return mu, lo[n_obs:, n_obs:], logpdf_from_cholesky(l_oo, wr)
 
 
 def _conditional_at(params: ModelParams, data: SpatialDataset, trend: TrendSpec,
@@ -280,8 +279,8 @@ def conditional_cens_given_obs(
 ):
     """Conditional mean and covariance of the censored block given the
     observed block."""
-    mu, cond, _ = _conditional_at(params, data, trend, spec)
-    return mu, cond
+    mu, l_cc, _ = _conditional_at(params, data, trend, spec)
+    return mu, l_cc @ l_cc.T
 
 
 @dataclass(frozen=True)
@@ -323,28 +322,23 @@ def loglik(
     or ``Generator``) drives that estimate and is required when two or more
     sites are censored.
     """
-    mu, cond, obs_term = _conditional_at(params, data, trend, spec)
+    mu, l_cc, obs_term = _conditional_at(params, data, trend, spec)
     cen = partition(data).cens_idx
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
-    return loglik_from_conditional(obs_term, mu, cond, rect, rng)
+    return loglik_from_conditional(obs_term, mu, l_cc, rect, rng)
 
 
-def loglik_from_conditional(
-    obs_term: float,
-    mu: np.ndarray,
-    cond: np.ndarray,
-    rect: Rectangle,
-    rng=None,
-) -> LogLik:
+def loglik_from_conditional(obs_term: float, mu: np.ndarray, l_cc: np.ndarray,
+                            rect: Rectangle, rng=None) -> LogLik:
     """Log-likelihood from the observed-block log density ``obs_term`` and
-    the conditional law ``N(mu, cond)`` of the censored block, whose
+    the conditional law ``N(mu, l_cc l_cc')`` of the censored block, whose
     readings lie in ``rect``.  Only the rectangle probability is estimated,
     at the tolerance and lattice cap of :func:`geocens.mvn.mvn_rect_prob`'s
     defaults; an estimate of zero yields ``-inf`` with ``zero_prob`` set.
     """
     if rect.dim == 0:
         return LogLik(value=obs_term)
-    rp: RectProb = mvn_rect_prob(mu, cond, rect, rng=rng)
+    rp: RectProb = mvn_rect_prob(mu, l_cc @ l_cc.T, rect, rng=rng)
     zero = rp.prob <= 0.0
     return LogLik(
         value=-np.inf if zero else obs_term + float(np.log(rp.prob)),

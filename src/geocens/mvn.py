@@ -151,15 +151,19 @@ def tmvn_gibbs(
     clipped into the rectangle), which lets callers persist the chain across
     repeated invocations.
     """
+    lam = _cholesky_inverse(spd_cholesky(np.atleast_2d(np.asarray(cov, dtype=float))))
+    return _gibbs_sweeps(mean, lam, rect, n_samples, burn_in, thin, rng=rng, start=start)
+
+
+def _gibbs_sweeps(mean, lam, rect, n_samples, burn_in, thin, *, rng, start=None):
+    """:func:`tmvn_gibbs` on the precision matrix ``lam`` of the law."""
     gen = as_generator(rng)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
     n = mean.shape[0]
     if rect.dim != n:
         raise DataValidationError("rectangle dimension does not match mean")
     lower, upper = rect.lower, rect.upper
 
-    lam = _cholesky_inverse(spd_cholesky(cov))  # precision matrix
     rows, lam_ii = list(lam), np.diag(lam).tolist()
     cond_sd = (1.0 / np.sqrt(np.diag(lam))).tolist()
     mean_s, lower_s, upper_s = mean.tolist(), lower.tolist(), upper.tolist()

@@ -172,8 +172,12 @@ def empirical_variogram(
     d = pdist(coords)
     if max_dist is None:
         max_dist = 0.5 * float(d.max())
-    dz2 = pdist(z[:, None], metric="sqeuclidean")
     keep = d <= max_dist
+    if not (0 < max_dist < np.inf and keep.any()):
+        raise DataValidationError(
+            f"max_dist must be finite and > 0 with a pair of sites within it, got {max_dist}"
+        )
+    dz2 = pdist(z[:, None], metric="sqeuclidean")
     d, dz2 = d[keep], dz2[keep]
     edges = np.linspace(0.0, max_dist, n_bins + 1)
     which = np.clip(np.digitize(d, edges) - 1, 0, n_bins - 1)
@@ -311,7 +315,7 @@ def gaussian_ml_fit(
         lower, upper = lo_b[:2], hi_b[:2]
         nu2_held = None
 
-    theta, value, (beta, sigma2) = profile_search(
+    theta, value, (beta, sigma2, _) = profile_search(
         lambda t: profile_objective(
             t, dist, spec, y, np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
             x=x, tau2=fixed_tau,

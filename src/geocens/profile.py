@@ -16,12 +16,13 @@ conditional updates; Gaussian ML profiles the trend by generalized least
 squares and the sill by ``q / n`` or, with a fixed nugget ``tau2``, ties
 it to ``tau2 / nu2``.  Each evaluation forms R(phi), ``dR/dphi`` from R,
 L and Q (``potri``) once; the whitened residual ``L^{-1} r`` comes from
-the GLS fit when the trend is profiled.  The residual term of q stays on
-the factor: ``r' Q r`` loses accuracy as the condition of Psi grows, and
-the search compares values at 1e-10.  With ``a = Q r``, ``B = Q[:, c]``
-and ``Psi_j`` the derivatives of Psi (``dR/dphi`` for ``phi``, ``I`` for
-``nu2``), the sill held, the gradient and Hessian are closed form (Mardia
-& Marshall 1984, Biometrika):
+the GLS fit when the trend is profiled; L is handed back with the fitted
+trend and sill.  The residual term of q stays on the factor: ``r' Q r``
+loses accuracy as the condition of Psi grows, and the search compares
+values at 1e-10.  With ``a = Q r``, ``B = Q[:, c]`` and ``Psi_j`` the
+derivatives of Psi (``dR/dphi`` for ``phi``, ``I`` for ``nu2``), the sill
+held, the gradient and Hessian are closed form (Mardia & Marshall 1984,
+Biometrika):
 
     df/dtheta_j = 1/2 [l_j + q_j / sigma2],
     d2f/dtheta_j dtheta_k = 1/2 [l_jk + q_jk / sigma2],
@@ -71,15 +72,19 @@ _ACTIVE_TOL = 1e-9
 _ARMIJO = 1e-4
 _MAX_ITER = 200
 
+_Fitted = tuple[Optional[np.ndarray], float, np.ndarray]
 
-def expected_quad(lo: np.ndarray, resid: np.ndarray, cov_c: np.ndarray, idx: np.ndarray) -> float:
+
+def expected_quad(lo: np.ndarray, rw: np.ndarray, cov_c: np.ndarray, idx: np.ndarray) -> float:
     """``E[(z - mu)' S^{-1} (z - mu)]`` from the Cholesky factor ``lo`` of
-    ``S``, the residual ``zhat - mu`` and the covariance ``cov_c`` of the
-    block ``idx`` (zero elsewhere), without forming ``S^{-1}``."""
-    rw = solve_triangular(lo, resid, lower=True)
-    cols = np.zeros((lo.shape[0], len(idx)))
-    cols[idx, np.arange(len(idx))] = 1.0
-    ew = solve_triangular(lo, cols, lower=True)
+    ``S``, the whitened residual ``rw = lo^{-1} (zhat - mu)`` and the
+    covariance ``cov_c`` of the block ``idx`` (zero elsewhere).  The unit
+    columns of ``idx`` whiten to vectors that vanish above row ``min(idx)``,
+    so only the block of ``lo`` from that row down is solved."""
+    k = int(np.min(idx, initial=lo.shape[0]))
+    cols = np.zeros((lo.shape[0] - k, idx.size))
+    cols[idx - k, np.arange(idx.size)] = 1.0
+    ew = solve_triangular(lo[k:, k:], cols, lower=True)
     return float(rw @ rw + np.sum((ew.T @ ew) * cov_c))
 
 
@@ -105,7 +110,7 @@ def profile_objective(
     x: Optional[np.ndarray] = None,
     sigma2: Optional[float] = None,
     tau2: Optional[float] = None,
-) -> tuple[float, np.ndarray, Callable[[], np.ndarray], tuple[Optional[np.ndarray], float]]:
+) -> tuple[float, np.ndarray, Callable[[], np.ndarray], _Fitted]:
     """Value, gradient, Hessian builder and fitted trend and sill of ``f``
     at ``theta = (phi, nu2)``, or at ``theta = (phi,)`` with the relative
     nugget held at ``nu2``.
@@ -120,8 +125,8 @@ def profile_objective(
     The third element is a function of no arguments that returns the exact
     Hessian from the state of this evaluation, without evaluating R(phi)
     or factoring Psi again.  Raises :class:`SingularCovarianceError` when
-    Psi cannot be factored.  The fourth element is ``(beta, sigma2)``: the
-    GLS trend coefficients (None without ``x``) and the sill of ``f``.
+    Psi cannot be factored.  The fourth element is ``(beta, sigma2, lo)``:
+    the GLS trend (None without ``x``), the sill of ``f`` and L.
     """
     dim = len(theta)
     phi = float(theta[0])
@@ -138,7 +143,6 @@ def profile_objective(
         resid = z - x @ beta
     logdet = 2.0 * np.sum(np.log(np.diag(lo)))
     qi = _cholesky_inverse(lo)
-    del lo
 
     a = qi @ resid
     b = qi[:, idx]
@@ -197,7 +201,7 @@ def profile_objective(
         out += 0.5 * (2.0 * q / s**3 - n / s**2) * np.outer(ds, ds)
         return out
 
-    return float(value), grad, hess, (beta, s)
+    return float(value), grad, hess, (beta, s, lo)
 
 
 def _positive_metric(h: np.ndarray) -> np.ndarray:
@@ -241,7 +245,8 @@ def profile_search(
     :class:`NumericalError` when ``x0`` itself cannot be evaluated.
 
     Each Hessian builder is called, if at all, before the next evaluation,
-    so no more than one evaluation's state is held at a time.
+    so one evaluation's state is held at a time, beside the fitted values
+    of the accepted one (from :func:`profile_objective`, one n x n factor).
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)

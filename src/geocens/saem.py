@@ -17,7 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .covariance import CovarianceSpec, CovParams, cholesky_sigma, distance_matrix
+from .covariance import (
+    CovarianceSpec, CovParams, _cholesky_inverse, cholesky_sigma, distance_matrix,
+)
 from .errors import ConfigurationError, DataValidationError, NumericalError
 from .model import (
     Criteria,
@@ -25,8 +27,8 @@ from .model import (
     ModelParams,
     SpatialDataset,
     TrendSpec,
+    _conditional_at,
     build_trend,
-    conditional_cens_given_obs,
     conditional_given_obs,
     criteria,
     impute_bounds,
@@ -34,7 +36,7 @@ from .model import (
     param_count,
     partition,
 )
-from .mvn import Rectangle, RngState, tmvn_gibbs
+from .mvn import Rectangle, RngState, _gibbs_sweeps
 from .profile import _gls, expected_quad, profile_objective, profile_search
 
 GIBBS_BURN_IN = 20  # sweeps discarded before each E-step's sample
@@ -92,13 +94,13 @@ class SaemConfig:
             raise ConfigurationError("pc must lie in [0, 1)")
         if not 0.0 <= self.perc < 1.0:
             raise ConfigurationError("perc must lie in [0, 1)")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ConfigurationError("tol must be >= 0")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lower.shape != upper.shape or np.any(lower >= upper):
+        if lower.shape != upper.shape or not np.all(lower < upper):
             raise ConfigurationError("need lower < upper componentwise")
         object.__setattr__(self, "lower", tuple(lower))
         object.__setattr__(self, "upper", tuple(upper))
@@ -232,13 +234,13 @@ def e_step(
     their Monte Carlo moments into ``state`` with the scheduled step size.
     Observed coordinates stay pinned to the recorded values.
     """
-    mu, cond = conditional_cens_given_obs(params, data, trend, spec)
-    return _e_step_core(state, data, mu, cond, config, rng)
+    mu, l_cc, _ = _conditional_at(params, data, trend, spec)
+    return _e_step_core(state, data, mu, l_cc, config, rng)
 
 
-def _e_step_core(state, data, mu, cond, config, rng):
-    """:func:`e_step` given the conditional mean ``mu`` and covariance
-    ``cond`` of the censored block."""
+def _e_step_core(state, data, mu, l_cc, config, rng):
+    """:func:`e_step` given the conditional mean ``mu`` of the censored
+    block and the lower Cholesky factor ``l_cc`` of its covariance."""
     state.iteration += 1
     delta = delta_schedule(state.iteration, config.max_iter, config.pc)
     cen = partition(data).cens_idx
@@ -250,16 +252,8 @@ def _e_step_core(state, data, mu, cond, config, rng):
         return state.zhat, state.zz_cc
 
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
-    samples_c = tmvn_gibbs(
-        mu,
-        cond,
-        rect,
-        n_samples=config.m,
-        burn_in=GIBBS_BURN_IN,
-        thin=1,
-        rng=rng,
-        start=state.chain,
-    )
+    samples_c = _gibbs_sweeps(mu, _cholesky_inverse(l_cc), rect, config.m, GIBBS_BURN_IN, 1,
+                              rng=rng, start=state.chain)
     state.chain = samples_c[-1].copy()
 
     mc1 = samples_c.mean(axis=0)
@@ -280,28 +274,33 @@ def cm_step(
     config: SaemConfig,
     prev: ModelParams,
     lo: np.ndarray,
-) -> ModelParams:
+) -> tuple[ModelParams, np.ndarray]:
     """Conditional maximization given the current moment estimates.
 
     ``lo`` is the lower Cholesky factor of the covariance matrix at
     ``prev``.  The trend coefficients are generalized least squares under
-    it; the sill is its closed-form update; the range and relative nugget
-    come from the projected quasi-Newton search of
-    :func:`geocens.profile.profile_search` on the profile objective with
-    the residual and sill held, started at the previous iterate with the
-    exact Hessian of the objective as its metric.  With a fixed nugget only
-    the range is searched and ``nu2`` tracks ``fixed_nugget / sigma2``.
+    it; the sill is its closed-form update from that fit's whitened
+    residual; the range and relative nugget come from the projected
+    quasi-Newton search of :func:`geocens.profile.profile_search` on the
+    profile objective with the residual and sill held, started at the
+    previous iterate with the exact Hessian of the objective as its metric.
+    With a fixed nugget only the range is searched and ``nu2`` tracks
+    ``fixed_nugget / sigma2``.
 
     ``zz`` is the second moment of the block ``idx`` of the response; the
     second moment elsewhere is ``zhat zhat'``.
+
+    Returns the new parameters and the lower Cholesky factor of the
+    covariance matrix at them: ``sqrt(sigma2)`` times the factor of ``Psi``
+    that the search's accepted evaluation computed.
     """
     n = x.shape[0]
-    beta, _ = _gls(lo, x, zhat)
+    beta, rw = _gls(lo, x, zhat)
 
     # sill update with the previous correlation-scale precision
     resid = zhat - x @ beta
     cov_c = zz - np.outer(zhat[idx], zhat[idx])
-    sigma2 = prev.cov.sigma2 * expected_quad(lo, resid, cov_c, idx) / n
+    sigma2 = prev.cov.sigma2 * expected_quad(lo, rw, cov_c, idx) / n
     if not np.isfinite(sigma2) or sigma2 <= 0:
         raise NumericalError("sill update produced a non-positive value")
 
@@ -314,18 +313,15 @@ def cm_step(
     else:
         x0 = np.clip([prev.cov.phi, prev.cov.nu2], lower, upper)
         nu2 = None
-    theta, value, _ = profile_search(
+    theta, value, (_, _, lo_psi) = profile_search(
         lambda t: profile_objective(t, dist, spec, resid, cov_c, idx, nu2, sigma2=sigma2),
         x0, lower, upper,
     )
     if not np.isfinite(value):
         raise NumericalError("inner covariance search produced a non-finite objective")
-    phi = float(theta[0])
-    if spec.nugget_fixed:
-        tau2 = spec.fixed_nugget_value
-    else:
-        tau2 = float(theta[1]) * sigma2
-    return ModelParams(beta=beta, cov=CovParams(sigma2=sigma2, phi=phi, tau2=tau2))
+    tau2 = spec.fixed_nugget_value if spec.nugget_fixed else float(theta[1]) * sigma2
+    cov = CovParams(sigma2=sigma2, phi=float(theta[0]), tau2=tau2)
+    return ModelParams(beta=beta, cov=cov), math.sqrt(sigma2) * lo_psi
 
 
 def saem_fit(
@@ -339,13 +335,14 @@ def saem_fit(
     Each parameter point (the start and the result of every CM step) is
     factored once: one Cholesky factor of ``Sigma`` over the sites ordered
     observed first (:attr:`geocens.model.Partition.order`) holds every
-    block the point needs.  Its observed block gives the observed-block log
-    density, its lower blocks the conditional law of the censored block
-    (:func:`geocens.model.conditional_given_obs`), and the whole factor the
-    next CM step's generalized least squares and sill update, or at the
-    start the initial trend coefficients.  The next E-step samples from
-    that conditional law, and the final likelihood estimate only the
-    rectangle probability under it.
+    block the point needs: the start is factored here, every later point
+    by the CM step's search that found it.  Its observed block gives the
+    observed-block log density, its lower blocks the conditional law of the
+    censored block (:func:`geocens.model.conditional_given_obs`, which
+    keeps the covariance as its factor ``L_cc``), and the whole factor the
+    next CM step's generalized least squares and sill update.  The next
+    E-step sweeps on the precision from ``L_cc``; only the final likelihood
+    estimate forms ``L_cc L_cc'``, for its rectangle probability.
 
     Iterates until the parameter path settles (every entry of
     :func:`path_drift` over the post-cut iterates below ``config.tol``,
@@ -391,27 +388,24 @@ def saem_fit(
     cen = part.cens_idx
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
     y0 = impute_bounds(data)
-    state = SaemState(zhat=y0.copy(), zz_cc=np.outer(y0[cen], y0[cen]), chain=None)
-    if cen.size:
-        state.chain = y0[cen].copy()
+    state = SaemState(zhat=y0.copy(), zz_cc=np.outer(y0[cen], y0[cen]),
+                      chain=y0[cen].copy() if cen.size else None)
 
-    n_theta = p + 3
-    trace_params = np.full((config.max_iter, n_theta), np.nan)
+    trace_params = np.full((config.max_iter, p + 3), np.nan)
     converged = False
     iterations = 0
 
     lo = cholesky_sigma(dist_o, spec, cov)
     params = ModelParams(beta=_gls(lo, x_o, y0[order])[0], cov=cov)
-    mu, cond, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
+    mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
     for k in range(1, config.max_iter + 1):
         iterations = k
         try:
-            _e_step_core(state, data, mu, cond, config, gibbs_rng)
-            params = cm_step(
+            _e_step_core(state, data, mu, l_cc, config, gibbs_rng)
+            params, lo = cm_step(
                 state.zhat[order], state.zz_cc, cen_o, x_o, dist_o, spec, config, params, lo
             )
-            lo = cholesky_sigma(dist_o, spec, params.cov)
-            mu, cond, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
+            mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
         except NumericalError as exc:
             raise NumericalError(f"iteration {k}: {exc}") from exc
         trace_params[k - 1] = params.as_array()
@@ -422,9 +416,8 @@ def saem_fit(
             converged = True
             break
 
-    ll = loglik_from_conditional(obs_term, mu, cond, rect, ll_rng)
-    k_params = param_count(p, spec.nugget_fixed)
-    crit = criteria(ll.value, k_params, n)
+    ll = loglik_from_conditional(obs_term, mu, l_cc, rect, ll_rng)
+    crit = criteria(ll.value, param_count(p, spec.nugget_fixed), n)
     return SaemFit(
         params=params,
         zhat=state.zhat,

@@ -583,8 +583,21 @@ def test_predict_rejects_truth_that_does_not_match_the_targets(tmp_path, sim_dir
     ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1, "--seed", -1],
     ["fit", "--data", "{data}", "--seed", -1],
     ["fit", "--data", "{data}", "--lower", 0.05, "--upper", 20],
+    ["variogram", "--data", "{data}", "--max-dist", -1],
+    ["variogram", "--data", "{data}", "--max-dist", 0.01],
+    ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1, "--tau2", "nan"],
+    ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", "inf", "--phi", 1],
+    ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", "inf"],
+    ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1,
+     "--cov-model", "matern", "--kappa", "inf"],
+    ["fit", "--data", "{data}", "--fix-nugget", "--nugget", "nan"],
+    ["fit", "--data", "{data}", "--tol", "nan"],
 ], ids=["crossval-no-methods", "variogram-zero-bins", "predict-header-only-targets",
-        "simulate-negative-seed", "fit-negative-seed", "fit-free-nugget-one-component-box"])
+        "simulate-negative-seed", "fit-negative-seed", "fit-free-nugget-one-component-box",
+        "variogram-negative-max-dist", "variogram-max-dist-below-every-pair",
+        "simulate-nan-nugget", "simulate-infinite-sill", "simulate-infinite-range",
+        "simulate-infinite-matern-smoothness",
+        "fit-nan-fixed-nugget", "fit-nan-tol"])
 def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
     header_only = tmp_path / "targets.csv"
     header_only.write_text("x,y\r\n")

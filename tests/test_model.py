@@ -164,7 +164,8 @@ def test_conditional_given_obs_equals_dense_schur_complement(family, kappa, n_ob
     sigma = build_sigma(distance_matrix(coords), spec, CovParams(sigma2=2.0, phi=1.5, tau2=0.3))
     mu_all = rng.normal(size=n)
     values = rng.normal(1.0, 2.0, size=n)
-    mu, cond, logdens = conditional_given_obs(np.linalg.cholesky(sigma), mu_all, values, n_obs)
+    mu, l_cc, logdens = conditional_given_obs(np.linalg.cholesky(sigma), mu_all, values, n_obs)
+    cond = l_cc @ l_cc.T
 
     o, c = slice(0, n_obs), slice(n_obs, n)
     gain = np.linalg.solve(sigma[o, o], sigma[o, c]).T  # Sigma_co Sigma_oo^{-1}

@@ -155,16 +155,16 @@ def test_value_and_fitted_values_match_dense_oracle(spec):
 
     dist, resid, cov_c, idx = cm_setup()
     for theta, nu2 in CM_FORMS:
-        value, _, _, (beta, s) = profile_objective(theta, dist, spec, resid, cov_c, idx, nu2,
-                                                   sigma2=1.3)
+        value, _, _, (beta, s, _) = profile_objective(theta, dist, spec, resid, cov_c, idx, nu2,
+                                                      sigma2=1.3)
         want, _, _ = dense_profile_value(dist, corr, theta[0], theta[-1] if nu2 is None else nu2,
                                          resid, cov_c, idx, sigma2=1.3)
         assert value == pytest.approx(want, rel=1e-10)
         assert beta is None and s == 1.3
     dist, x, y, _ = gradient_setup(seed=1)
     for tau2, theta, nu2 in ML_FORMS:
-        value, _, _, (beta, s) = profile_objective(theta, dist, spec, y, *NO_BLOCK, nu2, x=x,
-                                                   tau2=tau2)
+        value, _, _, (beta, s, _) = profile_objective(theta, dist, spec, y, *NO_BLOCK, nu2, x=x,
+                                                      tau2=tau2)
         want, beta_o, s_o = dense_profile_value(
             dist, corr, theta[0], theta[-1] if nu2 is None else nu2, y, *NO_BLOCK, x=x, tau2=tau2
         )
@@ -425,6 +425,30 @@ def test_cholesky_inverse_allocates_one_matrix():
     assert np.abs(inv - np.linalg.inv(mat)).max() < 1e-10
 
 
+@pytest.mark.parametrize("nugget", [None, 0.0, 0.3], ids=["free", "fixed-0", "fixed-0.3"])
+@pytest.mark.parametrize("family_spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
+def test_cm_step_returns_the_factor_of_sigma_at_its_point(family_spec, nugget):
+    # sqrt(sigma2) times the search's factor of Psi = R + nu2 I is the
+    # factor of Sigma = sigma2 R + tau2 I at the returned parameters
+    spec = family_spec if nugget is None else CovarianceSpec(
+        family_spec.family, kappa=family_spec.kappa, nugget_fixed=True,
+        fixed_nugget_value=nugget)
+    data = sim_left(seed=14, cens=0.3).data
+    x = build_trend(data.coords, None, TrendSpec("cte"))
+    dist = distance_matrix(data.coords)
+    tau2 = 0.2 if nugget is None else nugget
+    prev = ModelParams(beta=[1.5], cov=CovParams(sigma2=1.0, phi=1.0, tau2=tau2))
+    cen = np.flatnonzero(data.cens == 1)
+    zhat = data.value.astype(float)
+    zz_cc = np.outer(zhat[cen], zhat[cen]) + 0.1 * np.eye(cen.size)
+    cfg = base_config() if nugget is None else base_config(lower=(0.05,), upper=(20.0,))
+    new, lo = cm_step(zhat, zz_cc, cen, x, dist, spec, cfg, prev,
+                      covariance.cholesky_sigma(dist, spec, prev.cov))
+    want = covariance.cholesky_sigma(dist, spec, new.cov)
+    assert np.array_equal(np.triu(lo, 1), np.zeros_like(lo))
+    assert np.abs(lo - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
     # the unconstrained maximizer lies near phi = 1; every trial above the
     # cut fails to factor, so the step must end at a finite objective below
@@ -438,7 +462,7 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
     sigma = build_sigma(dist, SPEC_EXP, prev.cov)
-    free = cm_step(
+    free, _ = cm_step(
         zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, np.linalg.cholesky(sigma)
     )
     cut = 0.5 * (prev.cov.phi + free.cov.phi)
@@ -458,7 +482,7 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
 
     monkeypatch.setattr(covariance, "corr_matrix", noting_corr)
     monkeypatch.setattr(covariance, "spd_cholesky", failing_cholesky)
-    new = cm_step(
+    new, _ = cm_step(
         zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, np.linalg.cholesky(sigma)
     )
     monkeypatch.undo()

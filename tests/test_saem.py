@@ -56,6 +56,17 @@ def test_config_rejects_perc_outside_unit_interval(perc):
         SaemConfig(perc=perc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tol", np.nan), ("lower", (np.nan, 1e-4)), ("upper", (20.0, np.nan)),
+])
+def test_config_rejects_nan_settings(field, value):
+    # a NaN tolerance never stops the fit, and a NaN bound is no box
+    from geocens.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError):
+        SaemConfig(**{field: value})
+
+
 @pytest.mark.parametrize("nugget_fixed, lower, upper", [
     (False, (0.05,), (5.0,)),
     (False, (0.05, 1e-4, 1e-4), (5.0, 10.0, 10.0)),
@@ -176,6 +187,48 @@ def test_e_step_scalar_truncated_mean_recovery():
     assert abs(draws.mean() - want) < 4 * se
 
 
+def censored_dataset(kind, seed=3):
+    """An n=40 simulation censored on the left, the right, or on intervals
+    (the left-censored rows with a lower bound under their upper one)."""
+    data = simulate_scl(SimConfig(
+        n_est=40, n_pred=0, beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+        spec=SPEC_EXP, cens_level=0.3, cens_type="right" if kind == "right" else "left",
+        coord_box=((0.0, 6.0), (0.0, 6.0)), seed=seed,
+    )).data
+    if kind != "interval":
+        return data
+    width = np.random.default_rng(seed).uniform(0.5, 2.0, data.n)
+    lower = np.where(data.cens == 1, data.upper - width, -np.inf)
+    return SpatialDataset(coords=data.coords, value=data.value, cens=data.cens,
+                          lower=lower, upper=data.upper, cens_type="interval")
+
+
+@pytest.mark.parametrize("kind", ["left", "right", "interval"])
+def test_e_step_draws_from_the_factor_as_from_its_covariance(kind):
+    # the E-step sweeps on the precision from L_cc; tmvn_gibbs factors
+    # L_cc L_cc' and inverts it, so the draws agree to rounding
+    from geocens.model import _conditional_at, partition
+
+    data = censored_dataset(kind)
+    params = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
+    cfg = base_config(m=15)  # iteration 1 is inside the cut: the moments are the sample's
+    cen = partition(data).cens_idx
+    start = np.clip(data.value[cen], data.lower[cen], data.upper[cen])
+    state = SaemState(zhat=data.value.astype(float), zz_cc=np.zeros((cen.size, cen.size)),
+                      chain=start)
+    zhat, zz_cc = e_step(state, data, params, TrendSpec("cte"), SPEC_EXP, cfg, RngState(7))
+
+    mu, l_cc, _ = _conditional_at(params, data, TrendSpec("cte"), SPEC_EXP)
+    samples = tmvn_gibbs(
+        mu, l_cc @ l_cc.T, Rectangle(data.lower[cen], data.upper[cen]), n_samples=cfg.m,
+        burn_in=GIBBS_BURN_IN, rng=RngState(7), start=start,
+    )
+    assert cen.size > 5
+    assert_allclose(state.chain, samples[-1], rtol=1e-12)
+    assert_allclose(zhat[cen], samples.mean(axis=0), rtol=1e-12)
+    assert_allclose(zz_cc, samples.T @ samples / cfg.m, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # CM-step
 # ---------------------------------------------------------------------------
@@ -191,7 +244,7 @@ def test_cm_step_beta_is_gls():
     zzhat = np.outer(zhat, zhat)
     cfg = base_config()
     sigma = build_sigma(dist, SPEC_EXP, prev.cov)
-    new = cm_step(
+    new, _ = cm_step(
         zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, np.linalg.cholesky(sigma)
     )
     si = np.linalg.inv(sigma)
@@ -209,7 +262,7 @@ def test_cm_step_square_design_residual_free_sill():
     zhat = np.array([0.7, -0.4])
     zzhat = np.outer(zhat, zhat) + 0.5 * np.eye(2)
     cfg = base_config()
-    new = cm_step(
+    new, _ = cm_step(
         zhat, zzhat, np.arange(2), x, dist, SPEC_EXP, cfg, prev,
         cholesky_sigma(dist, SPEC_EXP, prev.cov),
     )
@@ -227,7 +280,7 @@ def test_cm_step_dominates_random_feasible_points():
     zhat = data.value.astype(float)
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
-    new = cm_step(
+    new, _ = cm_step(
         zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev,
         cholesky_sigma(dist, SPEC_EXP, prev.cov),
     )
@@ -272,8 +325,8 @@ def test_cm_step_censored_block_equals_dense_moments():
         ),
     ]:
         sigma = build_sigma(dist, spec, prev.cov)
-        block = cm_step(zhat, zz_cc, cen, x, dist, spec, cfg, prev, np.linalg.cholesky(sigma))
-        dense = cm_step(
+        block, _ = cm_step(zhat, zz_cc, cen, x, dist, spec, cfg, prev, np.linalg.cholesky(sigma))
+        dense, _ = cm_step(
             zhat, zzhat, np.arange(data.n), x, dist, spec, cfg, prev, np.linalg.cholesky(sigma)
         )
         assert_allclose(block.as_array(), dense.as_array(), rtol=1e-10)
@@ -349,9 +402,10 @@ def test_saem_fit_stores_only_the_censored_second_moment():
 
 
 def test_saem_fit_builds_sigma_once_per_parameter_point(monkeypatch):
-    # budget outside the CM searches: the start point and one point per CM
-    # step, each factored once over all n sites and never over the observed
-    # block alone
+    # budget outside the CM searches: the start point alone is built and
+    # factored, over all n sites; every later point comes factored from the
+    # search that found it, and neither the observed block nor the censored
+    # block's conditional covariance is factored again
     from collections import Counter
 
     from geocens import covariance, mvn, saem
@@ -385,9 +439,10 @@ def test_saem_fit_builds_sigma_once_per_parameter_point(monkeypatch):
     fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=12))
     n_obs = data.n - data.n_censored
     assert 0 < n_obs < data.n
-    assert counts["outside"] == fit.iterations_used + 1
-    assert factors[data.n] == fit.iterations_used + 1
-    assert factors[n_obs] == 0
+    assert fit.iterations_used == 12
+    assert counts["outside"] == 1
+    assert factors[data.n] == 1
+    assert factors[n_obs] == 0 and factors[data.n_censored] == 0
 
 
 def test_saem_fit_loglik_observed_block_is_the_dense_density():
