@@ -360,6 +360,7 @@ def fit_summary_text(fit: SaemFit) -> str:
     lines += [
         "",
         f"Loglik {fit.loglik.value:.6g}  AIC {fit.aic:.6g}  BIC {fit.bic:.6g}{aicc}",
+        f"Loglik Monte Carlo se {fit.loglik.se:.3g} ({fit.loglik.n_points} points)",
         "",
         f"Censoring   : {fit.data.cens_type}, {fit.data.n_censored} of {fit.data.n} sites",
         f"Converged   : {fit.converged} ({fit.iterations_used}/{fit.config.max_iter} iterations)",

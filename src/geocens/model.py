@@ -9,6 +9,7 @@ probability of the censored block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -285,21 +286,22 @@ def conditional_cens_given_obs(
 
 @dataclass(frozen=True)
 class LogLik:
-    """Observed-data log-likelihood with the Monte Carlo error of the
-    censored factor (zero when nothing is censored)."""
+    """Observed-data log-likelihood ``value = obs_term + log P``, where
+    ``log P`` (``log_cens_prob``) is the log rectangle probability of the
+    censored block, and ``se`` the Monte Carlo standard error of ``log P``
+    and hence of ``value`` (0 when at most one site is censored).
+    ``n_points`` counts the sample points of that estimate."""
 
     value: float
-    cens_prob: float = 1.0
-    cens_prob_se: float = 0.0
+    se: float = 0.0
     n_points: int = 0
-    zero_prob: bool = False
+    log_cens_prob: float = 0.0
 
     @property
-    def se(self) -> float:
-        """Standard error of ``value`` (delta method on the log factor)."""
-        if self.cens_prob <= 0:
-            return np.inf
-        return self.cens_prob_se / self.cens_prob
+    def cens_prob(self) -> float:
+        """``exp(log_cens_prob)``; 0 once it underflows, where
+        ``log_cens_prob`` and ``value`` stay finite."""
+        return math.exp(self.log_cens_prob)
 
     def __float__(self) -> float:
         return self.value
@@ -332,21 +334,17 @@ def loglik_from_conditional(obs_term: float, mu: np.ndarray, l_cc: np.ndarray,
                             rect: Rectangle, rng=None) -> LogLik:
     """Log-likelihood from the observed-block log density ``obs_term`` and
     the conditional law ``N(mu, l_cc l_cc')`` of the censored block, whose
-    readings lie in ``rect``.  Only the rectangle probability is estimated,
-    at the tolerance and lattice cap of :func:`geocens.mvn.mvn_rect_prob`'s
-    defaults; an estimate of zero yields ``-inf`` with ``zero_prob`` set.
+    readings lie in ``rect``.  Only the log rectangle probability is
+    estimated, at the tolerance (standard error of ``log P`` at most 1e-2)
+    and point cap of :func:`geocens.mvn.mvn_rect_prob`'s defaults; it is
+    computed in log space, so the value stays finite however small the
+    probability.
     """
     if rect.dim == 0:
         return LogLik(value=obs_term)
     rp: RectProb = mvn_rect_prob(mu, l_cc @ l_cc.T, rect, rng=rng)
-    zero = rp.prob <= 0.0
-    return LogLik(
-        value=-np.inf if zero else obs_term + float(np.log(rp.prob)),
-        cens_prob=rp.prob,
-        cens_prob_se=rp.se,
-        n_points=rp.n_points,
-        zero_prob=zero,
-    )
+    return LogLik(value=obs_term + rp.log_prob, se=rp.log_prob_se, n_points=rp.n_points,
+                  log_cens_prob=rp.log_prob)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import least_squares
 from scipy.spatial.distance import pdist
 
 from .covariance import (
@@ -207,6 +206,10 @@ def wls_variofit(vario: Variogram, spec: CovarianceSpec) -> CovParams:
     slide along a ridge of near-equal fits to a sill thousands of times the
     data's variance.
     """
+    # imported here: scipy.optimize is slow to import, and only this fit
+    # needs it, so the CLI commands that never fit a variogram skip it
+    from scipy.optimize import least_squares
+
     if vario.centers.shape[0] < 3:
         raise NumericalError("variogram fit needs at least 3 nonempty bins")
     g = vario.gamma

@@ -70,9 +70,9 @@ class SaemConfig:
     ``sigma2 + tau2``).  ``tol = 0`` runs every iteration.
 
     The Gibbs burn-in (:data:`GIBBS_BURN_IN`), the stopping window
-    (:data:`STOP_WINDOW`) and the likelihood's precision (the tolerance
-    and lattice cap of :func:`geocens.mvn.mvn_rect_prob`'s defaults) are
-    fixed.
+    (:data:`STOP_WINDOW`) and the likelihood's precision (the defaults of
+    :func:`geocens.mvn.mvn_rect_prob`: a standard error of ``log P`` of at
+    most 1e-2, within a cap of 100 000 points) are fixed.
     """
 
     m: int = 15

@@ -24,8 +24,9 @@ class SimConfig:
     """Settings for one simulated dataset.
 
     Coordinates are either supplied (``coords``, stacked estimation rows
-    first) or drawn uniformly over ``coord_box``.  For an ``other`` trend,
-    covariates are drawn uniformly from ``covariate_ranges``.
+    first) or drawn uniformly over ``coord_box``, ``((x0, x1), (y0, y1))``
+    with finite bounds and ``x0 < x1``, ``y0 < y1``.  For an ``other``
+    trend, covariates are drawn uniformly from ``covariate_ranges``.
     """
 
     n_est: int
@@ -52,6 +53,9 @@ class SimConfig:
             raise ConfigurationError("trend 'other' needs covariate_ranges")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
+        box = np.asarray(self.coord_box, dtype=float)
+        if box.shape != (2, 2) or not np.isfinite(box).all() or not np.all(box[:, 0] < box[:, 1]):
+            raise DataValidationError("coord_box needs finite bounds with x0 < x1 and y0 < y1")
 
 
 @dataclass(frozen=True)

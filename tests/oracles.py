@@ -1,19 +1,21 @@
 """Independent reference implementations used only by the test suite.
 
 These deliberately avoid the library's own code paths: rejection sampling
-instead of Gibbs, plain Monte Carlo instead of lattice rules, dense naive
-formulas instead of Cholesky pipelines, and generic numeric optimization
-on closed-form likelihoods instead of the EM loop.  The numpy scalar
-Gibbs loop and the full lattice batch are earlier forms of the library's
-kernels, kept as the arithmetic those kernels must reproduce bit for bit.
+instead of Gibbs, plain Monte Carlo and one-dimensional quadrature instead
+of the tilted rectangle-probability estimator, dense naive formulas instead
+of Cholesky pipelines, and generic numeric optimization on closed-form
+likelihoods instead of the EM loop.  The numpy scalar Gibbs loop is an
+earlier form of the library's sampler, kept as the arithmetic that sampler
+must reproduce bit for bit.
 """
 
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
-from scipy.optimize import minimize
-from scipy.special import gamma, kv, ndtr, ndtri
+from scipy.integrate import quad
+from scipy.optimize import minimize, minimize_scalar
+from scipy.special import gamma, kv, log_ndtr, ndtr, ndtri
 
 from geocens.covariance import (
     _cholesky_inverse,
@@ -24,7 +26,6 @@ from geocens.covariance import (
     spd_cholesky,
 )
 from geocens.errors import NumericalError, SingularCovarianceError
-from geocens.mvn import _first_primes, _ordered_cholesky
 
 
 def rejection_tmvn(mean, cov, lower, upper, n_keep, rng, max_draws=5_000_000):
@@ -449,58 +450,34 @@ def tmvn_gibbs_numpy(mean, cov, lower, upper, n_samples, burn_in, thin, gen, sta
     return out
 
 
-def lattice_rect_prob_full(mean, cov, lower, upper, gen, eps=1e-4, max_points=100_000):
-    """Rectangle probability by the randomly shifted root-prime lattice in
-    1 000-point batches, with the normal CDF evaluated at every bound of
-    every point, infinite ones included.  Returns ``(prob, se, n_points,
-    hit_cap)``; needs at least two coordinates."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    n = mean.shape[0]
-    sd = np.sqrt(np.diag(cov))
-    ell, low, high = _ordered_cholesky(
-        cov / np.outer(sd, sd), (np.asarray(lower, float) - mean) / sd,
-        (np.asarray(upper, float) - mean) / sd,
-    )
-    diag = np.diag(ell)
-    c0 = ndtr(low[0] / diag[0])
-    d0 = ndtr(high[0] / diag[0])
-    q = np.sqrt(_first_primes(n - 1))
-    points = 1_000
-    idx = np.arange(1, points + 1)[None, :]
-    batch_means = []
-    n_points = 0
+def equicorrelated_log_prob(upper, rho):
+    """``log P(X <= upper)`` for ``X ~ N(0, R)`` with the equicorrelation
+    matrix ``R = (1 - rho) I + rho 11'``, ``0 <= rho < 1``.
 
-    def run_batch():
-        shift = gen.random(n - 1)
-        z = q[:, None] * idx + shift[:, None]
-        z -= np.floor(z)
-        x = np.abs(2.0 * z - 1.0)
-        y = np.zeros((n - 1, points))
-        c = np.full(points, c0)
-        dc = np.full(points, d0 - c0)
-        pv = dc.copy()
-        for i in range(1, n):
-            arg = np.clip(c + x[i - 1] * dc, 1e-300, 1.0 - 1e-16)
-            y[i - 1] = ndtri(arg)
-            s = ell[i, :i] @ y[:i]
-            c = ndtr((low[i] - s) / diag[i])
-            d = ndtr((high[i] - s) / diag[i])
-            dc = d - c
-            pv = pv * dc
-        return float(pv.mean())
+    Given ``W ~ N(0, 1)``, ``X_i = sqrt(rho) W + sqrt(1 - rho) e_i`` with
+    iid standard ``e_i``, so ``P`` is the one-dimensional integral of
+    ``phi(w) prod_i Phi((u_i - sqrt(rho) w) / sqrt(1 - rho))``.  Its log is
+    concave; adaptive quadrature runs on the integrand divided by its
+    maximum, between the points where the log has fallen by 700 on either
+    side, and the log of the maximum is added back.
+    """
+    u = np.asarray(upper, dtype=float)
+    s, c = np.sqrt(rho), np.sqrt(1.0 - rho)
 
-    while True:
-        batch_means.append(run_batch())
-        n_points += points
-        nb = len(batch_means)
-        if nb >= 10:
-            se = float(np.std(batch_means, ddof=1) / np.sqrt(nb))
-            if se <= eps:
-                return float(np.mean(batch_means)), se, n_points, False
-        if n_points + points > max_points:
-            se = float(np.std(batch_means, ddof=1) / np.sqrt(nb)) if nb > 1 else np.inf
-            return float(np.mean(batch_means)), se, n_points, True
+    def log_f(w):
+        return -0.5 * w * w - 0.5 * np.log(2.0 * np.pi) + log_ndtr((u - s * w) / c).sum()
+
+    mode = minimize_scalar(lambda w: -log_f(w), bracket=(-1.0, 1.0)).x
+    top = log_f(mode)
+    ends = []
+    for sign in (-1.0, 1.0):
+        step = 1.0
+        while top - log_f(mode + sign * step) < 700.0:
+            step *= 2.0
+        ends.append(mode + sign * step)
+    val, _ = quad(lambda w: np.exp(log_f(w) - top), ends[0], ends[1], points=[mode],
+                  epsabs=0.0, epsrel=1e-12, limit=200)
+    return float(top + np.log(val))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+import geocens
 from geocens import CovarianceSpec, SaemConfig, SpatialDataset, TrendSpec, saem_fit
 from geocens.cli import main, read_dataset_csv, write_dataset_csv
 
@@ -592,12 +595,16 @@ def test_predict_rejects_truth_that_does_not_match_the_targets(tmp_path, sim_dir
      "--cov-model", "matern", "--kappa", "inf"],
     ["fit", "--data", "{data}", "--fix-nugget", "--nugget", "nan"],
     ["fit", "--data", "{data}", "--tol", "nan"],
+    ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1, "--box", "0,nan,0,6"],
+    ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1, "--box", "0,inf,0,6"],
+    ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1, "--box", "6,0,0,6"],
 ], ids=["crossval-no-methods", "variogram-zero-bins", "predict-header-only-targets",
         "simulate-negative-seed", "fit-negative-seed", "fit-free-nugget-one-component-box",
         "variogram-negative-max-dist", "variogram-max-dist-below-every-pair",
         "simulate-nan-nugget", "simulate-infinite-sill", "simulate-infinite-range",
         "simulate-infinite-matern-smoothness",
-        "fit-nan-fixed-nugget", "fit-nan-tol"])
+        "fit-nan-fixed-nugget", "fit-nan-tol", "simulate-nan-box", "simulate-infinite-box",
+        "simulate-reversed-box"])
 def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
     header_only = tmp_path / "targets.csv"
     header_only.write_text("x,y\r\n")
@@ -607,3 +614,26 @@ def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize takes over 100 ms to import and only the variogram fit
+    # needs it, so it is imported there; a fresh interpreter shows it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geocens.__file__)))
+    code = "import sys, geocens.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_fit_summary_reports_the_loglik_monte_carlo_error(sim_dir):
+    from geocens.cli import fit_summary_text
+
+    data = read_dataset_csv(str(sim_dir / "data.csv"))
+    fit = saem_fit(data, TrendSpec("cte"), CovarianceSpec("exponential"), SaemConfig(
+        m=6, max_iter=4, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
+        lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=5,
+    ))
+    assert data.n_censored > 1
+    assert 0.0 < fit.loglik.se <= 1e-2 and fit.loglik.n_points >= 1_000
+    lines = fit_summary_text(fit).splitlines()
+    assert f"Loglik Monte Carlo se {fit.loglik.se:.3g} ({fit.loglik.n_points} points)" in lines

@@ -292,8 +292,12 @@ def test_impute_bounds_takes_the_finite_bound_or_the_interval_midpoint():
 
 
 def test_loglik_zero_probability_rectangle():
-    # a censored interval impossibly far in the tail estimates to zero
-    # probability and is reported as -inf with the flag set
+    # a censored interval so far in the tail that its probability underflows
+    # to 0 in double precision; its log does not, and the likelihood is the
+    # observed block's density times the 1-D conditional probability, whose
+    # upper bound adds nothing at 1e5 sd: log Phi(-(1e5 - mu) / sd)
+    from scipy.special import log_ndtr
+
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     data = SpatialDataset(
         coords=coords,
@@ -305,8 +309,14 @@ def test_loglik_zero_probability_rectangle():
     )
     params = ModelParams(beta=[0.0], cov=CovParams(sigma2=1.0, phi=1.0))
     ll = loglik(params, data, TrendSpec("cte"), CovarianceSpec("exponential"), rng=0)
-    assert ll.zero_prob
-    assert ll.value == -np.inf
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1))
+    sigma = np.exp(-dist)
+    w = np.linalg.solve(sigma[:2, :2], sigma[:2, 2])
+    mu, sd = w @ data.value[:2], np.sqrt(sigma[2, 2] - w @ sigma[:2, 2])
+    want = mvn_logpdf(data.value[:2], np.zeros(2), sigma[:2, :2]) + log_ndtr(-(1e5 - mu) / sd)
+    assert np.isfinite(ll.value) and ll.cens_prob == 0.0
+    assert ll.value == pytest.approx(want, rel=1e-12)
+    assert ll.se == 0.0
 
 
 def test_criteria_reference_values():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from geocens import (
     ConfigurationError,
@@ -24,7 +24,7 @@ from geocens.mvn import _ordered_cholesky
 from oracles import (
     batch_means_se,
     crude_mc_rect_prob,
-    lattice_rect_prob_full,
+    equicorrelated_log_prob,
     ordered_cholesky_scalar,
     rejection_tmvn,
     tmvn_gibbs_numpy,
@@ -345,30 +345,88 @@ def _rect_fields(res):
     return res.prob, res.se, res.n_points, res.hit_cap
 
 
-@pytest.mark.parametrize(
-    "n_c, kind, eps, max_points",
-    [(30, "left", 1e-4, 100_000), (80, "left", 1e-4, 100_000), (30, "interval", 1e-4, 100_000),
-     (2, "left", 1e-4, 100_000), (5, "far", 1e-4, 100_000), (6, "left", 1e-6, 100_000), (8, "left", 0.0, 20_000),
-     (8, "left", 0.0, 5_500), (8, "interval", 0.0, 500)],
-)
-def test_rect_prob_matches_the_full_lattice(n_c, kind, eps, max_points):
-    # skipping the normal CDF at infinite bounds leaves every field, and the
-    # stream after the call, as the lattice that evaluates it everywhere;
-    # the lattice runs on the problem with its upper-tail coordinates
-    # (low + high > 0 after standardizing) mirrored
-    mean, cov, lower, upper = _block(n_c, kind)
-    sd = np.sqrt(np.diag(cov))
-    flip = (upper - mean) / sd > -(lower - mean) / sd
-    assert flip.any() == (kind == "interval")
-    gen, gen_ref = RngState(8).generator, RngState(8).generator
-    got = mvn_rect_prob(mean, cov, Rectangle(lower, upper), rng=gen, eps=eps,
+@pytest.mark.parametrize("n_c, shift, rho", [(30, -0.5, 0.5), (200, -0.5, 0.5),
+                                             (800, 0.5, 0.3), (200, -40.0, 0.5)])
+def test_rect_prob_matches_the_equicorrelated_quadrature(n_c, shift, rho):
+    # P(X <= u) under equicorrelation is a 1-D integral (tests/oracles.py);
+    # the estimate lies within three of its reported standard errors, also
+    # 40 sd out, where P is about exp(-1771)
+    u = np.random.default_rng(n_c).normal(shift, 1.0, n_c)
+    cov = (1.0 - rho) * np.eye(n_c) + rho
+    res = mvn_rect_prob(np.zeros(n_c), cov, Rectangle(np.full(n_c, -np.inf), u),
+                        rng=RngState(1))
+    assert 0.0 < res.log_prob_se <= 1e-2 and not res.hit_cap
+    assert abs(res.log_prob - equicorrelated_log_prob(u, rho)) <= 3.0 * res.log_prob_se
+
+
+def test_rect_prob_diagonal_block_is_exact():
+    # independent coordinates: the tilt is 0 and every weight is the product
+    # of the 1-D interval probabilities, so log P is their sum, with se 0
+    rng = np.random.default_rng(5)
+    n_c = 800
+    sd = rng.uniform(0.5, 2.0, n_c)
+    mean = rng.normal(0.0, 1.0, n_c)
+    cut = rng.uniform(-2.0, 2.0, n_c)
+    kind = np.arange(n_c) % 3  # left, right, interval
+    lower = np.where(kind == 0, -np.inf, cut - np.where(kind == 2, 1.0, 0.0))
+    upper = np.where(kind == 1, np.inf, cut)
+    res = mvn_rect_prob(mean, np.diag(sd**2), Rectangle(lower * sd + mean, upper * sd + mean),
+                        rng=RngState(2))
+    want = np.sum(np.log(ndtr(upper) - ndtr(lower)))
+    assert res.log_prob == pytest.approx(want, rel=1e-10)
+    assert res.log_prob_se <= 1e-12 and res.n_points == 1_000
+
+
+def test_rect_prob_far_tail_block_is_finite():
+    # upper bounds about 40 sd below the mean: P underflows to 0 in double,
+    # its log does not
+    mean, cov, lower, upper = _block(5, "far")
+    res = mvn_rect_prob(mean, cov, Rectangle(lower, upper), rng=RngState(8))
+    assert np.isfinite(res.log_prob) and res.prob == 0.0
+    assert 0.0 < res.log_prob_se <= 1e-2 and not res.hit_cap
+    # between the product of the 1-D probabilities (positive correlation,
+    # Slepian) and the smallest of them
+    one_d = log_ndtr((upper - mean) / np.sqrt(np.diag(cov)))
+    assert one_d.sum() < res.log_prob < one_d.min()
+
+
+def test_rect_prob_without_the_tilt_is_the_same_estimator(monkeypatch):
+    # a tilting solve that does not converge leaves mu = 0: the plain
+    # separation-of-variables estimator, unbiased for the same probability
+    # but with a larger error at the same number of points
+    import geocens.mvn as mvn
+
+    mean, cov, lower, upper = _block(30, "left")
+    rect = Rectangle(lower, upper)
+    tilted = mvn_rect_prob(mean, cov, rect, rng=RngState(4), eps=0.0, max_points=5_000)
+    monkeypatch.setattr(mvn, "_TILT_MAX_ITER", 0)
+    plain = mvn_rect_prob(mean, cov, rect, rng=RngState(4), eps=0.0, max_points=5_000)
+    assert plain.n_points == tilted.n_points == 5_000
+    assert plain.log_prob_se > 2.0 * tilted.log_prob_se
+    assert abs(plain.log_prob - tilted.log_prob) <= 3.0 * np.hypot(plain.log_prob_se,
+                                                                 tilted.log_prob_se)
+
+
+@pytest.mark.parametrize("max_points, want", [(500, 1_000), (5_500, 5_000), (20_000, 20_000)])
+def test_rect_prob_stops_at_the_point_cap(max_points, want):
+    # with eps = 0 only the cap stops the estimate: the first batch is always
+    # drawn, then whole batches while they fit under the cap
+    mean, cov, lower, upper = _block(8, "left")
+    res = mvn_rect_prob(mean, cov, Rectangle(lower, upper), rng=RngState(8), eps=0.0,
                         max_points=max_points)
-    want = lattice_rect_prob_full(*_mirrored(mean, cov, lower, upper, flip), gen_ref, eps,
-                                  max_points)
-    assert _rect_fields(got) == want
+    assert res.hit_cap and res.n_points == want
+    assert np.isfinite(res.log_prob) and res.log_prob_se > 0.0
+
+
+@pytest.mark.parametrize("kind", ["left", "interval", "far"])
+def test_rect_prob_reproducible_on_blocks(kind):
+    # same seed, same fields and the same stream after the call
+    mean, cov, lower, upper = _block(30, kind)
+    gen, gen_ref = RngState(8).generator, RngState(8).generator
+    a = mvn_rect_prob(mean, cov, Rectangle(lower, upper), rng=gen)
+    b = mvn_rect_prob(mean, cov, Rectangle(lower, upper), rng=gen_ref)
+    assert _rect_fields(a) == _rect_fields(b) and a.log_prob == b.log_prob
     assert gen.random() == gen_ref.random()
-    if (n_c, eps) == (6, 1e-6):  # the batch count the case is meant to cover
-        assert got.n_points > 10_000 and not got.hit_cap
 
 
 def _mirrored(mean, cov, lower, upper, flip):
@@ -438,28 +496,28 @@ def test_rect_prob_mirrors_upper_tail_intervals():
     assert two.prob == pytest.approx(2.92e-30, rel=5e-3)
 
 
-def test_rect_prob_lattice_skips_the_cdf_at_infinite_bounds(monkeypatch):
-    # the lattice takes Phi(-inf) = 0 and Phi(inf) = 1 as given: every
-    # evaluation of ndtr at an infinite argument comes from the ordering
+def test_rect_prob_one_sided_coordinates_take_the_fast_path(monkeypatch):
+    # per sample point, a left-open coordinate costs one log_ndtr and one
+    # ndtri_exp, and a finite interval two log_ndtr and one ndtri_exp; the
+    # last coordinate only adds its log probability.  Right-open coordinates
+    # are mirrored to left-open ones.
     import geocens.mvn as mvn
 
-    at_inf = []
+    counts = {"log_ndtr": 0, "ndtri_exp": 0}
 
-    def counted(arg, *args, **kwargs):
-        at_inf.append(int(np.count_nonzero(np.isinf(arg))))
-        return ndtr(arg, *args, **kwargs)
+    def counted(name, fn):
+        def wrapper(arg, *args, **kwargs):
+            if np.size(arg) == 1_000:  # one batch; the tilting solve works on n
+                counts[name] += 1
+            return fn(arg, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(mvn, "ndtr", counted)
-    for kind in ("left", "interval"):
+    monkeypatch.setattr(mvn, "log_ndtr", counted("log_ndtr", mvn.log_ndtr))
+    monkeypatch.setattr(mvn, "ndtri_exp", counted("ndtri_exp", mvn.ndtri_exp))
+    for kind, per_coordinate in (("left", 1), ("right", 1), ("interval", 2)):
         mean, cov, lower, upper = _block(30, kind)
-        sd = np.sqrt(np.diag(cov))
-        lower[0], upper[0] = -np.inf, np.inf  # one unbounded coordinate
-        at_inf.clear()
-        mvn._ordered_cholesky(cov / np.outer(sd, sd), (lower - mean) / sd, (upper - mean) / sd)
-        ordering = sum(at_inf)
-        at_inf.clear()
+        counts.update(log_ndtr=0, ndtri_exp=0)
         res = mvn_rect_prob(mean, cov, Rectangle(lower, upper), rng=RngState(2))
-        assert res.n_points >= 10_000
-        # the lattice points add none; the first coordinate's two scalar
-        # bounds add at most two
-        assert sum(at_inf) - ordering <= 2
+        batches = res.n_points // 1_000
+        assert counts == {"log_ndtr": per_coordinate * 30 * batches,
+                          "ndtri_exp": 29 * batches}

@@ -37,6 +37,13 @@ def test_zero_censoring_has_no_censored_rows():
     assert res.lod is None
 
 
+@pytest.mark.parametrize("box", [((0.0, np.nan), (0.0, 6.0)), ((0.0, np.inf), (0.0, 6.0)),
+                                 ((6.0, 0.0), (0.0, 6.0)), ((0.0, 6.0), (1.0, 1.0))])
+def test_coord_box_must_be_finite_and_increasing(box):
+    with pytest.raises(DataValidationError, match="coord_box"):
+        base_config(coord_box=box)
+
+
 def test_censored_count_matches_percentile_definition():
     res = simulate_scl(base_config())
     assert res.data.n_censored == 30  # ceil(0.15 * 200)
