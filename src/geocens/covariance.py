@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, lapack
-from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv, kve
 
@@ -101,15 +100,18 @@ class CovParams:
 
 def distance_matrix(coords: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix of an ``(n, 2)`` coordinate array."""
-    coords = np.asarray(coords, dtype=float)
-    d = cdist(coords, coords)
-    np.fill_diagonal(d, 0.0)
-    return d
+    return cross_distance(coords, coords)
 
 
 def cross_distance(coords_a: np.ndarray, coords_b: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between two coordinate sets."""
-    return cdist(np.asarray(coords_a, dtype=float), np.asarray(coords_b, dtype=float))
+    """Pairwise Euclidean distances between two ``(., 2)`` coordinate sets,
+    as ``sqrt(dx**2 + dy**2)``: the arithmetic of scipy's ``cdist``, so
+    equal to it bit for bit (``np.hypot`` rounds differently)."""
+    a = np.asarray(coords_a, dtype=float)
+    b = np.asarray(coords_b, dtype=float)
+    dx = a[:, 0, None] - b[:, 0]
+    dy = a[:, 1, None] - b[:, 1]
+    return np.sqrt(dx**2 + dy**2)
 
 
 def correlation(family: str, kappa: float, h, phi: float):

@@ -270,9 +270,11 @@ def _ordered_cholesky(corr: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     Variables are permuted so that the most restrictive coordinate is
     integrated first (smallest conditional probability given truncated
     expected values of earlier coordinates), which stabilizes the
-    separation-of-variables integrand.  The ordering is a deterministic
-    function of the problem, so permuting the input reproduces the same
-    internal order.
+    separation-of-variables integrand.  The probabilities are compared,
+    and the truncated means formed, in log space: in the far tail every
+    ``Phi(b) - Phi(a)`` underflows to 0, its log does not.  The ordering is
+    a deterministic function of the problem, so permuting the input
+    reproduces the same internal order.
 
     Each remaining variable's conditional variance and shift (its
     conditional mean given the truncated expected values of the variables
@@ -289,24 +291,25 @@ def _ordered_cholesky(corr: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     eps = 1e-12
     for i in range(n):
         sd = np.sqrt(np.maximum(var[i:], eps))
-        p = ndtr((b[i:] - shift[i:]) / sd) - ndtr((a[i:] - shift[i:]) / sd)
-        j = i + int(np.argmin(p))
+        lo, hi = (a[i:] - shift[i:]) / sd, (b[i:] - shift[i:]) / sd
+        lp = _log_ndtr_diff(lo, hi)
+        k = int(np.argmin(lp))
+        j = i + k
         if j != i:
             for v in (a, b, var, shift):
                 v[[i, j]] = v[[j, i]]
             c[[i, j]] = c[[j, i]]
             c[:, [i, j]] = c[:, [j, i]]
             ell[[i, j], :i] = ell[[j, i], :i]
-        ell[i, i] = np.sqrt(max(var[i], eps))
+        ell[i, i] = sd[k]
         col = (c[i + 1:, i] - ell[i + 1:, :i] @ ell[i, :i]) / ell[i, i]
         ell[i + 1:, i] = col
-        ai = (a[i] - shift[i]) / ell[i, i]
-        bi = (b[i] - shift[i]) / ell[i, i]
-        p_i = max(ndtr(bi) - ndtr(ai), 1e-300)
-        pdf_a = np.exp(-0.5 * ai * ai) / np.sqrt(2 * np.pi) if np.isfinite(ai) else 0.0
-        pdf_b = np.exp(-0.5 * bi * bi) / np.sqrt(2 * np.pi) if np.isfinite(bi) else 0.0
+        # truncated mean phi(a)/P - phi(b)/P of the pivot, each ratio taken
+        # in log space (phi is 0 at an infinite bound)
+        ai, bi, lp_i = lo[k], hi[k], lp[k] + 0.5 * _LOG_2PI
+        y_i = math.exp(-0.5 * ai * ai - lp_i) - math.exp(-0.5 * bi * bi - lp_i)
         var[i + 1:] -= col * col
-        shift[i + 1:] += col * (pdf_a - pdf_b) / p_i
+        shift[i + 1:] += col * y_i
     return ell, a, b
 
 

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.spatial.distance import pdist
 
 from .covariance import (
     CovarianceSpec,
@@ -168,7 +167,8 @@ def empirical_variogram(
         raise DataValidationError("variogram needs at least two sites")
     if n_bins < 1:
         raise ConfigurationError(f"need at least one distance bin, got {n_bins}")
-    d = pdist(coords)
+    iu = np.triu_indices(z.shape[0], 1)
+    d = distance_matrix(coords)[iu]
     if max_dist is None:
         max_dist = 0.5 * float(d.max())
     keep = d <= max_dist
@@ -176,7 +176,7 @@ def empirical_variogram(
         raise DataValidationError(
             f"max_dist must be finite and > 0 with a pair of sites within it, got {max_dist}"
         )
-    dz2 = pdist(z[:, None], metric="sqeuclidean")
+    dz2 = (z[iu[0]] - z[iu[1]]) ** 2
     d, dz2 = d[keep], dz2[keep]
     edges = np.linspace(0.0, max_dist, n_bins + 1)
     which = np.clip(np.digitize(d, edges) - 1, 0, n_bins - 1)

@@ -236,13 +236,15 @@ def profile_search(
     the last iteration accepted, at most all of it.  A trial at which
     ``fun`` raises :class:`SingularCovarianceError` counts as a failed
     trial, so the search closes on the edge of the region where Psi can be
-    factored.  The metric is the exact Hessian, its eigenvalues made
-    positive, at the start and after a step that needed halving or showed
-    no positive curvature (``s'y <= 0``); otherwise it takes the BFGS
-    update.  The search stops when the Newton decrement ``-g'd`` is at most
-    ``_DECREMENT_TOL``, when halving cannot bring the step's predicted
-    decrease above that, or after ``_MAX_ITER`` iterations.  Raises
-    :class:`NumericalError` when ``x0`` itself cannot be evaluated.
+    factored.  A halved trial that the box clips back onto the trial just
+    rejected is not evaluated again.  The metric is the exact Hessian, its
+    eigenvalues made positive, at the start and after a step that needed
+    halving or showed no positive curvature (``s'y <= 0``); otherwise it
+    takes the BFGS update.  The search stops when the Newton decrement
+    ``-g'd`` is at most ``_DECREMENT_TOL``, when halving cannot bring the
+    step's predicted decrease above that, or after ``_MAX_ITER``
+    iterations.  Raises :class:`NumericalError` when ``x0`` itself cannot
+    be evaluated.
 
     Each Hessian builder is called, if at all, before the next evaluation,
     so one evaluation's state is held at a time, beside the fitted values
@@ -271,19 +273,21 @@ def profile_search(
         decrement = -(g @ d)
         if not decrement > _DECREMENT_TOL:
             break
-        t, halved = min(1.0, 2.0 * t), False
+        t, halved, rejected = min(1.0, 2.0 * t), False, None
         while True:
             trial = np.clip(x + t * d, lower, upper)
             step = trial - x
             slope = g @ step
-            if slope < 0:
+            # a halved step that the box clips back onto the trial just
+            # rejected would fail the same test again
+            if slope < 0 and not np.array_equal(trial, rejected):
                 try:
                     ft, gt, hess, fitted_t = fun(trial)
                 except SingularCovarianceError:
                     ft = np.inf
                 if ft <= f + _ARMIJO * slope and np.all(np.isfinite(gt)):
                     break
-                hess = None
+                hess, rejected = None, trial
             t *= 0.5
             halved = True
             if t * decrement <= _DECREMENT_TOL:

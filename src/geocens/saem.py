@@ -39,7 +39,6 @@ from .model import (
 from .mvn import Rectangle, RngState, _gibbs_sweeps
 from .profile import _gls, expected_quad, profile_objective, profile_search
 
-GIBBS_BURN_IN = 20  # sweeps discarded before each E-step's sample
 STOP_WINDOW = 10  # iterates per window of the stopping rule (path_drift)
 
 
@@ -69,7 +68,9 @@ class SaemConfig:
     times the parameter's size (for ``sigma2`` and ``tau2``, the sill
     ``sigma2 + tau2``).  ``tol = 0`` runs every iteration.
 
-    The Gibbs burn-in (:data:`GIBBS_BURN_IN`), the stopping window
+    Each E-step runs ``m`` Gibbs sweeps of the censored block and keeps
+    every one: the chain carries over from one iteration to the next, so
+    no sweep is discarded as burn-in.  The stopping window
     (:data:`STOP_WINDOW`) and the likelihood's precision (the defaults of
     :func:`geocens.mvn.mvn_rect_prob`: a standard error of ``log P`` of at
     most 1e-2, within a cap of 100 000 points) are fixed.
@@ -229,10 +230,11 @@ def e_step(
 ):
     """One sampling + stochastic-approximation update of the moments.
 
-    Advances ``state.iteration``, draws ``config.m`` Gibbs samples of the
-    censored block (warm-started from the previous call's chain), and mixes
-    their Monte Carlo moments into ``state`` with the scheduled step size.
-    Observed coordinates stay pinned to the recorded values.
+    Advances ``state.iteration``, runs ``config.m`` Gibbs sweeps of the
+    censored block from the previous call's chain (``state.chain``),
+    keeping every one (no burn-in), and mixes their Monte Carlo moments
+    into ``state`` with the scheduled step size.  Observed coordinates stay
+    pinned to the recorded values.
     """
     mu, l_cc, _ = _conditional_at(params, data, trend, spec)
     return _e_step_core(state, data, mu, l_cc, config, rng)
@@ -252,7 +254,7 @@ def _e_step_core(state, data, mu, l_cc, config, rng):
         return state.zhat, state.zz_cc
 
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
-    samples_c = _gibbs_sweeps(mu, _cholesky_inverse(l_cc), rect, config.m, GIBBS_BURN_IN, 1,
+    samples_c = _gibbs_sweeps(mu, _cholesky_inverse(l_cc), rect, config.m, burn_in=0, thin=1,
                               rng=rng, start=state.chain)
     state.chain = samples_c[-1].copy()
 
@@ -343,6 +345,13 @@ def saem_fit(
     next CM step's generalized least squares and sill update.  The next
     E-step sweeps on the precision from ``L_cc``; only the final likelihood
     estimate forms ``L_cc L_cc'``, for its rectangle probability.
+
+    The Gibbs chain starts at the bounds the data impute
+    (:func:`geocens.model.impute_bounds`) and persists across iterations:
+    each E-step makes ``config.m`` transitions under the current
+    conditional law and keeps every draw (one transition kernel per
+    iteration, as MCMC-SAEM needs; Kuhn & Lavielle 2004).  The memoryless
+    phase before the cut point forgets the start.
 
     Iterates until the parameter path settles (every entry of
     :func:`path_drift` over the post-cut iterates below ``config.tol``,

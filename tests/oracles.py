@@ -257,13 +257,23 @@ def central_mixed_derivative(f, theta0, omega0, rel_step_t=1e-4, rel_step_w=1e-4
     return out
 
 
+def log_interval_prob(a, b):
+    """``log(Phi(b) - Phi(a))`` for scalars ``a < b``: the interval is
+    reflected into the lower half-line, where ``log_ndtr`` keeps its
+    precision, and the difference is taken as ``Phi(b) (1 - Phi(a)/Phi(b))``."""
+    if a + b > 0:
+        a, b = -b, -a
+    la, lb = float(log_ndtr(a)), float(log_ndtr(b))
+    return lb + float(np.log(-np.expm1(la - lb)))
+
+
 def ordered_cholesky_scalar(corr, lower, upper):
     """Cholesky factor with the Genz variable ordering, one candidate at a
     time: each pivot recomputes every remaining variable's conditional
     variance and shift from scratch and copies the permuted matrix.
 
     Variables are permuted so that the most restrictive coordinate is
-    integrated first (smallest conditional probability given truncated
+    integrated first (smallest conditional log probability given truncated
     expected values of earlier coordinates), which stabilizes the
     separation-of-variables integrand.  The ordering is a deterministic
     function of the problem, so permuting the input reproduces the same
@@ -282,7 +292,7 @@ def ordered_cholesky_scalar(corr, lower, upper):
             var_j = c[j, j] - ell[j, :i] @ ell[j, :i]
             sd_j = np.sqrt(max(var_j, eps))
             s = ell[j, :i] @ y[:i]
-            p_j = ndtr((b[j] - s) / sd_j) - ndtr((a[j] - s) / sd_j)
+            p_j = log_interval_prob((a[j] - s) / sd_j, (b[j] - s) / sd_j)
             if p_j < best_p:
                 best_p, best_j = p_j, j
         if best_j != i:
@@ -299,10 +309,9 @@ def ordered_cholesky_scalar(corr, lower, upper):
         s = ell[i, :i] @ y[:i]
         ai = (a[i] - s) / ell[i, i]
         bi = (b[i] - s) / ell[i, i]
-        p_i = max(ndtr(bi) - ndtr(ai), 1e-300)
-        pdf_a = np.exp(-0.5 * ai * ai) / np.sqrt(2 * np.pi) if np.isfinite(ai) else 0.0
-        pdf_b = np.exp(-0.5 * bi * bi) / np.sqrt(2 * np.pi) if np.isfinite(bi) else 0.0
-        y[i] = (pdf_a - pdf_b) / p_i
+        # phi(a) / P - phi(b) / P, each ratio in log space
+        lp_i = log_interval_prob(ai, bi) + 0.5 * np.log(2 * np.pi)
+        y[i] = np.exp(-0.5 * ai * ai - lp_i) - np.exp(-0.5 * bi * bi - lp_i)
     return ell, a, b
 
 

@@ -625,6 +625,14 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_leaves_scipy_spatial_out():
+    # distances are numpy arithmetic; scipy.spatial is not imported at all
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geocens.__file__)))
+    code = "import sys, geocens.cli; sys.exit('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_fit_summary_reports_the_loglik_monte_carlo_error(sim_dir):
     from geocens.cli import fit_summary_text
 

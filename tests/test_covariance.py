@@ -9,9 +9,11 @@ from geocens import (
     SingularCovarianceError,
     build_sigma,
     correlation,
+    cross_distance,
     d2sigma,
     distance_matrix,
     dsigma,
+    empirical_variogram,
 )
 import geocens.covariance as cov
 from geocens.covariance import _d2corr_dphi2, _dcorr_dphi, spd_cholesky
@@ -446,3 +448,29 @@ def test_cov_params_validation():
         CovParams(sigma2=1.0, phi=1.0, tau2=-0.1)
     p = CovParams(sigma2=2.0, phi=1.0, tau2=0.5)
     assert p.nu2 * p.sigma2 == pytest.approx(p.tau2)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e3, 1e6])
+def test_distances_equal_scipy_bit_for_bit(scale):
+    # sqrt(dx**2 + dy**2) is cdist's and pdist's arithmetic
+    from scipy.spatial.distance import cdist, pdist
+
+    rng = np.random.default_rng(int(np.log10(scale)) + 10)
+    a = rng.uniform(-scale, scale, size=(300, 2))
+    b = scale * rng.uniform(0.5, 2.0, size=(120, 2))
+    d = distance_matrix(a)
+    assert np.array_equal(d, cdist(a, a)) and np.all(np.diag(d) == 0.0)
+    assert np.array_equal(cross_distance(a, b), cdist(a, b))
+    assert np.array_equal(d[np.triu_indices(300, 1)], pdist(a))
+
+    # the variogram's pairs and squared differences: its bins by pdist
+    z = scale * rng.normal(size=300)
+    vario = empirical_variogram(a, z, n_bins=7)
+    pairs, dz2 = pdist(a), pdist(z[:, None], metric="sqeuclidean")
+    keep = pairs <= vario.max_dist
+    which = np.clip(np.digitize(pairs[keep], np.linspace(0.0, vario.max_dist, 8)) - 1, 0, 6)
+    sums = np.bincount(which, weights=dz2[keep], minlength=7)
+    counts = np.bincount(which, minlength=7)
+    assert vario.max_dist == 0.5 * pdist(a).max()
+    assert np.array_equal(vario.counts, counts[counts > 0])
+    assert np.array_equal(vario.gamma, (sums / (2.0 * counts))[counts > 0])

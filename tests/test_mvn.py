@@ -521,3 +521,21 @@ def test_rect_prob_one_sided_coordinates_take_the_fast_path(monkeypatch):
         batches = res.n_points // 1_000
         assert counts == {"log_ndtr": per_coordinate * 30 * batches,
                           "ndtri_exp": 29 * batches}
+
+
+def test_rect_prob_orders_a_far_tail_near_singular_block():
+    # Gaussian covariance with a tiny nugget, every upper bound 60 sd below
+    # the mean: each Phi(b) - Phi(a) of the Genz ordering underflows to 0,
+    # its log does not, so the ordering and its truncated-mean shifts stay
+    # informative and the estimate reaches its tolerance under the cap
+    n_c = 80
+    rng = np.random.default_rng(n_c)
+    coords = rng.uniform(0.0, 6.0, size=(n_c, 2))
+    cov = build_sigma(distance_matrix(coords), CovarianceSpec("gaussian"),
+                      CovParams(1.0, 1.0, 1e-4))
+    mean = np.zeros(n_c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = mvn_rect_prob(mean, cov, Rectangle(np.full(n_c, -np.inf), mean - 60.0),
+                            rng=RngState(1))
+    assert np.isfinite(res.log_prob) and res.log_prob_se <= 0.05

@@ -499,3 +499,24 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
     assert np.isfinite(profile(new.cov.phi, new.cov.nu2))
     assert profile(new.cov.phi, new.cov.nu2) >= profile(prev.cov.phi, start_nu2)
 
+
+def test_profile_search_does_not_evaluate_a_clipped_trial_twice():
+    # a flat bowl centred far outside the box with a ridge at its near
+    # corner: the Newton step overshoots the box, the clipped corner is
+    # rejected, and the halved steps clip back onto that corner until they
+    # fall inside the box; the corner is evaluated once
+    centre, ridge = np.array([1000.0, -1000.0]), np.array([10.0, 0.0])
+    seen = []
+
+    def fun(t):
+        seen.append(tuple(t))
+        e = np.exp(-np.sum((t - ridge) ** 2))
+        value = 1e-3 * np.sum((t - centre) ** 2) + 20.0 * e
+        grad = 2e-3 * (t - centre) - 40.0 * e * (t - ridge)
+        return float(value), grad, lambda: np.diag([2e-3, 2e-3]), None
+
+    lower, upper = np.array([0.0, 0.0]), np.array([10.0, 10.0])
+    theta, value, _ = profile_search(fun, np.array([5.0, 5.0]), lower, upper)
+    assert len(seen) == len(set(seen))
+    assert seen.count((10.0, 0.0)) == 1
+    assert value < fun(np.array([5.0, 5.0]))[0] and np.all((lower <= theta) & (theta <= upper))

@@ -23,7 +23,7 @@ from geocens import (
 from geocens.covariance import build_sigma, cholesky_sigma, correlation, distance_matrix
 from geocens.model import build_trend
 from geocens.mvn import Rectangle
-from geocens.saem import GIBBS_BURN_IN, STOP_WINDOW, SaemState, dense_second_moment, path_drift
+from geocens.saem import STOP_WINDOW, SaemState, dense_second_moment, path_drift
 from geocens.simulate import SimConfig, simulate_scl
 
 from oracles import gaussian_ml_oracle
@@ -150,10 +150,7 @@ def test_e_step_delta_one_replaces_with_mc_average():
     part = partition(data)
     rect = Rectangle(lower=data.lower[part.cens_idx], upper=data.upper[part.cens_idx])
     start = np.clip(data.value[part.cens_idx], rect.lower, rect.upper)
-    samples = tmvn_gibbs(
-        mu, s, rect, n_samples=cfg.m, burn_in=GIBBS_BURN_IN,
-        rng=RngState(7), start=start,
-    )
+    samples = tmvn_gibbs(mu, s, rect, n_samples=cfg.m, burn_in=0, rng=RngState(7), start=start)
     want = data.value.copy()
     want[part.cens_idx] = samples.mean(axis=0)
     assert_allclose(zhat, want, atol=1e-12)
@@ -221,9 +218,56 @@ def test_e_step_draws_from_the_factor_as_from_its_covariance(kind):
     mu, l_cc, _ = _conditional_at(params, data, TrendSpec("cte"), SPEC_EXP)
     samples = tmvn_gibbs(
         mu, l_cc @ l_cc.T, Rectangle(data.lower[cen], data.upper[cen]), n_samples=cfg.m,
-        burn_in=GIBBS_BURN_IN, rng=RngState(7), start=start,
+        burn_in=0, rng=RngState(7), start=start,
     )
     assert cen.size > 5
+    assert_allclose(state.chain, samples[-1], rtol=1e-12)
+    assert_allclose(zhat[cen], samples.mean(axis=0), rtol=1e-12)
+    assert_allclose(zz_cc, samples.T @ samples / cfg.m, rtol=1e-12)
+
+
+def test_e_step_draws_one_uniform_per_coordinate_update():
+    # m sweeps of n_c coordinates, every one kept: no burn-in is discarded
+    from geocens.model import partition
+
+    data = censored_dataset("left")
+    params = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
+    cfg = base_config(m=15)
+    n_c = partition(data).cens_idx.size
+    state = SaemState(zhat=data.value.astype(float), zz_cc=np.zeros((n_c, n_c)))
+    rng = RngState(7)
+    e_step(state, data, params, TrendSpec("cte"), SPEC_EXP, cfg, rng)
+
+    want = RngState(7).generator
+    want.random(cfg.m * n_c)
+    assert n_c > 5
+    assert rng.generator.bit_generator.state == want.bit_generator.state
+
+
+def test_e_step_continues_the_chain_of_the_last_one():
+    # the second E-step makes its m transitions from the chain the first
+    # one left, under the law at the new parameters
+    from geocens.model import _conditional_at, partition
+
+    data = censored_dataset("interval")
+    cfg = base_config(m=10)  # iterations 1 and 2 are inside the cut
+    cen = partition(data).cens_idx
+    state = SaemState(zhat=data.value.astype(float), zz_cc=np.zeros((cen.size, cen.size)))
+    rng = RngState(7)
+    first = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
+    e_step(state, data, first, TrendSpec("cte"), SPEC_EXP, cfg, rng)
+
+    chain = state.chain.copy()
+    replay = RngState(7).generator
+    replay.bit_generator.state = rng.generator.bit_generator.state
+    second = ModelParams(beta=[1.5], cov=CovParams(sigma2=2.5, phi=0.8, tau2=0.3))
+    zhat, zz_cc = e_step(state, data, second, TrendSpec("cte"), SPEC_EXP, cfg, rng)
+
+    mu, l_cc, _ = _conditional_at(second, data, TrendSpec("cte"), SPEC_EXP)
+    samples = tmvn_gibbs(
+        mu, l_cc @ l_cc.T, Rectangle(data.lower[cen], data.upper[cen]), n_samples=cfg.m,
+        burn_in=0, rng=replay, start=chain,
+    )
     assert_allclose(state.chain, samples[-1], rtol=1e-12)
     assert_allclose(zhat[cen], samples.mean(axis=0), rtol=1e-12)
     assert_allclose(zz_cc, samples.T @ samples / cfg.m, rtol=1e-12)
