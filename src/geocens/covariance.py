@@ -218,6 +218,16 @@ def _d2corr_dphi2(
     return (u**2 * rho - (2.0 * k + 1.0) * phi * drho) / phi**2
 
 
+@functools.lru_cache(maxsize=4)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n x n
+    matrix, read-only: one pair per size, shared by every pass over it."""
+    iu = np.triu_indices(n, k=1)
+    for index in iu:
+        index.flags.writeable = False
+    return iu
+
+
 def _pairwise(dist: np.ndarray, spec: CovarianceSpec, fn, diag: float) -> np.ndarray:
     """``fn`` elementwise over a symmetric distance matrix with a zero
     diagonal: ``R``, and the spherical and Matern ``dR/dphi``.
@@ -232,8 +242,9 @@ def _pairwise(dist: np.ndarray, spec: CovarianceSpec, fn, diag: float) -> np.nda
     if spec.family != "matern":
         return fn(dist)
     n = dist.shape[0]
-    iu = np.triu_indices(n, k=1)
-    out = np.eye(n) * diag
+    iu = _upper_triangle(n)
+    out = np.zeros((n, n))
+    np.fill_diagonal(out, diag)
     vals = fn(dist[iu])
     out[iu] = vals
     out.T[iu] = vals

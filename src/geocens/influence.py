@@ -47,7 +47,7 @@ import numpy as np
 
 from .covariance import CovarianceSpec, CovParams, cholesky_sigma, corr_matrix, dcorr_matrix
 from .covariance import _cholesky_inverse, _d2corr_dphi2, spd_cholesky
-from .errors import DegenerateCurvatureError, DataValidationError, GeocensError
+from .errors import ConfigurationError, DataValidationError, DegenerateCurvatureError, GeocensError
 from .model import ModelParams, partition
 
 SCHEMES = ("response", "scale", "explanatory")
@@ -354,8 +354,11 @@ def local_influence(fit, c_star: float = 3.0) -> InfluenceReport:
 
     Uses the fit's first moment, the second moment of its censored block
     and its estimates; with a fixed nugget the analysis runs on the reduced
-    parameter system without the nugget row.
+    parameter system without the nugget row.  Raises
+    :class:`ConfigurationError` when ``c_star`` is not finite.
     """
+    if not np.isfinite(c_star):
+        raise ConfigurationError(f"c_star must be finite, got {c_star}")
     shared = _Curvature(fit.params, fit.zhat, fit.zz_cc, partition(fit.data).cens_idx,
                         fit.x, fit.dist, fit.spec)
     hess = _hessian(shared)

@@ -281,6 +281,7 @@ def gaussian_ml_fit(
     spec: CovarianceSpec,
     init: CovParams,
     bounds: Optional[tuple] = None,
+    handover: Optional[dict] = None,
 ) -> tuple[ModelParams, float]:
     """Maximize the exact Gaussian log-likelihood over the covariance
     parameters, profiling the trend coefficients (and the sill when it is
@@ -291,7 +292,8 @@ def gaussian_ml_fit(
     EM uses (:mod:`geocens.profile`), with no censored block.  With a fixed
     zero nugget the search is over ``phi`` alone.  The trend coefficients
     and the sill are those of the search's evaluation at the optimum, so
-    R is not formed again after the search.
+    R is not formed again after the search.  ``handover`` carries the last
+    evaluation to the next fit on ``dist`` (see ``profile_objective``).
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -321,7 +323,7 @@ def gaussian_ml_fit(
     theta, value, (beta, sigma2, _) = profile_search(
         lambda t: profile_objective(
             t, dist, spec, y, np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
-            x=x, tau2=fixed_tau,
+            x=x, tau2=fixed_tau, handover=handover,
         ),
         x0, lower, upper,
     )
@@ -407,7 +409,9 @@ def predict_seminaive(
     is refitted after every pass.  Stops when, between passes, the fitted
     sill changes by at most ``c1`` relatively, stays below ``c2`` times the
     uncensored-data sill, and the imputed-data skewness exceeds ``c3``
-    times the uncensored-data skewness; or at ``max_iter``.
+    times the uncensored-data skewness; or at ``max_iter``.  Each refit is
+    handed the last fit's last evaluation, read when that fit stopped
+    there; the fit to the uncensored sites alone is handed nothing.
     """
     if data.cens_type != "left":
         raise UnsupportedMethodError("seminaive supports left censoring only")
@@ -420,7 +424,8 @@ def predict_seminaive(
 
     y = data.value.astype(float).copy()
     y[cens_idx] = 0.0
-    params, gauss_ll = gaussian_ml_fit(y, x, dist, spec, init, bounds)
+    handover: dict = {}
+    params, gauss_ll = gaussian_ml_fit(y, x, dist, spec, init, bounds, handover)
     iterations = 0
     converged = cens_idx.size == 0
 
@@ -437,7 +442,8 @@ def predict_seminaive(
             loo = _loo_means(params, x, y, dist, spec, cens_idx)
             y_new = y.copy()
             y_new[cens_idx] = np.maximum(0.0, np.minimum(loo, bound))
-            new_params, gauss_ll = gaussian_ml_fit(y_new, x, dist, spec, params.cov, bounds)
+            new_params, gauss_ll = gaussian_ml_fit(y_new, x, dist, spec, params.cov, bounds,
+                                                   handover)
             rel_change = abs(new_params.cov.sigma2 - params.cov.sigma2) / params.cov.sigma2
             y = y_new
             params = new_params

@@ -15,14 +15,16 @@ for Gaussian ML).  The CM step holds ``r`` and ``sigma2`` at their
 conditional updates; Gaussian ML profiles the trend by generalized least
 squares and the sill by ``q / n`` or, with a fixed nugget ``tau2``, ties
 it to ``tau2 / nu2``.  Each evaluation forms R(phi), ``dR/dphi`` from R,
-L and Q (``potri``) once; the whitened residual ``L^{-1} r`` comes from
-the GLS fit when the trend is profiled; L is handed back with the fitted
-trend and sill.  The residual term of q stays on the factor: ``r' Q r``
-loses accuracy as the condition of Psi grows, and the search compares
-values at 1e-10.  With ``a = Q r``, ``B = Q[:, c]`` and ``Psi_j`` the
-derivatives of Psi (``dR/dphi`` for ``phi``, ``I`` for ``nu2``), the sill
-held, the gradient and Hessian are closed form (Mardia & Marshall 1984,
-Biometrika):
+L and Q (``potri``) once, or takes them from the last evaluation, handed
+over by the caller, at exactly the same ``(phi, nu2)``: each CM step and
+each seminaive refit starts where the last search on its distances
+stopped.  The whitened residual ``L^{-1} r`` comes from the GLS fit when
+the trend is profiled; L is handed back with the fitted trend and sill.
+The residual term of q stays on the factor: ``r' Q r`` loses accuracy as
+the condition of Psi grows, and the search compares values at 1e-10.
+With ``a = Q r``, ``B = Q[:, c]`` and ``Psi_j`` the derivatives of Psi
+(``dR/dphi`` for ``phi``, ``I`` for ``nu2``), the sill held, the gradient
+and Hessian are closed form (Mardia & Marshall 1984, Biometrika):
 
     df/dtheta_j = 1/2 [l_j + q_j / sigma2],
     d2f/dtheta_j dtheta_k = 1/2 [l_jk + q_jk / sigma2],
@@ -110,6 +112,7 @@ def profile_objective(
     x: Optional[np.ndarray] = None,
     sigma2: Optional[float] = None,
     tau2: Optional[float] = None,
+    handover: Optional[dict] = None,
 ) -> tuple[float, np.ndarray, Callable[[], np.ndarray], _Fitted]:
     """Value, gradient, Hessian builder and fitted trend and sill of ``f``
     at ``theta = (phi, nu2)``, or at ``theta = (phi,)`` with the relative
@@ -127,14 +130,26 @@ def profile_objective(
     or factoring Psi again.  Raises :class:`SingularCovarianceError` when
     Psi cannot be factored.  The fourth element is ``(beta, sigma2, lo)``:
     the GLS trend (None without ``x``), the sill of ``f`` and L.
+
+    ``handover``, a dict kept by the caller for one ``dist`` and ``spec``,
+    holds the last evaluation's Psi, L, Q and ``dR/dphi``, which depend on
+    ``(phi, nu2)`` alone: read at the same ``(phi, nu2)``, else replaced.
     """
     dim = len(theta)
     phi = float(theta[0])
     if nu2 is None:
         nu2 = float(theta[1])
-    psi = covariance.corr_matrix(dist, spec, phi)
-    psi[np.diag_indices_from(psi)] += nu2
-    lo = covariance.spd_cholesky(psi)
+    handover = {} if handover is None else handover
+    # a miss drops the held arrays before this evaluation forms its own
+    held = handover.pop((phi, nu2), None)
+    handover.clear()
+    if held is None:
+        psi = covariance.corr_matrix(dist, spec, phi)
+        psi[np.diag_indices_from(psi)] += nu2
+        lo = covariance.spd_cholesky(psi)
+        held = (psi, lo, _cholesky_inverse(lo), covariance.dcorr_matrix(dist, spec, phi, psi))
+    handover[phi, nu2] = held
+    psi, lo, qi, d_phi = held
     n = lo.shape[0]
     if x is None:
         beta, resid, rw = None, z, solve_triangular(lo, z, lower=True)
@@ -142,12 +157,10 @@ def profile_objective(
         beta, rw = _gls(lo, x, z)
         resid = z - x @ beta
     logdet = 2.0 * np.sum(np.log(np.diag(lo)))
-    qi = _cholesky_inverse(lo)
 
     a = qi @ resid
     b = qi[:, idx]
     q = float(rw @ rw + np.sum(b[idx] * cov_c))
-    d_phi = covariance.dcorr_matrix(dist, spec, phi, psi)
     da = d_phi @ a
     db = d_phi @ b
     q_grad = [-(a @ da + np.sum((b.T @ db) * cov_c))]

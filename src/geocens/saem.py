@@ -276,6 +276,7 @@ def cm_step(
     config: SaemConfig,
     prev: ModelParams,
     lo: np.ndarray,
+    handover: Optional[dict] = None,
 ) -> tuple[ModelParams, np.ndarray]:
     """Conditional maximization given the current moment estimates.
 
@@ -294,7 +295,9 @@ def cm_step(
 
     Returns the new parameters and the lower Cholesky factor of the
     covariance matrix at them: ``sqrt(sigma2)`` times the factor of ``Psi``
-    that the search's accepted evaluation computed.
+    that the search's accepted evaluation computed.  ``handover`` holds the
+    last step's last evaluation, read when that was at ``prev``'s
+    ``(phi, nu2)`` (:func:`geocens.profile.profile_objective`).
     """
     n = x.shape[0]
     beta, rw = _gls(lo, x, zhat)
@@ -316,7 +319,8 @@ def cm_step(
         x0 = np.clip([prev.cov.phi, prev.cov.nu2], lower, upper)
         nu2 = None
     theta, value, (_, _, lo_psi) = profile_search(
-        lambda t: profile_objective(t, dist, spec, resid, cov_c, idx, nu2, sigma2=sigma2),
+        lambda t: profile_objective(t, dist, spec, resid, cov_c, idx, nu2, sigma2=sigma2,
+                                    handover=handover),
         x0, lower, upper,
     )
     if not np.isfinite(value):
@@ -344,7 +348,8 @@ def saem_fit(
     keeps the covariance as its factor ``L_cc``), and the whole factor the
     next CM step's generalized least squares and sill update.  The next
     E-step sweeps on the precision from ``L_cc``; only the final likelihood
-    estimate forms ``L_cc L_cc'``, for its rectangle probability.
+    estimate forms ``L_cc L_cc'``, for its rectangle probability.  Each CM
+    search starts where the last one stopped, on that search's arrays.
 
     The Gibbs chain starts at the bounds the data impute
     (:func:`geocens.model.impute_bounds`) and persists across iterations:
@@ -407,12 +412,14 @@ def saem_fit(
     lo = cholesky_sigma(dist_o, spec, cov)
     params = ModelParams(beta=_gls(lo, x_o, y0[order])[0], cov=cov)
     mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
+    handover: dict = {}
     for k in range(1, config.max_iter + 1):
         iterations = k
         try:
             _e_step_core(state, data, mu, l_cc, config, gibbs_rng)
             params, lo = cm_step(
-                state.zhat[order], state.zz_cc, cen_o, x_o, dist_o, spec, config, params, lo
+                state.zhat[order], state.zz_cc, cen_o, x_o, dist_o, spec, config, params, lo,
+                handover,
             )
             mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
         except NumericalError as exc:

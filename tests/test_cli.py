@@ -598,17 +598,23 @@ def test_predict_rejects_truth_that_does_not_match_the_targets(tmp_path, sim_dir
     ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1, "--box", "0,nan,0,6"],
     ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1, "--box", "0,inf,0,6"],
     ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1, "--box", "6,0,0,6"],
+    ["diagnose", "--fit", "{fit}", "--c-star", "nan"],
+    ["diagnose", "--fit", "{fit}", "--c-star", "inf"],
 ], ids=["crossval-no-methods", "variogram-zero-bins", "predict-header-only-targets",
         "simulate-negative-seed", "fit-negative-seed", "fit-free-nugget-one-component-box",
         "variogram-negative-max-dist", "variogram-max-dist-below-every-pair",
         "simulate-nan-nugget", "simulate-infinite-sill", "simulate-infinite-range",
         "simulate-infinite-matern-smoothness",
         "fit-nan-fixed-nugget", "fit-nan-tol", "simulate-nan-box", "simulate-infinite-box",
-        "simulate-reversed-box"])
+        "simulate-reversed-box", "diagnose-nan-c-star", "diagnose-infinite-c-star"])
 def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
     header_only = tmp_path / "targets.csv"
     header_only.write_text("x,y\r\n")
-    paths = {"data": sim_dir / "data.csv", "header_only": header_only}
+    paths = {"data": sim_dir / "data.csv", "header_only": header_only,
+             "fit": tmp_path / "fit" / "fit.json"}
+    if "{fit}" in argv:
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--max-iter", 3,
+                       "--out-dir", tmp_path / "fit") == 0
     capsys.readouterr()
     rc = run_cli(*[str(a).format(**paths) for a in argv], "--out-dir", tmp_path / "out")
     assert rc == 2

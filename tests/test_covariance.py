@@ -335,6 +335,17 @@ def test_pairwise_matrices_equal_full_matrix_evaluation(spec):
         assert np.array_equal(d2sigma(dist, spec, p, 2, 2), p.sigma2 * d2)
 
 
+def test_upper_triangle_indices_are_shared_and_read_only():
+    # every Matern pass over an n x n matrix gathers and scatters through
+    # one index pair per n, which no caller may write to
+    first = cov._upper_triangle(9)
+    assert cov._upper_triangle(9) is first
+    for got, want in zip(first, np.triu_indices(9, k=1)):
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0] = 1
+
+
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
 def test_d2sigma_matches_finite_difference(spec):
     for seed in range(6):

@@ -452,6 +452,15 @@ def test_local_influence_on_matern_takes_one_kernel_pass_each(monkeypatch):
     assert kv_calls == []
 
 
+@pytest.mark.parametrize("c_star", [np.nan, np.inf, -np.inf])
+def test_local_influence_rejects_a_non_finite_c_star(c_star):
+    # a NaN benchmark flags nothing, and NaN is not valid JSON in influence.json
+    from geocens import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="c_star"):
+        local_influence(_small_fit(), c_star=c_star)
+
+
 def test_local_influence_records_numerical_failure_of_one_scheme(monkeypatch):
     import geocens.influence as inf
     from geocens.errors import SingularCovarianceError

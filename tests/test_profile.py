@@ -188,49 +188,63 @@ def test_hessian_builder_reuses_the_evaluation(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# search budget: R(phi) evaluations per search, each bound about 1.5x
+# search budget: profile evaluations per search, each bound about 1.5x
 # what the search spends on its test
 # ---------------------------------------------------------------------------
 
 
-def count_corr_calls(monkeypatch, fn_owner, fn_name):
-    """Count corr_matrix calls made inside ``fn_owner.fn_name``; returns
-    the counter dict (``calls`` of the function, ``corr`` inside it)."""
-    counts = {"calls": 0, "corr": 0, "inside": False}
-    corr_matrix, fn = covariance.corr_matrix, getattr(fn_owner, fn_name)
+def record_searches(monkeypatch, owner, name):
+    """One record per call of ``owner.name`` (a search): the points
+    ``(phi, nu2)`` of its profile evaluations, the size of their distance
+    matrix, the handover dict they were given, and the ``corr_matrix`` and
+    ``spd_cholesky`` calls made inside the call."""
+    searches, inside = [], [False]
+    corr_matrix, spd_cholesky = covariance.corr_matrix, covariance.spd_cholesky
+    search, objective = getattr(owner, name), owner.profile_objective
 
-    def counted_corr(*args, **kwargs):
-        counts["corr"] += counts["inside"]
-        return corr_matrix(*args, **kwargs)
-
-    def counted_fn(*args, **kwargs):
-        counts["calls"] += 1
-        counts["inside"] = True
-        try:
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                searches[-1][key] += 1
             return fn(*args, **kwargs)
-        finally:
-            counts["inside"] = False
+        return wrapper
 
-    monkeypatch.setattr(covariance, "corr_matrix", counted_corr)
-    monkeypatch.setattr(fn_owner, fn_name, counted_fn)
-    return counts
+    def recorded_search(*args, **kwargs):
+        searches.append({"points": [], "n": None, "handover": None, "corr": 0, "chol": 0})
+        inside[0] = True
+        try:
+            return search(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def recorded_objective(theta, dist, spec, z, cov_c, idx, nu2=None, **kwargs):
+        rec = searches[-1]
+        rec["points"].append((float(theta[0]), float(theta[1]) if nu2 is None else nu2))
+        rec["n"], rec["handover"] = dist.shape[0], kwargs.get("handover")
+        return objective(theta, dist, spec, z, cov_c, idx, nu2, **kwargs)
+
+    monkeypatch.setattr(covariance, "corr_matrix", counted(corr_matrix, "corr"))
+    monkeypatch.setattr(covariance, "spd_cholesky", counted(spd_cholesky, "chol"))
+    monkeypatch.setattr(owner, name, recorded_search)
+    monkeypatch.setattr(owner, "profile_objective", recorded_objective)
+    return searches
 
 
 def test_cm_step_budget_study_design_one_dimensional(monkeypatch):
     # Matern kappa = 0.3, nugget fixed at zero: the range is searched alone
-    counts = count_corr_calls(monkeypatch, saem, "cm_step")
+    searches = record_searches(monkeypatch, saem, "cm_step")
     data = simulate_study_data(3, n=60).data
     saem_fit(data, STUDY_TREND, STUDY_SPEC, study_config(3, max_iter=10))
-    assert counts["calls"] == 10
-    assert counts["corr"] / counts["calls"] <= 4.5
+    assert len(searches) == 10
+    assert sum(len(rec["points"]) for rec in searches) / len(searches) <= 4.5
 
 
 def test_cm_step_budget_exponential_two_dimensional(monkeypatch):
-    counts = count_corr_calls(monkeypatch, saem, "cm_step")
+    searches = record_searches(monkeypatch, saem, "cm_step")
     data = sim_left(seed=1, n=60).data
     saem_fit(data, TrendSpec("cte"), CovarianceSpec("exponential"), base_config(max_iter=10))
-    assert counts["calls"] == 10
-    assert counts["corr"] / counts["calls"] <= 7
+    assert len(searches) == 10
+    assert sum(len(rec["points"]) for rec in searches) / len(searches) <= 7
 
 
 @pytest.mark.parametrize("spec, budget", zip(ML_SPECS, [17, 17, 12, 17]), ids=ML_IDS)
@@ -238,9 +252,9 @@ def test_gaussian_ml_fit_budget(monkeypatch, spec, budget):
     data = sim_left(seed=1, n=60, cens=0.0).data
     x = build_trend(data.coords, None, TrendSpec("cte"))
     dist = distance_matrix(data.coords)
-    counts = count_corr_calls(monkeypatch, predict, "gaussian_ml_fit")
+    searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
     predict.gaussian_ml_fit(data.value, x, dist, spec, CovParams(1.0, 0.8, 0.1))
-    assert counts["corr"] <= budget
+    assert len(searches[0]["points"]) <= budget
 
 
 @pytest.mark.parametrize("spec", ML_SPECS, ids=ML_IDS)
@@ -520,3 +534,110 @@ def test_profile_search_does_not_evaluate_a_clipped_trial_twice():
     assert len(seen) == len(set(seen))
     assert seen.count((10.0, 0.0)) == 1
     assert value < fun(np.array([5.0, 5.0]))[0] and np.all((lower <= theta) & (theta <= upper))
+
+
+# ---------------------------------------------------------------------------
+# handover: a search that starts where the last one on the same distances
+# stopped reads that evaluation's Psi, L, Q and dR/dphi instead of forming
+# them again
+# ---------------------------------------------------------------------------
+
+
+def served_starts(searches, n):
+    """Searches over ``n`` sites that start at the last point evaluated by
+    the search over ``n`` sites before them."""
+    last, served = None, 0
+    for rec in searches:
+        if rec["n"] == n:
+            served += rec["points"][0] == last
+            last = rec["points"][-1]
+    return served
+
+
+def discard_handover(monkeypatch, owner):
+    objective = owner.profile_objective
+
+    def fresh(*args, handover=None, **kwargs):
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(owner, "profile_objective", fresh)
+
+
+def test_cm_step_starts_on_the_last_search_evaluation(monkeypatch):
+    # study design (Matern kappa = 0.3, nugget fixed at zero): every search
+    # ends on the point it accepts, and the next one starts there, so every
+    # search after the first forms R and factors Psi once less
+    searches = record_searches(monkeypatch, saem, "cm_step")
+    data = simulate_study_data(3, n=60).data
+    fit = saem_fit(data, STUDY_TREND, STUDY_SPEC, study_config(3, max_iter=10))
+    assert len(searches) == fit.iterations_used == 10
+    ends = [rec["points"][-1] for rec in searches]
+    assert ends == [(phi, 0.0) for phi in fit.trace_params[:, -2]]
+    served = served_starts(searches, data.n)
+    assert served == fit.iterations_used - 1
+    evaluations = sum(len(rec["points"]) for rec in searches)
+    assert sum(rec["corr"] for rec in searches) == evaluations - served
+    assert sum(rec["chol"] for rec in searches) == evaluations - served
+
+
+def nugget_case(setting):
+    if setting == "fixed-zero":
+        data = simulate_study_data(3, n=60).data
+        return data, STUDY_TREND, STUDY_SPEC, study_config(3, max_iter=10)
+    spec = SPEC_EXP if setting == "free" else CovarianceSpec(
+        "exponential", nugget_fixed=True, fixed_nugget_value=0.2)
+    box = {} if setting == "free" else {"lower": (0.05,), "upper": (20.0,)}
+    return sim_left(seed=1, n=60).data, TrendSpec("cte"), spec, base_config(max_iter=10, **box)
+
+
+@pytest.mark.parametrize("setting", ["fixed-zero", "free", "fixed-0.2"])
+def test_saem_fit_with_the_handover_equals_a_fit_without(monkeypatch, setting):
+    # the handed-over arrays are only read, so the fit is bitwise the same;
+    # a fixed non-zero nugget moves nu2 = tau2 / sigma2 with every sill
+    # update, so no start is ever served
+    case = nugget_case(setting)
+    searches = record_searches(monkeypatch, saem, "cm_step")
+    fit = saem_fit(*case)
+    monkeypatch.undo()
+    discard_handover(monkeypatch, saem)
+    plain = saem_fit(*case)
+    for field in ("zhat", "zz_cc", "trace_params"):
+        assert np.array_equal(getattr(fit, field), getattr(plain, field)), field
+    assert np.array_equal(fit.params.as_array(), plain.params.as_array())
+    assert fit.loglik.value == plain.loglik.value
+    assert fit.iterations_used == plain.iterations_used
+    served = sum(len(rec["points"]) - rec["corr"] for rec in searches)
+    assert served == served_starts(searches, case[0].n)
+    assert (served > 0) == (setting != "fixed-0.2")
+
+
+@pytest.mark.parametrize("spec", [
+    SPEC_EXP, CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.0),
+], ids=["free", "fixed-zero"])
+def test_seminaive_with_the_handover_equals_one_without(monkeypatch, spec):
+    # the refits on all sites share one handover; the fit to the uncensored
+    # sites has distances of its own and is handed nothing
+    from geocens.predict import predict_seminaive
+
+    data = sim_left(seed=2, n=60, cens=0.3).data
+    n_obs = data.n - data.n_censored
+    args = (data, TrendSpec("cte"), spec, data.coords[:5])
+    searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
+    got = predict_seminaive(*args)
+    monkeypatch.undo()
+    discard_handover(monkeypatch, predict)
+    want = predict_seminaive(*args)
+    for a, b in ((got.mean, want.mean), (got.sd, want.sd),
+                 (got.extra["imputed"], want.extra["imputed"]),
+                 (got.params_used.as_array(), want.params_used.as_array())):
+        assert np.array_equal(a, b)
+    assert got.extra["gaussian_loglik"] == want.extra["gaussian_loglik"]
+    assert got.extra["iterations"] == want.extra["iterations"] >= 1
+
+    (obs,) = [rec for rec in searches if rec["n"] == n_obs]
+    assert obs["handover"] is None and obs["corr"] == len(obs["points"])
+    full = [rec for rec in searches if rec["n"] == data.n]
+    assert len(full) == got.extra["iterations"] + 1
+    assert all(rec["handover"] is full[0]["handover"] is not None for rec in full)
+    served = sum(len(rec["points"]) - rec["corr"] for rec in full)
+    assert served == served_starts(searches, data.n) > 0
