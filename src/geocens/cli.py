@@ -52,7 +52,7 @@ from .predict import (
     predict_seminaive,
     wls_variofit,
 )
-from .saem import SaemConfig, SaemFit, saem_fit
+from .saem import SaemConfig, SaemFit, check_start, saem_fit
 from .simulate import SimConfig, inject_outliers, simulate_scl
 
 _VALIDATION_ERRORS = (
@@ -292,8 +292,9 @@ def _saem_config_from_args(args) -> SaemConfig:
 
 def _init_from_args(args):
     """Initial covariance parameters of the Gaussian ML fits; None selects
-    the variogram-based initializer."""
-    if args.init_sigma2 is None or args.init_phi is None:
+    the variogram-based initializer.  A start given by half is an error."""
+    check_start(args.init_sigma2, args.init_phi, args.nugget)
+    if args.init_sigma2 is None:
         return None
     return CovParams(sigma2=args.init_sigma2, phi=args.init_phi, tau2=args.nugget)
 
@@ -423,7 +424,11 @@ def fit_from_payload(payload: dict) -> SaemFit:
             tau2=payload["params"]["tau2"],
         ),
     )
-    config = SaemConfig(**{f.name: cfg_d[f.name] for f in fields(SaemConfig)})
+    cfg = {f.name: cfg_d[f.name] for f in fields(SaemConfig)}
+    if (cfg["init_sigma2"] is None) != (cfg["init_phi"] is None):
+        # older files record a start given by half, which the fit ignored
+        cfg["init_sigma2"] = cfg["init_phi"] = None
+    config = SaemConfig(**cfg)
     from .model import LogLik, criteria
 
     x = build_trend(data.coords, data.x_extra, trend)

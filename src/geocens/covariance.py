@@ -5,6 +5,12 @@ where ``R(phi)`` is an isotropic correlation matrix built from one of five
 families.  Throughout the package the covariance parameters are ordered as
 ``alpha = (sigma2, phi, tau2)`` and derivative routines take a 1-based index
 ``k`` into that vector.
+
+A profile evaluation needs ``R(phi)`` and ``dR/dphi`` at one range:
+:func:`corr_dcorr_matrix` forms both in one kernel pass over a :class:`Lags`
+object, which the fit or search that owns the distances builds once.
+:func:`corr_matrix` and :func:`dcorr_matrix` form one matrix each from a
+distance matrix.
 """
 
 from __future__ import annotations
@@ -125,18 +131,49 @@ def correlation(family: str, kappa: float, h, phi: float):
         raise ConfigurationError("phi must be > 0")
     h = np.asarray(h, dtype=float)
     u = h / phi
-    if family == "exponential":
-        rho = np.exp(-u)
-    elif family == "gaussian":
-        rho = np.exp(-(u**2))
-    elif family == "spherical":
-        rho = np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0)
-    elif family == "powered-exponential":
-        rho = np.exp(-np.power(u, kappa))
-    else:  # matern
-        c = 2.0 ** (1.0 - kappa) / gamma_fn(kappa)
-        rho = np.where(u == 0.0, 1.0, c * _matern_kernel(kappa, kappa, u))
+    if family == "matern":
+        rho = np.where(u == 0.0, 1.0, _matern_scale(kappa) * _matern_kernel(kappa, kappa, u))
+    else:
+        rho = _closed_form_corr(family, kappa, u)
     return rho if rho.ndim else float(rho)
+
+
+def _closed_form_corr(family: str, kappa: float, u: np.ndarray) -> np.ndarray:
+    """``rho`` of the exponential, Gaussian, spherical and
+    powered-exponential families at the scaled lags ``u = h / phi``."""
+    if family == "exponential":
+        return np.exp(-u)
+    if family == "gaussian":
+        return np.exp(-(u**2))
+    if family == "spherical":
+        return np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0)
+    return np.exp(-np.power(u, kappa))
+
+
+def _closed_form_dcorr(
+    family: str, kappa: float, h: np.ndarray, u: np.ndarray, rho, phi: float
+) -> np.ndarray:
+    """``d rho / d phi`` of a closed-form family at the lags ``h``, given
+    the array ``u = h / phi``, which it overwrites, and ``rho``.  The
+    exponential, Gaussian and powered-exponential derivatives are ``rho``
+    times a power of ``u``; spherical does not read ``rho``.  ``rho`` may
+    differ from the correlation where the lag is zero (``R + nu2 I``),
+    since the derivative is zero there."""
+    if family == "spherical":
+        return np.where(u <= 1.0, 1.5 * (h / phi**2) * (1.0 - u**2), 0.0)
+    # in place in u: an n x n temporary costs more than the arithmetic
+    if family == "exponential":
+        return np.divide(np.multiply(rho, u, out=u), phi, out=u)
+    if family == "gaussian":
+        return np.divide(np.multiply(rho * 2.0, np.square(u, out=u), out=u), phi, out=u)
+    g = np.power(u, kappa, out=u)
+    return np.multiply(np.divide(np.multiply(kappa, g, out=g), phi, out=g), rho, out=g)
+
+
+def _matern_scale(kappa: float) -> float:
+    """``2**(1 - kappa) / Gamma(kappa)``: the Matern correlation is this
+    times the kernel ``u**kappa K_kappa(u)``."""
+    return 2.0 ** (1.0 - kappa) / gamma_fn(kappa)
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,47 +194,60 @@ def _kernel_table(order: float, power: float) -> np.ndarray:
 
 
 def _matern_kernel(order: float, power: float, u: np.ndarray) -> np.ndarray:
-    """``u**power * K_order(u)`` elementwise over the lags ``u >= 0``.
+    """``u**power * K_order(u)`` elementwise over the lags ``u >= 0``: one
+    table of :func:`_matern_kernels` at ``t = log u``."""
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.log(flat)
+    (out,) = _matern_kernels(((order, power),), flat, t)
+    return out.reshape(u.shape)
 
-    Inside ``[_KERNEL_LO, _KERNEL_HI)`` the value is ``exp(g(log u) - u)``
-    from the cached table of ``g`` (Horner's rule on each lag's segment),
-    within about 2e-13 relative of ``kv``.  The other lags take ``kv``, and
-    a product that is not finite takes its limit: 0 at large lags, where
-    ``kv`` underflows, and near ``u = 0``, where ``kv`` overflows, ``Gamma(v)
+
+def _matern_kernels(pairs, u: np.ndarray, t: np.ndarray) -> list[np.ndarray]:
+    """``u**power * K_order(u)`` for each ``(order, power)`` in ``pairs``,
+    elementwise over the flat lags ``u >= 0`` with logs ``t``.
+
+    Inside ``[_KERNEL_LO, _KERNEL_HI)`` the value is ``exp(g(t) - u)`` from
+    the cached table of ``g`` (Horner's rule on each lag's segment), within
+    about 2e-13 relative of ``kv``; the segment and local variable are found
+    once and serve every table.  The other lags take ``kv``, and a product
+    that is not finite takes its limit: 0 at large lags, where ``kv``
+    underflows, and near ``u = 0``, where ``kv`` overflows, ``Gamma(v)
     2**(v - 1)`` for ``power == order == v`` (the correlation) and 0 for
     ``power > |order|`` (the range derivative's ``u**(k+1) K_(k-1)``).
     """
-    coef = _kernel_table(order, power)
-    u = np.asarray(u, dtype=float)
-    flat = u.ravel()
+    tables = [_kernel_table(order, power) for order, power in pairs]
+    outs = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = (np.log(flat) - _KERNEL_T0) * (0.5 / _KERNEL_HALF_WIDTH)
+        s = (t - _KERNEL_T0) * (0.5 / _KERNEL_HALF_WIDTH)
         seg = np.clip(np.floor(s), 0.0, _KERNEL_SEGMENTS - 1.0)
         x = 2.0 * (s - seg) - 1.0
         idx = seg.astype(np.intp)  # garbage for NaN lags, hence mode="clip"
-        out = coef[0].take(idx, mode="clip")
-        for row in coef[1:]:
-            out *= x
-            out += row.take(idx, mode="clip")
-        out -= flat
-        np.exp(out, out=out)
-        outside = ~((flat >= _KERNEL_LO) & (flat < _KERNEL_HI))
-        if outside.any():
-            v = flat[outside]
-            near = np.power(v, power) * kv(order, v)
-            small = gamma_fn(power) * 2.0 ** (power - 1.0) if power == order else 0.0
-            out[outside] = np.where(np.isfinite(near), near, np.where(v < 1.0, small, 0.0))
-    return out.reshape(u.shape)
+        outside = ~((u >= _KERNEL_LO) & (u < _KERNEL_HI))
+        v = u[outside] if outside.any() else None
+        for (order, power), coef in zip(pairs, tables):
+            out = coef[0].take(idx, mode="clip")
+            for row in coef[1:]:
+                out *= x
+                out += row.take(idx, mode="clip")
+            out -= u
+            np.exp(out, out=out)
+            if v is not None:
+                near = np.power(v, power) * kv(order, v)
+                small = gamma_fn(power) * 2.0 ** (power - 1.0) if power == order else 0.0
+                out[outside] = np.where(np.isfinite(near), near, np.where(v < 1.0, small, 0.0))
+            outs.append(out)
+    return outs
 
 
 def _dcorr_dphi(family: str, kappa: float, h: np.ndarray, phi: float) -> np.ndarray:
     """Analytic ``d rho / d phi`` elementwise over ``h`` (spherical, Matern)."""
     u = h / phi
     if family == "spherical":
-        return np.where(u <= 1.0, 1.5 * (h / phi**2) * (1.0 - u**2), 0.0)
+        return _closed_form_dcorr(family, kappa, h, u, None, phi)
     # matern: d/dx [x^k K_k(x)] = -x^k K_{k-1}(x) and dx/dphi = -x/phi
-    c = 2.0 ** (1.0 - kappa) / gamma_fn(kappa)
-    return c / phi * _matern_kernel(kappa - 1.0, kappa + 1.0, u)
+    return _matern_scale(kappa) / phi * _matern_kernel(kappa - 1.0, kappa + 1.0, u)
 
 
 def _d2corr_dphi2(
@@ -220,35 +270,61 @@ def _d2corr_dphi2(
 
 @functools.lru_cache(maxsize=4)
 def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of an n x n
-    matrix, read-only: one pair per size, shared by every pass over it."""
-    iu = np.triu_indices(n, k=1)
-    for index in iu:
+    """Flat indices into a row-major n x n matrix of its strict upper
+    triangle, row by row, and of the mirror image of each entry, read-only:
+    one pair per size, shared by every pass over it.  Flat indices gather
+    and scatter about twice as fast as row and column index pairs."""
+    rows, cols = np.triu_indices(n, k=1)
+    pair = (rows * n + cols, cols * n + rows)
+    for index in pair:
         index.flags.writeable = False
-    return iu
+    return pair
+
+
+def _symmetric(n: int, tri, vals: np.ndarray, diag: float) -> np.ndarray:
+    """The symmetric n x n matrix with ``vals`` on the strict upper triangle
+    (``tri`` from :func:`_upper_triangle`), mirrored, and ``diag`` on the
+    diagonal."""
+    out = np.zeros(n * n)
+    out[:: n + 1] = diag
+    out[tri[0]] = vals
+    out[tri[1]] = vals
+    return out.reshape(n, n)
 
 
 def _pairwise(dist: np.ndarray, spec: CovarianceSpec, fn, diag: float) -> np.ndarray:
     """``fn`` elementwise over a symmetric distance matrix with a zero
-    diagonal: ``R``, and the spherical and Matern ``dR/dphi``.
+    diagonal: ``R``, and the Matern ``dR/dphi``.
 
-    For Matern, still the costliest family to evaluate in fitting loops,
-    ``fn`` runs on the strict upper triangle only and is mirrored, with
-    ``diag`` (``fn`` at lag zero) on the diagonal.  The closed-form
-    families are cheaper to evaluate over the whole matrix than to gather
-    and scatter a triangle (about 2x at n = 500).  Either way the matrix
-    is the elementwise evaluation, bit for bit.
+    For Matern, still the costliest family to evaluate, ``fn`` runs on the
+    strict upper triangle only and is mirrored, with ``diag`` (``fn`` at
+    lag zero) on the diagonal.  The closed-form families are cheaper to
+    evaluate over the whole matrix than to gather and scatter a triangle
+    (about 2x at n = 500).  Either way the matrix is the elementwise
+    evaluation, bit for bit.
     """
     if spec.family != "matern":
         return fn(dist)
     n = dist.shape[0]
-    iu = _upper_triangle(n)
-    out = np.zeros((n, n))
-    np.fill_diagonal(out, diag)
-    vals = fn(dist[iu])
-    out[iu] = vals
-    out.T[iu] = vals
-    return out
+    tri = _upper_triangle(n)
+    return _symmetric(n, tri, fn(dist.take(tri[0])), diag)
+
+
+class Lags:
+    """The distances of one set of sites, kept by the fit or search that
+    evaluates the correlation at many ranges: the symmetric matrix ``dist``
+    with its zero diagonal and, formed on first use by a Matern pass, the
+    strict upper triangle's indices, lags and log lags."""
+
+    def __init__(self, dist: np.ndarray):
+        self.dist = np.asarray(dist, dtype=float)
+
+    @functools.cached_property
+    def triangle(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+        tri = _upper_triangle(self.dist.shape[0])
+        h = self.dist.take(tri[0])
+        with np.errstate(divide="ignore"):
+            return tri, h, np.log(h)
 
 
 def corr_matrix(dist: np.ndarray, spec: CovarianceSpec, phi: float) -> np.ndarray:
@@ -263,18 +339,46 @@ def dcorr_matrix(dist: np.ndarray, spec: CovarianceSpec, phi: float, rho) -> np.
     and powered-exponential derivatives are ``rho`` times a power of ``u =
     h / phi`` (``rho`` is formed here when None); Matern (a pass of the
     ``u^(kappa + 1) K_(kappa - 1)(u)`` kernel) and spherical skip ``rho``."""
-    if spec.family in ("spherical", "matern"):
+    if spec.family == "matern":
         return _pairwise(dist, spec, lambda h: _dcorr_dphi(spec.family, spec.kappa, h, phi), 0.0)
-    if rho is None:
+    if rho is None and spec.family != "spherical":
         rho = corr_matrix(dist, spec, phi)
-    # in place in u: an n x n temporary costs more than the arithmetic
-    u = dist / phi
-    if spec.family == "exponential":
-        return np.divide(np.multiply(rho, u, out=u), phi, out=u)
-    if spec.family == "gaussian":
-        return np.divide(np.multiply(rho * 2.0, np.square(u, out=u), out=u), phi, out=u)
-    g = np.power(u, spec.kappa, out=u)
-    return np.multiply(np.divide(np.multiply(spec.kappa, g, out=g), phi, out=g), rho, out=g)
+    return _closed_form_dcorr(spec.family, spec.kappa, dist, dist / phi, rho, phi)
+
+
+def corr_dcorr_matrix(
+    lags: Lags, spec: CovarianceSpec, phi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``R(phi)`` and ``dR / dphi`` over ``lags`` in one pass, as new arrays.
+
+    Matern runs :func:`_matern_corr_dcorr` on the held triangle and
+    scatters it once per output; it agrees with :func:`corr_matrix` and
+    :func:`dcorr_matrix`, whose ``log(h / phi)`` rounds differently from
+    ``log h - log phi``, to a few units in the last place.  The closed-form
+    families share ``u = h / phi`` and equal those two bit for bit.
+    """
+    if spec.family != "matern":
+        u = lags.dist / phi
+        rho = _closed_form_corr(spec.family, spec.kappa, u)
+        return rho, _closed_form_dcorr(spec.family, spec.kappa, lags.dist, u, rho, phi)
+    tri, h, log_h = lags.triangle
+    rho, drho = _matern_corr_dcorr(spec.kappa, h, log_h, phi)
+    n = lags.dist.shape[0]
+    return _symmetric(n, tri, rho, 1.0), _symmetric(n, tri, drho, 0.0)
+
+
+def _matern_corr_dcorr(
+    kappa: float, h: np.ndarray, log_h: np.ndarray, phi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matern ``rho`` and ``d rho / d phi`` over the flat lags ``h`` with
+    logs ``log_h``: each lag's table segment is found once, at ``log h -
+    log phi``, for both kernels (:func:`_matern_kernels`)."""
+    u = h / phi
+    k_rho, k_drho = _matern_kernels(
+        ((kappa, kappa), (kappa - 1.0, kappa + 1.0)), u, log_h - np.log(phi)
+    )
+    c = _matern_scale(kappa)
+    return np.where(u == 0.0, 1.0, c * k_rho), c / phi * k_drho
 
 
 def build_sigma(dist: np.ndarray, spec: CovarianceSpec, p: CovParams) -> np.ndarray:

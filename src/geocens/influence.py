@@ -22,8 +22,8 @@ No dense n x n second moment is read.
 Cost of one :func:`local_influence` call.  What the Hessian and the three
 cross-derivative matrices share is formed once (:class:`_Curvature`): one
 Cholesky factor of ``Sigma``, ``P`` from it by one LAPACK ``potri``,
-``R`` and ``dR/dphi`` once each, ``d2R/dphi2`` in closed form from them,
-``a = P r``, ``B = P[:, c]`` and ``A_k = P Sigma_k``
+``R`` and ``dR/dphi`` in one kernel pass, ``d2R/dphi2`` in closed form
+from them, ``a = P r``, ``B = P[:, c]`` and ``A_k = P Sigma_k``
 (``Sigma_k = dSigma/dalpha_k``): two n x n products, as ``A`` of the
 nugget is ``P`` itself, plus products with the n_c columns of ``B``.
 Every Hessian entry is then a trace or a quadratic form in these.
@@ -45,7 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .covariance import CovarianceSpec, CovParams, cholesky_sigma, corr_matrix, dcorr_matrix
+from . import covariance
+from .covariance import CovarianceSpec, CovParams, cholesky_sigma
 from .covariance import _cholesky_inverse, _d2corr_dphi2, spd_cholesky
 from .errors import ConfigurationError, DataValidationError, DegenerateCurvatureError, GeocensError
 from .model import ModelParams, partition
@@ -135,8 +136,7 @@ class _Curvature:
         self.idx = idx
 
         # Sigma_k = R, sigma2 dR/dphi and I (None); d2 Sigma / d sigma2 d phi = dR/dphi
-        rho = corr_matrix(dist, spec, cov.phi)
-        d_r = dcorr_matrix(dist, spec, cov.phi, rho)
+        rho, d_r = covariance.corr_dcorr_matrix(covariance.Lags(dist), spec, cov.phi)
         sig_k = [rho, cov.sigma2 * d_r, None][: 2 if spec.nugget_fixed else 3]
         d2_r = _d2corr_dphi2(spec.family, spec.kappa, dist, cov.phi, rho, d_r)
         self.sig_kl = {(0, 1): d_r, (1, 1): cov.sigma2 * d2_r}

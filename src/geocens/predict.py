@@ -19,6 +19,7 @@ from scipy.linalg import solve_triangular
 from .covariance import (
     CovarianceSpec,
     CovParams,
+    Lags,
     cholesky_sigma,
     correlation,
     cross_distance,
@@ -293,7 +294,8 @@ def gaussian_ml_fit(
     zero nugget the search is over ``phi`` alone.  The trend coefficients
     and the sill are those of the search's evaluation at the optimum, so
     R is not formed again after the search.  ``handover`` carries the last
-    evaluation to the next fit on ``dist`` (see ``profile_objective``).
+    evaluation to the next fit on ``dist`` (see ``profile_objective``); the
+    search's evaluations share one :class:`geocens.covariance.Lags` of it.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -320,10 +322,11 @@ def gaussian_ml_fit(
         lower, upper = lo_b[:2], hi_b[:2]
         nu2_held = None
 
+    lags = Lags(dist)
     theta, value, (beta, sigma2, _) = profile_search(
         lambda t: profile_objective(
             t, dist, spec, y, np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
-            x=x, tau2=fixed_tau, handover=handover,
+            x=x, tau2=fixed_tau, handover=handover, lags=lags,
         ),
         x0, lower, upper,
     )

@@ -14,8 +14,11 @@ the covariance of its block ``c`` (the censored rows in the CM step; empty
 for Gaussian ML).  The CM step holds ``r`` and ``sigma2`` at their
 conditional updates; Gaussian ML profiles the trend by generalized least
 squares and the sill by ``q / n`` or, with a fixed nugget ``tau2``, ties
-it to ``tau2 / nu2``.  Each evaluation forms R(phi), ``dR/dphi`` from R,
-L and Q (``potri``) once, or takes them from the last evaluation, handed
+it to ``tau2 / nu2``.  Each evaluation forms R(phi) and ``dR/dphi`` in
+one kernel pass over the lags the caller keeps for its distances
+(:func:`geocens.covariance.corr_dcorr_matrix`: for Matern, one segment
+lookup per lag serves both Bessel kernel tables), and L and Q
+(``potri``) once; or it takes all four from the last evaluation, handed
 over by the caller, at exactly the same ``(phi, nu2)``: each CM step and
 each seminaive refit starts where the last search on its distances
 stopped.  The whitened residual ``L^{-1} r`` comes from the GLS fit when
@@ -59,9 +62,9 @@ from . import covariance
 from .covariance import CovarianceSpec, _cholesky_inverse
 from .errors import NumericalError, SingularCovarianceError
 
-# corr_matrix, dcorr_matrix and spd_cholesky are looked up on the covariance
-# module at call time, so that a wrapper installed there (a profiler or a
-# call counter) sees the search's evaluations too.
+# corr_dcorr_matrix and spd_cholesky are looked up on the covariance module
+# at call time, so that a wrapper installed there (a profiler or a call
+# counter) sees the search's evaluations too.
 
 # The search stops when the Newton decrement -g'd falls to this value.  It
 # is absolute: scaling the data shifts f by a constant and leaves g alone.
@@ -113,6 +116,7 @@ def profile_objective(
     sigma2: Optional[float] = None,
     tau2: Optional[float] = None,
     handover: Optional[dict] = None,
+    lags: Optional[covariance.Lags] = None,
 ) -> tuple[float, np.ndarray, Callable[[], np.ndarray], _Fitted]:
     """Value, gradient, Hessian builder and fitted trend and sill of ``f``
     at ``theta = (phi, nu2)``, or at ``theta = (phi,)`` with the relative
@@ -131,9 +135,13 @@ def profile_objective(
     Psi cannot be factored.  The fourth element is ``(beta, sigma2, lo)``:
     the GLS trend (None without ``x``), the sill of ``f`` and L.
 
-    ``handover``, a dict kept by the caller for one ``dist`` and ``spec``,
-    holds the last evaluation's Psi, L, Q and ``dR/dphi``, which depend on
-    ``(phi, nu2)`` alone: read at the same ``(phi, nu2)``, else replaced.
+    An evaluation forms R and ``dR/dphi`` in one kernel pass
+    (:func:`geocens.covariance.corr_dcorr_matrix`) over ``lags``, which the
+    caller keeps for ``dist`` (:class:`geocens.covariance.Lags`; formed
+    here when None).  ``handover``, a dict kept by the caller for one
+    ``dist`` and ``spec``, holds the last evaluation's Psi, L, Q and
+    ``dR/dphi``, which depend on ``(phi, nu2)`` alone: read at the same
+    ``(phi, nu2)``, else replaced.
     """
     dim = len(theta)
     phi = float(theta[0])
@@ -144,10 +152,12 @@ def profile_objective(
     held = handover.pop((phi, nu2), None)
     handover.clear()
     if held is None:
-        psi = covariance.corr_matrix(dist, spec, phi)
+        psi, d_phi = covariance.corr_dcorr_matrix(
+            covariance.Lags(dist) if lags is None else lags, spec, phi
+        )
         psi[np.diag_indices_from(psi)] += nu2
         lo = covariance.spd_cholesky(psi)
-        held = (psi, lo, _cholesky_inverse(lo), covariance.dcorr_matrix(dist, spec, phi, psi))
+        held = (psi, lo, _cholesky_inverse(lo), d_phi)
     handover[phi, nu2] = held
     psi, lo, qi, d_phi = held
     n = lo.shape[0]

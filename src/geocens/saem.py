@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .covariance import (
-    CovarianceSpec, CovParams, _cholesky_inverse, cholesky_sigma, distance_matrix,
+    CovarianceSpec, CovParams, Lags, _cholesky_inverse, cholesky_sigma, distance_matrix,
 )
 from .errors import ConfigurationError, DataValidationError, NumericalError
 from .model import (
@@ -55,11 +55,12 @@ class SaemConfig:
     ``lower`` and ``upper`` bound the inner search over ``(phi, nu2)``
     (``phi`` alone when the nugget is fixed, which ignores a second
     component); :func:`saem_fit` rejects a box of any other length.
-    ``seed`` must be non-negative.  ``init_sigma2``,
-    ``init_phi`` and ``init_nugget`` seed the parameters; leave them None
-    to use the automatic variogram-based initializer
-    (:func:`geocens.predict.initial_values`), which accepts left-, right-
-    and interval-censored data.
+    ``seed`` must be non-negative.  ``init_sigma2`` and ``init_phi`` (both
+    finite and > 0) with ``init_nugget`` (finite and >= 0; 0 when None)
+    seed the parameters; leave the first two None to use the automatic
+    variogram-based initializer (:func:`geocens.predict.initial_values`),
+    which accepts left-, right- and interval-censored data.  One of the two
+    without the other is an error.
 
     ``tol`` is the relative tolerance of the stopping rule on the parameter
     path (:func:`path_drift`): the fit stops once, for every parameter, the
@@ -99,6 +100,7 @@ class SaemConfig:
             raise ConfigurationError("tol must be >= 0")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
+        check_start(self.init_sigma2, self.init_phi, self.init_nugget)
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape or not np.all(lower < upper):
@@ -111,6 +113,18 @@ class SaemConfig:
                 "approximation is tuned for small samples",
                 stacklevel=2,
             )
+
+
+def check_start(sigma2: Optional[float], phi: Optional[float], nugget: Optional[float]):
+    """Reject a start given by half (``sigma2`` without ``phi`` or the
+    reverse), a start value that is not finite and > 0, and a nugget that
+    is not finite and >= 0; None stands for a value not given."""
+    if (sigma2 is None) != (phi is None):
+        raise ConfigurationError("give both initial sigma2 and phi, or neither")
+    if sigma2 is not None and not (0 < sigma2 < np.inf and 0 < phi < np.inf):
+        raise ConfigurationError("initial sigma2 and phi must be finite and > 0")
+    if nugget is not None and not 0 <= nugget < np.inf:
+        raise ConfigurationError("initial nugget must be finite and >= 0")
 
 
 def dense_second_moment(zhat: np.ndarray, zz: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -277,6 +291,7 @@ def cm_step(
     prev: ModelParams,
     lo: np.ndarray,
     handover: Optional[dict] = None,
+    lags: Optional[Lags] = None,
 ) -> tuple[ModelParams, np.ndarray]:
     """Conditional maximization given the current moment estimates.
 
@@ -297,7 +312,8 @@ def cm_step(
     covariance matrix at them: ``sqrt(sigma2)`` times the factor of ``Psi``
     that the search's accepted evaluation computed.  ``handover`` holds the
     last step's last evaluation, read when that was at ``prev``'s
-    ``(phi, nu2)`` (:func:`geocens.profile.profile_objective`).
+    ``(phi, nu2)``, and ``lags`` what every evaluation reads of ``dist``
+    (:func:`geocens.profile.profile_objective`).
     """
     n = x.shape[0]
     beta, rw = _gls(lo, x, zhat)
@@ -320,7 +336,7 @@ def cm_step(
         nu2 = None
     theta, value, (_, _, lo_psi) = profile_search(
         lambda t: profile_objective(t, dist, spec, resid, cov_c, idx, nu2, sigma2=sigma2,
-                                    handover=handover),
+                                    handover=handover, lags=lags),
         x0, lower, upper,
     )
     if not np.isfinite(value):
@@ -349,7 +365,9 @@ def saem_fit(
     next CM step's generalized least squares and sill update.  The next
     E-step sweeps on the precision from ``L_cc``; only the final likelihood
     estimate forms ``L_cc L_cc'``, for its rectangle probability.  Each CM
-    search starts where the last one stopped, on that search's arrays.
+    search starts where the last one stopped, on that search's arrays, and
+    every search reads one :class:`geocens.covariance.Lags` of the ordered
+    distances.
 
     The Gibbs chain starts at the bounds the data impute
     (:func:`geocens.model.impute_bounds`) and persists across iterations:
@@ -379,7 +397,7 @@ def saem_fit(
     root = RngState(config.seed)
     gibbs_rng, ll_rng = root.spawn(2)
 
-    if config.init_sigma2 is None or config.init_phi is None:
+    if config.init_sigma2 is None:
         from .predict import initial_values
 
         cov = initial_values(data, trend, spec).cov
@@ -413,13 +431,14 @@ def saem_fit(
     params = ModelParams(beta=_gls(lo, x_o, y0[order])[0], cov=cov)
     mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
     handover: dict = {}
+    lags = Lags(dist_o)
     for k in range(1, config.max_iter + 1):
         iterations = k
         try:
             _e_step_core(state, data, mu, l_cc, config, gibbs_rng)
             params, lo = cm_step(
                 state.zhat[order], state.zz_cc, cen_o, x_o, dist_o, spec, config, params, lo,
-                handover,
+                handover, lags,
             )
             mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
         except NumericalError as exc:

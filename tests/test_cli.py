@@ -506,6 +506,10 @@ def test_fit_payload_with_retired_config_keys_loads(sim_dir):
     again = fit_from_payload(payload)
     assert again.config == fit.config
     assert np.array_equal(again.params.as_array(), fit.params.as_array())
+    # and a start given by half, which those versions recorded but did not
+    # use, loads as no start
+    payload["config"]["init_phi"] = None
+    assert fit_from_payload(payload).config.init_sigma2 is None
 
 
 def test_fit_payload_drops_the_likelihood_trace_and_old_files_load(sim_dir):
@@ -600,17 +604,33 @@ def test_predict_rejects_truth_that_does_not_match_the_targets(tmp_path, sim_dir
     ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1, "--box", "6,0,0,6"],
     ["diagnose", "--fit", "{fit}", "--c-star", "nan"],
     ["diagnose", "--fit", "{fit}", "--c-star", "inf"],
+    ["fit", "--data", "{data}", "--init-sigma2", 1.5],
+    ["fit", "--data", "{data}", "--init-phi", 1],
+    ["predict", "--method", "naive1", "--data", "{data}", "--targets", "{targets}",
+     "--init-sigma2", 1.5],
+    ["crossval", "--data", "{data}", "--n-est", 30, "--methods", "naive1", "--init-phi", 1],
+    ["fit", "--data", "{data}", "--init-sigma2", -1.5, "--init-phi", 1],
+    ["fit", "--data", "{data}", "--init-sigma2", 1.5, "--init-phi", "inf"],
+    ["fit", "--data", "{data}", "--nugget", "nan"],
+    ["predict", "--method", "seminaive", "--data", "{data}", "--targets", "{targets}",
+     "--init-sigma2", 1.5, "--init-phi", 1, "--nugget", -0.1],
 ], ids=["crossval-no-methods", "variogram-zero-bins", "predict-header-only-targets",
         "simulate-negative-seed", "fit-negative-seed", "fit-free-nugget-one-component-box",
         "variogram-negative-max-dist", "variogram-max-dist-below-every-pair",
         "simulate-nan-nugget", "simulate-infinite-sill", "simulate-infinite-range",
         "simulate-infinite-matern-smoothness",
         "fit-nan-fixed-nugget", "fit-nan-tol", "simulate-nan-box", "simulate-infinite-box",
-        "simulate-reversed-box", "diagnose-nan-c-star", "diagnose-infinite-c-star"])
+        "simulate-reversed-box", "diagnose-nan-c-star", "diagnose-infinite-c-star",
+        "fit-sigma2-start-without-phi", "fit-phi-start-without-sigma2",
+        "predict-sigma2-start-without-phi", "crossval-phi-start-without-sigma2",
+        "fit-negative-sigma2-start", "fit-infinite-phi-start", "fit-nan-start-nugget",
+        "predict-negative-start-nugget"])
 def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
     header_only = tmp_path / "targets.csv"
     header_only.write_text("x,y\r\n")
-    paths = {"data": sim_dir / "data.csv", "header_only": header_only,
+    targets = tmp_path / "targets_all.csv"
+    write_targets(sim_dir, targets)
+    paths = {"data": sim_dir / "data.csv", "header_only": header_only, "targets": targets,
              "fit": tmp_path / "fit" / "fit.json"}
     if "{fit}" in argv:
         assert run_cli("fit", "--data", sim_dir / "data.csv", "--max-iter", 3,

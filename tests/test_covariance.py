@@ -117,12 +117,20 @@ def kernel_lags():
 
 @pytest.mark.parametrize("kappa", MATERN_GRID)
 def test_matern_table_matches_kv_oracle(kernel_lags, kappa):
-    # lags h = phi * u with phi a power of two, so u is the drawn lag exactly
+    # lags h = phi * u with phi a power of two, so u is the drawn lag exactly;
+    # the one-pass kernels of a search evaluation read log h - log phi
     phi = 2.0
     h = phi * kernel_lags
+    with np.errstate(divide="ignore"):
+        log_h = np.log(h)
+    rho, drho = cov._matern_corr_dcorr(kappa, h, log_h, phi)
+    want_rho = matern_correlation_kv(kappa, h, phi)
+    want_drho = matern_dcorr_dphi_kv(kappa, h, phi)
     for got, want in (
-        (correlation("matern", kappa, h, phi), matern_correlation_kv(kappa, h, phi)),
-        (_dcorr_dphi("matern", kappa, h, phi), matern_dcorr_dphi_kv(kappa, h, phi)),
+        (correlation("matern", kappa, h, phi), want_rho),
+        (_dcorr_dphi("matern", kappa, h, phi), want_drho),
+        (rho, want_rho),
+        (drho, want_drho),
     ):
         assert not np.isnan(got).any()
         zero = want == 0.0
@@ -335,12 +343,39 @@ def test_pairwise_matrices_equal_full_matrix_evaluation(spec):
         assert np.array_equal(d2sigma(dist, spec, p, 2, 2), p.sigma2 * d2)
 
 
+@pytest.mark.parametrize("phi", [0.05, 20.0])
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
+def test_one_kernel_pass_matches_corr_and_dcorr_matrix(spec, phi):
+    # a duplicated site puts a zero lag off the diagonal
+    rng = np.random.default_rng(8)
+    coords = rng.uniform(0, 10, size=(30, 2))
+    coords[7] = coords[3]
+    dist = distance_matrix(coords)
+    rho, drho = cov.corr_dcorr_matrix(cov.Lags(dist), spec, phi)
+    want_rho = cov.corr_matrix(dist, spec, phi)
+    want_drho = cov.dcorr_matrix(dist, spec, phi, want_rho)
+    assert (rho[3, 7], rho[7, 3], drho[3, 7], drho[7, 3]) == (1.0, 1.0, 0.0, 0.0)
+    assert np.array_equal(np.diag(rho), np.ones(30))
+    assert np.array_equal(np.diag(drho), np.zeros(30))
+    if spec.family != "matern":
+        assert np.array_equal(rho, want_rho) and np.array_equal(drho, want_drho)
+        return
+    # log h - log phi and log(h / phi) differ by a few units in the last
+    # place of t = log(h / phi); the kernels' log-derivative in t is about
+    # kappa, and exp(g(t) - u) rounds its exponent at the scale of u
+    eps = np.finfo(float).eps
+    assert np.abs(rho - want_rho).max() <= 8 * eps * (1 + spec.kappa)
+    bound = 32 * eps * (1 + spec.kappa) * np.maximum(1.0, dist / phi) * np.abs(want_drho)
+    assert np.all(np.abs(drho - want_drho) <= bound)
+
+
 def test_upper_triangle_indices_are_shared_and_read_only():
     # every Matern pass over an n x n matrix gathers and scatters through
-    # one index pair per n, which no caller may write to
+    # one pair of flat index arrays per n, which no caller may write to
     first = cov._upper_triangle(9)
     assert cov._upper_triangle(9) is first
-    for got, want in zip(first, np.triu_indices(9, k=1)):
+    rows, cols = np.triu_indices(9, k=1)
+    for got, want in zip(first, (rows * 9 + cols, cols * 9 + rows)):
         assert np.array_equal(got, want)
         with pytest.raises(ValueError):
             got[0] = 1

@@ -420,19 +420,24 @@ def _small_fit(spec=CovarianceSpec("exponential")):
 
 
 def test_local_influence_on_matern_takes_one_kernel_pass_each(monkeypatch):
-    # R and dR/dphi take one Matern kernel pass each; d2R/dphi2 is formed
-    # from them.  The fit has built the kernel tables, and every lag of the
-    # pairwise triangles lies inside them, so no Bessel kv call is left.
+    # R and dR/dphi take one fused Matern kernel pass, which reads both
+    # tables on one segment lookup; d2R/dphi2 is formed from them.  The fit
+    # has built the kernel tables, and every lag of the pairwise triangle
+    # lies inside them, so no Bessel kv call is left.
     import geocens.covariance as cov
     import geocens.influence as inf
 
     fit = _small_fit(CovarianceSpec("matern", kappa=0.3))
-    kernel_calls, kv_calls = [], []
-    real_kernel, real_kv = cov._matern_kernel, cov.kv
+    passes, single, kv_calls = [], [], []
+    real_kernels, real_kernel, real_kv = cov._matern_kernels, cov._matern_kernel, cov.kv
 
-    def counting_kernel(order, power, u):
-        kernel_calls.append((order, power))
-        return real_kernel(order, power, u)
+    def counting_kernels(pairs, u, t):
+        passes.append(tuple(pairs))
+        return real_kernels(pairs, u, t)
+
+    def counting_kernel(*args):
+        single.append(args[:2])
+        return real_kernel(*args)
 
     def counting_kv(*args):
         kv_calls.append(args[0])
@@ -441,6 +446,7 @@ def test_local_influence_on_matern_takes_one_kernel_pass_each(monkeypatch):
     def no_d2sigma(*args):
         raise AssertionError("local_influence called d2sigma")
 
+    monkeypatch.setattr(cov, "_matern_kernels", counting_kernels)
     monkeypatch.setattr(cov, "_matern_kernel", counting_kernel)
     monkeypatch.setattr(cov, "kv", counting_kv)
     monkeypatch.setattr(cov, "d2sigma", no_d2sigma)
@@ -448,8 +454,8 @@ def test_local_influence_on_matern_takes_one_kernel_pass_each(monkeypatch):
     monkeypatch.setattr(inf, "d2sigma", no_d2sigma, raising=False)
     report = local_influence(fit)
     assert report.response is not None, report.errors
-    assert sorted(kernel_calls) == [(-0.7, 1.3), (0.3, 0.3)]
-    assert kv_calls == []
+    assert passes == [((0.3, 0.3), (-0.7, 1.3))]
+    assert single == [] and kv_calls == []
 
 
 @pytest.mark.parametrize("c_star", [np.nan, np.inf, -np.inf])

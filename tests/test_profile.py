@@ -182,7 +182,7 @@ def test_hessian_builder_reuses_the_evaluation(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the Hessian evaluated the covariance again")
 
-    for name in ("corr_matrix", "dcorr_matrix", "spd_cholesky"):
+    for name in ("corr_dcorr_matrix", "corr_matrix", "dcorr_matrix", "spd_cholesky"):
         monkeypatch.setattr(covariance, name, forbidden)
     assert np.all(np.isfinite(hess()))
 
@@ -196,10 +196,11 @@ def test_hessian_builder_reuses_the_evaluation(monkeypatch):
 def record_searches(monkeypatch, owner, name):
     """One record per call of ``owner.name`` (a search): the points
     ``(phi, nu2)`` of its profile evaluations, the size of their distance
-    matrix, the handover dict they were given, and the ``corr_matrix`` and
+    matrix, the handover dict they were given, and the kernel passes
+    (``corr_dcorr_matrix``, one per evaluation that forms R) and
     ``spd_cholesky`` calls made inside the call."""
     searches, inside = [], [False]
-    corr_matrix, spd_cholesky = covariance.corr_matrix, covariance.spd_cholesky
+    corr_dcorr, spd_cholesky = covariance.corr_dcorr_matrix, covariance.spd_cholesky
     search, objective = getattr(owner, name), owner.profile_objective
 
     def counted(fn, key):
@@ -223,7 +224,7 @@ def record_searches(monkeypatch, owner, name):
         rec["n"], rec["handover"] = dist.shape[0], kwargs.get("handover")
         return objective(theta, dist, spec, z, cov_c, idx, nu2, **kwargs)
 
-    monkeypatch.setattr(covariance, "corr_matrix", counted(corr_matrix, "corr"))
+    monkeypatch.setattr(covariance, "corr_dcorr_matrix", counted(corr_dcorr, "corr"))
     monkeypatch.setattr(covariance, "spd_cholesky", counted(spd_cholesky, "chol"))
     monkeypatch.setattr(owner, name, recorded_search)
     monkeypatch.setattr(owner, "profile_objective", recorded_objective)
@@ -260,26 +261,27 @@ def test_gaussian_ml_fit_budget(monkeypatch, spec, budget):
 @pytest.mark.parametrize("spec", ML_SPECS, ids=ML_IDS)
 def test_gaussian_ml_fit_forms_r_once_per_evaluation(monkeypatch, spec):
     # the trend and sill at the optimum come from the search's own
-    # evaluation there, not from a refit
+    # evaluation there, not from a refit; each evaluation forms R and
+    # dR/dphi in one kernel pass
     data = sim_left(seed=1, n=60, cens=0.0).data
     x = build_trend(data.coords, None, TrendSpec("cte"))
     dist = distance_matrix(data.coords)
-    counts = {"corr": 0, "evaluations": 0}
-    corr_matrix, objective = covariance.corr_matrix, predict.profile_objective
+    counts = {"corr_dcorr_matrix": 0, "corr_matrix": 0, "dcorr_matrix": 0, "evaluations": 0}
 
-    def counted_corr(*args, **kwargs):
-        counts["corr"] += 1
-        return corr_matrix(*args, **kwargs)
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_objective(*args, **kwargs):
-        counts["evaluations"] += 1
-        return objective(*args, **kwargs)
-
-    monkeypatch.setattr(covariance, "corr_matrix", counted_corr)
-    monkeypatch.setattr(predict, "profile_objective", counted_objective)
+    for name in ("corr_dcorr_matrix", "corr_matrix", "dcorr_matrix"):
+        monkeypatch.setattr(covariance, name, counted(getattr(covariance, name), name))
+    monkeypatch.setattr(predict, "profile_objective",
+                        counted(predict.profile_objective, "evaluations"))
     predict.gaussian_ml_fit(data.value, x, dist, spec, CovParams(1.0, 0.8, 0.1))
     assert counts["evaluations"] > 1
-    assert counts["corr"] == counts["evaluations"]
+    assert counts["corr_dcorr_matrix"] == counts["evaluations"]
+    assert counts["corr_matrix"] == counts["dcorr_matrix"] == 0
 
 
 @pytest.mark.parametrize("spec", ML_SPECS[:3], ids=ML_IDS[:3])
@@ -482,11 +484,11 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
     cut = 0.5 * (prev.cov.phi + free.cov.phi)
 
     last_phi, failed = {}, []
-    corr_matrix, spd_cholesky = covariance.corr_matrix, covariance.spd_cholesky
+    corr_dcorr, spd_cholesky = covariance.corr_dcorr_matrix, covariance.spd_cholesky
 
-    def noting_corr(dist_, spec_, phi):
+    def noting_corr(lags_, spec_, phi):
         last_phi["phi"] = phi
-        return corr_matrix(dist_, spec_, phi)
+        return corr_dcorr(lags_, spec_, phi)
 
     def failing_cholesky(mat, jitter=None):
         if last_phi["phi"] > cut:
@@ -494,7 +496,7 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
             raise SingularCovarianceError("forced above the cut")
         return spd_cholesky(mat, jitter)
 
-    monkeypatch.setattr(covariance, "corr_matrix", noting_corr)
+    monkeypatch.setattr(covariance, "corr_dcorr_matrix", noting_corr)
     monkeypatch.setattr(covariance, "spd_cholesky", failing_cholesky)
     new, _ = cm_step(
         zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, np.linalg.cholesky(sigma)

@@ -67,6 +67,23 @@ def test_config_rejects_nan_settings(field, value):
         SaemConfig(**{field: value})
 
 
+@pytest.mark.parametrize("start", [
+    {"init_sigma2": 1.5}, {"init_phi": 1.0},
+    {"init_sigma2": -1.0, "init_phi": 1.0}, {"init_sigma2": 1.0, "init_phi": 0.0},
+    {"init_sigma2": np.inf, "init_phi": 1.0}, {"init_sigma2": 1.0, "init_phi": np.nan},
+    {"init_nugget": -0.1}, {"init_nugget": np.nan},
+    {"init_sigma2": 1.0, "init_phi": 1.0, "init_nugget": np.inf},
+], ids=["sigma2-alone", "phi-alone", "negative-sigma2", "zero-phi", "infinite-sigma2",
+        "nan-phi", "negative-nugget", "nan-nugget", "infinite-nugget"])
+def test_config_rejects_a_half_or_invalid_start(start):
+    # a start given by half used to fall back to the variogram start while
+    # the config still recorded the half that was given
+    from geocens.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="initial"):
+        SaemConfig(**start)
+
+
 @pytest.mark.parametrize("nugget_fixed, lower, upper", [
     (False, (0.05,), (5.0,)),
     (False, (0.05, 1e-4, 1e-4), (5.0, 10.0, 10.0)),
