@@ -12,6 +12,7 @@ import numpy as np
 from geocens import (
     CovarianceSpec,
     CovParams,
+    Lags,
     ModelParams,
     SimConfig,
     TrendSpec,
@@ -48,7 +49,7 @@ print(f"weighted variogram fit: sigma2 {init.sigma2:.3f} phi {init.phi:.3f} "
 
 x = build_trend(data.coords, None, TrendSpec("cte"))
 params, ll = gaussian_ml_fit(
-    data.value, x, distance_matrix(data.coords), spec, init
+    data.value, x, Lags(distance_matrix(data.coords)), spec, init
 )
 print(f"maximum likelihood:     sigma2 {params.cov.sigma2:.3f} "
       f"phi {params.cov.phi:.3f} tau2 {params.cov.tau2:.3f}  (loglik {ll:.2f})")

@@ -4,6 +4,7 @@ censored spatial data."""
 from .covariance import (
     CovarianceSpec,
     CovParams,
+    Lags,
     build_sigma,
     correlation,
     cross_distance,

@@ -404,6 +404,22 @@ def fit_to_payload(fit: SaemFit) -> dict:
     }
 
 
+def _fit_array(value, name: str, shape: tuple) -> np.ndarray:
+    """A fit-file field as a float array of ``shape`` (None: any length);
+    anything else, text or None entries included, is a
+    :class:`DataValidationError`."""
+    try:
+        out = np.array(value)
+    except ValueError:  # ragged nesting
+        out = None
+    if out is None or out.dtype.kind not in "iuf" or out.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(out.shape, shape)
+    ):
+        want = "x".join("k" if d is None else str(d) for d in shape) or "a number"
+        raise DataValidationError(f"fit file: {name} must be numeric, shape {want}")
+    return out.astype(float)
+
+
 def fit_from_payload(payload: dict) -> SaemFit:
     if payload.get("kind") != "fit":
         raise DataValidationError("not a fit file")
@@ -416,14 +432,11 @@ def fit_from_payload(payload: dict) -> SaemFit:
         fixed_nugget_value=cfg_d["nugget"],
     )
     trend = TrendSpec(cfg_d["trend"])
-    params = ModelParams(
-        beta=np.array(payload["params"]["beta"]),
-        cov=CovParams(
-            sigma2=payload["params"]["sigma2"],
-            phi=payload["params"]["phi"],
-            tau2=payload["params"]["tau2"],
-        ),
-    )
+    x = build_trend(data.coords, data.x_extra, trend)
+    n, p = x.shape
+    fitted = payload["params"]
+    cov = {k: float(_fit_array(fitted[k], k, ())) for k in ("sigma2", "phi", "tau2")}
+    params = ModelParams(beta=_fit_array(fitted["beta"], "beta", (p,)), cov=CovParams(**cov))
     cfg = {f.name: cfg_d[f.name] for f in fields(SaemConfig)}
     if (cfg["init_sigma2"] is None) != (cfg["init_phi"] is None):
         # older files record a start given by half, which the fit ignored
@@ -431,17 +444,16 @@ def fit_from_payload(payload: dict) -> SaemFit:
     config = SaemConfig(**cfg)
     from .model import LogLik, criteria
 
-    x = build_trend(data.coords, data.x_extra, trend)
     ll = LogLik(value=payload["loglik"])
-    crit = criteria(ll.value, param_count(x.shape[1], spec.nugget_fixed), data.n)
+    crit = criteria(ll.value, param_count(p, spec.nugget_fixed), n)
     cen = np.flatnonzero(data.cens == 1)
     return SaemFit(
         params=params,
-        zhat=np.array(payload["zhat"]),
-        zz_cc=np.array(payload["zzhat"])[np.ix_(cen, cen)],
+        zhat=_fit_array(payload["zhat"], "zhat", (n,)),
+        zz_cc=_fit_array(payload["zzhat"], "zzhat", (n, n))[np.ix_(cen, cen)],
         loglik=ll,
         criteria=crit,
-        trace_params=np.array(payload["trace_params"]),
+        trace_params=_fit_array(payload["trace_params"], "trace_params", (None, p + 3)),
         converged=payload["converged"],
         iterations_used=payload["iterations_used"],
         config=config,

@@ -6,11 +6,14 @@ families.  Throughout the package the covariance parameters are ordered as
 ``alpha = (sigma2, phi, tau2)`` and derivative routines take a 1-based index
 ``k`` into that vector.
 
-A profile evaluation needs ``R(phi)`` and ``dR/dphi`` at one range:
-:func:`corr_dcorr_matrix` forms both in one kernel pass over a :class:`Lags`
-object, which the fit or search that owns the distances builds once.
-:func:`corr_matrix` and :func:`dcorr_matrix` form one matrix each from a
-distance matrix.
+Every correlation comes from one arithmetic per family: the closed forms
+at ``u = h / phi``, and Matern from its kernel tables at ``log h - log
+phi`` (:func:`_matern_kernels`), so :func:`correlation`,
+:func:`corr_matrix` and :func:`corr_dcorr_matrix` agree bit for bit.  A
+profile evaluation needs ``R(phi)`` and ``dR/dphi`` at one range:
+:func:`corr_dcorr_matrix` forms both in one kernel pass over a
+:class:`Lags` object, which the fit or search that owns the distances
+builds once and which also holds that search's last evaluation.
 """
 
 from __future__ import annotations
@@ -124,17 +127,22 @@ def correlation(family: str, kappa: float, h, phi: float):
     """Correlation ``rho(h; phi)`` for one family, vectorized in ``h``.
 
     ``rho(0) = 1`` for every family.  Returns a scalar for scalar ``h``.
+    Matern reads its kernel tables at ``log h - log phi``, as every Matern
+    pass does.
     """
     if family not in FAMILIES:
         raise ConfigurationError(f"unsupported covariance family {family!r}")
     if not phi > 0:
         raise ConfigurationError("phi must be > 0")
     h = np.asarray(h, dtype=float)
-    u = h / phi
     if family == "matern":
-        rho = np.where(u == 0.0, 1.0, _matern_scale(kappa) * _matern_kernel(kappa, kappa, u))
+        flat = h.ravel()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_h = np.log(flat)
+        (rho,) = _matern_corr_dcorr(kappa, flat, log_h, phi, derivative=False)
+        rho = rho.reshape(h.shape)
     else:
-        rho = _closed_form_corr(family, kappa, u)
+        rho = _closed_form_corr(family, kappa, h / phi)
     return rho if rho.ndim else float(rho)
 
 
@@ -193,17 +201,6 @@ def _kernel_table(order: float, power: float) -> np.ndarray:
     return np.linalg.solve(np.vander(x), g)
 
 
-def _matern_kernel(order: float, power: float, u: np.ndarray) -> np.ndarray:
-    """``u**power * K_order(u)`` elementwise over the lags ``u >= 0``: one
-    table of :func:`_matern_kernels` at ``t = log u``."""
-    u = np.asarray(u, dtype=float)
-    flat = u.ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.log(flat)
-    (out,) = _matern_kernels(((order, power),), flat, t)
-    return out.reshape(u.shape)
-
-
 def _matern_kernels(pairs, u: np.ndarray, t: np.ndarray) -> list[np.ndarray]:
     """``u**power * K_order(u)`` for each ``(order, power)`` in ``pairs``,
     elementwise over the flat lags ``u >= 0`` with logs ``t``.
@@ -239,15 +236,6 @@ def _matern_kernels(pairs, u: np.ndarray, t: np.ndarray) -> list[np.ndarray]:
                 out[outside] = np.where(np.isfinite(near), near, np.where(v < 1.0, small, 0.0))
             outs.append(out)
     return outs
-
-
-def _dcorr_dphi(family: str, kappa: float, h: np.ndarray, phi: float) -> np.ndarray:
-    """Analytic ``d rho / d phi`` elementwise over ``h`` (spherical, Matern)."""
-    u = h / phi
-    if family == "spherical":
-        return _closed_form_dcorr(family, kappa, h, u, None, phi)
-    # matern: d/dx [x^k K_k(x)] = -x^k K_{k-1}(x) and dx/dphi = -x/phi
-    return _matern_scale(kappa) / phi * _matern_kernel(kappa - 1.0, kappa + 1.0, u)
 
 
 def _d2corr_dphi2(
@@ -292,32 +280,18 @@ def _symmetric(n: int, tri, vals: np.ndarray, diag: float) -> np.ndarray:
     return out.reshape(n, n)
 
 
-def _pairwise(dist: np.ndarray, spec: CovarianceSpec, fn, diag: float) -> np.ndarray:
-    """``fn`` elementwise over a symmetric distance matrix with a zero
-    diagonal: ``R``, and the Matern ``dR/dphi``.
-
-    For Matern, still the costliest family to evaluate, ``fn`` runs on the
-    strict upper triangle only and is mirrored, with ``diag`` (``fn`` at
-    lag zero) on the diagonal.  The closed-form families are cheaper to
-    evaluate over the whole matrix than to gather and scatter a triangle
-    (about 2x at n = 500).  Either way the matrix is the elementwise
-    evaluation, bit for bit.
-    """
-    if spec.family != "matern":
-        return fn(dist)
-    n = dist.shape[0]
-    tri = _upper_triangle(n)
-    return _symmetric(n, tri, fn(dist.take(tri[0])), diag)
-
-
 class Lags:
     """The distances of one set of sites, kept by the fit or search that
     evaluates the correlation at many ranges: the symmetric matrix ``dist``
-    with its zero diagonal and, formed on first use by a Matern pass, the
-    strict upper triangle's indices, lags and log lags."""
+    with its zero diagonal; formed on first use by a Matern pass, the
+    strict upper triangle's indices, lags and log lags; and ``held``, the
+    last profile evaluation over them (Psi, L, Q and ``dR/dphi``) keyed by
+    the ``(spec, phi, nu2)`` it was formed at, or None
+    (:func:`geocens.profile.profile_objective`)."""
 
     def __init__(self, dist: np.ndarray):
         self.dist = np.asarray(dist, dtype=float)
+        self.held = None
 
     @functools.cached_property
     def triangle(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
@@ -328,22 +302,12 @@ class Lags:
 
 
 def corr_matrix(dist: np.ndarray, spec: CovarianceSpec, phi: float) -> np.ndarray:
-    """Correlation matrix ``R(phi)`` over a symmetric distance matrix."""
-    return _pairwise(dist, spec, lambda h: correlation(spec.family, spec.kappa, h, phi), 1.0)
-
-
-def dcorr_matrix(dist: np.ndarray, spec: CovarianceSpec, phi: float, rho) -> np.ndarray:
-    """``dR / dphi`` over a symmetric distance matrix, given ``rho = R(phi)``
-    or any matrix equal to it off the diagonal, such as ``R + nu2 I`` (the
-    lag, and so the derivative, is zero there).  The exponential, Gaussian
-    and powered-exponential derivatives are ``rho`` times a power of ``u =
-    h / phi`` (``rho`` is formed here when None); Matern (a pass of the
-    ``u^(kappa + 1) K_(kappa - 1)(u)`` kernel) and spherical skip ``rho``."""
-    if spec.family == "matern":
-        return _pairwise(dist, spec, lambda h: _dcorr_dphi(spec.family, spec.kappa, h, phi), 0.0)
-    if rho is None and spec.family != "spherical":
-        rho = corr_matrix(dist, spec, phi)
-    return _closed_form_dcorr(spec.family, spec.kappa, dist, dist / phi, rho, phi)
+    """Correlation matrix ``R(phi)`` over a symmetric distance matrix with a
+    zero diagonal; for Matern, the pass of :func:`corr_dcorr_matrix`
+    without the derivative, so equal to its ``R`` bit for bit."""
+    if spec.family != "matern":
+        return correlation(spec.family, spec.kappa, dist, phi)
+    return _matern_matrices(Lags(dist), spec.kappa, phi, derivative=False)[0]
 
 
 def corr_dcorr_matrix(
@@ -352,33 +316,39 @@ def corr_dcorr_matrix(
     """``R(phi)`` and ``dR / dphi`` over ``lags`` in one pass, as new arrays.
 
     Matern runs :func:`_matern_corr_dcorr` on the held triangle and
-    scatters it once per output; it agrees with :func:`corr_matrix` and
-    :func:`dcorr_matrix`, whose ``log(h / phi)`` rounds differently from
-    ``log h - log phi``, to a few units in the last place.  The closed-form
-    families share ``u = h / phi`` and equal those two bit for bit.
+    scatters it once per output.  The closed-form families share ``u = h /
+    phi``; the exponential, Gaussian and powered-exponential derivatives
+    are ``R`` times a power of ``u``.
     """
     if spec.family != "matern":
         u = lags.dist / phi
         rho = _closed_form_corr(spec.family, spec.kappa, u)
         return rho, _closed_form_dcorr(spec.family, spec.kappa, lags.dist, u, rho, phi)
+    return _matern_matrices(lags, spec.kappa, phi)
+
+
+def _matern_matrices(lags: Lags, kappa: float, phi: float, derivative: bool = True) -> tuple:
+    """Matern ``R`` (and ``dR / dphi``) over the upper triangle of ``lags``,
+    mirrored, with 1 (and 0) on the diagonal."""
     tri, h, log_h = lags.triangle
-    rho, drho = _matern_corr_dcorr(spec.kappa, h, log_h, phi)
     n = lags.dist.shape[0]
-    return _symmetric(n, tri, rho, 1.0), _symmetric(n, tri, drho, 0.0)
+    values = _matern_corr_dcorr(kappa, h, log_h, phi, derivative)
+    return tuple(_symmetric(n, tri, v, diag) for v, diag in zip(values, (1.0, 0.0)))
 
 
 def _matern_corr_dcorr(
-    kappa: float, h: np.ndarray, log_h: np.ndarray, phi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matern ``rho`` and ``d rho / d phi`` over the flat lags ``h`` with
-    logs ``log_h``: each lag's table segment is found once, at ``log h -
-    log phi``, for both kernels (:func:`_matern_kernels`)."""
+    kappa: float, h: np.ndarray, log_h: np.ndarray, phi: float, derivative: bool = True
+) -> tuple[np.ndarray, ...]:
+    """Matern ``rho``, and ``d rho / d phi`` when ``derivative``, over the
+    flat lags ``h`` with logs ``log_h``: each lag's table segment is found
+    once, at ``log h - log phi``, for both kernels
+    (:func:`_matern_kernels`)."""
     u = h / phi
-    k_rho, k_drho = _matern_kernels(
-        ((kappa, kappa), (kappa - 1.0, kappa + 1.0)), u, log_h - np.log(phi)
-    )
+    pairs = ((kappa, kappa), (kappa - 1.0, kappa + 1.0))[: 1 + derivative]
+    kernels = _matern_kernels(pairs, u, log_h - np.log(phi))
     c = _matern_scale(kappa)
-    return np.where(u == 0.0, 1.0, c * k_rho), c / phi * k_drho
+    rho = np.where(u == 0.0, 1.0, c * kernels[0])
+    return (rho, c / phi * kernels[1]) if derivative else (rho,)
 
 
 def build_sigma(dist: np.ndarray, spec: CovarianceSpec, p: CovParams) -> np.ndarray:
@@ -439,15 +409,15 @@ def dsigma(dist: np.ndarray, spec: CovarianceSpec, p: CovParams, k: int) -> np.n
     """First derivative of ``Sigma`` with respect to ``alpha_k``.
 
     ``k=1`` is sigma2 (returns ``R(phi)``), ``k=2`` is phi
-    (``sigma2 * dR/dphi``) and ``k=3`` is tau2 (identity).
+    (``sigma2 * dR/dphi``) and ``k=3`` is tau2 (identity); ``R`` and
+    ``dR/dphi`` are those of :func:`corr_dcorr_matrix`.
     """
     _check_k(k)
     dist = np.asarray(dist, dtype=float)
-    if k == 1:
-        return corr_matrix(dist, spec, p.phi)
-    if k == 2:
-        return p.sigma2 * dcorr_matrix(dist, spec, p.phi, None)
-    return np.eye(dist.shape[0])
+    if k == 3:
+        return np.eye(dist.shape[0])
+    rho, drho = corr_dcorr_matrix(Lags(dist), spec, p.phi)
+    return rho if k == 1 else p.sigma2 * drho
 
 
 def d2sigma(
@@ -455,17 +425,16 @@ def d2sigma(
 ) -> np.ndarray:
     """Second derivative of ``Sigma`` with respect to ``alpha_k, alpha_l``.
 
-    Only the ``(phi, phi)`` and ``(sigma2, phi)`` blocks are nonzero.
+    Only the ``(phi, phi)`` and ``(sigma2, phi)`` blocks are nonzero; both
+    are read from :func:`corr_dcorr_matrix`.
     """
     _check_k(k)
     _check_k(l)
     dist = np.asarray(dist, dtype=float)
-    n = dist.shape[0]
     pair = tuple(sorted((k, l)))
-    if pair == (2, 2):
-        rho = corr_matrix(dist, spec, p.phi)
-        drho = dcorr_matrix(dist, spec, p.phi, rho)
-        return p.sigma2 * _d2corr_dphi2(spec.family, spec.kappa, dist, p.phi, rho, drho)
+    if pair not in ((1, 2), (2, 2)):
+        return np.zeros(dist.shape)
+    rho, drho = corr_dcorr_matrix(Lags(dist), spec, p.phi)
     if pair == (1, 2):
-        return dcorr_matrix(dist, spec, p.phi, None)
-    return np.zeros((n, n))
+        return drho
+    return p.sigma2 * _d2corr_dphi2(spec.family, spec.kappa, dist, p.phi, rho, drho)

@@ -20,6 +20,7 @@ from .covariance import (
     CovarianceSpec,
     CovParams,
     Lags,
+    _cholesky_inverse,
     cholesky_sigma,
     correlation,
     cross_distance,
@@ -278,11 +279,10 @@ def default_search_box(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gaussian_ml_fit(
     y: np.ndarray,
     x: np.ndarray,
-    dist: np.ndarray,
+    lags: Lags,
     spec: CovarianceSpec,
     init: CovParams,
     bounds: Optional[tuple] = None,
-    handover: Optional[dict] = None,
 ) -> tuple[ModelParams, float]:
     """Maximize the exact Gaussian log-likelihood over the covariance
     parameters, profiling the trend coefficients (and the sill when it is
@@ -293,15 +293,17 @@ def gaussian_ml_fit(
     EM uses (:mod:`geocens.profile`), with no censored block.  With a fixed
     zero nugget the search is over ``phi`` alone.  The trend coefficients
     and the sill are those of the search's evaluation at the optimum, so
-    R is not formed again after the search.  ``handover`` carries the last
-    evaluation to the next fit on ``dist`` (see ``profile_objective``); the
-    search's evaluations share one :class:`geocens.covariance.Lags` of it.
+    R is not formed again after the search.  ``lags`` is the
+    :class:`geocens.covariance.Lags` of the sites' distances, which every
+    evaluation reads; the search starts on the evaluation it holds when
+    that was formed at the start, and leaves its own last one there for
+    the next fit (see ``profile_objective``).
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     n = y.shape[0]
     if bounds is None:
-        lo_b, hi_b = default_search_box(dist)
+        lo_b, hi_b = default_search_box(lags.dist)
     else:
         lo_b, hi_b = np.asarray(bounds[0], float), np.asarray(bounds[1], float)
     fixed_tau = spec.fixed_nugget_value if spec.nugget_fixed else None
@@ -322,11 +324,10 @@ def gaussian_ml_fit(
         lower, upper = lo_b[:2], hi_b[:2]
         nu2_held = None
 
-    lags = Lags(dist)
     theta, value, (beta, sigma2, _) = profile_search(
         lambda t: profile_objective(
-            t, dist, spec, y, np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
-            x=x, tau2=fixed_tau, handover=handover, lags=lags,
+            t, lags, spec, y, np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
+            x=x, tau2=fixed_tau,
         ),
         x0, lower, upper,
     )
@@ -376,7 +377,7 @@ def predict_naive(
     dist = distance_matrix(data.coords)
     if init is None:
         init = initial_values(data, trend, spec).cov
-    params, gauss_ll = gaussian_ml_fit(y, x, dist, spec, init, bounds)
+    params, gauss_ll = gaussian_ml_fit(y, x, Lags(dist), spec, init, bounds)
     x_pred = build_trend(np.atleast_2d(coords_pred), x_extra_pred, trend)
     result = krige(params, x, y, data.coords, x_pred, coords_pred, spec, method=variant)
     result.extra["gaussian_loglik"] = gauss_ll
@@ -388,11 +389,9 @@ def _loo_means(params, x, y, dist, spec, idx) -> np.ndarray:
     """Leave-one-out kriging means at the rows ``idx``, each predicted from
     all other rows: ``y_i - [Sigma^{-1} r]_i / [Sigma^{-1}]_ii`` with
     ``r = y - X beta`` (Dubrule 1983).  Exact for a plug-in ``beta`` and a
-    nugget on the diagonal only; one factorization for all rows."""
-    lo = cholesky_sigma(dist, spec, params.cov)
-    w = solve_triangular(lo, np.eye(len(y))[:, idx], lower=True)
-    rw = solve_triangular(lo, y - x @ params.beta, lower=True)
-    return y[idx] - (w.T @ rw) / np.sum(w * w, axis=0)
+    nugget on the diagonal only; one factor and its inverse serve all rows."""
+    qi = _cholesky_inverse(cholesky_sigma(dist, spec, params.cov))
+    return y[idx] - (qi[idx] @ (y - x @ params.beta)) / qi[idx, idx]
 
 
 def predict_seminaive(
@@ -412,9 +411,10 @@ def predict_seminaive(
     is refitted after every pass.  Stops when, between passes, the fitted
     sill changes by at most ``c1`` relatively, stays below ``c2`` times the
     uncensored-data sill, and the imputed-data skewness exceeds ``c3``
-    times the uncensored-data skewness; or at ``max_iter``.  Each refit is
-    handed the last fit's last evaluation, read when that fit stopped
-    there; the fit to the uncensored sites alone is handed nothing.
+    times the uncensored-data skewness; or at ``max_iter``.  The fits on
+    all sites share one :class:`geocens.covariance.Lags`, so each refit
+    starts on the last fit's last evaluation when that fit stopped there;
+    the fit to the uncensored sites alone has a ``Lags`` of its own.
     """
     if data.cens_type != "left":
         raise UnsupportedMethodError("seminaive supports left censoring only")
@@ -427,14 +427,14 @@ def predict_seminaive(
 
     y = data.value.astype(float).copy()
     y[cens_idx] = 0.0
-    handover: dict = {}
-    params, gauss_ll = gaussian_ml_fit(y, x, dist, spec, init, bounds, handover)
+    lags = Lags(dist)
+    params, gauss_ll = gaussian_ml_fit(y, x, lags, spec, init, bounds)
     iterations = 0
     converged = cens_idx.size == 0
 
     if cens_idx.size:
         obs_fit, _ = gaussian_ml_fit(
-            data.value[obs_idx], x[obs_idx], dist[np.ix_(obs_idx, obs_idx)],
+            data.value[obs_idx], x[obs_idx], Lags(dist[np.ix_(obs_idx, obs_idx)]),
             spec, init, bounds,
         )
         sigma2_obs = obs_fit.cov.sigma2
@@ -445,8 +445,7 @@ def predict_seminaive(
             loo = _loo_means(params, x, y, dist, spec, cens_idx)
             y_new = y.copy()
             y_new[cens_idx] = np.maximum(0.0, np.minimum(loo, bound))
-            new_params, gauss_ll = gaussian_ml_fit(y_new, x, dist, spec, params.cov, bounds,
-                                                   handover)
+            new_params, gauss_ll = gaussian_ml_fit(y_new, x, lags, spec, params.cov, bounds)
             rel_change = abs(new_params.cov.sigma2 - params.cov.sigma2) / params.cov.sigma2
             y = y_new
             params = new_params

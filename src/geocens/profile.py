@@ -15,14 +15,15 @@ for Gaussian ML).  The CM step holds ``r`` and ``sigma2`` at their
 conditional updates; Gaussian ML profiles the trend by generalized least
 squares and the sill by ``q / n`` or, with a fixed nugget ``tau2``, ties
 it to ``tau2 / nu2``.  Each evaluation forms R(phi) and ``dR/dphi`` in
-one kernel pass over the lags the caller keeps for its distances
-(:func:`geocens.covariance.corr_dcorr_matrix`: for Matern, one segment
-lookup per lag serves both Bessel kernel tables), and L and Q
-(``potri``) once; or it takes all four from the last evaluation, handed
-over by the caller, at exactly the same ``(phi, nu2)``: each CM step and
-each seminaive refit starts where the last search on its distances
-stopped.  The whitened residual ``L^{-1} r`` comes from the GLS fit when
-the trend is profiled; L is handed back with the fitted trend and sill.
+one kernel pass over the :class:`geocens.covariance.Lags` the caller keeps
+for its distances (:func:`geocens.covariance.corr_dcorr_matrix`: for
+Matern, one segment lookup per lag serves both Bessel kernel tables), and
+L and Q (``potri``) once; or it reads all four from the last evaluation
+that the ``Lags`` holds, formed at exactly the same ``(spec, phi, nu2)``:
+each CM step and each seminaive refit starts where the last search on its
+distances stopped.  The whitened residual ``L^{-1} r`` comes from the GLS
+fit when the trend is profiled; L is handed back with the fitted trend and
+sill.
 The residual term of q stays on the factor: ``r' Q r`` loses accuracy as
 the condition of Psi grows, and the search compares values at 1e-10.
 With ``a = Q r``, ``B = Q[:, c]`` and ``Psi_j`` the derivatives of Psi
@@ -105,7 +106,7 @@ def _gls(lo: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
 
 def profile_objective(
     theta: np.ndarray,
-    dist: np.ndarray,
+    lags: covariance.Lags,
     spec: CovarianceSpec,
     z: np.ndarray,
     cov_c: np.ndarray,
@@ -115,8 +116,6 @@ def profile_objective(
     x: Optional[np.ndarray] = None,
     sigma2: Optional[float] = None,
     tau2: Optional[float] = None,
-    handover: Optional[dict] = None,
-    lags: Optional[covariance.Lags] = None,
 ) -> tuple[float, np.ndarray, Callable[[], np.ndarray], _Fitted]:
     """Value, gradient, Hessian builder and fitted trend and sill of ``f``
     at ``theta = (phi, nu2)``, or at ``theta = (phi,)`` with the relative
@@ -136,30 +135,26 @@ def profile_objective(
     the GLS trend (None without ``x``), the sill of ``f`` and L.
 
     An evaluation forms R and ``dR/dphi`` in one kernel pass
-    (:func:`geocens.covariance.corr_dcorr_matrix`) over ``lags``, which the
-    caller keeps for ``dist`` (:class:`geocens.covariance.Lags`; formed
-    here when None).  ``handover``, a dict kept by the caller for one
-    ``dist`` and ``spec``, holds the last evaluation's Psi, L, Q and
-    ``dR/dphi``, which depend on ``(phi, nu2)`` alone: read at the same
-    ``(phi, nu2)``, else replaced.
+    (:func:`geocens.covariance.corr_dcorr_matrix`) over ``lags``, the
+    :class:`geocens.covariance.Lags` the caller keeps for its distances,
+    and leaves its Psi, L, Q and ``dR/dphi`` held there, keyed by
+    ``(spec, phi, nu2)``.  An evaluation at that key reads them; any other
+    drops them before it forms its own.
     """
     dim = len(theta)
     phi = float(theta[0])
     if nu2 is None:
         nu2 = float(theta[1])
-    handover = {} if handover is None else handover
-    # a miss drops the held arrays before this evaluation forms its own
-    held = handover.pop((phi, nu2), None)
-    handover.clear()
-    if held is None:
-        psi, d_phi = covariance.corr_dcorr_matrix(
-            covariance.Lags(dist) if lags is None else lags, spec, phi
-        )
+    key = (spec, phi, nu2)
+    held, lags.held = lags.held, None
+    if held is None or held[0] != key:
+        held = None  # a miss drops the held arrays before forming its own
+        psi, d_phi = covariance.corr_dcorr_matrix(lags, spec, phi)
         psi[np.diag_indices_from(psi)] += nu2
         lo = covariance.spd_cholesky(psi)
-        held = (psi, lo, _cholesky_inverse(lo), d_phi)
-    handover[phi, nu2] = held
-    psi, lo, qi, d_phi = held
+        held = (key, (psi, lo, _cholesky_inverse(lo), d_phi))
+    lags.held = held
+    psi, lo, qi, d_phi = held[1]
     n = lo.shape[0]
     if x is None:
         beta, resid, rw = None, z, solve_triangular(lo, z, lower=True)
@@ -198,7 +193,7 @@ def profile_objective(
     def hess() -> np.ndarray:
         # psi differs from R only on the diagonal, where the lag is zero
         # and d2R/dphi2 does not depend on R
-        d2 = covariance._d2corr_dphi2(spec.family, spec.kappa, dist, phi, psi, d_phi)
+        d2 = covariance._d2corr_dphi2(spec.family, spec.kappa, lags.dist, phi, psi, d_phi)
         ell_pp = np.vdot(qi, d2)
         q_pp = -(a @ (d2 @ a) + np.sum((b.T @ (d2 @ b)) * cov_c))
         del d2

@@ -285,13 +285,11 @@ def cm_step(
     zz: np.ndarray,
     idx: np.ndarray,
     x: np.ndarray,
-    dist: np.ndarray,
+    lags: Lags,
     spec: CovarianceSpec,
     config: SaemConfig,
     prev: ModelParams,
     lo: np.ndarray,
-    handover: Optional[dict] = None,
-    lags: Optional[Lags] = None,
 ) -> tuple[ModelParams, np.ndarray]:
     """Conditional maximization given the current moment estimates.
 
@@ -310,10 +308,9 @@ def cm_step(
 
     Returns the new parameters and the lower Cholesky factor of the
     covariance matrix at them: ``sqrt(sigma2)`` times the factor of ``Psi``
-    that the search's accepted evaluation computed.  ``handover`` holds the
-    last step's last evaluation, read when that was at ``prev``'s
-    ``(phi, nu2)``, and ``lags`` what every evaluation reads of ``dist``
-    (:func:`geocens.profile.profile_objective`).
+    that the search's accepted evaluation computed.  ``lags`` holds the
+    distances and the last step's last evaluation, read when that was at
+    ``prev``'s ``(phi, nu2)`` (:func:`geocens.profile.profile_objective`).
     """
     n = x.shape[0]
     beta, rw = _gls(lo, x, zhat)
@@ -335,8 +332,7 @@ def cm_step(
         x0 = np.clip([prev.cov.phi, prev.cov.nu2], lower, upper)
         nu2 = None
     theta, value, (_, _, lo_psi) = profile_search(
-        lambda t: profile_objective(t, dist, spec, resid, cov_c, idx, nu2, sigma2=sigma2,
-                                    handover=handover, lags=lags),
+        lambda t: profile_objective(t, lags, spec, resid, cov_c, idx, nu2, sigma2=sigma2),
         x0, lower, upper,
     )
     if not np.isfinite(value):
@@ -364,10 +360,10 @@ def saem_fit(
     keeps the covariance as its factor ``L_cc``), and the whole factor the
     next CM step's generalized least squares and sill update.  The next
     E-step sweeps on the precision from ``L_cc``; only the final likelihood
-    estimate forms ``L_cc L_cc'``, for its rectangle probability.  Each CM
-    search starts where the last one stopped, on that search's arrays, and
-    every search reads one :class:`geocens.covariance.Lags` of the ordered
-    distances.
+    estimate forms ``L_cc L_cc'``, for its rectangle probability.  Every
+    CM search reads one :class:`geocens.covariance.Lags` of the ordered
+    distances, and starts where the last one stopped, on the arrays that
+    search left held there.
 
     The Gibbs chain starts at the bounds the data impute
     (:func:`geocens.model.impute_bounds`) and persists across iterations:
@@ -430,15 +426,13 @@ def saem_fit(
     lo = cholesky_sigma(dist_o, spec, cov)
     params = ModelParams(beta=_gls(lo, x_o, y0[order])[0], cov=cov)
     mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
-    handover: dict = {}
     lags = Lags(dist_o)
     for k in range(1, config.max_iter + 1):
         iterations = k
         try:
             _e_step_core(state, data, mu, l_cc, config, gibbs_rng)
             params, lo = cm_step(
-                state.zhat[order], state.zz_cc, cen_o, x_o, dist_o, spec, config, params, lo,
-                handover, lags,
+                state.zhat[order], state.zz_cc, cen_o, x_o, lags, spec, config, params, lo
             )
             mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
         except NumericalError as exc:

@@ -583,6 +583,14 @@ def test_predict_rejects_truth_that_does_not_match_the_targets(tmp_path, sim_dir
         assert (out / "predictions.csv").exists() == (want == 0)
 
 
+MALFORMED_FITS = {
+    "fit_short_zzhat": lambda f: f.update(zzhat=f["zzhat"][:-1]),
+    "fit_short_zhat": lambda f: f.update(zhat=f["zhat"][:-1]),
+    "fit_long_beta": lambda f: f["params"].update(beta=f["params"]["beta"] * 2),
+    "fit_text_sigma2": lambda f: f["params"].update(sigma2="x"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["crossval", "--data", "{data}", "--n-est", 30, "--methods", ","],
     ["variogram", "--data", "{data}", "--bins", 0],
@@ -614,6 +622,10 @@ def test_predict_rejects_truth_that_does_not_match_the_targets(tmp_path, sim_dir
     ["fit", "--data", "{data}", "--nugget", "nan"],
     ["predict", "--method", "seminaive", "--data", "{data}", "--targets", "{targets}",
      "--init-sigma2", 1.5, "--init-phi", 1, "--nugget", -0.1],
+    ["diagnose", "--fit", "{fit_short_zzhat}"],
+    ["predict", "--method", "saem", "--fit", "{fit_short_zhat}", "--targets", "{targets}"],
+    ["predict", "--method", "saem", "--fit", "{fit_long_beta}", "--targets", "{targets}"],
+    ["diagnose", "--fit", "{fit_text_sigma2}"],
 ], ids=["crossval-no-methods", "variogram-zero-bins", "predict-header-only-targets",
         "simulate-negative-seed", "fit-negative-seed", "fit-free-nugget-one-component-box",
         "variogram-negative-max-dist", "variogram-max-dist-below-every-pair",
@@ -624,7 +636,8 @@ def test_predict_rejects_truth_that_does_not_match_the_targets(tmp_path, sim_dir
         "fit-sigma2-start-without-phi", "fit-phi-start-without-sigma2",
         "predict-sigma2-start-without-phi", "crossval-phi-start-without-sigma2",
         "fit-negative-sigma2-start", "fit-infinite-phi-start", "fit-nan-start-nugget",
-        "predict-negative-start-nugget"])
+        "predict-negative-start-nugget", "diagnose-truncated-zzhat", "predict-truncated-zhat",
+        "predict-beta-too-long", "diagnose-text-sigma2"])
 def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
     header_only = tmp_path / "targets.csv"
     header_only.write_text("x,y\r\n")
@@ -632,9 +645,15 @@ def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
     write_targets(sim_dir, targets)
     paths = {"data": sim_dir / "data.csv", "header_only": header_only, "targets": targets,
              "fit": tmp_path / "fit" / "fit.json"}
-    if "{fit}" in argv:
+    if any(str(a).startswith("{fit") for a in argv):
         assert run_cli("fit", "--data", sim_dir / "data.csv", "--max-iter", 3,
                        "--out-dir", tmp_path / "fit") == 0
+        # fit files whose arrays or parameters do not fit the dataset
+        for name, edit in MALFORMED_FITS.items():
+            payload = json.loads(paths["fit"].read_text())
+            edit(payload)
+            paths[name] = tmp_path / "fit" / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
     capsys.readouterr()
     rc = run_cli(*[str(a).format(**paths) for a in argv], "--out-dir", tmp_path / "out")
     assert rc == 2

@@ -16,7 +16,7 @@ from geocens import (
     empirical_variogram,
 )
 import geocens.covariance as cov
-from geocens.covariance import _d2corr_dphi2, _dcorr_dphi, spd_cholesky
+from geocens.covariance import _d2corr_dphi2, spd_cholesky
 
 from oracles import (
     dcorr_dphi_closed_form,
@@ -64,10 +64,22 @@ def random_params(seed):
     )
 
 
+def matern_dcorr(kappa, h, phi):
+    """Matern ``d rho / d phi`` elementwise over the lags ``h``, in the
+    library's one arithmetic (the kernel tables at ``log h - log phi``)."""
+    h = np.asarray(h, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_h = np.log(h)
+    _, drho = cov._matern_corr_dcorr(kappa, h.ravel(), log_h.ravel(), phi)
+    return drho.reshape(h.shape)
+
+
 def dcorr_elementwise(spec, h, phi):
     """``d rho / d phi`` over the lags ``h`` by the family's own formula."""
-    if spec.family in ("spherical", "matern"):
-        return _dcorr_dphi(spec.family, spec.kappa, h, phi)
+    if spec.family == "matern":
+        return matern_dcorr(spec.kappa, h, phi)
+    if spec.family == "spherical":
+        return cov._closed_form_dcorr("spherical", 0.0, h, h / phi, None, phi)
     return dcorr_dphi_closed_form(spec.family, spec.kappa, h, phi)
 
 
@@ -128,7 +140,6 @@ def test_matern_table_matches_kv_oracle(kernel_lags, kappa):
     want_drho = matern_dcorr_dphi_kv(kappa, h, phi)
     for got, want in (
         (correlation("matern", kappa, h, phi), want_rho),
-        (_dcorr_dphi("matern", kappa, h, phi), want_drho),
         (rho, want_rho),
         (drho, want_drho),
     ):
@@ -152,7 +163,7 @@ def test_matern_half_matches_exponential_to_1e13():
     h = phi * u
     for got, want in (
         (correlation("matern", 0.5, h, phi), correlation("exponential", 0.0, h, phi)),
-        (_dcorr_dphi("matern", 0.5, h, phi), dcorr_dphi_closed_form("exponential", 0.0, h, phi)),
+        (matern_dcorr(0.5, h, phi), dcorr_dphi_closed_form("exponential", 0.0, h, phi)),
     ):
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
@@ -179,18 +190,16 @@ def test_matern_small_lag_limit(kappa):
         if kappa < 1.0:
             want -= gamma(1.0 - kappa) / gamma(1.0 + kappa) * (h / 2.0) ** (2.0 * kappa)
         assert correlation("matern", kappa, h, 1.0) == pytest.approx(want, abs=1e-12)
-        drho = _dcorr_dphi("matern", kappa, np.array([h]), 1.0)
+        drho = matern_dcorr(kappa, np.array([h]), 1.0)
         assert np.isfinite(drho).all() and drho[0] >= 0.0
 
 
 def test_matern_kernel_tables_are_built_once_per_smoothness():
     cov._kernel_table.cache_clear()
     spec = CovarianceSpec("matern", kappa=0.9)
-    dist = random_geometry(0, n=12)
+    lags = cov.Lags(random_geometry(0, n=12))
     for phi in (1.0, 2.5, 4.0):
-        p = CovParams(sigma2=1.0, phi=phi, tau2=0.1)
-        dsigma(dist, spec, p, 1)
-        dsigma(dist, spec, p, 2)
+        cov.corr_dcorr_matrix(lags, spec, phi)
     info = cov._kernel_table.cache_info()
     assert (info.misses, info.hits) == (2, 4)
 
@@ -314,14 +323,15 @@ def test_range_derivative_from_r_is_the_closed_form(spec):
     u[:4] = (0.0, 1e-300, 1.0, 700.0)
     phi = 1.7
     h = (phi * u).reshape(1000, 1000)
-    got = cov.dcorr_matrix(h, spec, phi, correlation(spec.family, spec.kappa, h, phi))
+    _, got = cov.corr_dcorr_matrix(cov.Lags(h), spec, phi)
     assert np.array_equal(got, dcorr_dphi_closed_form(spec.family, spec.kappa, h, phi))
-    # from Psi = R + nu2 I, as the profile objective passes it: the same
-    # matrix, zero on the diagonal
+    # from a matrix equal to R off the diagonal, such as Psi = R + nu2 I:
+    # the same matrix, zero on the diagonal
     dist = random_geometry(0, n=30)
-    r = cov.corr_matrix(dist, spec, phi)
-    got = cov.dcorr_matrix(dist, spec, phi, r + 0.3 * np.eye(30))
-    assert np.array_equal(got, cov.dcorr_matrix(dist, spec, phi, r))
+    r, want = cov.corr_dcorr_matrix(cov.Lags(dist), spec, phi)
+    got = cov._closed_form_dcorr(spec.family, spec.kappa, dist, dist / phi,
+                                 r + 0.3 * np.eye(30), phi)
+    assert np.array_equal(got, want)
     assert np.array_equal(got, dcorr_dphi_closed_form(spec.family, spec.kappa, dist, phi))
     assert np.all(np.diag(got) == 0.0)
 
@@ -346,27 +356,23 @@ def test_pairwise_matrices_equal_full_matrix_evaluation(spec):
 @pytest.mark.parametrize("phi", [0.05, 20.0])
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
 def test_one_kernel_pass_matches_corr_and_dcorr_matrix(spec, phi):
-    # a duplicated site puts a zero lag off the diagonal
+    # every correlation path runs one arithmetic, so R and dR/dphi agree bit
+    # for bit whichever path forms them; a duplicated site puts a zero lag
+    # off the diagonal
     rng = np.random.default_rng(8)
     coords = rng.uniform(0, 10, size=(30, 2))
     coords[7] = coords[3]
     dist = distance_matrix(coords)
     rho, drho = cov.corr_dcorr_matrix(cov.Lags(dist), spec, phi)
-    want_rho = cov.corr_matrix(dist, spec, phi)
-    want_drho = cov.dcorr_matrix(dist, spec, phi, want_rho)
     assert (rho[3, 7], rho[7, 3], drho[3, 7], drho[7, 3]) == (1.0, 1.0, 0.0, 0.0)
     assert np.array_equal(np.diag(rho), np.ones(30))
     assert np.array_equal(np.diag(drho), np.zeros(30))
-    if spec.family != "matern":
-        assert np.array_equal(rho, want_rho) and np.array_equal(drho, want_drho)
-        return
-    # log h - log phi and log(h / phi) differ by a few units in the last
-    # place of t = log(h / phi); the kernels' log-derivative in t is about
-    # kappa, and exp(g(t) - u) rounds its exponent at the scale of u
-    eps = np.finfo(float).eps
-    assert np.abs(rho - want_rho).max() <= 8 * eps * (1 + spec.kappa)
-    bound = 32 * eps * (1 + spec.kappa) * np.maximum(1.0, dist / phi) * np.abs(want_drho)
-    assert np.all(np.abs(drho - want_drho) <= bound)
+    p = CovParams(sigma2=1.7, phi=phi, tau2=0.2)
+    for want in (cov.corr_matrix(dist, spec, phi), correlation(spec.family, spec.kappa, dist, phi),
+                 dsigma(dist, spec, p, 1)):
+        assert np.array_equal(rho, want)
+    assert np.array_equal(dsigma(dist, spec, p, 2), p.sigma2 * drho)
+    assert np.array_equal(drho, dcorr_elementwise(spec, dist, phi))
 
 
 def test_upper_triangle_indices_are_shared_and_read_only():

@@ -6,6 +6,7 @@ from geocens import (
     CovarianceSpec,
     CovParams,
     DataValidationError,
+    Lags,
     ModelParams,
     NumericalError,
     SeminaiveConfig,
@@ -259,7 +260,7 @@ def test_gaussian_ml_matches_independent_oracle():
     dist = distance_matrix(data.coords)
     init = CovParams(sigma2=1.0, phi=0.8, tau2=0.1)
     bounds = (np.array([0.05, 0.0]), np.array([20.0, 10.0]))
-    params, ll = gaussian_ml_fit(data.value, x, dist, SPEC_EXP, init, bounds)
+    params, ll = gaussian_ml_fit(data.value, x, Lags(dist), SPEC_EXP, init, bounds)
 
     beta_o, s2_o, phi_o, tau2_o, ll_o = gaussian_ml_oracle(
         data.value,
@@ -437,7 +438,7 @@ def test_seminaive_first_pass_matches_direct_loop():
     x = np.ones((data.n, 1))
     dist = distance_matrix(data.coords)
     init = initial_values(data, TrendSpec("cte"), SPEC_EXP).cov
-    params, _ = gaussian_ml_fit(y0, x, dist, SPEC_EXP, init, None)
+    params, _ = gaussian_ml_fit(y0, x, Lags(dist), SPEC_EXP, init, None)
     sigma = build_sigma(dist, SPEC_EXP, params.cov)
     loo = loo_kriging_means(y0, x, params.beta, sigma, cens_idx)
     want = np.maximum(0.0, np.minimum(loo, data.upper[cens_idx]))

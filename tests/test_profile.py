@@ -11,7 +11,7 @@ from geocens import (
     saem_fit,
 )
 from geocens import covariance, predict, saem
-from geocens.covariance import build_sigma, correlation, distance_matrix
+from geocens.covariance import Lags, build_sigma, correlation, distance_matrix
 from geocens.errors import NumericalError, SingularCovarianceError
 from geocens.model import build_trend
 from geocens.covariance import _cholesky_inverse
@@ -101,9 +101,10 @@ ML_IDS = ["free", "fixed-0.2", "fixed-0", "matern-free"]
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
 def test_cm_form_gradient_matches_central_differences(spec):
     dist, resid, cov_c, idx = cm_setup()
+    lags = Lags(dist)
     for theta, nu2 in CM_FORMS:
         def f(t):
-            return profile_objective(t, dist, spec, resid, cov_c, idx, nu2, sigma2=1.3)
+            return profile_objective(t, lags, spec, resid, cov_c, idx, nu2, sigma2=1.3)
 
         _, grad, _, _ = f(theta)
         assert_allclose(grad, central_gradient(lambda t: f(t)[0], theta), rtol=1e-6, atol=1e-7)
@@ -114,9 +115,10 @@ def test_gaussian_ml_form_gradient_matches_central_differences(spec):
     # trend profiled by GLS, sill by rss / n or pinned at tau2 / nu2; the
     # central differences re-profile both at every step
     dist, x, y, _ = gradient_setup(seed=1)
+    lags = Lags(dist)
     for tau2, theta, nu2 in ML_FORMS:
         def f(t):
-            return profile_objective(t, dist, spec, y, *NO_BLOCK, nu2, x=x, tau2=tau2)
+            return profile_objective(t, lags, spec, y, *NO_BLOCK, nu2, x=x, tau2=tau2)
 
         _, grad, _, _ = f(theta)
         assert_allclose(grad, central_gradient(lambda t: f(t)[0], theta), rtol=1e-6, atol=1e-7)
@@ -131,18 +133,20 @@ def assert_hessian_matches(f, theta):
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
 def test_cm_form_hessian_matches_central_differences(spec):
     dist, resid, cov_c, idx = cm_setup()
+    lags = Lags(dist)
     for theta, nu2 in CM_FORMS:
         assert_hessian_matches(
-            lambda t: profile_objective(t, dist, spec, resid, cov_c, idx, nu2, sigma2=1.3), theta
+            lambda t: profile_objective(t, lags, spec, resid, cov_c, idx, nu2, sigma2=1.3), theta
         )
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
 def test_gaussian_ml_form_hessian_matches_central_differences(spec):
     dist, x, y, _ = gradient_setup(seed=1)
+    lags = Lags(dist)
     for tau2, theta, nu2 in ML_FORMS:
         assert_hessian_matches(
-            lambda t: profile_objective(t, dist, spec, y, *NO_BLOCK, nu2, x=x, tau2=tau2), theta
+            lambda t: profile_objective(t, lags, spec, y, *NO_BLOCK, nu2, x=x, tau2=tau2), theta
         )
 
 
@@ -155,16 +159,16 @@ def test_value_and_fitted_values_match_dense_oracle(spec):
 
     dist, resid, cov_c, idx = cm_setup()
     for theta, nu2 in CM_FORMS:
-        value, _, _, (beta, s, _) = profile_objective(theta, dist, spec, resid, cov_c, idx, nu2,
-                                                      sigma2=1.3)
+        value, _, _, (beta, s, _) = profile_objective(theta, Lags(dist), spec, resid, cov_c,
+                                                      idx, nu2, sigma2=1.3)
         want, _, _ = dense_profile_value(dist, corr, theta[0], theta[-1] if nu2 is None else nu2,
                                          resid, cov_c, idx, sigma2=1.3)
         assert value == pytest.approx(want, rel=1e-10)
         assert beta is None and s == 1.3
     dist, x, y, _ = gradient_setup(seed=1)
     for tau2, theta, nu2 in ML_FORMS:
-        value, _, _, (beta, s, _) = profile_objective(theta, dist, spec, y, *NO_BLOCK, nu2, x=x,
-                                                      tau2=tau2)
+        value, _, _, (beta, s, _) = profile_objective(theta, Lags(dist), spec, y, *NO_BLOCK,
+                                                      nu2, x=x, tau2=tau2)
         want, beta_o, s_o = dense_profile_value(
             dist, corr, theta[0], theta[-1] if nu2 is None else nu2, y, *NO_BLOCK, x=x, tau2=tau2
         )
@@ -176,13 +180,13 @@ def test_value_and_fitted_values_match_dense_oracle(spec):
 def test_hessian_builder_reuses_the_evaluation(monkeypatch):
     # the Hessian is built from the evaluation's own R, dR/dphi and inverse
     dist, resid, cov_c, idx = cm_setup()
-    _, _, hess, _ = profile_objective(np.array([0.9, 0.3]), dist, SPEC_EXP, resid, cov_c, idx,
-                                      sigma2=1.3)
+    _, _, hess, _ = profile_objective(np.array([0.9, 0.3]), Lags(dist), SPEC_EXP, resid, cov_c,
+                                      idx, sigma2=1.3)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the Hessian evaluated the covariance again")
 
-    for name in ("corr_dcorr_matrix", "corr_matrix", "dcorr_matrix", "spd_cholesky"):
+    for name in ("corr_dcorr_matrix", "corr_matrix", "spd_cholesky"):
         monkeypatch.setattr(covariance, name, forbidden)
     assert np.all(np.isfinite(hess()))
 
@@ -196,7 +200,7 @@ def test_hessian_builder_reuses_the_evaluation(monkeypatch):
 def record_searches(monkeypatch, owner, name):
     """One record per call of ``owner.name`` (a search): the points
     ``(phi, nu2)`` of its profile evaluations, the size of their distance
-    matrix, the handover dict they were given, and the kernel passes
+    matrix, the ``Lags`` they were given, and the kernel passes
     (``corr_dcorr_matrix``, one per evaluation that forms R) and
     ``spd_cholesky`` calls made inside the call."""
     searches, inside = [], [False]
@@ -211,18 +215,18 @@ def record_searches(monkeypatch, owner, name):
         return wrapper
 
     def recorded_search(*args, **kwargs):
-        searches.append({"points": [], "n": None, "handover": None, "corr": 0, "chol": 0})
+        searches.append({"points": [], "n": None, "lags": None, "corr": 0, "chol": 0})
         inside[0] = True
         try:
             return search(*args, **kwargs)
         finally:
             inside[0] = False
 
-    def recorded_objective(theta, dist, spec, z, cov_c, idx, nu2=None, **kwargs):
+    def recorded_objective(theta, lags, spec, z, cov_c, idx, nu2=None, **kwargs):
         rec = searches[-1]
         rec["points"].append((float(theta[0]), float(theta[1]) if nu2 is None else nu2))
-        rec["n"], rec["handover"] = dist.shape[0], kwargs.get("handover")
-        return objective(theta, dist, spec, z, cov_c, idx, nu2, **kwargs)
+        rec["n"], rec["lags"] = lags.dist.shape[0], lags
+        return objective(theta, lags, spec, z, cov_c, idx, nu2, **kwargs)
 
     monkeypatch.setattr(covariance, "corr_dcorr_matrix", counted(corr_dcorr, "corr"))
     monkeypatch.setattr(covariance, "spd_cholesky", counted(spd_cholesky, "chol"))
@@ -254,7 +258,7 @@ def test_gaussian_ml_fit_budget(monkeypatch, spec, budget):
     x = build_trend(data.coords, None, TrendSpec("cte"))
     dist = distance_matrix(data.coords)
     searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
-    predict.gaussian_ml_fit(data.value, x, dist, spec, CovParams(1.0, 0.8, 0.1))
+    predict.gaussian_ml_fit(data.value, x, Lags(dist), spec, CovParams(1.0, 0.8, 0.1))
     assert len(searches[0]["points"]) <= budget
 
 
@@ -266,7 +270,7 @@ def test_gaussian_ml_fit_forms_r_once_per_evaluation(monkeypatch, spec):
     data = sim_left(seed=1, n=60, cens=0.0).data
     x = build_trend(data.coords, None, TrendSpec("cte"))
     dist = distance_matrix(data.coords)
-    counts = {"corr_dcorr_matrix": 0, "corr_matrix": 0, "dcorr_matrix": 0, "evaluations": 0}
+    counts = {"corr_dcorr_matrix": 0, "corr_matrix": 0, "evaluations": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -274,14 +278,14 @@ def test_gaussian_ml_fit_forms_r_once_per_evaluation(monkeypatch, spec):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("corr_dcorr_matrix", "corr_matrix", "dcorr_matrix"):
+    for name in ("corr_dcorr_matrix", "corr_matrix"):
         monkeypatch.setattr(covariance, name, counted(getattr(covariance, name), name))
     monkeypatch.setattr(predict, "profile_objective",
                         counted(predict.profile_objective, "evaluations"))
-    predict.gaussian_ml_fit(data.value, x, dist, spec, CovParams(1.0, 0.8, 0.1))
+    predict.gaussian_ml_fit(data.value, x, Lags(dist), spec, CovParams(1.0, 0.8, 0.1))
     assert counts["evaluations"] > 1
     assert counts["corr_dcorr_matrix"] == counts["evaluations"]
-    assert counts["corr_matrix"] == counts["dcorr_matrix"] == 0
+    assert counts["corr_matrix"] == 0
 
 
 @pytest.mark.parametrize("spec", ML_SPECS[:3], ids=ML_IDS[:3])
@@ -297,7 +301,7 @@ def test_gaussian_ml_fit_trend_and_sill_are_the_gls_at_the_optimum(monkeypatch, 
         return out
 
     monkeypatch.setattr(predict, "profile_search", recording)
-    params, _ = predict.gaussian_ml_fit(data.value, x, dist, spec, CovParams(1.0, 0.8, 0.1))
+    params, _ = predict.gaussian_ml_fit(data.value, x, Lags(dist), spec, CovParams(1.0, 0.8, 0.1))
     (theta,) = found
     nu2 = theta[1] if len(theta) > 1 else 0.0
     fixed_tau = spec.fixed_nugget_value if spec.nugget_fixed else None
@@ -391,7 +395,7 @@ def test_search_matches_oracle_on_gaussian_ml(monkeypatch, spec):
     x = build_trend(data.coords, None, TrendSpec("cte"))
     dist = distance_matrix(data.coords)
     searches = recorded_searches(monkeypatch, predict, lambda: predict.gaussian_ml_fit(
-        data.value, x, dist, spec, CovParams(1.0, 0.8, 0.1)))
+        data.value, x, Lags(dist), spec, CovParams(1.0, 0.8, 0.1)))
     assert len(searches) == 1
     assert_no_higher_than_oracle(searches)
 
@@ -458,7 +462,7 @@ def test_cm_step_returns_the_factor_of_sigma_at_its_point(family_spec, nugget):
     zhat = data.value.astype(float)
     zz_cc = np.outer(zhat[cen], zhat[cen]) + 0.1 * np.eye(cen.size)
     cfg = base_config() if nugget is None else base_config(lower=(0.05,), upper=(20.0,))
-    new, lo = cm_step(zhat, zz_cc, cen, x, dist, spec, cfg, prev,
+    new, lo = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev,
                       covariance.cholesky_sigma(dist, spec, prev.cov))
     want = covariance.cholesky_sigma(dist, spec, new.cov)
     assert np.array_equal(np.triu(lo, 1), np.zeros_like(lo))
@@ -479,7 +483,8 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
     cfg = base_config()
     sigma = build_sigma(dist, SPEC_EXP, prev.cov)
     free, _ = cm_step(
-        zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, np.linalg.cholesky(sigma)
+        zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev,
+        np.linalg.cholesky(sigma)
     )
     cut = 0.5 * (prev.cov.phi + free.cov.phi)
 
@@ -499,7 +504,8 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
     monkeypatch.setattr(covariance, "corr_dcorr_matrix", noting_corr)
     monkeypatch.setattr(covariance, "spd_cholesky", failing_cholesky)
     new, _ = cm_step(
-        zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, np.linalg.cholesky(sigma)
+        zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev,
+        np.linalg.cholesky(sigma)
     )
     monkeypatch.undo()
 
@@ -539,9 +545,9 @@ def test_profile_search_does_not_evaluate_a_clipped_trial_twice():
 
 
 # ---------------------------------------------------------------------------
-# handover: a search that starts where the last one on the same distances
-# stopped reads that evaluation's Psi, L, Q and dR/dphi instead of forming
-# them again
+# the held evaluation: a search that starts where the last one on the same
+# Lags stopped reads that evaluation's Psi, L, Q and dR/dphi instead of
+# forming them again
 # ---------------------------------------------------------------------------
 
 
@@ -556,11 +562,13 @@ def served_starts(searches, n):
     return served
 
 
-def discard_handover(monkeypatch, owner):
+def discard_held(monkeypatch, owner):
+    """Every profile evaluation through ``owner`` forms its own arrays."""
     objective = owner.profile_objective
 
-    def fresh(*args, handover=None, **kwargs):
-        return objective(*args, **kwargs)
+    def fresh(theta, lags, *args, **kwargs):
+        lags.held = None
+        return objective(theta, lags, *args, **kwargs)
 
     monkeypatch.setattr(owner, "profile_objective", fresh)
 
@@ -594,14 +602,14 @@ def nugget_case(setting):
 
 @pytest.mark.parametrize("setting", ["fixed-zero", "free", "fixed-0.2"])
 def test_saem_fit_with_the_handover_equals_a_fit_without(monkeypatch, setting):
-    # the handed-over arrays are only read, so the fit is bitwise the same;
+    # the held arrays are only read, so the fit is bitwise the same;
     # a fixed non-zero nugget moves nu2 = tau2 / sigma2 with every sill
     # update, so no start is ever served
     case = nugget_case(setting)
     searches = record_searches(monkeypatch, saem, "cm_step")
     fit = saem_fit(*case)
     monkeypatch.undo()
-    discard_handover(monkeypatch, saem)
+    discard_held(monkeypatch, saem)
     plain = saem_fit(*case)
     for field in ("zhat", "zz_cc", "trace_params"):
         assert np.array_equal(getattr(fit, field), getattr(plain, field)), field
@@ -617,8 +625,8 @@ def test_saem_fit_with_the_handover_equals_a_fit_without(monkeypatch, setting):
     SPEC_EXP, CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.0),
 ], ids=["free", "fixed-zero"])
 def test_seminaive_with_the_handover_equals_one_without(monkeypatch, spec):
-    # the refits on all sites share one handover; the fit to the uncensored
-    # sites has distances of its own and is handed nothing
+    # the refits on all sites share one Lags; the fit to the uncensored
+    # sites has distances, and so a Lags, of its own
     from geocens.predict import predict_seminaive
 
     data = sim_left(seed=2, n=60, cens=0.3).data
@@ -627,7 +635,7 @@ def test_seminaive_with_the_handover_equals_one_without(monkeypatch, spec):
     searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
     got = predict_seminaive(*args)
     monkeypatch.undo()
-    discard_handover(monkeypatch, predict)
+    discard_held(monkeypatch, predict)
     want = predict_seminaive(*args)
     for a, b in ((got.mean, want.mean), (got.sd, want.sd),
                  (got.extra["imputed"], want.extra["imputed"]),
@@ -637,9 +645,42 @@ def test_seminaive_with_the_handover_equals_one_without(monkeypatch, spec):
     assert got.extra["iterations"] == want.extra["iterations"] >= 1
 
     (obs,) = [rec for rec in searches if rec["n"] == n_obs]
-    assert obs["handover"] is None and obs["corr"] == len(obs["points"])
+    assert obs["corr"] == len(obs["points"])
     full = [rec for rec in searches if rec["n"] == data.n]
     assert len(full) == got.extra["iterations"] + 1
-    assert all(rec["handover"] is full[0]["handover"] is not None for rec in full)
+    assert all(rec["lags"] is full[0]["lags"] is not obs["lags"] for rec in full)
     served = sum(len(rec["points"]) - rec["corr"] for rec in full)
     assert served == served_starts(searches, data.n) > 0
+
+
+def test_one_lags_serves_nothing_across_specs(monkeypatch):
+    # the held evaluation is keyed by (spec, phi, nu2): evaluations and
+    # searches under two specs at the same (phi, nu2) on one Lags each form
+    # their own arrays, and equal those on fresh Lags bit for bit
+    dist, x, y, _ = gradient_setup(seed=1)
+    zero = {"nugget_fixed": True, "fixed_nugget_value": 0.0}
+    specs = [CovarianceSpec("matern", kappa=0.3, **zero),
+             CovarianceSpec("matern", kappa=1.5, **zero),
+             CovarianceSpec("exponential", **zero), SPEC_EXP]
+    theta = np.array([0.9])
+    shared = Lags(dist)
+    for spec in specs + specs:
+        got = profile_objective(theta, shared, spec, y, *NO_BLOCK, 0.0, x=x)
+        assert shared.held[0] == (spec, 0.9, 0.0)
+        want = profile_objective(theta, Lags(dist), spec, y, *NO_BLOCK, 0.0, x=x)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2](), want[2]())
+        for a, b in zip(got[3], want[3]):
+            assert np.array_equal(a, b)
+
+    # a search that starts exactly where the last search on its Lags
+    # stopped, under another spec
+    first, _ = predict.gaussian_ml_fit(y, x, shared, specs[0], CovParams(1.0, 0.8, 0.0))
+    assert shared.held[0] == (specs[0], first.cov.phi, 0.0)
+    searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
+    got, got_ll = predict.gaussian_ml_fit(y, x, shared, specs[1], first.cov)
+    want, want_ll = predict.gaussian_ml_fit(y, x, Lags(dist), specs[1], first.cov)
+    assert searches[0]["points"][0] == (first.cov.phi, 0.0)
+    assert [rec["corr"] for rec in searches] == [len(rec["points"]) for rec in searches]
+    assert searches[0]["points"] == searches[1]["points"]
+    assert np.array_equal(got.as_array(), want.as_array()) and got_ll == want_ll

@@ -20,7 +20,7 @@ from geocens import (
     saem_fit,
     tmvn_gibbs,
 )
-from geocens.covariance import build_sigma, cholesky_sigma, correlation, distance_matrix
+from geocens.covariance import Lags, build_sigma, cholesky_sigma, correlation, distance_matrix
 from geocens.model import build_trend
 from geocens.mvn import Rectangle
 from geocens.saem import STOP_WINDOW, SaemState, dense_second_moment, path_drift
@@ -306,7 +306,8 @@ def test_cm_step_beta_is_gls():
     cfg = base_config()
     sigma = build_sigma(dist, SPEC_EXP, prev.cov)
     new, _ = cm_step(
-        zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev, np.linalg.cholesky(sigma)
+        zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev,
+        np.linalg.cholesky(sigma)
     )
     si = np.linalg.inv(sigma)
     want = np.linalg.solve(x.T @ si @ x, x.T @ si @ zhat)
@@ -324,7 +325,7 @@ def test_cm_step_square_design_residual_free_sill():
     zzhat = np.outer(zhat, zhat) + 0.5 * np.eye(2)
     cfg = base_config()
     new, _ = cm_step(
-        zhat, zzhat, np.arange(2), x, dist, SPEC_EXP, cfg, prev,
+        zhat, zzhat, np.arange(2), x, Lags(dist), SPEC_EXP, cfg, prev,
         cholesky_sigma(dist, SPEC_EXP, prev.cov),
     )
     psi_inv = np.linalg.inv(build_sigma(dist, SPEC_EXP, prev.cov) / prev.cov.sigma2)
@@ -342,7 +343,7 @@ def test_cm_step_dominates_random_feasible_points():
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
     new, _ = cm_step(
-        zhat, zzhat, np.arange(data.n), x, dist, SPEC_EXP, cfg, prev,
+        zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev,
         cholesky_sigma(dist, SPEC_EXP, prev.cov),
     )
 
@@ -386,9 +387,11 @@ def test_cm_step_censored_block_equals_dense_moments():
         ),
     ]:
         sigma = build_sigma(dist, spec, prev.cov)
-        block, _ = cm_step(zhat, zz_cc, cen, x, dist, spec, cfg, prev, np.linalg.cholesky(sigma))
+        block, _ = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev,
+                           np.linalg.cholesky(sigma))
         dense, _ = cm_step(
-            zhat, zzhat, np.arange(data.n), x, dist, spec, cfg, prev, np.linalg.cholesky(sigma)
+            zhat, zzhat, np.arange(data.n), x, Lags(dist), spec, cfg, prev,
+            np.linalg.cholesky(sigma)
         )
         assert_allclose(block.as_array(), dense.as_array(), rtol=1e-10)
 
