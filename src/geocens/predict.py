@@ -290,14 +290,15 @@ def gaussian_ml_fit(
 
     The search over ``(phi, nu2)`` within ``bounds`` (a pair of length-2
     arrays) is the bounded gradient search the CM step of the stochastic
-    EM uses (:mod:`geocens.profile`), with no censored block.  With a fixed
-    zero nugget the search is over ``phi`` alone.  The trend coefficients
-    and the sill are those of the search's evaluation at the optimum, so
-    R is not formed again after the search.  ``lags`` is the
-    :class:`geocens.covariance.Lags` of the sites' distances, which every
-    evaluation reads; the search starts on the evaluation it holds when
-    that was formed at the start, and leaves its own last one there for
-    the next fit (see ``profile_objective``).
+    EM uses (:mod:`geocens.profile`), with no censored block; it starts on
+    the exact Hessian of the objective, as no metric is handed between
+    Gaussian-ML fits.  With a fixed zero nugget the search is over ``phi``
+    alone.  The trend coefficients and the sill are those of the search's
+    evaluation at the optimum, so R is not formed again after the search.
+    ``lags`` is the :class:`geocens.covariance.Lags` of the sites'
+    distances, which every evaluation reads; the search starts on the
+    evaluation it holds when that was formed at the start, and leaves its
+    own last one there for the next fit (see ``profile_objective``).
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -324,7 +325,7 @@ def gaussian_ml_fit(
         lower, upper = lo_b[:2], hi_b[:2]
         nu2_held = None
 
-    theta, value, (beta, sigma2, _) = profile_search(
+    theta, value, (beta, sigma2, _), _ = profile_search(
         lambda t: profile_objective(
             t, lags, spec, y, np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
             x=x, tau2=fixed_tau,
@@ -385,12 +386,24 @@ def predict_naive(
     return result
 
 
-def _loo_means(params, x, y, dist, spec, idx) -> np.ndarray:
+def _loo_means(params, x, y, lags, spec, idx) -> np.ndarray:
     """Leave-one-out kriging means at the rows ``idx``, each predicted from
     all other rows: ``y_i - [Sigma^{-1} r]_i / [Sigma^{-1}]_ii`` with
     ``r = y - X beta`` (Dubrule 1983).  Exact for a plug-in ``beta`` and a
-    nugget on the diagonal only; one factor and its inverse serve all rows."""
-    qi = _cholesky_inverse(cholesky_sigma(dist, spec, params.cov))
+    nugget on the diagonal only; one inverse serves all rows.
+
+    The ratio does not change with the scale of ``Sigma``, so ``Psi^{-1}``
+    serves as well as ``Sigma^{-1}``: it is read from the evaluation
+    ``lags`` holds when that was formed at ``params`` (the spec and ``phi``
+    exactly, ``nu2`` to the rounding of ``tau2 / sigma2``), as it is after
+    a Gaussian-ML search that stopped on its accepted point.  Otherwise
+    ``Sigma`` is factored and inverted here."""
+    cov, held = params.cov, lags.held
+    if (held is not None and held[0][:2] == (spec, cov.phi)
+            and abs(held[0][2] - cov.nu2) <= 4.0 * np.spacing(cov.nu2)):
+        qi = held[1][2]
+    else:
+        qi = _cholesky_inverse(cholesky_sigma(lags.dist, spec, cov))
     return y[idx] - (qi[idx] @ (y - x @ params.beta)) / qi[idx, idx]
 
 
@@ -413,8 +426,11 @@ def predict_seminaive(
     uncensored-data sill, and the imputed-data skewness exceeds ``c3``
     times the uncensored-data skewness; or at ``max_iter``.  The fits on
     all sites share one :class:`geocens.covariance.Lags`, so each refit
-    starts on the last fit's last evaluation when that fit stopped there;
-    the fit to the uncensored sites alone has a ``Lags`` of its own.
+    starts on the last fit's last evaluation when that fit stopped there,
+    and each pass's leave-one-out means read its inverse when it was
+    formed at the fit's estimate; the fit to the uncensored sites alone
+    has a ``Lags`` of its own.  Every fit starts its search on the exact
+    Hessian.
     """
     if data.cens_type != "left":
         raise UnsupportedMethodError("seminaive supports left censoring only")
@@ -442,7 +458,7 @@ def predict_seminaive(
         bound = data.upper[cens_idx]
 
         for iterations in range(1, cfg.max_iter + 1):
-            loo = _loo_means(params, x, y, dist, spec, cens_idx)
+            loo = _loo_means(params, x, y, lags, spec, cens_idx)
             y_new = y.copy()
             y_new[cens_idx] = np.maximum(0.0, np.minimum(loo, bound))
             new_params, gauss_ll = gaussian_ml_fit(y_new, x, lags, spec, params.cov, bounds)

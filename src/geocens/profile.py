@@ -46,10 +46,17 @@ terms of ``n log s + q / s`` in ``s``.  The Hessian costs one n x n product
 
 The search is a projected Newton-type method with an epsilon-active set
 (Bertsekas 1982, SIAM J. Control Optim.): the metric is the exact Hessian,
-its eigenvalues made positive, at the start and after any step that
-needed backtracking or showed no positive curvature, and a BFGS update
-otherwise; the step is projected onto the box and halved until it meets
-the Armijo condition.
+its eigenvalues made positive, after any step that needed backtracking or
+showed no positive curvature, and a BFGS update otherwise; the step is
+projected onto the box and halved until it meets the Armijo condition.
+A search starts on a metric it is handed, or else on the exact Hessian,
+and returns the metric it ended with.  Each CM step after the first in a
+fit is handed the last one's: from the cut point on, successive CM
+objectives differ only by the step size of the moment update, so the
+metric carries over as in a warm-started quasi-Newton method (Nocedal &
+Wright 2006, ch. 6), and a stale one corrects itself at the first halved
+step.  Gaussian ML is never handed one: between seminaive passes the
+imputed data change wholesale, so the last metric is no guide.
 """
 
 from __future__ import annotations
@@ -240,11 +247,14 @@ def profile_search(
     x0: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-) -> tuple[np.ndarray, float, Any]:
+    metric: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, float, Any, Optional[np.ndarray]]:
     """Minimize ``fun`` (value, gradient, Hessian builder and fitted
     values, as returned by :func:`profile_objective`) over the box
-    ``[lower, upper]`` from ``x0``; returns the minimizer, the minimum and
-    the fitted values of the evaluation there.
+    ``[lower, upper]`` from ``x0``; returns the minimizer, the minimum,
+    the fitted values of the evaluation there and the metric the search
+    ended with (``metric`` itself when ``x0`` evaluates to a value or
+    gradient that is not finite).
 
     Each iteration fixes the coordinates whose bound is active (the
     iterate within ``_ACTIVE_TOL`` of the box width of it, the gradient
@@ -255,14 +265,16 @@ def profile_search(
     ``fun`` raises :class:`SingularCovarianceError` counts as a failed
     trial, so the search closes on the edge of the region where Psi can be
     factored.  A halved trial that the box clips back onto the trial just
-    rejected is not evaluated again.  The metric is the exact Hessian, its
-    eigenvalues made positive, at the start and after a step that needed
-    halving or showed no positive curvature (``s'y <= 0``); otherwise it
-    takes the BFGS update.  The search stops when the Newton decrement
-    ``-g'd`` is at most ``_DECREMENT_TOL``, when halving cannot bring the
-    step's predicted decrease above that, or after ``_MAX_ITER``
-    iterations.  Raises :class:`NumericalError` when ``x0`` itself cannot
-    be evaluated.
+    rejected is not evaluated again.  The search starts on ``metric``, a
+    positive-definite matrix such as the one an earlier search returned,
+    or, when that is None, on the exact Hessian at ``x0``.  After a step
+    that needed halving or showed no positive curvature (``s'y <= 0``) the
+    metric is the exact Hessian at the new point; otherwise it takes the
+    BFGS update.  An exact Hessian has its eigenvalues made positive.  The
+    search stops when the Newton decrement ``-g'd`` is at most
+    ``_DECREMENT_TOL``, when halving cannot bring the step's predicted
+    decrease above that, or after ``_MAX_ITER`` iterations.  Raises
+    :class:`NumericalError` when ``x0`` itself cannot be evaluated.
 
     Each Hessian builder is called, if at all, before the next evaluation,
     so one evaluation's state is held at a time, beside the fitted values
@@ -277,8 +289,8 @@ def profile_search(
     except SingularCovarianceError as exc:
         raise NumericalError("covariance is singular at the search start") from exc
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        return x, float(f), fitted
-    h = _positive_metric(hess())
+        return x, float(f), fitted, metric
+    h = _positive_metric(hess()) if metric is None else metric
     hess = None
     t = 1.0
 
@@ -309,7 +321,7 @@ def profile_search(
             t *= 0.5
             halved = True
             if t * decrement <= _DECREMENT_TOL:
-                return x, float(f), fitted
+                return x, float(f), fitted, h
         y = gt - g
         x, f, g, fitted = trial, ft, gt, fitted_t
         sy = step @ y
@@ -319,4 +331,4 @@ def profile_search(
             hs = h @ step
             h = h - np.outer(hs, hs) / (step @ hs) + np.outer(y, y) / sy
         hess = None
-    return x, float(f), fitted
+    return x, float(f), fitted, h

@@ -290,7 +290,8 @@ def cm_step(
     config: SaemConfig,
     prev: ModelParams,
     lo: np.ndarray,
-) -> tuple[ModelParams, np.ndarray]:
+    metric: Optional[np.ndarray] = None,
+) -> tuple[ModelParams, np.ndarray, Optional[np.ndarray]]:
     """Conditional maximization given the current moment estimates.
 
     ``lo`` is the lower Cholesky factor of the covariance matrix at
@@ -299,16 +300,18 @@ def cm_step(
     residual; the range and relative nugget come from the projected
     quasi-Newton search of :func:`geocens.profile.profile_search` on the
     profile objective with the residual and sill held, started at the
-    previous iterate with the exact Hessian of the objective as its metric.
-    With a fixed nugget only the range is searched and ``nu2`` tracks
-    ``fixed_nugget / sigma2``.
+    previous iterate on ``metric``, the metric the last step's search
+    ended with, or on the exact Hessian of the objective when that is
+    None (the first step of a fit).  With a fixed nugget only the range is
+    searched and ``nu2`` tracks ``fixed_nugget / sigma2``.
 
     ``zz`` is the second moment of the block ``idx`` of the response; the
     second moment elsewhere is ``zhat zhat'``.
 
-    Returns the new parameters and the lower Cholesky factor of the
-    covariance matrix at them: ``sqrt(sigma2)`` times the factor of ``Psi``
-    that the search's accepted evaluation computed.  ``lags`` holds the
+    Returns the new parameters, the lower Cholesky factor of the
+    covariance matrix at them (``sqrt(sigma2)`` times the factor of ``Psi``
+    that the search's accepted evaluation computed) and the metric the
+    search ended with, for the next step.  ``lags`` holds the
     distances and the last step's last evaluation, read when that was at
     ``prev``'s ``(phi, nu2)`` (:func:`geocens.profile.profile_objective`).
     """
@@ -331,15 +334,15 @@ def cm_step(
     else:
         x0 = np.clip([prev.cov.phi, prev.cov.nu2], lower, upper)
         nu2 = None
-    theta, value, (_, _, lo_psi) = profile_search(
+    theta, value, (_, _, lo_psi), metric = profile_search(
         lambda t: profile_objective(t, lags, spec, resid, cov_c, idx, nu2, sigma2=sigma2),
-        x0, lower, upper,
+        x0, lower, upper, metric,
     )
     if not np.isfinite(value):
         raise NumericalError("inner covariance search produced a non-finite objective")
     tau2 = spec.fixed_nugget_value if spec.nugget_fixed else float(theta[1]) * sigma2
     cov = CovParams(sigma2=sigma2, phi=float(theta[0]), tau2=tau2)
-    return ModelParams(beta=beta, cov=cov), math.sqrt(sigma2) * lo_psi
+    return ModelParams(beta=beta, cov=cov), math.sqrt(sigma2) * lo_psi, metric
 
 
 def saem_fit(
@@ -363,7 +366,11 @@ def saem_fit(
     estimate forms ``L_cc L_cc'``, for its rectangle probability.  Every
     CM search reads one :class:`geocens.covariance.Lags` of the ordered
     distances, and starts where the last one stopped, on the arrays that
-    search left held there.
+    search left held there.  The first CM search starts on the exact
+    Hessian of its objective; each later one on the metric the search
+    before it ended with, which the loop carries from one step to the
+    next beside the factor (from the cut point on, successive CM
+    objectives differ only by the step size of the moment update).
 
     The Gibbs chain starts at the bounds the data impute
     (:func:`geocens.model.impute_bounds`) and persists across iterations:
@@ -427,12 +434,14 @@ def saem_fit(
     params = ModelParams(beta=_gls(lo, x_o, y0[order])[0], cov=cov)
     mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
     lags = Lags(dist_o)
+    metric = None
     for k in range(1, config.max_iter + 1):
         iterations = k
         try:
             _e_step_core(state, data, mu, l_cc, config, gibbs_rng)
-            params, lo = cm_step(
-                state.zhat[order], state.zz_cc, cen_o, x_o, lags, spec, config, params, lo
+            params, lo, metric = cm_step(
+                state.zhat[order], state.zz_cc, cen_o, x_o, lags, spec, config, params, lo,
+                metric,
             )
             mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
         except NumericalError as exc:

@@ -21,9 +21,11 @@ from geocens import (
     predict_seminaive,
     wls_variofit,
 )
+from geocens import covariance
 from geocens.covariance import build_sigma, correlation, cross_distance, distance_matrix
 from geocens.model import build_trend
 from geocens.predict import _loo_means, initial_values, sample_skewness
+from geocens.profile import profile_objective
 from geocens.simulate import SimConfig, simulate_scl
 
 from oracles import gaussian_ml_oracle, loo_kriging_means
@@ -419,9 +421,43 @@ def test_loo_closed_form_matches_direct_loop():
         beta=[9.5, 0.1, -0.05], cov=CovParams(sigma2=2.0, phi=1.3, tau2=0.2)
     )
     dist = distance_matrix(data.coords)
-    got = _loo_means(params, x, y, dist, SPEC_EXP, cens_idx)
+    got = _loo_means(params, x, y, Lags(dist), SPEC_EXP, cens_idx)
     sigma = build_sigma(dist, SPEC_EXP, params.cov)
     want = loo_kriging_means(y, x, params.beta, sigma, cens_idx)
+    assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("held", ["fit", "none", "other-nu2", "other-phi", "other-spec"])
+def test_loo_means_read_psi_inverse_only_at_the_fits_point(monkeypatch, held):
+    # Psi^{-1} held at the fit's (spec, phi, nu2) serves as Sigma^{-1}; an
+    # evaluation held at any other key, or none, leaves one factor of Sigma
+    res = censored_sim(seed=36, cens_level=0.5, n=60)
+    data = res.data
+    cens_idx = np.flatnonzero(data.cens == 1)
+    y = data.value.copy()
+    y[cens_idx] = data.upper[cens_idx]
+    x = build_trend(data.coords, None, TrendSpec("first"))
+    params = ModelParams(
+        beta=[9.5, 0.1, -0.05], cov=CovParams(sigma2=2.0, phi=1.3, tau2=0.2)
+    )
+    dist = distance_matrix(data.coords)
+    lags = Lags(dist)
+    spec, theta = {
+        "fit": (SPEC_EXP, [1.3, params.cov.nu2]),
+        "none": (None, None),
+        "other-nu2": (SPEC_EXP, [1.3, params.cov.nu2 * (1 + 1e-9)]),
+        "other-phi": (SPEC_EXP, [1.3 * (1 + 1e-9), params.cov.nu2]),
+        "other-spec": (CovarianceSpec("gaussian"), [1.3, params.cov.nu2]),
+    }[held]
+    if spec is not None:
+        profile_objective(np.array(theta), lags, spec, y, np.zeros((0, 0)),
+                          np.zeros(0, dtype=int), x=x)
+    factors, chol = [], covariance.spd_cholesky
+    monkeypatch.setattr(covariance, "spd_cholesky",
+                        lambda *a, **k: factors.append(1) or chol(*a, **k))
+    got = _loo_means(params, x, y, lags, SPEC_EXP, cens_idx)
+    assert len(factors) == (held != "fit")
+    want = loo_kriging_means(y, x, params.beta, build_sigma(dist, SPEC_EXP, params.cov), cens_idx)
     assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 

@@ -15,7 +15,7 @@ from geocens.covariance import Lags, build_sigma, correlation, distance_matrix
 from geocens.errors import NumericalError, SingularCovarianceError
 from geocens.model import build_trend
 from geocens.covariance import _cholesky_inverse
-from geocens.profile import profile_objective, profile_search
+from geocens.profile import _ARMIJO, profile_objective, profile_search
 
 from oracles import dense_profile_value, gls_refit, lbfgsb_profile_search
 from study import SPEC as STUDY_SPEC
@@ -199,10 +199,12 @@ def test_hessian_builder_reuses_the_evaluation(monkeypatch):
 
 def record_searches(monkeypatch, owner, name):
     """One record per call of ``owner.name`` (a search): the points
-    ``(phi, nu2)`` of its profile evaluations, the size of their distance
-    matrix, the ``Lags`` they were given, and the kernel passes
-    (``corr_dcorr_matrix``, one per evaluation that forms R) and
-    ``spd_cholesky`` calls made inside the call."""
+    ``(phi, nu2)`` of its profile evaluations, with their ``(theta, value,
+    gradient)`` (an infinite value where Psi could not be factored), the
+    size of their distance matrix, the ``Lags`` they were given, the
+    indices of the evaluations whose Hessian builder was called, and the
+    kernel passes (``corr_dcorr_matrix``, one per evaluation that forms R)
+    and ``spd_cholesky`` calls made inside the call."""
     searches, inside = [], [False]
     corr_dcorr, spd_cholesky = covariance.corr_dcorr_matrix, covariance.spd_cholesky
     search, objective = getattr(owner, name), owner.profile_objective
@@ -215,7 +217,8 @@ def record_searches(monkeypatch, owner, name):
         return wrapper
 
     def recorded_search(*args, **kwargs):
-        searches.append({"points": [], "n": None, "lags": None, "corr": 0, "chol": 0})
+        searches.append({"points": [], "evals": [], "builds": [], "n": None, "lags": None,
+                         "corr": 0, "chol": 0})
         inside[0] = True
         try:
             return search(*args, **kwargs)
@@ -226,7 +229,19 @@ def record_searches(monkeypatch, owner, name):
         rec = searches[-1]
         rec["points"].append((float(theta[0]), float(theta[1]) if nu2 is None else nu2))
         rec["n"], rec["lags"] = lags.dist.shape[0], lags
-        return objective(theta, lags, spec, z, cov_c, idx, nu2, **kwargs)
+        k = len(rec["evals"])
+        try:
+            value, grad, hess, fitted = objective(theta, lags, spec, z, cov_c, idx, nu2, **kwargs)
+        except SingularCovarianceError:
+            rec["evals"].append((np.copy(theta), np.inf, None))
+            raise
+        rec["evals"].append((np.copy(theta), value, grad))
+
+        def built():
+            rec["builds"].append(k)
+            return hess()
+
+        return value, grad, built, fitted
 
     monkeypatch.setattr(covariance, "corr_dcorr_matrix", counted(corr_dcorr, "corr"))
     monkeypatch.setattr(covariance, "spd_cholesky", counted(spd_cholesky, "chol"))
@@ -327,7 +342,7 @@ def singular_above_two(t):
 def test_profile_search_steps_back_from_singular_trials():
     fun = singular_above_two
 
-    theta, value, _ = profile_search(fun, np.array([0.5]), np.array([0.0]), np.array([10.0]))
+    theta, value, _, _ = profile_search(fun, np.array([0.5]), np.array([0.0]), np.array([10.0]))
     assert theta[0] <= 2.0
     assert np.isfinite(value) and value <= fun(np.array([0.5]))[0]
 
@@ -340,7 +355,7 @@ def test_profile_search_closes_on_the_singular_boundary():
     # on the edge, 2
     fun = singular_above_two
 
-    theta, value, _ = profile_search(fun, np.array([0.5]), np.array([0.0]), np.array([10.0]))
+    theta, value, _, _ = profile_search(fun, np.array([0.5]), np.array([0.0]), np.array([10.0]))
     assert 2.0 - 1e-3 <= theta[0] <= 2.0
     assert value == pytest.approx(fun(theta)[0])
 
@@ -351,14 +366,16 @@ def test_profile_search_closes_on_the_singular_boundary():
 
 
 def recorded_searches(monkeypatch, module, run):
-    """The ``(fun, x0, lower, upper)`` of every profile search that
-    ``run()`` makes through ``module``."""
+    """The ``(fun, x0, lower, upper, metric)`` of every profile search that
+    ``run()`` makes through ``module``, ``metric`` being the start metric
+    it was handed (None: the exact Hessian)."""
     searches = []
     search = module.profile_search
 
-    def recording(fun, x0, lower, upper):
-        searches.append((fun, np.copy(x0), np.copy(lower), np.copy(upper)))
-        return search(fun, x0, lower, upper)
+    def recording(fun, x0, lower, upper, metric=None):
+        searches.append((fun, np.copy(x0), np.copy(lower), np.copy(upper),
+                         None if metric is None else np.copy(metric)))
+        return search(fun, x0, lower, upper, metric)
 
     monkeypatch.setattr(module, "profile_search", recording)
     run()
@@ -367,8 +384,8 @@ def recorded_searches(monkeypatch, module, run):
 
 
 def assert_no_higher_than_oracle(searches):
-    for fun, x0, lower, upper in searches:
-        _, value, _ = profile_search(fun, x0, lower, upper)
+    for fun, x0, lower, upper, metric in searches:
+        _, value, _, _ = profile_search(fun, x0, lower, upper, metric)
         _, want = lbfgsb_profile_search(lambda t: fun(t)[:2], x0, lower, upper)
         assert value <= want + 1e-9 * max(1.0, abs(want)), (value, want)
 
@@ -377,7 +394,8 @@ def test_search_matches_oracle_on_study_design_cm_steps(monkeypatch):
     data = simulate_study_data(3, n=60).data
     searches = recorded_searches(monkeypatch, saem, lambda: saem_fit(
         data, STUDY_TREND, STUDY_SPEC, study_config(3, max_iter=6)))
-    assert len(searches) == 6 and all(len(x0) == 1 for _, x0, _, _ in searches)
+    assert len(searches) == 6 and all(len(x0) == 1 for _, x0, *_ in searches)
+    assert [metric is None for *_, metric in searches] == [True] + [False] * 5
     assert_no_higher_than_oracle(searches)
 
 
@@ -385,7 +403,8 @@ def test_search_matches_oracle_on_exponential_cm_steps(monkeypatch):
     data = sim_left(seed=1, n=60).data
     searches = recorded_searches(monkeypatch, saem, lambda: saem_fit(
         data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=6)))
-    assert len(searches) == 6 and all(len(x0) == 2 for _, x0, _, _ in searches)
+    assert len(searches) == 6 and all(len(x0) == 2 for _, x0, *_ in searches)
+    assert [metric is None for *_, metric in searches] == [True] + [False] * 5
     assert_no_higher_than_oracle(searches)
 
 
@@ -396,7 +415,7 @@ def test_search_matches_oracle_on_gaussian_ml(monkeypatch, spec):
     dist = distance_matrix(data.coords)
     searches = recorded_searches(monkeypatch, predict, lambda: predict.gaussian_ml_fit(
         data.value, x, Lags(dist), spec, CovParams(1.0, 0.8, 0.1)))
-    assert len(searches) == 1
+    assert len(searches) == 1 and searches[0][-1] is None
     assert_no_higher_than_oracle(searches)
 
 
@@ -419,7 +438,7 @@ def test_first_step_descends_from_a_rounding_error_inside_a_bound():
     x0 = np.array([4.0, 1e-4 * (1.0 + 2.0**-52)])
     assert x0[1] > lower[1] and fun(x0)[1][1] > 0
     values.clear()
-    theta, value, _ = profile_search(fun, x0, lower, upper)
+    theta, value, _, _ = profile_search(fun, x0, lower, upper)
     assert values[1] < values[0]
     assert_allclose(theta, [5.0 - 0.9 * (1e-4 + 3.0), 1e-4], rtol=1e-12)
     assert value == pytest.approx(0.5 * 0.19 * (1e-4 + 3.0) ** 2, rel=1e-12)
@@ -462,8 +481,8 @@ def test_cm_step_returns_the_factor_of_sigma_at_its_point(family_spec, nugget):
     zhat = data.value.astype(float)
     zz_cc = np.outer(zhat[cen], zhat[cen]) + 0.1 * np.eye(cen.size)
     cfg = base_config() if nugget is None else base_config(lower=(0.05,), upper=(20.0,))
-    new, lo = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev,
-                      covariance.cholesky_sigma(dist, spec, prev.cov))
+    new, lo, _ = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev,
+                         covariance.cholesky_sigma(dist, spec, prev.cov))
     want = covariance.cholesky_sigma(dist, spec, new.cov)
     assert np.array_equal(np.triu(lo, 1), np.zeros_like(lo))
     assert np.abs(lo - want).max() <= 1e-12 * np.abs(want).max()
@@ -482,7 +501,7 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
     sigma = build_sigma(dist, SPEC_EXP, prev.cov)
-    free, _ = cm_step(
+    free, _, _ = cm_step(
         zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev,
         np.linalg.cholesky(sigma)
     )
@@ -503,7 +522,7 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
 
     monkeypatch.setattr(covariance, "corr_dcorr_matrix", noting_corr)
     monkeypatch.setattr(covariance, "spd_cholesky", failing_cholesky)
-    new, _ = cm_step(
+    new, _, _ = cm_step(
         zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev,
         np.linalg.cholesky(sigma)
     )
@@ -538,7 +557,7 @@ def test_profile_search_does_not_evaluate_a_clipped_trial_twice():
         return float(value), grad, lambda: np.diag([2e-3, 2e-3]), None
 
     lower, upper = np.array([0.0, 0.0]), np.array([10.0, 10.0])
-    theta, value, _ = profile_search(fun, np.array([5.0, 5.0]), lower, upper)
+    theta, value, _, _ = profile_search(fun, np.array([5.0, 5.0]), lower, upper)
     assert len(seen) == len(set(seen))
     assert seen.count((10.0, 0.0)) == 1
     assert value < fun(np.array([5.0, 5.0]))[0] and np.all((lower <= theta) & (theta <= upper))
@@ -653,6 +672,69 @@ def test_seminaive_with_the_handover_equals_one_without(monkeypatch, spec):
     assert served == served_starts(searches, data.n) > 0
 
 
+def run_seminaive_counting_loo_factors(monkeypatch, args, fresh):
+    """``predict_seminaive(*args)`` and the ``spd_cholesky`` calls inside
+    each ``_loo_means`` call; with ``fresh``, each is handed a new ``Lags``
+    of the same distances, so it factors Sigma as it did before it could
+    read the held inverse."""
+    from geocens.predict import predict_seminaive
+
+    loo, chol = predict._loo_means, covariance.spd_cholesky
+    calls, inside = [], [False]
+
+    def counting(*a, **kwargs):
+        if inside[0]:
+            calls[-1] += 1
+        return chol(*a, **kwargs)
+
+    def noting(params, x, y, lags, spec, idx):
+        calls.append(0)
+        inside[0] = True
+        try:
+            return loo(params, x, y, Lags(lags.dist) if fresh else lags, spec, idx)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(covariance, "spd_cholesky", counting)
+    monkeypatch.setattr(predict, "_loo_means", noting)
+    return predict_seminaive(*args), calls
+
+
+@pytest.mark.parametrize("spec", [
+    SPEC_EXP, CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.0),
+    CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.2),
+], ids=["free", "fixed-zero", "fixed-0.2"])
+def test_seminaive_loo_means_read_the_fits_held_inverse(monkeypatch, spec):
+    # a pass whose fit ended on the point it accepted reads Psi^{-1} from
+    # that fit's last evaluation instead of factoring Sigma again; the
+    # leave-one-out ratio is scale-free, so the predictions agree (at sites
+    # between data sites: at a data site the kriging sd is rounding noise)
+    data = sim_left(seed=2, n=60, cens=0.3).data
+    args = (data, TrendSpec("cte"), spec, 0.5 * (data.coords[:5] + data.coords[5:10]))
+    found, search = [], predict.profile_search
+
+    def noting(*a):
+        out = search(*a)
+        found.append(out[0])
+        return out
+
+    monkeypatch.setattr(predict, "profile_search", noting)
+    searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
+    got, calls = run_seminaive_counting_loo_factors(monkeypatch, args, fresh=False)
+    monkeypatch.undo()
+    want, fresh_calls = run_seminaive_counting_loo_factors(monkeypatch, args, fresh=True)
+
+    passes = got.extra["iterations"]
+    assert len(calls) == len(fresh_calls) == passes == want.extra["iterations"] >= 2
+    assert fresh_calls == [1] * passes
+    full = [np.array_equal(rec["evals"][-1][0], theta)
+            for rec, theta in zip(searches, found) if rec["n"] == data.n]
+    assert calls == [1 - ended for ended in full[:passes]] and sum(calls) < passes
+    for a, b in ((got.mean, want.mean), (got.sd, want.sd),
+                 (got.extra["imputed"], want.extra["imputed"])):
+        assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
 def test_one_lags_serves_nothing_across_specs(monkeypatch):
     # the held evaluation is keyed by (spec, phi, nu2): evaluations and
     # searches under two specs at the same (phi, nu2) on one Lags each form
@@ -684,3 +766,116 @@ def test_one_lags_serves_nothing_across_specs(monkeypatch):
     assert [rec["corr"] for rec in searches] == [len(rec["points"]) for rec in searches]
     assert searches[0]["points"] == searches[1]["points"]
     assert np.array_equal(got.as_array(), want.as_array()) and got_ll == want_ll
+
+
+# ---------------------------------------------------------------------------
+# the handed metric: each CM search after the first starts on the metric
+# the search before it ended with; Gaussian-ML searches start on the exact
+# Hessian
+# ---------------------------------------------------------------------------
+
+
+def quadratic_with_builds(hess, centre):
+    """``f(t) = (t - c)' A (t - c) / 2`` with the points it was evaluated at
+    and the indices of those whose Hessian builder was called."""
+    points, builds = [], []
+
+    def fun(t):
+        k = len(points)
+        points.append(np.copy(t))
+        r = t - centre
+
+        def built():
+            builds.append(k)
+            return hess
+
+        return 0.5 * r @ hess @ r, hess @ r, built, None
+
+    return fun, points, builds
+
+
+@pytest.mark.parametrize("scale", [None, 1.0, 0.01], ids=["cold", "exact", "small"])
+def test_profile_search_starts_on_a_handed_metric(scale):
+    # no metric: the exact Hessian is built at the start.  Handed A itself,
+    # the search takes the Newton step and builds nothing; BFGS keeps an
+    # exact metric on a quadratic, so it returns A.  Handed A / 100, the
+    # first step overshoots 100-fold and is halved, and the Hessian is built
+    # at the point accepted after the halving, not at the start.
+    hess, centre = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([3.0, 2.0])
+    fun, points, builds = quadratic_with_builds(hess, centre)
+    lower, upper = np.zeros(2), np.full(2, 10.0)
+    theta, value, _, metric = profile_search(
+        fun, np.array([1.0, 1.0]), lower, upper, None if scale is None else scale * hess)
+    assert_allclose(theta, centre, atol=1e-8)
+    assert_allclose(metric, hess, rtol=1e-8)
+    if scale is None:
+        assert builds == [0]
+    elif scale == 1.0:
+        assert builds == [] and len(points) == 2
+    else:
+        (k,) = builds
+        values = [0.5 * (t - centre) @ hess @ (t - centre) for t in points]
+        assert k > 1 and values[k - 1] > values[0] > values[k]
+
+
+def corrective_steps(rec):
+    """Indices of the evaluations a recorded search accepted after a step
+    that needed halving or showed no positive curvature, replaying its
+    Armijo test on the recorded values and gradients: the points at which
+    the search builds the exact Hessian, its start aside."""
+    base, rejected, out = 0, False, []
+    for k in range(1, len(rec["evals"])):
+        x, f, g = rec["evals"][k]
+        xb, fb, gb = rec["evals"][base]
+        step = x - xb
+        if f <= fb + _ARMIJO * (gb @ step) and np.all(np.isfinite(g)):
+            if rejected or not step @ (g - gb) > 0:
+                out.append(k)
+            base, rejected = k, False
+        else:
+            rejected = True
+    return out
+
+
+@pytest.mark.parametrize("setting", ["fixed-zero", "free", "fixed-0.2"])
+def test_cm_searches_after_the_first_start_on_the_handed_metric(monkeypatch, setting):
+    # the first search builds the exact Hessian at its start; each later
+    # one is handed the metric the search before it returned, and builds
+    # the Hessian only after a halved step or one with no positive
+    # curvature.  A fixed non-zero nugget serves no start (nu2 moves with
+    # the sill) but still hands the metric on.
+    case = nugget_case(setting)
+    handed, search = [], saem.profile_search
+
+    def noting(fun, x0, lower, upper, metric=None):
+        out = search(fun, x0, lower, upper, metric)
+        handed.append((metric, out[3]))
+        return out
+
+    monkeypatch.setattr(saem, "profile_search", noting)
+    searches = record_searches(monkeypatch, saem, "cm_step")
+    fit = saem_fit(*case)
+    assert len(searches) == len(handed) == fit.iterations_used == 10
+    assert handed[0][0] is None
+    assert all(given is last for (given, _), (_, last) in zip(handed[1:], handed))
+    for k, rec in enumerate(searches):
+        assert rec["builds"] == [0] * (k == 0) + corrective_steps(rec), k
+    assert sum(len(rec["builds"]) for rec in searches) <= 3
+
+
+@pytest.mark.parametrize("spec", [
+    SPEC_EXP, CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.0),
+], ids=["free", "fixed-zero"])
+def test_gaussian_ml_searches_start_on_the_exact_hessian(monkeypatch, spec):
+    # naive1, naive2, the seminaive fit to the uncensored sites and every
+    # seminaive refit on the shared Lags build the Hessian at their start
+    from geocens.predict import predict_naive, predict_seminaive
+
+    data = sim_left(seed=2, n=60, cens=0.3).data
+    searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
+    for variant in ("naive1", "naive2"):
+        predict_naive(data, TrendSpec("cte"), spec, variant, data.coords[:5])
+    got = predict_seminaive(data, TrendSpec("cte"), spec, data.coords[:5])
+    assert len(searches) == 2 + 2 + got.extra["iterations"] >= 5
+    for rec in searches:
+        assert rec["builds"] == [0] + corrective_steps(rec)

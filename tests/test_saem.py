@@ -305,7 +305,7 @@ def test_cm_step_beta_is_gls():
     zzhat = np.outer(zhat, zhat)
     cfg = base_config()
     sigma = build_sigma(dist, SPEC_EXP, prev.cov)
-    new, _ = cm_step(
+    new, _, _ = cm_step(
         zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev,
         np.linalg.cholesky(sigma)
     )
@@ -324,7 +324,7 @@ def test_cm_step_square_design_residual_free_sill():
     zhat = np.array([0.7, -0.4])
     zzhat = np.outer(zhat, zhat) + 0.5 * np.eye(2)
     cfg = base_config()
-    new, _ = cm_step(
+    new, _, _ = cm_step(
         zhat, zzhat, np.arange(2), x, Lags(dist), SPEC_EXP, cfg, prev,
         cholesky_sigma(dist, SPEC_EXP, prev.cov),
     )
@@ -342,7 +342,7 @@ def test_cm_step_dominates_random_feasible_points():
     zhat = data.value.astype(float)
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
-    new, _ = cm_step(
+    new, _, _ = cm_step(
         zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev,
         cholesky_sigma(dist, SPEC_EXP, prev.cov),
     )
@@ -387,9 +387,9 @@ def test_cm_step_censored_block_equals_dense_moments():
         ),
     ]:
         sigma = build_sigma(dist, spec, prev.cov)
-        block, _ = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev,
-                           np.linalg.cholesky(sigma))
-        dense, _ = cm_step(
+        block, _, _ = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev,
+                              np.linalg.cholesky(sigma))
+        dense, _, _ = cm_step(
             zhat, zzhat, np.arange(data.n), x, Lags(dist), spec, cfg, prev,
             np.linalg.cholesky(sigma)
         )
