@@ -29,7 +29,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__, svg
-from .covariance import FAMILIES, CovarianceSpec, CovParams, correlation, distance_matrix
+from .covariance import FAMILIES, CovarianceSpec, CovParams, correlation
 from .errors import (
     ConfigurationError,
     DataValidationError,
@@ -421,6 +421,8 @@ def _fit_array(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def fit_from_payload(payload: dict) -> SaemFit:
+    """The fit a fit file records.  The file holds no precision matrix, so
+    the fit's ``precision`` is None."""
     if payload.get("kind") != "fit":
         raise DataValidationError("not a fit file")
     cfg_d = payload["config"]
@@ -461,7 +463,6 @@ def fit_from_payload(payload: dict) -> SaemFit:
         trend=trend,
         spec=spec,
         x=x,
-        dist=distance_matrix(data.coords),
         fingerprint=payload["dataset_fingerprint"],
     )
 

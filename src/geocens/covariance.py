@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, lapack
+from scipy.linalg import lapack
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv, kve
 
@@ -287,11 +287,22 @@ class Lags:
     strict upper triangle's indices, lags and log lags; and ``held``, the
     last profile evaluation over them (Psi, L, Q and ``dR/dphi``) keyed by
     the ``(spec, phi, nu2)`` it was formed at, or None
-    (:func:`geocens.profile.profile_objective`)."""
+    (:func:`geocens.profile.profile_objective`); :meth:`held_at` reads it
+    for given covariance parameters."""
 
     def __init__(self, dist: np.ndarray):
         self.dist = np.asarray(dist, dtype=float)
         self.held = None
+
+    def held_at(self, spec: CovarianceSpec, cov: CovParams):
+        """The held ``(Psi, L, Q, dR/dphi)`` when they were formed under
+        ``spec`` at ``cov.phi`` exactly and, within 4 ulps (the rounding of
+        ``tau2 / sigma2``), at ``cov.nu2``; None otherwise."""
+        held = self.held
+        if (held is not None and held[0][:2] == (spec, cov.phi)
+                and abs(held[0][2] - cov.nu2) <= 4.0 * np.spacing(cov.nu2)):
+            return held[1]
+        return None
 
     @functools.cached_property
     def triangle(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
@@ -364,21 +375,22 @@ def spd_cholesky(mat: np.ndarray, jitter: float | None = None) -> np.ndarray:
 
     A failed factorization is retried once with ``jitter`` added to the
     diagonal (default ``1e-10 * mean diagonal``); a second failure raises
-    :class:`SingularCovarianceError`.
+    :class:`SingularCovarianceError`.  A matrix with an entry that is not
+    finite raises :class:`ValueError`.  The factor is LAPACK ``potrf``'s,
+    called directly: the same call as ``scipy.linalg.cholesky(mat,
+    lower=True)``, without its wrapper's overhead.
     """
-    try:
-        return cholesky(mat, lower=True)
-    except np.linalg.LinAlgError:
-        pass
+    if not np.isfinite(mat).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lo, info = lapack.dpotrf(mat, lower=1, clean=1)
+    if info == 0:
+        return lo
     if jitter is None:
         jitter = 1e-10 * float(np.mean(np.diag(mat)))
-    bumped = mat + jitter * np.eye(mat.shape[0])
-    try:
-        return cholesky(bumped, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(
-            "covariance matrix is numerically non positive definite"
-        ) from exc
+    lo, info = lapack.dpotrf(mat + jitter * np.eye(mat.shape[0]), lower=1, clean=1)
+    if info == 0:
+        return lo
+    raise SingularCovarianceError("covariance matrix is numerically non positive definite")
 
 
 def _cholesky_inverse(lo: np.ndarray) -> np.ndarray:

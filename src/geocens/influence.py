@@ -20,13 +20,17 @@ elsewhere the second moment is ``zhat zhat'``, so with
 No dense n x n second moment is read.
 
 Cost of one :func:`local_influence` call.  What the Hessian and the three
-cross-derivative matrices share is formed once (:class:`_Curvature`): one
-Cholesky factor of ``Sigma``, ``P`` from it by one LAPACK ``potri``,
-``R`` and ``dR/dphi`` in one kernel pass, ``d2R/dphi2`` in closed form
-from them, ``a = P r``, ``B = P[:, c]`` and ``A_k = P Sigma_k``
-(``Sigma_k = dSigma/dalpha_k``): two n x n products, as ``A`` of the
-nugget is ``P`` itself, plus products with the n_c columns of ``B``.
-Every Hessian entry is then a trace or a quadratic form in these.
+cross-derivative matrices share is formed once (:class:`_Curvature`):
+``P`` is read from the fit (``SaemFit.precision``, which a fit from
+:func:`geocens.saem.saem_fit` holds; a loaded fit holds none, and ``P`` is
+then formed from one Cholesky factor and one LAPACK ``potri``), ``R`` and
+``dR/dphi`` come from one kernel pass, ``d2R/dphi2`` in closed form from
+them, then ``a = P r``, ``B = P[:, c]`` and ``A_k = P Sigma_k``
+(``Sigma_k = dSigma/dalpha_k``).  Only the range's ``A_k`` is an n x n
+product: the nugget's is ``P`` itself and the sill's is
+``(I - tau2 P) / sigma2``, from ``P Sigma = I``.  Products with the n_c
+columns of ``B`` complete the set.  Every Hessian entry is then a trace or
+a quadratic form in these.
 ``M(0)`` comes from a k x k eigenproblem (k = p + 2 or p + 3 parameters)
 instead of the n x n curvature matrix: with the thin QR ``Delta' = Q R`` and
 ``R (-H)^{-1} R' = W Lambda W'``, the eigenpairs of ``2 F`` are
@@ -122,29 +126,38 @@ class _Curvature:
     share at one parameter point, formed once.
 
     ``zz`` is the second moment of the rows ``idx`` (all rows when None).
-    With ``Sigma_k`` the derivative by the k-th covariance parameter,
-    ``a_k[k] = P Sigma_k``, ``u[k] = Sigma_k a``, ``v[k] = P u[k]``,
-    ``s[k] = Sigma_k B`` and ``t[k] = P s[k]``; ``sig_kl`` holds the
-    nonzero second derivatives by parameter position.
+    ``prec`` is ``P = Sigma^{-1}`` at ``params`` when the caller holds it (a
+    fit's precision); when None, ``Sigma`` is formed from this point's
+    ``R``, factored and inverted here.  With ``Sigma_k`` the derivative by
+    the k-th covariance parameter (``R``, ``sigma2 dR/dphi`` and ``I``),
+    ``A_k = P Sigma_k``, ``tr_aa[k, l] = tr(A_k A_l)``, ``u[k] = Sigma_k a``,
+    ``v[k] = P u[k]``, ``s[k] = Sigma_k B`` and ``t[k] = P s[k]``;
+    ``sig_kl`` holds the nonzero second derivatives by parameter position.
+    The sill's terms come from ``P Sigma = I``, without a product by ``R``:
+    ``P R = (I - tau2 P) / sigma2``, ``R a = (r - tau2 a) / sigma2`` and
+    ``R B = (E_c - tau2 B) / sigma2``, ``E_c`` the unit columns of ``idx``.
+    Each loses about ``log10(tau2 / sigma2)`` digits when the nugget
+    dominates.  ``A_phi = P sigma2 dR/dphi`` is the one n x n product.
     """
 
-    def __init__(self, params, zhat, zz, idx, x, dist, spec):
+    def __init__(self, params, zhat, zz, idx, x, dist, spec, prec=None):
         n = x.shape[0]
         cov = params.cov
+        sigma2, tau2 = cov.sigma2, cov.tau2
         idx = np.arange(n) if idx is None else np.asarray(idx, dtype=int)
         self.x, self.beta = x, np.asarray(params.beta, dtype=float)
         self.idx = idx
 
-        # Sigma_k = R, sigma2 dR/dphi and I (None); d2 Sigma / d sigma2 d phi = dR/dphi
+        # d2 Sigma / d sigma2 d phi = dR/dphi
         rho, d_r = covariance.corr_dcorr_matrix(covariance.Lags(dist), spec, cov.phi)
-        sig_k = [rho, cov.sigma2 * d_r, None][: 2 if spec.nugget_fixed else 3]
         d2_r = _d2corr_dphi2(spec.family, spec.kappa, dist, cov.phi, rho, d_r)
-        self.sig_kl = {(0, 1): d_r, (1, 1): cov.sigma2 * d2_r}
-        sigma = cov.sigma2 * rho
-        sigma[np.diag_indices_from(sigma)] += cov.tau2
-        lo = spd_cholesky(sigma, jitter=1e-10 * (cov.sigma2 + cov.tau2))
-        del sigma
-        prec = _cholesky_inverse(lo)
+        self.sig_kl = {(0, 1): d_r, (1, 1): sigma2 * d2_r}
+        del d2_r
+        if prec is None:
+            sigma = np.multiply(rho, sigma2, out=rho)
+            sigma[np.diag_indices_from(sigma)] += tau2
+            prec = _cholesky_inverse(spd_cholesky(sigma, jitter=1e-10 * (sigma2 + tau2)))
+        del rho
         self.prec = prec
 
         self.r = zhat - x @ self.beta
@@ -152,16 +165,26 @@ class _Curvature:
         self.px = prec @ x
         self.b = prec[:, idx]
         self.cov_c = zz - np.outer(zhat[idx], zhat[idx])
-        self.a_k = [prec if s is None else prec @ s for s in sig_k]
-        self.u = [_times(s, self.a) for s in sig_k]
+        a_sill = prec * -tau2
+        a_sill[np.diag_indices(n)] += 1.0
+        a_sill /= sigma2
+        s_sill = self.b * -tau2
+        s_sill[idx, np.arange(idx.size)] += 1.0
+        s_sill /= sigma2
+        sig_phi = sigma2 * d_r
+        n_a = 2 if spec.nugget_fixed else 3
+        a_k = [a_sill, prec @ sig_phi, prec][:n_a]
+        # sum(A_k * A_l') is sum(A_k * A_l) when either is symmetric, as
+        # all but A_phi are
+        self.tr_aa = np.empty((n_a, n_a))
+        for i in range(n_a):
+            for j in range(i, n_a):
+                left = a_k[i].T if i == j == 1 else a_k[i]
+                self.tr_aa[i, j] = self.tr_aa[j, i] = np.vdot(left, a_k[j])
+        self.u = [(self.r - tau2 * self.a) / sigma2, sig_phi @ self.a, self.a][:n_a]
+        self.s = [s_sill, sig_phi @ self.b, self.b][:n_a]
         self.v = [prec @ u for u in self.u]
-        self.s = [_times(s, self.b) for s in sig_k]
         self.t = [prec @ s for s in self.s]
-
-
-def _times(s: Optional[np.ndarray], m: np.ndarray) -> np.ndarray:
-    """``s @ m``, where None stands for the identity."""
-    return m if s is None else s @ m
 
 
 def _hessian(c: _Curvature) -> np.ndarray:
@@ -173,18 +196,18 @@ def _hessian(c: _Curvature) -> np.ndarray:
     with weight -1/2), beta-alpha block ``-(P X)' Sigma_a a``.
     """
     p = c.x.shape[1]
-    n_a = len(c.a_k)
+    n_a = len(c.u)
     h = np.zeros((p + n_a, p + n_a))
     h[:p, :p] = -(c.x.T @ c.px)
     for i in range(n_a):
         h[:p, p + i] = -(c.px.T @ c.u[i])
         for j in range(i, n_a):
-            logdet = float(np.sum(c.a_k[i] * c.a_k[j].T))
+            logdet = c.tr_aa[i, j]
             quad = 2.0 * float(c.u[j] @ c.v[i])
             block = 2.0 * (c.s[j].T @ c.t[i])
             s_ij = c.sig_kl.get((i, j))
             if s_ij is not None:
-                logdet -= float(np.sum(c.prec * s_ij))
+                logdet -= float(np.vdot(c.prec, s_ij))
                 quad -= float(c.a @ s_ij @ c.a)
                 block -= c.b.T @ (s_ij @ c.b)
             quad += float(np.sum(block * c.cov_c))
@@ -352,15 +375,16 @@ class InfluenceReport:
 def local_influence(fit, c_star: float = 3.0) -> InfluenceReport:
     """Run all three perturbation schemes on a completed fit.
 
-    Uses the fit's first moment, the second moment of its censored block
-    and its estimates; with a fixed nugget the analysis runs on the reduced
-    parameter system without the nugget row.  Raises
-    :class:`ConfigurationError` when ``c_star`` is not finite.
+    Uses the fit's first moment, the second moment of its censored block,
+    its estimates and its precision matrix when it holds one
+    (``SaemFit.precision``); with a fixed nugget the
+    analysis runs on the reduced parameter system without the nugget row.
+    Raises :class:`ConfigurationError` when ``c_star`` is not finite.
     """
     if not np.isfinite(c_star):
         raise ConfigurationError(f"c_star must be finite, got {c_star}")
     shared = _Curvature(fit.params, fit.zhat, fit.zz_cc, partition(fit.data).cens_idx,
-                        fit.x, fit.dist, fit.spec)
+                        fit.x, fit.dist, fit.spec, fit.precision)
     hess = _hessian(shared)
     neg_eig = np.linalg.eigvalsh(-hess)
     results: dict[str, Optional[SchemeDiagnostics]] = {}

@@ -259,7 +259,8 @@ def conditional_given_obs(lo, mu_all, values, n_obs):
     of the observed block.  Returns ``(mean, L_cc, log density)``.
     """
     l_oo = lo[:n_obs, :n_obs]
-    wr = solve_triangular(l_oo, values[:n_obs] - mu_all[:n_obs], lower=True)
+    wr = solve_triangular(l_oo, values[:n_obs] - mu_all[:n_obs], lower=True,
+                          check_finite=False)
     mu = mu_all[n_obs:] + lo[n_obs:, :n_obs] @ wr
     return mu, lo[n_obs:, n_obs:], logpdf_from_cholesky(l_oo, wr)
 

@@ -394,16 +394,15 @@ def _loo_means(params, x, y, lags, spec, idx) -> np.ndarray:
 
     The ratio does not change with the scale of ``Sigma``, so ``Psi^{-1}``
     serves as well as ``Sigma^{-1}``: it is read from the evaluation
-    ``lags`` holds when that was formed at ``params`` (the spec and ``phi``
-    exactly, ``nu2`` to the rounding of ``tau2 / sigma2``), as it is after
+    ``lags`` holds when that was formed at ``params``
+    (:meth:`geocens.covariance.Lags.held_at`), as it is after
     a Gaussian-ML search that stopped on its accepted point.  Otherwise
     ``Sigma`` is factored and inverted here."""
-    cov, held = params.cov, lags.held
-    if (held is not None and held[0][:2] == (spec, cov.phi)
-            and abs(held[0][2] - cov.nu2) <= 4.0 * np.spacing(cov.nu2)):
-        qi = held[1][2]
+    held = lags.held_at(spec, params.cov)
+    if held is not None:
+        qi = held[2]
     else:
-        qi = _cholesky_inverse(cholesky_sigma(lags.dist, spec, cov))
+        qi = _cholesky_inverse(cholesky_sigma(lags.dist, spec, params.cov))
     return y[idx] - (qi[idx] @ (y - x @ params.beta)) / qi[idx, idx]
 
 

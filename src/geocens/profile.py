@@ -97,7 +97,7 @@ def expected_quad(lo: np.ndarray, rw: np.ndarray, cov_c: np.ndarray, idx: np.nda
     k = int(np.min(idx, initial=lo.shape[0]))
     cols = np.zeros((lo.shape[0] - k, idx.size))
     cols[idx - k, np.arange(idx.size)] = 1.0
-    ew = solve_triangular(lo[k:, k:], cols, lower=True)
+    ew = solve_triangular(lo[k:, k:], cols, lower=True, check_finite=False)
     return float(rw @ rw + np.sum((ew.T @ ew) * cov_c))
 
 
@@ -105,8 +105,8 @@ def _gls(lo: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
     """Generalized least squares of ``y`` on ``x`` under the covariance
     ``lo lo'``: the coefficients and the whitened residual
     ``lo^{-1} (y - x beta)``."""
-    xw = solve_triangular(lo, x, lower=True)
-    yw = solve_triangular(lo, y, lower=True)
+    xw = solve_triangular(lo, x, lower=True, check_finite=False)
+    yw = solve_triangular(lo, y, lower=True, check_finite=False)
     beta, *_ = np.linalg.lstsq(xw, yw, rcond=None)
     return beta, yw - xw @ beta
 
@@ -164,7 +164,7 @@ def profile_objective(
     psi, lo, qi, d_phi = held[1]
     n = lo.shape[0]
     if x is None:
-        beta, resid, rw = None, z, solve_triangular(lo, z, lower=True)
+        beta, resid, rw = None, z, solve_triangular(lo, z, lower=True, check_finite=False)
     else:
         beta, rw = _gls(lo, x, z)
         resid = z - x @ beta

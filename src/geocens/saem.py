@@ -150,7 +150,14 @@ class SaemState:
 @dataclass(frozen=True)
 class SaemFit:
     """Completed fit: estimates, conditional moments, criteria, and the
-    parameter trace.  ``loglik`` is estimated once, at ``params``."""
+    parameter trace.  ``loglik`` is estimated once, at ``params``.
+
+    ``precision`` is ``Sigma^{-1}`` at ``params`` over the sites in data
+    order, as :func:`saem_fit` forms it, or None for a fit built without it
+    (:func:`geocens.cli.fit_from_payload`), whose diagnostics then factor
+    ``Sigma`` themselves.  :attr:`dist` is formed from the coordinates when
+    read.
+    """
 
     params: ModelParams
     zhat: np.ndarray
@@ -165,14 +172,19 @@ class SaemFit:
     trend: TrendSpec
     spec: CovarianceSpec
     x: np.ndarray = field(repr=False, default=None)
-    dist: np.ndarray = field(repr=False, default=None)
     fingerprint: str = ""
+    precision: Optional[np.ndarray] = field(repr=False, default=None)
 
     def trace_summary(self) -> np.ndarray:
         """Mean of the parameter trace after discarding the first ``perc``
         share of iterations (a smoothed point estimate of the noisy path)."""
         start = int(self.config.perc * self.iterations_used)
         return self.trace_params[start:].mean(axis=0)
+
+    @property
+    def dist(self) -> np.ndarray:
+        """Distance matrix of the sites, in data order."""
+        return distance_matrix(self.data.coords)
 
     @property
     def zzhat(self) -> np.ndarray:
@@ -384,6 +396,11 @@ def saem_fit(
     checked once two windows of them exist) or the iteration cap is
     reached.  The log-likelihood is then estimated once, at the final point,
     from the conditional law the loop already holds.
+
+    The fit's ``precision`` is ``Sigma^{-1}`` at the final point, in data
+    order: the ``potri`` inverse of the loop's last factor.  The arrays the
+    last CM search held are dropped first, so forming it adds no n x n
+    array beyond the loop's peak.
     """
     x = build_trend(data.coords, data.x_extra, trend)
     n, p = x.shape
@@ -394,7 +411,6 @@ def saem_fit(
             "the search box bounds (phi, nu2), or phi alone when the nugget is fixed; "
             f"got {len(config.lower)} components"
         )
-    dist = distance_matrix(data.coords)
     cut = math.ceil(config.pc * config.max_iter)
 
     root = RngState(config.seed)
@@ -418,7 +434,7 @@ def saem_fit(
     # moments and the Gibbs chain stay in the original order
     part = partition(data)
     order, n_obs = part.order, part.obs_idx.size
-    x_o, dist_o, values_o = x[order], dist[np.ix_(order, order)], data.value[order]
+    x_o, values_o = x[order], data.value[order]
     cen_o = np.arange(n_obs, n)
     cen = part.cens_idx
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
@@ -430,10 +446,10 @@ def saem_fit(
     converged = False
     iterations = 0
 
-    lo = cholesky_sigma(dist_o, spec, cov)
+    lags = Lags(distance_matrix(data.coords[order]))
+    lo = cholesky_sigma(lags.dist, spec, cov)
     params = ModelParams(beta=_gls(lo, x_o, y0[order])[0], cov=cov)
     mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
-    lags = Lags(dist_o)
     metric = None
     for k in range(1, config.max_iter + 1):
         iterations = k
@@ -454,6 +470,9 @@ def saem_fit(
             converged = True
             break
 
+    lags.held = None
+    back = np.argsort(order)
+    prec = _cholesky_inverse(lo)[np.ix_(back, back)]
     ll = loglik_from_conditional(obs_term, mu, l_cc, rect, ll_rng)
     crit = criteria(ll.value, param_count(p, spec.nugget_fixed), n)
     return SaemFit(
@@ -470,6 +489,6 @@ def saem_fit(
         trend=trend,
         spec=spec,
         x=x,
-        dist=dist,
         fingerprint=data.fingerprint(),
+        precision=prec,
     )

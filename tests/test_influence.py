@@ -517,3 +517,83 @@ def test_local_influence_flags_indefinite_hessian_and_keeps_m0(monkeypatch):
         diag = report.scheme(name)
         assert diag is not None, report.errors
         assert diag.m0.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+FIT_SPECS = [
+    CovarianceSpec("exponential"),
+    CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.0),
+    CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.2),
+]
+FIT_IDS = ["free", "fixed-zero", "fixed-0.2"]
+
+
+@pytest.mark.parametrize("spec", FIT_SPECS, ids=FIT_IDS)
+def test_local_influence_on_a_fresh_fit_reads_its_precision(monkeypatch, spec):
+    # the fit hands over the precision its last CM search formed: no factor
+    # and no inverse of Sigma, and one correlation pass for R and dR/dphi
+    import geocens.covariance as cov
+    import geocens.influence as inf
+
+    fit = _small_fit(spec)
+    passes = []
+    real_pass = cov.corr_dcorr_matrix
+
+    def counting_pass(*args):
+        passes.append(args[2])
+        return real_pass(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("local_influence factored or inverted Sigma")
+
+    monkeypatch.setattr(cov, "corr_dcorr_matrix", counting_pass)
+    for mod in (cov, inf):
+        monkeypatch.setattr(mod, "spd_cholesky", forbidden)
+        monkeypatch.setattr(mod, "_cholesky_inverse", forbidden)
+    monkeypatch.setattr(cov, "corr_matrix", forbidden)
+    report = local_influence(fit)
+    assert report.response is not None, report.errors
+    assert passes == [fit.params.cov.phi]
+
+
+@pytest.mark.parametrize("spec", FIT_SPECS, ids=FIT_IDS)
+def test_a_loaded_fit_gives_the_fresh_fits_diagnostics(spec):
+    # fit.json holds no precision: on the loaded fit, local_influence
+    # factors Sigma itself and agrees with the fresh fit's precision
+    import json
+
+    from geocens.cli import _json_default, fit_from_payload, fit_to_payload
+
+    fresh = _small_fit(spec)
+    loaded = fit_from_payload(json.loads(json.dumps(fit_to_payload(fresh), default=_json_default)))
+    assert loaded.precision is None
+    want, got = local_influence(fresh), local_influence(loaded)
+    for scheme in ("response", "scale", "explanatory"):
+        assert_allclose(got.scheme(scheme).m0, want.scheme(scheme).m0, rtol=0, atol=1e-12)
+        assert got.scheme(scheme).rank == want.scheme(scheme).rank
+        assert np.array_equal(got.scheme(scheme).flags, want.scheme(scheme).flags)
+    assert_allclose(got.hessian_eigenvalues, want.hessian_eigenvalues, rtol=1e-10)
+
+
+@pytest.mark.parametrize("nugget", ["free", "fixed"])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+def test_nugget_dominated_hessian_and_deltas_match_dense_oracles(spec, nugget):
+    # the sill's terms come from P Sigma = I, which cancels about
+    # log10(tau2 / sigma2) digits; at tau2 / sigma2 = 1e3 they still meet
+    # the dense oracles' bound
+    tau2 = 1e3 * 0.7
+    if nugget == "fixed":
+        spec = CovarianceSpec(spec.family, kappa=spec.kappa, nugget_fixed=True,
+                              fixed_nugget_value=tau2)
+    params, zhat, zz, idx, dense, x, dist = censored_block_instance(21, spec)
+    params = ModelParams(beta=params.beta, cov=CovParams(sigma2=0.7, phi=params.cov.phi,
+                                                         tau2=tau2))
+    got = q_hessian(params, zhat, zz, x, dist, spec, idx=idx)
+    want = q_hessian_dense(params, zhat, dense, x, dist, spec)
+    assert rel_err(got, want) < 1e-10
+    # the sill's entries are far below the largest: hold each to the bound
+    assert np.all(np.abs(got - want) < 1e-10 * np.abs(want))
+    for scheme, builder in (("response", delta_response), ("scale", delta_scale),
+                            ("explanatory", delta_explanatory)):
+        got = builder(params, zhat, zz, x, dist, spec, idx=idx)
+        want = delta_dense(scheme, params, zhat, dense, x, dist, spec)
+        assert rel_err(got, want) < 1e-10, scheme

@@ -765,3 +765,40 @@ def test_saem_recovery_simulated_censored_data():
     fit = saem_fit(res.data, TrendSpec("cte"), SPEC_EXP, cfg)
     assert abs(fit.params.beta[0] - 2.0) < 0.8
     assert 0.3 < fit.params.cov.sigma2 < 8.0
+
+
+PRECISION_SPECS = [
+    CovarianceSpec("exponential"),
+    CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.0),
+    CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.2),
+]
+PRECISION_IDS = ["free", "fixed-zero", "fixed-0.2"]
+
+
+@pytest.mark.parametrize("spec", PRECISION_SPECS, ids=PRECISION_IDS)
+def test_fit_precision_is_the_inverse_in_data_order(spec):
+    # the loop factors Sigma over the sites ordered observed first: the
+    # fit's precision is put back in data order
+    data = sim_left(seed=41, cens=0.3).data
+    assert not np.array_equal(np.argsort(data.cens, kind="stable"), np.arange(data.n))
+    fit = saem_fit(data, TrendSpec("cte"), spec, base_config(max_iter=8))
+    want = np.linalg.inv(build_sigma(distance_matrix(data.coords), spec, fit.params.cov))
+    got = fit.precision
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_fit_holds_no_more_n_by_n_arrays_than_the_precision():
+    # the fit keeps the precision instead of the distance matrix, which it
+    # forms from the coordinates when read; reading it adds nothing
+    data = sim_left(seed=41, cens=0.3).data
+    fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=4))
+    n, n_c = data.n, data.n_censored
+
+    def held_bytes():
+        return sum(v.nbytes for v in vars(fit).values() if isinstance(v, np.ndarray))
+
+    budget = 8 * (n * n + n_c * n_c + fit.x.size + fit.trace_params.size + n)
+    assert held_bytes() <= budget
+    assert np.array_equal(fit.dist, distance_matrix(data.coords))
+    assert held_bytes() <= budget
