@@ -4,8 +4,10 @@ Implements the conditional-mean (kriging) predictor plus the four
 estimation-and-prediction pipelines: bound imputation (two variants), the
 iterative re-imputation scheme for left-censored data, and prediction from
 a stochastic-approximation fit.  Also hosts the empirical variogram, its
-weighted least-squares fit, Gaussian maximum likelihood on fully observed
-data, and a hold-out cross-validation driver.
+weighted least-squares fit (by variable projection: a search over the range
+alone, with the sill and nugget solved in closed form at each range),
+Gaussian maximum likelihood on fully observed data, and a hold-out
+cross-validation driver.
 """
 
 from __future__ import annotations
@@ -45,6 +47,16 @@ from .model import (
 from .profile import profile_objective, profile_search
 
 METHODS = ("naive1", "naive2", "seminaive", "saem")
+
+# The variogram fit's search over log phi: a grid of _VARIO_GRID log-spaced
+# ranges, then Brent's method down to an interval of about _VARIO_TOL.
+# Objectives closer than _VARIO_TIE times the count-weighted mean of gamma^2
+# (the objective of the zero model) are ties, which go to the smaller range
+# or the point already held, so a fit whose best range is not unique does
+# not pick it by rounding
+_VARIO_GRID = 128
+_VARIO_TOL = 1e-7
+_VARIO_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -196,6 +208,119 @@ def empirical_variogram(
     )
 
 
+def _sill_nugget_given_range(
+    basis: np.ndarray, gamma: np.ndarray, counts: np.ndarray, sill: float,
+    tau2: Optional[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best ``(sigma2, tau2)`` for each row of ``basis`` (``1 - rho`` at the
+    bin centers, one row per range), and the objective they attain divided
+    by the total count.
+
+    The model ``tau2 + sigma2 * basis`` is linear in the pair, so each row
+    is a convex quadratic over the box ``sigma2 in [1e-12 sill, 2 sill]``,
+    ``tau2 in [0, 2 sill]``.  Its minimum is the weighted regression of
+    ``gamma`` on the row when that lies inside the box, and otherwise the
+    best of the four edges, each a clipped one-dimensional solve.  A fixed
+    ``tau2`` leaves ``sigma2`` alone: one clipped solve.  A constant row
+    (``phi`` far below every lag) has no regression, and its edges still
+    reach the minimum; ties go to the first candidate.  The objective is
+    taken about the weighted means ``bbar`` and ``gbar`` of the row and of
+    ``gamma``, ``(t + s bbar - gbar)^2 + s^2 vbb - 2 s vbg + vgg`` with
+    ``vbb``, ``vbg`` and ``vgg`` their weighted (co)variances, which
+    cancels less than the raw sums of squares.
+    """
+    s_lo, hi = 1e-12 * sill, 2.0 * sill
+    w = counts / counts.sum()
+    gbar = w @ gamma
+    gdev = gamma - gbar
+    bbar = basis @ w
+    dev = basis - bbar[..., None]
+    # the mean of a constant row may round off its value: it has no spread
+    vbb = np.where(basis.max(axis=-1) > basis.min(axis=-1), (dev * dev) @ w, 0.0)
+    vbg = dev @ (w * gdev)
+    bbar, vbb, vbg = bbar[..., None], vbb[..., None], vbg[..., None]
+    b2 = vbb + bbar * bbar
+
+    def best_sill(t):
+        num = vbg + bbar * (gbar - t)
+        s = np.divide(num, b2, out=np.full(num.shape, s_lo), where=b2 > 0)
+        return np.clip(s, s_lo, hi)
+
+    if tau2 is not None:
+        cand_t = np.full(bbar.shape, tau2)
+        cand_s = best_sill(cand_t)
+    else:
+        s_reg = np.divide(vbg, vbb, out=np.zeros_like(vbb), where=vbb > 0)
+        t_reg = gbar - s_reg * bbar
+        s_edge, t_edge = np.array([s_lo, hi]), np.array([0.0, hi])
+        edges = np.broadcast_shapes(bbar.shape, (2,))
+        cand_s = np.concatenate(
+            [s_reg, np.broadcast_to(s_edge, edges), best_sill(t_edge)], axis=-1
+        )
+        cand_t = np.concatenate(
+            [t_reg, np.clip(gbar - s_edge * bbar, 0.0, hi), np.broadcast_to(t_edge, edges)],
+            axis=-1,
+        )
+    obj = (cand_t + cand_s * bbar - gbar) ** 2 + cand_s * (cand_s * vbb - 2.0 * vbg) + gdev**2 @ w
+    if tau2 is None:
+        inside = (vbb > 0) & (s_lo <= s_reg) & (s_reg <= hi) & (0.0 <= t_reg) & (t_reg <= hi)
+        obj[..., :1] = np.where(inside, obj[..., :1], np.inf)
+    k = np.argmin(obj, axis=-1)[..., None]
+    return tuple(np.take_along_axis(a, k, axis=-1)[..., 0] for a in (cand_s, cand_t, obj))
+
+
+def _brent_minimize(f, a: float, b: float, x: float, fx, tol: float, tie: float):
+    """Brent's (1973) minimizer of ``f`` on ``[a, b]``, started from a point
+    ``x`` in it whose value ``fx = f(x)`` is known: parabolic steps through
+    the three best points met, golden-section steps where a parabola fails,
+    until ``[a, b]`` is within about ``4 tol`` wide.  ``f`` returns a tuple
+    whose first entry is the value; returns the best point met and that
+    tuple there.  A point replaces the best one only if it is lower by more
+    than ``tie``."""
+    cgold = 0.5 * (3.0 - np.sqrt(5.0))
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx[0] - fv[0])
+            q = (x - v) * (fx[0] - fw[0])
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0:
+                p = -p
+            q, e_prev, e = abs(q), e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                golden = False
+                if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                    d = tol if m >= x else -tol
+        if golden:
+            e = (a if x >= m else b) - x
+            d = cgold * e
+        u = x + (d if abs(d) >= tol else (tol if d >= 0 else -tol))
+        fu = f(u)
+        if fu[0] < fx[0] - tie:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu[0] <= fw[0] or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu[0] <= fv[0] or v == x or v == w:
+                v, fv = u, fu
+
+
 def wls_variofit(vario: Variogram, spec: CovarianceSpec) -> CovParams:
     """Fit ``(sigma2, phi, tau2)`` to a binned variogram, weighting squared
     residuals by bin pair counts.  Initializer-grade accuracy only.  With a
@@ -203,46 +328,47 @@ def wls_variofit(vario: Variogram, spec: CovarianceSpec) -> CovParams:
     fixed value.
 
     The box scales with the data: ``sigma2`` and ``tau2`` are at most twice
-    the largest binned semivariance and ``phi`` at most ``vario.max_dist``.
-    A variogram that is nearly linear over the bins otherwise lets the fit
-    slide along a ridge of near-equal fits to a sill thousands of times the
-    data's variance.
-    """
-    # imported here: scipy.optimize is slow to import, and only this fit
-    # needs it, so the CLI commands that never fit a variogram skip it
-    from scipy.optimize import least_squares
+    the largest binned semivariance and ``phi`` lies in ``[1e-12, 1]``
+    times ``vario.max_dist``.  A variogram that is nearly linear over the
+    bins otherwise lets the fit slide along a ridge of near-equal fits to a
+    sill thousands of times the data's variance.
 
+    The fit is by variable projection (Golub & Pereyra 1973): the model is
+    linear in ``(sigma2, tau2)`` once ``phi`` is fixed, and their best
+    values in the box have a closed form (``_sill_nugget_given_range``), so
+    the search is over ``log phi`` alone.  It evaluates ``_VARIO_GRID``
+    log-spaced ranges from the lower bound up in one pass, then refines the
+    best of them by Brent's method between its two neighbours, to
+    ``_VARIO_TOL`` in ``log phi``.
+    """
     if vario.centers.shape[0] < 3:
         raise NumericalError("variogram fit needs at least 3 nonempty bins")
     g = vario.gamma
     sill = float(g.max())
     if not sill > 0:
         raise NumericalError("variogram fit needs a nonzero semivariance")
-    w = np.sqrt(vario.counts.astype(float))
-    k = 2 if spec.nugget_fixed else 3
+    counts = vario.counts.astype(float)
+    tie = _VARIO_TIE * float(counts @ g**2) / counts.sum()
+    tau2 = spec.fixed_nugget_value if spec.nugget_fixed else None
+    phi_lo, phi_hi = 1e-12 * vario.max_dist, vario.max_dist
 
-    def full(theta):
-        return tuple(theta) if k == 3 else (*theta, spec.fixed_nugget_value)
+    def fit(log_phi):
+        phi = np.clip(np.exp(log_phi), phi_lo, phi_hi)
+        basis = 1.0 - correlation(spec.family, spec.kappa, vario.centers / phi[..., None], 1.0)
+        sigma2, tau2_fit, obj = _sill_nugget_given_range(basis, g, counts, sill, tau2)
+        return obj, sigma2, phi, tau2_fit
 
-    def residuals(theta):
-        s2, phi, t2 = full(theta)
-        model = t2 + s2 * (
-            1.0 - correlation(spec.family, spec.kappa, vario.centers, phi)
-        )
-        return w * (model - g)
-
-    sol = least_squares(
-        residuals,
-        np.array([0.8 * sill, vario.max_dist / 3.0, 0.2 * sill])[:k],
-        bounds=(
-            [1e-12 * sill, 1e-12 * vario.max_dist, 0.0][:k],
-            [2.0 * sill, vario.max_dist, 2.0 * sill][:k],
-        ),
-        method="trf",
+    grid = np.linspace(np.log(phi_lo), np.log(phi_hi), _VARIO_GRID)
+    on_grid = fit(grid)
+    i = int(np.argmax(on_grid[0] <= on_grid[0].min() + tie))
+    _, (obj, *params) = _brent_minimize(
+        lambda x: tuple(a[0] for a in fit(np.array([x]))),
+        grid[max(i - 1, 0)], grid[min(i + 1, _VARIO_GRID - 1)], grid[i],
+        tuple(a[i] for a in on_grid), _VARIO_TOL, tie,
     )
-    if not np.all(np.isfinite(sol.x)):
+    if not np.isfinite(obj):
         raise NumericalError("variogram fit diverged")
-    return CovParams(*full(sol.x))
+    return CovParams(*map(float, params))
 
 
 def initial_values(
@@ -250,7 +376,10 @@ def initial_values(
 ) -> ModelParams:
     """Automatic starting values: ordinary least squares on bound-imputed
     data (:func:`geocens.model.impute_bounds`) plus a weighted variogram
-    fit of the residuals (which holds a fixed nugget)."""
+    fit of the residuals (which holds a fixed nugget).  That fit is by
+    variable projection (:func:`wls_variofit`): a search over the range
+    alone, with the sill and nugget in closed form at each range, on numpy
+    and the package's correlation functions only."""
     y = impute_bounds(data)
     x = build_trend(data.coords, data.x_extra, trend)
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.integrate import quad
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import least_squares, minimize, minimize_scalar
 from scipy.special import gamma, kv, log_ndtr, ndtr, ndtri
 
 from geocens.covariance import (
@@ -108,6 +108,44 @@ def gaussian_ml_oracle(y, x, dist, corr_fn, init, bounds):
     nll, beta, sigma2 = profile(res.x)
     phi, nu2 = res.x
     return beta, sigma2, float(phi), float(nu2 * sigma2), -float(nll)
+
+
+def wls_variofit_oracle(centers, gamma, counts, max_dist, family, kappa, fixed_tau2=None):
+    """Weighted least-squares variogram fit by ``least_squares`` from many
+    starts, independent of the package's search.
+
+    Minimizes ``sum counts * (tau2 + sigma2 (1 - rho(h; phi)) - gamma)^2``
+    over the box ``sigma2 in [1e-12 sill, 2 sill]``, ``phi in [1e-12, 1] *
+    max_dist``, ``tau2 in [0, 2 sill]`` (``sill = max gamma``), with
+    ``tau2`` held at ``fixed_tau2`` when given.  Starts at 12 log-spaced
+    ranges from ``max_dist / 1000`` up, each with three splits of the sill
+    between ``sigma2`` and ``tau2``.  Returns ``((sigma2, phi, tau2),
+    objective)`` at the best end point.
+    """
+    centers, gamma = np.asarray(centers, float), np.asarray(gamma, float)
+    w = np.sqrt(np.asarray(counts, float))
+    sill = float(gamma.max())
+    k = 3 if fixed_tau2 is None else 2
+
+    def full(theta):
+        return tuple(theta) if k == 3 else (*theta, fixed_tau2)
+
+    def residuals(theta):
+        s2, phi, t2 = full(theta)
+        return w * (t2 + s2 * (1.0 - correlation(family, kappa, centers, phi)) - gamma)
+
+    lower = np.array([1e-12 * sill, 1e-12 * max_dist, 0.0])[:k]
+    upper = np.array([2.0 * sill, max_dist, 2.0 * sill])[:k]
+    best = None
+    for phi0 in np.geomspace(1e-3, 1.0, 12) * max_dist:
+        for share in (0.2, 0.5, 0.8):
+            x0 = np.clip(np.array([(1.0 - share) * sill, phi0, share * sill])[:k], lower, upper)
+            sol = least_squares(residuals, x0, bounds=(lower, upper), method="trf",
+                                xtol=1e-12, ftol=1e-12, gtol=1e-12)
+            value = float(np.sum(sol.fun**2))
+            if best is None or value < best[1]:
+                best = (full(sol.x), value)
+    return best
 
 
 def precision_derivative(sigma, ds_k):

@@ -661,13 +661,26 @@ def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize takes over 100 ms to import and only the variogram fit
-    # needs it, so it is imported there; a fresh interpreter shows it
+@pytest.mark.parametrize("argv", [
+    [],
+    ["variogram", "--data", "{data}", "--out-dir", "{out}"],
+    ["fit", "--data", "{data}", "--m", "8", "--max-iter", "6", "--tol", "0", "--out-dir", "{out}"],
+], ids=["import", "variogram", "fit-without-start"])
+def test_cli_import_leaves_scipy_optimize_out(tmp_path, sim_dir, argv):
+    # scipy.optimize takes over 100 ms to import and no geocens code uses
+    # it: neither importing the CLI nor the variogram fit, which the
+    # variogram command and every fit without a start run; a fresh
+    # interpreter shows it
     src = os.path.dirname(os.path.dirname(os.path.abspath(geocens.__file__)))
-    code = "import sys, geocens.cli; sys.exit('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, geocens.cli\n"
+        "if len(sys.argv) > 1 and geocens.cli.main(sys.argv[1:]) != 0:\n"
+        "    sys.exit(2)\n"
+        "sys.exit('scipy.optimize' in sys.modules)"
+    )
+    args = [a.format(data=sim_dir / "data.csv", out=tmp_path / "out") for a in argv]
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code, *args], env=env).returncode == 0
 
 
 def test_cli_import_leaves_scipy_spatial_out():

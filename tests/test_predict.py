@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,11 +27,11 @@ from geocens import (
 from geocens import covariance
 from geocens.covariance import build_sigma, correlation, cross_distance, distance_matrix
 from geocens.model import build_trend
-from geocens.predict import _loo_means, initial_values, sample_skewness
+from geocens.predict import Variogram, _loo_means, initial_values, sample_skewness
 from geocens.profile import profile_objective
 from geocens.simulate import SimConfig, simulate_scl
 
-from oracles import gaussian_ml_oracle, loo_kriging_means
+from oracles import gaussian_ml_oracle, loo_kriging_means, wls_variofit_oracle
 
 SPEC_EXP = CovarianceSpec("exponential")
 
@@ -234,6 +237,122 @@ def test_wls_variofit_holds_a_fixed_nugget():
     assert start.cov.tau2 == 0.1
     assert start.cov.sigma2 == pytest.approx(fit.sigma2, rel=1e-12)  # the constant
     assert start.cov.phi == pytest.approx(fit.phi, rel=1e-12)  # trend leaves gamma as is
+
+
+def variofit_case(seed):
+    """Empirical variogram of one simulated field, with its nugget: n in
+    [40, 250) sites uniform on [0, 8]^2, covariance 2 exp(-d / U(0.3, 3))
+    plus a nugget U(0, 1)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 250))
+    coords = rng.uniform(0, 8, (n, 2))
+    phi, tau2 = rng.uniform(0.3, 3), rng.uniform(0, 1)
+    sigma = 2.0 * np.exp(-distance_matrix(coords) / phi) + tau2 * np.eye(n)
+    z = np.linalg.cholesky(sigma) @ rng.normal(size=n)
+    return empirical_variogram(coords, z), tau2
+
+
+VARIOFIT_FAMILIES = [("exponential", 0.0), ("gaussian", 0.0), ("spherical", 0.0),
+                     ("matern", 0.3), ("powered-exponential", 1.2)]
+VARIOFIT_CASES = (
+    [(0, family, kappa, False) for family, kappa in VARIOFIT_FAMILIES + [("matern", 1.5)]]
+    + [(1, family, kappa, True) for family, kappa in VARIOFIT_FAMILIES]
+    # a single trust-region start from (0.8 sill, max_dist / 3, 0.2 sill)
+    # stopped on a worse local optimum on these, by up to half the objective
+    + [(seed, "spherical", 0.0, False) for seed in (6, 9, 14, 20)]
+    + [(9, "gaussian", 0.0, False)]
+    # every spherical range between the first two bin centers fits equally
+    # well: the tie goes to the same range at any scale of gamma
+    + [(11, "spherical", 0.0, False)]
+)
+
+
+@pytest.mark.parametrize(
+    "seed,family,kappa,fixed", VARIOFIT_CASES,
+    ids=[f"{f}{k or ''}-seed{s}-{'fixed' if x else 'free'}" for s, f, k, x in VARIOFIT_CASES],
+)
+def test_wls_variofit_matches_a_multistart_oracle(seed, family, kappa, fixed):
+    # the variable-projection fit reaches the best objective many
+    # least-squares starts find, stays in its box, and scales with gamma
+    vario, tau2 = variofit_case(seed)
+    spec = CovarianceSpec(family, kappa, nugget_fixed=fixed, fixed_nugget_value=tau2 if fixed else 0.0)
+    fit = wls_variofit(vario, spec)
+
+    def objective(p):
+        model = p.tau2 + p.sigma2 * (1.0 - correlation(family, kappa, vario.centers, p.phi))
+        return np.sum(vario.counts * (model - vario.gamma) ** 2)
+
+    _, best = wls_variofit_oracle(
+        vario.centers, vario.gamma, vario.counts, vario.max_dist, family, kappa,
+        tau2 if fixed else None,
+    )
+    assert objective(fit) <= best * (1.0 + 1e-6)
+    sill = vario.gamma.max()
+    assert 1e-12 * sill <= fit.sigma2 <= 2.0 * sill
+    assert 1e-12 * vario.max_dist <= fit.phi <= vario.max_dist
+    if fixed:
+        assert fit.tau2 == tau2
+    else:
+        assert 0.0 <= fit.tau2 <= 2.0 * sill
+
+    for c in (1e3, 0.37):
+        scaled = wls_variofit(
+            dataclasses.replace(vario, gamma=c * vario.gamma),
+            dataclasses.replace(spec, fixed_nugget_value=c * spec.fixed_nugget_value),
+        )
+        assert_allclose(
+            [scaled.sigma2, scaled.phi, scaled.tau2], [c * fit.sigma2, fit.phi, c * fit.tau2],
+            rtol=1e-6, atol=0.0,
+        )
+
+
+def tie_variogram(name):
+    """A variogram whose best fits are not unique: ``flat`` (constant),
+    ``falling`` (its first bin above the rest, so no exponential range
+    beats a constant) or ``step`` (its first bin below a flat rest)."""
+    counts = np.arange(20, 30)
+    if name == "flat":
+        gamma = np.full(10, 1.5)
+    elif name == "step":
+        gamma = np.r_[0.9, np.ones(9)]
+    else:
+        rng = np.random.default_rng(20)
+        counts = rng.integers(5, 200, size=10)
+        gamma = np.r_[1.7, 1.5 + 0.05 * rng.normal(size=9)]
+    return Variogram(centers=np.linspace(0.25, 4.75, 10), gamma=gamma, counts=counts,
+                     max_dist=5.0)
+
+
+@pytest.mark.parametrize("name,family", [
+    ("flat", "exponential"), ("falling", "exponential"), ("step", "spherical"),
+])
+def test_wls_variofit_breaks_ties_alike_at_any_scale(name, family):
+    # every range below the first bin center fits a flat or falling
+    # variogram as well as any: there 1 - rho is constant over the bins and
+    # the weighted normal equations are singular, and every split of the
+    # constant between sigma2 and tau2 fits as well.  Every spherical range
+    # from about 1.4 times the first bin center to the second fits the step
+    # exactly.  The fit takes the same range and split whatever the scale
+    # of gamma, with no warning
+    vario = tie_variogram(name)
+    spec = CovarianceSpec(family)
+    fits = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1.0, 1e3, 0.37, 7.0):
+            fit = wls_variofit(dataclasses.replace(vario, gamma=c * vario.gamma), spec)
+            fits.append([fit.sigma2 / c, fit.phi, fit.tau2 / c])
+    assert_allclose(fits, [fits[0]] * 4, rtol=1e-12, atol=0.0)
+    sigma2, phi, tau2 = fits[0]
+    if family == "exponential":
+        # phi on its lower bound, and the first edge: sigma2 on its lower
+        # bound, tau2 the rest of the weighted mean
+        assert phi == pytest.approx(1e-12 * vario.max_dist, rel=1e-12)
+        assert sigma2 == pytest.approx(1e-12 * vario.gamma.max(), rel=1e-12)
+        assert tau2 + sigma2 == pytest.approx(np.average(vario.gamma, weights=vario.counts), rel=1e-12)
+    else:
+        model = tau2 + sigma2 * (1.0 - correlation(family, 0.0, vario.centers, phi))
+        assert_allclose(model, vario.gamma, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
