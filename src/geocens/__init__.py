@@ -52,7 +52,6 @@ from .mvn import (
     Rectangle,
     RectProb,
     RngState,
-    mvn_logpdf,
     mvn_rect_prob,
     tmvn_gibbs,
     tmvn_moments,
@@ -73,7 +72,7 @@ from .predict import (
     predict_seminaive,
     wls_variofit,
 )
-from .saem import SaemConfig, SaemFit, SaemState, cm_step, delta_schedule, e_step, saem_fit
+from .saem import SaemConfig, SaemFit, cm_step, delta_schedule, saem_fit
 from .simulate import SimConfig, SimResult, inject_outliers, simulate_scl
 
 __version__ = "0.1.0"

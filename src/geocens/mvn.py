@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .covariance import _cholesky_inverse, spd_cholesky
@@ -82,15 +81,6 @@ class Rectangle:
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
-
-
-def mvn_logpdf(x, mean, cov) -> float:
-    """Log density of ``N(mean, cov)`` at ``x`` via Cholesky."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    lo = spd_cholesky(cov)
-    return logpdf_from_cholesky(lo, solve_triangular(lo, x - mean, lower=True))
 
 
 def logpdf_from_cholesky(lo: np.ndarray, w: np.ndarray) -> float:

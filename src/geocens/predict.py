@@ -81,8 +81,11 @@ class SeminaiveConfig:
     max_iter: int = 20
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.c3) <= 0 or self.max_iter < 1:
-            raise ConfigurationError("seminaive constants must be positive")
+        for name in ("c1", "c2", "c3"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"seminaive {name} must be finite and > 0")
+        if self.max_iter < 1:
+            raise ConfigurationError("seminaive max_iter must be >= 1")
 
 
 def krige(

@@ -1,11 +1,12 @@
 """Stochastic-approximation EM estimation for the censored spatial model.
 
-Each iteration draws a small Gibbs sample of the censored block from its
-conditional truncated normal law, folds it into running estimates of the
-conditional first and second moments with a decreasing step size, and then
-performs the conditional maximization: closed forms for the trend
-coefficients and the sill, and a bounded gradient search for the range and
-relative nugget (:mod:`geocens.profile`).
+Each iteration runs one E-step, a few Gibbs sweeps of the censored block
+under its conditional truncated normal law that continue the last
+iteration's chain, folded into running estimates of the block's first and
+second moments with a decreasing step size; then the conditional
+maximization: closed forms for the trend coefficients and the sill, and a
+bounded gradient search for the range and relative nugget
+(:mod:`geocens.profile`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .model import (
     ModelParams,
     SpatialDataset,
     TrendSpec,
-    _conditional_at,
     build_trend,
     conditional_given_obs,
     criteria,
@@ -80,7 +80,6 @@ class SaemConfig:
     m: int = 15
     max_iter: int = 300
     pc: float = 0.2
-    perc: float = 0.25
     init_sigma2: Optional[float] = None
     init_phi: Optional[float] = None
     init_nugget: Optional[float] = None
@@ -94,8 +93,6 @@ class SaemConfig:
             raise ConfigurationError("m and max_iter must be positive")
         if not 0.0 <= self.pc < 1.0:
             raise ConfigurationError("pc must lie in [0, 1)")
-        if not 0.0 <= self.perc < 1.0:
-            raise ConfigurationError("perc must lie in [0, 1)")
         if not self.tol >= 0:
             raise ConfigurationError("tol must be >= 0")
         if self.seed < 0:
@@ -135,18 +132,6 @@ def dense_second_moment(zhat: np.ndarray, zz: np.ndarray, idx: np.ndarray) -> np
     return out
 
 
-@dataclass
-class SaemState:
-    """Mutable loop state: the first moment, the second moment of the
-    censored block (observed rows are pinned, so elsewhere it is
-    ``zhat zhat'``), and the persistent Gibbs chain."""
-
-    zhat: np.ndarray
-    zz_cc: np.ndarray
-    chain: Optional[np.ndarray] = None
-    iteration: int = 0
-
-
 @dataclass(frozen=True)
 class SaemFit:
     """Completed fit: estimates, conditional moments, criteria, and the
@@ -174,12 +159,6 @@ class SaemFit:
     x: np.ndarray = field(repr=False, default=None)
     fingerprint: str = ""
     precision: Optional[np.ndarray] = field(repr=False, default=None)
-
-    def trace_summary(self) -> np.ndarray:
-        """Mean of the parameter trace after discarding the first ``perc``
-        share of iterations (a smoothed point estimate of the noisy path)."""
-        start = int(self.config.perc * self.iterations_used)
-        return self.trace_params[start:].mean(axis=0)
 
     @property
     def dist(self) -> np.ndarray:
@@ -245,51 +224,17 @@ def path_drift(trace: np.ndarray, cut: int) -> np.ndarray:
         return np.where(change > 0, change / size, 0.0)
 
 
-def e_step(
-    state: SaemState,
-    data: SpatialDataset,
-    params: ModelParams,
-    trend: TrendSpec,
-    spec: CovarianceSpec,
-    config: SaemConfig,
-    rng,
-):
-    """One sampling + stochastic-approximation update of the moments.
-
-    Advances ``state.iteration``, runs ``config.m`` Gibbs sweeps of the
-    censored block from the previous call's chain (``state.chain``),
-    keeping every one (no burn-in), and mixes their Monte Carlo moments
-    into ``state`` with the scheduled step size.  Observed coordinates stay
-    pinned to the recorded values.
-    """
-    mu, l_cc, _ = _conditional_at(params, data, trend, spec)
-    return _e_step_core(state, data, mu, l_cc, config, rng)
-
-
-def _e_step_core(state, data, mu, l_cc, config, rng):
-    """:func:`e_step` given the conditional mean ``mu`` of the censored
-    block and the lower Cholesky factor ``l_cc`` of its covariance."""
-    state.iteration += 1
-    delta = delta_schedule(state.iteration, config.max_iter, config.pc)
-    cen = partition(data).cens_idx
-
-    zhat = data.value.astype(float)
-    if cen.size == 0:
-        state.zhat = zhat
-        state.zz_cc = np.zeros((0, 0))
-        return state.zhat, state.zz_cc
-
-    rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
-    samples_c = _gibbs_sweeps(mu, _cholesky_inverse(l_cc), rect, config.m, burn_in=0, thin=1,
-                              rng=rng, start=state.chain)
-    state.chain = samples_c[-1].copy()
-
-    mc1 = samples_c.mean(axis=0)
-    mc2 = samples_c.T @ samples_c / config.m
-    zhat[cen] = state.zhat[cen] + delta * (mc1 - state.zhat[cen])
-    state.zhat = zhat
-    state.zz_cc = state.zz_cc + delta * (mc2 - state.zz_cc)
-    return state.zhat, state.zz_cc
+def _e_step(z_c, zz_cc, chain, mu, l_cc, rect, delta, m, rng):
+    """One E-step: ``m`` Gibbs sweeps, all kept, of the censored block from
+    ``chain`` under its conditional law (mean ``mu``, covariance factor
+    ``l_cc``, swept on the precision it gives), then a step ``delta`` of
+    the moments ``z_c`` and ``zz_cc`` towards the sample's.  Returns the
+    new ``(z_c, zz_cc, chain)``."""
+    samples = _gibbs_sweeps(mu, _cholesky_inverse(l_cc), rect, m, burn_in=0, thin=1,
+                            rng=rng, start=chain)
+    mc1 = samples.mean(axis=0)
+    mc2 = samples.T @ samples / m
+    return z_c + delta * (mc1 - z_c), zz_cc + delta * (mc2 - zz_cc), samples[-1]
 
 
 def cm_step(
@@ -384,10 +329,13 @@ def saem_fit(
     next beside the factor (from the cut point on, successive CM
     objectives differ only by the step size of the moment update).
 
-    The Gibbs chain starts at the bounds the data impute
-    (:func:`geocens.model.impute_bounds`) and persists across iterations:
-    each E-step makes ``config.m`` transitions under the current
-    conditional law and keeps every draw (one transition kernel per
+    The first moment is kept in the factor's order, observed sites first:
+    its observed rows hold the readings, and each E-step updates its last
+    ``n_c`` rows in place (none runs when nothing is censored).  The
+    moments and the Gibbs chain start at the bounds the data impute
+    (:func:`geocens.model.impute_bounds`), and the chain persists across
+    iterations: each E-step makes ``config.m`` transitions under the
+    current conditional law and keeps every draw (one transition kernel per
     iteration, as MCMC-SAEM needs; Kuhn & Lavielle 2004).  The memoryless
     phase before the cut point forgets the start.
 
@@ -430,17 +378,14 @@ def saem_fit(
             sigma2=float(config.init_sigma2), phi=float(config.init_phi), tau2=float(tau2)
         )
 
-    # the loop factors Sigma over the sites ordered observed first; the
-    # moments and the Gibbs chain stay in the original order
+    # Sigma, the trend and the first moment z are all in the observed-first order
     part = partition(data)
     order, n_obs = part.order, part.obs_idx.size
-    x_o, values_o = x[order], data.value[order]
+    x_o = x[order]
     cen_o = np.arange(n_obs, n)
-    cen = part.cens_idx
-    rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
-    y0 = impute_bounds(data)
-    state = SaemState(zhat=y0.copy(), zz_cc=np.outer(y0[cen], y0[cen]),
-                      chain=y0[cen].copy() if cen.size else None)
+    rect = Rectangle(lower=data.lower[part.cens_idx], upper=data.upper[part.cens_idx])
+    z = impute_bounds(data)[order]
+    zz_cc, chain = np.outer(z[n_obs:], z[n_obs:]), z[n_obs:].copy()
 
     trace_params = np.full((config.max_iter, p + 3), np.nan)
     converged = False
@@ -448,18 +393,20 @@ def saem_fit(
 
     lags = Lags(distance_matrix(data.coords[order]))
     lo = cholesky_sigma(lags.dist, spec, cov)
-    params = ModelParams(beta=_gls(lo, x_o, y0[order])[0], cov=cov)
-    mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
+    params = ModelParams(beta=_gls(lo, x_o, z)[0], cov=cov)
+    mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, z, n_obs)
     metric = None
     for k in range(1, config.max_iter + 1):
         iterations = k
         try:
-            _e_step_core(state, data, mu, l_cc, config, gibbs_rng)
-            params, lo, metric = cm_step(
-                state.zhat[order], state.zz_cc, cen_o, x_o, lags, spec, config, params, lo,
-                metric,
-            )
-            mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, values_o, n_obs)
+            if n_obs < n:
+                z[n_obs:], zz_cc, chain = _e_step(
+                    z[n_obs:], zz_cc, chain, mu, l_cc, rect,
+                    delta_schedule(k, config.max_iter, config.pc), config.m, gibbs_rng,
+                )
+            params, lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, params, lo,
+                                         metric)
+            mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, z, n_obs)
         except NumericalError as exc:
             raise NumericalError(f"iteration {k}: {exc}") from exc
         trace_params[k - 1] = params.as_array()
@@ -477,8 +424,8 @@ def saem_fit(
     crit = criteria(ll.value, param_count(p, spec.nugget_fixed), n)
     return SaemFit(
         params=params,
-        zhat=state.zhat,
-        zz_cc=state.zz_cc,
+        zhat=z[back],
+        zz_cc=zz_cc,
         loglik=ll,
         criteria=crit,
         trace_params=trace_params[:iterations],

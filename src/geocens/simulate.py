@@ -153,6 +153,8 @@ def inject_outliers(
 ) -> SpatialDataset:
     """Shift selected uncensored responses by ``magnitude_sd`` response
     standard deviations (sd taken before any shift is applied)."""
+    if not np.isfinite(magnitude_sd):
+        raise ConfigurationError(f"outlier magnitude_sd must be finite, got {magnitude_sd}")
     indices = np.atleast_1d(np.asarray(indices, dtype=int))
     if np.any((indices < 0) | (indices >= data.n)):
         raise DataValidationError(f"outlier indices must lie in [0, {data.n})")

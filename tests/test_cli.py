@@ -471,21 +471,22 @@ def test_fit_payload_roundtrip_keeps_every_config_field(sim_dir):
 
     data = read_dataset_csv(str(sim_dir / "data.csv"))
     config = SaemConfig(
-        m=6, max_iter=4, pc=0.3, perc=0.5, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
+        m=6, max_iter=4, pc=0.3, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
         lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=5,
     )
     fit = saem_fit(data, TrendSpec("cte"), CovarianceSpec("exponential"), config)
     payload = json.loads(json.dumps(fit_to_payload(fit), default=_json_default))
     assert asdict(fit_from_payload(payload).config) == asdict(config)
     assert list(payload["config"]) == [
-        "m", "max_iter", "pc", "perc", "init_sigma2", "init_phi", "init_nugget",
+        "m", "max_iter", "pc", "init_sigma2", "init_phi", "init_nugget",
         "lower", "upper", "tol", "seed", "trend", "cov_model", "kappa", "fix_nugget", "nugget",
     ]
 
 
 def test_fit_payload_with_retired_config_keys_loads(sim_dir):
     # fit.json files of earlier versions also carry the Gibbs burn-in, the
-    # two rectangle tolerances and the lattice cap, now fixed in the code
+    # two rectangle tolerances and the lattice cap, now fixed in the code,
+    # and the trace-summary share perc, now gone
     from geocens.cli import _json_default, fit_from_payload, fit_to_payload
 
     data = read_dataset_csv(str(sim_dir / "data.csv"))
@@ -495,7 +496,7 @@ def test_fit_payload_with_retired_config_keys_loads(sim_dir):
     ))
     payload = json.loads(json.dumps(fit_to_payload(fit), default=_json_default))
     retired = {"gibbs_burn_in": 20, "monitor_eps": 1e-3, "final_eps": 1e-4,
-               "rect_max_points": 100_000}
+               "rect_max_points": 100_000, "perc": 0.25}
     keys = list(payload["config"])
     at = keys.index("seed") + 1
     payload["config"] = {
@@ -626,6 +627,8 @@ MALFORMED_FITS = {
     ["predict", "--method", "saem", "--fit", "{fit_short_zhat}", "--targets", "{targets}"],
     ["predict", "--method", "saem", "--fit", "{fit_long_beta}", "--targets", "{targets}"],
     ["diagnose", "--fit", "{fit_text_sigma2}"],
+    ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1,
+     "--outlier-indices", "1", "--outlier-sd", "nan"],
 ], ids=["crossval-no-methods", "variogram-zero-bins", "predict-header-only-targets",
         "simulate-negative-seed", "fit-negative-seed", "fit-free-nugget-one-component-box",
         "variogram-negative-max-dist", "variogram-max-dist-below-every-pair",
@@ -637,7 +640,7 @@ MALFORMED_FITS = {
         "predict-sigma2-start-without-phi", "crossval-phi-start-without-sigma2",
         "fit-negative-sigma2-start", "fit-infinite-phi-start", "fit-nan-start-nugget",
         "predict-negative-start-nugget", "diagnose-truncated-zzhat", "predict-truncated-zhat",
-        "predict-beta-too-long", "diagnose-text-sigma2"])
+        "predict-beta-too-long", "diagnose-text-sigma2", "simulate-nan-outlier-sd"])
 def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
     header_only = tmp_path / "targets.csv"
     header_only.write_text("x,y\r\n")

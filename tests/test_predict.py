@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from geocens import (
+    ConfigurationError,
     CovarianceSpec,
     CovParams,
     DataValidationError,
@@ -43,6 +44,17 @@ def observed_setup(seed=0, n=10):
     beta = np.array([1.0, 0.5, -0.2])
     z = x @ beta + rng.normal(0, 1, n)
     return coords, x, z, beta
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c1", np.nan), ("c2", np.nan), ("c3", np.nan), ("c1", np.inf), ("c2", np.inf),
+    ("c3", -np.inf), ("c1", 0.0), ("c3", -0.5), ("max_iter", 0),
+])
+def test_seminaive_config_names_the_bad_field(field, value):
+    # NaN passed a min(...) <= 0 check and ran every seminaive fit to the
+    # iteration cap; each field is checked on its own and named
+    with pytest.raises(ConfigurationError, match=f"seminaive {field} must"):
+        SeminaiveConfig(**{field: value})
 
 
 def test_krige_exact_interpolation_no_nugget():

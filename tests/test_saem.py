@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import multivariate_normal
 
 from geocens import (
     CovarianceSpec,
@@ -12,18 +13,16 @@ from geocens import (
     TrendSpec,
     cm_step,
     delta_schedule,
-    e_step,
     krige,
     loglik,
-    mvn_logpdf,
     predict_saem,
     saem_fit,
     tmvn_gibbs,
 )
 from geocens.covariance import Lags, build_sigma, cholesky_sigma, correlation, distance_matrix
-from geocens.model import build_trend
+from geocens.model import build_trend, conditional_given_obs, partition
 from geocens.mvn import Rectangle
-from geocens.saem import STOP_WINDOW, SaemState, dense_second_moment, path_drift
+from geocens.saem import STOP_WINDOW, _e_step, dense_second_moment, path_drift
 from geocens.simulate import SimConfig, simulate_scl
 
 from oracles import gaussian_ml_oracle
@@ -44,16 +43,6 @@ def test_config_validation_and_m_warning():
         SaemConfig(m=0)
     with pytest.warns(UserWarning):
         SaemConfig(m=25)
-
-
-@pytest.mark.parametrize("perc", [1.0, -0.5])
-def test_config_rejects_perc_outside_unit_interval(perc):
-    # perc = 1 leaves trace_summary an empty slice; a negative perc slices
-    # from the end
-    from geocens.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError, match="perc"):
-        SaemConfig(perc=perc)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -138,39 +127,48 @@ def base_config(**kw):
 # ---------------------------------------------------------------------------
 
 
+PARAMS = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
+
+
+def conditional_law(data, params=PARAMS):
+    """The censored block's conditional mean and covariance factor from one
+    factor of Sigma over the sites ordered observed first, as the fit forms
+    them, with the block's rectangle and indices."""
+    part = partition(data)
+    order = part.order
+    x = build_trend(data.coords, None, TrendSpec("cte"))[order]
+    lo = cholesky_sigma(distance_matrix(data.coords[order]), SPEC_EXP, params.cov)
+    mu, l_cc, _ = conditional_given_obs(lo, x @ params.beta, data.value[order],
+                                        part.obs_idx.size)
+    cen = part.cens_idx
+    return mu, l_cc, Rectangle(data.lower[cen], data.upper[cen]), cen
+
+
 def test_e_step_no_censoring_pins_moments():
-    res = sim_left(cens=0.0)
-    data = res.data
-    params = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
-    state = SaemState(zhat=np.zeros(data.n), zz_cc=np.zeros((0, 0)))
-    zhat, zz_cc = e_step(
-        state, data, params, TrendSpec("cte"), SPEC_EXP, base_config(), RngState(1)
-    )
-    zzhat = dense_second_moment(zhat, zz_cc, np.flatnonzero(data.cens == 1))
-    assert_allclose(zhat, data.value)
-    assert_allclose(zzhat, np.outer(data.value, data.value))
+    # with nothing censored no E-step runs: the first moment stays the
+    # readings and the second their outer product
+    data = sim_left(cens=0.0).data
+    fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=5))
+    assert fit.zz_cc.shape == (0, 0)
+    assert_allclose(fit.zhat, data.value)
+    assert_allclose(fit.zzhat, np.outer(data.value, data.value))
 
 
 def test_e_step_delta_one_replaces_with_mc_average():
-    res = sim_left(seed=3)
-    data = res.data
-    params = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
-    cfg = base_config(max_iter=50, pc=0.2)  # iteration 1 is inside the cut
-    n_c = int(data.cens.sum())
-    junk = SaemState(zhat=np.full(data.n, -123.0), zz_cc=np.full((n_c, n_c), 99.0))
-    zhat, _ = e_step(junk, data, params, TrendSpec("cte"), SPEC_EXP, cfg, RngState(7))
+    data = sim_left(seed=3).data
+    mu, l_cc, rect, cen = conditional_law(data)
+    m = base_config().m
+    start = np.clip(data.value[cen], rect.lower, rect.upper)
+    z_c, zz_cc, _ = _e_step(np.full(cen.size, -123.0), np.full((cen.size, cen.size), 99.0),
+                            start, mu, l_cc, rect, 1.0, m, RngState(7))
 
     # replay the sampling with the same stream and average by hand
-    from geocens.model import conditional_cens_given_obs, partition
+    from geocens.model import conditional_cens_given_obs
 
-    mu, s = conditional_cens_given_obs(params, data, TrendSpec("cte"), SPEC_EXP)
-    part = partition(data)
-    rect = Rectangle(lower=data.lower[part.cens_idx], upper=data.upper[part.cens_idx])
-    start = np.clip(data.value[part.cens_idx], rect.lower, rect.upper)
-    samples = tmvn_gibbs(mu, s, rect, n_samples=cfg.m, burn_in=0, rng=RngState(7), start=start)
-    want = data.value.copy()
-    want[part.cens_idx] = samples.mean(axis=0)
-    assert_allclose(zhat, want, atol=1e-12)
+    mu, s = conditional_cens_given_obs(PARAMS, data, TrendSpec("cte"), SPEC_EXP)
+    samples = tmvn_gibbs(mu, s, rect, n_samples=m, burn_in=0, rng=RngState(7), start=start)
+    assert_allclose(z_c, samples.mean(axis=0), atol=1e-12)
+    assert_allclose(zz_cc, samples.T @ samples / m, atol=1e-12)
 
 
 def test_e_step_scalar_truncated_mean_recovery():
@@ -183,14 +181,14 @@ def test_e_step_scalar_truncated_mean_recovery():
     data = SpatialDataset.from_censored(
         coords, value, cens, cens_type="left", limits=np.array([1.0, 0.0, 0.0])
     )
-    params = ModelParams(beta=[0.0], cov=CovParams(sigma2=1.0, phi=1.0, tau2=0.0))
-    cfg = base_config(m=15, max_iter=10_000, pc=1.0 - 1e-9)  # never leaves warm-up
-    state = SaemState(zhat=data.value.copy(), zz_cc=np.full((1, 1), data.value[0] ** 2))
+    mu, l_cc, rect, _ = conditional_law(
+        data, ModelParams(beta=[0.0], cov=CovParams(sigma2=1.0, phi=1.0, tau2=0.0)))
+    z_c, zz_cc, chain = data.value[:1].copy(), np.full((1, 1), data.value[0] ** 2), data.value[:1]
     rng = RngState(11)
     draws = []
-    for _ in range(300):
-        zhat, _ = e_step(state, data, params, TrendSpec("cte"), SPEC_EXP, cfg, rng)
-        draws.append(zhat[0])
+    for _ in range(300):  # step size one: never leaves warm-up
+        z_c, zz_cc, chain = _e_step(z_c, zz_cc, chain, mu, l_cc, rect, 1.0, 15, rng)
+        draws.append(z_c[0])
     draws = np.asarray(draws)
     # analytic mean of N(0,1) truncated to (-inf, 1]
     from scipy.stats import norm
@@ -221,42 +219,31 @@ def censored_dataset(kind, seed=3):
 def test_e_step_draws_from_the_factor_as_from_its_covariance(kind):
     # the E-step sweeps on the precision from L_cc; tmvn_gibbs factors
     # L_cc L_cc' and inverts it, so the draws agree to rounding
-    from geocens.model import _conditional_at, partition
-
     data = censored_dataset(kind)
-    params = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
-    cfg = base_config(m=15)  # iteration 1 is inside the cut: the moments are the sample's
-    cen = partition(data).cens_idx
-    start = np.clip(data.value[cen], data.lower[cen], data.upper[cen])
-    state = SaemState(zhat=data.value.astype(float), zz_cc=np.zeros((cen.size, cen.size)),
-                      chain=start)
-    zhat, zz_cc = e_step(state, data, params, TrendSpec("cte"), SPEC_EXP, cfg, RngState(7))
+    mu, l_cc, rect, cen = conditional_law(data)
+    m = 15
+    start = np.clip(data.value[cen], rect.lower, rect.upper)
+    z_c, zz_cc, chain = _e_step(data.value[cen], np.zeros((cen.size, cen.size)), start,
+                                mu, l_cc, rect, 1.0, m, RngState(7))
 
-    mu, l_cc, _ = _conditional_at(params, data, TrendSpec("cte"), SPEC_EXP)
-    samples = tmvn_gibbs(
-        mu, l_cc @ l_cc.T, Rectangle(data.lower[cen], data.upper[cen]), n_samples=cfg.m,
-        burn_in=0, rng=RngState(7), start=start,
-    )
+    samples = tmvn_gibbs(mu, l_cc @ l_cc.T, rect, n_samples=m, burn_in=0, rng=RngState(7),
+                         start=start)
     assert cen.size > 5
-    assert_allclose(state.chain, samples[-1], rtol=1e-12)
-    assert_allclose(zhat[cen], samples.mean(axis=0), rtol=1e-12)
-    assert_allclose(zz_cc, samples.T @ samples / cfg.m, rtol=1e-12)
+    assert_allclose(chain, samples[-1], rtol=1e-12)
+    assert_allclose(z_c, samples.mean(axis=0), rtol=1e-12)
+    assert_allclose(zz_cc, samples.T @ samples / m, rtol=1e-12)
 
 
 def test_e_step_draws_one_uniform_per_coordinate_update():
     # m sweeps of n_c coordinates, every one kept: no burn-in is discarded
-    from geocens.model import partition
-
     data = censored_dataset("left")
-    params = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
-    cfg = base_config(m=15)
-    n_c = partition(data).cens_idx.size
-    state = SaemState(zhat=data.value.astype(float), zz_cc=np.zeros((n_c, n_c)))
+    mu, l_cc, rect, cen = conditional_law(data)
+    m, n_c = 15, cen.size
     rng = RngState(7)
-    e_step(state, data, params, TrendSpec("cte"), SPEC_EXP, cfg, rng)
+    _e_step(data.value[cen], np.zeros((n_c, n_c)), data.value[cen], mu, l_cc, rect, 1.0, m, rng)
 
     want = RngState(7).generator
-    want.random(cfg.m * n_c)
+    want.random(m * n_c)
     assert n_c > 5
     assert rng.generator.bit_generator.state == want.bit_generator.state
 
@@ -264,30 +251,53 @@ def test_e_step_draws_one_uniform_per_coordinate_update():
 def test_e_step_continues_the_chain_of_the_last_one():
     # the second E-step makes its m transitions from the chain the first
     # one left, under the law at the new parameters
-    from geocens.model import _conditional_at, partition
-
     data = censored_dataset("interval")
-    cfg = base_config(m=10)  # iterations 1 and 2 are inside the cut
-    cen = partition(data).cens_idx
-    state = SaemState(zhat=data.value.astype(float), zz_cc=np.zeros((cen.size, cen.size)))
+    m = 10
+    mu, l_cc, rect, cen = conditional_law(data)
     rng = RngState(7)
-    first = ModelParams(beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2))
-    e_step(state, data, first, TrendSpec("cte"), SPEC_EXP, cfg, rng)
+    start = np.clip(data.value[cen], rect.lower, rect.upper)
+    z_c, zz_cc, chain = _e_step(data.value[cen], np.zeros((cen.size, cen.size)), start,
+                                mu, l_cc, rect, 1.0, m, rng)
 
-    chain = state.chain.copy()
     replay = RngState(7).generator
     replay.bit_generator.state = rng.generator.bit_generator.state
     second = ModelParams(beta=[1.5], cov=CovParams(sigma2=2.5, phi=0.8, tau2=0.3))
-    zhat, zz_cc = e_step(state, data, second, TrendSpec("cte"), SPEC_EXP, cfg, rng)
+    mu, l_cc, _, _ = conditional_law(data, second)
+    z_c, zz_cc, last = _e_step(z_c, zz_cc, chain, mu, l_cc, rect, 1.0, m, rng)
 
-    mu, l_cc, _ = _conditional_at(second, data, TrendSpec("cte"), SPEC_EXP)
-    samples = tmvn_gibbs(
-        mu, l_cc @ l_cc.T, Rectangle(data.lower[cen], data.upper[cen]), n_samples=cfg.m,
-        burn_in=0, rng=replay, start=chain,
-    )
-    assert_allclose(state.chain, samples[-1], rtol=1e-12)
-    assert_allclose(zhat[cen], samples.mean(axis=0), rtol=1e-12)
-    assert_allclose(zz_cc, samples.T @ samples / cfg.m, rtol=1e-12)
+    samples = tmvn_gibbs(mu, l_cc @ l_cc.T, rect, n_samples=m, burn_in=0, rng=replay,
+                         start=chain)
+    assert_allclose(last, samples[-1], rtol=1e-12)
+    assert_allclose(z_c, samples.mean(axis=0), rtol=1e-12)
+    assert_allclose(zz_cc, samples.T @ samples / m, rtol=1e-12)
+
+
+@pytest.mark.parametrize("cens", [0.3, 0.0])
+def test_saem_fit_runs_one_e_step_per_iteration_with_censored_sites(monkeypatch, cens):
+    # one E-step per iteration, at that iteration's step size, each from
+    # the chain the last one left (the first from the imputed bounds);
+    # with nothing censored there is nothing to sample and none runs
+    from geocens import saem
+    from geocens.model import impute_bounds
+
+    calls = []
+    e_step = saem._e_step
+
+    def counted(*args):
+        calls.append((args[2].copy(), args[6], e_step(*args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(saem, "_e_step", counted)
+    data = sim_left(seed=22, cens=cens).data
+    fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=7, pc=0.5))
+    assert fit.iterations_used == 7
+    want = [delta_schedule(k, 7, 0.5) for k in range(1, 8)] if cens else []
+    assert [delta for _, delta, _ in calls] == want
+    if cens:
+        starts = [chain for chain, _, _ in calls]
+        assert np.array_equal(starts[0], impute_bounds(data)[partition(data).cens_idx])
+        for start, (_, _, (_, _, last)) in zip(starts[1:], calls):
+            assert np.array_equal(start, last)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +525,8 @@ def test_saem_fit_loglik_observed_block_is_the_dense_density():
     fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=8))
     obs = data.cens == 0
     sigma = build_sigma(distance_matrix(data.coords), SPEC_EXP, fit.params.cov)
-    want = mvn_logpdf(data.value[obs], (fit.x @ fit.params.beta)[obs], sigma[np.ix_(obs, obs)])
+    want = multivariate_normal.logpdf(data.value[obs], (fit.x @ fit.params.beta)[obs],
+                                      sigma[np.ix_(obs, obs)])
     got = fit.loglik.value - np.log(fit.loglik.cens_prob)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -703,14 +714,6 @@ def test_predict_saem_no_censoring_equals_plain_krige():
     assert_allclose(via_fit.mean, direct.mean)
     assert_allclose(via_fit.sd, direct.sd)
     assert np.all(via_fit.sd > 0)
-
-
-def test_trace_summary_discards_burn_in():
-    res = sim_left(seed=28, n=30)
-    cfg = base_config(max_iter=16, perc=0.25)
-    fit = saem_fit(res.data, TrendSpec("cte"), SPEC_EXP, cfg)
-    want = fit.trace_params[4:].mean(axis=0)  # int(0.25 * 16) = 4 discarded
-    assert_allclose(fit.trace_summary(), want)
 
 
 def test_saem_interval_censoring():

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from geocens import (
+    ConfigurationError,
     CovarianceSpec,
     CovParams,
     DataValidationError,
@@ -146,6 +147,16 @@ def test_inject_outliers_rejects_indices_outside_the_rows():
     for bad in ([-1], [data.n]):
         with pytest.raises(DataValidationError):
             inject_outliers(data, bad, 5.0)
+
+
+@pytest.mark.parametrize("magnitude", [np.nan, np.inf, -np.inf])
+def test_inject_outliers_rejects_a_non_finite_magnitude(magnitude):
+    # a NaN shift used to surface as "observed rows require finite
+    # values", blaming the data for the setting
+    data = simulate_scl(base_config(seed=13)).data
+    ok = np.flatnonzero(data.cens == 0)[:1]
+    with pytest.raises(ConfigurationError, match="magnitude_sd"):
+        inject_outliers(data, ok, magnitude)
 
 
 def test_inject_outliers_sd_from_pre_injection_values():
