@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the check that a
+count setting is a positive integer."""
+
+import numbers
 
 
 class GeocensError(Exception):
@@ -31,3 +34,10 @@ class NumericalError(GeocensError):
 
 class DegenerateCurvatureError(GeocensError):
     """All curvature eigenvalues fell below the rank threshold."""
+
+
+def check_count(name: str, value) -> None:
+    """Raise :class:`ConfigurationError`, naming the setting ``name``,
+    unless ``value`` is an integer (not a ``bool``) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")

@@ -33,6 +33,7 @@ from .errors import (
     DataValidationError,
     NumericalError,
     UnsupportedMethodError,
+    check_count,
 )
 from .model import (
     ModelParams,
@@ -73,7 +74,8 @@ class PredictionResult:
 
 @dataclass(frozen=True)
 class SeminaiveConfig:
-    """Stopping constants and iteration cap for the re-imputation scheme."""
+    """Stopping constants (finite and > 0) and iteration cap (an integer
+    >= 1) for the re-imputation scheme."""
 
     c1: float = 0.1
     c2: float = 2.0
@@ -84,8 +86,7 @@ class SeminaiveConfig:
         for name in ("c1", "c2", "c3"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigurationError(f"seminaive {name} must be finite and > 0")
-        if self.max_iter < 1:
-            raise ConfigurationError("seminaive max_iter must be >= 1")
+        check_count("seminaive max_iter", self.max_iter)
 
 
 def krige(

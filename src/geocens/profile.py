@@ -57,6 +57,17 @@ metric carries over as in a warm-started quasi-Newton method (Nocedal &
 Wright 2006, ch. 6), and a stale one corrects itself at the first halved
 step.  Gaussian ML is never handed one: between seminaive passes the
 imputed data change wholesale, so the last metric is no guide.
+
+A search runs to convergence unless it is given a number of accepted
+steps to stop after.  The SAEM loop (:func:`geocens.saem.saem_fit`) runs
+its CM searches to convergence through the cut point, where each
+objective is new, and at its final iterate; every search in between
+takes one accepted step, one quasi-Newton step from where the last search
+stopped on the metric it handed over.  EM stays convergent when its M-step
+takes one Newton-type step (Lange 1995, J. R. Stat. Soc. B), and an
+M-step error that shrinks with the step size leaves the SAEM limit
+unchanged (Delyon, Lavielle & Moulines 1999, Ann. Statist.).  Gaussian ML
+and :func:`geocens.saem.cm_step` called on its own run to convergence.
 """
 
 from __future__ import annotations
@@ -248,6 +259,7 @@ def profile_search(
     lower: np.ndarray,
     upper: np.ndarray,
     metric: Optional[np.ndarray] = None,
+    max_steps: Optional[int] = None,
 ) -> tuple[np.ndarray, float, Any, Optional[np.ndarray]]:
     """Minimize ``fun`` (value, gradient, Hessian builder and fitted
     values, as returned by :func:`profile_objective`) over the box
@@ -273,7 +285,9 @@ def profile_search(
     BFGS update.  An exact Hessian has its eigenvalues made positive.  The
     search stops when the Newton decrement ``-g'd`` is at most
     ``_DECREMENT_TOL``, when halving cannot bring the step's predicted
-    decrease above that, or after ``_MAX_ITER`` iterations.  Raises
+    decrease above that, or after ``_MAX_ITER`` iterations (``max_steps``
+    when that is given; the metric is still updated at the last accepted
+    point and handed back).  Raises
     :class:`NumericalError` when ``x0`` itself cannot be evaluated.
 
     Each Hessian builder is called, if at all, before the next evaluation,
@@ -294,7 +308,7 @@ def profile_search(
     hess = None
     t = 1.0
 
-    for _ in range(_MAX_ITER):
+    for _ in range(_MAX_ITER if max_steps is None else max_steps):
         active = ((x - lower <= near) & (g > 0)) | ((upper - x <= near) & (g < 0))
         free = ~active
         d = np.zeros_like(x)

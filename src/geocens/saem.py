@@ -21,7 +21,7 @@ import numpy as np
 from .covariance import (
     CovarianceSpec, CovParams, Lags, _cholesky_inverse, cholesky_sigma, distance_matrix,
 )
-from .errors import ConfigurationError, DataValidationError, NumericalError
+from .errors import ConfigurationError, DataValidationError, NumericalError, check_count
 from .model import (
     Criteria,
     LogLik,
@@ -48,7 +48,8 @@ class SaemConfig:
 
     ``m`` is the Monte Carlo sample size per iteration (values above 20
     trigger a warning: the stochastic approximation is designed for small
-    samples), ``max_iter`` the iteration cap, and ``pc`` the cut point:
+    samples), ``max_iter`` the iteration cap (both integers >= 1, not
+    ``bool``), and ``pc`` the cut point:
     the first ``ceil(pc * max_iter)`` iterations run memoryless (step size
     one) before the decaying-step averaging phase begins.
 
@@ -89,8 +90,8 @@ class SaemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.max_iter < 1:
-            raise ConfigurationError("m and max_iter must be positive")
+        check_count("m", self.m)
+        check_count("max_iter", self.max_iter)
         if not 0.0 <= self.pc < 1.0:
             raise ConfigurationError("pc must lie in [0, 1)")
         if not self.tol >= 0:
@@ -248,6 +249,8 @@ def cm_step(
     prev: ModelParams,
     lo: np.ndarray,
     metric: Optional[np.ndarray] = None,
+    max_steps: Optional[int] = None,
+    start: Optional[ModelParams] = None,
 ) -> tuple[ModelParams, np.ndarray, Optional[np.ndarray]]:
     """Conditional maximization given the current moment estimates.
 
@@ -257,10 +260,12 @@ def cm_step(
     residual; the range and relative nugget come from the projected
     quasi-Newton search of :func:`geocens.profile.profile_search` on the
     profile objective with the residual and sill held, started at the
-    previous iterate on ``metric``, the metric the last step's search
-    ended with, or on the exact Hessian of the objective when that is
-    None (the first step of a fit).  With a fixed nugget only the range is
-    searched and ``nu2`` tracks ``fixed_nugget / sigma2``.
+    previous iterate (or at ``start``, when given) on ``metric``, the
+    metric the last step's search ended with, or on the exact Hessian of
+    the objective when that is None (the first step of a fit).  The search
+    runs to convergence, or stops after ``max_steps`` accepted steps when
+    that is given.  With a fixed nugget only the range is searched and
+    ``nu2`` tracks ``fixed_nugget / sigma2``.
 
     ``zz`` is the second moment of the block ``idx`` of the response; the
     second moment elsewhere is ``zhat zhat'``.
@@ -270,7 +275,7 @@ def cm_step(
     that the search's accepted evaluation computed) and the metric the
     search ended with, for the next step.  ``lags`` holds the
     distances and the last step's last evaluation, read when that was at
-    ``prev``'s ``(phi, nu2)`` (:func:`geocens.profile.profile_objective`).
+    the start's ``(phi, nu2)`` (:func:`geocens.profile.profile_objective`).
     """
     n = x.shape[0]
     beta, rw = _gls(lo, x, zhat)
@@ -284,16 +289,17 @@ def cm_step(
 
     lower = np.asarray(config.lower, dtype=float)
     upper = np.asarray(config.upper, dtype=float)
+    at = (prev if start is None else start).cov
     if spec.nugget_fixed:
         lower, upper = lower[:1], upper[:1]
-        x0 = np.clip([prev.cov.phi], lower, upper)
+        x0 = np.clip([at.phi], lower, upper)
         nu2 = spec.fixed_nugget_value / sigma2
     else:
-        x0 = np.clip([prev.cov.phi, prev.cov.nu2], lower, upper)
+        x0 = np.clip([at.phi, at.nu2], lower, upper)
         nu2 = None
     theta, value, (_, _, lo_psi), metric = profile_search(
         lambda t: profile_objective(t, lags, spec, resid, cov_c, idx, nu2, sigma2=sigma2),
-        x0, lower, upper, metric,
+        x0, lower, upper, metric, max_steps,
     )
     if not np.isfinite(value):
         raise NumericalError("inner covariance search produced a non-finite objective")
@@ -327,7 +333,15 @@ def saem_fit(
     Hessian of its objective; each later one on the metric the search
     before it ended with, which the loop carries from one step to the
     next beside the factor (from the cut point on, successive CM
-    objectives differ only by the step size of the moment update).
+    objectives differ only by the step size of the moment update).  The
+    CM searches through the cut point, where each objective is new, and
+    at the last iteration run to convergence; every one in between stops
+    after its first accepted step (:mod:`geocens.profile`).  When the
+    stopping rule ends the loop before the cap, that iteration's search is
+    continued to convergence on the same moments, from where it stopped:
+    the returned ``params``, and the last row of ``trace_params``, are
+    always the converged CM maximizer of the final moments, while the
+    rule reads the one-step iterate, as a fit without the rule does.
 
     The first moment is kept in the factor's order, observed sites first:
     its observed rows hold the readings, and each E-step updates its last
@@ -404,17 +418,24 @@ def saem_fit(
                     z[n_obs:], zz_cc, chain, mu, l_cc, rect,
                     delta_schedule(k, config.max_iter, config.pc), config.m, gibbs_rng,
                 )
-            params, lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, params, lo,
-                                         metric)
+            # one accepted step between the cut and the last iteration
+            steps = None if k <= cut or k == config.max_iter else 1
+            new, new_lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, params, lo,
+                                          metric, steps)
+            trace_params[k - 1] = new.as_array()
+            converged = k - cut >= 2 * STOP_WINDOW and bool(np.all(
+                path_drift(trace_params[:k], cut) < config.tol
+            ))
+            if converged and steps is not None:
+                # finish the stopped search on the same moments
+                new, new_lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, params,
+                                              lo, metric, start=new)
+                trace_params[k - 1] = new.as_array()
+            params, lo = new, new_lo
             mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, z, n_obs)
         except NumericalError as exc:
             raise NumericalError(f"iteration {k}: {exc}") from exc
-        trace_params[k - 1] = params.as_array()
-
-        if k - cut >= 2 * STOP_WINDOW and np.all(
-            path_drift(trace_params[:k], cut) < config.tol
-        ):
-            converged = True
+        if converged:
             break
 
     lags.held = None

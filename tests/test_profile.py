@@ -372,10 +372,10 @@ def recorded_searches(monkeypatch, module, run):
     searches = []
     search = module.profile_search
 
-    def recording(fun, x0, lower, upper, metric=None):
+    def recording(fun, x0, lower, upper, metric=None, max_steps=None):
         searches.append((fun, np.copy(x0), np.copy(lower), np.copy(upper),
                          None if metric is None else np.copy(metric)))
-        return search(fun, x0, lower, upper, metric)
+        return search(fun, x0, lower, upper, metric, max_steps)
 
     monkeypatch.setattr(module, "profile_search", recording)
     run()
@@ -818,23 +818,29 @@ def test_profile_search_starts_on_a_handed_metric(scale):
         assert k > 1 and values[k - 1] > values[0] > values[k]
 
 
-def corrective_steps(rec):
-    """Indices of the evaluations a recorded search accepted after a step
-    that needed halving or showed no positive curvature, replaying its
-    Armijo test on the recorded values and gradients: the points at which
-    the search builds the exact Hessian, its start aside."""
+def accepted_steps(rec):
+    """``(index, corrective)`` of each evaluation a recorded search
+    accepted, replaying its Armijo test on the recorded values and
+    gradients; ``corrective`` when the step needed halving or showed no
+    positive curvature."""
     base, rejected, out = 0, False, []
     for k in range(1, len(rec["evals"])):
         x, f, g = rec["evals"][k]
         xb, fb, gb = rec["evals"][base]
         step = x - xb
         if f <= fb + _ARMIJO * (gb @ step) and np.all(np.isfinite(g)):
-            if rejected or not step @ (g - gb) > 0:
-                out.append(k)
+            out.append((k, rejected or not step @ (g - gb) > 0))
             base, rejected = k, False
         else:
             rejected = True
     return out
+
+
+def corrective_steps(rec):
+    """Indices of the evaluations a recorded search accepted after a step
+    that needed halving or showed no positive curvature: the points at
+    which the search builds the exact Hessian, its start aside."""
+    return [k for k, corrective in accepted_steps(rec) if corrective]
 
 
 @pytest.mark.parametrize("setting", ["fixed-zero", "free", "fixed-0.2"])
@@ -847,8 +853,8 @@ def test_cm_searches_after_the_first_start_on_the_handed_metric(monkeypatch, set
     case = nugget_case(setting)
     handed, search = [], saem.profile_search
 
-    def noting(fun, x0, lower, upper, metric=None):
-        out = search(fun, x0, lower, upper, metric)
+    def noting(fun, x0, lower, upper, metric=None, max_steps=None):
+        out = search(fun, x0, lower, upper, metric, max_steps)
         handed.append((metric, out[3]))
         return out
 
@@ -861,6 +867,83 @@ def test_cm_searches_after_the_first_start_on_the_handed_metric(monkeypatch, set
     for k, rec in enumerate(searches):
         assert rec["builds"] == [0] * (k == 0) + corrective_steps(rec), k
     assert sum(len(rec["builds"]) for rec in searches) <= 3
+
+
+@pytest.mark.parametrize("setting", ["free", "fixed-0.2"])
+def test_cm_searches_after_the_cut_take_one_step_until_the_last(monkeypatch, setting):
+    # through the cut each CM objective is new and its search runs to
+    # convergence, as does the last iteration's; every search in between
+    # stops after its first accepted step
+    data, trend, spec, cfg = nugget_case(setting)
+    cut = int(np.ceil(cfg.pc * cfg.max_iter))
+    ended, search = [], saem.profile_search
+
+    def noting(fun, x0, lower, upper, metric=None, max_steps=None):
+        out = search(fun, x0, lower, upper, metric, max_steps)
+        ended.append((fun, lower, upper, out))
+        return out
+
+    monkeypatch.setattr(saem, "profile_search", noting)
+    searches = record_searches(monkeypatch, saem, "cm_step")
+    fit = saem_fit(data, trend, spec, cfg)
+    monkeypatch.undo()
+    assert len(searches) == fit.iterations_used == cfg.max_iter > cut + 1
+    full = list(range(cut)) + [cfg.max_iter - 1]
+    for k, rec in enumerate(searches):
+        steps = len(accepted_steps(rec))
+        if k in full:
+            assert steps >= 1, k
+        else:
+            assert steps == 1, k
+    # a search run to convergence, started again where it ended on the
+    # metric it ended with, takes no further step
+    for k in full:
+        fun, lower, upper, (theta, value, _, metric) = ended[k]
+        again, again_value, _, _ = profile_search(fun, theta, lower, upper, metric)
+        assert np.array_equal(again, theta) and again_value == value, k
+
+
+def right_censored_case():
+    # right-censored data, nugget fixed at 0.2
+    from geocens.simulate import SimConfig, simulate_scl
+
+    data = simulate_scl(SimConfig(
+        n_est=60, n_pred=0, beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+        spec=SPEC_EXP, cens_level=0.3, cens_type="right", coord_box=((0.0, 6.0), (0.0, 6.0)),
+        seed=4,
+    )).data
+    spec = CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.2)
+    return data, TrendSpec("cte"), spec, base_config(max_iter=60, lower=(0.05,), upper=(20.0,))
+
+
+LONG_FITS = {
+    "exponential-free": lambda: (sim_left(seed=1, n=60).data, TrendSpec("cte"), SPEC_EXP,
+                                 base_config(max_iter=60)),
+    "matern-0.3-zero": lambda: (simulate_study_data(3, n=60).data, STUDY_TREND, STUDY_SPEC,
+                                study_config(3, max_iter=60)),
+    "right-fixed-0.2": right_censored_case,
+    "gaussian-free": lambda: (sim_left(seed=1, n=60).data, TrendSpec("cte"),
+                              CovarianceSpec("gaussian"), base_config(max_iter=60)),
+}
+
+
+@pytest.mark.parametrize("design", LONG_FITS)
+def test_one_step_cm_searches_reach_the_limit_of_full_ones(monkeypatch, design):
+    # the moments average over the E-steps after the cut, so a CM step
+    # that stops short by an error shrinking with the step size leaves the
+    # limit of the fit alone (Delyon, Lavielle & Moulines 1999)
+    case = LONG_FITS[design]()
+    fit = saem_fit(*case)
+    search = saem.profile_search
+    monkeypatch.setattr(saem, "profile_search",
+                        lambda fun, x0, lower, upper, metric=None, max_steps=None:
+                        search(fun, x0, lower, upper, metric))
+    full = saem_fit(*case)
+    got, want = fit.params.as_array(), full.params.as_array()
+    # sigma2 and tau2 on the sill's scale, as the stopping rule reads them
+    size = np.abs(want)
+    size[-3] = size[-1] = size[-3] + size[-1]
+    assert np.all(np.abs(got - want) <= 1e-3 * size), (got, want)
 
 
 @pytest.mark.parametrize("spec", [

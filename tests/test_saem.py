@@ -9,6 +9,7 @@ from geocens import (
     ModelParams,
     RngState,
     SaemConfig,
+    SeminaiveConfig,
     SpatialDataset,
     TrendSpec,
     cm_step,
@@ -22,6 +23,7 @@ from geocens import (
 from geocens.covariance import Lags, build_sigma, cholesky_sigma, correlation, distance_matrix
 from geocens.model import build_trend, conditional_given_obs, partition
 from geocens.mvn import Rectangle
+from geocens.profile import profile_objective
 from geocens.saem import STOP_WINDOW, _e_step, dense_second_moment, path_drift
 from geocens.simulate import SimConfig, simulate_scl
 
@@ -54,6 +56,22 @@ def test_config_rejects_nan_settings(field, value):
 
     with pytest.raises(ConfigurationError):
         SaemConfig(**{field: value})
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (SaemConfig, "m", np.nan), (SaemConfig, "max_iter", np.nan), (SaemConfig, "m", 2.5),
+    (SaemConfig, "max_iter", True), (SaemConfig, "m", 0), (SaemConfig, "max_iter", -3),
+    (SeminaiveConfig, "max_iter", np.nan), (SeminaiveConfig, "max_iter", 2.5),
+    (SeminaiveConfig, "max_iter", False),
+])
+def test_config_counts_must_be_integers_of_at_least_one(config, field, value):
+    # NaN and fractions passed a "< 1" check and failed later with a
+    # TypeError or ValueError inside the fit; a bool is no count
+    from geocens.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer >= 1"):
+        config(**{field: value})
+    assert config(**{field: np.int64(3)})
 
 
 @pytest.mark.parametrize("start", [
@@ -616,18 +634,48 @@ def test_saem_uncensored_fit_stops_early_and_matches_ml_oracle():
     _assert_matches_ml_oracle(fit, data, cfg)
 
 
-def test_saem_censored_fit_with_a_loose_tol_stops_before_the_cap():
+def test_saem_censored_fit_with_a_loose_tol_stops_before_the_cap(monkeypatch):
     # the fit stops at the first iteration whose path drift, Monte Carlo
-    # standard error included, is below tol for every parameter
+    # standard error included, is below tol for every parameter; the CM
+    # search of that iteration, stopped after one step, is then run to
+    # convergence on the same moments
+    from geocens import saem
+
+    calls, cm = [], saem.cm_step
+
+    def recording(zhat, zz, idx, x, lags, spec, config, prev, lo, *args, **kwargs):
+        calls.append((zhat.copy(), zz, idx, x, lags.dist, prev, lo))
+        return cm(zhat, zz, idx, x, lags, spec, config, prev, lo, *args, **kwargs)
+
+    monkeypatch.setattr(saem, "cm_step", recording)
     cfg = base_config(max_iter=60, tol=0.05)
     fit = saem_fit(sim_left(seed=22, n=60).data, TrendSpec("cte"), SPEC_EXP, cfg)
+    monkeypatch.undo()
+    k = fit.iterations_used
     assert fit.converged
-    assert fit.iterations_used < cfg.max_iter
-    assert fit.iterations_used == _first_settled(fit, cfg.tol)
-    # the same data and seed without the rule take the same path
+    assert k < cfg.max_iter
+    # the same data and seed without the rule take the same path up to the
+    # stop, whose iterate is the one the rule settled on
     full = saem_fit(sim_left(seed=22, n=60).data, TrendSpec("cte"), SPEC_EXP,
                     base_config(max_iter=60, tol=0.0))
-    assert np.array_equal(full.trace_params[: fit.iterations_used], fit.trace_params)
+    assert k == _first_settled(full, cfg.tol)
+    assert np.array_equal(full.trace_params[: k - 1], fit.trace_params[:-1])
+    assert np.array_equal(fit.trace_params[-1], fit.params.as_array())
+    # the last row is the converged CM maximizer of the final moments: a
+    # full search from the previous iterate reaches the same objective
+    assert len(calls) == k + 1 and calls[-1][-2] is calls[-2][-2]
+    zhat, zz, idx, x, dist, prev, lo = calls[-1]
+    want, _, _ = cm_step(zhat, zz, idx, x, Lags(dist), SPEC_EXP, cfg, prev, lo)
+    got = fit.params
+    assert np.array_equal(got.beta, want.beta) and got.cov.sigma2 == want.cov.sigma2
+    resid, cov_c = zhat - x @ want.beta, zz - np.outer(zhat[idx], zhat[idx])
+
+    def value(cov):
+        return profile_objective(np.array([cov.phi, cov.nu2]), Lags(dist), SPEC_EXP, resid,
+                                 cov_c, idx, sigma2=cov.sigma2)[0]
+
+    assert value(got.cov) == pytest.approx(value(want.cov), rel=1e-9, abs=1e-9)
+    assert_allclose([got.cov.phi, got.cov.tau2], [want.cov.phi, want.cov.tau2], rtol=1e-3)
 
 
 def test_saem_shift_equivariance():
