@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -70,13 +71,19 @@ _NUMERICAL_ERRORS = (SingularCovarianceError, NumericalError, DegenerateCurvatur
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, content: str):
+def _atomic_write(path: str, content: str, chunks: Iterable[str] = ()):
+    """Write ``content`` and then each string of ``chunks`` to a temp file
+    beside ``path``, give it the mode ``open`` would, and rename it over
+    ``path``; on any failure the temp file is removed.  ``chunks`` may be
+    a generator, so a long output is streamed without being joined."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(content)
+            for chunk in chunks:
+                handle.write(chunk)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -207,8 +214,65 @@ def _json_header(kind: str) -> dict:
     return {"tool": "geocens", "version": __version__, "kind": kind}
 
 
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _is_symmetric(value) -> bool:
+    """Whether ``value`` is a square float64 array equal to its transpose
+    bit for bit (so -0.0 is not taken for 0.0, and NaN matches NaN)."""
+    return (
+        isinstance(value, np.ndarray) and value.dtype == np.float64
+        and value.ndim == 2 and value.shape[0] == value.shape[1]
+        and np.array_equal(value.view(np.int64), value.T.view(np.int64))
+    )
+
+
+def _symmetric_rows(mat: np.ndarray):
+    """The rows of the JSON list of lists of the symmetric ``mat``, each
+    entry spelled as ``json`` spells it.  Each row is formatted from its
+    diagonal rightward; its left part is the column formatted by the rows
+    above, each of which hands its entries right of the diagonal down to
+    the rows they belong to, and a row's list is dropped once written."""
+    left = [[] for _ in range(mat.shape[0])]
+    for i, row in enumerate(mat):
+        right = list(map(float.__repr__, row[i:].tolist()))
+        if not np.isfinite(row[i:]).all():
+            right = [_JSON_SPECIAL.get(s, s) for s in right]
+        for below, s in zip(left[i + 1:], right[1:]):
+            below.append(s)
+        out, left[i] = left[i], None
+        out += right
+        yield f"{', ' if i else ''}[{', '.join(out)}]"
+
+
+def _json_chunks(payload: dict):
+    """``json.dumps(payload, default=_json_default) + "\\n"`` in pieces, for
+    a payload of at least one key: the object key by key, each value
+    through ``json.dumps`` except a symmetric array (:func:`_is_symmetric`)
+    under a text key, which is written row by row
+    (:func:`_symmetric_rows`)."""
+    sep = "{"
+    for key, value in payload.items():
+        if isinstance(key, str) and _is_symmetric(value):
+            yield f"{sep}{json.dumps(key)}: ["
+            yield from _symmetric_rows(value)
+            yield "]"
+        else:
+            yield sep + json.dumps({key: value}, default=_json_default)[1:-1]
+        sep = ", "
+    yield "}\n"
+
+
 def write_json(path: str, payload: dict):
-    _atomic_write(path, json.dumps(payload, default=_json_default) + "\n")
+    """Write ``json.dumps(payload, default=_json_default)`` and a newline
+    to ``path`` atomically.  A payload with a symmetric matrix at its top
+    level (a fit's ``zzhat``) is streamed: each symmetric pair is formatted
+    once and the rows are written as they are formed, so neither the n x n
+    list of floats nor the whole text is built.  The bytes are the same."""
+    if any(map(_is_symmetric, payload.values())):
+        _atomic_write(path, "", _json_chunks(payload))
+    else:
+        _atomic_write(path, json.dumps(payload, default=_json_default) + "\n")
 
 
 # ---------------------------------------------------------------------------

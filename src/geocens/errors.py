@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the check that a
-count setting is a positive integer."""
+count or seed setting is an integer of at least a given size."""
 
 import numbers
 
@@ -36,8 +36,8 @@ class DegenerateCurvatureError(GeocensError):
     """All curvature eigenvalues fell below the rank threshold."""
 
 
-def check_count(name: str, value) -> None:
+def check_count(name: str, value, least: int = 1) -> None:
     """Raise :class:`ConfigurationError`, naming the setting ``name``,
-    unless ``value`` is an integer (not a ``bool``) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+    unless ``value`` is an integer (not a ``bool``) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -98,14 +98,27 @@ def krige(
     coords_pred: np.ndarray,
     spec: CovarianceSpec,
     method: str = "krige",
+    *,
+    lags: Optional[Lags] = None,
+    precision: Optional[np.ndarray] = None,
 ) -> PredictionResult:
     """Gaussian conditional mean and sd at target locations.
 
     The joint covariance places the nugget on the diagonal only, so the
     cross block between data and targets is ``sigma2 * rho(h)`` even at
     coincident coordinates.  The sd reads only the diagonal of the
-    prediction covariance, ``sigma2 + tau2 - sum_i W_ij^2`` with
-    ``W = L^{-1} Sigma_op``, so memory is linear in the number of targets.
+    prediction covariance, so memory is linear in the number of targets.
+
+    Given ``precision``, ``P = Sigma^{-1}`` at ``params`` over the data
+    sites (a fresh SAEM fit holds it), the mean is ``X_p beta + Sigma_po P
+    r`` and the variance ``sigma2 + tau2 - rowsum((Sigma_po P) o
+    Sigma_po)``, with ``r = z - X beta``.  Otherwise the variance is
+    ``sigma2 + tau2 - sum_i W_ij^2`` with ``W = L^{-1} Sigma_op``, where
+    ``L`` is ``sqrt(sigma2) L_Psi`` from the evaluation ``lags`` holds when
+    that was formed at ``params`` (:meth:`geocens.covariance.Lags.held_at`,
+    as after a Gaussian-ML search that stopped on its accepted point), and
+    is factored from ``lags.dist`` (or from the distances of
+    ``coords_obs`` without ``lags``) when not.
     """
     coords_obs = np.asarray(coords_obs, dtype=float)
     coords_pred = np.atleast_2d(np.asarray(coords_pred, dtype=float))
@@ -121,12 +134,21 @@ def krige(
     cross = p.sigma2 * correlation(
         spec.family, spec.kappa, cross_distance(coords_pred, coords_obs), p.phi
     )
-
-    lo = cholesky_sigma(distance_matrix(coords_obs), spec, p)
     resid = z_obs - x_obs @ params.beta
-    w = solve_triangular(lo, cross.T, lower=True)  # L^{-1} Sigma_op
-    mean = x_pred @ params.beta + w.T @ solve_triangular(lo, resid, lower=True)
-    var = p.sigma2 + p.tau2 - np.einsum("ij,ij->j", w, w)
+    if precision is not None:
+        weights = cross @ precision  # Sigma_po P
+        mean = x_pred @ params.beta + weights @ resid
+        var = p.sigma2 + p.tau2 - np.einsum("ij,ij->i", weights, cross)
+    else:
+        held = None if lags is None else lags.held_at(spec, p)
+        if held is not None:
+            lo = np.sqrt(p.sigma2) * held[1]
+        else:
+            dist = distance_matrix(coords_obs) if lags is None else lags.dist
+            lo = cholesky_sigma(dist, spec, p)
+        w = solve_triangular(lo, cross.T, lower=True)  # L^{-1} Sigma_op
+        mean = x_pred @ params.beta + w.T @ solve_triangular(lo, resid, lower=True)
+        var = p.sigma2 + p.tau2 - np.einsum("ij,ij->j", w, w)
     sd = np.sqrt(np.maximum(var, 0.0))
     return PredictionResult(
         method=method,
@@ -503,17 +525,22 @@ def predict_naive(
     bounds: Optional[tuple] = None,
 ) -> PredictionResult:
     """Impute censored readings at the bound (variant ``naive1``) or half
-    the bound (``naive2``), fit by Gaussian maximum likelihood, krige."""
+    the bound (``naive2``), fit by Gaussian maximum likelihood, krige.
+    The kriging step is handed the search's :class:`geocens.covariance.Lags`,
+    so it reads the factor of ``Psi`` the search left at its estimate and
+    forms neither the sites' distances nor a factor again (see
+    :func:`krige`)."""
     if variant not in ("naive1", "naive2"):
         raise ConfigurationError("variant must be 'naive1' or 'naive2'")
     y = _impute_bounds(data, variant)
     x = build_trend(data.coords, data.x_extra, trend)
-    dist = distance_matrix(data.coords)
     if init is None:
         init = initial_values(data, trend, spec).cov
-    params, gauss_ll = gaussian_ml_fit(y, x, Lags(dist), spec, init, bounds)
+    lags = Lags(distance_matrix(data.coords))
+    params, gauss_ll = gaussian_ml_fit(y, x, lags, spec, init, bounds)
     x_pred = build_trend(np.atleast_2d(coords_pred), x_extra_pred, trend)
-    result = krige(params, x, y, data.coords, x_pred, coords_pred, spec, method=variant)
+    result = krige(params, x, y, data.coords, x_pred, coords_pred, spec, method=variant,
+                   lags=lags)
     result.extra["gaussian_loglik"] = gauss_ll
     result.extra["imputed"] = y
     return result
@@ -562,7 +589,8 @@ def predict_seminaive(
     and each pass's leave-one-out means read its inverse when it was
     formed at the fit's estimate; the fit to the uncensored sites alone
     has a ``Lags`` of its own.  Every fit starts its search on the exact
-    Hessian.
+    Hessian.  The final kriging step reads the factor the last fit left on
+    the shared ``Lags`` in the same way (see :func:`krige`).
     """
     if data.cens_type != "left":
         raise UnsupportedMethodError("seminaive supports left censoring only")
@@ -607,7 +635,7 @@ def predict_seminaive(
 
     x_pred = build_trend(np.atleast_2d(coords_pred), x_extra_pred, trend)
     result = krige(
-        params, x, y, data.coords, x_pred, coords_pred, spec, method="seminaive"
+        params, x, y, data.coords, x_pred, coords_pred, spec, method="seminaive", lags=lags
     )
     result.extra["gaussian_loglik"] = gauss_ll
     result.extra["imputed"] = y
@@ -618,7 +646,9 @@ def predict_seminaive(
 
 def predict_saem(fit, x_pred, coords_pred) -> PredictionResult:
     """Krige with a completed fit's estimates, imputing censored readings
-    by their fitted conditional means."""
+    by their fitted conditional means.  A fresh fit kriges from the
+    ``Sigma^{-1}`` it holds (``fit.precision``), so nothing is factored; a
+    fit loaded from a file holds none, and ``Sigma`` is factored."""
     x_pred = np.atleast_2d(np.asarray(x_pred, dtype=float))
     if x_pred.shape[1] != fit.x.shape[1]:
         raise DataValidationError("x_pred column count does not match the fit")
@@ -631,6 +661,7 @@ def predict_saem(fit, x_pred, coords_pred) -> PredictionResult:
         coords_pred,
         fit.spec,
         method="saem",
+        precision=fit.precision,
     )
 
 

@@ -56,12 +56,13 @@ class SaemConfig:
     ``lower`` and ``upper`` bound the inner search over ``(phi, nu2)``
     (``phi`` alone when the nugget is fixed, which ignores a second
     component); :func:`saem_fit` rejects a box of any other length.
-    ``seed`` must be non-negative.  ``init_sigma2`` and ``init_phi`` (both
-    finite and > 0) with ``init_nugget`` (finite and >= 0; 0 when None)
-    seed the parameters; leave the first two None to use the automatic
-    variogram-based initializer (:func:`geocens.predict.initial_values`),
-    which accepts left-, right- and interval-censored data.  One of the two
-    without the other is an error.
+    ``seed`` must be an integer >= 0 (not ``bool``).  ``init_sigma2`` and
+    ``init_phi`` (both finite and > 0) with ``init_nugget`` (finite and
+    >= 0; 0 when None) seed the parameters; leave the first two None to use
+    the automatic variogram-based initializer
+    (:func:`geocens.predict.initial_values`), which accepts left-, right-
+    and interval-censored data.  One of the two without the other is an
+    error.
 
     ``tol`` is the relative tolerance of the stopping rule on the parameter
     path (:func:`path_drift`): the fit stops once, for every parameter, the
@@ -96,8 +97,7 @@ class SaemConfig:
             raise ConfigurationError("pc must lie in [0, 1)")
         if not self.tol >= 0:
             raise ConfigurationError("tol must be >= 0")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+        check_count("seed", self.seed, least=0)
         check_start(self.init_sigma2, self.init_phi, self.init_nugget)
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .covariance import CovarianceSpec, CovParams, cholesky_sigma, distance_matrix
-from .errors import ConfigurationError, DataValidationError
+from .errors import ConfigurationError, DataValidationError, check_count
 from .model import SpatialDataset, TrendSpec, build_trend
 from .mvn import as_generator
 
@@ -23,10 +23,12 @@ from .mvn import as_generator
 class SimConfig:
     """Settings for one simulated dataset.
 
-    Coordinates are either supplied (``coords``, stacked estimation rows
-    first) or drawn uniformly over ``coord_box``, ``((x0, x1), (y0, y1))``
-    with finite bounds and ``x0 < x1``, ``y0 < y1``.  For an ``other``
-    trend, covariates are drawn uniformly from ``covariate_ranges``.
+    ``n_est`` (at least 1), ``n_pred`` and ``seed`` (at least 0) are
+    integers, not ``bool``.  Coordinates are either supplied (``coords``,
+    stacked estimation rows first) or drawn uniformly over ``coord_box``,
+    ``((x0, x1), (y0, y1))`` with finite bounds and ``x0 < x1``,
+    ``y0 < y1``.  For an ``other`` trend, covariates are drawn uniformly
+    from ``covariate_ranges``.
     """
 
     n_est: int
@@ -43,16 +45,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_est <= 0 or self.n_pred < 0:
-            raise ConfigurationError("need n_est > 0 and n_pred >= 0")
+        check_count("n_est", self.n_est)
+        check_count("n_pred", self.n_pred, least=0)
+        check_count("seed", self.seed, least=0)
         if not 0.0 <= self.cens_level < 1.0:
             raise ConfigurationError("cens_level must lie in [0, 1)")
         if self.cens_type not in ("left", "right"):
             raise ConfigurationError("cens_type must be 'left' or 'right'")
         if self.trend.kind == "other" and not self.covariate_ranges:
             raise ConfigurationError("trend 'other' needs covariate_ranges")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
         box = np.asarray(self.coord_box, dtype=float)
         if box.shape != (2, 2) or not np.isfinite(box).all() or not np.all(box[:, 0] < box[:, 1]):
             raise DataValidationError("coord_box needs finite bounds with x0 < x1 and y0 < y1")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -706,3 +707,125 @@ def test_fit_summary_reports_the_loglik_monte_carlo_error(sim_dir):
     assert 0.0 < fit.loglik.se <= 1e-2 and fit.loglik.n_points >= 1_000
     lines = fit_summary_text(fit).splitlines()
     assert f"Loglik Monte Carlo se {fit.loglik.se:.3g} ({fit.loglik.n_points} points)" in lines
+
+
+WRITER_FAMILIES = [
+    CovarianceSpec("exponential"),
+    CovarianceSpec("gaussian"),
+    CovarianceSpec("spherical"),
+    CovarianceSpec("matern", kappa=1.5),
+    CovarianceSpec("matern", kappa=0.3),
+    CovarianceSpec("powered-exponential", kappa=1.3),
+]
+WRITER_NUGGETS = {"free": {}, "fixed-0.2": {"nugget_fixed": True, "fixed_nugget_value": 0.2},
+                  "fixed-0": {"nugget_fixed": True, "fixed_nugget_value": 0.0}}
+
+
+def small_fit(spec=CovarianceSpec("exponential"), cens_level=0.2, n=40):
+    sim = geocens.simulate_scl(geocens.SimConfig(
+        n_est=n, n_pred=0, beta=[10.0], cov=geocens.CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+        spec=CovarianceSpec("exponential"), cens_level=cens_level,
+        coord_box=((0.0, 6.0), (0.0, 6.0)), seed=3,
+    ))
+    return saem_fit(sim.data, TrendSpec("cte"), spec, SaemConfig(
+        m=4, max_iter=3, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
+        lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=5,
+    ))
+
+
+def json_module_bytes(payload) -> bytes:
+    from geocens.cli import _json_default
+
+    return (json.dumps(payload, default=_json_default) + "\n").encode()
+
+
+def streamed_rows(monkeypatch):
+    """A list that gains one entry each time a symmetric matrix is streamed."""
+    from geocens import cli
+
+    calls, rows = [], cli._symmetric_rows
+    monkeypatch.setattr(cli, "_symmetric_rows", lambda mat: calls.append(1) or rows(mat))
+    return calls
+
+
+@pytest.mark.parametrize("nugget", list(WRITER_NUGGETS))
+@pytest.mark.parametrize("spec", WRITER_FAMILIES, ids=lambda s: f"{s.family}-{s.kappa}")
+def test_fit_json_is_the_json_module_text(tmp_path, monkeypatch, spec, nugget):
+    # zzhat is streamed row by row, each symmetric pair formatted once, and
+    # the file is byte for byte what json.dumps writes; it loads to the same fit
+    from geocens.cli import fit_from_payload, fit_to_payload, write_json
+
+    fit = small_fit(dataclasses.replace(spec, **WRITER_NUGGETS[nugget]))
+    calls = streamed_rows(monkeypatch)
+    payload = fit_to_payload(fit)
+    write_json(tmp_path / "fit.json", payload)
+    assert calls == [1]
+    assert read_bytes(tmp_path / "fit.json") == json_module_bytes(payload)
+    again = fit_from_payload(json.loads(read_bytes(tmp_path / "fit.json")))
+    old = fit_from_payload(json.loads(json_module_bytes(payload)))
+    for name in ("zhat", "zz_cc", "trace_params", "x"):
+        assert np.array_equal(getattr(again, name), getattr(old, name))
+    assert again.params == old.params and again.config == old.config
+
+
+def fit_payload_without_censoring():
+    from geocens.cli import fit_to_payload
+
+    return fit_to_payload(small_fit(cens_level=0.0))
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(fit_payload_without_censoring, id="no-censored-site"),
+    pytest.param(lambda: {"zzhat": np.array([[2.5]]), "n": 1}, id="n-1"),
+    pytest.param(lambda: {"a": np.zeros((0, 0))}, id="n-0"),
+    pytest.param(lambda: {"m": np.array([[np.nan, np.inf, -0.0], [np.inf, 1e-310, -np.inf],
+                                         [-0.0, -np.inf, 0.0]]), "after": [1, None]},
+                 id="nan-inf-negative-zero"),
+])
+def test_symmetric_matrices_stream_as_json_spells_them(tmp_path, monkeypatch, payload):
+    from geocens.cli import write_json
+
+    payload = payload()
+    calls = streamed_rows(monkeypatch)
+    write_json(tmp_path / "out.json", payload)
+    assert calls == [1]
+    assert read_bytes(tmp_path / "out.json") == json_module_bytes(payload)
+
+
+@pytest.mark.parametrize("mat", [
+    np.arange(9.0).reshape(3, 3),
+    np.array([[1.0, 0.0], [-0.0, 1.0]]),
+    np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.float32),
+    np.arange(4).reshape(2, 2) @ np.arange(4).reshape(2, 2).T,
+], ids=["asymmetric", "signed-zero-mirror", "float32", "integer"])
+def test_other_square_arrays_take_the_json_module_path(tmp_path, monkeypatch, mat):
+    from geocens.cli import write_json
+
+    calls = streamed_rows(monkeypatch)
+    payload = {"m": mat, "x": 1.5}
+    write_json(tmp_path / "out.json", payload)
+    assert calls == []
+    assert read_bytes(tmp_path / "out.json") == json_module_bytes(payload)
+
+
+def test_streamed_fit_json_peak_memory_is_below_the_json_module_path(tmp_path):
+    # n = 500: the json module's path builds 250 000 floats and the whole text
+    import tracemalloc
+
+    from geocens.cli import _atomic_write, _json_default, fit_to_payload, write_json
+
+    fit = small_fit(n=500, cens_level=0.1)
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    new = peak(lambda: write_json(tmp_path / "new.json", fit_to_payload(fit)))
+    old = peak(lambda: _atomic_write(
+        tmp_path / "old.json", json.dumps(fit_to_payload(fit), default=_json_default) + "\n"))
+    assert read_bytes(tmp_path / "new.json") == read_bytes(tmp_path / "old.json")
+    assert new <= 0.7 * old

@@ -648,3 +648,137 @@ def test_skewness_matches_direct_formula():
     want = np.mean(d**3) / np.mean(d**2) ** 1.5
     assert sample_skewness(x) == pytest.approx(want, rel=1e-12)
     assert sample_skewness(np.ones(5)) == 0.0
+
+
+KRIGE_FAMILIES = [
+    CovarianceSpec("exponential"),
+    CovarianceSpec("gaussian"),
+    CovarianceSpec("spherical"),
+    CovarianceSpec("matern", kappa=1.5),
+    CovarianceSpec("matern", kappa=0.3),
+    CovarianceSpec("powered-exponential", kappa=1.3),
+]
+NUGGETS = {"free": {}, "fixed-0.2": {"nugget_fixed": True, "fixed_nugget_value": 0.2},
+           "fixed-0": {"nugget_fixed": True, "fixed_nugget_value": 0.0}}
+
+
+def dense_kriging(params, x, z, coords, x_pred, coords_pred, spec):
+    """Mean and sd from the dense inverse of Sigma."""
+    p = params.cov
+    s_inv = np.linalg.inv(build_sigma(distance_matrix(coords), spec, p))
+    s_po = p.sigma2 * correlation(spec.family, spec.kappa, cross_distance(coords_pred, coords),
+                                  p.phi)
+    mean = x_pred @ params.beta + s_po @ s_inv @ (z - x @ params.beta)
+    return mean, np.sqrt(p.sigma2 + p.tau2 - np.einsum("ij,ij->i", s_po @ s_inv, s_po))
+
+
+@pytest.fixture()
+def kriging_counts(monkeypatch):
+    """Counts of the factorizations and distance matrices formed inside
+    ``krige``, however it is reached."""
+    from geocens import predict
+
+    counts = {"spd_cholesky": 0, "distance_matrix": 0}
+    inside = [False]
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += inside[0]
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def krige_counted(*args, **kwargs):
+        inside[0] = True
+        try:
+            return krige(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(covariance, "spd_cholesky",
+                        counting("spd_cholesky", covariance.spd_cholesky))
+    monkeypatch.setattr(predict, "distance_matrix",
+                        counting("distance_matrix", predict.distance_matrix))
+    monkeypatch.setattr(predict, "krige", krige_counted)
+    return counts
+
+
+def family_case(spec, nugget, seed=41):
+    spec = dataclasses.replace(spec, **NUGGETS[nugget])
+    res = censored_sim(seed=seed, cens_level=0.25, n=40)
+    x_pred = np.ones((res.pred_coords.shape[0], 1))
+    return spec, res, x_pred
+
+
+@pytest.mark.parametrize("nugget", list(NUGGETS))
+@pytest.mark.parametrize("spec", KRIGE_FAMILIES, ids=lambda s: f"{s.family}-{s.kappa}")
+def test_predict_saem_kriges_from_the_fits_precision(kriging_counts, spec, nugget):
+    # a fresh fit's Sigma^{-1} gives what a factor of Sigma gives, and
+    # nothing is factored; a fit without it (as loaded from fit.json)
+    # factors Sigma once
+    from geocens import SaemConfig, predict_saem, saem_fit
+
+    spec, res, x_pred = family_case(spec, nugget)
+    fit = saem_fit(res.data, TrendSpec("cte"), spec, SaemConfig(
+        m=4, max_iter=4, init_sigma2=2.0, init_phi=1.0, init_nugget=0.2,
+        lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=3,
+    ))
+    got = predict_saem(fit, x_pred, res.pred_coords)
+    assert kriging_counts == {"spd_cholesky": 0, "distance_matrix": 0}
+    want = predict_saem(dataclasses.replace(fit, precision=None), x_pred, res.pred_coords)
+    assert kriging_counts == {"spd_cholesky": 1, "distance_matrix": 1}
+    assert_allclose(got.mean, want.mean, rtol=1e-12)
+    assert_allclose(got.sd, want.sd, rtol=1e-12)
+    mean, sd = dense_kriging(fit.params, fit.x, fit.zhat, res.data.coords, x_pred,
+                             res.pred_coords, spec)
+    assert_allclose(got.mean, mean, rtol=1e-12)
+    assert_allclose(got.sd, sd, rtol=1e-12)
+
+
+@pytest.mark.parametrize("nugget", list(NUGGETS))
+@pytest.mark.parametrize("spec", KRIGE_FAMILIES, ids=lambda s: f"{s.family}-{s.kappa}")
+def test_naive_kriging_reads_the_factor_its_search_left(kriging_counts, spec, nugget):
+    # the kriging step of predict_naive takes sqrt(sigma2) L_Psi from the
+    # search's Lags: no distance matrix of the data sites, no factor
+    spec, res, x_pred = family_case(spec, nugget)
+    got = predict_naive(res.data, TrendSpec("cte"), spec, "naive1", res.pred_coords)
+    assert kriging_counts == {"spd_cholesky": 0, "distance_matrix": 0}
+    y, params = got.extra["imputed"], got.params_used
+    x = np.ones((res.data.n, 1))
+    want = krige(params, x, y, res.data.coords, x_pred, res.pred_coords, spec)
+    assert_allclose(got.mean, want.mean, rtol=1e-12)
+    assert_allclose(got.sd, want.sd, rtol=1e-12)
+    mean, sd = dense_kriging(params, x, y, res.data.coords, x_pred, res.pred_coords, spec)
+    assert_allclose(got.mean, mean, rtol=1e-12)
+    assert_allclose(got.sd, sd, rtol=1e-12)
+
+
+def test_seminaive_kriging_reads_the_factor_its_last_fit_left(kriging_counts):
+    res = censored_sim(seed=37, cens_level=0.5, n=40)
+    got = predict_seminaive(res.data, TrendSpec("cte"), SPEC_EXP, res.pred_coords)
+    assert kriging_counts == {"spd_cholesky": 0, "distance_matrix": 0}
+    want = krige(got.params_used, np.ones((res.data.n, 1)), got.extra["imputed"],
+                 res.data.coords, np.ones((10, 1)), res.pred_coords, SPEC_EXP)
+    assert_allclose(got.mean, want.mean, rtol=1e-12)
+    assert_allclose(got.sd, want.sd, rtol=1e-12)
+
+
+@pytest.mark.parametrize("held", ["fit", "none", "other-phi"])
+def test_krige_factors_sigma_unless_lags_hold_it_at_the_estimate(kriging_counts, held):
+    # a Lags holding an evaluation at another point, or none, gives its
+    # distances to one factor of Sigma; the answer is the same
+    from geocens import predict
+
+    coords, x, z, beta = observed_setup(seed=6, n=30)
+    coords_pred = np.random.default_rng(7).uniform(0, 4, size=(5, 2))
+    x_pred = np.column_stack([np.ones(5), coords_pred])
+    params = ModelParams(beta=beta, cov=CovParams(sigma2=1.3, phi=1.6, tau2=0.25))
+    lags = Lags(distance_matrix(coords))
+    if held != "none":
+        phi = 1.6 if held == "fit" else 1.7
+        profile_objective(np.array([phi, params.cov.nu2]), lags, SPEC_EXP, z,
+                          np.zeros((0, 0)), np.zeros(0, dtype=int), x=x)
+    got = predict.krige(params, x, z, coords, x_pred, coords_pred, SPEC_EXP, lags=lags)
+    assert kriging_counts == {"spd_cholesky": int(held != "fit"), "distance_matrix": 0}
+    want = krige(params, x, z, coords, x_pred, coords_pred, SPEC_EXP)
+    assert_allclose(got.mean, want.mean, rtol=1e-12)
+    assert_allclose(got.sd, want.sd, rtol=1e-12)

@@ -74,6 +74,30 @@ def test_config_counts_must_be_integers_of_at_least_one(config, field, value):
     assert config(**{field: np.int64(3)})
 
 
+SIM_BASE = dict(n_est=40, n_pred=5, beta=[10.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+                spec=SPEC_EXP)
+
+
+@pytest.mark.parametrize("config, field, value, least", [
+    (SaemConfig, "seed", np.nan, 0), (SaemConfig, "seed", 1.5, 0), (SaemConfig, "seed", True, 0),
+    (SaemConfig, "seed", -1, 0),
+    (SimConfig, "seed", np.nan, 0), (SimConfig, "seed", 1.5, 0), (SimConfig, "seed", True, 0),
+    (SimConfig, "n_est", 40.5, 1), (SimConfig, "n_est", np.nan, 1), (SimConfig, "n_est", True, 1),
+    (SimConfig, "n_est", 0, 1), (SimConfig, "n_pred", 2.5, 0), (SimConfig, "n_pred", np.nan, 0),
+    (SimConfig, "n_pred", -1, 0),
+], ids=lambda v: repr(v) if not isinstance(v, type) else v.__name__)
+def test_config_seeds_and_site_counts_must_be_integers(config, field, value, least):
+    # a NaN seed failed inside the fit, a fractional or bool seed fitted as
+    # another seed, and a fractional or NaN site count raised numpy's
+    # TypeError; each is named in a ConfigurationError
+    from geocens.errors import ConfigurationError
+
+    base = SIM_BASE if config is SimConfig else {}
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer >= {least}"):
+        config(**{**base, field: value})
+    assert config(**{**base, field: np.int64(least)})
+
+
 @pytest.mark.parametrize("start", [
     {"init_sigma2": 1.5}, {"init_phi": 1.0},
     {"init_sigma2": -1.0, "init_phi": 1.0}, {"init_sigma2": 1.0, "init_phi": 0.0},
