@@ -48,7 +48,7 @@ print(f"weighted variogram fit: sigma2 {init.sigma2:.3f} phi {init.phi:.3f} "
       f"tau2 {init.tau2:.3f}   (truth {truth.sigma2}, {truth.phi}, {truth.tau2})")
 
 x = build_trend(data.coords, None, TrendSpec("cte"))
-params, ll = gaussian_ml_fit(
+params, ll, factor = gaussian_ml_fit(
     data.value, x, Lags(distance_matrix(data.coords)), spec, init
 )
 print(f"maximum likelihood:     sigma2 {params.cov.sigma2:.3f} "
@@ -67,7 +67,8 @@ g = np.linspace(0.0, 8.0, 40)
 xx, yy = np.meshgrid(g, g)
 grid = np.column_stack([xx.ravel(), yy.ravel()])
 surface = krige(
-    params, x, data.value, data.coords, np.ones((grid.shape[0], 1)), grid, spec
+    params, x, data.value, data.coords, np.ones((grid.shape[0], 1)), grid, spec,
+    factor=factor,  # the fit's own factor of Sigma: nothing is factored again
 )
 with open(os.path.join(out_dir, "kriging_mean.svg"), "w") as handle:
     handle.write(intensity_chart(g, g, surface.mean, "kriged mean", points=data.coords))

@@ -286,23 +286,13 @@ class Lags:
     with its zero diagonal; formed on first use by a Matern pass, the
     strict upper triangle's indices, lags and log lags; and ``held``, the
     last profile evaluation over them (Psi, L, Q and ``dR/dphi``) keyed by
-    the ``(spec, phi, nu2)`` it was formed at, or None
-    (:func:`geocens.profile.profile_objective`); :meth:`held_at` reads it
-    for given covariance parameters."""
+    the ``(spec, phi, nu2)`` it was formed at, or None.  Only
+    :func:`geocens.profile.profile_objective` reads and writes ``held``;
+    a search hands its caller the factor it found instead."""
 
     def __init__(self, dist: np.ndarray):
         self.dist = np.asarray(dist, dtype=float)
         self.held = None
-
-    def held_at(self, spec: CovarianceSpec, cov: CovParams):
-        """The held ``(Psi, L, Q, dR/dphi)`` when they were formed under
-        ``spec`` at ``cov.phi`` exactly and, within 4 ulps (the rounding of
-        ``tau2 / sigma2``), at ``cov.nu2``; None otherwise."""
-        held = self.held
-        if (held is not None and held[0][:2] == (spec, cov.phi)
-                and abs(held[0][2] - cov.nu2) <= 4.0 * np.spacing(cov.nu2)):
-            return held[1]
-        return None
 
     @functools.cached_property
     def triangle(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
@@ -370,11 +360,11 @@ def build_sigma(dist: np.ndarray, spec: CovarianceSpec, p: CovParams) -> np.ndar
     return sigma
 
 
-def spd_cholesky(mat: np.ndarray, jitter: float | None = None) -> np.ndarray:
+def spd_cholesky(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with a one-shot diagonal jitter retry.
 
-    A failed factorization is retried once with ``jitter`` added to the
-    diagonal (default ``1e-10 * mean diagonal``); a second failure raises
+    A failed factorization is retried once with ``1e-10`` times the mean
+    diagonal entry added to the diagonal; a second failure raises
     :class:`SingularCovarianceError`.  A matrix with an entry that is not
     finite raises :class:`ValueError`.  The factor is LAPACK ``potrf``'s,
     called directly: the same call as ``scipy.linalg.cholesky(mat,
@@ -385,8 +375,7 @@ def spd_cholesky(mat: np.ndarray, jitter: float | None = None) -> np.ndarray:
     lo, info = lapack.dpotrf(mat, lower=1, clean=1)
     if info == 0:
         return lo
-    if jitter is None:
-        jitter = 1e-10 * float(np.mean(np.diag(mat)))
+    jitter = 1e-10 * float(np.mean(np.diag(mat)))
     lo, info = lapack.dpotrf(mat + jitter * np.eye(mat.shape[0]), lower=1, clean=1)
     if info == 0:
         return lo
@@ -408,8 +397,7 @@ def _cholesky_inverse(lo: np.ndarray) -> np.ndarray:
 
 def cholesky_sigma(dist: np.ndarray, spec: CovarianceSpec, p: CovParams) -> np.ndarray:
     """Convenience: build ``Sigma`` and return its lower Cholesky factor."""
-    sigma = build_sigma(dist, spec, p)
-    return spd_cholesky(sigma, jitter=1e-10 * (p.sigma2 + p.tau2))
+    return spd_cholesky(build_sigma(dist, spec, p))
 
 
 def _check_k(k: int):

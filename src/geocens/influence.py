@@ -156,7 +156,7 @@ class _Curvature:
         if prec is None:
             sigma = np.multiply(rho, sigma2, out=rho)
             sigma[np.diag_indices_from(sigma)] += tau2
-            prec = _cholesky_inverse(spd_cholesky(sigma, jitter=1e-10 * (sigma2 + tau2)))
+            prec = _cholesky_inverse(spd_cholesky(sigma))
         del rho
         self.prec = prec
 

@@ -22,7 +22,6 @@ from .covariance import (
     CovarianceSpec,
     CovParams,
     Lags,
-    _cholesky_inverse,
     cholesky_sigma,
     correlation,
     cross_distance,
@@ -99,7 +98,7 @@ def krige(
     spec: CovarianceSpec,
     method: str = "krige",
     *,
-    lags: Optional[Lags] = None,
+    factor: Optional[np.ndarray] = None,
     precision: Optional[np.ndarray] = None,
 ) -> PredictionResult:
     """Gaussian conditional mean and sd at target locations.
@@ -112,13 +111,13 @@ def krige(
     Given ``precision``, ``P = Sigma^{-1}`` at ``params`` over the data
     sites (a fresh SAEM fit holds it), the mean is ``X_p beta + Sigma_po P
     r`` and the variance ``sigma2 + tau2 - rowsum((Sigma_po P) o
-    Sigma_po)``, with ``r = z - X beta``.  Otherwise the variance is
-    ``sigma2 + tau2 - sum_i W_ij^2`` with ``W = L^{-1} Sigma_op``, where
-    ``L`` is ``sqrt(sigma2) L_Psi`` from the evaluation ``lags`` holds when
-    that was formed at ``params`` (:meth:`geocens.covariance.Lags.held_at`,
-    as after a Gaussian-ML search that stopped on its accepted point), and
-    is factored from ``lags.dist`` (or from the distances of
-    ``coords_obs`` without ``lags``) when not.
+    Sigma_po)``, with ``r = z - X beta``; its error grows with the
+    condition number of ``Sigma`` (about 1e-6 in the sd on smooth, nearly
+    singular covariances, where the factor path stays near 1e-12).
+    Otherwise the variance is ``sigma2 + tau2 - sum_i W_ij^2`` with ``W =
+    L^{-1} Sigma_op``, where ``L`` is ``factor``, a lower Cholesky factor
+    of ``Sigma`` at ``params`` over the data rows as given, or is factored
+    from the distances of ``coords_obs`` when that is None.
     """
     coords_obs = np.asarray(coords_obs, dtype=float)
     coords_pred = np.atleast_2d(np.asarray(coords_pred, dtype=float))
@@ -140,12 +139,7 @@ def krige(
         mean = x_pred @ params.beta + weights @ resid
         var = p.sigma2 + p.tau2 - np.einsum("ij,ij->i", weights, cross)
     else:
-        held = None if lags is None else lags.held_at(spec, p)
-        if held is not None:
-            lo = np.sqrt(p.sigma2) * held[1]
-        else:
-            dist = distance_matrix(coords_obs) if lags is None else lags.dist
-            lo = cholesky_sigma(dist, spec, p)
+        lo = cholesky_sigma(distance_matrix(coords_obs), spec, p) if factor is None else factor
         w = solve_triangular(lo, cross.T, lower=True)  # L^{-1} Sigma_op
         mean = x_pred @ params.beta + w.T @ solve_triangular(lo, resid, lower=True)
         var = p.sigma2 + p.tau2 - np.einsum("ij,ij->j", w, w)
@@ -438,22 +432,24 @@ def gaussian_ml_fit(
     spec: CovarianceSpec,
     init: CovParams,
     bounds: Optional[tuple] = None,
-) -> tuple[ModelParams, float]:
+) -> tuple[ModelParams, float, np.ndarray]:
     """Maximize the exact Gaussian log-likelihood over the covariance
     parameters, profiling the trend coefficients (and the sill when it is
-    free).  Returns the fitted parameters and the attained log-likelihood.
+    free).  Returns the fitted parameters, the attained log-likelihood and
+    the lower Cholesky factor of ``Sigma`` at the fitted parameters over
+    the rows of ``y``.
 
     The search over ``(phi, nu2)`` within ``bounds`` (a pair of length-2
     arrays) is the bounded gradient search the CM step of the stochastic
     EM uses (:mod:`geocens.profile`), with no censored block; it starts on
     the exact Hessian of the objective, as no metric is handed between
     Gaussian-ML fits.  With a fixed zero nugget the search is over ``phi``
-    alone.  The trend coefficients and the sill are those of the search's
-    evaluation at the optimum, so R is not formed again after the search.
-    ``lags`` is the :class:`geocens.covariance.Lags` of the sites'
-    distances, which every evaluation reads; the search starts on the
-    evaluation it holds when that was formed at the start, and leaves its
-    own last one there for the next fit (see ``profile_objective``).
+    alone.  The trend coefficients, the sill and the factor are those of
+    the search's accepted evaluation at the optimum: the factor is
+    ``sqrt(sigma2) L_Psi``, as :func:`geocens.saem.cm_step` returns, so R
+    is not formed and Sigma not factored again after the search.  ``lags``
+    is the :class:`geocens.covariance.Lags` of the sites' distances, which
+    every evaluation reads (see ``profile_objective``).
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -480,7 +476,7 @@ def gaussian_ml_fit(
         lower, upper = lo_b[:2], hi_b[:2]
         nu2_held = None
 
-    theta, value, (beta, sigma2, _), _ = profile_search(
+    theta, value, (beta, sigma2, lo_psi), _ = profile_search(
         lambda t: profile_objective(
             t, lags, spec, y, np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
             x=x, tau2=fixed_tau,
@@ -493,7 +489,8 @@ def gaussian_ml_fit(
     nu2 = float(theta[1]) if theta.shape[0] > 1 else 0.0
     tau2 = fixed_tau if fixed_tau is not None else nu2 * sigma2
     cov = CovParams(sigma2=float(sigma2), phi=phi, tau2=float(tau2))
-    return ModelParams(beta=beta, cov=cov), -float(value + 0.5 * n * np.log(2 * np.pi))
+    ll = -float(value + 0.5 * n * np.log(2 * np.pi))
+    return ModelParams(beta=beta, cov=cov), ll, np.sqrt(cov.sigma2) * lo_psi
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +523,8 @@ def predict_naive(
 ) -> PredictionResult:
     """Impute censored readings at the bound (variant ``naive1``) or half
     the bound (``naive2``), fit by Gaussian maximum likelihood, krige.
-    The kriging step is handed the search's :class:`geocens.covariance.Lags`,
-    so it reads the factor of ``Psi`` the search left at its estimate and
-    forms neither the sites' distances nor a factor again (see
+    The kriging step is handed the factor of ``Sigma`` the fit returns,
+    so it forms neither the sites' distances nor a factor again (see
     :func:`krige`)."""
     if variant not in ("naive1", "naive2"):
         raise ConfigurationError("variant must be 'naive1' or 'naive2'")
@@ -537,33 +533,27 @@ def predict_naive(
     if init is None:
         init = initial_values(data, trend, spec).cov
     lags = Lags(distance_matrix(data.coords))
-    params, gauss_ll = gaussian_ml_fit(y, x, lags, spec, init, bounds)
+    params, gauss_ll, factor = gaussian_ml_fit(y, x, lags, spec, init, bounds)
     x_pred = build_trend(np.atleast_2d(coords_pred), x_extra_pred, trend)
     result = krige(params, x, y, data.coords, x_pred, coords_pred, spec, method=variant,
-                   lags=lags)
+                   factor=factor)
     result.extra["gaussian_loglik"] = gauss_ll
     result.extra["imputed"] = y
     return result
 
 
-def _loo_means(params, x, y, lags, spec, idx) -> np.ndarray:
+def _loo_means(params, x, y, factor, idx) -> np.ndarray:
     """Leave-one-out kriging means at the rows ``idx``, each predicted from
     all other rows: ``y_i - [Sigma^{-1} r]_i / [Sigma^{-1}]_ii`` with
     ``r = y - X beta`` (Dubrule 1983).  Exact for a plug-in ``beta`` and a
-    nugget on the diagonal only; one inverse serves all rows.
-
-    The ratio does not change with the scale of ``Sigma``, so ``Psi^{-1}``
-    serves as well as ``Sigma^{-1}``: it is read from the evaluation
-    ``lags`` holds when that was formed at ``params``
-    (:meth:`geocens.covariance.Lags.held_at`), as it is after
-    a Gaussian-ML search that stopped on its accepted point.  Otherwise
-    ``Sigma`` is factored and inverted here."""
-    held = lags.held_at(spec, params.cov)
-    if held is not None:
-        qi = held[2]
-    else:
-        qi = _cholesky_inverse(cholesky_sigma(lags.dist, spec, params.cov))
-    return y[idx] - (qi[idx] @ (y - x @ params.beta)) / qi[idx, idx]
+    nugget on the diagonal only.  From ``factor``, a lower Cholesky factor
+    ``L`` of ``Sigma`` at ``params``: ``Sigma^{-1} r`` by two triangular
+    solves, ``[Sigma^{-1}]_ii`` as the squared norm of column ``i`` of
+    ``L^{-1}``; no inverse and no factor is formed."""
+    w = solve_triangular(factor, y - x @ params.beta, lower=True, check_finite=False)
+    a = solve_triangular(factor, w, lower=True, trans="T", check_finite=False)
+    e = solve_triangular(factor, np.eye(y.shape[0])[:, idx], lower=True, check_finite=False)
+    return y[idx] - a[idx] / np.einsum("ij,ij->j", e, e)
 
 
 def predict_seminaive(
@@ -585,12 +575,12 @@ def predict_seminaive(
     uncensored-data sill, and the imputed-data skewness exceeds ``c3``
     times the uncensored-data skewness; or at ``max_iter``.  The fits on
     all sites share one :class:`geocens.covariance.Lags`, so each refit
-    starts on the last fit's last evaluation when that fit stopped there,
-    and each pass's leave-one-out means read its inverse when it was
-    formed at the fit's estimate; the fit to the uncensored sites alone
-    has a ``Lags`` of its own.  Every fit starts its search on the exact
-    Hessian.  The final kriging step reads the factor the last fit left on
-    the shared ``Lags`` in the same way (see :func:`krige`).
+    starts on the last fit's last evaluation when that fit stopped there;
+    the fit to the uncensored sites alone has a ``Lags`` of its own.
+    Every fit starts its search on the exact Hessian.  Each pass's
+    leave-one-out means and the final kriging step read the factor of
+    ``Sigma`` the last fit returned (see :func:`_loo_means` and
+    :func:`krige`), so neither factors anything.
     """
     if data.cens_type != "left":
         raise UnsupportedMethodError("seminaive supports left censoring only")
@@ -604,12 +594,12 @@ def predict_seminaive(
     y = data.value.astype(float).copy()
     y[cens_idx] = 0.0
     lags = Lags(dist)
-    params, gauss_ll = gaussian_ml_fit(y, x, lags, spec, init, bounds)
+    params, gauss_ll, factor = gaussian_ml_fit(y, x, lags, spec, init, bounds)
     iterations = 0
     converged = cens_idx.size == 0
 
     if cens_idx.size:
-        obs_fit, _ = gaussian_ml_fit(
+        obs_fit, _, _ = gaussian_ml_fit(
             data.value[obs_idx], x[obs_idx], Lags(dist[np.ix_(obs_idx, obs_idx)]),
             spec, init, bounds,
         )
@@ -618,10 +608,11 @@ def predict_seminaive(
         bound = data.upper[cens_idx]
 
         for iterations in range(1, cfg.max_iter + 1):
-            loo = _loo_means(params, x, y, lags, spec, cens_idx)
+            loo = _loo_means(params, x, y, factor, cens_idx)
             y_new = y.copy()
             y_new[cens_idx] = np.maximum(0.0, np.minimum(loo, bound))
-            new_params, gauss_ll = gaussian_ml_fit(y_new, x, lags, spec, params.cov, bounds)
+            new_params, gauss_ll, factor = gaussian_ml_fit(y_new, x, lags, spec, params.cov,
+                                                           bounds)
             rel_change = abs(new_params.cov.sigma2 - params.cov.sigma2) / params.cov.sigma2
             y = y_new
             params = new_params
@@ -635,7 +626,7 @@ def predict_seminaive(
 
     x_pred = build_trend(np.atleast_2d(coords_pred), x_extra_pred, trend)
     result = krige(
-        params, x, y, data.coords, x_pred, coords_pred, spec, method="seminaive", lags=lags
+        params, x, y, data.coords, x_pred, coords_pred, spec, method="seminaive", factor=factor
     )
     result.extra["gaussian_loglik"] = gauss_ll
     result.extra["imputed"] = y

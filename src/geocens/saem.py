@@ -316,16 +316,18 @@ def saem_fit(
 ) -> SaemFit:
     """Run the full stochastic EM loop and return the completed fit.
 
-    Each parameter point (the start and the result of every CM step) is
-    factored once: one Cholesky factor of ``Sigma`` over the sites ordered
-    observed first (:attr:`geocens.model.Partition.order`) holds every
-    block the point needs: the start is factored here, every later point
-    by the CM step's search that found it.  Its observed block gives the
-    observed-block log density, its lower blocks the conditional law of the
-    censored block (:func:`geocens.model.conditional_given_obs`, which
-    keeps the covariance as its factor ``L_cc``), and the whole factor the
-    next CM step's generalized least squares and sill update.  The next
-    E-step sweeps on the precision from ``L_cc``; only the final likelihood
+    One Cholesky factor of ``Sigma`` over the sites ordered observed first
+    (:attr:`geocens.model.Partition.order`) holds every block a parameter
+    point needs.  Each CM step's result comes factored from the search
+    that found it.  The start is factored here, and then again by the
+    first CM search: that search starts at the start's range with nothing
+    held on the ``Lags`` yet, so its first evaluation forms R and factors
+    Psi there anew.  The observed block of a point's factor gives the
+    observed-block log density, its lower blocks the conditional law of the censored
+    block (:func:`geocens.model.conditional_given_obs`, which keeps the
+    covariance as its factor ``L_cc``), and the whole factor the next CM
+    step's generalized least squares and sill update.  The next E-step
+    sweeps on the precision from ``L_cc``; only the final likelihood
     estimate forms ``L_cc L_cc'``, for its rectangle probability.  Every
     CM search reads one :class:`geocens.covariance.Lags` of the ordered
     distances, and starts where the last one stopped, on the arrays that

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_solve
 
 from geocens import (
     ConfigurationError,
@@ -26,10 +27,15 @@ from geocens import (
     wls_variofit,
 )
 from geocens import covariance
-from geocens.covariance import build_sigma, correlation, cross_distance, distance_matrix
+from geocens.covariance import (
+    build_sigma,
+    cholesky_sigma,
+    correlation,
+    cross_distance,
+    distance_matrix,
+)
 from geocens.model import build_trend
 from geocens.predict import Variogram, _loo_means, initial_values, sample_skewness
-from geocens.profile import profile_objective
 from geocens.simulate import SimConfig, simulate_scl
 
 from oracles import gaussian_ml_oracle, loo_kriging_means, wls_variofit_oracle
@@ -393,7 +399,7 @@ def test_gaussian_ml_matches_independent_oracle():
     dist = distance_matrix(data.coords)
     init = CovParams(sigma2=1.0, phi=0.8, tau2=0.1)
     bounds = (np.array([0.05, 0.0]), np.array([20.0, 10.0]))
-    params, ll = gaussian_ml_fit(data.value, x, Lags(dist), SPEC_EXP, init, bounds)
+    params, ll, _ = gaussian_ml_fit(data.value, x, Lags(dist), SPEC_EXP, init, bounds)
 
     beta_o, s2_o, phi_o, tau2_o, ll_o = gaussian_ml_oracle(
         data.value,
@@ -552,43 +558,9 @@ def test_loo_closed_form_matches_direct_loop():
         beta=[9.5, 0.1, -0.05], cov=CovParams(sigma2=2.0, phi=1.3, tau2=0.2)
     )
     dist = distance_matrix(data.coords)
-    got = _loo_means(params, x, y, Lags(dist), SPEC_EXP, cens_idx)
+    got = _loo_means(params, x, y, cholesky_sigma(dist, SPEC_EXP, params.cov), cens_idx)
     sigma = build_sigma(dist, SPEC_EXP, params.cov)
     want = loo_kriging_means(y, x, params.beta, sigma, cens_idx)
-    assert_allclose(got, want, rtol=1e-10, atol=1e-10)
-
-
-@pytest.mark.parametrize("held", ["fit", "none", "other-nu2", "other-phi", "other-spec"])
-def test_loo_means_read_psi_inverse_only_at_the_fits_point(monkeypatch, held):
-    # Psi^{-1} held at the fit's (spec, phi, nu2) serves as Sigma^{-1}; an
-    # evaluation held at any other key, or none, leaves one factor of Sigma
-    res = censored_sim(seed=36, cens_level=0.5, n=60)
-    data = res.data
-    cens_idx = np.flatnonzero(data.cens == 1)
-    y = data.value.copy()
-    y[cens_idx] = data.upper[cens_idx]
-    x = build_trend(data.coords, None, TrendSpec("first"))
-    params = ModelParams(
-        beta=[9.5, 0.1, -0.05], cov=CovParams(sigma2=2.0, phi=1.3, tau2=0.2)
-    )
-    dist = distance_matrix(data.coords)
-    lags = Lags(dist)
-    spec, theta = {
-        "fit": (SPEC_EXP, [1.3, params.cov.nu2]),
-        "none": (None, None),
-        "other-nu2": (SPEC_EXP, [1.3, params.cov.nu2 * (1 + 1e-9)]),
-        "other-phi": (SPEC_EXP, [1.3 * (1 + 1e-9), params.cov.nu2]),
-        "other-spec": (CovarianceSpec("gaussian"), [1.3, params.cov.nu2]),
-    }[held]
-    if spec is not None:
-        profile_objective(np.array(theta), lags, spec, y, np.zeros((0, 0)),
-                          np.zeros(0, dtype=int), x=x)
-    factors, chol = [], covariance.spd_cholesky
-    monkeypatch.setattr(covariance, "spd_cholesky",
-                        lambda *a, **k: factors.append(1) or chol(*a, **k))
-    got = _loo_means(params, x, y, lags, SPEC_EXP, cens_idx)
-    assert len(factors) == (held != "fit")
-    want = loo_kriging_means(y, x, params.beta, build_sigma(dist, SPEC_EXP, params.cov), cens_idx)
     assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
@@ -605,7 +577,7 @@ def test_seminaive_first_pass_matches_direct_loop():
     x = np.ones((data.n, 1))
     dist = distance_matrix(data.coords)
     init = initial_values(data, TrendSpec("cte"), SPEC_EXP).cov
-    params, _ = gaussian_ml_fit(y0, x, Lags(dist), SPEC_EXP, init, None)
+    params, _, _ = gaussian_ml_fit(y0, x, Lags(dist), SPEC_EXP, init, None)
     sigma = build_sigma(dist, SPEC_EXP, params.cov)
     loo = loo_kriging_means(y0, x, params.beta, sigma, cens_idx)
     want = np.maximum(0.0, np.minimum(loo, data.upper[cens_idx]))
@@ -737,8 +709,8 @@ def test_predict_saem_kriges_from_the_fits_precision(kriging_counts, spec, nugge
 @pytest.mark.parametrize("nugget", list(NUGGETS))
 @pytest.mark.parametrize("spec", KRIGE_FAMILIES, ids=lambda s: f"{s.family}-{s.kappa}")
 def test_naive_kriging_reads_the_factor_its_search_left(kriging_counts, spec, nugget):
-    # the kriging step of predict_naive takes sqrt(sigma2) L_Psi from the
-    # search's Lags: no distance matrix of the data sites, no factor
+    # the kriging step of predict_naive takes the factor its Gaussian-ML
+    # fit returns: no distance matrix of the data sites, no factor
     spec, res, x_pred = family_case(spec, nugget)
     got = predict_naive(res.data, TrendSpec("cte"), spec, "naive1", res.pred_coords)
     assert kriging_counts == {"spd_cholesky": 0, "distance_matrix": 0}
@@ -762,23 +734,151 @@ def test_seminaive_kriging_reads_the_factor_its_last_fit_left(kriging_counts):
     assert_allclose(got.sd, want.sd, rtol=1e-12)
 
 
-@pytest.mark.parametrize("held", ["fit", "none", "other-phi"])
-def test_krige_factors_sigma_unless_lags_hold_it_at_the_estimate(kriging_counts, held):
-    # a Lags holding an evaluation at another point, or none, gives its
-    # distances to one factor of Sigma; the answer is the same
+@pytest.mark.parametrize("given", [True, False], ids=["factor", "none"])
+def test_krige_factors_sigma_only_without_a_factor(kriging_counts, given):
+    # a factor of Sigma at the estimate is used as given; without one, the
+    # distances of the data sites are formed and Sigma is factored once
     from geocens import predict
 
     coords, x, z, beta = observed_setup(seed=6, n=30)
     coords_pred = np.random.default_rng(7).uniform(0, 4, size=(5, 2))
     x_pred = np.column_stack([np.ones(5), coords_pred])
     params = ModelParams(beta=beta, cov=CovParams(sigma2=1.3, phi=1.6, tau2=0.25))
-    lags = Lags(distance_matrix(coords))
-    if held != "none":
-        phi = 1.6 if held == "fit" else 1.7
-        profile_objective(np.array([phi, params.cov.nu2]), lags, SPEC_EXP, z,
-                          np.zeros((0, 0)), np.zeros(0, dtype=int), x=x)
-    got = predict.krige(params, x, z, coords, x_pred, coords_pred, SPEC_EXP, lags=lags)
-    assert kriging_counts == {"spd_cholesky": int(held != "fit"), "distance_matrix": 0}
-    want = krige(params, x, z, coords, x_pred, coords_pred, SPEC_EXP)
-    assert_allclose(got.mean, want.mean, rtol=1e-12)
-    assert_allclose(got.sd, want.sd, rtol=1e-12)
+    lo = cholesky_sigma(distance_matrix(coords), SPEC_EXP, params.cov) if given else None
+    got = predict.krige(params, x, z, coords, x_pred, coords_pred, SPEC_EXP, factor=lo)
+    assert kriging_counts == {"spd_cholesky": int(not given), "distance_matrix": int(not given)}
+    mean, sd = dense_kriging(params, x, z, coords, x_pred, coords_pred, SPEC_EXP)
+    assert_allclose(got.mean, mean, rtol=1e-12)
+    assert_allclose(got.sd, sd, rtol=1e-12)
+
+
+@pytest.mark.parametrize("nugget", list(NUGGETS))
+@pytest.mark.parametrize("spec", KRIGE_FAMILIES, ids=lambda s: f"{s.family}-{s.kappa}")
+def test_gaussian_ml_fit_returns_the_factor_of_sigma_at_its_estimate(spec, nugget):
+    spec, res, _ = family_case(spec, nugget)
+    y = res.data.value
+    dist = distance_matrix(res.data.coords)
+    params, _, lo = gaussian_ml_fit(y, np.ones((res.data.n, 1)), Lags(dist), spec,
+                                    CovParams(1.0, 0.8, 0.1))
+    want = cholesky_sigma(dist, spec, params.cov)
+    assert np.array_equal(np.triu(lo, 1), np.zeros_like(lo))
+    assert np.max(np.abs(lo - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def factorizations_inside(monkeypatch, names):
+    """Counts of the calls to the ``predict`` functions ``names``, and of
+    the LAPACK Cholesky factorizations (``potrf``) and inversions from a
+    factor (``potri``) made inside them."""
+    from geocens import predict
+
+    counts = {"dpotrf": 0, "dpotri": 0, "calls": 0}
+    inside = [False]
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += inside[0]
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def flagged(fn):
+        def wrapper(*args, **kwargs):
+            counts["calls"] += 1
+            inside[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = False
+        return wrapper
+
+    for routine in ("dpotrf", "dpotri"):
+        monkeypatch.setattr(covariance.lapack, routine,
+                            counting(routine, getattr(covariance.lapack, routine)))
+    for name in names:
+        monkeypatch.setattr(predict, name, flagged(getattr(predict, name)))
+    return counts
+
+
+@pytest.mark.parametrize("nugget", list(NUGGETS))
+@pytest.mark.parametrize("method", ["naive1", "naive2", "seminaive"])
+def test_predictors_factor_nothing_after_their_fits_with_nothing_held(monkeypatch, method,
+                                                                      nugget):
+    # each Gaussian-ML fit leaves nothing held on its Lags, so the kriging
+    # and leave-one-out steps can only use the factor the fit returned
+    from geocens import predict
+
+    spec = dataclasses.replace(SPEC_EXP, **NUGGETS[nugget])
+    res = censored_sim(seed=37, cens_level=0.5, n=40)
+
+    def run():
+        if method == "seminaive":
+            return predict.predict_seminaive(res.data, TrendSpec("cte"), spec, res.pred_coords)
+        return predict.predict_naive(res.data, TrendSpec("cte"), spec, method, res.pred_coords)
+
+    want = run()
+    fit = predict.gaussian_ml_fit
+
+    def fit_and_clear(y, x, lags, *args, **kwargs):
+        out = fit(y, x, lags, *args, **kwargs)
+        lags.held = None
+        return out
+
+    monkeypatch.setattr(predict, "gaussian_ml_fit", fit_and_clear)
+    counts = factorizations_inside(monkeypatch, ("krige", "_loo_means"))
+    got = run()
+    passes = got.extra.get("iterations", 0)
+    assert counts == {"dpotrf": 0, "dpotri": 0, "calls": 1 + passes}
+    assert passes == want.extra.get("iterations", 0)
+    assert passes >= (method == "seminaive")
+    for a, b in ((got.mean, want.mean), (got.sd, want.sd),
+                 (got.extra["imputed"], want.extra["imputed"])):
+        assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+def long_double_kriging(params, x, z, coords, x_pred, coords_pred, spec, refinements=4):
+    """Kriging mean and sd from the float64 ``Sigma`` and cross block,
+    solved by iterative refinement with residuals in ``np.longdouble``: a
+    reference for the solve alone, whatever the condition of ``Sigma``."""
+    p = params.cov
+    sigma = build_sigma(distance_matrix(coords), spec, p)
+    cross = p.sigma2 * correlation(spec.family, spec.kappa, cross_distance(coords, coords_pred),
+                                   p.phi)
+    resid = z - x @ params.beta
+    rhs = np.column_stack([resid, cross]).astype(np.longdouble)
+    lo = (np.linalg.cholesky(sigma), True)
+    sigma_ld = sigma.astype(np.longdouble)
+    sol = cho_solve(lo, rhs.astype(float)).astype(np.longdouble)
+    for _ in range(refinements):
+        sol += cho_solve(lo, (rhs - sigma_ld @ sol).astype(float))
+    mean = x_pred @ params.beta + (cross.T.astype(np.longdouble) @ sol[:, 0]).astype(float)
+    var = (p.sigma2 + p.tau2) - np.einsum("ij,ij->j", cross.astype(np.longdouble), sol[:, 1:])
+    return mean, np.sqrt(var.astype(float))
+
+
+# (spec, tau2, n, side of the square of sites): condition numbers of
+# Sigma about 1e9 and 5e7, where the precision path's sd is off by about
+# 1e-6 (FOUND line in CHANGES.md)
+ILL_CONDITIONED = {
+    "matern-2.5-tau2-0-n160": (CovarianceSpec("matern", kappa=2.5), 0.0, 160, 4.0),
+    "gaussian-tau2-1e-6-n300": (CovarianceSpec("gaussian"), 1e-6, 300, 6.0),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64")
+@pytest.mark.parametrize("case", list(ILL_CONDITIONED))
+def test_factor_kriging_matches_a_long_double_reference_when_sigma_is_ill_conditioned(case):
+    # smooth covariances with little or no nugget: the factor path, which
+    # the naive and seminaive predictors take, keeps its digits
+    spec, tau2, n, side = ILL_CONDITIONED[case]
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(0, side, size=(n, 2))
+    coords_pred = rng.uniform(0, side, size=(40, 2))
+    params = ModelParams(beta=np.array([10.0]), cov=CovParams(sigma2=2.0, phi=1.0, tau2=tau2))
+    lo = cholesky_sigma(distance_matrix(coords), spec, params.cov)
+    z = 10.0 + lo @ rng.normal(size=n)  # a draw of the field
+    x, x_pred = np.ones((n, 1)), np.ones((40, 1))
+    mean, sd = long_double_kriging(params, x, z, coords, x_pred, coords_pred, spec)
+    for got in (krige(params, x, z, coords, x_pred, coords_pred, spec),
+                krige(params, x, z, coords, x_pred, coords_pred, spec, factor=lo)):
+        assert np.max(np.abs(got.sd - sd)) <= 1e-10
+        assert np.max(np.abs(got.mean - mean)) <= 1e-10 * np.max(np.abs(mean))

@@ -316,7 +316,8 @@ def test_gaussian_ml_fit_trend_and_sill_are_the_gls_at_the_optimum(monkeypatch, 
         return out
 
     monkeypatch.setattr(predict, "profile_search", recording)
-    params, _ = predict.gaussian_ml_fit(data.value, x, Lags(dist), spec, CovParams(1.0, 0.8, 0.1))
+    params, _, _ = predict.gaussian_ml_fit(data.value, x, Lags(dist), spec,
+                                           CovParams(1.0, 0.8, 0.1))
     (theta,) = found
     nu2 = theta[1] if len(theta) > 1 else 0.0
     fixed_tau = spec.fixed_nugget_value if spec.nugget_fixed else None
@@ -514,11 +515,11 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
         last_phi["phi"] = phi
         return corr_dcorr(lags_, spec_, phi)
 
-    def failing_cholesky(mat, jitter=None):
+    def failing_cholesky(mat):
         if last_phi["phi"] > cut:
             failed.append(last_phi["phi"])
             raise SingularCovarianceError("forced above the cut")
-        return spd_cholesky(mat, jitter)
+        return spd_cholesky(mat)
 
     monkeypatch.setattr(covariance, "corr_dcorr_matrix", noting_corr)
     monkeypatch.setattr(covariance, "spd_cholesky", failing_cholesky)
@@ -672,69 +673,6 @@ def test_seminaive_with_the_handover_equals_one_without(monkeypatch, spec):
     assert served == served_starts(searches, data.n) > 0
 
 
-def run_seminaive_counting_loo_factors(monkeypatch, args, fresh):
-    """``predict_seminaive(*args)`` and the ``spd_cholesky`` calls inside
-    each ``_loo_means`` call; with ``fresh``, each is handed a new ``Lags``
-    of the same distances, so it factors Sigma as it did before it could
-    read the held inverse."""
-    from geocens.predict import predict_seminaive
-
-    loo, chol = predict._loo_means, covariance.spd_cholesky
-    calls, inside = [], [False]
-
-    def counting(*a, **kwargs):
-        if inside[0]:
-            calls[-1] += 1
-        return chol(*a, **kwargs)
-
-    def noting(params, x, y, lags, spec, idx):
-        calls.append(0)
-        inside[0] = True
-        try:
-            return loo(params, x, y, Lags(lags.dist) if fresh else lags, spec, idx)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(covariance, "spd_cholesky", counting)
-    monkeypatch.setattr(predict, "_loo_means", noting)
-    return predict_seminaive(*args), calls
-
-
-@pytest.mark.parametrize("spec", [
-    SPEC_EXP, CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.0),
-    CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.2),
-], ids=["free", "fixed-zero", "fixed-0.2"])
-def test_seminaive_loo_means_read_the_fits_held_inverse(monkeypatch, spec):
-    # a pass whose fit ended on the point it accepted reads Psi^{-1} from
-    # that fit's last evaluation instead of factoring Sigma again; the
-    # leave-one-out ratio is scale-free, so the predictions agree (at sites
-    # between data sites: at a data site the kriging sd is rounding noise)
-    data = sim_left(seed=2, n=60, cens=0.3).data
-    args = (data, TrendSpec("cte"), spec, 0.5 * (data.coords[:5] + data.coords[5:10]))
-    found, search = [], predict.profile_search
-
-    def noting(*a):
-        out = search(*a)
-        found.append(out[0])
-        return out
-
-    monkeypatch.setattr(predict, "profile_search", noting)
-    searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
-    got, calls = run_seminaive_counting_loo_factors(monkeypatch, args, fresh=False)
-    monkeypatch.undo()
-    want, fresh_calls = run_seminaive_counting_loo_factors(monkeypatch, args, fresh=True)
-
-    passes = got.extra["iterations"]
-    assert len(calls) == len(fresh_calls) == passes == want.extra["iterations"] >= 2
-    assert fresh_calls == [1] * passes
-    full = [np.array_equal(rec["evals"][-1][0], theta)
-            for rec, theta in zip(searches, found) if rec["n"] == data.n]
-    assert calls == [1 - ended for ended in full[:passes]] and sum(calls) < passes
-    for a, b in ((got.mean, want.mean), (got.sd, want.sd),
-                 (got.extra["imputed"], want.extra["imputed"])):
-        assert_allclose(a, b, rtol=1e-12, atol=0)
-
-
 def test_one_lags_serves_nothing_across_specs(monkeypatch):
     # the held evaluation is keyed by (spec, phi, nu2): evaluations and
     # searches under two specs at the same (phi, nu2) on one Lags each form
@@ -757,15 +695,16 @@ def test_one_lags_serves_nothing_across_specs(monkeypatch):
 
     # a search that starts exactly where the last search on its Lags
     # stopped, under another spec
-    first, _ = predict.gaussian_ml_fit(y, x, shared, specs[0], CovParams(1.0, 0.8, 0.0))
+    first, _, _ = predict.gaussian_ml_fit(y, x, shared, specs[0], CovParams(1.0, 0.8, 0.0))
     assert shared.held[0] == (specs[0], first.cov.phi, 0.0)
     searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
-    got, got_ll = predict.gaussian_ml_fit(y, x, shared, specs[1], first.cov)
-    want, want_ll = predict.gaussian_ml_fit(y, x, Lags(dist), specs[1], first.cov)
+    got, got_ll, got_lo = predict.gaussian_ml_fit(y, x, shared, specs[1], first.cov)
+    want, want_ll, want_lo = predict.gaussian_ml_fit(y, x, Lags(dist), specs[1], first.cov)
     assert searches[0]["points"][0] == (first.cov.phi, 0.0)
     assert [rec["corr"] for rec in searches] == [len(rec["points"]) for rec in searches]
     assert searches[0]["points"] == searches[1]["points"]
     assert np.array_equal(got.as_array(), want.as_array()) and got_ll == want_ll
+    assert np.array_equal(got_lo, want_lo)
 
 
 # ---------------------------------------------------------------------------
