@@ -42,7 +42,6 @@ from .model import (
     SpatialDataset,
     TrendSpec,
     build_trend,
-    conditional_cens_given_obs,
     criteria,
     loglik,
     param_count,

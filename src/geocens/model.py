@@ -69,6 +69,7 @@ class SpatialDataset:
     lower bound for left censoring, ``+inf`` upper bound for right
     censoring); they are ignored for observed rows.  Every censored row
     needs at least one finite bound, and neither bound may be NaN.
+    Coordinates and covariates must be finite.
     """
 
     coords: np.ndarray
@@ -86,6 +87,8 @@ class SpatialDataset:
         n = value.shape[0]
         if coords.ndim != 2 or coords.shape != (n, 2):
             raise DataValidationError("coords must be an (n, 2) array")
+        if not np.isfinite(coords).all():
+            raise DataValidationError("coords must be finite")
         if not np.isin(cens, (0, 1)).all():
             raise DataValidationError("cens must contain only 0 and 1")
         if self.cens_type not in CENS_TYPES:
@@ -121,6 +124,8 @@ class SpatialDataset:
                 x_extra = x_extra[:, None]
             if x_extra.shape[0] != n:
                 raise DataValidationError("x_extra row count must match n")
+            if not np.isfinite(x_extra).all():
+                raise DataValidationError("x_extra must be finite")
             object.__setattr__(self, "x_extra", x_extra)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "value", value)
@@ -222,6 +227,8 @@ def build_trend(coords, x_extra, trend: TrendSpec) -> np.ndarray:
         if x_extra.ndim == 1:
             x_extra = x_extra[:, None]
         x = np.column_stack([np.ones(n), x_extra])
+    if not np.isfinite(x).all():
+        raise DataValidationError(f"trend {trend.kind!r} needs finite coordinates and covariates")
     if np.linalg.matrix_rank(x) < min(x.shape):
         raise ModelSpecificationError("trend matrix is rank deficient")
     return x
@@ -265,26 +272,6 @@ def conditional_given_obs(lo, mu_all, values, n_obs):
     return mu, lo[n_obs:, n_obs:], logpdf_from_cholesky(l_oo, wr)
 
 
-def _conditional_at(params: ModelParams, data: SpatialDataset, trend: TrendSpec,
-                    spec: CovarianceSpec):
-    """:func:`conditional_given_obs` at ``params``, from one factor of
-    ``Sigma`` over the sites of ``data`` ordered observed first."""
-    part = partition(data)
-    order = part.order
-    x = build_trend(data.coords, data.x_extra, trend)[order]
-    lo = cholesky_sigma(distance_matrix(data.coords[order]), spec, params.cov)
-    return conditional_given_obs(lo, x @ params.beta, data.value[order], part.obs_idx.size)
-
-
-def conditional_cens_given_obs(
-    params: ModelParams, data: SpatialDataset, trend: TrendSpec, spec: CovarianceSpec
-):
-    """Conditional mean and covariance of the censored block given the
-    observed block."""
-    mu, l_cc, _ = _conditional_at(params, data, trend, spec)
-    return mu, l_cc @ l_cc.T
-
-
 @dataclass(frozen=True)
 class LogLik:
     """Observed-data log-likelihood ``value = obs_term + log P``, where
@@ -325,8 +312,12 @@ def loglik(
     or ``Generator``) drives that estimate and is required when two or more
     sites are censored.
     """
-    mu, l_cc, obs_term = _conditional_at(params, data, trend, spec)
-    cen = partition(data).cens_idx
+    part = partition(data)
+    order, cen = part.order, part.cens_idx
+    x = build_trend(data.coords, data.x_extra, trend)[order]
+    lo = cholesky_sigma(distance_matrix(data.coords[order]), spec, params.cov)
+    mu, l_cc, obs_term = conditional_given_obs(lo, x @ params.beta, data.value[order],
+                                               part.obs_idx.size)
     rect = Rectangle(lower=data.lower[cen], upper=data.upper[cen])
     return loglik_from_conditional(obs_term, mu, l_cc, rect, rng)
 

@@ -5,7 +5,9 @@ normals, and Monte Carlo truncated moments.  Rectangle probabilities are
 estimated in log space by minimax exponential tilting of the
 separation-of-variables integrand (Botev 2017), which reports the relative
 error of the probability and stays finite where the probability itself
-underflows.  All sampling is driven by an explicit
+underflows.  Both they and the Gibbs sampler draw a truncated normal by one
+log-space inverse CDF (``log_ndtr``, ``ndtri_exp``) on the interval
+mirrored to lie mostly below 0, exact in both tails.  All sampling is driven by an explicit
 :class:`RngState` (PCG64) so that identical seeds reproduce identical
 streams bit for bit.
 """
@@ -17,12 +19,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from .covariance import _cholesky_inverse, spd_cholesky
 from .errors import ConfigurationError, DataValidationError
 
-_TAIL_SWITCH = 34.0  # standardized bound beyond which Phi differences underflow
+_U_MIN = 5e-324  # smallest positive double, read for a zero uniform
 _LOG_2PI = np.log(2.0 * np.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BATCH = 1_000  # sample points per batch of the rectangle probability
@@ -91,37 +93,24 @@ def logpdf_from_cholesky(lo: np.ndarray, w: np.ndarray) -> float:
 
 
 def _trunc_std_ppf(u: float, a: float, b: float) -> float:
-    """Quantile of a standard normal truncated to ``[a, b]``, on Python floats.
-
-    Works in whichever tail keeps the CDF difference away from underflow;
-    if both bounds sit beyond ``+-34`` standard deviations, where the
-    difference of normal CDFs is identically zero in double precision, an
-    exponential tail approximation is used instead.  The CDF is not taken
-    at an infinite bound (it is 0 or 1 there).  Never returns NaN.
-    """
-    if b <= 0.0:
-        return -_trunc_std_ppf(1.0 - u, -b, -a)
-    if a >= _TAIL_SWITCH:
-        # exponential approximation to the far upper tail, exact inverse CDF
-        # of the limiting hazard-rate distribution on [a, b]; numpy's
-        # log1p/expm1, not libm's (math), which differ in the last place
-        if math.isinf(b):
-            x = a - float(np.log1p(-u)) / a
-        else:
-            width = -float(np.expm1(-a * (b - a)))
-            x = a - float(np.log1p(-u * width)) / a
-        return min(max(x, a), b if math.isfinite(b) else x)
-    if a >= 0.0:
-        pa = float(ndtr(-a))
-        pb = 0.0 if b == math.inf else float(ndtr(-b))
-        x = -float(ndtri(pa - u * (pa - pb)))
+    """Quantile of a standard normal truncated to ``[a, b]``, on Python floats:
+    ``ndtri_exp(log Phi(b) + log(u + (1 - u) Phi(a) / Phi(b)))`` on the interval
+    mirrored as by :func:`_mirror` (at ``1 - u``), exact in both tails.  On a
+    left-open interval a zero ``u`` reads as the smallest positive double, so
+    every draw is finite."""
+    flip = b > -a
+    if flip:
+        u, a, b = 1.0 - u, -b, -a
+    lb = float(log_ndtr(b))
+    if a == -math.inf:
+        x = float(ndtri_exp(lb + math.log(u or _U_MIN)))
     else:
-        pa = 0.0 if a == -math.inf else float(ndtr(a))
-        pb = 1.0 if b == math.inf else float(ndtr(b))
-        x = float(ndtri(pa + u * (pb - pa)))
-    if math.isfinite(x):
-        return min(max(x, a), b)
-    return a if u < 0.5 else b  # pa == pb rounding corner
+        la = float(log_ndtr(a))
+        p = u + (1.0 - u) * math.exp(la - lb)  # 0 only if u = 0 and Phi(a) / Phi(b) underflows
+        x = float(ndtri_exp(lb + math.log(p) if p else la))
+        x = a if x < a else x
+    x = b if x > b else x
+    return -x if flip else x
 
 
 def tmvn_gibbs(
@@ -137,10 +126,11 @@ def tmvn_gibbs(
 ) -> np.ndarray:
     """Coordinate-wise Gibbs sampler for ``N(mean, cov)`` truncated to ``rect``.
 
-    Each full conditional is a univariate truncated normal sampled by
-    inverse CDF, so the draw count is fixed and the output is a
-    deterministic function of ``rng``.  Returns an ``(n_samples, n)`` array;
-    every row lies inside the rectangle.
+    Each full conditional is a univariate truncated normal sampled by its
+    log-space inverse CDF (:func:`_trunc_std_ppf`), finite for every
+    uniform, 0 included; so the draw count is fixed and the output is a
+    deterministic function of ``rng``.  Returns an ``(n_samples, n)``
+    array; every row lies inside the rectangle.
 
     The uniforms are drawn one sweep (``n`` doubles) per generator call:
     for PCG64 that is the stream, and the state after the call, of one

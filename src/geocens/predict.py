@@ -128,6 +128,9 @@ def krige(
         raise DataValidationError("x_pred and x_obs column counts differ")
     if coords_pred.shape[0] != x_pred.shape[0]:
         raise DataValidationError("coords_pred and x_pred row counts differ")
+    for name, arr in (("coords_pred", coords_pred), ("x_pred", x_pred)):
+        if not np.isfinite(arr).all():
+            raise DataValidationError(f"{name} must be finite")
 
     p = params.cov
     cross = p.sigma2 * correlation(
@@ -201,6 +204,7 @@ def empirical_variogram(
         raise DataValidationError("variogram needs at least two sites")
     if n_bins < 1:
         raise ConfigurationError(f"need at least one distance bin, got {n_bins}")
+    check_count("n_bins", n_bins)
     iu = np.triu_indices(z.shape[0], 1)
     d = distance_matrix(coords)[iu]
     if max_dist is None:
@@ -701,6 +705,7 @@ def cross_validate(
         raise ConfigurationError("saem method requires a saem_config")
     if not 1 <= n_est < data.n:
         raise DataValidationError("n_est must leave at least one hold-out row")
+    check_count("n_est", n_est)
     est = SpatialDataset(
         coords=data.coords[:n_est],
         value=data.value[:n_est],

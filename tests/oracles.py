@@ -9,23 +9,27 @@ earlier form of the library's sampler, kept as the arithmetic that sampler
 must reproduce bit for bit.
 """
 
+import math
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.integrate import quad
 from scipy.optimize import least_squares, minimize, minimize_scalar
-from scipy.special import gamma, kv, log_ndtr, ndtr, ndtri
+from scipy.special import gamma, kv, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from geocens.covariance import (
     _cholesky_inverse,
     build_sigma,
+    cholesky_sigma,
     correlation,
     d2sigma,
+    distance_matrix,
     dsigma,
     spd_cholesky,
 )
 from geocens.errors import NumericalError, SingularCovarianceError
+from geocens.model import build_trend, conditional_given_obs, partition
 
 
 def rejection_tmvn(mean, cov, lower, upper, n_keep, rng, max_draws=5_000_000):
@@ -435,11 +439,27 @@ def gls_refit(dist, spec, phi, nu2, x, y, fixed_tau=None):
     return beta, float(rw @ rw) / len(y)
 
 
-def _trunc_std_ppf_numpy(u, a, b):
-    """Truncated standard normal quantile on numpy scalars, the CDF taken
-    at every bound, infinite ones included."""
+def conditional_cens_given_obs(params, data, trend, spec):
+    """Conditional mean and covariance of the censored block given the
+    observed block, from one factor of ``Sigma`` over the sites ordered
+    observed first (:func:`geocens.model.conditional_given_obs`)."""
+    part = partition(data)
+    order = part.order
+    x = build_trend(data.coords, data.x_extra, trend)[order]
+    lo = cholesky_sigma(distance_matrix(data.coords[order]), spec, params.cov)
+    mu, l_cc, _ = conditional_given_obs(lo, x @ params.beta, data.value[order],
+                                        part.obs_idx.size)
+    return mu, l_cc @ l_cc.T
+
+
+def trunc_std_ppf_probability_space(u, a, b):
+    """Truncated standard normal quantile by ``ndtri`` of a difference of
+    normal CDFs, taken in whichever tail keeps it from cancelling, on numpy
+    scalars: the library's earlier quantile, kept as a reference away from
+    the far tails.  Past 34 sd, where that difference underflows, it uses an
+    exponential tail approximation, off by up to 7.5e-5 relative."""
     if b <= 0.0:
-        return -_trunc_std_ppf_numpy(1.0 - u, -b, -a)
+        return -trunc_std_ppf_probability_space(1.0 - u, -b, -a)
     if a >= 34.0:
         if np.isinf(b):
             x = a - np.log1p(-u) / a
@@ -458,6 +478,43 @@ def _trunc_std_ppf_numpy(u, a, b):
     if np.isfinite(x):
         return min(max(x, a), b)
     return a if u < 0.5 else b
+
+
+def trunc_std_ppf_bisect(u, a, b):
+    """Truncated standard normal quantile by bisection of the log
+    probability of the lower part ``[a, x]`` (upper part ``[x, b]`` when
+    ``u > 0.5``) against ``log u`` (``log(1 - u)``): no inverse CDF, and the
+    smaller part keeps its relative precision in both tails.  Infinite
+    bounds are cut at +-60 sd."""
+    total = log_interval_prob(a, b)
+    lo, hi = max(a, -60.0), min(b, 60.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if u <= 0.5:
+            below = log_interval_prob(a, mid) - total < np.log(u)
+        else:
+            below = log_interval_prob(mid, b) - total > np.log1p(-u)
+        lo, hi = (mid, hi) if below else (lo, mid)
+
+
+def _trunc_std_ppf_numpy(u, a, b):
+    """The library's log-space truncated normal quantile on numpy scalars;
+    ``log`` and ``exp`` are libm's (``math``), as the library takes them,
+    since numpy's may differ in the last place."""
+    flip = b > -a
+    if flip:
+        u, a, b = 1.0 - u, -b, -a
+    lb = log_ndtr(b)
+    if np.isneginf(a):
+        x = ndtri_exp(lb + math.log(u or 5e-324))
+    else:
+        la = log_ndtr(a)
+        p = u + (1.0 - u) * math.exp(la - lb)
+        x = max(ndtri_exp(lb + math.log(p) if p else la), a)
+    x = min(x, b)
+    return -x if flip else x
 
 
 def tmvn_gibbs_numpy(mean, cov, lower, upper, n_samples, burn_in, thin, gen, start=None):

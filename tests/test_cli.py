@@ -295,6 +295,60 @@ def test_fit_rejects_censored_row_without_a_usable_bound(tmp_path, sim_dir, caps
     assert not (tmp_path / "fit").exists()
 
 
+@pytest.fixture()
+def covariate_run(tmp_path):
+    """A simulated dataset with two covariates, its targets and a fit."""
+    out = tmp_path / "cov"
+    assert run_cli(
+        "simulate", "--trend", "other", "--covariate-ranges", "0:1,2:5",
+        "--n-est", 30, "--n-pred", 4, "--beta", "10,1,-1", "--sigma2", 2, "--phi", 1,
+        "--tau2", 0.2, "--cens-level", 0.2, "--box", "0,6,0,6", "--seed", 3, "--out-dir", out,
+    ) == 0
+    truth = list(csv.reader(open(out / "truth.csv", newline="")))
+    with open(out / "targets.csv", "w", newline="") as f:
+        csv.writer(f).writerows([r[:2] + r[3:] for r in truth])
+    assert run_cli("fit", "--trend", "other", "--data", out / "data.csv", "--init-sigma2", 1.5,
+                   "--init-phi", 1, "--m", 5, "--max-iter", 3, "--seed", 5, "--out-dir", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("command, table, column, cell, field", [
+    ("fit-start", "data.csv", 0, "nan", "coords"),
+    ("fit-start", "data.csv", 1, "inf", "coords"),
+    ("fit-start", "data.csv", 6, "nan", "x_extra"),
+    ("fit", "data.csv", 0, "nan", "coords"),
+    ("saem", "targets.csv", 1, "nan", "coords_pred"),
+    ("naive1", "targets.csv", 0, "nan", "coords_pred"),
+    ("saem", "targets.csv", 2, "nan", "covariates"),
+], ids=["fit-nan-coordinate", "fit-inf-coordinate", "fit-nan-covariate",
+        "fit-without-start-nan-coordinate", "predict-saem-nan-target",
+        "predict-naive1-nan-target", "predict-saem-nan-target-covariate"])
+def test_non_finite_coordinates_and_covariates_exit_2(tmp_path, covariate_run, capsys,
+                                                      command, table, column, cell, field):
+    # they used to exit 1 with a traceback from the Cholesky factor, the
+    # trend matrix's SVD or krige, or be reported as a variogram error
+    rows = list(csv.reader(open(covariate_run / table, newline="")))
+    rows[2][column] = cell
+    bad = tmp_path / table
+    with open(bad, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    data, out = covariate_run / "data.csv", tmp_path / "out"
+    argv = {
+        "fit-start": ["fit", "--trend", "other", "--data", bad, "--init-sigma2", 1.5,
+                      "--init-phi", 1, "--max-iter", 3],
+        "fit": ["fit", "--data", bad, "--max-iter", 3],
+        "saem": ["predict", "--method", "saem", "--fit", covariate_run / "fit.json",
+                 "--targets", bad],
+        "naive1": ["predict", "--method", "naive1", "--trend", "other", "--data", data,
+                   "--targets", bad],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_outputs_follow_the_umask(tmp_path, umask, mode):
     previous = os.umask(umask)

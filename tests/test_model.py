@@ -13,13 +13,14 @@ from geocens import (
     SpatialDataset,
     TrendSpec,
     build_trend,
-    conditional_cens_given_obs,
     criteria,
     loglik,
     param_count,
     partition,
 )
 from geocens.model import impute_bounds
+
+from oracles import conditional_cens_given_obs
 
 
 def toy_dataset(seed=0, n=12, n_cens=3, cens_type="left"):
@@ -90,6 +91,23 @@ def test_dataset_invariants():
         SpatialDataset(coords=coords, value=[1.0, np.nan, 2.0], cens=[0, 0, 0])
     with pytest.raises(DataValidationError):
         SpatialDataset(coords=coords, value=[1.0, 1.0, 2.0], cens=[0, 2, 0])
+
+
+@pytest.mark.parametrize("field", ["coords", "x_extra"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_coordinates_and_covariates(field, bad):
+    # they used to surface later, in a Cholesky factor, an SVD or the variogram
+    arrays = {"coords": np.arange(6.0).reshape(3, 2), "x_extra": np.ones((3, 2))}
+    arrays[field][1, 1] = bad
+    with pytest.raises(DataValidationError, match=f"{field} must be finite"):
+        SpatialDataset(value=[1.0, 2.0, 3.0], cens=[0, 1, 0], upper=[np.inf, 2.0, np.inf],
+                       **arrays)
+
+
+def test_trend_matrix_rejects_non_finite_covariates():
+    x_extra = np.array([[0.5], [np.nan]])
+    with pytest.raises(DataValidationError, match="finite"):
+        build_trend(np.zeros((2, 2)), x_extra, TrendSpec("other"))
 
 
 @pytest.mark.parametrize("cens_type", ["left", "right", "interval"])

@@ -19,7 +19,7 @@ from geocens import (
 )
 
 from geocens.covariance import build_sigma, distance_matrix
-from geocens.mvn import _ordered_cholesky, logpdf_from_cholesky
+from geocens.mvn import _ordered_cholesky, _trunc_std_ppf, logpdf_from_cholesky
 
 from oracles import (
     batch_means_se,
@@ -28,6 +28,8 @@ from oracles import (
     ordered_cholesky_scalar,
     rejection_tmvn,
     tmvn_gibbs_numpy,
+    trunc_std_ppf_bisect,
+    trunc_std_ppf_probability_space,
 )
 
 
@@ -223,12 +225,84 @@ def test_gibbs_matches_rejection_oracle_box():
 
 
 def test_gibbs_far_tail_never_nan():
-    # interval far enough out that Phi differences underflow; the sampler
-    # must fall back to the tail approximation and stay inside the box
+    # interval far enough out that Phi differences underflow; the log-space
+    # quantile must stay finite and inside the box
     rect = Rectangle(lower=[40.0], upper=[41.0])
     s = tmvn_gibbs([0.0], [[1.0]], rect, n_samples=500, rng=RngState(15))
     assert np.all(np.isfinite(s))
     assert np.all((s >= 40.0) & (s <= 41.0))
+
+
+INF = np.inf
+
+
+@pytest.mark.parametrize("a, b", [
+    (-INF, -40.0), (-INF, -3.0), (-INF, 0.5), (-INF, 35.0), (-41.0, -40.0), (-50.5, -50.0),
+    (-36.0, -34.5), (-2.0, 1.0), (-1.0, 2.0), (0.2, 0.9), (34.5, 36.0), (40.0, 41.0),
+    (50.0, 50.5), (-3.0, INF), (0.7, INF), (35.0, INF), (40.0, INF),
+])
+def test_quantile_matches_a_bisection_reference(a, b):
+    # bounds on both sides, one- and two-sided, out to 50 sd; the reference
+    # bisects log probabilities and inverts no CDF
+    for u in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+        want = trunc_std_ppf_bisect(u, a, b)
+        assert abs(_trunc_std_ppf(u, a, b) - want) <= 1e-11 * max(abs(want), 1.0), u
+
+
+@pytest.mark.parametrize("a, b", [
+    (-INF, -3.0), (-INF, 0.0), (-INF, 1.5), (-INF, 6.0), (-2.0, INF), (0.0, INF), (4.0, INF),
+    (-1.0, 2.0), (-3.0, 0.5), (0.2, 0.9), (-0.9, -0.2), (-6.0, 6.0), (2.0, 5.0), (-5.0, -2.0),
+    (-30.0, -29.0), (29.0, 30.0),
+])
+def test_quantile_matches_the_probability_space_formula_off_the_far_tails(a, b):
+    # within 30 sd the inverse of the CDF difference is accurate; at
+    # u = 1e-6 its ndtri is off by up to 2.2e-12, so u stays in [1e-3, 1 - 1e-3]
+    for u in (1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-3):
+        want = float(trunc_std_ppf_probability_space(u, np.float64(a), np.float64(b)))
+        assert abs(_trunc_std_ppf(u, a, b) - want) <= 1e-12 * max(abs(want), 1.0), u
+
+
+def test_quantile_is_finite_monotone_and_continuous_across_the_mirror():
+    # intervals with a + b > 0 are mirrored to [-b, -a] at 1 - u; the grid
+    # straddles that switch and reaches both far tails
+    us = [0.0, 1e-300, 2.0 ** -20, 1e-6, 0.5, 1.0 - 2.0 ** -53]
+    bounds = [(-INF, b) for b in (-60.0, -40.0, -3.0, 0.0, 2.0, 40.0)]
+    bounds += [(a, INF) for a in (-40.0, -2.0, 0.0, 3.0, 40.0, 60.0)]
+    for c in (1e-3, 0.5, 3.0, 8.0, 37.0, 40.0, 60.0):
+        for shift in (-1e-12, 1e-12):
+            bounds += [(-c, c + shift), (c + shift - 1.0, c + shift), (-c - shift - 1.0, -c)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in bounds:
+            qs = [_trunc_std_ppf(u, a, b) for u in us]
+            assert all(np.isfinite(qs)) and all(a <= q <= b for q in qs), (a, b)
+            assert qs == sorted(qs), (a, b)
+        # the switch itself: where 1 - u is exact (the generator's grid of
+        # multiples of 2^-53), the two sides see the same uniform and the
+        # quantile moves by no more than the bound does
+        for c in (1e-3, 0.5, 3.0, 8.0, 37.0, 40.0, 60.0):
+            for u in (0.0, 2.0 ** -20, 0.5, 1.0 - 2.0 ** -53):
+                below, above = _trunc_std_ppf(u, -c, c - 1e-12), _trunc_std_ppf(u, -c, c + 1e-12)
+                assert abs(above - below) <= 3e-12, (c, u)
+
+
+class _ZeroUniforms(np.random.Generator):
+    """A generator whose uniforms are all exactly 0, which PCG64 draws with
+    probability 2^-53."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("kind", ["left", "right", "interval", "far"])
+def test_gibbs_zero_uniforms_give_finite_draws_inside_the_box(kind):
+    mean, cov, lower, upper = _block(5, kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = tmvn_gibbs(mean, cov, Rectangle(lower, upper), 3, burn_in=2,
+                       rng=_ZeroUniforms(np.random.PCG64(0)))
+    assert np.isfinite(s).all()
+    assert np.all((s >= lower) & (s <= upper))
 
 
 def test_gibbs_reproducible():

@@ -18,6 +18,7 @@ from geocens import (
     SpatialDataset,
     TrendSpec,
     UnsupportedMethodError,
+    cross_validate,
     empirical_variogram,
     gaussian_ml_fit,
     krige,
@@ -69,6 +70,17 @@ def test_krige_exact_interpolation_no_nugget():
     res = krige(params, x, z, coords, x, coords, SPEC_EXP)
     assert_allclose(res.mean, z, atol=1e-8)
     assert np.all(res.sd <= 1e-6)
+
+
+@pytest.mark.parametrize("field", ["coords_pred", "x_pred"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_krige_rejects_non_finite_targets(field, bad):
+    coords, x, z, beta = observed_setup()
+    params = ModelParams(beta=beta, cov=CovParams(sigma2=1.5, phi=1.0, tau2=0.1))
+    targets = {"coords_pred": coords[:3].copy(), "x_pred": x[:3].copy()}
+    targets[field][1, 1] = bad
+    with pytest.raises(DataValidationError, match=f"{field} must be finite"):
+        krige(params, x, z, coords, targets["x_pred"], targets["coords_pred"], SPEC_EXP)
 
 
 def test_krige_decorrelated_limit_spherical():
@@ -195,6 +207,32 @@ def test_variogram_two_points_single_bin():
     v = empirical_variogram(coords, z, n_bins=1, max_dist=2.0)
     assert v.gamma[0] == pytest.approx((3.0 - 1.0) ** 2 / 2.0)
     assert v.counts[0] == 1
+
+
+@pytest.mark.parametrize("n_bins", [2.5, True, np.float64(3.0)])
+def test_variogram_bin_count_must_be_an_integer(n_bins):
+    coords = np.random.default_rng(5).uniform(0, 3, size=(20, 2))
+    with pytest.raises(ConfigurationError, match="n_bins must be an integer"):
+        empirical_variogram(coords, np.arange(20.0), n_bins=n_bins)
+
+
+def test_variogram_bin_count_below_one_keeps_its_error():
+    coords = np.random.default_rng(5).uniform(0, 3, size=(20, 2))
+    with pytest.raises(ConfigurationError, match="at least one distance bin"):
+        empirical_variogram(coords, np.arange(20.0), n_bins=0)
+
+
+@pytest.mark.parametrize("n_est, error, match", [
+    (30.5, ConfigurationError, "n_est must be an integer"),
+    (True, ConfigurationError, "n_est must be an integer"),
+    (0, DataValidationError, "hold-out row"),
+    (40, DataValidationError, "hold-out row"),
+])
+def test_cross_validate_checks_the_estimation_count(n_est, error, match):
+    sim = simulate_scl(SimConfig(n_est=40, n_pred=0, beta=[1.0], cov=CovParams(1.0, 1.0, 0.1),
+                                 spec=SPEC_EXP, seed=2))
+    with pytest.raises(error, match=match):
+        cross_validate(sim.data, TrendSpec("cte"), SPEC_EXP, n_est, ["naive1"])
 
 
 def test_wls_variofit_recovers_range_roughly():
@@ -635,13 +673,15 @@ NUGGETS = {"free": {}, "fixed-0.2": {"nugget_fixed": True, "fixed_nugget_value":
 
 
 def dense_kriging(params, x, z, coords, x_pred, coords_pred, spec):
-    """Mean and sd from the dense inverse of Sigma."""
+    """Mean and sd from dense LU solves with Sigma, no Cholesky factor.  Not
+    from an explicit inverse: on a Gaussian covariance with no nugget, its
+    sd was off by 8.7e-13 relative to a 40-digit solve, against 4e-14 here."""
     p = params.cov
-    s_inv = np.linalg.inv(build_sigma(distance_matrix(coords), spec, p))
     s_po = p.sigma2 * correlation(spec.family, spec.kappa, cross_distance(coords_pred, coords),
                                   p.phi)
-    mean = x_pred @ params.beta + s_po @ s_inv @ (z - x @ params.beta)
-    return mean, np.sqrt(p.sigma2 + p.tau2 - np.einsum("ij,ij->i", s_po @ s_inv, s_po))
+    w = np.linalg.solve(build_sigma(distance_matrix(coords), spec, p), s_po.T).T
+    mean = x_pred @ params.beta + w @ (z - x @ params.beta)
+    return mean, np.sqrt(p.sigma2 + p.tau2 - np.einsum("ij,ij->i", w, s_po))
 
 
 @pytest.fixture()

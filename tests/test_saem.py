@@ -27,7 +27,7 @@ from geocens.profile import profile_objective
 from geocens.saem import STOP_WINDOW, _e_step, dense_second_moment, path_drift
 from geocens.simulate import SimConfig, simulate_scl
 
-from oracles import gaussian_ml_oracle
+from oracles import conditional_cens_given_obs, gaussian_ml_oracle
 
 SPEC_EXP = CovarianceSpec("exponential")
 
@@ -205,8 +205,6 @@ def test_e_step_delta_one_replaces_with_mc_average():
                             start, mu, l_cc, rect, 1.0, m, RngState(7))
 
     # replay the sampling with the same stream and average by hand
-    from geocens.model import conditional_cens_given_obs
-
     mu, s = conditional_cens_given_obs(PARAMS, data, TrendSpec("cte"), SPEC_EXP)
     samples = tmvn_gibbs(mu, s, rect, n_samples=m, burn_in=0, rng=RngState(7), start=start)
     assert_allclose(z_c, samples.mean(axis=0), atol=1e-12)
