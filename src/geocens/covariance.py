@@ -286,9 +286,9 @@ class Lags:
     with its zero diagonal; formed on first use by a Matern pass, the
     strict upper triangle's indices, lags and log lags; and ``held``, the
     last profile evaluation over them (Psi, L, Q and ``dR/dphi``) keyed by
-    the ``(spec, phi, nu2)`` it was formed at, or None.  Only
-    :func:`geocens.profile.profile_objective` reads and writes ``held``;
-    a search hands its caller the factor it found instead."""
+    the ``(spec, phi, nu2)`` it was formed at, or None.  Only the profile
+    objective (:mod:`geocens.profile`) reads and writes ``held``; a search
+    hands its caller the factor it found instead."""
 
     def __init__(self, dist: np.ndarray):
         self.dist = np.asarray(dist, dtype=float)

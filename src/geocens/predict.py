@@ -44,7 +44,7 @@ from .model import (
     loglik,
     param_count,
 )
-from .profile import profile_objective, profile_search
+from .profile import default_search_box, profile_fit
 
 METHODS = ("naive1", "naive2", "seminaive", "saem")
 
@@ -107,6 +107,8 @@ def krige(
     cross block between data and targets is ``sigma2 * rho(h)`` even at
     coincident coordinates.  The sd reads only the diagonal of the
     prediction covariance, so memory is linear in the number of targets.
+    Data and targets that are not finite, or whose row counts disagree,
+    raise :class:`DataValidationError`.
 
     Given ``precision``, ``P = Sigma^{-1}`` at ``params`` over the data
     sites (a fresh SAEM fit holds it), the mean is ``X_p beta + Sigma_po P
@@ -128,7 +130,10 @@ def krige(
         raise DataValidationError("x_pred and x_obs column counts differ")
     if coords_pred.shape[0] != x_pred.shape[0]:
         raise DataValidationError("coords_pred and x_pred row counts differ")
-    for name, arr in (("coords_pred", coords_pred), ("x_pred", x_pred)):
+    if not z_obs.shape[0] == x_obs.shape[0] == coords_obs.shape[0]:
+        raise DataValidationError("z_obs, x_obs and coords_obs row counts differ")
+    for name, arr in (("coords_pred", coords_pred), ("x_pred", x_pred), ("z_obs", z_obs),
+                      ("x_obs", x_obs), ("coords_obs", coords_obs)):
         if not np.isfinite(arr).all():
             raise DataValidationError(f"{name} must be finite")
 
@@ -423,12 +428,6 @@ def initial_values(
 # ---------------------------------------------------------------------------
 
 
-def default_search_box(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale-aware optimization box for ``(phi, nu2)``."""
-    dmax = float(np.max(dist))
-    return np.array([1e-4 * dmax, 0.0]), np.array([10.0 * dmax, 1e3])
-
-
 def gaussian_ml_fit(
     y: np.ndarray,
     x: np.ndarray,
@@ -438,63 +437,29 @@ def gaussian_ml_fit(
     bounds: Optional[tuple] = None,
 ) -> tuple[ModelParams, float, np.ndarray]:
     """Maximize the exact Gaussian log-likelihood over the covariance
-    parameters, profiling the trend coefficients (and the sill when it is
-    free).  Returns the fitted parameters, the attained log-likelihood and
-    the lower Cholesky factor of ``Sigma`` at the fitted parameters over
-    the rows of ``y``.
+    parameters, profiling the trend coefficients and the sill (or tying it
+    to a fixed nugget).  Returns the fitted parameters, the attained
+    log-likelihood and the lower Cholesky factor of ``Sigma`` at the fitted
+    parameters over the rows of ``y``.
 
-    The search over ``(phi, nu2)`` within ``bounds`` (a pair of length-2
-    arrays) is the bounded gradient search the CM step of the stochastic
-    EM uses (:mod:`geocens.profile`), with no censored block; it starts on
-    the exact Hessian of the objective, as no metric is handed between
-    Gaussian-ML fits.  With a fixed zero nugget the search is over ``phi``
-    alone.  The trend coefficients, the sill and the factor are those of
-    the search's accepted evaluation at the optimum: the factor is
-    ``sqrt(sigma2) L_Psi``, as :func:`geocens.saem.cm_step` returns, so R
-    is not formed and Sigma not factored again after the search.  ``lags``
-    is the :class:`geocens.covariance.Lags` of the sites' distances, which
-    every evaluation reads (see ``profile_objective``).
+    The fit is the profile search the CM step of the stochastic EM runs
+    (:func:`geocens.profile.profile_fit`), with no censored block, from
+    ``init`` within ``bounds`` (a pair of arrays over ``(phi, nu2)``;
+    :func:`geocens.profile.default_search_box` when None); it starts on the
+    exact Hessian of the objective, as no metric is handed between
+    Gaussian-ML fits.  The trend coefficients, the sill and the factor
+    ``sqrt(sigma2) L_Psi`` are those of the search's accepted evaluation at
+    the optimum, so R is not formed and Sigma not factored again after the
+    search.  ``lags`` is the :class:`geocens.covariance.Lags` of the sites'
+    distances, which every evaluation reads (see :mod:`geocens.profile`).
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = y.shape[0]
-    if bounds is None:
-        lo_b, hi_b = default_search_box(lags.dist)
-    else:
-        lo_b, hi_b = np.asarray(bounds[0], float), np.asarray(bounds[1], float)
-    fixed_tau = spec.fixed_nugget_value if spec.nugget_fixed else None
-
-    if fixed_tau is not None and fixed_tau == 0.0:
-        x0 = np.array([np.clip(init.phi, lo_b[0], hi_b[0])])
-        lower, upper = lo_b[:1], hi_b[:1]
-        nu2_held = 0.0
-    elif fixed_tau is not None:
-        nu0 = np.clip(fixed_tau / init.sigma2, max(lo_b[1], 1e-10), hi_b[1])
-        x0 = np.array([np.clip(init.phi, lo_b[0], hi_b[0]), nu0])
-        lower, upper = np.array([lo_b[0], max(lo_b[1], 1e-10)]), hi_b[:2]
-        nu2_held = None
-    else:
-        x0 = np.array(
-            [np.clip(init.phi, lo_b[0], hi_b[0]), np.clip(init.nu2, lo_b[1], hi_b[1])]
-        )
-        lower, upper = lo_b[:2], hi_b[:2]
-        nu2_held = None
-
-    theta, value, (beta, sigma2, lo_psi), _ = profile_search(
-        lambda t: profile_objective(
-            t, lags, spec, y, np.zeros((0, 0)), np.zeros(0, dtype=int), nu2_held,
-            x=x, tau2=fixed_tau,
-        ),
-        x0, lower, upper,
-    )
-    if not np.isfinite(value):
-        raise NumericalError("gaussian likelihood optimization diverged")
-    phi = float(theta[0])
-    nu2 = float(theta[1]) if theta.shape[0] > 1 else 0.0
-    tau2 = fixed_tau if fixed_tau is not None else nu2 * sigma2
-    cov = CovParams(sigma2=float(sigma2), phi=phi, tau2=float(tau2))
-    ll = -float(value + 0.5 * n * np.log(2 * np.pi))
-    return ModelParams(beta=beta, cov=cov), ll, np.sqrt(cov.sigma2) * lo_psi
+    lower, upper = default_search_box(lags.dist) if bounds is None else bounds
+    fit = profile_fit(y, x, lags, spec, np.zeros((0, 0)), np.zeros(0, dtype=int), init,
+                      lower, upper)
+    ll = -float(fit.value + 0.5 * y.shape[0] * np.log(2 * np.pi))
+    return fit.params, ll, fit.factor
 
 
 # ---------------------------------------------------------------------------

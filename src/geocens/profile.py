@@ -2,19 +2,27 @@
 
 The conditional maximization of the stochastic EM
 (:func:`geocens.saem.cm_step`) and Gaussian maximum likelihood
-(:func:`geocens.predict.gaussian_ml_fit`) minimize the same objective over
-``theta = (phi, nu2)``, or ``phi`` alone when the nugget is held:
+(:func:`geocens.predict.gaussian_ml_fit`) are one fit,
+:func:`profile_fit`: it maximizes the completed Gaussian log-likelihood
+jointly in ``(beta, sigma2, phi, nu2)`` by minimizing over ``theta = (phi,
+nu2)``, or ``phi`` alone when the nugget is fixed at 0,
 
     f(theta) = 1/2 [n log sigma2 + log|Psi| + q / sigma2],
     Psi = R(phi) + nu2 I = L L',   Q = Psi^{-1},
     q = |L^{-1} r|^2 + sum(Q_cc * C),
 
-where ``r`` is the residual of the first moment of the response and ``C``
-the covariance of its block ``c`` (the censored rows in the CM step; empty
-for Gaussian ML).  The CM step holds ``r`` and ``sigma2`` at their
-conditional updates; Gaussian ML profiles the trend by generalized least
-squares and the sill by ``q / n`` or, with a fixed nugget ``tau2``, ties
-it to ``tau2 / nu2``.  Each evaluation forms R(phi) and ``dR/dphi`` in
+where ``r = z - X beta`` is the residual of the first moment ``z`` of the
+response and ``C`` the covariance of its block ``c`` (the censored rows in
+the CM step, ``zz_cc - z_c z_c'``; empty for Gaussian ML).  The trend is
+profiled by generalized least squares, and the sill by ``q / n`` (a free
+nugget, or one fixed at 0 with ``nu2`` held at 0) or tied to ``tau2 /
+nu2`` (a nugget fixed at ``tau2 > 0``, with ``(phi, nu2)`` searched), so
+each CM step is a full M-step: SAEM with an exact M-step converges to
+stationary points of the observed likelihood (Delyon, Lavielle & Moulines
+1999, Ann. Statist.).  :func:`profile_fit` is the one place that turns a
+covariance spec, a start and a box into a search: a box without a ``nu2``
+component takes the range of :func:`default_search_box`, and a tied sill
+floors ``nu2`` at 1e-10.  Each evaluation forms R(phi) and ``dR/dphi`` in
 one kernel pass over the :class:`geocens.covariance.Lags` the caller keeps
 for its distances (:func:`geocens.covariance.corr_dcorr_matrix`: for
 Matern, one segment lookup per lag serves both Bessel kernel tables), and
@@ -22,8 +30,7 @@ L and Q (``potri``) once; or it reads all four from the last evaluation
 that the ``Lags`` holds, formed at exactly the same ``(spec, phi, nu2)``:
 each CM step and each seminaive refit starts where the last search on its
 distances stopped.  The whitened residual ``L^{-1} r`` comes from the GLS
-fit when the trend is profiled; L is handed back with the fitted trend and
-sill.
+fit; L is handed back with the fitted trend and sill.
 The residual term of q stays on the factor: ``r' Q r`` loses accuracy as
 the condition of Psi grows, and the search compares values at 1e-10.
 With ``a = Q r``, ``B = Q[:, c]`` and ``Psi_j`` the derivatives of Psi
@@ -72,14 +79,15 @@ and :func:`geocens.saem.cm_step` called on its own run to convergence.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import covariance
-from .covariance import CovarianceSpec, _cholesky_inverse
+from .covariance import CovarianceSpec, CovParams, _cholesky_inverse
 from .errors import NumericalError, SingularCovarianceError
+from .model import ModelParams
 
 # corr_dcorr_matrix and spd_cholesky are looked up on the covariance module
 # at call time, so that a wrapper installed there (a profiler or a call
@@ -96,20 +104,9 @@ _ACTIVE_TOL = 1e-9
 _ARMIJO = 1e-4
 _MAX_ITER = 200
 
-_Fitted = tuple[Optional[np.ndarray], float, np.ndarray]
+_Fitted = tuple[np.ndarray, float, np.ndarray]
 
-
-def expected_quad(lo: np.ndarray, rw: np.ndarray, cov_c: np.ndarray, idx: np.ndarray) -> float:
-    """``E[(z - mu)' S^{-1} (z - mu)]`` from the Cholesky factor ``lo`` of
-    ``S``, the whitened residual ``rw = lo^{-1} (zhat - mu)`` and the
-    covariance ``cov_c`` of the block ``idx`` (zero elsewhere).  The unit
-    columns of ``idx`` whiten to vectors that vanish above row ``min(idx)``,
-    so only the block of ``lo`` from that row down is solved."""
-    k = int(np.min(idx, initial=lo.shape[0]))
-    cols = np.zeros((lo.shape[0] - k, idx.size))
-    cols[idx - k, np.arange(idx.size)] = 1.0
-    ew = solve_triangular(lo[k:, k:], cols, lower=True, check_finite=False)
-    return float(rw @ rw + np.sum((ew.T @ ew) * cov_c))
+_NU2_RANGE = (0.0, 1e3)  # of default_search_box, and of a box without nu2
 
 
 def _gls(lo: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,30 +124,25 @@ def profile_objective(
     lags: covariance.Lags,
     spec: CovarianceSpec,
     z: np.ndarray,
+    x: np.ndarray,
     cov_c: np.ndarray,
     idx: np.ndarray,
-    nu2: Optional[float] = None,
-    *,
-    x: Optional[np.ndarray] = None,
-    sigma2: Optional[float] = None,
-    tau2: Optional[float] = None,
 ) -> tuple[float, np.ndarray, Callable[[], np.ndarray], _Fitted]:
     """Value, gradient, Hessian builder and fitted trend and sill of ``f``
     at ``theta = (phi, nu2)``, or at ``theta = (phi,)`` with the relative
-    nugget held at ``nu2``.
+    nugget held at 0.
 
-    ``z`` is the residual ``r``, or, given a design matrix ``x``, the
-    response whose trend on ``x`` is profiled by generalized least squares.
-    ``cov_c`` is the covariance of the block ``idx`` of the response (empty
-    for Gaussian ML).  The sill is held at ``sigma2`` when given, tied to
-    ``tau2 / nu2`` when ``tau2`` is given and ``nu2 > 0``, and profiled at
-    ``q / n`` otherwise.
+    ``z`` is the first moment of the response, whose trend on the design
+    matrix ``x`` is profiled by generalized least squares, and ``cov_c``
+    the covariance of its block ``idx`` (empty for Gaussian ML).  The sill
+    is tied to ``tau2 / nu2`` when ``spec`` fixes the nugget at ``tau2``
+    and ``nu2`` is searched, and profiled at ``q / n`` otherwise.
 
     The third element is a function of no arguments that returns the exact
     Hessian from the state of this evaluation, without evaluating R(phi)
     or factoring Psi again.  Raises :class:`SingularCovarianceError` when
     Psi cannot be factored.  The fourth element is ``(beta, sigma2, lo)``:
-    the GLS trend (None without ``x``), the sill of ``f`` and L.
+    the GLS trend, the sill of ``f`` and L.
 
     An evaluation forms R and ``dR/dphi`` in one kernel pass
     (:func:`geocens.covariance.corr_dcorr_matrix`) over ``lags``, the
@@ -161,8 +153,7 @@ def profile_objective(
     """
     dim = len(theta)
     phi = float(theta[0])
-    if nu2 is None:
-        nu2 = float(theta[1])
+    nu2 = float(theta[1]) if dim > 1 else 0.0
     key = (spec, phi, nu2)
     held, lags.held = lags.held, None
     if held is None or held[0] != key:
@@ -174,11 +165,8 @@ def profile_objective(
     lags.held = held
     psi, lo, qi, d_phi = held[1]
     n = lo.shape[0]
-    if x is None:
-        beta, resid, rw = None, z, solve_triangular(lo, z, lower=True, check_finite=False)
-    else:
-        beta, rw = _gls(lo, x, z)
-        resid = z - x @ beta
+    beta, rw = _gls(lo, x, z)
+    resid = z - x @ beta
     logdet = 2.0 * np.sum(np.log(np.diag(lo)))
 
     a = qi @ resid
@@ -195,12 +183,9 @@ def profile_objective(
 
     # the sill s and its derivatives in theta
     ds, d2s = np.zeros(dim), np.zeros((dim, dim))
-    if sigma2 is not None:
-        s = sigma2
-    elif tau2 is not None and nu2 > 0:
-        s = tau2 / nu2
-        if dim > 1:
-            ds[1], d2s[1, 1] = -s / nu2, 2.0 * s / nu2**2
+    if spec.nugget_fixed and dim > 1:
+        s = spec.fixed_nugget_value / nu2
+        ds[1], d2s[1, 1] = -s / nu2, 2.0 * s / nu2**2
     else:
         s = max(q / n, 1e-300)
         ds = q_grad / n
@@ -228,9 +213,8 @@ def profile_objective(
             q_h[0, 1] = q_h[1, 0] = 2.0 * (da @ qa + np.sum((db.T @ qb) * cov_c.T))
             q_h[1, 1] = 2.0 * (a @ qa + np.sum((b.T @ qb) * cov_c))
         del m
-        if x is not None:
-            u = x.T @ np.column_stack([qda, qa][:dim])
-            q_h -= 2.0 * u.T @ np.linalg.solve(x.T @ (qi @ x), u)
+        u = x.T @ np.column_stack([qda, qa][:dim])
+        q_h -= 2.0 * u.T @ np.linalg.solve(x.T @ (qi @ x), u)
         # with the chain terms of n log s + q / s in the sill s(theta)
         out = 0.5 * (ell_h + q_h / s) + df_ds * d2s
         out -= 0.5 * (np.outer(q_grad, ds) + np.outer(ds, q_grad)) / s**2
@@ -346,3 +330,74 @@ def profile_search(
             h = h - np.outer(hs, hs) / (step @ hs) + np.outer(y, y) / sy
         hess = None
     return x, float(f), fitted, h
+
+
+def default_search_box(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale-aware search box for ``(phi, nu2)``."""
+    dmax = float(np.max(dist))
+    return np.array([1e-4 * dmax, _NU2_RANGE[0]]), np.array([10.0 * dmax, _NU2_RANGE[1]])
+
+
+class ProfileFit(NamedTuple):
+    """The parameters, the minimum of ``f``, the factor ``sqrt(sigma2)
+    L_Psi`` of Sigma there, the search's last metric and its ``theta``."""
+
+    params: ModelParams
+    value: float
+    factor: np.ndarray
+    metric: Optional[np.ndarray]
+    theta: np.ndarray
+
+
+def profile_fit(
+    z: np.ndarray,
+    x: np.ndarray,
+    lags: covariance.Lags,
+    spec: CovarianceSpec,
+    cov_c: np.ndarray,
+    idx: np.ndarray,
+    start: CovParams,
+    lower,
+    upper,
+    metric: Optional[np.ndarray] = None,
+    max_steps: Optional[int] = None,
+) -> ProfileFit:
+    """Maximize the completed Gaussian log-likelihood jointly in ``(beta,
+    sigma2, phi, nu2)``: :func:`profile_search` on :func:`profile_objective`
+    from ``start`` within the box ``[lower, upper]`` over ``(phi, nu2)``,
+    handed ``metric`` and ``max_steps``.
+
+    ``spec`` sets what is searched.  A free nugget searches ``(phi, nu2)``
+    and profiles the sill.  A nugget fixed at 0 searches ``phi`` alone
+    (``nu2`` held at 0, a second box component ignored) and profiles the
+    sill.  A nugget fixed at ``tau2 > 0`` searches ``(phi, nu2)`` with the
+    sill tied to ``tau2 / nu2``, starting at ``nu2 = tau2 / sigma2`` of
+    ``start``; a box without a ``nu2`` component takes
+    :func:`default_search_box`'s range, and the lower ``nu2`` bound is
+    floored at 1e-10.  The start is clipped into the box.  Raises
+    :class:`NumericalError` when the search ends on a value that is not
+    finite.
+    """
+    lower = np.array(lower, dtype=float, ndmin=1)
+    upper = np.array(upper, dtype=float, ndmin=1)
+    fixed = spec.fixed_nugget_value if spec.nugget_fixed else None
+    if fixed == 0.0:
+        lower, upper, x0 = lower[:1], upper[:1], [start.phi]
+    else:
+        if lower.size < 2:
+            lower, upper = np.append(lower, _NU2_RANGE[0]), np.append(upper, _NU2_RANGE[1])
+        lower, upper = lower[:2], upper[:2]
+        if fixed is not None:
+            lower[1] = max(lower[1], 1e-10)  # a tied sill tau2 / nu2 stays finite
+        x0 = [start.phi, start.nu2 if fixed is None else fixed / start.sigma2]
+    theta, value, (beta, sigma2, lo_psi), metric = profile_search(
+        lambda t: profile_objective(t, lags, spec, z, x, cov_c, idx),
+        np.clip(x0, lower, upper), lower, upper, metric, max_steps,
+    )
+    if not np.isfinite(value):
+        raise NumericalError("covariance search ended on a non-finite objective")
+    nu2 = float(theta[1]) if theta.shape[0] > 1 else 0.0
+    tau2 = fixed if fixed is not None else nu2 * sigma2
+    cov = CovParams(sigma2=float(sigma2), phi=float(theta[0]), tau2=float(tau2))
+    return ProfileFit(ModelParams(beta=beta, cov=cov), float(value),
+                      np.sqrt(cov.sigma2) * lo_psi, metric, theta)

@@ -3,9 +3,10 @@
 Each iteration runs one E-step, a few Gibbs sweeps of the censored block
 under its conditional truncated normal law that continue the last
 iteration's chain, folded into running estimates of the block's first and
-second moments with a decreasing step size; then the conditional
-maximization: closed forms for the trend coefficients and the sill, and a
-bounded gradient search for the range and relative nugget
+second moments with a decreasing step size; then the M-step: the completed
+log-likelihood maximized jointly in all parameters, the trend and the sill
+profiled out and the range and relative nugget found by the bounded
+gradient search that Gaussian maximum likelihood runs too
 (:mod:`geocens.profile`).
 """
 
@@ -37,7 +38,7 @@ from .model import (
     partition,
 )
 from .mvn import Rectangle, RngState, _gibbs_sweeps
-from .profile import _gls, expected_quad, profile_objective, profile_search
+from .profile import _gls, profile_fit
 
 STOP_WINDOW = 10  # iterates per window of the stopping rule (path_drift)
 
@@ -53,9 +54,10 @@ class SaemConfig:
     the first ``ceil(pc * max_iter)`` iterations run memoryless (step size
     one) before the decaying-step averaging phase begins.
 
-    ``lower`` and ``upper`` bound the inner search over ``(phi, nu2)``
-    (``phi`` alone when the nugget is fixed, which ignores a second
-    component); :func:`saem_fit` rejects a box of any other length.
+    ``lower`` and ``upper`` bound the inner search over ``(phi, nu2)``,
+    one or two components for a fixed nugget (the box rule of
+    :func:`geocens.profile.profile_fit`); :func:`saem_fit` rejects a box
+    of any other length.
     ``seed`` must be an integer >= 0 (not ``bool``).  ``init_sigma2`` and
     ``init_phi`` (both finite and > 0) with ``init_nugget`` (finite and
     >= 0; 0 when None) seed the parameters; leave the first two None to use
@@ -247,65 +249,34 @@ def cm_step(
     spec: CovarianceSpec,
     config: SaemConfig,
     prev: ModelParams,
-    lo: np.ndarray,
     metric: Optional[np.ndarray] = None,
     max_steps: Optional[int] = None,
     start: Optional[ModelParams] = None,
 ) -> tuple[ModelParams, np.ndarray, Optional[np.ndarray]]:
     """Conditional maximization given the current moment estimates.
 
-    ``lo`` is the lower Cholesky factor of the covariance matrix at
-    ``prev``.  The trend coefficients are generalized least squares under
-    it; the sill is its closed-form update from that fit's whitened
-    residual; the range and relative nugget come from the projected
-    quasi-Newton search of :func:`geocens.profile.profile_search` on the
-    profile objective with the residual and sill held, started at the
-    previous iterate (or at ``start``, when given) on ``metric``, the
-    metric the last step's search ended with, or on the exact Hessian of
-    the objective when that is None (the first step of a fit).  The search
-    runs to convergence, or stops after ``max_steps`` accepted steps when
-    that is given.  With a fixed nugget only the range is searched and
-    ``nu2`` tracks ``fixed_nugget / sigma2``.
-
     ``zz`` is the second moment of the block ``idx`` of the response; the
-    second moment elsewhere is ``zhat zhat'``.
+    second moment elsewhere is ``zhat zhat'``.  The step maximizes the
+    completed log-likelihood jointly in all parameters: the profile search
+    of :func:`geocens.profile.profile_fit` on ``zhat``, with the block's
+    covariance ``zz - zhat_c zhat_c'`` added to the quadratic form, within
+    the box of ``config``.  The search starts at the previous iterate (or
+    at ``start``, when given) on ``metric``, the metric the last step's
+    search ended with, or on the exact Hessian of the objective when that
+    is None (the first step of a fit).  It runs to convergence, or stops
+    after ``max_steps`` accepted steps when that is given.
 
     Returns the new parameters, the lower Cholesky factor of the
     covariance matrix at them (``sqrt(sigma2)`` times the factor of ``Psi``
     that the search's accepted evaluation computed) and the metric the
     search ended with, for the next step.  ``lags`` holds the
     distances and the last step's last evaluation, read when that was at
-    the start's ``(phi, nu2)`` (:func:`geocens.profile.profile_objective`).
+    the start's ``(phi, nu2)`` (:mod:`geocens.profile`).
     """
-    n = x.shape[0]
-    beta, rw = _gls(lo, x, zhat)
-
-    # sill update with the previous correlation-scale precision
-    resid = zhat - x @ beta
     cov_c = zz - np.outer(zhat[idx], zhat[idx])
-    sigma2 = prev.cov.sigma2 * expected_quad(lo, rw, cov_c, idx) / n
-    if not np.isfinite(sigma2) or sigma2 <= 0:
-        raise NumericalError("sill update produced a non-positive value")
-
-    lower = np.asarray(config.lower, dtype=float)
-    upper = np.asarray(config.upper, dtype=float)
-    at = (prev if start is None else start).cov
-    if spec.nugget_fixed:
-        lower, upper = lower[:1], upper[:1]
-        x0 = np.clip([at.phi], lower, upper)
-        nu2 = spec.fixed_nugget_value / sigma2
-    else:
-        x0 = np.clip([at.phi, at.nu2], lower, upper)
-        nu2 = None
-    theta, value, (_, _, lo_psi), metric = profile_search(
-        lambda t: profile_objective(t, lags, spec, resid, cov_c, idx, nu2, sigma2=sigma2),
-        x0, lower, upper, metric, max_steps,
-    )
-    if not np.isfinite(value):
-        raise NumericalError("inner covariance search produced a non-finite objective")
-    tau2 = spec.fixed_nugget_value if spec.nugget_fixed else float(theta[1]) * sigma2
-    cov = CovParams(sigma2=sigma2, phi=float(theta[0]), tau2=tau2)
-    return ModelParams(beta=beta, cov=cov), math.sqrt(sigma2) * lo_psi, metric
+    fit = profile_fit(zhat, x, lags, spec, cov_c, idx, (prev if start is None else start).cov,
+                      config.lower, config.upper, metric, max_steps)
+    return fit.params, fit.factor, fit.metric
 
 
 def saem_fit(
@@ -318,15 +289,18 @@ def saem_fit(
 
     One Cholesky factor of ``Sigma`` over the sites ordered observed first
     (:attr:`geocens.model.Partition.order`) holds every block a parameter
-    point needs.  Each CM step's result comes factored from the search
-    that found it.  The start is factored here, and then again by the
+    point needs.  Each CM step maximizes the completed log-likelihood in
+    all parameters (:func:`cm_step`), so on uncensored data, where that is
+    the log-likelihood, the fit lands on the Gaussian maximum-likelihood
+    estimate whether the nugget is free or fixed.  Each CM step's result
+    comes factored from the search that found it.  The start is factored here, and then again by the
     first CM search: that search starts at the start's range with nothing
     held on the ``Lags`` yet, so its first evaluation forms R and factors
     Psi there anew.  The observed block of a point's factor gives the
     observed-block log density, its lower blocks the conditional law of the censored
     block (:func:`geocens.model.conditional_given_obs`, which keeps the
-    covariance as its factor ``L_cc``), and the whole factor the next CM
-    step's generalized least squares and sill update.  The next E-step
+    covariance as its factor ``L_cc``), and at the start the initial trend
+    coefficients, by generalized least squares.  The next E-step
     sweeps on the precision from ``L_cc``; only the final likelihood
     estimate forms ``L_cc L_cc'``, for its rectangle probability.  Every
     CM search reads one :class:`geocens.covariance.Lags` of the ordered
@@ -422,7 +396,7 @@ def saem_fit(
                 )
             # one accepted step between the cut and the last iteration
             steps = None if k <= cut or k == config.max_iter else 1
-            new, new_lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, params, lo,
+            new, new_lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, params,
                                           metric, steps)
             trace_params[k - 1] = new.as_array()
             converged = k - cut >= 2 * STOP_WINDOW and bool(np.all(
@@ -431,7 +405,7 @@ def saem_fit(
             if converged and steps is not None:
                 # finish the stopped search on the same moments
                 new, new_lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, params,
-                                              lo, metric, start=new)
+                                              metric, start=new)
                 trace_params[k - 1] = new.as_array()
             params, lo = new, new_lo
             mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, z, n_obs)

@@ -73,20 +73,24 @@ def batch_means_se(samples_1d, n_batches=40):
     return float(np.std(means, ddof=1) / np.sqrt(n_batches))
 
 
-def gaussian_ml_oracle(y, x, dist, corr_fn, init, bounds):
+def gaussian_ml_oracle(y, x, dist, corr_fn, init, bounds, tau2=None):
     """Direct numeric maximum likelihood for the fully observed Gaussian
     model, independent of the package's estimation code.
 
     ``corr_fn(dist, phi)`` returns the correlation matrix.  Optimizes the
-    profile likelihood over ``(phi, nu2)`` inside ``bounds`` and returns
-    ``(beta, sigma2, phi, tau2, loglik)``.
+    profile likelihood over ``(phi, nu2)`` inside ``bounds``, the trend
+    profiled by GLS and the sill by ``q / n``; with a fixed nugget ``tau2``
+    the sill is tied to ``tau2 / nu2``, or, for ``tau2 = 0``, ``nu2`` is
+    held at 0 and ``phi`` is searched alone (``init`` and ``bounds`` then
+    have one component).  Returns ``(beta, sigma2, phi, tau2, loglik)``.
     """
     y = np.asarray(y, float)
     x = np.asarray(x, float)
     n = len(y)
 
     def profile(theta):
-        phi, nu2 = theta
+        phi = theta[0]
+        nu2 = theta[1] if len(theta) > 1 else 0.0
         psi = corr_fn(dist, phi) + nu2 * np.eye(n)
         try:
             sign, logdet = np.linalg.slogdet(psi)
@@ -98,8 +102,9 @@ def gaussian_ml_oracle(y, x, dist, corr_fn, init, bounds):
         xtp = x.T @ psi_inv
         beta = np.linalg.solve(xtp @ x, xtp @ y)
         r = y - x @ beta
-        sigma2 = float(r @ psi_inv @ r) / n
-        nll = 0.5 * (n * np.log(2 * np.pi) + n * np.log(sigma2) + logdet + n)
+        q = float(r @ psi_inv @ r)
+        sigma2 = tau2 / nu2 if tau2 else q / n
+        nll = 0.5 * (n * np.log(2 * np.pi) + n * np.log(sigma2) + logdet + q / sigma2)
         return nll, beta, sigma2
 
     res = minimize(
@@ -110,8 +115,9 @@ def gaussian_ml_oracle(y, x, dist, corr_fn, init, bounds):
         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
     )
     nll, beta, sigma2 = profile(res.x)
-    phi, nu2 = res.x
-    return beta, sigma2, float(phi), float(nu2 * sigma2), -float(nll)
+    phi = float(res.x[0])
+    nugget = tau2 if tau2 is not None else float(res.x[1]) * sigma2
+    return beta, sigma2, phi, float(nugget), -float(nll)
 
 
 def wls_variofit_oracle(centers, gamma, counts, max_dist, family, kappa, fixed_tau2=None):
@@ -395,30 +401,23 @@ def dcorr_dphi_closed_form(family, kappa, h, phi):
     raise ValueError(family)
 
 
-def dense_profile_value(dist, corr, phi, nu2, z, cov_c, idx, *, x=None, sigma2=None, tau2=None):
+def dense_profile_value(dist, corr, phi, nu2, z, x, cov_c, idx, tau2=None):
     """The profile objective ``1/2 [n log s + log|Psi| + q / s]`` at
     ``(phi, nu2)`` from ``slogdet`` and ``inv`` of ``Psi = R + nu2 I``,
     with ``R = corr(dist, phi)``; ``q = r' Psi^{-1} r + sum((Psi^{-1})_cc
-    * C)``.  Given ``x`` the trend of ``z`` is fitted by GLS through the
-    dense inverse.  The sill ``s`` is ``sigma2`` when given, ``tau2 /
-    nu2`` when ``tau2`` is given and ``nu2 > 0``, and ``q / n`` otherwise.
-    Returns the value, the GLS coefficients (None without ``x``) and ``s``."""
+    * C)``, with the trend of ``z`` on ``x`` fitted by GLS through the
+    dense inverse.  The sill ``s`` is ``tau2 / nu2`` when ``tau2`` is
+    given, and ``q / n`` otherwise.  Returns the value, the GLS
+    coefficients and ``s``."""
     n = len(z)
     psi = corr(dist, phi) + nu2 * np.eye(n)
     sign, logdet = np.linalg.slogdet(psi)
     assert sign > 0
     qi = np.linalg.inv(psi)
-    beta, r = None, z
-    if x is not None:
-        beta = np.linalg.solve(x.T @ qi @ x, x.T @ qi @ z)
-        r = z - x @ beta
+    beta = np.linalg.solve(x.T @ qi @ x, x.T @ qi @ z)
+    r = z - x @ beta
     q = r @ qi @ r + np.sum(qi[np.ix_(idx, idx)] * cov_c)
-    if sigma2 is not None:
-        s = sigma2
-    elif tau2 is not None and nu2 > 0:
-        s = tau2 / nu2
-    else:
-        s = q / n
+    s = q / n if tau2 is None else tau2 / nu2
     return 0.5 * (n * np.log(s) + logdet + q / s), beta, s
 
 

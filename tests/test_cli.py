@@ -399,7 +399,7 @@ def test_numerical_failure_exit_3(tmp_path, sim_dir, monkeypatch):
     import geocens.cli as cli_mod
 
     def boom(*args, **kwargs):
-        raise NumericalError("iteration 3: sill update produced a non-positive value")
+        raise NumericalError("iteration 3: covariance search ended on a non-finite objective")
 
     monkeypatch.setattr(cli_mod, "saem_fit", boom)
     rc = run_cli("fit", "--data", sim_dir / "data.csv", *FIT_ARGS,

@@ -83,6 +83,29 @@ def test_krige_rejects_non_finite_targets(field, bad):
         krige(params, x, z, coords, targets["x_pred"], targets["coords_pred"], SPEC_EXP)
 
 
+@pytest.mark.parametrize("bad", ["z_obs-nan", "x_obs-inf", "coords_obs-nan", "z_obs-short",
+                                 "coords_obs-short"])
+@pytest.mark.parametrize("path", ["factor", "precision"])
+def test_krige_rejects_bad_data_on_both_paths(path, bad):
+    # the precision path returned NaN means with finite sds on non-finite
+    # data, and a factor handed in hid non-finite coordinates from it
+    coords, x, z, beta = observed_setup()
+    params = ModelParams(beta=beta, cov=CovParams(sigma2=1.5, phi=1.0, tau2=0.1))
+    lo = cholesky_sigma(distance_matrix(coords), SPEC_EXP, params.cov)
+    given = {"factor": lo} if path == "factor" else {"precision": np.linalg.inv(lo @ lo.T)}
+    data = {"z_obs": z.copy(), "x_obs": x.copy(), "coords_obs": coords.copy()}
+    field, fault = bad.split("-")
+    if fault == "short":
+        data[field] = data[field][:-1]
+        match = "row counts differ"
+    else:
+        data[field][2, ...] = np.nan if fault == "nan" else np.inf
+        match = f"{field} must be finite"
+    with pytest.raises(DataValidationError, match=match):
+        krige(params, data["x_obs"], data["z_obs"], data["coords_obs"], x[:3], coords[:3],
+              SPEC_EXP, **given)
+
+
 def test_krige_decorrelated_limit_spherical():
     coords, x, z, beta = observed_setup(seed=1)
     spec = CovarianceSpec("spherical")

@@ -346,6 +346,7 @@ def test_saem_fit_runs_one_e_step_per_iteration_with_censored_sites(monkeypatch,
 
 
 def test_cm_step_beta_is_gls():
+    # the trend is profiled: the GLS fit under Sigma at the returned point
     res = sim_left(cens=0.0, seed=9)
     data = res.data
     x = build_trend(data.coords, None, TrendSpec("cte"))
@@ -354,19 +355,16 @@ def test_cm_step_beta_is_gls():
     zhat = data.value
     zzhat = np.outer(zhat, zhat)
     cfg = base_config()
-    sigma = build_sigma(dist, SPEC_EXP, prev.cov)
-    new, _, _ = cm_step(
-        zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev,
-        np.linalg.cholesky(sigma)
-    )
-    si = np.linalg.inv(sigma)
+    new, _, _ = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev)
+    si = np.linalg.inv(build_sigma(dist, SPEC_EXP, new.cov))
     want = np.linalg.solve(x.T @ si @ x, x.T @ si @ zhat)
     assert_allclose(new.beta, want, rtol=1e-10)
 
 
 def test_cm_step_square_design_residual_free_sill():
     # with a square invertible design the fitted mean interpolates zhat, so
-    # the sill update reduces to the pure trace term
+    # the profiled sill q / n at the returned (phi, nu2) is the pure trace
+    # term
     coords = np.array([[0.0, 0.0], [1.0, 0.0]])
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     dist = distance_matrix(coords)
@@ -374,11 +372,8 @@ def test_cm_step_square_design_residual_free_sill():
     zhat = np.array([0.7, -0.4])
     zzhat = np.outer(zhat, zhat) + 0.5 * np.eye(2)
     cfg = base_config()
-    new, _, _ = cm_step(
-        zhat, zzhat, np.arange(2), x, Lags(dist), SPEC_EXP, cfg, prev,
-        cholesky_sigma(dist, SPEC_EXP, prev.cov),
-    )
-    psi_inv = np.linalg.inv(build_sigma(dist, SPEC_EXP, prev.cov) / prev.cov.sigma2)
+    new, _, _ = cm_step(zhat, zzhat, np.arange(2), x, Lags(dist), SPEC_EXP, cfg, prev)
+    psi_inv = np.linalg.inv(build_sigma(dist, SPEC_EXP, new.cov) / new.cov.sigma2)
     want = np.sum((zzhat - np.outer(zhat, zhat)) * psi_inv) / 2.0
     assert new.cov.sigma2 == pytest.approx(want, rel=1e-10)
 
@@ -392,10 +387,7 @@ def test_cm_step_dominates_random_feasible_points():
     zhat = data.value.astype(float)
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
-    new, _, _ = cm_step(
-        zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev,
-        cholesky_sigma(dist, SPEC_EXP, prev.cov),
-    )
+    new, _, _ = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev)
 
     def profile(phi, nu2, sigma2, beta):
         psi = correlation("exponential", 0.0, dist, phi) + nu2 * np.eye(data.n)
@@ -436,13 +428,8 @@ def test_cm_step_censored_block_equals_dense_moments():
             base_config(lower=(0.05,), upper=(20.0,)),
         ),
     ]:
-        sigma = build_sigma(dist, spec, prev.cov)
-        block, _, _ = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev,
-                              np.linalg.cholesky(sigma))
-        dense, _, _ = cm_step(
-            zhat, zzhat, np.arange(data.n), x, Lags(dist), spec, cfg, prev,
-            np.linalg.cholesky(sigma)
-        )
+        block, _, _ = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev)
+        dense, _, _ = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), spec, cfg, prev)
         assert_allclose(block.as_array(), dense.as_array(), rtol=1e-10)
 
 
@@ -460,21 +447,48 @@ def test_saem_zero_censoring_matches_ml_oracle():
 
 
 def _assert_matches_ml_oracle(fit, data, cfg):
-    x = build_trend(data.coords, None, TrendSpec("cte"))
-    dist = distance_matrix(data.coords)
+    # the oracle searches what the fit searches: (phi, nu2) from the
+    # config's start within its box, or phi alone for a nugget fixed at 0
+    spec = fit.spec
+    tau2 = spec.fixed_nugget_value if spec.nugget_fixed else None
+    init, bounds = [cfg.init_phi], [(cfg.lower[0], cfg.upper[0])]
+    if tau2 != 0.0:
+        init.append((cfg.init_nugget if tau2 is None else tau2) / cfg.init_sigma2)
+        bounds.append((cfg.lower[1], cfg.upper[1]))
     beta_o, s2_o, phi_o, tau2_o, ll_o = gaussian_ml_oracle(
         data.value,
-        x,
-        dist,
-        lambda d, phi: correlation("exponential", 0.0, d, phi),
-        init=[cfg.init_phi, cfg.init_nugget / cfg.init_sigma2],
-        bounds=[(cfg.lower[0], cfg.upper[0]), (cfg.lower[1], cfg.upper[1])],
+        build_trend(data.coords, None, TrendSpec("cte")),
+        distance_matrix(data.coords),
+        lambda d, phi: correlation(spec.family, spec.kappa, d, phi),
+        init=init,
+        bounds=bounds,
+        tau2=tau2,
     )
     assert_allclose(fit.params.beta, beta_o, rtol=1e-4)
     assert fit.params.cov.sigma2 == pytest.approx(s2_o, rel=1e-4)
     assert fit.params.cov.phi == pytest.approx(phi_o, rel=1e-4)
     assert fit.params.cov.tau2 == pytest.approx(tau2_o, rel=1e-4, abs=1e-6)
     assert fit.loglik.value == pytest.approx(ll_o, abs=1e-6)
+
+
+@pytest.mark.parametrize("nugget", [None, 0.0, 0.2, 0.5],
+                         ids=["free", "fixed-0", "fixed-0.2", "fixed-0.5"])
+@pytest.mark.parametrize("family", [SPEC_EXP, CovarianceSpec("matern", kappa=1.5)],
+                         ids=["exponential", "matern-1.5"])
+def test_saem_uncensored_fit_lands_on_the_gaussian_mle(family, nugget):
+    # with nothing censored the completed log-likelihood is the
+    # log-likelihood, so each M-step maximizes it and the fit must end at
+    # its maximizer, whatever the nugget path (criterion 4's design)
+    data = simulate_scl(SimConfig(
+        n_est=50, n_pred=0, beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+        spec=family, cens_level=0.0, coord_box=((0.0, 6.0), (0.0, 6.0)), seed=20,
+    )).data
+    spec = family if nugget is None else CovarianceSpec(
+        family.family, kappa=family.kappa, nugget_fixed=True, fixed_nugget_value=nugget)
+    cfg = base_config(max_iter=120, tol=0.0, seed=2)
+    fit = saem_fit(data, TrendSpec("cte"), spec, cfg)
+    assert fit.iterations_used == cfg.max_iter
+    _assert_matches_ml_oracle(fit, data, cfg)
 
 
 def test_saem_deterministic_given_seed():
@@ -522,11 +536,11 @@ def test_saem_fit_builds_sigma_once_per_parameter_point(monkeypatch):
     # block's conditional covariance is factored again
     from collections import Counter
 
-    from geocens import covariance, mvn, saem
+    from geocens import covariance, mvn, profile
 
     counts = {"outside": 0, "searching": False}
     factors = Counter()
-    corr_matrix, objective = covariance.corr_matrix, saem.profile_objective
+    corr_matrix, objective = covariance.corr_matrix, profile.profile_objective
     spd_cholesky = covariance.spd_cholesky
 
     def counted_corr(*args, **kwargs):
@@ -547,7 +561,7 @@ def test_saem_fit_builds_sigma_once_per_parameter_point(monkeypatch):
 
     data = sim_left(seed=22).data
     monkeypatch.setattr(covariance, "corr_matrix", counted_corr)
-    monkeypatch.setattr(saem, "profile_objective", counted_objective)
+    monkeypatch.setattr(profile, "profile_objective", counted_objective)
     for mod in (covariance, mvn):
         monkeypatch.setattr(mod, "spd_cholesky", counted_cholesky)
     fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=12))
@@ -665,9 +679,9 @@ def test_saem_censored_fit_with_a_loose_tol_stops_before_the_cap(monkeypatch):
 
     calls, cm = [], saem.cm_step
 
-    def recording(zhat, zz, idx, x, lags, spec, config, prev, lo, *args, **kwargs):
-        calls.append((zhat.copy(), zz, idx, x, lags.dist, prev, lo))
-        return cm(zhat, zz, idx, x, lags, spec, config, prev, lo, *args, **kwargs)
+    def recording(zhat, zz, idx, x, lags, spec, config, prev, *args, **kwargs):
+        calls.append((zhat.copy(), zz, idx, x, lags.dist, prev))
+        return cm(zhat, zz, idx, x, lags, spec, config, prev, *args, **kwargs)
 
     monkeypatch.setattr(saem, "cm_step", recording)
     cfg = base_config(max_iter=60, tol=0.05)
@@ -685,19 +699,20 @@ def test_saem_censored_fit_with_a_loose_tol_stops_before_the_cap(monkeypatch):
     assert np.array_equal(fit.trace_params[-1], fit.params.as_array())
     # the last row is the converged CM maximizer of the final moments: a
     # full search from the previous iterate reaches the same objective
-    assert len(calls) == k + 1 and calls[-1][-2] is calls[-2][-2]
-    zhat, zz, idx, x, dist, prev, lo = calls[-1]
-    want, _, _ = cm_step(zhat, zz, idx, x, Lags(dist), SPEC_EXP, cfg, prev, lo)
+    assert len(calls) == k + 1 and calls[-1][-1] is calls[-2][-1]
+    zhat, zz, idx, x, dist, prev = calls[-1]
+    want, _, _ = cm_step(zhat, zz, idx, x, Lags(dist), SPEC_EXP, cfg, prev)
     got = fit.params
-    assert np.array_equal(got.beta, want.beta) and got.cov.sigma2 == want.cov.sigma2
-    resid, cov_c = zhat - x @ want.beta, zz - np.outer(zhat[idx], zhat[idx])
+    cov_c = zz - np.outer(zhat[idx], zhat[idx])
 
     def value(cov):
-        return profile_objective(np.array([cov.phi, cov.nu2]), Lags(dist), SPEC_EXP, resid,
-                                 cov_c, idx, sigma2=cov.sigma2)[0]
+        return profile_objective(np.array([cov.phi, cov.nu2]), Lags(dist), SPEC_EXP, zhat, x,
+                                 cov_c, idx)[0]
 
     assert value(got.cov) == pytest.approx(value(want.cov), rel=1e-9, abs=1e-9)
-    assert_allclose([got.cov.phi, got.cov.tau2], [want.cov.phi, want.cov.tau2], rtol=1e-3)
+    # the trend and sill are profiled at the search's end point, so they
+    # move with the range and nugget
+    assert_allclose(got.as_array(), want.as_array(), rtol=1e-3)
 
 
 def test_saem_shift_equivariance():
