@@ -99,7 +99,6 @@ def krige(
     method: str = "krige",
     *,
     factor: Optional[np.ndarray] = None,
-    precision: Optional[np.ndarray] = None,
 ) -> PredictionResult:
     """Gaussian conditional mean and sd at target locations.
 
@@ -110,16 +109,13 @@ def krige(
     Data and targets that are not finite, or whose row counts disagree,
     raise :class:`DataValidationError`.
 
-    Given ``precision``, ``P = Sigma^{-1}`` at ``params`` over the data
-    sites (a fresh SAEM fit holds it), the mean is ``X_p beta + Sigma_po P
-    r`` and the variance ``sigma2 + tau2 - rowsum((Sigma_po P) o
-    Sigma_po)``, with ``r = z - X beta``; its error grows with the
-    condition number of ``Sigma`` (about 1e-6 in the sd on smooth, nearly
-    singular covariances, where the factor path stays near 1e-12).
-    Otherwise the variance is ``sigma2 + tau2 - sum_i W_ij^2`` with ``W =
-    L^{-1} Sigma_op``, where ``L`` is ``factor``, a lower Cholesky factor
-    of ``Sigma`` at ``params`` over the data rows as given, or is factored
-    from the distances of ``coords_obs`` when that is None.
+    With ``W = L^{-1} Sigma_op`` and ``r = z - X beta``, the mean is ``X_p
+    beta + W' L^{-1} r`` and the variance ``sigma2 + tau2 - sum_i W_ij^2``.
+    ``L`` is ``factor``, a lower Cholesky factor of ``Sigma`` at ``params``
+    over the data rows as given, or is factored from the distances of
+    ``coords_obs`` when that is None.  Solving with the factor keeps the
+    digits an explicit inverse of ``Sigma`` loses as ``Sigma`` grows
+    ill-conditioned (Higham 2002, ch. 14).
     """
     coords_obs = np.asarray(coords_obs, dtype=float)
     coords_pred = np.atleast_2d(np.asarray(coords_pred, dtype=float))
@@ -142,15 +138,10 @@ def krige(
         spec.family, spec.kappa, cross_distance(coords_pred, coords_obs), p.phi
     )
     resid = z_obs - x_obs @ params.beta
-    if precision is not None:
-        weights = cross @ precision  # Sigma_po P
-        mean = x_pred @ params.beta + weights @ resid
-        var = p.sigma2 + p.tau2 - np.einsum("ij,ij->i", weights, cross)
-    else:
-        lo = cholesky_sigma(distance_matrix(coords_obs), spec, p) if factor is None else factor
-        w = solve_triangular(lo, cross.T, lower=True)  # L^{-1} Sigma_op
-        mean = x_pred @ params.beta + w.T @ solve_triangular(lo, resid, lower=True)
-        var = p.sigma2 + p.tau2 - np.einsum("ij,ij->j", w, w)
+    lo = cholesky_sigma(distance_matrix(coords_obs), spec, p) if factor is None else factor
+    w = solve_triangular(lo, cross.T, lower=True)  # L^{-1} Sigma_op
+    mean = x_pred @ params.beta + w.T @ solve_triangular(lo, resid, lower=True)
+    var = p.sigma2 + p.tau2 - np.einsum("ij,ij->j", w, w)
     sd = np.sqrt(np.maximum(var, 0.0))
     return PredictionResult(
         method=method,
@@ -606,23 +597,11 @@ def predict_seminaive(
 
 def predict_saem(fit, x_pred, coords_pred) -> PredictionResult:
     """Krige with a completed fit's estimates, imputing censored readings
-    by their fitted conditional means.  A fresh fit kriges from the
-    ``Sigma^{-1}`` it holds (``fit.precision``), so nothing is factored; a
-    fit loaded from a file holds none, and ``Sigma`` is factored."""
-    x_pred = np.atleast_2d(np.asarray(x_pred, dtype=float))
-    if x_pred.shape[1] != fit.x.shape[1]:
-        raise DataValidationError("x_pred column count does not match the fit")
-    return krige(
-        fit.params,
-        fit.x,
-        fit.zhat,
-        fit.data.coords,
-        x_pred,
-        coords_pred,
-        fit.spec,
-        method="saem",
-        precision=fit.precision,
-    )
+    by their fitted conditional means.  :func:`krige` factors ``Sigma`` at
+    the estimates once, so a fresh fit and the same fit loaded from a file
+    give the same predictions, bit for bit."""
+    return krige(fit.params, fit.x, fit.zhat, fit.data.coords, x_pred, coords_pred, fit.spec,
+                 method="saem")
 
 
 # ---------------------------------------------------------------------------

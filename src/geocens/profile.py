@@ -86,7 +86,7 @@ from scipy.linalg import solve_triangular
 
 from . import covariance
 from .covariance import CovarianceSpec, CovParams, _cholesky_inverse
-from .errors import NumericalError, SingularCovarianceError
+from .errors import ConfigurationError, NumericalError, SingularCovarianceError
 from .model import ModelParams
 
 # corr_dcorr_matrix and spd_cholesky are looked up on the covariance module
@@ -338,6 +338,21 @@ def default_search_box(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([1e-4 * dmax, _NU2_RANGE[0]]), np.array([10.0 * dmax, _NU2_RANGE[1]])
 
 
+def check_search_box(lower: np.ndarray, upper: np.ndarray) -> None:
+    """Raise :class:`ConfigurationError`, naming the bound, unless every
+    bound over ``(phi, nu2)`` is finite (an infinite one is epsilon-active
+    everywhere), the lower ``phi`` bound > 0 and the lower ``nu2`` >= 0."""
+    for side, bounds in (("lower", lower), ("upper", upper)):
+        for name, bound in zip(("phi", "nu2"), bounds):
+            if not np.isfinite(bound):
+                raise ConfigurationError(
+                    f"search box {side} {name} bound must be finite, got {bound}")
+    if lower.size and not lower[0] > 0:
+        raise ConfigurationError(f"search box lower phi bound must be > 0, got {lower[0]}")
+    if lower.size > 1 and not lower[1] >= 0:
+        raise ConfigurationError(f"search box lower nu2 bound must be >= 0, got {lower[1]}")
+
+
 class ProfileFit(NamedTuple):
     """The parameters, the minimum of ``f``, the factor ``sqrt(sigma2)
     L_Psi`` of Sigma there, the search's last metric and its ``theta``."""
@@ -376,10 +391,12 @@ def profile_fit(
     :func:`default_search_box`'s range, and the lower ``nu2`` bound is
     floored at 1e-10.  The start is clipped into the box.  Raises
     :class:`NumericalError` when the search ends on a value that is not
-    finite.
+    finite, and :class:`ConfigurationError` when the box fails
+    :func:`check_search_box`.
     """
     lower = np.array(lower, dtype=float, ndmin=1)
     upper = np.array(upper, dtype=float, ndmin=1)
+    check_search_box(lower, upper)
     fixed = spec.fixed_nugget_value if spec.nugget_fixed else None
     if fixed == 0.0:
         lower, upper, x0 = lower[:1], upper[:1], [start.phi]

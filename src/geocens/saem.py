@@ -38,7 +38,7 @@ from .model import (
     partition,
 )
 from .mvn import Rectangle, RngState, _gibbs_sweeps
-from .profile import _gls, profile_fit
+from .profile import _gls, check_search_box, profile_fit
 
 STOP_WINDOW = 10  # iterates per window of the stopping rule (path_drift)
 
@@ -57,7 +57,8 @@ class SaemConfig:
     ``lower`` and ``upper`` bound the inner search over ``(phi, nu2)``,
     one or two components for a fixed nugget (the box rule of
     :func:`geocens.profile.profile_fit`); :func:`saem_fit` rejects a box
-    of any other length.
+    of any other length, and the config one that breaks the search
+    (:func:`geocens.profile.check_search_box`).
     ``seed`` must be an integer >= 0 (not ``bool``).  ``init_sigma2`` and
     ``init_phi`` (both finite and > 0) with ``init_nugget`` (finite and
     >= 0; 0 when None) seed the parameters; leave the first two None to use
@@ -105,6 +106,7 @@ class SaemConfig:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape or not np.all(lower < upper):
             raise ConfigurationError("need lower < upper componentwise")
+        check_search_box(lower, upper)
         object.__setattr__(self, "lower", tuple(lower))
         object.__setattr__(self, "upper", tuple(upper))
         if self.m > 20:
@@ -142,9 +144,10 @@ class SaemFit:
 
     ``precision`` is ``Sigma^{-1}`` at ``params`` over the sites in data
     order, as :func:`saem_fit` forms it, or None for a fit built without it
-    (:func:`geocens.cli.fit_from_payload`), whose diagnostics then factor
-    ``Sigma`` themselves.  :attr:`dist` is formed from the coordinates when
-    read.
+    (:func:`geocens.cli.fit_from_payload`).  Only
+    :func:`geocens.influence.local_influence` reads it (and factors
+    ``Sigma`` when it is None).  :attr:`dist` is formed from the
+    coordinates when read.
     """
 
     params: ModelParams
@@ -251,7 +254,6 @@ def cm_step(
     prev: ModelParams,
     metric: Optional[np.ndarray] = None,
     max_steps: Optional[int] = None,
-    start: Optional[ModelParams] = None,
 ) -> tuple[ModelParams, np.ndarray, Optional[np.ndarray]]:
     """Conditional maximization given the current moment estimates.
 
@@ -260,11 +262,11 @@ def cm_step(
     completed log-likelihood jointly in all parameters: the profile search
     of :func:`geocens.profile.profile_fit` on ``zhat``, with the block's
     covariance ``zz - zhat_c zhat_c'`` added to the quadratic form, within
-    the box of ``config``.  The search starts at the previous iterate (or
-    at ``start``, when given) on ``metric``, the metric the last step's
-    search ended with, or on the exact Hessian of the objective when that
-    is None (the first step of a fit).  It runs to convergence, or stops
-    after ``max_steps`` accepted steps when that is given.
+    the box of ``config``.  The search starts at ``prev`` on ``metric``,
+    the metric the last step's search ended with, or on the exact Hessian
+    of the objective when that is None (the first step of a fit).  It runs
+    to convergence, or stops after ``max_steps`` accepted steps when that
+    is given.
 
     Returns the new parameters, the lower Cholesky factor of the
     covariance matrix at them (``sqrt(sigma2)`` times the factor of ``Psi``
@@ -274,8 +276,8 @@ def cm_step(
     the start's ``(phi, nu2)`` (:mod:`geocens.profile`).
     """
     cov_c = zz - np.outer(zhat[idx], zhat[idx])
-    fit = profile_fit(zhat, x, lags, spec, cov_c, idx, (prev if start is None else start).cov,
-                      config.lower, config.upper, metric, max_steps)
+    fit = profile_fit(zhat, x, lags, spec, cov_c, idx, prev.cov, config.lower, config.upper,
+                      metric, max_steps)
     return fit.params, fit.factor, fit.metric
 
 
@@ -404,8 +406,8 @@ def saem_fit(
             ))
             if converged and steps is not None:
                 # finish the stopped search on the same moments
-                new, new_lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, params,
-                                              metric, start=new)
+                new, new_lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, new,
+                                              metric)
                 trace_params[k - 1] = new.as_array()
             params, lo = new, new_lo
             mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, z, n_obs)

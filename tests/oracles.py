@@ -583,6 +583,41 @@ def equicorrelated_log_prob(upper, rho):
     return float(top + np.log(val))
 
 
+def censored_pair_loglik(beta, sigma2, phi, tau2, coords, value, cens):
+    """Exact log-likelihood of a constant-mean exponential field with two
+    left-censored sites, each read below the bound in ``value``.
+
+    The Gaussian log density of the observed block (dense solves) plus the
+    log of the bivariate probability that both censored readings lie below
+    their bounds given it.  With the conditional law standardized to the
+    bounds ``b`` and correlation ``rho``, that probability is the integral
+    over ``x < b_1`` of ``phi(x) Phi((b_2 - rho x) / sqrt(1 - rho^2))``, by
+    adaptive quadrature.
+    """
+    coords = np.asarray(coords, dtype=float)
+    value = np.asarray(value, dtype=float)
+    o, c = cens == 0, cens == 1
+    assert c.sum() == 2
+    h = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
+    sigma = sigma2 * np.exp(-h / phi) + tau2 * np.eye(value.shape[0])
+    s_oo, s_co, s_cc = sigma[np.ix_(o, o)], sigma[np.ix_(c, o)], sigma[np.ix_(c, c)]
+    r = value[o] - beta
+    sign, logdet = np.linalg.slogdet(s_oo)
+    if sign <= 0:
+        return -np.inf
+    logdens = -0.5 * (r.size * np.log(2.0 * np.pi) + logdet + r @ np.linalg.solve(s_oo, r))
+    mu = beta + s_co @ np.linalg.solve(s_oo, r)
+    cov = s_cc - s_co @ np.linalg.solve(s_oo, s_co.T)
+    sd = np.sqrt(np.diag(cov))
+    b = (value[c] - mu) / sd
+    rho = cov[0, 1] / (sd[0] * sd[1])
+    root = np.sqrt(1.0 - rho * rho)
+    prob, _ = quad(lambda x: np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+                   * ndtr((b[1] - rho * x) / root), -np.inf, b[0], epsabs=0.0, epsrel=1e-12,
+                   limit=200)
+    return float(logdens + np.log(prob))
+
+
 # ---------------------------------------------------------------------------
 # the L-BFGS-B profile search the library used before its projected Newton
 # search; it takes ``fun`` returning value and gradient only

@@ -684,6 +684,12 @@ MALFORMED_FITS = {
     ["diagnose", "--fit", "{fit_text_sigma2}"],
     ["simulate", "--n-est", 10, "--beta", "1", "--sigma2", 1, "--phi", 1,
      "--outlier-indices", "1", "--outlier-sd", "nan"],
+    ["fit", "--data", "{data}", "--upper", "inf,10", "--max-iter", 3],
+    ["fit", "--data", "{data}", "--upper", "20,inf", "--max-iter", 3],
+    ["fit", "--data", "{data}", "--lower", "0,0", "--max-iter", 3],
+    ["fit", "--data", "{data}", "--lower", "0.05,-0.1", "--max-iter", 3],
+    ["crossval", "--data", "{data}", "--n-est", 30, "--methods", "saem", "--upper", "inf,10",
+     "--max-iter", 3],
 ], ids=["crossval-no-methods", "variogram-zero-bins", "predict-header-only-targets",
         "simulate-negative-seed", "fit-negative-seed", "fit-free-nugget-one-component-box",
         "variogram-negative-max-dist", "variogram-max-dist-below-every-pair",
@@ -695,7 +701,9 @@ MALFORMED_FITS = {
         "predict-sigma2-start-without-phi", "crossval-phi-start-without-sigma2",
         "fit-negative-sigma2-start", "fit-infinite-phi-start", "fit-nan-start-nugget",
         "predict-negative-start-nugget", "diagnose-truncated-zzhat", "predict-truncated-zhat",
-        "predict-beta-too-long", "diagnose-text-sigma2", "simulate-nan-outlier-sd"])
+        "predict-beta-too-long", "diagnose-text-sigma2", "simulate-nan-outlier-sd",
+        "fit-infinite-upper-phi", "fit-infinite-upper-nu2", "fit-zero-lower-phi",
+        "fit-negative-lower-nu2", "crossval-infinite-upper-phi"])
 def test_bad_input_exits_2_with_error_line(tmp_path, sim_dir, capsys, argv):
     header_only = tmp_path / "targets.csv"
     header_only.write_text("x,y\r\n")

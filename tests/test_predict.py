@@ -85,14 +85,14 @@ def test_krige_rejects_non_finite_targets(field, bad):
 
 @pytest.mark.parametrize("bad", ["z_obs-nan", "x_obs-inf", "coords_obs-nan", "z_obs-short",
                                  "coords_obs-short"])
-@pytest.mark.parametrize("path", ["factor", "precision"])
+@pytest.mark.parametrize("path", ["factor", "none"])
 def test_krige_rejects_bad_data_on_both_paths(path, bad):
-    # the precision path returned NaN means with finite sds on non-finite
-    # data, and a factor handed in hid non-finite coordinates from it
+    # a factor handed in hid non-finite coordinates from krige, and with
+    # none the factorization raised scipy's ValueError on non-finite data
     coords, x, z, beta = observed_setup()
     params = ModelParams(beta=beta, cov=CovParams(sigma2=1.5, phi=1.0, tau2=0.1))
     lo = cholesky_sigma(distance_matrix(coords), SPEC_EXP, params.cov)
-    given = {"factor": lo} if path == "factor" else {"precision": np.linalg.inv(lo @ lo.T)}
+    given = {"factor": lo} if path == "factor" else {}
     data = {"z_obs": z.copy(), "x_obs": x.copy(), "coords_obs": coords.copy()}
     field, fault = bad.split("-")
     if fault == "short":
@@ -477,6 +477,42 @@ def test_gaussian_ml_matches_independent_oracle():
     assert params.cov.tau2 == pytest.approx(tau2_o, rel=1e-2, abs=1e-3)
 
 
+# (lower, upper, the bound named in the error)
+BAD_BOXES = {
+    "infinite-upper-phi": ((0.05, 0.0), (np.inf, 10.0), "upper phi bound must be finite"),
+    "infinite-upper-nu2": ((0.05, 0.0), (20.0, np.inf), "upper nu2 bound must be finite"),
+    "zero-lower-phi": ((0.0, 0.0), (20.0, 10.0), "lower phi bound must be > 0"),
+    "negative-lower-nu2": ((0.05, -0.1), (20.0, 10.0), "lower nu2 bound must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("caller", ["gaussian_ml_fit", "naive1", "seminaive", "crossval"])
+@pytest.mark.parametrize("box", list(BAD_BOXES))
+def test_gaussian_ml_rejects_a_search_box_that_breaks_the_search(caller, box):
+    # an infinite bound left its coordinate at the start, as the
+    # epsilon-active test read it as active everywhere, and phi = 0 raised
+    # scipy's ValueError from the factorization
+    lower, upper, named = BAD_BOXES[box]
+    bounds = (np.array(lower), np.array(upper))
+    data = simulate_scl(SimConfig(n_est=30, n_pred=0, beta=[1.0], cov=CovParams(1.0, 1.0, 0.1),
+                                  spec=SPEC_EXP, cens_level=0.2, seed=2)).data
+    trend, init = TrendSpec("cte"), CovParams(sigma2=1.0, phi=1.0, tau2=0.1)
+    calls = {
+        "gaussian_ml_fit": lambda: gaussian_ml_fit(
+            data.value, np.ones((data.n, 1)), Lags(distance_matrix(data.coords)), SPEC_EXP,
+            init, bounds),
+        "naive1": lambda: predict_naive(data, trend, SPEC_EXP, "naive1", data.coords[:3],
+                                        init=init, bounds=bounds),
+        "seminaive": lambda: predict_seminaive(data, trend, SPEC_EXP, data.coords[:3],
+                                               init=init, bounds=bounds),
+        "crossval": lambda: cross_validate(
+            data, trend, SPEC_EXP, int(np.flatnonzero(data.cens)[-1]) + 1, ["naive1"],
+            init=init, bounds=bounds),
+    }
+    with pytest.raises(ConfigurationError, match=f"search box {named}"):
+        calls[caller]()
+
+
 # ---------------------------------------------------------------------------
 # naive and seminaive pipelines
 # ---------------------------------------------------------------------------
@@ -746,23 +782,30 @@ def family_case(spec, nugget, seed=41):
 
 @pytest.mark.parametrize("nugget", list(NUGGETS))
 @pytest.mark.parametrize("spec", KRIGE_FAMILIES, ids=lambda s: f"{s.family}-{s.kappa}")
-def test_predict_saem_kriges_from_the_fits_precision(kriging_counts, spec, nugget):
-    # a fresh fit's Sigma^{-1} gives what a factor of Sigma gives, and
-    # nothing is factored; a fit without it (as loaded from fit.json)
-    # factors Sigma once
+def test_predict_saem_on_a_fresh_fit_equals_the_fit_loaded_from_fit_json(
+        kriging_counts, tmp_path, spec, nugget):
+    # one kriging path: a fresh fit, which holds Sigma^{-1}, and the same
+    # fit written to fit.json and read back, which holds none, each factor
+    # Sigma once and give the same predictions bit for bit
+    import json
+
     from geocens import SaemConfig, predict_saem, saem_fit
+    from geocens.cli import fit_from_payload, fit_to_payload, write_json
 
     spec, res, x_pred = family_case(spec, nugget)
     fit = saem_fit(res.data, TrendSpec("cte"), spec, SaemConfig(
         m=4, max_iter=4, init_sigma2=2.0, init_phi=1.0, init_nugget=0.2,
         lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=3,
     ))
+    write_json(tmp_path / "fit.json", fit_to_payload(fit))
+    loaded = fit_from_payload(json.loads((tmp_path / "fit.json").read_text()))
+    assert fit.precision is not None and loaded.precision is None
     got = predict_saem(fit, x_pred, res.pred_coords)
-    assert kriging_counts == {"spd_cholesky": 0, "distance_matrix": 0}
-    want = predict_saem(dataclasses.replace(fit, precision=None), x_pred, res.pred_coords)
     assert kriging_counts == {"spd_cholesky": 1, "distance_matrix": 1}
-    assert_allclose(got.mean, want.mean, rtol=1e-12)
-    assert_allclose(got.sd, want.sd, rtol=1e-12)
+    want = predict_saem(loaded, x_pred, res.pred_coords)
+    assert kriging_counts == {"spd_cholesky": 2, "distance_matrix": 2}
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.sd, want.sd)
     mean, sd = dense_kriging(fit.params, fit.x, fit.zhat, res.data.coords, x_pred,
                              res.pred_coords, spec)
     assert_allclose(got.mean, mean, rtol=1e-12)
@@ -918,8 +961,8 @@ def long_double_kriging(params, x, z, coords, x_pred, coords_pred, spec, refinem
 
 
 # (spec, tau2, n, side of the square of sites): condition numbers of
-# Sigma about 1e9 and 5e7, where the precision path's sd is off by about
-# 1e-6 (FOUND line in CHANGES.md)
+# Sigma about 1e9 and 5e7, where kriging from an explicit inverse of Sigma
+# put the sd off by up to 1.8e-6
 ILL_CONDITIONED = {
     "matern-2.5-tau2-0-n160": (CovarianceSpec("matern", kappa=2.5), 0.0, 160, 4.0),
     "gaussian-tau2-1e-6-n300": (CovarianceSpec("gaussian"), 1e-6, 300, 6.0),
@@ -930,8 +973,14 @@ ILL_CONDITIONED = {
                     reason="np.longdouble is no wider than float64")
 @pytest.mark.parametrize("case", list(ILL_CONDITIONED))
 def test_factor_kriging_matches_a_long_double_reference_when_sigma_is_ill_conditioned(case):
-    # smooth covariances with little or no nugget: the factor path, which
-    # the naive and seminaive predictors take, keeps its digits
+    # smooth covariances with little or no nugget: kriging from a factor
+    # keeps its digits, whether the factor is handed in (the naive and
+    # seminaive predictors) or formed inside krige (predict_saem, on a fit
+    # that holds Sigma^{-1} as a fresh fit does)
+    from geocens import SaemConfig, predict_saem
+    from geocens.model import Criteria, LogLik
+    from geocens.saem import SaemFit
+
     spec, tau2, n, side = ILL_CONDITIONED[case]
     rng = np.random.default_rng(5)
     coords = rng.uniform(0, side, size=(n, 2))
@@ -941,7 +990,16 @@ def test_factor_kriging_matches_a_long_double_reference_when_sigma_is_ill_condit
     z = 10.0 + lo @ rng.normal(size=n)  # a draw of the field
     x, x_pred = np.ones((n, 1)), np.ones((40, 1))
     mean, sd = long_double_kriging(params, x, z, coords, x_pred, coords_pred, spec)
+    fit = SaemFit(
+        params=params, zhat=z, zz_cc=np.zeros((0, 0)), loglik=LogLik(0.0),
+        criteria=Criteria(0.0, 0.0, None), trace_params=params.as_array()[None],
+        converged=True, iterations_used=1, config=SaemConfig(),
+        data=SpatialDataset(coords=coords, value=z, cens=np.zeros(n, dtype=int)),
+        trend=TrendSpec("cte"), spec=spec, x=x,
+        precision=np.linalg.inv(build_sigma(distance_matrix(coords), spec, params.cov)),
+    )
     for got in (krige(params, x, z, coords, x_pred, coords_pred, spec),
-                krige(params, x, z, coords, x_pred, coords_pred, spec, factor=lo)):
+                krige(params, x, z, coords, x_pred, coords_pred, spec, factor=lo),
+                predict_saem(fit, x_pred, coords_pred)):
         assert np.max(np.abs(got.sd - sd)) <= 1e-10
         assert np.max(np.abs(got.mean - mean)) <= 1e-10 * np.max(np.abs(mean))

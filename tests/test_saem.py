@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
 from geocens import (
@@ -27,7 +28,7 @@ from geocens.profile import profile_objective
 from geocens.saem import STOP_WINDOW, _e_step, dense_second_moment, path_drift
 from geocens.simulate import SimConfig, simulate_scl
 
-from oracles import conditional_cens_given_obs, gaussian_ml_oracle
+from oracles import censored_pair_loglik, conditional_cens_given_obs, gaussian_ml_oracle
 
 SPEC_EXP = CovarianceSpec("exponential")
 
@@ -56,6 +57,25 @@ def test_config_rejects_nan_settings(field, value):
 
     with pytest.raises(ConfigurationError):
         SaemConfig(**{field: value})
+
+
+@pytest.mark.parametrize("lower, upper, named", [
+    ((1e-4, 1e-4), (np.inf, 10.0), "upper phi bound must be finite"),
+    ((1e-4, 1e-4), (20.0, np.inf), "upper nu2 bound must be finite"),
+    ((-np.inf, 1e-4), (20.0, 10.0), "lower phi bound must be finite"),
+    ((0.05, -np.inf), (20.0, 10.0), "lower nu2 bound must be finite"),
+    ((0.0, 0.0), (20.0, 10.0), "lower phi bound must be > 0"),
+    ((-1.0, 0.0), (20.0, 10.0), "lower phi bound must be > 0"),
+    ((0.0,), (20.0,), "lower phi bound must be > 0"),
+    ((0.05, -0.1), (20.0, 10.0), "lower nu2 bound must be >= 0"),
+])
+def test_config_rejects_a_search_box_that_breaks_the_search(lower, upper, named):
+    # an infinite bound is always epsilon-active, so the search left that
+    # coordinate at its start in every iteration; phi = 0 is no correlation
+    from geocens.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match=f"search box {named}"):
+        SaemConfig(lower=lower, upper=upper)
 
 
 @pytest.mark.parametrize("config, field, value", [
@@ -491,6 +511,52 @@ def test_saem_uncensored_fit_lands_on_the_gaussian_mle(family, nugget):
     _assert_matches_ml_oracle(fit, data, cfg)
 
 
+def exact_censored_mle(data, tau2):
+    """``(beta, sigma2, phi, tau2)`` maximizing the exact likelihood of
+    :func:`oracles.censored_pair_loglik` by Nelder-Mead over ``beta`` and
+    the logs of the others (``tau2`` held when given), from the
+    simulation's parameters and restarted once where the first run ended."""
+    def nll(t):
+        nugget = np.exp(t[3]) if tau2 is None else tau2
+        return -censored_pair_loglik(t[0], np.exp(t[1]), np.exp(t[2]), nugget,
+                                     data.coords, data.value, data.cens)
+
+    t = [2.0, np.log(2.0), 0.0] + ([np.log(0.2)] if tau2 is None else [])
+    for _ in range(2):
+        t = minimize(nll, t, method="Nelder-Mead",
+                     options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": 20_000}).x
+    return np.array([t[0], np.exp(t[1]), np.exp(t[2]), np.exp(t[3]) if tau2 is None else tau2])
+
+
+@pytest.mark.parametrize("tau2", [0.0, None, 0.2], ids=["fixed-0", "free", "fixed-0.2"])
+def test_saem_censored_fit_lands_on_the_exact_mle(tau2):
+    # SAEM converges to a stationary point of the observed likelihood
+    # (Delyon, Lavielle & Moulines 1999): on 16 sites with 2 censored, where
+    # that likelihood is exact by one-dimensional quadrature, six long fits
+    # must average within 3 standard errors of its maximizer.  On this
+    # design the free-nugget maximizer holds tau2 (1.17) inside the box,
+    # so tau2 is compared there
+    data = simulate_scl(SimConfig(
+        n_est=16, n_pred=0, beta=[2.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+        spec=SPEC_EXP, cens_level=0.125, coord_box=((0.0, 4.0), (0.0, 4.0)), seed=5,
+    )).data
+    assert data.n_censored == 2
+    spec = SPEC_EXP if tau2 is None else CovarianceSpec(
+        "exponential", nugget_fixed=True, fixed_nugget_value=tau2)
+    fits = np.array([
+        saem_fit(data, TrendSpec("cte"), spec,
+                 SaemConfig(m=15, max_iter=300, tol=0.0, seed=seed)).params.as_array()
+        for seed in range(6)
+    ])
+    mle = exact_censored_mle(data, tau2)
+    compared = [0, 1, 2]
+    if tau2 is None and mle[3] > 1e-3 * (mle[1] + mle[3]):
+        compared.append(3)
+    mean = fits.mean(axis=0)[compared]
+    se = fits.std(axis=0, ddof=1)[compared] / np.sqrt(len(fits))
+    assert np.all(np.abs(mean - mle[compared]) <= 3.0 * se), (mean, mle[compared], se)
+
+
 def test_saem_deterministic_given_seed():
     res = sim_left(seed=21)
     cfg = base_config(max_iter=15, seed=77)
@@ -680,8 +746,9 @@ def test_saem_censored_fit_with_a_loose_tol_stops_before_the_cap(monkeypatch):
     calls, cm = [], saem.cm_step
 
     def recording(zhat, zz, idx, x, lags, spec, config, prev, *args, **kwargs):
-        calls.append((zhat.copy(), zz, idx, x, lags.dist, prev))
-        return cm(zhat, zz, idx, x, lags, spec, config, prev, *args, **kwargs)
+        out = cm(zhat, zz, idx, x, lags, spec, config, prev, *args, **kwargs)
+        calls.append((zhat.copy(), zz, idx, x, lags.dist, prev, out[0]))
+        return out
 
     monkeypatch.setattr(saem, "cm_step", recording)
     cfg = base_config(max_iter=60, tol=0.05)
@@ -697,10 +764,12 @@ def test_saem_censored_fit_with_a_loose_tol_stops_before_the_cap(monkeypatch):
     assert k == _first_settled(full, cfg.tol)
     assert np.array_equal(full.trace_params[: k - 1], fit.trace_params[:-1])
     assert np.array_equal(fit.trace_params[-1], fit.params.as_array())
-    # the last row is the converged CM maximizer of the final moments: a
-    # full search from the previous iterate reaches the same objective
-    assert len(calls) == k + 1 and calls[-1][-1] is calls[-2][-1]
-    zhat, zz, idx, x, dist, prev = calls[-1]
+    # the last row is the converged CM maximizer of the final moments: the
+    # stopped search is continued from where it stopped, and a full search
+    # from the previous iterate reaches the same objective
+    assert len(calls) == k + 1 and calls[-1][-2] is calls[-2][-1]
+    zhat, zz, idx, x, dist, _, _ = calls[-1]
+    prev = calls[-2][-2]
     want, _, _ = cm_step(zhat, zz, idx, x, Lags(dist), SPEC_EXP, cfg, prev)
     got = fit.params
     cov_c = zz - np.outer(zhat[idx], zhat[idx])
