@@ -13,6 +13,7 @@ from geocens import (
 from geocens import covariance, predict, profile, saem
 from geocens.covariance import Lags, build_sigma, correlation, distance_matrix
 from geocens.errors import NumericalError, SingularCovarianceError
+from geocens.influence import q_hessian
 from geocens.model import build_trend
 from geocens.covariance import _cholesky_inverse
 from geocens.profile import _ARMIJO, profile_objective, profile_search
@@ -176,6 +177,87 @@ def test_hessian_builder_reuses_the_evaluation(monkeypatch):
     for name in ("corr_dcorr_matrix", "corr_matrix", "spd_cholesky"):
         monkeypatch.setattr(covariance, name, forbidden)
     assert np.all(np.isfinite(hess()))
+
+
+def q_sill_nugget_gradient(params, z, cov_c, idx, x, dist, spec):
+    """``dQ/dsigma2`` and ``dQ/dtau2`` of the completed log-likelihood,
+    dense: ``1/2 [tr(P Sigma_k P M) - tr(P Sigma_k)]`` with ``M`` the
+    second moment of the residual."""
+    cov = params.cov
+    corr = covariance.corr_matrix(dist, spec, cov.phi)
+    prec = np.linalg.inv(build_sigma(dist, spec, cov))
+    r = z - x @ params.beta
+    m2 = np.outer(r, r)
+    m2[np.ix_(idx, idx)] += cov_c
+    pmp = prec @ m2 @ prec
+    return (0.5 * (np.vdot(pmp, corr) - np.vdot(prec, corr)),
+            0.5 * (np.trace(pmp) - np.trace(prec)))
+
+
+def schur_profiled_hessian(theta, nugget, spec, fitted, z, x, dist, cov_c, idx):
+    """Minus the Schur complement of the public Hessian of Q, taken at the
+    evaluation's profiled point and re-expressed in ``theta`` (``tau2 = nu2
+    sigma2`` for a free nugget, ``sigma2 = tau2 / nu2`` for a tied sill),
+    over the profiled coordinates: the Hessian of the profiled ``f`` by the
+    implicit function theorem; with the absolute diagonal of the
+    re-expressed Hessian in ``theta`` before the elimination."""
+    beta, s, _ = fitted
+    p = x.shape[1]
+    phi, nu2 = theta[0], (theta[1] if len(theta) > 1 else 0.0)
+    form = with_nugget(spec, nugget)
+    params = ModelParams(beta=beta, cov=CovParams(s, phi, nu2 * s if nugget is None else nugget))
+    zz = cov_c + np.outer(z[idx], z[idx])
+    h = -q_hessian(params, z, zz, x, dist, form, idx=idx)  # of -Q in (beta, sigma2, phi[, tau2])
+    g_sill, g_nugget = q_sill_nugget_gradient(params, z, cov_c, idx, x, dist, form)
+    jac = np.eye(h.shape[0])
+    if nugget is None:  # (beta, sigma2, phi, nu2)
+        jac[p + 2, p], jac[p + 2, p + 2] = nu2, s
+        h = jac.T @ h @ jac
+        h[p, p + 2] -= g_nugget
+        h[p + 2, p] -= g_nugget
+        kept = [p + 1, p + 2]
+    elif len(theta) > 1:  # (beta, nu2, phi)
+        jac[p, p] = -s / nu2
+        h = jac.T @ h @ jac
+        h[p, p] -= g_sill * 2.0 * s / nu2**2
+        kept = [p + 1, p]
+    else:  # (beta, sigma2, phi)
+        kept = [p + 1]
+    out = [i for i in range(h.shape[0]) if i not in kept]
+    h_kept = h[np.ix_(kept, kept)]
+    return h_kept - h[np.ix_(kept, out)] @ np.linalg.solve(
+        h[np.ix_(out, out)], h[np.ix_(out, kept)]), np.abs(np.diag(h_kept))
+
+
+# the FORMS points and the edges of the box: a nugget near 0, a dominating
+# one and a short range
+SCHUR_THETAS = {
+    None: [np.array(t) for t in ([0.9, 0.3], [0.9, 1e-8], [0.9, 1e-4], [0.9, 50.0],
+                                 [0.05, 0.3])],
+    0.0: [np.array([0.9]), np.array([0.05])],
+}
+SCHUR_THETAS[0.4] = SCHUR_THETAS[None]
+
+
+@pytest.mark.parametrize("nugget", [None, 0.4, 0.0], ids=["free", "tied", "zero"])
+@pytest.mark.parametrize("block", ["none", "censored"])
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=FAMILY_IDS)
+def test_profile_hessian_is_the_schur_complement_of_the_q_hessian(spec, block, nugget):
+    # one Hessian of the completed log-likelihood: the search's exact
+    # Hessian in theta equals the influence Hessian in (beta, sigma2, phi[,
+    # tau2]), re-expressed in theta with the profiled coordinates eliminated
+    dist, x, y, (cov_c, idx) = form_setup(block)
+    lags = Lags(dist)
+    form = with_nugget(spec, nugget)
+    for theta in SCHUR_THETAS[nugget]:
+        _, _, hess, fitted = profile_objective(theta, lags, form, y, x, cov_c, idx)
+        want, diag = schur_profiled_hessian(theta, nugget, spec, fitted, y, x, dist, cov_c, idx)
+        # relative to the curvature before the elimination, entry by entry,
+        # so that a change of scale of phi or nu2 leaves the test as it is
+        # (the spherical range below the nearest lag leaves f flat in nu2)
+        got = hess()
+        assert np.all(np.abs(got - want) <= 1e-10 * np.sqrt(np.outer(diag, diag))), (theta, got,
+                                                                                     want)
 
 
 # ---------------------------------------------------------------------------
