@@ -20,17 +20,15 @@ elsewhere the second moment is ``zhat zhat'``, so with
 No dense n x n second moment is read.
 
 Cost of one :func:`local_influence` call.  What the Hessian and the three
-cross-derivative matrices share is formed once (:class:`_Curvature`):
-``P`` is read from the fit (``SaemFit.precision``, which a fit from
-:func:`geocens.saem.saem_fit` holds; a loaded fit holds none, and ``P`` is
-then formed from one Cholesky factor and one LAPACK ``potri``), ``R`` and
-``dR/dphi`` come from one kernel pass, ``d2R/dphi2`` in closed form from
-them, then ``a = P r``, ``B = P[:, c]`` and ``A_k = P Sigma_k``
-(``Sigma_k = dSigma/dalpha_k``).  Only the range's ``A_k`` is an n x n
-product: the nugget's is ``P`` itself and the sill's is
-``(I - tau2 P) / sigma2``, from ``P Sigma = I``.  Products with the n_c
-columns of ``B`` complete the set.  Every Hessian entry is then a trace or
-a quadratic form in these.
+cross-derivative matrices share is formed once, by
+:class:`geocens.profile._Curvature`, which also gives the profile search
+its exact Hessian: ``P`` is read from the fit (``SaemFit.precision``,
+which a fit from :func:`geocens.saem.saem_fit` holds; a loaded fit holds
+none, and ``P`` is then formed from one Cholesky factor and one LAPACK
+``potri``), ``R`` and ``dR/dphi`` come from one kernel pass, and the rest
+is one n x n product (``P`` times the range derivative of ``Sigma``),
+products with the n_c censored columns of ``P``, traces and quadratic
+forms.
 ``M(0)`` comes from a k x k eigenproblem (k = p + 2 or p + 3 parameters)
 instead of the n x n curvature matrix: with the thin QR ``Delta' = Q R`` and
 ``R (-H)^{-1} R' = W Lambda W'``, the eigenpairs of ``2 F`` are
@@ -50,10 +48,10 @@ from typing import Optional
 import numpy as np
 
 from . import covariance
-from .covariance import CovarianceSpec, CovParams, cholesky_sigma
-from .covariance import _cholesky_inverse, _d2corr_dphi2, spd_cholesky
+from .covariance import CovarianceSpec, CovParams, _cholesky_inverse, cholesky_sigma, spd_cholesky
 from .errors import ConfigurationError, DataValidationError, DegenerateCurvatureError, GeocensError
 from .model import ModelParams, partition
+from .profile import _Curvature, _hessian
 
 SCHEMES = ("response", "scale", "explanatory")
 
@@ -121,98 +119,19 @@ def perturbed_q_value(
     return _dense_q(logdet, 0.5 * (a + a.T), zhat, zzhat, x @ params.beta)
 
 
-class _Curvature:
-    """The terms the Hessian of Q and the three cross-derivative matrices
-    share at one parameter point, formed once.
-
-    ``zz`` is the second moment of the rows ``idx`` (all rows when None).
-    ``prec`` is ``P = Sigma^{-1}`` at ``params`` when the caller holds it (a
-    fit's precision); when None, ``Sigma`` is formed from this point's
-    ``R``, factored and inverted here.  With ``Sigma_k`` the derivative by
-    the k-th covariance parameter (``R``, ``sigma2 dR/dphi`` and ``I``),
-    ``A_k = P Sigma_k``, ``tr_aa[k, l] = tr(A_k A_l)``, ``u[k] = Sigma_k a``,
-    ``v[k] = P u[k]``, ``s[k] = Sigma_k B`` and ``t[k] = P s[k]``;
-    ``sig_kl`` holds the nonzero second derivatives by parameter position.
-    The sill's terms come from ``P Sigma = I``, without a product by ``R``:
-    ``P R = (I - tau2 P) / sigma2``, ``R a = (r - tau2 a) / sigma2`` and
-    ``R B = (E_c - tau2 B) / sigma2``, ``E_c`` the unit columns of ``idx``.
-    Each loses about ``log10(tau2 / sigma2)`` digits when the nugget
-    dominates.  ``A_phi = P sigma2 dR/dphi`` is the one n x n product.
-    """
-
-    def __init__(self, params, zhat, zz, idx, x, dist, spec, prec=None):
-        n = x.shape[0]
-        cov = params.cov
-        sigma2, tau2 = cov.sigma2, cov.tau2
-        idx = np.arange(n) if idx is None else np.asarray(idx, dtype=int)
-        self.x, self.beta = x, np.asarray(params.beta, dtype=float)
-        self.idx = idx
-
-        # d2 Sigma / d sigma2 d phi = dR/dphi
-        rho, d_r = covariance.corr_dcorr_matrix(covariance.Lags(dist), spec, cov.phi)
-        d2_r = _d2corr_dphi2(spec.family, spec.kappa, dist, cov.phi, rho, d_r)
-        self.sig_kl = {(0, 1): d_r, (1, 1): sigma2 * d2_r}
-        del d2_r
-        if prec is None:
-            sigma = np.multiply(rho, sigma2, out=rho)
-            sigma[np.diag_indices_from(sigma)] += tau2
-            prec = _cholesky_inverse(spd_cholesky(sigma))
-        del rho
-        self.prec = prec
-
-        self.r = zhat - x @ self.beta
-        self.a = prec @ self.r
-        self.px = prec @ x
-        self.b = prec[:, idx]
-        self.cov_c = zz - np.outer(zhat[idx], zhat[idx])
-        a_sill = prec * -tau2
-        a_sill[np.diag_indices(n)] += 1.0
-        a_sill /= sigma2
-        s_sill = self.b * -tau2
-        s_sill[idx, np.arange(idx.size)] += 1.0
-        s_sill /= sigma2
-        sig_phi = sigma2 * d_r
-        n_a = 2 if spec.nugget_fixed else 3
-        a_k = [a_sill, prec @ sig_phi, prec][:n_a]
-        # sum(A_k * A_l') is sum(A_k * A_l) when either is symmetric, as
-        # all but A_phi are
-        self.tr_aa = np.empty((n_a, n_a))
-        for i in range(n_a):
-            for j in range(i, n_a):
-                left = a_k[i].T if i == j == 1 else a_k[i]
-                self.tr_aa[i, j] = self.tr_aa[j, i] = np.vdot(left, a_k[j])
-        self.u = [(self.r - tau2 * self.a) / sigma2, sig_phi @ self.a, self.a][:n_a]
-        self.s = [s_sill, sig_phi @ self.b, self.b][:n_a]
-        self.v = [prec @ u for u in self.u]
-        self.t = [prec @ s for s in self.s]
-
-
-def _hessian(c: _Curvature) -> np.ndarray:
-    """Hessian of Q from the shared terms:
-
-    log-det part ``1/2 [tr(A_a A_b) - sum(P * Sigma_ab)]``, quadratic part
-    ``2 (Sigma_b a)' P (Sigma_a a) - a' Sigma_ab a
-    + sum((2 (Sigma_b B)' P (Sigma_a B) - B' Sigma_ab B) * C)`` (entering
-    with weight -1/2), beta-alpha block ``-(P X)' Sigma_a a``.
-    """
-    p = c.x.shape[1]
-    n_a = len(c.u)
-    h = np.zeros((p + n_a, p + n_a))
-    h[:p, :p] = -(c.x.T @ c.px)
-    for i in range(n_a):
-        h[:p, p + i] = -(c.px.T @ c.u[i])
-        for j in range(i, n_a):
-            logdet = c.tr_aa[i, j]
-            quad = 2.0 * float(c.u[j] @ c.v[i])
-            block = 2.0 * (c.s[j].T @ c.t[i])
-            s_ij = c.sig_kl.get((i, j))
-            if s_ij is not None:
-                logdet -= float(np.vdot(c.prec, s_ij))
-                quad -= float(c.a @ s_ij @ c.a)
-                block -= c.b.T @ (s_ij @ c.b)
-            quad += float(np.sum(block * c.cov_c))
-            h[p + i, p + j] = 0.5 * logdet - 0.5 * quad
-    return np.triu(h) + np.triu(h, 1).T
+def _curvature(params, zhat, zz, idx, x, dist, spec, prec=None) -> _Curvature:
+    """The shared terms at ``params``, ``zz`` the second moment of the rows
+    ``idx`` (all when None): R and ``dR/dphi`` from one kernel pass, and
+    ``P`` from them when the caller holds no ``prec`` (a fit's precision)."""
+    cov = params.cov
+    idx = np.arange(x.shape[0]) if idx is None else np.asarray(idx, dtype=int)
+    rho, d_r = covariance.corr_dcorr_matrix(covariance.Lags(dist), spec, cov.phi)
+    if prec is None:
+        sigma = rho * cov.sigma2
+        sigma[np.diag_indices_from(sigma)] += cov.tau2
+        prec = _cholesky_inverse(spd_cholesky(sigma))
+    return _Curvature(params, zhat, zz - np.outer(zhat[idx], zhat[idx]), idx, x, rho, d_r,
+                      dist, spec, prec)
 
 
 def _response_rows(c: _Curvature) -> np.ndarray:
@@ -253,7 +172,7 @@ def q_hessian(
     ``zhat zhat'``.  Negative definite at a maximizer; the nugget row and
     column are absent when the covariance spec holds the nugget fixed.
     """
-    return _hessian(_Curvature(params, zhat, zz, idx, x, dist, spec))
+    return _hessian(_curvature(params, zhat, zz, idx, x, dist, spec))
 
 
 def delta_response(params, zhat, zz, x, dist, spec, idx=None) -> np.ndarray:
@@ -263,19 +182,19 @@ def delta_response(params, zhat, zz, x, dist, spec, idx=None) -> np.ndarray:
     Row block for the trend coefficients is ``-X' Sigma^{-1}``; the row for
     each covariance parameter is ``(dSigma^{-1}/dalpha_k) (zhat - X beta)``.
     """
-    return _response_rows(_Curvature(params, zhat, zz, idx, x, dist, spec))
+    return _response_rows(_curvature(params, zhat, zz, idx, x, dist, spec))
 
 
 def delta_scale(params, zhat, zz, x, dist, spec, idx=None) -> np.ndarray:
     """Cross derivative of the covariance-rescaling scheme at the null
     point (all scale factors one; moments as in :func:`q_hessian`)."""
-    return _scale_rows(_Curvature(params, zhat, zz, idx, x, dist, spec))
+    return _scale_rows(_curvature(params, zhat, zz, idx, x, dist, spec))
 
 
 def delta_explanatory(params, zhat, zz, x, dist, spec, idx=None) -> np.ndarray:
     """Cross derivative of the design-shift scheme at the null point
     (moments as in :func:`q_hessian`)."""
-    return _explanatory_rows(_Curvature(params, zhat, zz, idx, x, dist, spec))
+    return _explanatory_rows(_curvature(params, zhat, zz, idx, x, dist, spec))
 
 
 # scheme -> cross-derivative rows from the shared terms
@@ -383,7 +302,7 @@ def local_influence(fit, c_star: float = 3.0) -> InfluenceReport:
     """
     if not np.isfinite(c_star):
         raise ConfigurationError(f"c_star must be finite, got {c_star}")
-    shared = _Curvature(fit.params, fit.zhat, fit.zz_cc, partition(fit.data).cens_idx,
+    shared = _curvature(fit.params, fit.zhat, fit.zz_cc, partition(fit.data).cens_idx,
                         fit.x, fit.dist, fit.spec, fit.precision)
     hess = _hessian(shared)
     neg_eig = np.linalg.eigvalsh(-hess)

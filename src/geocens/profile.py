@@ -1,4 +1,5 @@
-"""Profile search over the range and relative nugget.
+"""The completed log-likelihood: its Hessian, and the profile search over
+the range and relative nugget.
 
 The conditional maximization of the stochastic EM
 (:func:`geocens.saem.cm_step`) and Gaussian maximum likelihood
@@ -23,33 +24,30 @@ stationary points of the observed likelihood (Delyon, Lavielle & Moulines
 covariance spec, a start and a box into a search: a box without a ``nu2``
 component takes the range of :func:`default_search_box`, and a tied sill
 floors ``nu2`` at 1e-10.  Each evaluation forms R(phi) and ``dR/dphi`` in
-one kernel pass over the :class:`geocens.covariance.Lags` the caller keeps
-for its distances (:func:`geocens.covariance.corr_dcorr_matrix`: for
-Matern, one segment lookup per lag serves both Bessel kernel tables), and
-L and Q (``potri``) once; or it reads all four from the last evaluation
-that the ``Lags`` holds, formed at exactly the same ``(spec, phi, nu2)``:
-each CM step and each seminaive refit starts where the last search on its
-distances stopped.  The whitened residual ``L^{-1} r`` comes from the GLS
-fit; L is handed back with the fitted trend and sill.
+one kernel pass, and L and Q (``potri``) once, or reads all four from the
+last evaluation on the caller's :class:`geocens.covariance.Lags` (see
+:func:`profile_objective`): each CM step and each seminaive refit starts
+where the last search on its distances stopped.  The whitened residual
+``L^{-1} r`` comes from the GLS fit; L is handed back with the fitted
+trend and sill.
 The residual term of q stays on the factor: ``r' Q r`` loses accuracy as
 the condition of Psi grows, and the search compares values at 1e-10.
 With ``a = Q r``, ``B = Q[:, c]`` and ``Psi_j`` the derivatives of Psi
 (``dR/dphi`` for ``phi``, ``I`` for ``nu2``), the sill held, the gradient
-and Hessian are closed form (Mardia & Marshall 1984, Biometrika):
+is closed form (Mardia & Marshall 1984, Biometrika):
 
     df/dtheta_j = 1/2 [l_j + q_j / sigma2],
-    d2f/dtheta_j dtheta_k = 1/2 [l_jk + q_jk / sigma2],
-    l_j = tr(Q Psi_j),   l_jk = tr(Q Psi_jk) - tr(Q Psi_j Q Psi_k),
-    q_j = -(a' Psi_j a + tr(C B' Psi_j B)),
-    q_jk = 2 (Psi_j a)' Q (Psi_k a) - a' Psi_jk a
-           + 2 tr(C B' Psi_j Q Psi_k B) - tr(C B' Psi_jk B),
+    l_j = tr(Q Psi_j),   q_j = -(a' Psi_j a + tr(C B' Psi_j B)).
 
-where ``Psi_jk`` is zero except ``d2R/dphi2``.  A GLS-profiled trend adds
-nothing to the gradient (envelope theorem) and ``-2 u_j' (X' Q X)^{-1}
-u_k`` to ``q_jk``, with ``u_j = X' Q Psi_j a``.  A sill that moves with
-``theta`` (``s = q / n`` profiled, ``s = tau2 / nu2`` tied) adds the chain
-terms of ``n log s + q / s`` in ``s``.  The Hessian costs one n x n product
-``Q dR/dphi`` beyond what the evaluation already holds.
+A GLS-profiled trend adds nothing to it (envelope theorem), and a sill
+that moves with ``theta`` adds the chain term of ``n log s + q / s``.
+``f`` is minus the completed log-likelihood Q with the trend and sill
+profiled, so its exact Hessian is the Hessian of Q in ``(beta, sigma2,
+phi[, tau2])`` (:func:`_hessian`, which the influence diagnostics read
+too) at the evaluation's profiled point, re-expressed in ``theta``
+(``tau2 = nu2 sigma2``, or ``sigma2 = tau2 / nu2`` tied), and reduced to
+minus its Schur complement over the profiled coordinates: the implicit
+function theorem (Patefield 1977, Sankhya B).
 
 The search is a projected Newton-type method with an epsilon-active set
 (Bertsekas 1982, SIAM J. Control Optim.): the metric is the exact Hessian,
@@ -119,6 +117,86 @@ def _gls(lo: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
     return beta, yw - xw @ beta
 
 
+class _Curvature:
+    """The terms that the Hessian of Q and the perturbation
+    cross-derivatives of :mod:`geocens.influence` share at ``params``:
+    ``cov_c`` is the covariance of the block ``idx``, ``rho`` and ``d_r``
+    are R (read off its diagonal only) and ``dR/dphi`` over ``dist``, and
+    ``prec`` is ``P = Sigma^{-1}``.  With ``Sigma_k`` the derivative by the
+    k-th covariance parameter (``R``, ``sigma2 dR/dphi`` and ``I``), ``A_k
+    = P Sigma_k``, ``tr_a[k] = tr(A_k)``, ``tr_aa[k, l] = tr(A_k A_l)``,
+    ``u[k] = Sigma_k a``, ``v[k] = P u[k]``, ``s[k] = Sigma_k B`` and
+    ``t[k] = P s[k]``; ``sig_kl`` holds the nonzero second derivatives by
+    parameter position.  The sill's terms come from ``P Sigma = I``: ``P R
+    = (I - tau2 P) / sigma2``, ``R a = (r - tau2 a) / sigma2`` and ``R B =
+    (E_c - tau2 B) / sigma2``, ``E_c`` the unit columns of ``idx``, each
+    losing about ``log10(tau2 / sigma2)`` digits when the nugget
+    dominates.  ``A_phi = P sigma2 dR/dphi`` is the one n x n product.
+    """
+
+    def __init__(self, params, zhat, cov_c, idx, x, rho, d_r, dist, spec, prec):
+        cov = params.cov
+        sigma2, tau2 = cov.sigma2, cov.tau2
+        self.x, self.beta = x, np.asarray(params.beta, dtype=float)
+        self.idx, self.cov_c, self.prec = idx, cov_c, prec
+
+        # d2 Sigma / d sigma2 d phi = dR/dphi
+        self.sig_kl = {(0, 1): d_r, (1, 1): sigma2 * covariance._d2corr_dphi2(
+            spec.family, spec.kappa, dist, cov.phi, rho, d_r)}
+        self.r = zhat - x @ self.beta
+        self.a = prec @ self.r
+        self.px = prec @ x
+        self.b = prec[:, idx]
+        a_sill = prec * -tau2
+        a_sill[np.diag_indices_from(a_sill)] += 1.0
+        a_sill /= sigma2
+        s_sill = self.b * -tau2
+        s_sill[idx, np.arange(idx.size)] += 1.0
+        s_sill /= sigma2
+        sig_phi = sigma2 * d_r
+        n_a = 2 if spec.nugget_fixed else 3
+        a_k = [a_sill, prec @ sig_phi, prec][:n_a]
+        self.tr_a = [np.trace(a) for a in a_k]
+        # sum(A_k * A_l') is sum(A_k * A_l) when either is symmetric, as
+        # all but A_phi are
+        self.tr_aa = np.empty((n_a, n_a))
+        for i in range(n_a):
+            for j in range(i, n_a):
+                left = a_k[i].T if i == j == 1 else a_k[i]
+                self.tr_aa[i, j] = self.tr_aa[j, i] = np.vdot(left, a_k[j])
+        self.u = [(self.r - tau2 * self.a) / sigma2, sig_phi @ self.a, self.a][:n_a]
+        self.s = [s_sill, sig_phi @ self.b, self.b][:n_a]
+        self.v = [prec @ u for u in self.u]
+        self.t = [prec @ s for s in self.s]
+
+
+def _hessian(c: _Curvature) -> np.ndarray:
+    """Hessian of Q in ``(beta, sigma2, phi[, tau2])`` from the shared
+    terms: log-det part ``1/2 [tr(A_a A_b) - sum(P * Sigma_ab)]``, quadratic part
+    ``2 (Sigma_b a)' P (Sigma_a a) - a' Sigma_ab a
+    + sum((2 (Sigma_b B)' P (Sigma_a B) - B' Sigma_ab B) * C)`` (entering
+    with weight -1/2), beta-alpha block ``-(P X)' Sigma_a a``.
+    """
+    p = c.x.shape[1]
+    n_a = len(c.u)
+    h = np.zeros((p + n_a, p + n_a))
+    h[:p, :p] = -(c.x.T @ c.px)
+    for i in range(n_a):
+        h[:p, p + i] = -(c.px.T @ c.u[i])
+        for j in range(i, n_a):
+            logdet = c.tr_aa[i, j]
+            quad = 2.0 * float(c.u[j] @ c.v[i])
+            block = 2.0 * (c.s[j].T @ c.t[i])
+            s_ij = c.sig_kl.get((i, j))
+            if s_ij is not None:
+                logdet -= float(np.vdot(c.prec, s_ij))
+                quad -= float(c.a @ s_ij @ c.a)
+                block -= c.b.T @ (s_ij @ c.b)
+            quad += float(np.sum(block * c.cov_c))
+            h[p + i, p + j] = 0.5 * logdet - 0.5 * quad
+    return np.triu(h) + np.triu(h, 1).T
+
+
 def profile_objective(
     theta: np.ndarray,
     lags: covariance.Lags,
@@ -139,8 +217,8 @@ def profile_objective(
     and ``nu2`` is searched, and profiled at ``q / n`` otherwise.
 
     The third element is a function of no arguments that returns the exact
-    Hessian from the state of this evaluation, without evaluating R(phi)
-    or factoring Psi again.  Raises :class:`SingularCovarianceError` when
+    Hessian (:func:`_hessian` reduced to ``theta``) from the state of this
+    evaluation, without evaluating R(phi) or factoring Psi again.  Raises :class:`SingularCovarianceError` when
     Psi cannot be factored.  The fourth element is ``(beta, sigma2, lo)``:
     the GLS trend, the sill of ``f`` and L.
 
@@ -181,11 +259,11 @@ def profile_objective(
         ell.append(np.trace(qi))
     q_grad, ell = np.array(q_grad), np.array(ell)
 
-    # the sill s and its derivatives in theta
-    ds, d2s = np.zeros(dim), np.zeros((dim, dim))
+    # the sill s and its derivative in theta
+    ds = np.zeros(dim)
     if spec.nugget_fixed and dim > 1:
         s = spec.fixed_nugget_value / nu2
-        ds[1], d2s[1, 1] = -s / nu2, 2.0 * s / nu2**2
+        ds[1] = -s / nu2
     else:
         s = max(q / n, 1e-300)
         ds = q_grad / n
@@ -194,32 +272,26 @@ def profile_objective(
     grad = 0.5 * (ell + q_grad / s) + df_ds * ds
 
     def hess() -> np.ndarray:
-        # psi differs from R only on the diagonal, where the lag is zero
-        # and d2R/dphi2 does not depend on R
-        d2 = covariance._d2corr_dphi2(spec.family, spec.kappa, lags.dist, phi, psi, d_phi)
-        ell_pp = np.vdot(qi, d2)
-        q_pp = -(a @ (d2 @ a) + np.sum((b.T @ (d2 @ b)) * cov_c))
-        del d2
-        m = qi @ d_phi
-        qa, qda, qdb = qi @ a, qi @ da, qi @ db
-        ell_h = np.empty((dim, dim))
-        q_h = np.empty((dim, dim))
-        ell_h[0, 0] = ell_pp - np.einsum("ij,ji->", m, m)
-        q_h[0, 0] = q_pp + 2.0 * (da @ qda + np.sum((db.T @ qdb) * cov_c))
+        # Psi differs from R only on the diagonal, which _Curvature skips
+        p = x.shape[1]
+        tau2 = spec.fixed_nugget_value if spec.nugget_fixed else nu2 * s
+        c = _Curvature(ModelParams(beta=beta, cov=CovParams(sigma2=s, phi=phi, tau2=tau2)),
+                       z, cov_c, idx, x, psi, d_phi, lags.dist, spec, qi / s)
+        h = -_hessian(c)  # in (beta, sigma2, phi[, tau2])
+        jac, chain, kept = np.eye(h.shape[0]), np.zeros(h.shape), [p + 1]
         if dim > 1:
-            qb = qi @ b
-            ell_h[0, 1] = ell_h[1, 0] = -np.vdot(m, qi)
-            ell_h[1, 1] = -np.vdot(qi, qi)
-            q_h[0, 1] = q_h[1, 0] = 2.0 * (da @ qa + np.sum((db.T @ qb) * cov_c.T))
-            q_h[1, 1] = 2.0 * (a @ qa + np.sum((b.T @ qb) * cov_c))
-        del m
-        u = x.T @ np.column_stack([qda, qa][:dim])
-        q_h -= 2.0 * u.T @ np.linalg.solve(x.T @ (qi @ x), u)
-        # with the chain terms of n log s + q / s in the sill s(theta)
-        out = 0.5 * (ell_h + q_h / s) + df_ds * d2s
-        out -= 0.5 * (np.outer(q_grad, ds) + np.outer(ds, q_grad)) / s**2
-        out += 0.5 * (2.0 * q / s**3 - n / s**2) * np.outer(ds, ds)
-        return out
+            # the chain term takes dQ/dalpha_k of the sill (tied) or the nugget
+            k = 0 if spec.nugget_fixed else 2
+            dq = 0.5 * (c.a @ c.u[k] + np.sum((c.b.T @ c.s[k]) * cov_c) - c.tr_a[k])
+            if spec.nugget_fixed:  # nu2 in place of sigma2 = tau2 / nu2
+                jac[p, p], chain[p, p], kept = -s / nu2, -2.0 * s / nu2**2 * dq, [p + 1, p]
+            else:  # nu2 in place of tau2 = nu2 sigma2
+                jac[p + 2, p], jac[p + 2, p + 2], kept = nu2, s, [p + 1, p + 2]
+                chain[p, p + 2] = chain[p + 2, p] = -dq
+        h = jac.T @ h @ jac + chain
+        out = [i for i in range(p + 1) if i not in kept]
+        return h[np.ix_(kept, kept)] - h[np.ix_(kept, out)] @ np.linalg.solve(
+            h[np.ix_(out, out)], h[np.ix_(out, kept)])
 
     return float(value), grad, hess, (beta, s, lo)
 
@@ -339,18 +411,28 @@ def default_search_box(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_search_box(lower: np.ndarray, upper: np.ndarray) -> None:
-    """Raise :class:`ConfigurationError`, naming the bound, unless every
-    bound over ``(phi, nu2)`` is finite (an infinite one is epsilon-active
-    everywhere), the lower ``phi`` bound > 0 and the lower ``nu2`` >= 0."""
+    """Raise :class:`ConfigurationError`, naming the bound, unless the box
+    bounds ``(phi, nu2)`` or ``phi`` alone on both sides, every bound is
+    finite (an infinite one is epsilon-active everywhere), the lower
+    ``phi`` bound > 0, the lower ``nu2`` >= 0 and each lower bound below
+    its upper one."""
+    if lower.size != upper.size or lower.size not in (1, 2):
+        raise ConfigurationError(
+            f"search box has {lower.size} lower and {upper.size} upper components; "
+            "it bounds (phi, nu2) or phi alone")
     for side, bounds in (("lower", lower), ("upper", upper)):
         for name, bound in zip(("phi", "nu2"), bounds):
             if not np.isfinite(bound):
                 raise ConfigurationError(
                     f"search box {side} {name} bound must be finite, got {bound}")
-    if lower.size and not lower[0] > 0:
+    if not lower[0] > 0:
         raise ConfigurationError(f"search box lower phi bound must be > 0, got {lower[0]}")
     if lower.size > 1 and not lower[1] >= 0:
         raise ConfigurationError(f"search box lower nu2 bound must be >= 0, got {lower[1]}")
+    for name, low, high in zip(("phi", "nu2"), lower, upper):
+        if not low < high:
+            raise ConfigurationError(
+                f"search box lower {name} bound must be below the upper, got {low} >= {high}")
 
 
 class ProfileFit(NamedTuple):

@@ -12,6 +12,7 @@ gradient search that Gaussian maximum likelihood runs too
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -55,10 +56,10 @@ class SaemConfig:
     one) before the decaying-step averaging phase begins.
 
     ``lower`` and ``upper`` bound the inner search over ``(phi, nu2)``,
-    one or two components for a fixed nugget (the box rule of
-    :func:`geocens.profile.profile_fit`); :func:`saem_fit` rejects a box
-    of any other length, and the config one that breaks the search
-    (:func:`geocens.profile.check_search_box`).
+    or ``phi`` alone for a fixed nugget (the box rule of
+    :func:`geocens.profile.profile_fit`); the config rejects a box that
+    breaks the search (:func:`geocens.profile.check_search_box`), and
+    :func:`saem_fit` one of ``phi`` alone for a free nugget.
     ``seed`` must be an integer >= 0 (not ``bool``).  ``init_sigma2`` and
     ``init_phi`` (both finite and > 0) with ``init_nugget`` (finite and
     >= 0; 0 when None) seed the parameters; leave the first two None to use
@@ -104,8 +105,6 @@ class SaemConfig:
         check_start(self.init_sigma2, self.init_phi, self.init_nugget)
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lower.shape != upper.shape or not np.all(lower < upper):
-            raise ConfigurationError("need lower < upper componentwise")
         check_search_box(lower, upper)
         object.__setattr__(self, "lower", tuple(lower))
         object.__setattr__(self, "upper", tuple(upper))
@@ -147,7 +146,7 @@ class SaemFit:
     (:func:`geocens.cli.fit_from_payload`).  Only
     :func:`geocens.influence.local_influence` reads it (and factors
     ``Sigma`` when it is None).  :attr:`dist` is formed from the
-    coordinates when read.
+    coordinates when first read and kept.
     """
 
     params: ModelParams
@@ -166,7 +165,7 @@ class SaemFit:
     fingerprint: str = ""
     precision: Optional[np.ndarray] = field(repr=False, default=None)
 
-    @property
+    @functools.cached_property
     def dist(self) -> np.ndarray:
         """Distance matrix of the sites, in data order."""
         return distance_matrix(self.data.coords)
@@ -346,11 +345,9 @@ def saem_fit(
     n, p = x.shape
     if n < p + 2:
         raise DataValidationError(f"need at least p + 2 = {p + 2} sites, got {n}")
-    if len(config.lower) not in ((1, 2) if spec.nugget_fixed else (2,)):
-        raise ConfigurationError(
-            "the search box bounds (phi, nu2), or phi alone when the nugget is fixed; "
-            f"got {len(config.lower)} components"
-        )
+    if len(config.lower) < 2 and not spec.nugget_fixed:
+        raise ConfigurationError("the search box bounds (phi, nu2) when the nugget is free; "
+                                 "got phi alone")
     cut = math.ceil(config.pc * config.max_iter)
 
     root = RngState(config.seed)

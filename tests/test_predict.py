@@ -483,6 +483,9 @@ BAD_BOXES = {
     "infinite-upper-nu2": ((0.05, 0.0), (20.0, np.inf), "upper nu2 bound must be finite"),
     "zero-lower-phi": ((0.0, 0.0), (20.0, 10.0), "lower phi bound must be > 0"),
     "negative-lower-nu2": ((0.05, -0.1), (20.0, 10.0), "lower nu2 bound must be >= 0"),
+    "reversed": ((20.0, 0.0), (0.05, 10.0), "lower phi bound must be below the upper"),
+    "three-components": ((0.05, 0.0, 0.0), (20.0, 10.0, 10.0),
+                         "has 3 lower and 3 upper components"),
 }
 
 
@@ -490,8 +493,9 @@ BAD_BOXES = {
 @pytest.mark.parametrize("box", list(BAD_BOXES))
 def test_gaussian_ml_rejects_a_search_box_that_breaks_the_search(caller, box):
     # an infinite bound left its coordinate at the start, as the
-    # epsilon-active test read it as active everywhere, and phi = 0 raised
-    # scipy's ValueError from the factorization
+    # epsilon-active test read it as active everywhere, phi = 0 raised
+    # scipy's ValueError from the factorization, a reversed box returned
+    # its upper phi bound and a third component was dropped unread
     lower, upper, named = BAD_BOXES[box]
     bounds = (np.array(lower), np.array(upper))
     data = simulate_scl(SimConfig(n_est=30, n_pred=0, beta=[1.0], cov=CovParams(1.0, 1.0, 0.1),

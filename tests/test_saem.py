@@ -68,10 +68,15 @@ def test_config_rejects_nan_settings(field, value):
     ((-1.0, 0.0), (20.0, 10.0), "lower phi bound must be > 0"),
     ((0.0,), (20.0,), "lower phi bound must be > 0"),
     ((0.05, -0.1), (20.0, 10.0), "lower nu2 bound must be >= 0"),
+    ((20.0, 0.0), (0.05, 10.0), "lower phi bound must be below the upper"),
+    ((0.05, 10.0), (20.0, 1.0), "lower nu2 bound must be below the upper"),
+    ((0.05, 0.0, 0.0), (20.0, 10.0, 10.0), "has 3 lower and 3 upper components"),
+    ((0.05, 0.0), (20.0,), "has 2 lower and 1 upper components"),
 ])
 def test_config_rejects_a_search_box_that_breaks_the_search(lower, upper, named):
     # an infinite bound is always epsilon-active, so the search left that
-    # coordinate at its start in every iteration; phi = 0 is no correlation
+    # coordinate at its start in every iteration; phi = 0 is no correlation;
+    # a reversed box or one of another length is no box over (phi, nu2)
     from geocens.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError, match=f"search box {named}"):
@@ -142,13 +147,14 @@ def test_config_rejects_a_half_or_invalid_start(start):
 ], ids=["free-nugget-1", "free-nugget-3", "fixed-nugget-3"])
 def test_saem_fit_rejects_box_that_does_not_match_the_search(nugget_fixed, lower, upper):
     # a free nugget searches (phi, nu2), a fixed one phi alone (a second
-    # component is allowed and ignored); any other box length is an error
+    # component is allowed and ignored); any other box length is an error,
+    # raised by the config for three components and by the fit for one
     from geocens.errors import ConfigurationError
 
     spec = CovarianceSpec("exponential", nugget_fixed=nugget_fixed)
-    config = SaemConfig(m=5, max_iter=3, init_sigma2=2.0, init_phi=1.0,
-                        lower=lower, upper=upper, seed=1)
     with pytest.raises(ConfigurationError, match="search box"):
+        config = SaemConfig(m=5, max_iter=3, init_sigma2=2.0, init_phi=1.0,
+                            lower=lower, upper=upper, seed=1)
         saem_fit(sim_left(seed=3, n=60, cens=0.0).data, TrendSpec("cte"), spec, config)
 
 
@@ -946,8 +952,10 @@ def test_fit_precision_is_the_inverse_in_data_order(spec):
 
 
 def test_fit_holds_no_more_n_by_n_arrays_than_the_precision():
-    # the fit keeps the precision instead of the distance matrix, which it
-    # forms from the coordinates when read; reading it adds nothing
+    # the fit keeps the precision, not the distance matrix, until the
+    # distances are read: the first read forms them from the coordinates
+    # and keeps them, so every later read (each local_influence call)
+    # adds nothing
     data = sim_left(seed=41, cens=0.3).data
     fit = saem_fit(data, TrendSpec("cte"), SPEC_EXP, base_config(max_iter=4))
     n, n_c = data.n, data.n_censored
@@ -958,4 +966,6 @@ def test_fit_holds_no_more_n_by_n_arrays_than_the_precision():
     budget = 8 * (n * n + n_c * n_c + fit.x.size + fit.trace_params.size + n)
     assert held_bytes() <= budget
     assert np.array_equal(fit.dist, distance_matrix(data.coords))
-    assert held_bytes() <= budget
+    assert held_bytes() <= budget + 8 * n * n
+    assert fit.dist is fit.dist
+    assert held_bytes() <= budget + 8 * n * n
