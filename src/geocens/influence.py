@@ -21,13 +21,11 @@ No dense n x n second moment is read.
 
 Cost of one :func:`local_influence` call.  What the Hessian and the three
 cross-derivative matrices share is formed once, by
-:class:`geocens.profile._Curvature`, which also gives the profile search
-its exact Hessian: ``P`` is read from the fit (``SaemFit.precision``,
-which a fit from :func:`geocens.saem.saem_fit` holds; a loaded fit holds
-none, and ``P`` is then formed from one Cholesky factor and one LAPACK
-``potri``), ``R`` and ``dR/dphi`` come from one kernel pass, and the rest
-is one n x n product (``P`` times the range derivative of ``Sigma``),
-products with the n_c censored columns of ``P``, traces and quadratic
+:class:`geocens.profile._Curvature`, which gives the profile search its
+exact Hessian too: ``P`` from the fit (``SaemFit.precision``; a loaded fit
+holds none, and ``P`` is then formed by one Cholesky factor and one LAPACK
+``potri``), ``R`` and ``dR/dphi`` from one kernel pass, one n x n product,
+and products with the n_c censored columns of ``P``, traces and quadratic
 forms.
 ``M(0)`` comes from a k x k eigenproblem (k = p + 2 or p + 3 parameters)
 instead of the n x n curvature matrix: with the thin QR ``Delta' = Q R`` and

@@ -41,10 +41,10 @@ is closed form (Mardia & Marshall 1984, Biometrika):
 
 A GLS-profiled trend adds nothing to it (envelope theorem), and a sill
 that moves with ``theta`` adds the chain term of ``n log s + q / s``.
-``f`` is minus the completed log-likelihood Q with the trend and sill
-profiled, so its exact Hessian is the Hessian of Q in ``(beta, sigma2,
-phi[, tau2])`` (:func:`_hessian`, which the influence diagnostics read
-too) at the evaluation's profiled point, re-expressed in ``theta``
+``f`` is minus the completed log-likelihood with the trend and sill
+profiled, so its exact Hessian is that of the log-likelihood in ``(beta,
+sigma2, phi[, tau2])`` (:func:`_hessian`, which the influence diagnostics
+read too) at the evaluation's profiled point, re-expressed in ``theta``
 (``tau2 = nu2 sigma2``, or ``sigma2 = tau2 / nu2`` tied), and reduced to
 minus its Schur complement over the profiled coordinates: the implicit
 function theorem (Patefield 1977, Sankhya B).
@@ -118,8 +118,9 @@ def _gls(lo: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 class _Curvature:
-    """The terms that the Hessian of Q and the perturbation
-    cross-derivatives of :mod:`geocens.influence` share at ``params``:
+    """The terms that the Hessian of the completed log-likelihood and the
+    perturbation cross-derivatives of :mod:`geocens.influence` share at
+    ``params``:
     ``cov_c`` is the covariance of the block ``idx``, ``rho`` and ``d_r``
     are R (read off its diagonal only) and ``dR/dphi`` over ``dist``, and
     ``prec`` is ``P = Sigma^{-1}``.  With ``Sigma_k`` the derivative by the
@@ -153,27 +154,29 @@ class _Curvature:
         s_sill = self.b * -tau2
         s_sill[idx, np.arange(idx.size)] += 1.0
         s_sill /= sigma2
-        sig_phi = sigma2 * d_r
+        a_phi = prec @ d_r
+        a_phi *= sigma2
         n_a = 2 if spec.nugget_fixed else 3
-        a_k = [a_sill, prec @ sig_phi, prec][:n_a]
+        a_k = [a_sill, a_phi, prec][:n_a]
         self.tr_a = [np.trace(a) for a in a_k]
-        # sum(A_k * A_l') is sum(A_k * A_l) when either is symmetric, as
-        # all but A_phi are
+        # tr(A_k A_l) = sum(A_k * A_l') is sum(A_k * A_l) when either is
+        # symmetric, as all but A_phi are
         self.tr_aa = np.empty((n_a, n_a))
         for i in range(n_a):
             for j in range(i, n_a):
-                left = a_k[i].T if i == j == 1 else a_k[i]
-                self.tr_aa[i, j] = self.tr_aa[j, i] = np.vdot(left, a_k[j])
-        self.u = [(self.r - tau2 * self.a) / sigma2, sig_phi @ self.a, self.a][:n_a]
-        self.s = [s_sill, sig_phi @ self.b, self.b][:n_a]
+                self.tr_aa[i, j] = self.tr_aa[j, i] = (
+                    np.einsum("ij,ji->", a_phi, a_phi) if i == j == 1 else np.vdot(a_k[i], a_k[j]))
+        self.u = [(self.r - tau2 * self.a) / sigma2, sigma2 * (d_r @ self.a), self.a][:n_a]
+        self.s = [s_sill, sigma2 * (d_r @ self.b), self.b][:n_a]
         self.v = [prec @ u for u in self.u]
         self.t = [prec @ s for s in self.s]
 
 
 def _hessian(c: _Curvature) -> np.ndarray:
-    """Hessian of Q in ``(beta, sigma2, phi[, tau2])`` from the shared
-    terms: log-det part ``1/2 [tr(A_a A_b) - sum(P * Sigma_ab)]``, quadratic part
-    ``2 (Sigma_b a)' P (Sigma_a a) - a' Sigma_ab a
+    """Hessian of the completed log-likelihood (the objective Q of
+    :mod:`geocens.influence`) in ``(beta, sigma2, phi[, tau2])`` from the
+    shared terms: log-det part ``1/2 [tr(A_a A_b) - sum(P * Sigma_ab)]``,
+    quadratic part ``2 (Sigma_b a)' P (Sigma_a a) - a' Sigma_ab a
     + sum((2 (Sigma_b B)' P (Sigma_a B) - B' Sigma_ab B) * C)`` (entering
     with weight -1/2), beta-alpha block ``-(P X)' Sigma_a a``.
     """
@@ -218,9 +221,10 @@ def profile_objective(
 
     The third element is a function of no arguments that returns the exact
     Hessian (:func:`_hessian` reduced to ``theta``) from the state of this
-    evaluation, without evaluating R(phi) or factoring Psi again.  Raises :class:`SingularCovarianceError` when
-    Psi cannot be factored.  The fourth element is ``(beta, sigma2, lo)``:
-    the GLS trend, the sill of ``f`` and L.
+    evaluation, without evaluating R(phi) or factoring Psi again.  Raises
+    :class:`SingularCovarianceError` when Psi cannot be factored.  The
+    fourth element is ``(beta, sigma2, lo)``: the GLS trend, the sill of
+    ``f`` and L.
 
     An evaluation forms R and ``dR/dphi`` in one kernel pass
     (:func:`geocens.covariance.corr_dcorr_matrix`) over ``lags``, the
@@ -277,10 +281,10 @@ def profile_objective(
         tau2 = spec.fixed_nugget_value if spec.nugget_fixed else nu2 * s
         c = _Curvature(ModelParams(beta=beta, cov=CovParams(sigma2=s, phi=phi, tau2=tau2)),
                        z, cov_c, idx, x, psi, d_phi, lags.dist, spec, qi / s)
-        h = -_hessian(c)  # in (beta, sigma2, phi[, tau2])
+        h = -_hessian(c)  # of f's unprofiled form, in (beta, sigma2, phi[, tau2])
         jac, chain, kept = np.eye(h.shape[0]), np.zeros(h.shape), [p + 1]
         if dim > 1:
-            # the chain term takes dQ/dalpha_k of the sill (tied) or the nugget
+            # the chain term's log-likelihood gradient, in the sill or nugget
             k = 0 if spec.nugget_fixed else 2
             dq = 0.5 * (c.a @ c.u[k] + np.sum((c.b.T @ c.s[k]) * cov_c) - c.tr_a[k])
             if spec.nugget_fixed:  # nu2 in place of sigma2 = tau2 / nu2

@@ -346,8 +346,7 @@ def saem_fit(
     if n < p + 2:
         raise DataValidationError(f"need at least p + 2 = {p + 2} sites, got {n}")
     if len(config.lower) < 2 and not spec.nugget_fixed:
-        raise ConfigurationError("the search box bounds (phi, nu2) when the nugget is free; "
-                                 "got phi alone")
+        raise ConfigurationError("search box bounds (phi, nu2) for a free nugget; got phi alone")
     cut = math.ceil(config.pc * config.max_iter)
 
     root = RngState(config.seed)
