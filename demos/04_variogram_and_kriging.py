@@ -48,7 +48,7 @@ print(f"weighted variogram fit: sigma2 {init.sigma2:.3f} phi {init.phi:.3f} "
       f"tau2 {init.tau2:.3f}   (truth {truth.sigma2}, {truth.phi}, {truth.tau2})")
 
 x = build_trend(data.coords, None, TrendSpec("cte"))
-params, ll, factor = gaussian_ml_fit(
+params, ll, factor, _ = gaussian_ml_fit(
     data.value, x, Lags(distance_matrix(data.coords)), spec, init
 )
 print(f"maximum likelihood:     sigma2 {params.cov.sigma2:.3f} "

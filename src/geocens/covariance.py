@@ -242,18 +242,42 @@ def _d2corr_dphi2(
     family: str, kappa: float, h: np.ndarray, phi: float, rho: np.ndarray, drho: np.ndarray
 ) -> np.ndarray:
     """Analytic ``d^2 rho / d phi^2`` from ``rho`` and ``drho = d rho / d phi``
-    at the lags ``h``.  For Matern (the exponential is ``kappa = 1/2``),
-    ``K_{k+1}(u) = K_{k-1}(u) + (2k/u) K_k(u)`` (DLMF 10.29.1) with
-    ``u = h / phi`` gives ``(u^2 rho - (2 kappa + 1) phi drho) / phi^2``."""
-    u = h / phi
-    if family == "gaussian":
-        return drho * (2.0 * u**2 - 3.0) / phi
-    if family == "powered-exponential":
-        return drho * (kappa * np.power(u, kappa) - kappa - 1.0) / phi
+    at the lags ``h``, built in place in one new array (Matern and
+    spherical take one temporary beside it).  For Matern (the exponential
+    is ``kappa = 1/2``), ``K_{k+1}(u) = K_{k-1}(u) + (2k/u) K_k(u)`` (DLMF
+    10.29.1) with ``u = h / phi`` gives ``(u^2 rho - (2 kappa + 1) phi
+    drho) / phi^2``, which for the exponential is ``drho (h / phi^2 - 2 /
+    phi)``."""
+    if family == "exponential":
+        out = np.multiply(h, 1.0 / phi**2)
+        out -= 2.0 / phi
+        return np.multiply(out, drho, out=out)
     if family == "spherical":
-        return np.where(u <= 1.0, (3.0 * u / phi**2) * (2.0 * u**2 - 1.0), 0.0)
-    k = 0.5 if family == "exponential" else kappa
-    return (u**2 * rho - (2.0 * k + 1.0) * phi * drho) / phi**2
+        u = h / phi
+        out = np.square(u)
+        out *= 2.0
+        out -= 1.0
+        out *= u
+        out *= 3.0 / phi**2
+        out[u > 1.0] = 0.0
+        return out
+    if family == "gaussian":  # drho (2 u^2 - 3) / phi
+        out = np.divide(h, phi)
+        np.square(out, out=out)
+        out *= 2.0 / phi
+        out -= 3.0 / phi
+        return np.multiply(out, drho, out=out)
+    if family == "powered-exponential":  # drho (kappa u^kappa - kappa - 1) / phi
+        out = np.divide(h, phi)
+        np.power(out, kappa, out=out)
+        out *= kappa / phi
+        out -= (kappa + 1.0) / phi
+        return np.multiply(out, drho, out=out)
+    out = np.multiply(h, 1.0 / phi**2)
+    np.square(out, out=out)
+    out *= rho
+    out -= np.multiply(drho, (2.0 * kappa + 1.0) / phi)
+    return out
 
 
 @functools.lru_cache(maxsize=4)

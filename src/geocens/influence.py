@@ -24,9 +24,12 @@ cross-derivative matrices share is formed once, by
 :class:`geocens.profile._Curvature`, which gives the profile search its
 exact Hessian too: ``P`` from the fit (``SaemFit.precision``; a loaded fit
 holds none, and ``P`` is then formed by one Cholesky factor and one LAPACK
-``potri``), ``R`` and ``dR/dphi`` from one kernel pass, one n x n product,
-and products with the n_c censored columns of ``P``, traces and quadratic
-forms.
+``potri``), ``R`` and ``dR/dphi`` from one kernel pass, ``d2R/dphi2``
+from them, one n x n product (``P dR/dphi``), four products with the n_c
+censored columns of ``P``, and traces and quadratic forms; the sill's
+term ``P R`` is never formed as an n x n array.  Beyond what the fit
+holds, a call peaks at about five n x n arrays: the distances on their
+first read, R, ``dR/dphi``, and ``d2R/dphi2`` or ``P dR/dphi``.
 ``M(0)`` comes from a k x k eigenproblem (k = p + 2 or p + 3 parameters)
 instead of the n x n curvature matrix: with the thin QR ``Delta' = Q R`` and
 ``R (-H)^{-1} R' = W Lambda W'``, the eigenpairs of ``2 F`` are

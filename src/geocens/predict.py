@@ -424,14 +424,18 @@ def gaussian_ml_fit(
     x: np.ndarray,
     lags: Lags,
     spec: CovarianceSpec,
-    init: CovParams,
+    init,
     bounds: Optional[tuple] = None,
-) -> tuple[ModelParams, float, np.ndarray]:
+) -> tuple[ModelParams, float, np.ndarray, np.ndarray]:
     """Maximize the exact Gaussian log-likelihood over the covariance
     parameters, profiling the trend coefficients and the sill (or tying it
     to a fixed nugget).  Returns the fitted parameters, the attained
-    log-likelihood and the lower Cholesky factor of ``Sigma`` at the fitted
-    parameters over the rows of ``y``.
+    log-likelihood, the lower Cholesky factor of ``Sigma`` at the fitted
+    parameters over the rows of ``y``, and the ``theta = (phi, nu2)`` (or
+    ``(phi,)``) at which the search stopped.  ``init`` is a
+    :class:`geocens.covariance.CovParams`, or the ``theta`` a fit on the
+    same ``lags`` and spec returned, which starts the search on the
+    evaluation that fit left held.
 
     The fit is the profile search the CM step of the stochastic EM runs
     (:func:`geocens.profile.profile_fit`), with no censored block, from
@@ -450,7 +454,7 @@ def gaussian_ml_fit(
     fit = profile_fit(y, x, lags, spec, np.zeros((0, 0)), np.zeros(0, dtype=int), init,
                       lower, upper)
     ll = -float(fit.value + 0.5 * y.shape[0] * np.log(2 * np.pi))
-    return fit.params, ll, fit.factor
+    return fit.params, ll, fit.factor, fit.theta
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +497,7 @@ def predict_naive(
     if init is None:
         init = initial_values(data, trend, spec).cov
     lags = Lags(distance_matrix(data.coords))
-    params, gauss_ll, factor = gaussian_ml_fit(y, x, lags, spec, init, bounds)
+    params, gauss_ll, factor, _ = gaussian_ml_fit(y, x, lags, spec, init, bounds)
     x_pred = build_trend(np.atleast_2d(coords_pred), x_extra_pred, trend)
     result = krige(params, x, y, data.coords, x_pred, coords_pred, spec, method=variant,
                    factor=factor)
@@ -534,8 +538,9 @@ def predict_seminaive(
     sill changes by at most ``c1`` relatively, stays below ``c2`` times the
     uncensored-data sill, and the imputed-data skewness exceeds ``c3``
     times the uncensored-data skewness; or at ``max_iter``.  The fits on
-    all sites share one :class:`geocens.covariance.Lags`, so each refit
-    starts on the last fit's last evaluation when that fit stopped there;
+    all sites share one :class:`geocens.covariance.Lags`, and each refit
+    starts at the ``theta`` where the last fit stopped, so on that fit's
+    last evaluation when the fit stopped there;
     the fit to the uncensored sites alone has a ``Lags`` of its own.
     Every fit starts its search on the exact Hessian.  Each pass's
     leave-one-out means and the final kriging step read the factor of
@@ -554,12 +559,12 @@ def predict_seminaive(
     y = data.value.astype(float).copy()
     y[cens_idx] = 0.0
     lags = Lags(dist)
-    params, gauss_ll, factor = gaussian_ml_fit(y, x, lags, spec, init, bounds)
+    params, gauss_ll, factor, theta = gaussian_ml_fit(y, x, lags, spec, init, bounds)
     iterations = 0
     converged = cens_idx.size == 0
 
     if cens_idx.size:
-        obs_fit, _, _ = gaussian_ml_fit(
+        obs_fit, _, _, _ = gaussian_ml_fit(
             data.value[obs_idx], x[obs_idx], Lags(dist[np.ix_(obs_idx, obs_idx)]),
             spec, init, bounds,
         )
@@ -571,8 +576,8 @@ def predict_seminaive(
             loo = _loo_means(params, x, y, factor, cens_idx)
             y_new = y.copy()
             y_new[cens_idx] = np.maximum(0.0, np.minimum(loo, bound))
-            new_params, gauss_ll, factor = gaussian_ml_fit(y_new, x, lags, spec, params.cov,
-                                                           bounds)
+            new_params, gauss_ll, factor, theta = gaussian_ml_fit(y_new, x, lags, spec, theta,
+                                                                  bounds)
             rel_change = abs(new_params.cov.sigma2 - params.cov.sigma2) / params.cov.sigma2
             y = y_new
             params = new_params

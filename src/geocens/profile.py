@@ -24,12 +24,15 @@ stationary points of the observed likelihood (Delyon, Lavielle & Moulines
 covariance spec, a start and a box into a search: a box without a ``nu2``
 component takes the range of :func:`default_search_box`, and a tied sill
 floors ``nu2`` at 1e-10.  Each evaluation forms R(phi) and ``dR/dphi`` in
-one kernel pass, and L and Q (``potri``) once, or reads all four from the
-last evaluation on the caller's :class:`geocens.covariance.Lags` (see
-:func:`profile_objective`): each CM step and each seminaive refit starts
-where the last search on its distances stopped.  The whitened residual
-``L^{-1} r`` comes from the GLS fit; L is handed back with the fitted
-trend and sill.
+one kernel pass, and L and the lower triangle of Q (LAPACK ``potri``)
+once, or reads all four from the last evaluation on the caller's
+:class:`geocens.covariance.Lags` (see :func:`profile_objective`): each CM
+step and each seminaive refit starts at the ``theta`` where the last
+search on its distances stopped.  The evaluation reads Q off its triangle
+and never mirrors it; the Hessian builder mirrors it once, into ``P = Q /
+sigma2``.  The whitened residual ``L^{-1} r`` comes from the GLS fit (one
+triangular solve of ``[X, z]``); L is handed back with the fitted trend
+and sill.
 The residual term of q stays on the factor: ``r' Q r`` loses accuracy as
 the condition of Psi grows, and the search compares values at 1e-10.
 With ``a = Q r``, ``B = Q[:, c]`` and ``Psi_j`` the derivatives of Psi
@@ -80,10 +83,10 @@ from __future__ import annotations
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from . import covariance
-from .covariance import CovarianceSpec, CovParams, _cholesky_inverse
+from .covariance import CovarianceSpec, CovParams
 from .errors import ConfigurationError, NumericalError, SingularCovarianceError
 from .model import ModelParams
 
@@ -110,11 +113,19 @@ _NU2_RANGE = (0.0, 1e3)  # of default_search_box, and of a box without nu2
 def _gls(lo: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Generalized least squares of ``y`` on ``x`` under the covariance
     ``lo lo'``: the coefficients and the whitened residual
-    ``lo^{-1} (y - x beta)``."""
-    xw = solve_triangular(lo, x, lower=True, check_finite=False)
-    yw = solve_triangular(lo, y, lower=True, check_finite=False)
+    ``lo^{-1} (y - x beta)``, from one triangular solve of ``[x, y]``."""
+    w, _ = lapack.dtrtrs(lo, np.column_stack([x, y]), lower=1)
+    xw, yw = w[:, :-1], w[:, -1]
     beta, *_ = np.linalg.lstsq(xw, yw, rcond=None)
     return beta, yw - xw @ beta
+
+
+def _off_diagonal(m: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of the C-contiguous square ``m`` as a
+    strided ``(n - 1, n)`` view: each row of the flat array after its first
+    entry, cut into rows of ``n + 1``, ends on a diagonal entry."""
+    n = m.shape[0]
+    return m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 class _Curvature:
@@ -123,53 +134,74 @@ class _Curvature:
     ``params``:
     ``cov_c`` is the covariance of the block ``idx``, ``rho`` and ``d_r``
     are R (read off its diagonal only) and ``dR/dphi`` over ``dist``, and
-    ``prec`` is ``P = Sigma^{-1}``.  With ``Sigma_k`` the derivative by the
-    k-th covariance parameter (``R``, ``sigma2 dR/dphi`` and ``I``), ``A_k
-    = P Sigma_k``, ``tr_a[k] = tr(A_k)``, ``tr_aa[k, l] = tr(A_k A_l)``,
-    ``u[k] = Sigma_k a``, ``v[k] = P u[k]``, ``s[k] = Sigma_k B`` and
-    ``t[k] = P s[k]``; ``sig_kl`` holds the nonzero second derivatives by
-    parameter position.  The sill's terms come from ``P Sigma = I``: ``P R
-    = (I - tau2 P) / sigma2``, ``R a = (r - tau2 a) / sigma2`` and ``R B =
-    (E_c - tau2 B) / sigma2``, ``E_c`` the unit columns of ``idx``, each
-    losing about ``log10(tau2 / sigma2)`` digits when the nugget
-    dominates.  ``A_phi = P sigma2 dR/dphi`` is the one n x n product.
+    ``prec`` is ``P = Sigma^{-1}``, C-contiguous.  With ``Sigma_k`` the
+    derivative by the k-th covariance parameter (``R``, ``sigma2 dR/dphi``
+    and ``I``), ``A_k = P Sigma_k``, ``tr_a[k] = tr(A_k)``, ``tr_aa[k, l] =
+    tr(A_k A_l)``, ``u[k] = Sigma_k a``, ``v[k] = P u[k]``, ``s[k] = Sigma_k
+    B`` and ``t[k] = P s[k]``; ``second`` holds, for each nonzero second
+    derivative ``Sigma_kl`` by parameter position, ``(sum(P * Sigma_kl),
+    a' Sigma_kl a, B' Sigma_kl B)``.
+
+    The sill's terms come from ``P Sigma = I``: ``P R = (I - tau2 P) /
+    sigma2``, ``R a = (r - tau2 a) / sigma2``, ``P R a = (a - tau2 P a) /
+    sigma2``, ``R B = (E_c - tau2 B) / sigma2`` and ``P R B = (B - tau2 P
+    B) / sigma2``, ``E_c`` the unit columns of ``idx``, each losing about
+    ``log10(tau2 / sigma2)`` digits when the nugget dominates.  No n x n
+    array of ``P R`` is formed: its traces are taken entry by entry from
+    the diagonal ``1 - tau2 P_ii`` and the off-diagonal sums of ``P * P``
+    and ``P * P dR/dphi`` (:func:`_off_diagonal`); the form ``n - 2 tau2
+    tr P + tau2^2 tr(P^2)`` would cancel about twice as many digits.  The
+    ``(sigma2, phi)`` terms are those of ``A_phi``, ``u[1]`` and ``s[1]``
+    over ``sigma2``, and the ``(phi, phi)`` terms ``sigma2`` times those of
+    ``d2R/dphi2``, whose array is dropped before ``P dR/dphi``, the one n
+    x n product, is formed.  The n x n_c products are four: ``dR/dphi B``,
+    ``P dR/dphi B``, ``P B`` and ``d2R/dphi2 B``.
     """
 
     def __init__(self, params, zhat, cov_c, idx, x, rho, d_r, dist, spec, prec):
         cov = params.cov
         sigma2, tau2 = cov.sigma2, cov.tau2
         self.x, self.beta = x, np.asarray(params.beta, dtype=float)
-        self.idx, self.cov_c, self.prec = idx, cov_c, prec
-
-        # d2 Sigma / d sigma2 d phi = dR/dphi
-        self.sig_kl = {(0, 1): d_r, (1, 1): sigma2 * covariance._d2corr_dphi2(
-            spec.family, spec.kappa, dist, cov.phi, rho, d_r)}
+        self.idx, self.cov_c = idx, cov_c
         self.r = zhat - x @ self.beta
-        self.a = prec @ self.r
+        self.a = a = prec @ self.r
         self.px = prec @ x
-        self.b = prec[:, idx]
-        a_sill = prec * -tau2
-        a_sill[np.diag_indices_from(a_sill)] += 1.0
-        a_sill /= sigma2
-        s_sill = self.b * -tau2
-        s_sill[idx, np.arange(idx.size)] += 1.0
-        s_sill /= sigma2
-        a_phi = prec @ d_r
-        a_phi *= sigma2
+        self.b = b = prec[:, idx]
+
+        d2 = covariance._d2corr_dphi2(spec.family, spec.kappa, dist, cov.phi, rho, d_r)
+        phi_phi = (sigma2 * np.vdot(prec, d2), sigma2 * (a @ (d2 @ a)), sigma2 * (b.T @ (d2 @ b)))
+        del d2
+        da, db = d_r @ a, d_r @ b
+        pa, pb = prec @ a, prec @ b
+        m = prec @ d_r  # A_phi / sigma2
+        diag_p, diag_m = np.diagonal(prec), np.diagonal(m)
+        off_p = _off_diagonal(prec)
+        pp = np.einsum("ij,ij->", off_p, off_p)
+        pm = np.einsum("ij,ij->", off_p, _off_diagonal(m))
+        mm = np.einsum("ij,ji->", m, m)
+        trace_m = float(np.sum(diag_m))
+        del m
+        self.second = {(0, 1): (trace_m, a @ da, b.T @ db), (1, 1): phi_phi}
+
+        e = 1.0 - tau2 * diag_p  # sigma2 times the diagonal of P R
         n_a = 2 if spec.nugget_fixed else 3
-        a_k = [a_sill, a_phi, prec][:n_a]
-        self.tr_a = [np.trace(a) for a in a_k]
+        self.tr_a = [np.sum(e) / sigma2, sigma2 * trace_m, np.sum(diag_p)][:n_a]
         # tr(A_k A_l) = sum(A_k * A_l') is sum(A_k * A_l) when either is
         # symmetric, as all but A_phi are
-        self.tr_aa = np.empty((n_a, n_a))
-        for i in range(n_a):
-            for j in range(i, n_a):
-                self.tr_aa[i, j] = self.tr_aa[j, i] = (
-                    np.einsum("ij,ji->", a_phi, a_phi) if i == j == 1 else np.vdot(a_k[i], a_k[j]))
-        self.u = [(self.r - tau2 * self.a) / sigma2, sigma2 * (d_r @ self.a), self.a][:n_a]
-        self.s = [s_sill, sigma2 * (d_r @ self.b), self.b][:n_a]
-        self.v = [prec @ u for u in self.u]
-        self.t = [prec @ s for s in self.s]
+        sill_phi, sill_nugget = e @ diag_m - tau2 * pm, (e @ diag_p - tau2 * pp) / sigma2
+        phi_nugget = sigma2 * (diag_m @ diag_p + pm)
+        self.tr_aa = np.array([
+            [(e @ e + tau2**2 * pp) / sigma2**2, sill_phi, sill_nugget],
+            [sill_phi, sigma2**2 * mm, phi_nugget],
+            [sill_nugget, phi_nugget, diag_p @ diag_p + pp],
+        ])[:n_a, :n_a]
+        s_sill = b * -tau2
+        s_sill[idx, np.arange(idx.size)] += 1.0
+        s_sill /= sigma2
+        self.u = [(self.r - tau2 * a) / sigma2, sigma2 * da, a][:n_a]
+        self.s = [s_sill, sigma2 * db, b][:n_a]
+        self.v = [(a - tau2 * pa) / sigma2, sigma2 * (prec @ da), pa][:n_a]
+        self.t = [(b - tau2 * pb) / sigma2, sigma2 * (prec @ db), pb][:n_a]
 
 
 def _hessian(c: _Curvature) -> np.ndarray:
@@ -190,11 +222,11 @@ def _hessian(c: _Curvature) -> np.ndarray:
             logdet = c.tr_aa[i, j]
             quad = 2.0 * float(c.u[j] @ c.v[i])
             block = 2.0 * (c.s[j].T @ c.t[i])
-            s_ij = c.sig_kl.get((i, j))
-            if s_ij is not None:
-                logdet -= float(np.vdot(c.prec, s_ij))
-                quad -= float(c.a @ s_ij @ c.a)
-                block -= c.b.T @ (s_ij @ c.b)
+            second = c.second.get((i, j))
+            if second is not None:
+                logdet -= second[0]
+                quad -= second[1]
+                block -= second[2]
             quad += float(np.sum(block * c.cov_c))
             h[p + i, p + j] = 0.5 * logdet - 0.5 * quad
     return np.triu(h) + np.triu(h, 1).T
@@ -229,9 +261,15 @@ def profile_objective(
     An evaluation forms R and ``dR/dphi`` in one kernel pass
     (:func:`geocens.covariance.corr_dcorr_matrix`) over ``lags``, the
     :class:`geocens.covariance.Lags` the caller keeps for its distances,
-    and leaves its Psi, L, Q and ``dR/dphi`` held there, keyed by
-    ``(spec, phi, nu2)``.  An evaluation at that key reads them; any other
-    drops them before it forms its own.
+    and leaves its Psi, L, the lower triangle of Q that LAPACK ``potri``
+    fills (the rest zero) and ``dR/dphi`` held there, keyed by ``(spec,
+    phi, nu2)``.  An evaluation at that key reads them; any other drops
+    them before it forms its own.  The evaluation reads Q off the triangle
+    without mirroring it: ``tr(Q dR/dphi)`` is twice the sum over the
+    triangle, as ``dR/dphi`` has a zero diagonal, ``a = Q r`` is one
+    transposed triangular solve of the whitened residual, and ``Q[:, c]``
+    is gathered from the triangle's columns and rows.  The Hessian builder
+    mirrors it once, into ``P = Q / sigma2``.
     """
     dim = len(theta)
     phi = float(theta[0])
@@ -243,24 +281,26 @@ def profile_objective(
         psi, d_phi = covariance.corr_dcorr_matrix(lags, spec, phi)
         psi[np.diag_indices_from(psi)] += nu2
         lo = covariance.spd_cholesky(psi)
-        held = (key, (psi, lo, _cholesky_inverse(lo), d_phi))
+        held = (key, (psi, lo, lapack.dpotri(lo, lower=1)[0], d_phi))
     lags.held = held
-    psi, lo, qi, d_phi = held[1]
+    psi, lo, tri, d_phi = held[1]
     n = lo.shape[0]
     beta, rw = _gls(lo, x, z)
-    resid = z - x @ beta
     logdet = 2.0 * np.sum(np.log(np.diag(lo)))
 
-    a = qi @ resid
-    b = qi[:, idx]
+    a, _ = lapack.dtrtrs(lo, rw, lower=1, trans=1)
+    diag_q = np.diagonal(tri)
+    b = tri[:, idx]  # Q[:, c] below the diagonal, zero above
+    b += tri[idx].T  # and above it, the diagonal twice
+    b[idx, np.arange(idx.size)] -= diag_q[idx]
     q = float(rw @ rw + np.sum(b[idx] * cov_c))
     da = d_phi @ a
     db = d_phi @ b
     q_grad = [-(a @ da + np.sum((b.T @ db) * cov_c))]
-    ell = [np.vdot(qi, d_phi)]
+    ell = [2.0 * np.vdot(tri.T, d_phi)]
     if dim > 1:
         q_grad.append(-(a @ a + np.sum((b.T @ b) * cov_c)))
-        ell.append(np.trace(qi))
+        ell.append(np.sum(diag_q))
     q_grad, ell = np.array(q_grad), np.array(ell)
 
     # the sill s and its derivative in theta
@@ -279,8 +319,11 @@ def profile_objective(
         # Psi differs from R only on the diagonal, which _Curvature skips
         p = x.shape[1]
         tau2 = spec.fixed_nugget_value if spec.nugget_fixed else nu2 * s
+        prec = tri.T / s  # P's upper triangle, mirrored in place
+        for j in range(1, n):
+            prec[j, :j] = prec[:j, j]
         c = _Curvature(ModelParams(beta=beta, cov=CovParams(sigma2=s, phi=phi, tau2=tau2)),
-                       z, cov_c, idx, x, psi, d_phi, lags.dist, spec, qi / s)
+                       z, cov_c, idx, x, psi, d_phi, lags.dist, spec, prec)
         h = -_hessian(c)  # of f's unprofiled form, in (beta, sigma2, phi[, tau2])
         jac, chain, kept = np.eye(h.shape[0]), np.zeros(h.shape), [p + 1]
         if dim > 1:
@@ -457,7 +500,7 @@ def profile_fit(
     spec: CovarianceSpec,
     cov_c: np.ndarray,
     idx: np.ndarray,
-    start: CovParams,
+    start,
     lower,
     upper,
     metric: Optional[np.ndarray] = None,
@@ -466,14 +509,19 @@ def profile_fit(
     """Maximize the completed Gaussian log-likelihood jointly in ``(beta,
     sigma2, phi, nu2)``: :func:`profile_search` on :func:`profile_objective`
     from ``start`` within the box ``[lower, upper]`` over ``(phi, nu2)``,
-    handed ``metric`` and ``max_steps``.
+    handed ``metric`` and ``max_steps``.  ``start`` is a
+    :class:`geocens.covariance.CovParams`, or the ``theta`` at which an
+    earlier search on ``lags`` under ``spec`` stopped
+    (:attr:`ProfileFit.theta`): that start reads the evaluation the search
+    left held, where ``nu2 = tau2 / sigma2`` of its parameters need not
+    round back to its ``theta``.
 
     ``spec`` sets what is searched.  A free nugget searches ``(phi, nu2)``
     and profiles the sill.  A nugget fixed at 0 searches ``phi`` alone
     (``nu2`` held at 0, a second box component ignored) and profiles the
     sill.  A nugget fixed at ``tau2 > 0`` searches ``(phi, nu2)`` with the
-    sill tied to ``tau2 / nu2``, starting at ``nu2 = tau2 / sigma2`` of
-    ``start``; a box without a ``nu2`` component takes
+    sill tied to ``tau2 / nu2``, starting at ``nu2 = tau2 / sigma2`` of a
+    ``start`` that is a point; a box without a ``nu2`` component takes
     :func:`default_search_box`'s range, and the lower ``nu2`` bound is
     floored at 1e-10.  The start is clipped into the box.  Raises
     :class:`NumericalError` when the search ends on a value that is not
@@ -485,17 +533,18 @@ def profile_fit(
     check_search_box(lower, upper)
     fixed = spec.fixed_nugget_value if spec.nugget_fixed else None
     if fixed == 0.0:
-        lower, upper, x0 = lower[:1], upper[:1], [start.phi]
+        lower, upper = lower[:1], upper[:1]
     else:
         if lower.size < 2:
             lower, upper = np.append(lower, _NU2_RANGE[0]), np.append(upper, _NU2_RANGE[1])
         lower, upper = lower[:2], upper[:2]
         if fixed is not None:
             lower[1] = max(lower[1], 1e-10)  # a tied sill tau2 / nu2 stays finite
-        x0 = [start.phi, start.nu2 if fixed is None else fixed / start.sigma2]
+    if isinstance(start, CovParams):
+        start = [start.phi, start.nu2 if fixed is None else fixed / start.sigma2]
     theta, value, (beta, sigma2, lo_psi), metric = profile_search(
         lambda t: profile_objective(t, lags, spec, z, x, cov_c, idx),
-        np.clip(x0, lower, upper), lower, upper, metric, max_steps,
+        np.clip(start[:lower.size], lower, upper), lower, upper, metric, max_steps,
     )
     if not np.isfinite(value):
         raise NumericalError("covariance search ended on a non-finite objective")

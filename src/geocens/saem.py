@@ -39,7 +39,7 @@ from .model import (
     partition,
 )
 from .mvn import Rectangle, RngState, _gibbs_sweeps
-from .profile import _gls, check_search_box, profile_fit
+from .profile import ProfileFit, _gls, check_search_box, profile_fit
 
 STOP_WINDOW = 10  # iterates per window of the stopping rule (path_drift)
 
@@ -250,10 +250,10 @@ def cm_step(
     lags: Lags,
     spec: CovarianceSpec,
     config: SaemConfig,
-    prev: ModelParams,
+    start,
     metric: Optional[np.ndarray] = None,
     max_steps: Optional[int] = None,
-) -> tuple[ModelParams, np.ndarray, Optional[np.ndarray]]:
+) -> ProfileFit:
     """Conditional maximization given the current moment estimates.
 
     ``zz`` is the second moment of the block ``idx`` of the response; the
@@ -261,23 +261,24 @@ def cm_step(
     completed log-likelihood jointly in all parameters: the profile search
     of :func:`geocens.profile.profile_fit` on ``zhat``, with the block's
     covariance ``zz - zhat_c zhat_c'`` added to the quadratic form, within
-    the box of ``config``.  The search starts at ``prev`` on ``metric``,
-    the metric the last step's search ended with, or on the exact Hessian
-    of the objective when that is None (the first step of a fit).  It runs
-    to convergence, or stops after ``max_steps`` accepted steps when that
-    is given.
+    the box of ``config``.  The search starts at ``start``, a
+    :class:`geocens.covariance.CovParams` or the ``theta`` the last step's
+    search stopped at, on ``metric``, the metric that search ended with,
+    or on the exact Hessian of the objective when that is None (the first
+    step of a fit).  It runs to convergence, or stops after ``max_steps``
+    accepted steps when that is given.
 
-    Returns the new parameters, the lower Cholesky factor of the
-    covariance matrix at them (``sqrt(sigma2)`` times the factor of ``Psi``
-    that the search's accepted evaluation computed) and the metric the
-    search ended with, for the next step.  ``lags`` holds the
-    distances and the last step's last evaluation, read when that was at
-    the start's ``(phi, nu2)`` (:mod:`geocens.profile`).
+    Returns the search's :class:`geocens.profile.ProfileFit`: the new
+    parameters, the lower Cholesky factor of the covariance matrix at them
+    (``sqrt(sigma2)`` times the factor of ``Psi`` that the search's
+    accepted evaluation computed), and the metric and ``theta`` the search
+    ended with, for the next step.  ``lags`` holds the distances and the
+    last step's last evaluation, read when that was at the start's
+    ``theta`` (:mod:`geocens.profile`).
     """
     cov_c = zz - np.outer(zhat[idx], zhat[idx])
-    fit = profile_fit(zhat, x, lags, spec, cov_c, idx, prev.cov, config.lower, config.upper,
-                      metric, max_steps)
-    return fit.params, fit.factor, fit.metric
+    return profile_fit(zhat, x, lags, spec, cov_c, idx, start, config.lower, config.upper,
+                       metric, max_steps)
 
 
 def saem_fit(
@@ -305,8 +306,8 @@ def saem_fit(
     sweeps on the precision from ``L_cc``; only the final likelihood
     estimate forms ``L_cc L_cc'``, for its rectangle probability.  Every
     CM search reads one :class:`geocens.covariance.Lags` of the ordered
-    distances, and starts where the last one stopped, on the arrays that
-    search left held there.  The first CM search starts on the exact
+    distances, and starts at the ``theta`` where the last one stopped, on
+    the arrays that search left held there.  The first CM search starts on the exact
     Hessian of its objective; each later one on the metric the search
     before it ended with, which the loop carries from one step to the
     next beside the factor (from the cut point on, successive CM
@@ -383,7 +384,7 @@ def saem_fit(
     lo = cholesky_sigma(lags.dist, spec, cov)
     params = ModelParams(beta=_gls(lo, x_o, z)[0], cov=cov)
     mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, z, n_obs)
-    metric = None
+    start, metric = cov, None
     for k in range(1, config.max_iter + 1):
         iterations = k
         try:
@@ -394,18 +395,16 @@ def saem_fit(
                 )
             # one accepted step between the cut and the last iteration
             steps = None if k <= cut or k == config.max_iter else 1
-            new, new_lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, params,
-                                          metric, steps)
-            trace_params[k - 1] = new.as_array()
+            new = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, start, metric, steps)
+            trace_params[k - 1] = new.params.as_array()
             converged = k - cut >= 2 * STOP_WINDOW and bool(np.all(
                 path_drift(trace_params[:k], cut) < config.tol
             ))
             if converged and steps is not None:
                 # finish the stopped search on the same moments
-                new, new_lo, metric = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, new,
-                                              metric)
-                trace_params[k - 1] = new.as_array()
-            params, lo = new, new_lo
+                new = cm_step(z, zz_cc, cen_o, x_o, lags, spec, config, new.theta, new.metric)
+                trace_params[k - 1] = new.params.as_array()
+            params, lo, start, metric = new.params, new.factor, new.theta, new.metric
             mu, l_cc, obs_term = conditional_given_obs(lo, x_o @ params.beta, z, n_obs)
         except NumericalError as exc:
             raise NumericalError(f"iteration {k}: {exc}") from exc

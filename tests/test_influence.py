@@ -555,6 +555,35 @@ def test_local_influence_on_a_fresh_fit_reads_its_precision(monkeypatch, spec):
     assert passes == [fit.params.cov.phi]
 
 
+def test_local_influence_on_a_fresh_fit_peaks_below_five_and_a_half_matrices():
+    # above what the fit holds: its distances (read first here), R and
+    # dR/dphi, then d2R/dphi2 and P dR/dphi one after the other, and n x n_c
+    # blocks; the parent's 6.6 n^2 also held the sill's P R and a scaled
+    # copy of d2R/dphi2 and of P dR/dphi
+    import tracemalloc
+
+    from geocens import SaemConfig
+    from geocens.simulate import SimConfig, simulate_scl
+
+    n = 300
+    res = simulate_scl(SimConfig(
+        n_est=n, n_pred=0, beta=[10.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+        spec=CovarianceSpec("exponential"), cens_level=0.1,
+        coord_box=((0.0, 10.0), (0.0, 10.0)), seed=4,
+    ))
+    cfg = SaemConfig(m=5, max_iter=4, init_sigma2=1.5, init_phi=0.8, init_nugget=0.1,
+                     lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=1)
+    fit = saem_fit(res.data, TrendSpec("cte"), CovarianceSpec("exponential"), cfg)
+    tracemalloc.start()
+    try:
+        report = local_influence(fit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.response is not None, report.errors
+    assert peak <= 5.5 * n * n * 8, peak / (n * n * 8)
+
+
 @pytest.mark.parametrize("spec", FIT_SPECS, ids=FIT_IDS)
 def test_a_loaded_fit_gives_the_fresh_fits_diagnostics(spec):
     # fit.json holds no precision: on the loaded fit, local_influence

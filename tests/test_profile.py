@@ -385,8 +385,8 @@ def test_gaussian_ml_fit_trend_and_sill_are_the_gls_at_the_optimum(monkeypatch, 
         return out
 
     monkeypatch.setattr(profile, "profile_search", recording)
-    params, _, _ = predict.gaussian_ml_fit(data.value, x, Lags(dist), spec,
-                                           CovParams(1.0, 0.8, 0.1))
+    params, _, _, _ = predict.gaussian_ml_fit(data.value, x, Lags(dist), spec,
+                                              CovParams(1.0, 0.8, 0.1))
     (theta,) = found
     nu2 = theta[1] if len(theta) > 1 else 0.0
     fixed_tau = spec.fixed_nugget_value if spec.nugget_fixed else None
@@ -534,6 +534,30 @@ def test_cholesky_inverse_allocates_one_matrix():
     assert np.abs(inv - np.linalg.inv(mat)).max() < 1e-10
 
 
+def test_hessian_build_allocates_at_most_three_and_a_half_matrices():
+    # beyond what its evaluation holds, the build forms P = Q / sigma2 (the
+    # one mirror), d2R/dphi2 and P dR/dphi, the last after the second is
+    # dropped, and n x n_c blocks; the parent's 4.6 n^2 held a scaled copy
+    # of Q, the sill's P R and a scaled copy of P dR/dphi
+    import tracemalloc
+
+    n, n_c = 500, 50
+    rng = np.random.default_rng(9)
+    dist = distance_matrix(rng.uniform(0, 10, size=(n, 2)))
+    g = rng.normal(size=(n_c, n_c))
+    _, _, hess, _ = profile_objective(np.array([1.0, 0.1]), Lags(dist), SPEC_EXP,
+                                      rng.normal(size=n), np.ones((n, 1)), g @ g.T / n_c,
+                                      np.arange(n - n_c, n))
+    tracemalloc.start()
+    try:
+        h = hess()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(h))
+    assert peak <= 3.5 * n * n * 8, peak / (n * n * 8)
+
+
 @pytest.mark.parametrize("nugget", [None, 0.0, 0.3], ids=["free", "fixed-0", "fixed-0.3"])
 @pytest.mark.parametrize("family_spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
 def test_cm_step_returns_the_factor_of_sigma_at_its_point(family_spec, nugget):
@@ -549,7 +573,7 @@ def test_cm_step_returns_the_factor_of_sigma_at_its_point(family_spec, nugget):
     zhat = data.value.astype(float)
     zz_cc = np.outer(zhat[cen], zhat[cen]) + 0.1 * np.eye(cen.size)
     cfg = base_config() if nugget is None else base_config(lower=(0.05,), upper=(20.0,))
-    new, lo, _ = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev)
+    new, _, lo, _, _ = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev.cov)
     want = covariance.cholesky_sigma(dist, spec, new.cov)
     assert np.array_equal(np.triu(lo, 1), np.zeros_like(lo))
     assert np.abs(lo - want).max() <= 1e-12 * np.abs(want).max()
@@ -567,7 +591,7 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
     zhat = data.value.astype(float)
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
-    free, _, _ = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev)
+    free = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev.cov).params
     cut = 0.5 * (prev.cov.phi + free.cov.phi)
 
     last_phi, failed = {}, []
@@ -585,7 +609,7 @@ def test_cm_step_with_singular_covariance_above_phi_cut(monkeypatch):
 
     monkeypatch.setattr(covariance, "corr_dcorr_matrix", noting_corr)
     monkeypatch.setattr(covariance, "spd_cholesky", failing_cholesky)
-    new, _, _ = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev)
+    new = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev.cov).params
     monkeypatch.undo()
 
     def completed(phi, nu2):
@@ -682,9 +706,10 @@ def nugget_case(setting):
 @pytest.mark.parametrize("setting", ["fixed-zero", "free", "fixed-0.2"])
 def test_saem_fit_with_the_handover_equals_a_fit_without(monkeypatch, setting):
     # the held arrays are only read, so the fit is bitwise the same; on
-    # every nugget path some searches start where the last one stopped
-    # (with nu2 searched, the start nu2 = tau2 / sigma2 of the last point
-    # need not round back to the last search's end)
+    # every nugget path every search after the first starts at the theta
+    # where the last one stopped, on its held evaluation (with nu2
+    # searched, a start at nu2 = tau2 / sigma2 of the last point need not
+    # round back to that theta: 7 of 9 served for free and fixed-0.2 here)
     case = nugget_case(setting)
     searches = record_searches(monkeypatch, saem, "cm_step")
     fit = saem_fit(*case)
@@ -697,19 +722,21 @@ def test_saem_fit_with_the_handover_equals_a_fit_without(monkeypatch, setting):
     assert fit.loglik.value == plain.loglik.value
     assert fit.iterations_used == plain.iterations_used
     served = sum(len(rec["points"]) - rec["corr"] for rec in searches)
-    assert served == served_starts(searches, case[0].n)
-    assert served > 0
+    assert served == served_starts(searches, case[0].n) == len(searches) - 1
 
 
 @pytest.mark.parametrize("spec", [
     SPEC_EXP, CovarianceSpec("exponential", nugget_fixed=True, fixed_nugget_value=0.0),
 ], ids=["free", "fixed-zero"])
 def test_seminaive_with_the_handover_equals_one_without(monkeypatch, spec):
-    # the refits on all sites share one Lags; the fit to the uncensored
-    # sites has distances, and so a Lags, of its own
+    # the refits on all sites share one Lags, and each starts at the theta
+    # where the last fit on it stopped, on its held evaluation (with a free
+    # nugget, a start at the last fit's nu2 = tau2 / sigma2 missed 1 of 3
+    # here); the fit to the uncensored sites has distances, and so a Lags,
+    # of its own
     from geocens.predict import predict_seminaive
 
-    data = sim_left(seed=2, n=60, cens=0.3).data
+    data = sim_left(seed=5, n=60, cens=0.3).data
     n_obs = data.n - data.n_censored
     args = (data, TrendSpec("cte"), spec, data.coords[:5])
     searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
@@ -730,7 +757,7 @@ def test_seminaive_with_the_handover_equals_one_without(monkeypatch, spec):
     assert len(full) == got.extra["iterations"] + 1
     assert all(rec["lags"] is full[0]["lags"] is not obs["lags"] for rec in full)
     served = sum(len(rec["points"]) - rec["corr"] for rec in full)
-    assert served == served_starts(searches, data.n) > 0
+    assert served == served_starts(searches, data.n) == len(full) - 1
 
 
 def test_one_lags_serves_nothing_across_specs(monkeypatch):
@@ -755,11 +782,11 @@ def test_one_lags_serves_nothing_across_specs(monkeypatch):
 
     # a search that starts exactly where the last search on its Lags
     # stopped, under another spec
-    first, _, _ = predict.gaussian_ml_fit(y, x, shared, specs[0], CovParams(1.0, 0.8, 0.0))
+    first, _, _, _ = predict.gaussian_ml_fit(y, x, shared, specs[0], CovParams(1.0, 0.8, 0.0))
     assert shared.held[0] == (specs[0], first.cov.phi, 0.0)
     searches = record_searches(monkeypatch, predict, "gaussian_ml_fit")
-    got, got_ll, got_lo = predict.gaussian_ml_fit(y, x, shared, specs[1], first.cov)
-    want, want_ll, want_lo = predict.gaussian_ml_fit(y, x, Lags(dist), specs[1], first.cov)
+    got, got_ll, got_lo, _ = predict.gaussian_ml_fit(y, x, shared, specs[1], first.cov)
+    want, want_ll, want_lo, _ = predict.gaussian_ml_fit(y, x, Lags(dist), specs[1], first.cov)
     assert searches[0]["points"][0] == (first.cov.phi, 0.0)
     assert [rec["corr"] for rec in searches] == [len(rec["points"]) for rec in searches]
     assert searches[0]["points"] == searches[1]["points"]

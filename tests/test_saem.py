@@ -381,7 +381,7 @@ def test_cm_step_beta_is_gls():
     zhat = data.value
     zzhat = np.outer(zhat, zhat)
     cfg = base_config()
-    new, _, _ = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev)
+    new = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev.cov).params
     si = np.linalg.inv(build_sigma(dist, SPEC_EXP, new.cov))
     want = np.linalg.solve(x.T @ si @ x, x.T @ si @ zhat)
     assert_allclose(new.beta, want, rtol=1e-10)
@@ -398,7 +398,7 @@ def test_cm_step_square_design_residual_free_sill():
     zhat = np.array([0.7, -0.4])
     zzhat = np.outer(zhat, zhat) + 0.5 * np.eye(2)
     cfg = base_config()
-    new, _, _ = cm_step(zhat, zzhat, np.arange(2), x, Lags(dist), SPEC_EXP, cfg, prev)
+    new = cm_step(zhat, zzhat, np.arange(2), x, Lags(dist), SPEC_EXP, cfg, prev.cov).params
     psi_inv = np.linalg.inv(build_sigma(dist, SPEC_EXP, new.cov) / new.cov.sigma2)
     want = np.sum((zzhat - np.outer(zhat, zhat)) * psi_inv) / 2.0
     assert new.cov.sigma2 == pytest.approx(want, rel=1e-10)
@@ -413,7 +413,7 @@ def test_cm_step_dominates_random_feasible_points():
     zhat = data.value.astype(float)
     zzhat = np.outer(zhat, zhat) + 0.1 * np.eye(data.n)
     cfg = base_config()
-    new, _, _ = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev)
+    new = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), SPEC_EXP, cfg, prev.cov).params
 
     def profile(phi, nu2, sigma2, beta):
         psi = correlation("exponential", 0.0, dist, phi) + nu2 * np.eye(data.n)
@@ -454,8 +454,8 @@ def test_cm_step_censored_block_equals_dense_moments():
             base_config(lower=(0.05,), upper=(20.0,)),
         ),
     ]:
-        block, _, _ = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev)
-        dense, _, _ = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), spec, cfg, prev)
+        block = cm_step(zhat, zz_cc, cen, x, Lags(dist), spec, cfg, prev.cov).params
+        dense = cm_step(zhat, zzhat, np.arange(data.n), x, Lags(dist), spec, cfg, prev.cov).params
         assert_allclose(block.as_array(), dense.as_array(), rtol=1e-10)
 
 
@@ -751,9 +751,9 @@ def test_saem_censored_fit_with_a_loose_tol_stops_before_the_cap(monkeypatch):
 
     calls, cm = [], saem.cm_step
 
-    def recording(zhat, zz, idx, x, lags, spec, config, prev, *args, **kwargs):
-        out = cm(zhat, zz, idx, x, lags, spec, config, prev, *args, **kwargs)
-        calls.append((zhat.copy(), zz, idx, x, lags.dist, prev, out[0]))
+    def recording(zhat, zz, idx, x, lags, spec, config, start, *args, **kwargs):
+        out = cm(zhat, zz, idx, x, lags, spec, config, start, *args, **kwargs)
+        calls.append((zhat.copy(), zz, idx, x, lags.dist, start, out))
         return out
 
     monkeypatch.setattr(saem, "cm_step", recording)
@@ -773,10 +773,10 @@ def test_saem_censored_fit_with_a_loose_tol_stops_before_the_cap(monkeypatch):
     # the last row is the converged CM maximizer of the final moments: the
     # stopped search is continued from where it stopped, and a full search
     # from the previous iterate reaches the same objective
-    assert len(calls) == k + 1 and calls[-1][-2] is calls[-2][-1]
+    assert len(calls) == k + 1 and calls[-1][-2] is calls[-2][-1].theta
     zhat, zz, idx, x, dist, _, _ = calls[-1]
-    prev = calls[-2][-2]
-    want, _, _ = cm_step(zhat, zz, idx, x, Lags(dist), SPEC_EXP, cfg, prev)
+    start = calls[-2][-2]
+    want = cm_step(zhat, zz, idx, x, Lags(dist), SPEC_EXP, cfg, start).params
     got = fit.params
     cov_c = zz - np.outer(zhat[idx], zhat[idx])
 
