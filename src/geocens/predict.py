@@ -424,7 +424,7 @@ def gaussian_ml_fit(
     x: np.ndarray,
     lags: Lags,
     spec: CovarianceSpec,
-    init,
+    init: CovParams | np.ndarray,
     bounds: Optional[tuple] = None,
 ) -> tuple[ModelParams, float, np.ndarray, np.ndarray]:
     """Maximize the exact Gaussian log-likelihood over the covariance

@@ -500,7 +500,7 @@ def profile_fit(
     spec: CovarianceSpec,
     cov_c: np.ndarray,
     idx: np.ndarray,
-    start,
+    start: CovParams | np.ndarray,
     lower,
     upper,
     metric: Optional[np.ndarray] = None,

@@ -250,7 +250,7 @@ def cm_step(
     lags: Lags,
     spec: CovarianceSpec,
     config: SaemConfig,
-    start,
+    start: CovParams | np.ndarray,
     metric: Optional[np.ndarray] = None,
     max_steps: Optional[int] = None,
 ) -> ProfileFit:
@@ -307,19 +307,20 @@ def saem_fit(
     estimate forms ``L_cc L_cc'``, for its rectangle probability.  Every
     CM search reads one :class:`geocens.covariance.Lags` of the ordered
     distances, and starts at the ``theta`` where the last one stopped, on
-    the arrays that search left held there.  The first CM search starts on the exact
-    Hessian of its objective; each later one on the metric the search
-    before it ended with, which the loop carries from one step to the
-    next beside the factor (from the cut point on, successive CM
-    objectives differ only by the step size of the moment update).  The
-    CM searches through the cut point, where each objective is new, and
-    at the last iteration run to convergence; every one in between stops
-    after its first accepted step (:mod:`geocens.profile`).  When the
-    stopping rule ends the loop before the cap, that iteration's search is
-    continued to convergence on the same moments, from where it stopped:
-    the returned ``params``, and the last row of ``trace_params``, are
-    always the converged CM maximizer of the final moments, while the
-    rule reads the one-step iterate, as a fit without the rule does.
+    the arrays that search left held there.  The first CM search starts on
+    the exact Hessian of its objective; each later one on the metric the
+    search before it ended with, which the loop carries from one step to
+    the next beside the factor and ``theta`` (from the cut point on,
+    successive CM objectives differ only by the step size of the moment
+    update).  The CM searches through the cut point, where each objective
+    is new, and at the last iteration run to convergence; every one in
+    between stops after its first accepted step (:mod:`geocens.profile`).
+    When the stopping rule ends the loop before the cap, that iteration's
+    search is continued to convergence on the same moments, from where it
+    stopped: the returned ``params``, and the last row of
+    ``trace_params``, are always the converged CM maximizer of the final
+    moments, while the rule reads the one-step iterate, as a fit without
+    the rule does.
 
     The first moment is kept in the factor's order, observed sites first:
     its observed rows hold the readings, and each E-step updates its last
