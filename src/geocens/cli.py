@@ -10,7 +10,7 @@ The file formats have one owner each: :func:`_write_csv` writes every CSV
 :func:`_bound_cell`), :func:`_read_table` reads every CSV against its
 column table (``_DATA_COLUMNS``, ``_TARGET_COLUMNS``, ``_TRUTH_COLUMNS``,
 then ``cov1..covq`` named by :func:`_cov_names`), and :func:`_json_header`
-opens every JSON output.
+opens every JSON output, which :func:`write_json` writes.
 
 Exit codes: 0 success, 2 validation or schema error, 3 numerical failure.
 """
@@ -42,7 +42,9 @@ from .errors import (
     UnsupportedMethodError,
 )
 from .influence import SCHEMES, local_influence
-from .model import ModelParams, SpatialDataset, TrendSpec, build_trend, param_count
+from .model import (
+    LogLik, ModelParams, SpatialDataset, TrendSpec, build_trend, criteria, param_count,
+)
 from .predict import (
     METHODS,
     SeminaiveConfig,
@@ -246,12 +248,12 @@ def _symmetric_rows(mat: np.ndarray):
 
 
 def _json_chunks(payload: dict):
-    """``json.dumps(payload, default=_json_default) + "\\n"`` in pieces, for
-    a payload of at least one key: the object key by key, each value
-    through ``json.dumps`` except a symmetric array (:func:`_is_symmetric`)
-    under a text key, which is written row by row
-    (:func:`_symmetric_rows`)."""
-    sep = "{"
+    """``json.dumps(payload, default=_json_default) + "\\n"`` in pieces: the
+    object key by key, each value through ``json.dumps`` except a
+    symmetric array (:func:`_is_symmetric`) under a text key, which is
+    written row by row (:func:`_symmetric_rows`)."""
+    yield "{"
+    sep = ""
     for key, value in payload.items():
         if isinstance(key, str) and _is_symmetric(value):
             yield f"{sep}{json.dumps(key)}: ["
@@ -265,14 +267,11 @@ def _json_chunks(payload: dict):
 
 def write_json(path: str, payload: dict):
     """Write ``json.dumps(payload, default=_json_default)`` and a newline
-    to ``path`` atomically.  A payload with a symmetric matrix at its top
-    level (a fit's ``zzhat``) is streamed: each symmetric pair is formatted
-    once and the rows are written as they are formed, so neither the n x n
-    list of floats nor the whole text is built.  The bytes are the same."""
-    if any(map(_is_symmetric, payload.values())):
-        _atomic_write(path, "", _json_chunks(payload))
-    else:
-        _atomic_write(path, json.dumps(payload, default=_json_default) + "\n")
+    to ``path`` atomically, streamed key by key (:func:`_json_chunks`).  A
+    symmetric matrix at the top level (a fit's ``zzhat``) is written row by
+    row, each symmetric pair formatted once, so neither the n x n list of
+    floats nor the whole text is built.  The bytes are the same."""
+    _atomic_write(path, "", _json_chunks(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +507,6 @@ def fit_from_payload(payload: dict) -> SaemFit:
         # older files record a start given by half, which the fit ignored
         cfg["init_sigma2"] = cfg["init_phi"] = None
     config = SaemConfig(**cfg)
-    from .model import LogLik, criteria
-
     ll = LogLik(value=payload["loglik"])
     crit = criteria(ll.value, param_count(p, spec.nugget_fixed), n)
     cen = np.flatnonzero(data.cens == 1)
@@ -536,6 +533,13 @@ def fit_from_payload(payload: dict) -> SaemFit:
 # ---------------------------------------------------------------------------
 
 
+# the simulate options manifest.json records, in order (beta and box parsed)
+_SIMULATE_CONFIG = (
+    "n_est", "n_pred", "beta", "sigma2", "phi", "tau2", "cov_model", "kappa", "cens_level",
+    "cens_type", "trend", "box", "covariate_ranges", "outlier_indices", "outlier_sd", "seed",
+)
+
+
 def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     trend = TrendSpec(args.trend)
@@ -545,10 +549,11 @@ def cmd_simulate(args) -> int:
     box = _floats(args.box)
     if len(box) != 4:
         raise ConfigurationError("--box needs x0,x1,y0,y1")
+    beta = _floats(args.beta)
     cfg = SimConfig(
         n_est=args.n_est,
         n_pred=args.n_pred,
-        beta=_floats(args.beta),
+        beta=beta,
         cov=CovParams(sigma2=args.sigma2, phi=args.phi, tau2=args.tau2),
         spec=spec,
         cens_level=args.cens_level,
@@ -574,22 +579,9 @@ def cmd_simulate(args) -> int:
         {
             **_json_header("simulate"),
             "config": {
-                "n_est": args.n_est,
-                "n_pred": args.n_pred,
-                "beta": list(_floats(args.beta)),
-                "sigma2": args.sigma2,
-                "phi": args.phi,
-                "tau2": args.tau2,
-                "cov_model": args.cov_model,
-                "kappa": args.kappa,
-                "cens_level": args.cens_level,
-                "cens_type": args.cens_type,
-                "trend": args.trend,
+                **{name: getattr(args, name) for name in _SIMULATE_CONFIG},
+                "beta": list(beta),
                 "box": list(box),
-                "covariate_ranges": args.covariate_ranges,
-                "outlier_indices": args.outlier_indices,
-                "outlier_sd": args.outlier_sd,
-                "seed": args.seed,
             },
             "lod": res.lod,
             "n_censored": int(data.n_censored),

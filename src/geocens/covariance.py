@@ -309,10 +309,10 @@ class Lags:
     evaluates the correlation at many ranges: the symmetric matrix ``dist``
     with its zero diagonal; formed on first use by a Matern pass, the
     strict upper triangle's indices, lags and log lags; and ``held``, the
-    last profile evaluation over them (Psi, L, Q and ``dR/dphi``) keyed by
-    the ``(spec, phi, nu2)`` it was formed at, or None.  Only the profile
-    objective (:mod:`geocens.profile`) reads and writes ``held``; a search
-    hands its caller the factor it found instead."""
+    last profile evaluation over them (L, Q's lower triangle, ``dR/dphi``
+    and, for Matern, Psi) keyed by the ``(spec, phi, nu2)`` it was formed
+    at, or None.  Only the profile objective (:mod:`geocens.profile`) reads
+    and writes ``held``; a search hands its caller the factor it found."""
 
     def __init__(self, dist: np.ndarray):
         self.dist = np.asarray(dist, dtype=float)
@@ -406,17 +406,22 @@ def spd_cholesky(mat: np.ndarray) -> np.ndarray:
     raise SingularCovarianceError("covariance matrix is numerically non positive definite")
 
 
+def _mirror_upper(m: np.ndarray) -> np.ndarray:
+    """``m`` made symmetric in place from its upper triangle, row ``j``
+    from column ``j``; each row written is contiguous in a row-major ``m``."""
+    for j in range(1, m.shape[0]):
+        m[j, :j] = m[:j, j]
+    return m
+
+
 def _cholesky_inverse(lo: np.ndarray) -> np.ndarray:
     """``(lo lo')^{-1}`` from a lower Cholesky factor (LAPACK ``potri``).
 
-    ``potri`` fills the lower triangle of a column-major copy; it is
-    mirrored in place, column by column, so that no other n x n array is
-    allocated, and the symmetric result is returned as a row-major view.
+    ``potri`` fills the lower triangle of a column-major copy, whose
+    row-major transpose is mirrored in place and returned: no other n x n
+    array is allocated.
     """
-    inv, _ = lapack.dpotri(lo, lower=1)
-    for j in range(1, inv.shape[0]):
-        inv[:j, j] = inv[j, :j]
-    return inv.T
+    return _mirror_upper(lapack.dpotri(lo, lower=1)[0].T)
 
 
 def cholesky_sigma(dist: np.ndarray, spec: CovarianceSpec, p: CovParams) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from .covariance import _cholesky_inverse, spd_cholesky
-from .errors import ConfigurationError, DataValidationError
+from .errors import ConfigurationError, DataValidationError, check_count
 
 _U_MIN = 5e-324  # smallest positive double, read for a zero uniform
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -129,8 +129,11 @@ def tmvn_gibbs(
     Each full conditional is a univariate truncated normal sampled by its
     log-space inverse CDF (:func:`_trunc_std_ppf`), finite for every
     uniform, 0 included; so the draw count is fixed and the output is a
-    deterministic function of ``rng``.  Returns an ``(n_samples, n)``
-    array; every row lies inside the rectangle.
+    deterministic function of ``rng``.  The chain runs ``burn_in +
+    n_samples * thin`` sweeps (:func:`_gibbs_sweeps`); the ``(n_samples,
+    n)`` array returned keeps every ``thin``-th one after the burn-in, and
+    every row lies inside the rectangle.  ``n_samples`` and ``thin`` are
+    integers >= 1 and ``burn_in`` >= 0.
 
     The uniforms are drawn one sweep (``n`` doubles) per generator call:
     for PCG64 that is the stream, and the state after the call, of one
@@ -140,12 +143,17 @@ def tmvn_gibbs(
     clipped into the rectangle), which lets callers persist the chain across
     repeated invocations.
     """
+    check_count("n_samples", n_samples)
+    check_count("burn_in", burn_in, least=0)
+    check_count("thin", thin)
     lam = _cholesky_inverse(spd_cholesky(np.atleast_2d(np.asarray(cov, dtype=float))))
-    return _gibbs_sweeps(mean, lam, rect, n_samples, burn_in, thin, rng=rng, start=start)
+    out = _gibbs_sweeps(mean, lam, rect, burn_in + n_samples * thin, rng=rng, start=start)
+    return np.ascontiguousarray(out[burn_in + thin - 1 :: thin])
 
 
-def _gibbs_sweeps(mean, lam, rect, n_samples, burn_in, thin, *, rng, start=None):
-    """:func:`tmvn_gibbs` on the precision matrix ``lam`` of the law."""
+def _gibbs_sweeps(mean, lam, rect, n_sweeps, *, rng, start=None):
+    """``n_sweeps`` sweeps of :func:`tmvn_gibbs`'s chain on the precision
+    matrix ``lam`` of the law; row ``k`` is the state sweep ``k`` ends in."""
     gen = as_generator(rng)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     n = mean.shape[0]
@@ -165,11 +173,8 @@ def _gibbs_sweeps(mean, lam, rect, n_samples, burn_in, thin, *, rng, start=None)
     d = x - mean
     x, d_s = x.tolist(), d.tolist()
 
-    out = np.empty((n_samples, n))
-    kept = 0
-    sweep = 0
-    while kept < n_samples:
-        sweep += 1
+    out = np.empty((n_sweeps, n))
+    for row in out:
         for i, u in enumerate(gen.random(n).tolist()):
             r = float(np.dot(rows[i], d)) - lam_ii[i] * d_s[i]
             m_i = mean_s[i] - r / lam_ii[i]
@@ -182,9 +187,7 @@ def _gibbs_sweeps(mean, lam, rect, n_samples, burn_in, thin, *, rng, start=None)
                 x_i = upper_s[i]
             x[i] = x_i
             d[i] = d_s[i] = x_i - mean_s[i]
-        if sweep > burn_in and (sweep - burn_in) % thin == 0:
-            out[kept] = x
-            kept += 1
+        row[:] = x
     return out
 
 

@@ -25,14 +25,14 @@ covariance spec, a start and a box into a search: a box without a ``nu2``
 component takes the range of :func:`default_search_box`, and a tied sill
 floors ``nu2`` at 1e-10.  Each evaluation forms R(phi) and ``dR/dphi`` in
 one kernel pass, and L and the lower triangle of Q (LAPACK ``potri``)
-once, or reads all four from the last evaluation on the caller's
-:class:`geocens.covariance.Lags` (see :func:`profile_objective`): each CM
-step and each seminaive refit starts at the ``theta`` where the last
-search on its distances stopped.  The evaluation reads Q off its triangle
-and never mirrors it; the Hessian builder mirrors it once, into ``P = Q /
-sigma2``.  The whitened residual ``L^{-1} r`` comes from the GLS fit (one
-triangular solve of ``[X, z]``); L is handed back with the fitted trend
-and sill.
+once, or reads them from the last evaluation on the caller's
+:class:`geocens.covariance.Lags` (Psi too for Matern alone; see
+:func:`profile_objective`): each CM step and each seminaive refit starts
+at the ``theta`` where the last search on its distances stopped.  The
+evaluation reads Q off its triangle and never mirrors it; the Hessian
+builder mirrors it once, into ``P = Q / sigma2``.  The whitened residual
+``L^{-1} r`` comes from the GLS fit (one triangular solve of ``[X, z]``);
+L is handed back with the fitted trend and sill.
 The residual term of q stays on the factor: ``r' Q r`` loses accuracy as
 the condition of Psi grows, and the search compares values at 1e-10.
 With ``a = Q r``, ``B = Q[:, c]`` and ``Psi_j`` the derivatives of Psi
@@ -133,14 +133,15 @@ class _Curvature:
     perturbation cross-derivatives of :mod:`geocens.influence` share at
     ``params``:
     ``cov_c`` is the covariance of the block ``idx``, ``rho`` and ``d_r``
-    are R (read off its diagonal only) and ``dR/dphi`` over ``dist``, and
-    ``prec`` is ``P = Sigma^{-1}``, C-contiguous.  With ``Sigma_k`` the
-    derivative by the k-th covariance parameter (``R``, ``sigma2 dR/dphi``
-    and ``I``), ``A_k = P Sigma_k``, ``tr_a[k] = tr(A_k)``, ``tr_aa[k, l] =
-    tr(A_k A_l)``, ``u[k] = Sigma_k a``, ``v[k] = P u[k]``, ``s[k] = Sigma_k
-    B`` and ``t[k] = P s[k]``; ``second`` holds, for each nonzero second
-    derivative ``Sigma_kl`` by parameter position, ``(sum(P * Sigma_kl),
-    a' Sigma_kl a, B' Sigma_kl B)``.
+    are R (read off its diagonal, by Matern alone: else None will do) and
+    ``dR/dphi`` over ``dist``, and ``prec`` is ``P = Sigma^{-1}``,
+    C-contiguous.  With ``Sigma_k`` the derivative by the k-th covariance
+    parameter (``R``, ``sigma2 dR/dphi`` and ``I``), ``A_k = P Sigma_k``,
+    ``tr_a[k] = tr(A_k)``, ``tr_aa[k, l] = tr(A_k A_l)``, ``u[k] = Sigma_k
+    a``, ``v[k] = P u[k]``, ``s[k] = Sigma_k B`` and ``t[k] = P s[k]``;
+    ``second`` holds, for each nonzero second derivative ``Sigma_kl`` by
+    parameter position, ``(sum(P * Sigma_kl), a' Sigma_kl a, B' Sigma_kl
+    B)``.
 
     The sill's terms come from ``P Sigma = I``: ``P R = (I - tau2 P) /
     sigma2``, ``R a = (r - tau2 a) / sigma2``, ``P R a = (a - tau2 P a) /
@@ -261,15 +262,17 @@ def profile_objective(
     An evaluation forms R and ``dR/dphi`` in one kernel pass
     (:func:`geocens.covariance.corr_dcorr_matrix`) over ``lags``, the
     :class:`geocens.covariance.Lags` the caller keeps for its distances,
-    and leaves its Psi, L, the lower triangle of Q that LAPACK ``potri``
-    fills (the rest zero) and ``dR/dphi`` held there, keyed by ``(spec,
-    phi, nu2)``.  An evaluation at that key reads them; any other drops
-    them before it forms its own.  The evaluation reads Q off the triangle
-    without mirroring it: ``tr(Q dR/dphi)`` is twice the sum over the
-    triangle, as ``dR/dphi`` has a zero diagonal, ``a = Q r`` is one
-    transposed triangular solve of the whitened residual, and ``Q[:, c]``
-    is gathered from the triangle's columns and rows.  The Hessian builder
-    mirrors it once, into ``P = Q / sigma2``.
+    and leaves its L, the lower triangle of Q that LAPACK ``potri`` fills
+    (the rest zero) and ``dR/dphi`` held there, keyed by ``(spec, phi,
+    nu2)``; Psi is dropped before ``potri`` runs but for Matern, whose
+    ``d2R/dphi2`` reads R again.  An evaluation at that key reads them; any
+    other drops them before it forms its own.  The evaluation reads Q off
+    the triangle without mirroring it: ``tr(Q dR/dphi)`` is twice the sum
+    over the triangle, as ``dR/dphi`` has a zero diagonal, ``a = Q r`` is
+    one transposed triangular solve of the whitened residual, and ``Q[:,
+    c]`` is gathered from the triangle's columns and rows.  The Hessian
+    builder mirrors it once (:func:`geocens.covariance._mirror_upper`),
+    into ``P = Q / sigma2``.
     """
     dim = len(theta)
     phi = float(theta[0])
@@ -281,6 +284,8 @@ def profile_objective(
         psi, d_phi = covariance.corr_dcorr_matrix(lags, spec, phi)
         psi[np.diag_indices_from(psi)] += nu2
         lo = covariance.spd_cholesky(psi)
+        if spec.family != "matern":
+            psi = None  # only Matern's d2R/dphi2 reads R again
         held = (key, (psi, lo, lapack.dpotri(lo, lower=1)[0], d_phi))
     lags.held = held
     psi, lo, tri, d_phi = held[1]
@@ -319,9 +324,7 @@ def profile_objective(
         # Psi differs from R only on the diagonal, which _Curvature skips
         p = x.shape[1]
         tau2 = spec.fixed_nugget_value if spec.nugget_fixed else nu2 * s
-        prec = tri.T / s  # P's upper triangle, mirrored in place
-        for j in range(1, n):
-            prec[j, :j] = prec[:j, j]
+        prec = covariance._mirror_upper(tri.T / s)
         c = _Curvature(ModelParams(beta=beta, cov=CovParams(sigma2=s, phi=phi, tau2=tau2)),
                        z, cov_c, idx, x, psi, d_phi, lags.dist, spec, prec)
         h = -_hessian(c)  # of f's unprofiled form, in (beta, sigma2, phi[, tau2])

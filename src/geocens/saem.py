@@ -235,8 +235,7 @@ def _e_step(z_c, zz_cc, chain, mu, l_cc, rect, delta, m, rng):
     ``l_cc``, swept on the precision it gives), then a step ``delta`` of
     the moments ``z_c`` and ``zz_cc`` towards the sample's.  Returns the
     new ``(z_c, zz_cc, chain)``."""
-    samples = _gibbs_sweeps(mu, _cholesky_inverse(l_cc), rect, m, burn_in=0, thin=1,
-                            rng=rng, start=chain)
+    samples = _gibbs_sweeps(mu, _cholesky_inverse(l_cc), rect, m, rng=rng, start=chain)
     mc1 = samples.mean(axis=0)
     mc2 = samples.T @ samples / m
     return z_c + delta * (mc1 - z_c), zz_cc + delta * (mc2 - zz_cc), samples[-1]
@@ -339,9 +338,9 @@ def saem_fit(
     from the conditional law the loop already holds.
 
     The fit's ``precision`` is ``Sigma^{-1}`` at the final point, in data
-    order: the ``potri`` inverse of the loop's last factor.  The arrays the
-    last CM search held are dropped first, so forming it adds no n x n
-    array beyond the loop's peak.
+    order: the ``potri`` inverse of the loop's last factor.  The ``Lags``,
+    with the arrays the last CM search held, is dropped first, so forming
+    it adds no n x n array beyond the loop's peak.
     """
     x = build_trend(data.coords, data.x_extra, trend)
     n, p = x.shape
@@ -359,11 +358,8 @@ def saem_fit(
 
         cov = initial_values(data, trend, spec).cov
     else:
-        tau2 = (
-            spec.fixed_nugget_value
-            if spec.nugget_fixed
-            else (config.init_nugget if config.init_nugget is not None else 0.0)
-        )
+        tau2 = (spec.fixed_nugget_value if spec.nugget_fixed
+                else 0.0 if config.init_nugget is None else config.init_nugget)
         cov = CovParams(
             sigma2=float(config.init_sigma2), phi=float(config.init_phi), tau2=float(tau2)
         )
@@ -412,7 +408,7 @@ def saem_fit(
         if converged:
             break
 
-    lags.held = None
+    del lags  # and with it the arrays the last CM search held
     back = np.argsort(order)
     prec = _cholesky_inverse(lo)[np.ix_(back, back)]
     ll = loglik_from_conditional(obs_term, mu, l_cc, rect, ll_rng)

@@ -8,7 +8,7 @@ limit, and returns the hold-out block uncensored as prediction truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -164,12 +164,4 @@ def inject_outliers(
     sd = float(np.std(data.value, ddof=1))
     value = data.value.copy()
     value[indices] += magnitude_sd * sd
-    return SpatialDataset(
-        coords=data.coords,
-        value=value,
-        cens=data.cens,
-        lower=data.lower,
-        upper=data.upper,
-        x_extra=data.x_extra,
-        cens_type=data.cens_type,
-    )
+    return replace(data, value=value)

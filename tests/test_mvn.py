@@ -314,6 +314,16 @@ def test_gibbs_reproducible():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("name, value", [("n_samples", 0), ("n_samples", -1), ("thin", 0),
+                                         ("burn_in", -2), ("burn_in", 2.0)])
+def test_gibbs_rejects_a_sweep_count_that_is_not_a_count(name, value):
+    # the chain runs burn_in + n_samples * thin sweeps and slices off the
+    # burn-in, so no count may be negative, fractional or a zero step
+    rect = Rectangle(lower=[-1.0, -np.inf], upper=[np.inf, 2.0])
+    with pytest.raises(ConfigurationError, match=name):
+        tmvn_gibbs(np.zeros(2), np.eye(2), rect, rng=RngState(1), **{"n_samples": 5, name: value})
+
+
 # ---------------------------------------------------------------------------
 # truncated moments
 # ---------------------------------------------------------------------------
@@ -402,6 +412,9 @@ GIBBS_CASES = {
                        [-40.0, -36.0], {}),
     "one-coordinate": ([0.3], [[2.0]], [0.5], [np.inf], {"burn_in": 3}),
     "one-far-interval": ([0.0], [[1.0]], [40.0], [41.0], {}),
+    # every sweep kept from a given chain state, as the E-step runs it
+    "no-burn-in": (*_block(30, "left", seed=5), {"burn_in": 0, "start": np.zeros(30)}),
+    "no-burn-in-thin-3": (*_block(30, "interval", seed=6), {"burn_in": 0, "thin": 3}),
 }
 
 

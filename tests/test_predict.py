@@ -190,6 +190,28 @@ def test_krige_memory_is_linear_in_targets():
     assert peak < 50e6
 
 
+def test_gaussian_ml_fit_peaks_below_five_point_six_matrices():
+    # an evaluation's L, potri's triangle and dR/dphi, beside the Hessian
+    # build's arrays; the parent's 6.1 n^2 also held Psi
+    import tracemalloc
+
+    n = 300
+    data = simulate_scl(SimConfig(
+        n_est=n, n_pred=0, beta=[10.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+        spec=SPEC_EXP, cens_level=0.1, coord_box=((0.0, 10.0), (0.0, 10.0)), seed=4,
+    )).data
+    lags = Lags(distance_matrix(data.coords))
+    tracemalloc.start()
+    try:
+        params, ll, _, _ = gaussian_ml_fit(data.value, np.ones((n, 1)), lags, SPEC_EXP,
+                                           CovParams(1.5, 0.8, 0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(ll) and params.cov.phi > 0
+    assert peak <= 5.6 * n * n * 8, peak / (n * n * 8)
+
+
 def test_krige_linear_in_observations_at_fixed_beta():
     coords, x, z, beta = observed_setup(seed=2)
     params = ModelParams(beta=np.zeros(3), cov=CovParams(sigma2=1.0, phi=1.0, tau2=0.1))

@@ -558,6 +558,43 @@ def test_hessian_build_allocates_at_most_three_and_a_half_matrices():
     assert peak <= 3.5 * n * n * 8, peak / (n * n * 8)
 
 
+def test_a_fresh_closed_form_evaluation_peaks_below_three_point_six_matrices():
+    # R (made Psi in place) and dR/dphi, then L, then potri's triangle
+    # after Psi is dropped: 3.2 n^2; the parent's 4.2 n^2 held Psi through
+    # potri and after it
+    import tracemalloc
+
+    n, n_c = 500, 50
+    rng = np.random.default_rng(9)
+    lags = Lags(distance_matrix(rng.uniform(0, 10, size=(n, 2))))
+    g = rng.normal(size=(n_c, n_c))
+    args = (rng.normal(size=n), np.ones((n, 1)), g @ g.T / n_c, np.arange(n - n_c, n))
+    tracemalloc.start()
+    try:
+        value, *_ = profile_objective(np.array([1.0, 0.1]), lags, SPEC_EXP, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak <= 3.6 * n * n * 8, peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=FAMILY_IDS)
+def test_an_evaluation_holds_psi_for_matern_alone(spec):
+    # only Matern's d2R/dphi2 reads R again; the closed-form families hold
+    # L, potri's triangle and dR/dphi
+    dist, x, y, (cov_c, idx) = form_setup("censored")
+    lags = Lags(dist)
+    profile_objective(np.array([0.9, 0.2]), lags, spec, y, x, cov_c, idx)
+    psi, lo, tri, d_phi = lags.held[1]
+    if spec.family == "matern":
+        want = correlation(spec.family, spec.kappa, dist, 0.9) + 0.2 * np.eye(dist.shape[0])
+        assert np.array_equal(psi, want)
+    else:
+        assert psi is None
+    assert lo.shape == tri.shape == d_phi.shape == dist.shape
+
+
 @pytest.mark.parametrize("nugget", [None, 0.0, 0.3], ids=["free", "fixed-0", "fixed-0.3"])
 @pytest.mark.parametrize("family_spec", FAMILY_SPECS, ids=lambda s: f"{s.family}-{s.kappa}")
 def test_cm_step_returns_the_factor_of_sigma_at_its_point(family_spec, nugget):

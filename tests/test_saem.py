@@ -709,6 +709,29 @@ def test_path_drift_measures_sigma2_and_tau2_on_the_sill():
     assert np.all(drift < 1e-2) and change[3] / last[3] > 1e-2
 
 
+def test_a_fresh_saem_fit_peaks_below_eight_and_a_half_matrices():
+    # the loop's peak: the distances, the held evaluation (L, potri's
+    # triangle, dR/dphi) and the Hessian build's n x n arrays; the
+    # parent's 8.9 n^2 also held Psi
+    import tracemalloc
+
+    n = 300
+    res = simulate_scl(SimConfig(
+        n_est=n, n_pred=0, beta=[10.0], cov=CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+        spec=SPEC_EXP, cens_level=0.1, coord_box=((0.0, 10.0), (0.0, 10.0)), seed=4,
+    ))
+    cfg = SaemConfig(m=5, max_iter=8, init_sigma2=1.5, init_phi=0.8, init_nugget=0.1,
+                     lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=1)
+    tracemalloc.start()
+    try:
+        fit = saem_fit(res.data, TrendSpec("cte"), SPEC_EXP, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.iterations_used == 8 and np.isfinite(fit.loglik.value)
+    assert peak <= 8.5 * n * n * 8, peak / (n * n * 8)
+
+
 def _first_settled(fit, tol):
     """First iteration at which every entry of path_drift is below tol."""
     cut = int(np.ceil(fit.config.pc * fit.config.max_iter))
