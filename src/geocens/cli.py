@@ -42,9 +42,7 @@ from .errors import (
     UnsupportedMethodError,
 )
 from .influence import SCHEMES, local_influence
-from .model import (
-    LogLik, ModelParams, SpatialDataset, TrendSpec, build_trend, criteria, param_count,
-)
+from .model import LogLik, ModelParams, SpatialDataset, TrendSpec, build_trend, partition
 from .predict import (
     METHODS,
     SeminaiveConfig,
@@ -280,9 +278,9 @@ def write_json(path: str, payload: dict):
 
 
 def _add_model_options(p: argparse.ArgumentParser):
-    p.add_argument("--trend", choices=["cte", "first", "other"], default="cte")
+    p.add_argument("--trend", choices=["cte", "first", "other"], default=TrendSpec.kind)
     p.add_argument("--cov-model", choices=FAMILIES, default="exponential")
-    p.add_argument("--kappa", type=float, default=0.0)
+    p.add_argument("--kappa", type=float, default=CovarianceSpec.kappa)
     p.add_argument("--fix-nugget", action="store_true")
     p.add_argument("--nugget", type=float, default=0.0,
                    help="fixed nugget value (with --fix-nugget) or initial nugget")
@@ -295,14 +293,14 @@ def _add_init_options(p: argparse.ArgumentParser):
 
 def _add_saem_options(p: argparse.ArgumentParser):
     _add_init_options(p)
-    p.add_argument("--lower", type=str, default="1e-4,1e-4",
+    p.add_argument("--lower", type=str, default=",".join(map(str, SaemConfig.lower)),
                    help="search box lower bounds phi[,nu2]")
-    p.add_argument("--upper", type=str, default="1e4,1e4",
+    p.add_argument("--upper", type=str, default=",".join(map(str, SaemConfig.upper)),
                    help="search box upper bounds phi[,nu2]")
-    p.add_argument("--m", type=int, default=15)
-    p.add_argument("--max-iter", type=int, default=300)
-    p.add_argument("--pc", type=float, default=0.2)
-    p.add_argument("--tol", type=float, default=1e-2,
+    p.add_argument("--m", type=int, default=SaemConfig.m)
+    p.add_argument("--max-iter", type=int, default=SaemConfig.max_iter)
+    p.add_argument("--pc", type=float, default=SaemConfig.pc)
+    p.add_argument("--tol", type=float, default=SaemConfig.tol,
                    help="stop once, for every parameter, the change between the means of "
                         "the last two windows of iterates plus the Monte Carlo standard "
                         "error of the current iterate is below tol times the parameter; "
@@ -435,6 +433,8 @@ def fit_summary_text(fit: SaemFit) -> str:
 
 
 def fit_to_payload(fit: SaemFit) -> dict:
+    """The fit file's object: every field of ``fit`` but ``precision``, the
+    whole ``loglik`` among them, plus the fit's criteria and summary."""
     return {
         **_json_header("fit"),
         "config": {
@@ -454,6 +454,8 @@ def fit_to_payload(fit: SaemFit) -> dict:
         },
         "loglik": fit.loglik.value,
         "loglik_se": fit.loglik.se,
+        "loglik_points": fit.loglik.n_points,
+        "log_cens_prob": fit.loglik.log_cens_prob,
         "aic": fit.aic,
         "bic": fit.bic,
         "aicc": fit.aicc,
@@ -484,21 +486,20 @@ def _fit_array(value, name: str, shape: tuple) -> np.ndarray:
 
 
 def fit_from_payload(payload: dict) -> SaemFit:
-    """The fit a fit file records.  The file holds no precision matrix, so
-    the fit's ``precision`` is None."""
+    """The fit that wrote the file, on every field but ``precision`` (None).
+    A file without ``loglik_se``, ``loglik_points`` or ``log_cens_prob``
+    loads with them at 0; a dataset that does not match the file's
+    ``dataset_fingerprint`` is a :class:`DataValidationError`."""
     if payload.get("kind") != "fit":
         raise DataValidationError("not a fit file")
     cfg_d = payload["config"]
     data = _dataset_from_payload(payload["dataset"])
-    spec = CovarianceSpec(
-        family=cfg_d["cov_model"],
-        kappa=cfg_d["kappa"],
-        nugget_fixed=cfg_d["fix_nugget"],
-        fixed_nugget_value=cfg_d["nugget"],
-    )
+    spec = CovarianceSpec(family=cfg_d["cov_model"], kappa=cfg_d["kappa"],
+                          nugget_fixed=cfg_d["fix_nugget"], fixed_nugget_value=cfg_d["nugget"])
+    if payload["dataset_fingerprint"] != data.fingerprint():
+        raise DataValidationError("fit file: the dataset does not match its fingerprint")
     trend = TrendSpec(cfg_d["trend"])
-    x = build_trend(data.coords, data.x_extra, trend)
-    n, p = x.shape
+    n, p = data.n, build_trend(data.coords, data.x_extra, trend).shape[1]
     fitted = payload["params"]
     cov = {k: float(_fit_array(fitted[k], k, ())) for k in ("sigma2", "phi", "tau2")}
     params = ModelParams(beta=_fit_array(fitted["beta"], "beta", (p,)), cov=CovParams(**cov))
@@ -506,25 +507,20 @@ def fit_from_payload(payload: dict) -> SaemFit:
     if (cfg["init_sigma2"] is None) != (cfg["init_phi"] is None):
         # older files record a start given by half, which the fit ignored
         cfg["init_sigma2"] = cfg["init_phi"] = None
-    config = SaemConfig(**cfg)
-    ll = LogLik(value=payload["loglik"])
-    crit = criteria(ll.value, param_count(p, spec.nugget_fixed), n)
-    cen = np.flatnonzero(data.cens == 1)
+    cen = partition(data).cens_idx
     return SaemFit(
         params=params,
         zhat=_fit_array(payload["zhat"], "zhat", (n,)),
         zz_cc=_fit_array(payload["zzhat"], "zzhat", (n, n))[np.ix_(cen, cen)],
-        loglik=ll,
-        criteria=crit,
+        loglik=LogLik(payload["loglik"], payload.get("loglik_se", 0.0),
+                      payload.get("loglik_points", 0), payload.get("log_cens_prob", 0.0)),
         trace_params=_fit_array(payload["trace_params"], "trace_params", (None, p + 3)),
         converged=payload["converged"],
         iterations_used=payload["iterations_used"],
-        config=config,
+        config=SaemConfig(**cfg),
         data=data,
         trend=trend,
         spec=spec,
-        x=x,
-        fingerprint=payload["dataset_fingerprint"],
     )
 
 
@@ -802,10 +798,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=str, required=True, help="comma-separated")
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--tau2", type=float, default=0.0)
-    p.add_argument("--cens-level", type=float, default=0.0)
-    p.add_argument("--cens-type", choices=["left", "right"], default="left")
-    p.add_argument("--box", type=str, default="0,1,0,1", help="x0,x1,y0,y1")
+    p.add_argument("--tau2", type=float, default=CovParams.tau2)
+    p.add_argument("--cens-level", type=float, default=SimConfig.cens_level)
+    p.add_argument("--cens-type", choices=["left", "right"], default=SimConfig.cens_type)
+    p.add_argument("--box", type=str, default=",".join(map(str, sum(SimConfig.coord_box, ()))),
+                   help="x0,x1,y0,y1")
     p.add_argument("--covariate-ranges", type=str, default=None, help="lo:hi,lo:hi")
     p.add_argument("--outlier-indices", type=str, default=None)
     p.add_argument("--outlier-sd", type=float, default=5.0)
@@ -828,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", type=str, default=None,
                    help="optional truth CSV overlaid on the band plot")
     _add_init_options(p)
-    p.add_argument("--semi-max-iter", type=int, default=20)
+    p.add_argument("--semi-max-iter", type=int, default=SeminaiveConfig.max_iter)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("crossval", help="hold-out comparison of the four methods")
@@ -838,8 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--n-est", type=int, required=True,
                    help="first n rows estimate; the rest are scored")
-    p.add_argument("--methods", type=str, default="naive1,naive2,seminaive,saem")
-    p.add_argument("--semi-max-iter", type=int, default=20)
+    p.add_argument("--methods", type=str, default=",".join(METHODS))
+    p.add_argument("--semi-max-iter", type=int, default=SeminaiveConfig.max_iter)
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("diagnose", help="local influence diagnostics of a fit")

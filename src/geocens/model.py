@@ -238,7 +238,7 @@ def impute_bounds(data: SpatialDataset) -> np.ndarray:
     """The readings with each censored row set to its finite bound, or to
     the midpoint of its interval when both bounds are finite."""
     y = data.value.astype(float).copy()
-    idx = np.flatnonzero(data.cens == 1)
+    idx = partition(data).cens_idx
     lo, hi = data.lower[idx], data.upper[idx]
     y[idx] = np.where(np.isfinite(hi), hi, lo)
     mid = np.isfinite(lo) & np.isfinite(hi)

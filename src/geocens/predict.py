@@ -43,6 +43,7 @@ from .model import (
     impute_bounds,
     loglik,
     param_count,
+    partition,
 )
 from .profile import default_search_box, profile_fit
 
@@ -553,8 +554,8 @@ def predict_seminaive(
     dist = distance_matrix(data.coords)
     if init is None:
         init = initial_values(data, trend, spec).cov
-    cens_idx = np.flatnonzero(data.cens == 1)
-    obs_idx = np.flatnonzero(data.cens == 0)
+    part = partition(data)
+    cens_idx, obs_idx = part.cens_idx, part.obs_idx
 
     y = data.value.astype(float).copy()
     y[cens_idx] = 0.0

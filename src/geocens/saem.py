@@ -138,22 +138,23 @@ def dense_second_moment(zhat: np.ndarray, zz: np.ndarray, idx: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class SaemFit:
-    """Completed fit: estimates, conditional moments, criteria, and the
-    parameter trace.  ``loglik`` is estimated once, at ``params``.
+    """Completed fit: estimates, conditional moments, and the parameter
+    trace.  ``loglik`` is estimated once, at ``params``.  The fields hold
+    what the fit estimated and was given.  :attr:`criteria` is derived from
+    ``loglik``, ``spec`` and ``data``, :attr:`fingerprint` from ``data``;
+    :attr:`x` and :attr:`dist` are formed when first read and kept.
 
     ``precision`` is ``Sigma^{-1}`` at ``params`` over the sites in data
     order, as :func:`saem_fit` forms it, or None for a fit built without it
     (:func:`geocens.cli.fit_from_payload`).  Only
     :func:`geocens.influence.local_influence` reads it (and factors
-    ``Sigma`` when it is None).  :attr:`dist` is formed from the
-    coordinates when first read and kept.
+    ``Sigma`` when it is None).
     """
 
     params: ModelParams
     zhat: np.ndarray
     zz_cc: np.ndarray
     loglik: LogLik
-    criteria: Criteria
     trace_params: np.ndarray
     converged: bool
     iterations_used: int
@@ -161,14 +162,26 @@ class SaemFit:
     data: SpatialDataset
     trend: TrendSpec
     spec: CovarianceSpec
-    x: np.ndarray = field(repr=False, default=None)
-    fingerprint: str = ""
     precision: Optional[np.ndarray] = field(repr=False, default=None)
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        """Trend matrix of the sites, in data order."""
+        return build_trend(self.data.coords, self.data.x_extra, self.trend)
 
     @functools.cached_property
     def dist(self) -> np.ndarray:
         """Distance matrix of the sites, in data order."""
         return distance_matrix(self.data.coords)
+
+    @property
+    def criteria(self) -> Criteria:
+        return criteria(self.loglik.value, param_count(self.x.shape[1], self.spec.nugget_fixed),
+                        self.data.n)
+
+    @property
+    def fingerprint(self) -> str:
+        return self.data.fingerprint()
 
     @property
     def zzhat(self) -> np.ndarray:
@@ -334,8 +347,8 @@ def saem_fit(
     Iterates until the parameter path settles (every entry of
     :func:`path_drift` over the post-cut iterates below ``config.tol``,
     checked once two windows of them exist) or the iteration cap is
-    reached.  The log-likelihood is then estimated once, at the final point,
-    from the conditional law the loop already holds.
+    reached.  The log-likelihood, from which the fit derives its criteria,
+    is then estimated once, at the final point, from the loop's conditional law.
 
     The fit's ``precision`` is ``Sigma^{-1}`` at the final point, in data
     order: the ``potri`` inverse of the loop's last factor.  The ``Lags``,
@@ -410,15 +423,11 @@ def saem_fit(
 
     del lags  # and with it the arrays the last CM search held
     back = np.argsort(order)
-    prec = _cholesky_inverse(lo)[np.ix_(back, back)]
-    ll = loglik_from_conditional(obs_term, mu, l_cc, rect, ll_rng)
-    crit = criteria(ll.value, param_count(p, spec.nugget_fixed), n)
     return SaemFit(
         params=params,
         zhat=z[back],
         zz_cc=zz_cc,
-        loglik=ll,
-        criteria=crit,
+        loglik=loglik_from_conditional(obs_term, mu, l_cc, rect, ll_rng),
         trace_params=trace_params[:iterations],
         converged=converged,
         iterations_used=iterations,
@@ -426,7 +435,5 @@ def saem_fit(
         data=data,
         trend=trend,
         spec=spec,
-        x=x,
-        fingerprint=data.fingerprint(),
-        precision=prec,
+        precision=_cholesky_inverse(lo)[np.ix_(back, back)],
     )

@@ -891,3 +891,130 @@ def test_streamed_fit_json_peak_memory_is_below_the_json_module_path(tmp_path):
         tmp_path / "old.json", json.dumps(fit_to_payload(fit), default=_json_default) + "\n"))
     assert read_bytes(tmp_path / "new.json") == read_bytes(tmp_path / "old.json")
     assert new <= 0.7 * old
+
+
+def censored_fit(cens_type, nugget):
+    """A short fit on 40 sites, 30% censored; ``interval`` takes the
+    left-censored rows and closes each below at its limit minus 1.5."""
+    sim = geocens.simulate_scl(geocens.SimConfig(
+        n_est=40, n_pred=0, beta=[10.0], cov=geocens.CovParams(sigma2=2.0, phi=1.0, tau2=0.2),
+        spec=CovarianceSpec("exponential"), cens_level=0.3,
+        cens_type="right" if cens_type == "right" else "left",
+        coord_box=((0.0, 6.0), (0.0, 6.0)), seed=3,
+    ))
+    data = sim.data
+    if cens_type == "interval":
+        lower = np.where(data.cens == 1, data.upper - 1.5, -np.inf)
+        data = dataclasses.replace(data, lower=lower, cens_type="interval")
+    spec = CovarianceSpec("exponential", **WRITER_NUGGETS[nugget])
+    return saem_fit(data, TrendSpec("cte"), spec, SaemConfig(
+        m=4, max_iter=3, init_sigma2=1.5, init_phi=1.0, init_nugget=0.1,
+        lower=(0.05, 1e-4), upper=(20.0, 10.0), tol=0.0, seed=5,
+    ))
+
+
+def same_value(a, b) -> bool:
+    """Equality that descends into dataclasses and compares arrays whole."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_value(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and np.array_equal(a, b)
+    return a == b
+
+
+def reload_fit(fit, tmp_path, edit=lambda payload: None):
+    from geocens.cli import fit_from_payload, fit_to_payload, write_json
+
+    write_json(tmp_path / "fit.json", fit_to_payload(fit))
+    payload = json.loads((tmp_path / "fit.json").read_text())
+    edit(payload)
+    return fit_from_payload(payload)
+
+
+@pytest.mark.parametrize("nugget", list(WRITER_NUGGETS))
+@pytest.mark.parametrize("cens_type", ["left", "right", "interval"])
+def test_fit_json_loads_to_the_fit_that_wrote_it(tmp_path, cens_type, nugget):
+    fit = censored_fit(cens_type, nugget)
+    assert fit.data.cens_type == cens_type and fit.data.n_censored > 1
+    assert fit.loglik.se > 0 and fit.loglik.n_points > 0
+    again = reload_fit(fit, tmp_path)
+    for f in dataclasses.fields(fit):
+        if f.name != "precision":
+            assert same_value(getattr(again, f.name), getattr(fit, f.name)), f.name
+    assert again.precision is None
+    assert again.criteria == fit.criteria and again.fingerprint == fit.fingerprint
+    assert np.array_equal(again.x, fit.x)
+
+
+def test_fit_json_without_the_likelihood_estimate_keys_loads(tmp_path):
+    # files of earlier versions record the log-likelihood's value and se,
+    # or its value alone
+    from geocens.model import LogLik
+
+    fit = censored_fit("left", "free")
+
+    def drop(payload):
+        for key in ("loglik_se", "loglik_points", "log_cens_prob"):
+            payload.pop(key, None)
+
+    again = reload_fit(fit, tmp_path, drop)
+    assert again.loglik == LogLik(fit.loglik.value)
+    assert again.criteria == fit.criteria
+    assert same_value(again.params, fit.params) and same_value(again.data, fit.data)
+
+
+def test_fit_json_with_an_edited_dataset_exits_2(tmp_path, sim_dir, capsys):
+    # the fingerprint is derived from the dataset, so a file whose dataset
+    # no longer matches its recorded fingerprint is not loaded
+    assert run_cli("fit", "--data", sim_dir / "data.csv", "--max-iter", 3,
+                   "--out-dir", tmp_path / "fit") == 0
+    payload = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    payload["dataset"]["coords"][0][0] += 0.5
+    edited = tmp_path / "fit" / "edited.json"
+    edited.write_text(json.dumps(payload))
+    targets = tmp_path / "targets.csv"
+    write_targets(sim_dir, targets)
+    for argv in (["diagnose", "--fit", edited],
+                 ["predict", "--method", "saem", "--fit", edited, "--targets", targets]):
+        capsys.readouterr()
+        assert run_cli(*argv, "--out-dir", tmp_path / "out") == 2
+        assert "fingerprint" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_defaults_are_the_config_classes_defaults():
+    from geocens.cli import build_parser
+    from geocens.predict import METHODS, SeminaiveConfig
+
+    parser = build_parser()
+    required = {
+        "simulate": ["--n-est", 1, "--beta", 1, "--sigma2", 1, "--phi", 1],
+        "fit": ["--data", "d.csv"],
+        "predict": ["--method", "saem", "--targets", "t.csv"],
+        "crossval": ["--data", "d.csv", "--n-est", 1],
+        "variogram": ["--data", "d.csv"],
+    }
+
+    def numbers(text):
+        return tuple(float(v) for v in text.split(","))
+
+    for command, argv in required.items():
+        args = parser.parse_args([command, *map(str, argv)])
+        assert args.kappa == CovarianceSpec.kappa and args.trend == TrendSpec.kind
+        if command in ("fit", "crossval"):
+            assert (args.m, args.max_iter, args.pc, args.tol) == (
+                SaemConfig.m, SaemConfig.max_iter, SaemConfig.pc, SaemConfig.tol)
+            assert numbers(args.lower) == SaemConfig.lower
+            assert numbers(args.upper) == SaemConfig.upper
+        if command in ("predict", "crossval"):
+            assert args.semi_max_iter == SeminaiveConfig.max_iter
+    args = parser.parse_args(["crossval", "--data", "d.csv", "--n-est", "1"])
+    assert tuple(args.methods.split(",")) == METHODS
+    args = parser.parse_args(["simulate", *map(str, required["simulate"])])
+    sim = geocens.SimConfig
+    assert (args.cens_level, args.cens_type) == (sim.cens_level, sim.cens_type)
+    box = numbers(args.box)
+    assert (box[:2], box[2:]) == sim.coord_box
+    assert args.tau2 == geocens.CovParams.tau2

@@ -1026,7 +1026,7 @@ def test_factor_kriging_matches_a_long_double_reference_when_sigma_is_ill_condit
     # seminaive predictors) or formed inside krige (predict_saem, on a fit
     # that holds Sigma^{-1} as a fresh fit does)
     from geocens import SaemConfig, predict_saem
-    from geocens.model import Criteria, LogLik
+    from geocens.model import LogLik
     from geocens.saem import SaemFit
 
     spec, tau2, n, side = ILL_CONDITIONED[case]
@@ -1040,10 +1040,10 @@ def test_factor_kriging_matches_a_long_double_reference_when_sigma_is_ill_condit
     mean, sd = long_double_kriging(params, x, z, coords, x_pred, coords_pred, spec)
     fit = SaemFit(
         params=params, zhat=z, zz_cc=np.zeros((0, 0)), loglik=LogLik(0.0),
-        criteria=Criteria(0.0, 0.0, None), trace_params=params.as_array()[None],
+        trace_params=params.as_array()[None],
         converged=True, iterations_used=1, config=SaemConfig(),
         data=SpatialDataset(coords=coords, value=z, cens=np.zeros(n, dtype=int)),
-        trend=TrendSpec("cte"), spec=spec, x=x,
+        trend=TrendSpec("cte"), spec=spec,
         precision=np.linalg.inv(build_sigma(distance_matrix(coords), spec, params.cov)),
     )
     for got in (krige(params, x, z, coords, x_pred, coords_pred, spec),
